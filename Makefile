@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet misvet race cover alloc-gate scale-smoke dynmis-smoke dist-smoke layout-smoke ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
+.PHONY: build test vet misvet race cover alloc-gate perfbench-test scale-smoke dynmis-smoke dist-smoke layout-smoke ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
 
 build:
 	go build ./...
@@ -58,12 +58,21 @@ cover:
 	@go test -cover repro/internal/distrib | awk -v min=$(DISTRIB_COVER_MIN) '$(COVER_AWK)'
 	@go test -cover repro/internal/layout | awk -v min=$(LAYOUT_COVER_MIN) '$(COVER_AWK)'
 
-# Allocation gate: a steady-state sequential round (n = 1024 ring,
-# every node broadcasting) must perform zero heap allocations — the
-# invariant the value-typed wire payloads and the flat inbox arena exist
-# to provide. Fast (< 1s); runs in ci.
+# Allocation gates: a steady-state round (n = 1024 ring, every node
+# broadcasting) must perform zero heap allocations — the invariant the
+# value-typed wire payloads and the flat inbox arena exist to provide —
+# and a whole Run must make a fixed number of allocations independent of
+# n, because every message buffer is sized once from the CSR. Fast
+# (< 1s); runs in ci.
 alloc-gate:
-	go test -run '^TestSteadyStateRound' -count=1 ./internal/congest/
+	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN)' -count=1 ./internal/congest/
+
+# The benchmark's own suite (perfbench is a separate module, outside the
+# root `go test ./...`): p90 op-count rule, input determinism, tiny-size
+# pinned digests for all four workloads, argument checks. Fast (~0.1s
+# after the build); runs in ci.
+perfbench-test:
+	cd perfbench && go test ./...
 
 # Scaling smoke: the E19 slice of the cores × n matrix at test size —
 # sequential + pool at two worker counts, fingerprints forced identical
@@ -95,9 +104,9 @@ layout-smoke:
 
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
 # repo-wide vet, the misvet analyzer suite, race-detector pass, coverage
-# floors, allocation gate, multicore-scaling smoke, dynamic-MIS smoke,
-# distributed-driver smoke, layout smoke.
-ci: test vet misvet race cover alloc-gate scale-smoke dynmis-smoke dist-smoke layout-smoke
+# floors, allocation gates, the benchmark's own suite, multicore-scaling
+# smoke, dynamic-MIS smoke, distributed-driver smoke, layout smoke.
+ci: test vet misvet race cover alloc-gate perfbench-test scale-smoke dynmis-smoke dist-smoke layout-smoke
 
 # Refresh the seed-pinned driver throughput trajectory consumed by future
 # PRs (rounds/sec and messages/sec per driver at n = 2^14).

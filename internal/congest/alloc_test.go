@@ -1,9 +1,11 @@
 package congest
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/faultsim"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -181,5 +183,68 @@ func TestSteadyStateRoundZeroAllocsWithDelays(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, oneRound); avg != 0 {
 		t.Fatalf("steady-state delayed round allocates %v objects, want 0", avg)
+	}
+}
+
+// runMallocs returns the fewest heap allocations one whole Run made over a
+// few repetitions, each on a fresh Runner built outside the measurement
+// (NewRunner's per-vertex node state is not the run's cost). The minimum
+// filters runtime allocations that land in some repetitions and not in
+// others.
+func runMallocs(t *testing.T, g *graph.Graph, factory func(int) Node, opts Options) uint64 {
+	t.Helper()
+	best := ^uint64(0)
+	var ms runtime.MemStats
+	for rep := 0; rep < 3; rep++ {
+		r := NewRunner(g, factory, opts)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.Mallocs-before)
+	}
+	return best
+}
+
+// TestRunAllocsIndependentOfN is the run-level allocation gate: every
+// per-run buffer is sized once at set-up from the CSR, so a whole Run —
+// set-up, every round, teardown — makes a number of heap allocations that
+// depends on the shard count, not on n. A broadcast-every-round program
+// runs at n = 2^10 and n = 2^14 under the sequential driver, the pool, a
+// fault plan and a non-identity layout; each run must stay within a small
+// fixed budget, and the 16x larger graph may add only a handful (with the
+// collector off the counts are equal; the extra few are the runtime's own,
+// made by the GC cycles the larger run triggers).
+func TestRunAllocsIndependentOfN(t *testing.T) {
+	const (
+		budget = 64 // allocations per whole Run
+		growth = 8  // extra allocations allowed at n = 2^14 over n = 2^10
+	)
+	factory := func(int) Node { return &pingCounter{rounds: 4} }
+	configs := []struct {
+		name string
+		opts Options
+	}{
+		{"sequential", Options{Driver: DriverSequential}},
+		{"pool-2", Options{Driver: DriverPool, Workers: 2}},
+		{"bernoulli", Options{Faults: faultsim.BernoulliDrop{P: 0.05}}},
+		{"degsort", Options{Layout: "degsort"}},
+	}
+	small := gen.UnionOfTrees(1<<10, 2, rng.New(3))
+	large := gen.UnionOfTrees(1<<14, 2, rng.New(3))
+	for _, c := range configs {
+		c.opts.Seed = 1
+		lo := runMallocs(t, small, factory, c.opts)
+		hi := runMallocs(t, large, factory, c.opts)
+		t.Logf("%s: %d allocs at n=2^10, %d at n=2^14", c.name, lo, hi)
+		if lo > budget || hi > budget {
+			t.Errorf("%s: Run allocates %d (n=2^10) and %d (n=2^14) objects, budget %d", c.name, lo, hi, budget)
+		}
+		if hi > lo+growth {
+			t.Errorf("%s: Run allocations grow with n: %d at n=2^10, %d at n=2^14 (allowed +%d)", c.name, lo, hi, growth)
+		}
 	}
 }

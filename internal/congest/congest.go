@@ -81,11 +81,14 @@ type Context struct {
 	neighbors []int // external neighbor IDs, ascending
 	//idspace:internal
 	targets []int // internal neighbor IDs, aligned with neighbors
-	rng     *rng.RNG
-	round   int
-	halted  bool
-	shard   *shard
-	runner  *Runner
+	// rng is held by value so a run needs no per-node allocation for it.
+	// Contexts are only ever addressed in place (&ctxs[v]): a by-value
+	// copy of a Context would fork the node's stream.
+	rng    rng.RNG
+	round  int
+	halted bool
+	shard  *shard
+	runner *Runner
 }
 
 type addressed struct {
@@ -116,7 +119,7 @@ func (c *Context) Degree() int { return len(c.neighbors) }
 
 // RNG returns this node's private random stream. Draws are deterministic
 // given the run seed and vertex ID, and no other node shares the stream.
-func (c *Context) RNG() *rng.RNG { return c.rng }
+func (c *Context) RNG() *rng.RNG { return &c.rng }
 
 // Send queues a message to neighbor `to` for delivery next round. Sending
 // to a non-neighbor is a programming error and poisons the run with an
@@ -609,6 +612,12 @@ type execState struct {
 	scratch    []uint64 // whole-graph frontier gather space for rebalancing
 	rebalances int64    // rebalance count over the run
 
+	// Outbox reservation (see sizeOutboxes): the one backing array of all
+	// 2m directed edges every bucket is carved from, and per-bucket count
+	// scratch.
+	outbox    []addressed
+	outCounts []int
+
 	// Event-bus state (see events.go). bus is nil when nothing listens;
 	// full means a real sink (Options.Events) wants the rich stream, not
 	// just the deprecated adapters.
@@ -740,14 +749,61 @@ func (r *Runner) newExecState(numShards int) *execState {
 				n:         n,
 				neighbors: nbrs,
 				targets:   tgts,
-				rng:       root.Split(uint64(extv)),
+				rng:       *root.Split(uint64(extv)),
 				shard:     sh,
 				runner:    r,
 			}
 		}
 		st.shards[s] = sh
 	}
+	st.outbox = make([]addressed, 2*r.ig.M())
+	st.outCounts = make([]int, st.buckets)
+	st.sizeOutboxes()
 	return st
+}
+
+// sizeOutboxes carves every shard outbox bucket from the run's single
+// backing array at the CONGEST bound of one message per edge per direction
+// per round: bucket d of a shard never carries more in a round than the
+// directed edges from the shard's vertices into destination bucket d — the
+// shard's whole degree sum when the run has a single bucket. Set-up calls
+// it once; the rebalancer calls it again after re-cutting the shard ranges
+// (outboxes are empty between rounds), so the reservation always matches
+// the current partition. The counts of any partition sum to the same 2m
+// directed edges, so re-carving never allocates. Every bucket is capped
+// with a three-index slice: a program that sends more than once per edge
+// in a round grows its own bucket by an ordinary append and never writes
+// into a neighbor's range.
+func (st *execState) sizeOutboxes() {
+	counts := st.outCounts
+	off := 0
+	for _, sh := range st.shards {
+		if len(counts) == 1 {
+			counts[0] = roundBound(st.ctxs[sh.lo:sh.hi])
+		} else {
+			clear(counts)
+			for v := sh.lo; v < sh.hi; v++ {
+				for _, q := range st.ctxs[v].targets {
+					counts[st.vshard[q]]++
+				}
+			}
+		}
+		for d, c := range counts {
+			sh.out[d] = st.outbox[off : off : off+c]
+			off += c
+		}
+	}
+}
+
+// roundBound is the most messages a run of contexts can send, or receive,
+// in one round under CONGEST's one message per edge per direction: their
+// degree sum.
+func roundBound(ctxs []Context) int {
+	sum := 0
+	for i := range ctxs {
+		sum += len(ctxs[i].targets)
+	}
+	return sum
 }
 
 // sweepShard runs one round for every live node of a shard, in ascending

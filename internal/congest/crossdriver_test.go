@@ -27,6 +27,7 @@ import (
 	"repro/internal/mis/localmin"
 	"repro/internal/mis/luby"
 	"repro/internal/mis/metivier"
+	"repro/internal/mis/proto"
 	"repro/internal/mis/tree"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -97,29 +98,95 @@ func statusPrograms() []statusProgram {
 		{"colevishkin", func(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error) {
 			return colevishkin.Run(g, bfsParents(g), opts)
 		}},
+		{"doublesend", runDoubleSend},
 	}
 }
 
+// doubleSend is Métivier's MIS with every broadcast sent twice: two
+// messages per edge per direction per round, twice the CONGEST budget the
+// engine reserves outbox capacity for. Every driver must still agree on it
+// — the reservation is a sizing bound, not a limit, and sends beyond it
+// take the ordinary append path.
+type doubleSend struct {
+	status   base.Status
+	priority uint64
+}
+
+func (nd *doubleSend) Status() base.Status { return nd.status }
+
+func (nd *doubleSend) send(ctx *congest.Context, w congest.Wire) {
+	ctx.Broadcast(w)
+	ctx.Broadcast(w)
+}
+
+func (nd *doubleSend) compete(ctx *congest.Context) {
+	nd.priority = ctx.RNG().Uint64()
+	nd.send(ctx, proto.Priority{Value: nd.priority, Competitive: true}.Wire())
+}
+
+func (nd *doubleSend) Init(ctx *congest.Context) { nd.compete(ctx) }
+
+func (nd *doubleSend) Round(ctx *congest.Context, inbox []congest.Message) {
+	switch ctx.Round() % 3 {
+	case 1: // priorities arrived (each twice): local maxima join
+		for _, m := range inbox {
+			p, ok := proto.AsPriority(m.Wire)
+			if ok && (p.Value > nd.priority || (p.Value == nd.priority && m.From > ctx.ID())) {
+				return
+			}
+		}
+		nd.status = base.StatusInMIS
+		nd.send(ctx, proto.Flag{Kind: proto.KindJoined}.Wire())
+		ctx.Halt()
+	case 2: // neighbors of joiners retire
+		for _, m := range inbox {
+			if f, ok := proto.AsFlag(m.Wire); ok && f.Kind == proto.KindJoined {
+				nd.status = base.StatusDominated
+				nd.send(ctx, proto.Flag{Kind: proto.KindRemoved}.Wire())
+				ctx.Halt()
+				return
+			}
+		}
+	case 0:
+		nd.compete(ctx)
+	}
+}
+
+func runDoubleSend(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error) {
+	r := congest.NewRunner(g, func(int) congest.Node { return &doubleSend{status: base.StatusActive} }, opts)
+	res, err := r.Run()
+	if err != nil {
+		return nil, res, err
+	}
+	return base.Statuses(r, g.N()), res, nil
+}
+
 // distProgram maps a matrix program label to the cross-process Program
-// spec the distributed driver's workers construct their nodes from.
-func distProgram(label string, g *graph.Graph) distrib.Program {
+// spec the distributed driver's workers construct their nodes from. ok is
+// false for test-only programs, which worker processes cannot build; the
+// whitebox outbox tests run doubleSend's traffic shape through the
+// distributed coordinator with in-process workers instead.
+func distProgram(label string, g *graph.Graph) (prog distrib.Program, ok bool) {
 	switch name := strings.SplitN(label, "/", 2)[0]; name {
 	case "lubyA":
-		return distrib.Program{Algorithm: "luby-a"}
+		return distrib.Program{Algorithm: "luby-a"}, true
 	case "lubyB":
-		return distrib.Program{Algorithm: "luby-b"}
+		return distrib.Program{Algorithm: "luby-b"}, true
 	case "degreduce":
-		return distrib.Program{Algorithm: "degreduce", Args: []uint64{4}}
+		return distrib.Program{Algorithm: "degreduce", Args: []uint64{4}}, true
 	case "colevishkin":
-		return distrib.Program{Algorithm: "colevishkin", Args: distrib.ColeVishkinArgs(bfsParents(g))}
+		return distrib.Program{Algorithm: "colevishkin", Args: distrib.ColeVishkinArgs(bfsParents(g))}, true
+	case "doublesend":
+		return distrib.Program{}, false
 	default:
-		return distrib.Program{Algorithm: name}
+		return distrib.Program{Algorithm: name}, true
 	}
 }
 
 // runMatrix executes one program under every driver — including the
-// distributed driver over a unix-socket worker fleet — and fails the test
-// on the first divergence in error, Result, or statuses.
+// distributed driver over a unix-socket worker fleet, for programs the
+// worker registry knows — and fails the test on the first divergence in
+// error, Result, or statuses.
 func runMatrix(t *testing.T, label string, g *graph.Graph, baseOpts congest.Options,
 	run func(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error)) {
 	t.Helper()
@@ -152,7 +219,11 @@ func runMatrix(t *testing.T, label string, g *graph.Graph, baseOpts congest.Opti
 		st, res, err := run(g, opts)
 		check(d.name, st, res, err)
 	}
-	fleet, err := distrib.NewExecFleet(g, distProgram(label, g), 4)
+	prog, ok := distProgram(label, g)
+	if !ok {
+		return
+	}
+	fleet, err := distrib.NewExecFleet(g, prog, 4)
 	if err != nil {
 		t.Fatalf("%s: distributed fleet: %v", label, err)
 	}

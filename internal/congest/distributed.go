@@ -274,6 +274,12 @@ func (d *distRun) start() error {
 		}
 		d.conns[s] = conn
 		d.lens[s] = make([]int32, sh.hi-sh.lo)
+		if d.st.plan != nil {
+			// Faulted rounds compact the shard's admitted inboxes here: at
+			// most one fresh message per incident edge (messages a plan
+			// delayed into the same round grow the buffer by append).
+			d.bufs[s] = make([]Message, 0, roundBound(d.st.ctxs[sh.lo:sh.hi]))
+		}
 	}
 	return nil
 }
@@ -714,11 +720,16 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, fac
 			n:         cfg.N,
 			neighbors: nbrs,
 			targets:   tgts,
-			rng:       root.Split(uint64(extv)),
+			rng:       *root.Split(uint64(extv)),
 			shard:     w.sh,
 			runner:    w.r,
 		}
 	}
+	// The shard's sends are reserved at the CONGEST bound; the packet
+	// export mirrors the outbox one to one.
+	bound := roundBound(w.ctxs)
+	w.sh.out[0] = make([]addressed, 0, bound)
+	w.pkts = make([]Packet, 0, bound)
 	return w, nil
 }
 

@@ -56,7 +56,8 @@ func (st *execState) maybeRebalance(round int) {
 // re-cuts it into contiguous ranges of near-equal popcount, on word (64
 // vertex) boundaries so the per-shard frontiers are copied word-for-word.
 // Word-aligned cuts bound the imbalance at 64 vertices per boundary —
-// noise against the rebalanceMinPerShard floor.
+// noise against the rebalanceMinPerShard floor. The outbox buckets are
+// then re-carved for the new ranges.
 func (st *execState) rebalance(round, total int) {
 	n := len(st.ctxs)
 	numShards := len(st.shards)
@@ -109,6 +110,7 @@ func (st *execState) rebalance(round, total int) {
 		}
 		lo = hi
 	}
+	st.sizeOutboxes()
 	st.rebalances++
 	if st.full {
 		st.bus.Emit(trace.Event{
