@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet misvet race cover alloc-gate perfbench-test scale-smoke dynmis-smoke dist-smoke layout-smoke ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist bench-layout
+.PHONY: build test vet misvet race cover alloc-gate fuzz-smoke perfbench-test scale-smoke dynmis-smoke dist-smoke ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist
 
 build:
 	go build ./...
@@ -16,12 +16,11 @@ vet:
 # determinism and CONGEST contracts — no wall clocks / math/rand /
 # atomics / goroutines / map ranges in deterministic packages, closed
 # wire-kind and frame-kind namespaces, encoder bit sizes within
-# congest.MaxWireBits, allocation-free //congest:hotpath call chains,
-# internal/external vertex-ID separation (idspace), and coordinator-only
-# randomness (draworder). Any non-baselined finding fails the build; the
-# summary line records the suite's wall time so analyzer cost
-# regressions show up in CI logs. See README "Static analysis" for the
-# escape hatches.
+# congest.MaxWireBits, allocation-free //congest:hotpath call chains, and
+# coordinator-only randomness (draworder). Any non-baselined finding fails
+# the build; the summary line records the suite's wall time so analyzer
+# cost regressions show up in CI logs. See README "Static analysis" for
+# the escape hatches.
 misvet:
 	go run ./cmd/misvet ./...
 
@@ -42,7 +41,6 @@ COVER_MIN         = 60.0
 LINT_COVER_MIN    = 80.0
 DYNMIS_COVER_MIN  = 80.0
 DISTRIB_COVER_MIN = 80.0
-LAYOUT_COVER_MIN  = 80.0
 
 COVER_AWK = { print } \
 	/coverage:/ { \
@@ -56,7 +54,6 @@ cover:
 	@go test -cover repro/internal/lint | awk -v min=$(LINT_COVER_MIN) '$(COVER_AWK)'
 	@go test -cover repro/internal/dynmis | awk -v min=$(DYNMIS_COVER_MIN) '$(COVER_AWK)'
 	@go test -cover repro/internal/distrib | awk -v min=$(DISTRIB_COVER_MIN) '$(COVER_AWK)'
-	@go test -cover repro/internal/layout | awk -v min=$(LAYOUT_COVER_MIN) '$(COVER_AWK)'
 
 # Allocation gates: a steady-state round (n = 1024 ring, every node
 # broadcasting) must perform zero heap allocations — the invariant the
@@ -66,6 +63,12 @@ cover:
 # (< 1s); runs in ci.
 alloc-gate:
 	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN)' -count=1 ./internal/congest/
+
+# Fuzz smoke: a 10s slice of native fuzzing over the distrib frame
+# decoders, the bytes a networked shard worker (cmd/misnode -listen tcp:)
+# accepts from outside. Any panic, hang or runaway allocation fails it.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/distrib/
 
 # The benchmark's own suite (perfbench is a separate module, outside the
 # root `go test ./...`): p90 op-count rule, input determinism, tiny-size
@@ -95,18 +98,11 @@ dynmis-smoke:
 dist-smoke:
 	go run ./cmd/bench -quick -only E21
 
-# Layout smoke: the E22 slice of the layout × family matrix at test size —
-# every ordering over scrambled inputs, with the within-layout
-# sequential/pool fingerprint equality enforced inside the driver. Fast
-# (< 1s); runs in ci. The full matrix is `make bench-layout`.
-layout-smoke:
-	go run ./cmd/bench -quick -only E22
-
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
 # repo-wide vet, the misvet analyzer suite, race-detector pass, coverage
-# floors, allocation gates, the benchmark's own suite, multicore-scaling
-# smoke, dynamic-MIS smoke, distributed-driver smoke, layout smoke.
-ci: test vet misvet race cover alloc-gate perfbench-test scale-smoke dynmis-smoke dist-smoke layout-smoke
+# floors, allocation gates, decoder fuzz smoke, the benchmark's own suite,
+# multicore-scaling smoke, dynamic-MIS smoke, distributed-driver smoke.
+ci: test vet misvet race cover alloc-gate fuzz-smoke perfbench-test scale-smoke dynmis-smoke dist-smoke
 
 # Refresh the seed-pinned driver throughput trajectory consumed by future
 # PRs (rounds/sec and messages/sec per driver at n = 2^14).
@@ -157,15 +153,6 @@ bench-dynmis:
 # transport cost).
 bench-dist:
 	go run ./cmd/bench -dist-bench BENCH_dist.json
-
-# Refresh the seed-pinned layout-locality trajectory (E22 / DESIGN.md S30:
-# identity vs degsort vs bfs over scrambled union / powerlaw / grid at
-# n ∈ {2^16, 2^18, 2^20}; within every cell the sequential and pool
-# fingerprints are forced identical, and the best non-identity layout on
-# the densest family at the largest n must beat identity by ≥ 1.15x or
-# the run fails).
-bench-layout:
-	go run ./cmd/bench -layout-bench BENCH_layout.json
 
 # Engine driver micro-benchmarks (ns/round per driver at n = 2^11, 2^14).
 bench:

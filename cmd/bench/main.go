@@ -122,10 +122,6 @@ func run() int {
 	distN := flag.Int("dist-n", 1<<10, "graph size for -dist-bench")
 	distShards := flag.String("dist-shards", "1,2,4,8", "comma-separated shard-process counts for -dist-bench")
 	distReps := flag.Int("dist-reps", 3, "clean runs per fleet shape for -dist-bench (best wall time wins)")
-	layoutBench := flag.String("layout-bench", "", "write layout × family × n locality JSON to this file and exit")
-	layoutNS := flag.String("layout-ns", "65536,262144,1048576", "comma-separated graph sizes for -layout-bench")
-	layoutReps := flag.Int("layout-reps", 2, "timed runs per cell for -layout-bench (best wall time wins)")
-	layoutMinSpeedup := flag.Float64("layout-min-speedup", 1.15, "fail -layout-bench when the best non-identity layout on the densest family at the largest n falls below this sequential speedup over identity (0 = record only)")
 	allocBench := flag.String("alloc-bench", "", "write allocation-profile JSON to this file and exit")
 	allocN := flag.Int("alloc-n", 1<<14, "graph size for -alloc-bench")
 	allocReps := flag.Int("alloc-reps", 5, "runs per driver for -alloc-bench (best wall time / min allocs win)")
@@ -182,9 +178,6 @@ func run() int {
 	}
 	if *scaleBench != "" {
 		return runScaleBench(*scaleBench, *scaleNS, *scaleWorkers, *seed, *scaleReps, *scaleGPV)
-	}
-	if *layoutBench != "" {
-		return runLayoutBench(*layoutBench, *layoutNS, *seed, *layoutReps, *layoutMinSpeedup)
 	}
 	if *allocBench != "" {
 		return runAllocBench(*allocBench, *allocN, *seed, *allocReps, *allocBaseline)
@@ -395,48 +388,6 @@ func runScaleBench(path, nsFlag, workersFlag string, seed uint64, reps int, incl
 				name, size.N, time.Duration(e.WallNS).Round(time.Microsecond), e.SpeedupVsPool1,
 				e.MessagesPerSec, e.Rebalances, e.FingerprintClean, e.FingerprintFaulted, stall)
 		}
-	}
-	fmt.Printf("wrote %s\n", path)
-	return 0
-}
-
-// runLayoutBench measures the cache-locality win of vertex relabeling
-// across the layout × family × n matrix and writes BENCH_layout.json,
-// enforcing the minimum-speedup bar in-run unless it is 0.
-func runLayoutBench(path, nsFlag string, seed uint64, reps int, minSpeedup float64) int {
-	ns, err := parseInts("-layout-ns", nsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "layout bench: %v\n", err)
-		return 1
-	}
-	report, err := exp.RunLayoutBench(ns, seed, reps, minSpeedup)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "layout bench: %v\n", err)
-		return 1
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "layout bench: %v\n", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "layout bench: %v\n", err)
-		return 1
-	}
-	fmt.Printf("layout × family × n locality matrix (cpus=%d, scrambled labels)\n", report.NumCPU)
-	for _, cse := range report.Cases {
-		for _, e := range cse.Entries {
-			fmt.Printf("%-9s %-9s n=%-8d m=%-8d wall=%-12v relabel=%-10v speedup=%.3fx msgs/s=%-12.0f fp=%s\n",
-				cse.Family, e.Layout, cse.N, cse.M,
-				time.Duration(e.WallNS).Round(time.Microsecond),
-				time.Duration(e.RelabelNS).Round(time.Microsecond),
-				e.SpeedupVsIdentity, e.MessagesPerSec, e.FingerprintClean)
-		}
-	}
-	if report.BarLayout != "" {
-		fmt.Printf("bar: %s on %s n=%d reaches %.3fx over identity (min %.2fx)\n",
-			report.BarLayout, report.BarFamily, report.BarN, report.BarSpeedup, report.MinSpeedup)
 	}
 	fmt.Printf("wrote %s\n", path)
 	return 0

@@ -23,8 +23,6 @@ import (
 
 	"repro"
 	"repro/internal/dynmis"
-	"repro/internal/graph"
-	"repro/internal/layout"
 	"repro/internal/rng"
 )
 
@@ -49,7 +47,6 @@ func run() int {
 	alpha := flag.Int("alpha", 2, "arboricity parameter (union/pa)")
 	p := flag.Float64("p", 0.01, "edge probability (gnp) / radius (rgg)")
 	seed := flag.Uint64("seed", 1, "generator seed")
-	layoutName := flag.String("layout", "", "relabel vertices before output: identity|degsort|bfs (default identity)")
 	stream := flag.Bool("stream", false, "emit a JSONL update stream for the generated graph instead of an edge list")
 	streamBatches := flag.Int("stream-batches", 64, "update batches to generate (with -stream)")
 	streamBatchSize := flag.Int("stream-batch-size", 16, "updates per batch (with -stream)")
@@ -62,15 +59,6 @@ func run() int {
 	// a bad flag must produce a usage message, not a panic or empty output.
 	if *n <= 0 {
 		return usageError("-n must be positive, got %d", *n)
-	}
-	ordering, err := layout.Parse(*layoutName)
-	if err != nil {
-		return usageError("%v", err)
-	}
-	if *stream && ordering != layout.Identity {
-		// A stream header replays the base graph from its generator
-		// parameters alone; a relabeled base would not be reconstructible.
-		return usageError("-layout cannot be combined with -stream")
 	}
 	if *alpha < 1 && (*family == "union" || *family == "pa") {
 		return usageError("-alpha must be at least 1 for -family %s, got %d", *family, *alpha)
@@ -132,19 +120,6 @@ func run() int {
 		g, _ = repro.RandomGeometric(*n, *p, *seed)
 	default:
 		return usageError("unknown family %q (want %s)", *family, families)
-	}
-	if ordering != layout.Identity {
-		perm, _, err := layout.Compute(g, ordering)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			return 1
-		}
-		if perm != nil {
-			if g, err = graph.Relabel(g, perm); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				return 1
-			}
-		}
 	}
 	if *stream {
 		cfg := dynmis.StreamConfig{

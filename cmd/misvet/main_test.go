@@ -16,7 +16,7 @@ func TestList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "maprange", "wirekind", "congestbits",
-		"framecodec", "hotalloc", "idspace", "draworder",
+		"framecodec", "hotalloc", "draworder",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
@@ -35,7 +35,7 @@ func TestUnknownAnalyzer(t *testing.T) {
 	if !strings.Contains(errOut.String(), "unknown analyzer") {
 		t.Errorf("stderr: %s", errOut.String())
 	}
-	for _, name := range []string{"valid analyzers:", "idspace", "draworder", "framecodec"} {
+	for _, name := range []string{"valid analyzers:", "draworder", "framecodec"} {
 		if !strings.Contains(errOut.String(), name) {
 			t.Errorf("usage error missing %q:\n%s", name, errOut.String())
 		}

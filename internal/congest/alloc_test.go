@@ -113,44 +113,6 @@ func TestSteadyStateRoundZeroAllocsBucketed(t *testing.T) {
 	}
 }
 
-// TestSteadyStateRoundZeroAllocsRelabeled extends the gate to a
-// non-identity layout: with the BFS relabeling active, every round runs
-// the external↔internal translation path (extID, the dual
-// neighbors/targets context slices) and must still allocate nothing.
-func TestSteadyStateRoundZeroAllocsRelabeled(t *testing.T) {
-	const n = 1024
-	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed:   1,
-		Layout: "bfs",
-	})
-	if r.layoutErr != nil {
-		t.Fatal(r.layoutErr)
-	}
-	if r.perm == nil {
-		t.Fatal("bfs layout on a ring should produce a non-identity permutation")
-	}
-	st := r.newExecState(1)
-	round := 0
-	oneRound := func() {
-		r.startRound(st, round)
-		for _, sh := range st.shards {
-			r.sweepShard(st, sh, round)
-		}
-		if err := r.deliver(st, round); err != nil {
-			t.Fatal(err)
-		}
-		st.refreshLive()
-		r.endRound(st, round)
-		round++
-	}
-	for i := 0; i < 4; i++ {
-		oneRound()
-	}
-	if avg := testing.AllocsPerRun(20, oneRound); avg != 0 {
-		t.Fatalf("steady-state relabeled round allocates %v objects, want 0", avg)
-	}
-}
-
 // TestSteadyStateRoundZeroAllocsWithDelays extends the gate to the faulted
 // delivery path: with a plan that only delays (never drops), steady-state
 // rounds must still allocate nothing once the delay buckets have cycled
@@ -213,11 +175,11 @@ func runMallocs(t *testing.T, g *graph.Graph, factory func(int) Node, opts Optio
 // per-run buffer is sized once at set-up from the CSR, so a whole Run —
 // set-up, every round, teardown — makes a number of heap allocations that
 // depends on the shard count, not on n. A broadcast-every-round program
-// runs at n = 2^10 and n = 2^14 under the sequential driver, the pool, a
-// fault plan and a non-identity layout; each run must stay within a small
-// fixed budget, and the 16x larger graph may add only a handful (with the
-// collector off the counts are equal; the extra few are the runtime's own,
-// made by the GC cycles the larger run triggers).
+// runs at n = 2^10 and n = 2^14 under the sequential driver, the pool and
+// a fault plan; each run must stay within a small fixed budget, and the
+// 16x larger graph may add only a handful (with the collector off the
+// counts are equal; the extra few are the runtime's own, made by the GC
+// cycles the larger run triggers).
 func TestRunAllocsIndependentOfN(t *testing.T) {
 	const (
 		budget = 64 // allocations per whole Run
@@ -231,7 +193,6 @@ func TestRunAllocsIndependentOfN(t *testing.T) {
 		{"sequential", Options{Driver: DriverSequential}},
 		{"pool-2", Options{Driver: DriverPool, Workers: 2}},
 		{"bernoulli", Options{Faults: faultsim.BernoulliDrop{P: 0.05}}},
-		{"degsort", Options{Layout: "degsort"}},
 	}
 	small := gen.UnionOfTrees(1<<10, 2, rng.New(3))
 	large := gen.UnionOfTrees(1<<14, 2, rng.New(3))

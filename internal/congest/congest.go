@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/faultsim"
 	"repro/internal/graph"
-	"repro/internal/layout"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -50,7 +49,6 @@ import (
 // a plain value (no pointers): messages move from shard outboxes into the
 // round's inbox arena by value copy, with zero heap traffic.
 type Message struct {
-	//idspace:external
 	From int
 	Wire Wire
 }
@@ -66,21 +64,10 @@ type Node interface {
 
 // Context is the per-node view of the network that the engine passes to
 // Init and Round. It is only valid during the call it is passed to.
-//
-// Under a non-identity layout (Options.Layout) the engine stores vertices
-// in permuted "internal" order but the context exposes only "external"
-// (original) IDs: id, neighbors, and every Message.From are external.
-// targets carries the internal ID of each neighbor, pairwise-aligned with
-// neighbors, so sends address engine storage without a translation lookup;
-// under the identity layout both slices alias the same CSR row.
 type Context struct {
-	//idspace:external
-	id int
-	n  int
-	//idspace:external
-	neighbors []int // external neighbor IDs, ascending
-	//idspace:internal
-	targets []int // internal neighbor IDs, aligned with neighbors
+	id        int
+	n         int
+	neighbors []int // the vertex's CSR row: neighbor IDs, ascending
 	// rng is held by value so a run needs no per-node allocation for it.
 	// Contexts are only ever addressed in place (&ctxs[v]): a by-value
 	// copy of a Context would fork the node's stream.
@@ -92,7 +79,6 @@ type Context struct {
 }
 
 type addressed struct {
-	//idspace:internal
 	to  int
 	msg Message
 }
@@ -132,7 +118,7 @@ func (c *Context) Send(to int, w Wire) {
 		c.fail(fmt.Errorf("congest: node %d sent to non-neighbor %d", c.id, to))
 		return
 	}
-	c.enqueue(c.targets[i], w)
+	c.enqueue(to, w)
 }
 
 // SendSlot queues a message to the i'th neighbor (Neighbors()[i]) for
@@ -148,7 +134,7 @@ func (c *Context) SendSlot(i int, w Wire) {
 		c.fail(fmt.Errorf("congest: node %d sent to neighbor slot %d of %d", c.id, i, len(c.neighbors)))
 		return
 	}
-	c.enqueue(c.targets[i], w)
+	c.enqueue(c.neighbors[i], w)
 }
 
 // Broadcast queues a message to every neighbor for delivery next round,
@@ -156,16 +142,10 @@ func (c *Context) SendSlot(i int, w Wire) {
 //
 //congest:hotpath
 func (c *Context) Broadcast(w Wire) {
-	for _, v := range c.targets {
+	for _, v := range c.neighbors {
 		c.enqueue(v, w)
 	}
 }
-
-// BroadcastWire is Broadcast under the name the slot-addressed API family
-// uses; both walk the neighbor slots directly.
-//
-//congest:hotpath
-func (c *Context) BroadcastWire(w Wire) { c.Broadcast(w) }
 
 // fail records the first model violation observed in this context's shard.
 // Nodes within a shard are swept in ascending ID order and shards cover
@@ -183,7 +163,6 @@ func (c *Context) fail(err error) {
 // nodes within a shard are swept in ID order every bucket stays sorted by
 // sender with per-sender append order preserved.
 //
-//idspace:internal to
 //congest:hotpath
 func (c *Context) enqueue(to int, w Wire) {
 	if c.runner.opts.MessageBitLimit > 0 && int(w.Bits) > c.runner.opts.MessageBitLimit {
@@ -284,17 +263,6 @@ type Options struct {
 	// MessageBitLimit, when positive, fails the run if any single message
 	// exceeds that many bits (CONGEST compliance enforcement).
 	MessageBitLimit int
-	// Layout names the cache-conscious vertex ordering the engine applies
-	// at ingest (see internal/layout): "" or "identity" keeps the original
-	// labeling, "degsort" stores vertices by descending degree, "bfs"
-	// clusters neighborhoods Cuthill–McKee style. Relabeling is invisible
-	// to programs — contexts, messages, trace events, results, and errors
-	// all carry original (external) IDs — but it changes the engine's
-	// sweep and fault-draw order, so layout is part of run identity: trace
-	// fingerprints are pinned per layout, and all drivers stay
-	// bit-identical to each other within one. An unknown name fails Run
-	// with the parse error.
-	Layout string
 	// NoRebalance disables the pool driver's live-weighted shard
 	// rebalancing (see rebalance.go). Rebalancing re-partitions the
 	// contiguous vertex ranges between rounds when the live histogram is
@@ -332,10 +300,6 @@ type Options struct {
 	// wall-clock shard-sweep and merge timing events (advisory: they are
 	// real durations, not deterministic values).
 	EventTiming bool
-	// EventShardFlow, when set alongside Events, adds per-round message
-	// counts per (source shard, destination shard) pair (advisory: shard
-	// boundaries depend on the driver and worker count).
-	EventShardFlow bool
 	// Observer, when non-nil, is called after every completed round with
 	// the round number, the number of nodes still live after it, and the
 	// number of messages sent during it. Round 0 reports Init. It runs on
@@ -409,116 +373,30 @@ var ErrMaxRounds = errors.New("congest: max rounds exceeded before all nodes hal
 // Runner executes a program over a graph. Construct with NewRunner; a
 // Runner is single-use (Run may be called once).
 type Runner struct {
-	g      *graph.Graph // ingest graph, external labeling
-	nodes  []Node       // indexed by internal ID
+	g      *graph.Graph
+	nodes  []Node // indexed by vertex ID
 	opts   Options
 	ran    bool
 	traced bool // full event stream wanted; set before workers start, read-only after
-
-	// Layout state (see internal/layout). Under the identity layout ig
-	// aliases g and every other field is nil, so the engine runs exactly
-	// the pre-layout code paths. Otherwise ig is the relabeled CSR the
-	// drivers shard and sweep, perm/ext translate external↔internal IDs,
-	// and the nbr arrays hold each internal vertex's neighbor row twice:
-	// external IDs ascending (what contexts expose) pairwise-aligned with
-	// internal IDs (what sends address).
-	ig *graph.Graph
-	//idspace:index external
-	//idspace:internal
-	perm []int // external ID -> internal ID; nil = identity
-	//idspace:index internal
-	//idspace:external
-	ext    []int // internal ID -> external ID; nil = identity
-	nbrOff []int // internal vertex -> offset into nbrExt/nbrInt
-	//idspace:external
-	nbrExt []int
-	//idspace:internal
-	nbrInt    []int
-	layoutErr error // deferred to Run: NewRunner cannot return an error
 }
 
 // NewRunner builds a runner for the given graph. factory(v) must return the
-// state machine for vertex v; it is called once per vertex in ascending
-// external (original) ID order regardless of Options.Layout.
+// state machine for vertex v; it is called once per vertex in ascending ID
+// order.
 func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	r := &Runner{g: g, ig: g, opts: opts}
-	r.resolveLayout()
+	r := &Runner{g: g, opts: opts}
 	r.nodes = make([]Node, g.N())
 	for v := 0; v < g.N(); v++ {
-		p := v
-		if r.perm != nil {
-			p = r.perm[v]
-		}
-		r.nodes[p] = factory(v)
+		r.nodes[v] = factory(v)
 	}
 	return r
 }
 
-// resolveLayout computes the configured ordering and relabels the graph.
-// Failures (unknown ordering name) are recorded in layoutErr and poison
-// Run; the runner falls back to identity internals so accessors stay safe.
-func (r *Runner) resolveLayout() {
-	o, err := layout.Parse(r.opts.Layout)
-	if err != nil {
-		r.layoutErr = err
-		return
-	}
-	perm, ext, err := layout.Compute(r.g, o)
-	if err != nil {
-		r.layoutErr = err
-		return
-	}
-	if perm == nil {
-		return // identity: ig aliases g, nothing stored
-	}
-	ig, err := graph.Relabel(r.g, perm)
-	if err != nil {
-		r.layoutErr = err
-		return
-	}
-	r.ig, r.perm, r.ext = ig, perm, ext
-	// Build the dual neighbor rows: for internal vertex p, the external
-	// IDs of its neighbors ascending, aligned with their internal IDs.
-	n := ig.N()
-	r.nbrOff = make([]int, n+1)
-	for p := 0; p < n; p++ {
-		r.nbrOff[p+1] = r.nbrOff[p] + ig.Degree(p)
-	}
-	r.nbrExt = make([]int, r.nbrOff[n])
-	r.nbrInt = make([]int, r.nbrOff[n])
-	for p := 0; p < n; p++ {
-		extRow := r.nbrExt[r.nbrOff[p]:r.nbrOff[p+1]]
-		intRow := r.nbrInt[r.nbrOff[p]:r.nbrOff[p+1]]
-		for i, q := range ig.Neighbors(p) {
-			extRow[i] = ext[q]
-			intRow[i] = q
-		}
-		sort.Sort(&pairByExt{ext: extRow, tgt: intRow})
-	}
-}
-
-// pairByExt sorts a (external ID, internal ID) neighbor-row pair by
-// external ID, keeping the slices aligned.
-type pairByExt struct{ ext, tgt []int }
-
-func (s *pairByExt) Len() int           { return len(s.ext) }
-func (s *pairByExt) Less(i, j int) bool { return s.ext[i] < s.ext[j] }
-func (s *pairByExt) Swap(i, j int) {
-	s.ext[i], s.ext[j] = s.ext[j], s.ext[i]
-	s.tgt[i], s.tgt[j] = s.tgt[j], s.tgt[i]
-}
-
 // Node returns vertex v's state machine, for reading outputs after Run.
-// v is the external (original) ID under every layout.
-func (r *Runner) Node(v int) Node {
-	if r.perm != nil {
-		return r.nodes[r.perm[v]]
-	}
-	return r.nodes[v]
-}
+func (r *Runner) Node(v int) Node { return r.nodes[v] }
 
 // Run executes the program to completion and returns run statistics. It
 // returns ErrMaxRounds if any node is still live at the round limit, or the
@@ -528,9 +406,6 @@ func (r *Runner) Run() (Result, error) {
 		return Result{}, errors.New("congest: Runner is single-use; construct a new one per run")
 	}
 	r.ran = true
-	if r.layoutErr != nil {
-		return Result{}, r.layoutErr
-	}
 	switch r.opts.driverKind() {
 	case DriverPool:
 		return r.runPool()
@@ -550,16 +425,15 @@ func (r *Runner) Run() (Result, error) {
 // frontier.go). Only the owning worker touches a shard during a sweep; the
 // coordinator reads and re-partitions it between sweeps (rebalance.go).
 type shard struct {
-	idx int // shard index; doubles as this shard's merge-bucket index
-	//idspace:internal
+	idx       int      // shard index; doubles as this shard's merge-bucket index
 	lo, hi    int      // owned contiguous vertex range [lo, hi)
 	frontier  []uint64 // live bitset over [lo, hi); word 0 starts at (lo>>6)<<6
 	liveCount int      // set bits in frontier (O(1) empty-shard skip)
 	// out is the per-destination-bucket outbox family: out[d] holds the
 	// messages this shard's nodes sent to vertices of destination shard d,
-	// in send order. Unbucketed runs (sequential driver, fault plans,
-	// shard-flow attribution, the legacy driver) use a single bucket and
-	// out[0] is the classic global-send-order outbox.
+	// in send order. Unbucketed runs (sequential driver, fault plans, the
+	// legacy driver) use a single bucket and out[0] is the classic
+	// global-send-order outbox.
 	out    [][]addressed
 	vshard []int32       // shared vertex→shard map for bucket routing (nil when unbucketed)
 	events []trace.Event // program/halt events buffered during the sweep
@@ -603,10 +477,10 @@ type execState struct {
 	// Bucketed-merge state. buckets is the destination-bucket count per
 	// shard outbox: numShards for the pool driver on a reliable network
 	// (delivery decomposes into per-destination-shard merges that can run
-	// on the workers), 1 otherwise (fault draws and flow attribution need
-	// the global send order a single outbox preserves). parMerge, set by
-	// the pool driver, dispatches one merge task per shard to the worker
-	// pool and waits; nil means the coordinator merges the buckets itself.
+	// on the workers), 1 otherwise (fault draws need the global send order
+	// a single outbox preserves). parMerge, set by the pool driver,
+	// dispatches one merge task per shard to the worker pool and waits;
+	// nil means the coordinator merges the buckets itself.
 	buckets    int
 	parMerge   func()
 	scratch    []uint64 // whole-graph frontier gather space for rebalancing
@@ -623,9 +497,8 @@ type execState struct {
 	// just the deprecated adapters.
 	bus            trace.Sink
 	full           bool
-	flow           map[uint64]int64 // per-round (srcShard,dstShard) sends
-	vshard         []int32          // vertex -> shard, for flow attribution
-	lastDelivered  int64            // round-delta trackers for EvRoundEnd/EvRNG
+	vshard         []int32 // vertex -> shard, for bucket routing (nil when unbucketed)
+	lastDelivered  int64   // round-delta trackers for EvRoundEnd/EvRNG
 	lastDropped    int64
 	lastDraws      uint64
 	lastFaultDraws uint64
@@ -637,31 +510,6 @@ type execState struct {
 	// draw, so the scan would report zero.
 	remote      bool
 	remoteDraws uint64
-
-	// Layout translation (mirrors Runner.ext/perm; nil = identity). The
-	// engine's storage and sweep order are internal, but fault-plan
-	// consults and trace-event vertex fields must speak external IDs.
-	//
-	//idspace:index internal
-	//idspace:external
-	ext []int
-	//idspace:index external
-	//idspace:internal
-	perm []int
-}
-
-// extID translates an internal vertex ID to its external (original) ID.
-// This is the one sanctioned internal→external crossing; misvet's idspace
-// analyzer checks every other flow against the declared spaces.
-//
-//idspace:internal v
-//idspace:returns external
-//congest:hotpath
-func (st *execState) extID(v int) int {
-	if st.ext == nil {
-		return v //idspace:ok identity layout: internal and external IDs coincide
-	}
-	return st.ext[v]
 }
 
 // effectivePlan resolves the run's fault model: the legacy DropProb knob
@@ -684,7 +532,7 @@ func (o Options) effectivePlan() faultsim.Plan {
 // vertex range into numShards near-equal contiguous pieces.
 func (r *Runner) newExecState(numShards int) *execState {
 	root := rng.New(r.opts.Seed)
-	n := r.ig.N()
+	n := r.g.N()
 	if numShards > n {
 		numShards = n
 	}
@@ -699,64 +547,41 @@ func (r *Runner) newExecState(numShards int) *execState {
 		live:     n,
 		plan:     r.opts.effectivePlan(),
 	}
-	st.ext, st.perm = r.ext, r.perm
 	if st.plan != nil {
 		st.faults = root.Split(^uint64(0))
 	}
 	st.bus, st.full = r.opts.eventBus()
 	r.traced = st.full
-	flowWanted := st.full && r.opts.EventShardFlow
 	// Destination-bucketed outboxes let delivery decompose into disjoint
 	// per-shard merges (deliverBuckets); they require a reliable network
 	// (fault draws consume the fault stream in global send order, which
-	// only a single outbox preserves) and no flow attribution, and they
-	// only pay off under the pool driver.
+	// only a single outbox preserves), and they only pay off under the
+	// pool driver.
 	st.buckets = 1
-	if r.opts.driverKind() == DriverPool && numShards > 1 && st.plan == nil && !flowWanted {
+	if r.opts.driverKind() == DriverPool && numShards > 1 && st.plan == nil {
 		st.buckets = numShards
-	}
-	if flowWanted || st.buckets > 1 {
 		st.vshard = make([]int32, n)
-	}
-	if flowWanted {
-		st.flow = make(map[uint64]int64)
 	}
 	for s := range st.shards {
 		lo, hi := s*n/numShards, (s+1)*n/numShards
-		sh := &shard{idx: s, out: make([][]addressed, st.buckets)}
+		sh := &shard{idx: s, out: make([][]addressed, st.buckets), vshard: st.vshard}
 		sh.resetFrontier(lo, hi)
-		if st.buckets > 1 {
-			sh.vshard = st.vshard
-		}
 		for v := lo; v < hi; v++ {
 			if st.vshard != nil {
 				st.vshard[v] = int32(s)
 			}
-			// v is the internal ID; the context carries the external
-			// identity (ID, neighbor list, RNG stream) so relabeling is
-			// invisible to the program. Identity layout: both neighbor
-			// slices alias the same CSR row and extv == v.
-			extv, nbrs, tgts := v, r.ig.Neighbors(v), []int(nil)
-			if r.perm != nil {
-				extv = r.ext[v]
-				nbrs = r.nbrExt[r.nbrOff[v]:r.nbrOff[v+1]]
-				tgts = r.nbrInt[r.nbrOff[v]:r.nbrOff[v+1]]
-			} else {
-				tgts = nbrs
-			}
 			st.ctxs[v] = Context{
-				id:        extv,
+				id:        v,
 				n:         n,
-				neighbors: nbrs,
-				targets:   tgts,
-				rng:       *root.Split(uint64(extv)),
+				neighbors: r.g.Neighbors(v),
+				rng:       *root.Split(uint64(v)),
 				shard:     sh,
 				runner:    r,
 			}
 		}
 		st.shards[s] = sh
 	}
-	st.outbox = make([]addressed, 2*r.ig.M())
+	st.outbox = make([]addressed, 2*r.g.M())
 	st.outCounts = make([]int, st.buckets)
 	st.sizeOutboxes()
 	return st
@@ -783,7 +608,7 @@ func (st *execState) sizeOutboxes() {
 		} else {
 			clear(counts)
 			for v := sh.lo; v < sh.hi; v++ {
-				for _, q := range st.ctxs[v].targets {
+				for _, q := range st.ctxs[v].neighbors {
 					counts[st.vshard[q]]++
 				}
 			}
@@ -801,7 +626,7 @@ func (st *execState) sizeOutboxes() {
 func roundBound(ctxs []Context) int {
 	sum := 0
 	for i := range ctxs {
-		sum += len(ctxs[i].targets)
+		sum += len(ctxs[i].neighbors)
 	}
 	return sum
 }
@@ -829,7 +654,7 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 			rem &^= 1 << uint(b)
 			v := vbase + b
 			if round > 0 && st.plan != nil {
-				switch st.plan.Vertex(round, st.extID(v)) {
+				switch st.plan.Vertex(round, v) {
 				case faultsim.VertexGone:
 					sh.frontier[wi] &^= 1 << uint(b)
 					sh.liveCount--
@@ -850,7 +675,7 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 				sh.liveCount--
 				if r.traced {
 					sh.events = append(sh.events, trace.Event{
-						Type: trace.EvHalt, Round: int32(round), V: int32(st.extID(v)),
+						Type: trace.EvHalt, Round: int32(round), V: int32(v),
 					})
 				}
 			}
@@ -945,9 +770,9 @@ func (r *Runner) deliver(st *execState, round int) error {
 		st.delayFree = append(st.delayFree, delayedNow[:0])
 		delete(st.delayed, consume)
 	}
-	for s, sh := range st.shards {
-		if st.plan == nil && st.flow == nil {
-			// Reliable fast path: no fates to draw, no flow to attribute.
+	for _, sh := range st.shards {
+		if st.plan == nil {
+			// Reliable fast path: no fates to draw.
 			st.sent += int64(len(sh.out[0]))
 			for _, a := range sh.out[0] {
 				st.deposit(a)
@@ -957,44 +782,36 @@ func (r *Runner) deliver(st *execState, round int) error {
 		}
 		for _, a := range sh.out[0] {
 			st.sent++
-			if st.flow != nil {
-				st.noteFlow(int32(s), a.to)
+			fate := st.plan.Message(round, a.msg.From, a.to, st.faults)
+			if fate.Drop {
+				st.res.Dropped++
+				if st.full {
+					st.bus.Emit(trace.Event{
+						Type: trace.EvDrop, Round: int32(round),
+						V: int32(a.msg.From), W: int32(a.to),
+					})
+				}
+				continue
 			}
-			if st.plan != nil {
-				fate := st.plan.Message(round, a.msg.From, st.extID(a.to), st.faults)
-				if fate.Drop {
-					st.res.Dropped++
-					if st.full {
-						st.bus.Emit(trace.Event{
-							Type: trace.EvDrop, Round: int32(round),
-							V: int32(a.msg.From), W: int32(st.extID(a.to)),
-						})
-					}
-					continue
+			if fate.Delay > 0 {
+				if st.delayed == nil {
+					//congest:coldpath first delay fault of the run allocates the bucket map once
+					st.delayed = make(map[int][]addressed)
 				}
-				if fate.Delay > 0 {
-					if st.delayed == nil {
-						//congest:coldpath first delay fault of the run allocates the bucket map once
-						st.delayed = make(map[int][]addressed)
-					}
-					at := consume + fate.Delay
-					st.delayed[at] = st.appendDelayed(st.delayed[at], a)
-					st.res.Delayed++
-					if st.full {
-						st.bus.Emit(trace.Event{
-							Type: trace.EvDelay, Round: int32(round),
-							V: int32(a.msg.From), W: int32(st.extID(a.to)), X: int64(fate.Delay),
-						})
-					}
-					continue
+				at := consume + fate.Delay
+				st.delayed[at] = st.appendDelayed(st.delayed[at], a)
+				st.res.Delayed++
+				if st.full {
+					st.bus.Emit(trace.Event{
+						Type: trace.EvDelay, Round: int32(round),
+						V: int32(a.msg.From), W: int32(a.to), X: int64(fate.Delay),
+					})
 				}
+				continue
 			}
 			st.admit(a, consume)
 		}
 		sh.out[0] = sh.out[0][:0]
-	}
-	if st.flow != nil {
-		st.emitFlow(round)
 	}
 	return nil
 }
@@ -1006,11 +823,11 @@ func (r *Runner) deliver(st *execState, round int) error {
 const parallelMergeMin = 1 << 13
 
 // deliverBuckets is delivery for bucketed runs (pool driver, reliable
-// network, no flow attribution): every shard swept its nodes into
-// per-destination-shard sub-outboxes, so shard d's whole inbox region is
-// exactly {out[d] of every source shard} — a merge over disjoint arena
-// ranges that can run per destination shard, in parallel, with no
-// coordination beyond the range layout.
+// network): every shard swept its nodes into per-destination-shard
+// sub-outboxes, so shard d's whole inbox region is exactly {out[d] of
+// every source shard} — a merge over disjoint arena ranges that can run
+// per destination shard, in parallel, with no coordination beyond the
+// range layout.
 //
 // Order is preserved exactly as in the single-outbox merge: recipient v's
 // inbox concatenates source shards in ascending shard order (shards cover
@@ -1125,14 +942,14 @@ func (st *execState) appendDelayed(bucket []addressed, a addressed) []addressed 
 //
 //congest:hotpath
 func (st *execState) admit(a addressed, consume int) {
-	if st.plan != nil && st.plan.Vertex(consume, st.extID(a.to)) != faultsim.VertexUp {
+	if st.plan != nil && st.plan.Vertex(consume, a.to) != faultsim.VertexUp {
 		st.res.Dropped++
 		if st.full {
 			// consume-1 is the round being delivered: event rounds stay
 			// nondecreasing within the stream, which Bisect relies on.
 			st.bus.Emit(trace.Event{
 				Type: trace.EvDrop, Round: int32(consume - 1),
-				V: int32(a.msg.From), W: int32(st.extID(a.to)), X: 1,
+				V: int32(a.msg.From), W: int32(a.to), X: 1,
 			})
 		}
 		return

@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/faultsim"
 	"repro/internal/rng"
@@ -52,7 +51,6 @@ type ShardConfig struct {
 	// effective shard count (the fleet's size clamped to the vertex count).
 	Index, NumShards int
 	// Lo, Hi delimit the owned contiguous vertex range [Lo, Hi).
-	//idspace:internal
 	Lo, Hi int
 	// N is the whole graph's vertex count.
 	N int
@@ -64,18 +62,12 @@ type ShardConfig struct {
 	// Traced mirrors whether the run wants the full event stream; workers
 	// buffer Context.Emit and halt events only when set.
 	Traced bool
-	// Layout names the run's vertex ordering (Options.Layout). The fleet
-	// resolves it to ship relabeled (internal-order) adjacency plus the
-	// internal→external ID map; Lo/Hi/N and every frontier index are in
-	// internal order, while node identities stay external.
-	Layout string
 }
 
 // VertexFate is one non-Up fault verdict for a live vertex this round,
 // drawn (purely) on the coordinator and shipped to the owning worker.
 // Fate uses the faultsim.VertexState values (1 = down, 2 = gone).
 type VertexFate struct {
-	//idspace:internal
 	V    int32
 	Fate int32
 }
@@ -95,14 +87,8 @@ type RoundInput struct {
 // Packet is one outgoing message from a worker sweep, in (sender ID, send
 // call) order — the exported form of the engine's internal outbox entry.
 type Packet struct {
-	// To addresses the coordinator's internal storage; From is the
-	// sender's external node identity (what neighbors see on the wire).
-	//
-	//idspace:internal
-	To int32
-	//idspace:external
-	From int32
-	Wire Wire
+	To, From int32 // recipient and sender vertex IDs
+	Wire     Wire
 }
 
 // RoundOutput is one round's worker → coordinator payload.
@@ -117,8 +103,6 @@ type RoundOutput struct {
 	// Halted lists the vertices that halted this round, ascending. It is
 	// always shipped (even untraced) because the coordinator's live count
 	// — and so run termination — depends on it.
-	//
-	//idspace:internal
 	Halted []int32
 	// Draws is the worker's cumulative node-RNG draw count over all its
 	// vertices, for the coordinator's EvRNG accounting.
@@ -219,11 +203,7 @@ func (r *Runner) runDistributed() (Result, error) {
 	}
 	for v, nd := range r.nodes {
 		if _, ok := nd.(Porter); !ok {
-			ev := v
-			if r.ext != nil {
-				ev = r.ext[v]
-			}
-			return Result{}, fmt.Errorf("congest: distributed runs need every node to implement Porter; vertex %d (%T) does not", ev, nd)
+			return Result{}, fmt.Errorf("congest: distributed runs need every node to implement Porter; vertex %d (%T) does not", v, nd)
 		}
 	}
 	st := r.newExecState(fleet.NumShards())
@@ -266,7 +246,6 @@ func (d *distRun) start() error {
 			Seed:            d.r.opts.Seed,
 			MessageBitLimit: d.r.opts.MessageBitLimit,
 			Traced:          d.st.full,
-			Layout:          d.r.opts.Layout,
 		}
 		conn, err := d.fleet.Shard(d.cfgs[s])
 		if err != nil {
@@ -344,8 +323,7 @@ func (d *distRun) scanFates(sh *shard, round int) []VertexFate {
 			b := bits.TrailingZeros64(rem)
 			rem &^= 1 << uint(b)
 			v := vbase + b
-			// v indexes the internal frontier; plans speak external IDs.
-			switch st.plan.Vertex(round, st.extID(v)) {
+			switch st.plan.Vertex(round, v) {
 			case faultsim.VertexGone:
 				fates = append(fates, VertexFate{V: int32(v), Fate: int32(faultsim.VertexGone)})
 				sh.frontier[wi] &^= 1 << uint(b)
@@ -479,19 +457,7 @@ func (d *distRun) apply(round int) {
 		}
 		if sh.err == nil {
 			for _, p := range out.Packets {
-				// Packet.To addresses internal storage; Packet.From is the
-				// sender's external ID, mapped through perm to check it
-				// belongs to this shard's internal range.
-				ifrom, ok := int(p.From), true
-				if st.perm != nil {
-					if ifrom < 0 || ifrom >= len(st.perm) {
-						ok = false
-					} else {
-						ifrom = st.perm[ifrom]
-					}
-				}
-				if !ok || int(p.To) < 0 || int(p.To) >= len(st.inboxLen) || ifrom < sh.lo || ifrom >= sh.hi {
-					//idspace:ok addressing error: the internal To slot is exactly what went wrong
+				if int(p.To) < 0 || int(p.To) >= len(st.inboxLen) || int(p.From) < sh.lo || int(p.From) >= sh.hi {
 					sh.err = fmt.Errorf("congest: distributed shard %d returned packet with invalid addressing %d→%d", s, p.From, p.To)
 					break
 				}
@@ -503,7 +469,6 @@ func (d *distRun) apply(round int) {
 			v := int(v32)
 			if v < sh.lo || v >= sh.hi {
 				if sh.err == nil {
-					//idspace:ok addressing error: the internal halt slot is exactly what went wrong
 					sh.err = fmt.Errorf("congest: distributed shard %d reported halt of foreign vertex %d", s, v)
 				}
 				continue
@@ -638,14 +603,11 @@ func outputDigest(out RoundOutput) uint64 {
 // coordinator, which is what keeps socket transport outside the
 // determinism surface.
 type ShardWorker struct {
-	cfg   ShardConfig
-	r     *Runner // options/traced carcass for Context plumbing; never Run
-	sh    *shard
-	ctxs  []Context
-	nodes []Node
-	//idspace:index internal
-	//idspace:external
-	ext    []int   // internal -> external ID map; nil = identity layout
+	cfg    ShardConfig
+	r      *Runner // options/traced carcass for Context plumbing; never Run
+	sh     *shard
+	ctxs   []Context
+	nodes  []Node
 	round  int     // next expected round
 	fate   []uint8 // per-vertex fate scratch for the current round
 	off    []int   // per-vertex inbox offset scratch
@@ -653,31 +615,13 @@ type ShardWorker struct {
 	pkts   []Packet
 }
 
-// extID translates one of this shard's internal vertex IDs to its
-// external (original) ID.
-//
-//idspace:internal v
-//idspace:returns external
-func (w *ShardWorker) extID(v int) int {
-	if w.ext == nil {
-		return v //idspace:ok identity layout: internal and external IDs coincide
-	}
-	return w.ext[v]
-}
-
 // NewShardWorker builds the sweep engine for cfg. neighbors(v) must
-// return the sorted internal-order adjacency of each owned vertex v in
-// [cfg.Lo, cfg.Hi). ext maps internal IDs to external (original) IDs for
-// the whole graph under a non-identity layout — nil means identity.
-// factory is called with external IDs and must return the same state
-// machine the coordinator's mirror uses. Every node must implement Porter.
-func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, factory func(v int) Node) (*ShardWorker, error) {
+// return the sorted adjacency of each owned vertex v in [cfg.Lo, cfg.Hi).
+// factory must return the same state machine the coordinator's mirror
+// uses. Every node must implement Porter.
+func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v int) Node) (*ShardWorker, error) {
 	if cfg.Lo < 0 || cfg.Hi < cfg.Lo || cfg.Hi > cfg.N {
-		//idspace:ok the shard range is an internal-order concept; the error describes it as such
 		return nil, fmt.Errorf("congest: shard range [%d, %d) invalid for n=%d", cfg.Lo, cfg.Hi, cfg.N)
-	}
-	if ext != nil && len(ext) != cfg.N {
-		return nil, fmt.Errorf("congest: shard got %d ID-map entries for n=%d", len(ext), cfg.N)
 	}
 	width := cfg.Hi - cfg.Lo
 	w := &ShardWorker{
@@ -686,41 +630,23 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, ext []int, fac
 		sh:    &shard{idx: cfg.Index, out: make([][]addressed, 1)},
 		ctxs:  make([]Context, width),
 		nodes: make([]Node, width),
-		ext:   ext,
 		fate:  make([]uint8, width),
 		off:   make([]int, width),
 	}
 	w.sh.resetFrontier(cfg.Lo, cfg.Hi)
 	root := rng.New(cfg.Seed)
 	for v := cfg.Lo; v < cfg.Hi; v++ {
-		extv := w.extID(v)
-		nd := factory(extv)
+		nd := factory(v)
 		if _, ok := nd.(Porter); !ok {
-			return nil, fmt.Errorf("congest: distributed runs need every node to implement Porter; vertex %d (%T) does not", extv, nd)
+			return nil, fmt.Errorf("congest: distributed runs need every node to implement Porter; vertex %d (%T) does not", v, nd)
 		}
 		i := v - cfg.Lo
 		w.nodes[i] = nd
-		// The context mirrors the coordinator's: external identity and
-		// external-sorted neighbor list, internal send targets. Identity
-		// layout aliases the shipped adjacency row for both.
-		nbrs := neighbors(v)
-		tgts := nbrs
-		if ext != nil {
-			row := nbrs
-			nbrs = make([]int, len(row))
-			tgts = make([]int, len(row))
-			for j, q := range row {
-				nbrs[j] = ext[q]
-				tgts[j] = q
-			}
-			sort.Sort(&pairByExt{ext: nbrs, tgt: tgts})
-		}
 		w.ctxs[i] = Context{
-			id:        extv,
+			id:        v,
 			n:         cfg.N,
-			neighbors: nbrs,
-			targets:   tgts,
-			rng:       *root.Split(uint64(extv)),
+			neighbors: neighbors(v),
+			rng:       *root.Split(uint64(v)),
 			shard:     w.sh,
 			runner:    w.r,
 		}
@@ -761,7 +687,6 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	total := 0
 	for i, l := range in.InboxLens {
 		if l < 0 {
-			//idspace:ok protocol error about internal storage addressing; internal ID is the useful one
 			return RoundOutput{}, fmt.Errorf("congest: shard %d got negative inbox length for vertex %d", w.cfg.Index, w.cfg.Lo+i)
 		}
 		w.off[i] = total
@@ -772,7 +697,6 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	}
 	for _, f := range in.Fates {
 		if int(f.V) < w.cfg.Lo || int(f.V) >= w.cfg.Hi {
-			//idspace:ok protocol error about internal storage addressing; internal ID is the useful one
 			return RoundOutput{}, fmt.Errorf("congest: shard %d got fate for foreign vertex %d", w.cfg.Index, f.V)
 		}
 		w.fate[int(f.V)-w.cfg.Lo] = uint8(f.Fate)
@@ -840,12 +764,10 @@ func (w *ShardWorker) sweep(in RoundInput) {
 			if ctx.halted {
 				sh.frontier[wi] &^= 1 << uint(b)
 				sh.liveCount--
-				// Halted addresses the coordinator's internal frontier;
-				// the trace event reports the external identity.
 				w.halted = append(w.halted, int32(v))
 				if w.r.traced {
 					sh.events = append(sh.events, trace.Event{
-						Type: trace.EvHalt, Round: int32(round), V: int32(w.extID(v)),
+						Type: trace.EvHalt, Round: int32(round), V: int32(v),
 					})
 				}
 			}

@@ -57,12 +57,11 @@ const cmdMerge = -1
 // live nodes every round, with a channel barrier per round (two channel
 // operations per *worker* per round, against two per *vertex* per round
 // for the legacy driver). Delivery happens on the coordinator between
-// rounds — except that on a reliable untraced-flow network the
-// destination-bucketed merge (deliverBuckets) ships one merge task per
-// shard back to these same workers when volume is high. Between rounds the
-// coordinator may also re-cut the shard ranges by live weight
-// (rebalance.go); workers always sweep st.shards[s], whose range the
-// rebalancer updates in place.
+// rounds — except that on a reliable network the destination-bucketed
+// merge (deliverBuckets) ships one merge task per shard back to these same
+// workers when volume is high. Between rounds the coordinator may also
+// re-cut the shard ranges by live weight (rebalance.go); workers always
+// sweep st.shards[s], whose range the rebalancer updates in place.
 func (r *Runner) runPool() (Result, error) {
 	n := r.g.N()
 	workers := r.opts.WorkerCount(n)

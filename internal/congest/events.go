@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/faultsim"
@@ -125,13 +124,10 @@ func (r *Runner) startRound(st *execState, round int) {
 	if st.plan == nil || round == 0 {
 		return
 	}
-	// The scan walks internal storage order (that is the order every
-	// driver shares) but plans and events speak external IDs.
 	for v := 0; v < len(st.ctxs); v++ {
-		ev := st.extID(v)
-		if f := st.plan.Vertex(round, ev); f != faultsim.VertexUp {
+		if f := st.plan.Vertex(round, v); f != faultsim.VertexUp {
 			st.bus.Emit(trace.Event{
-				Type: trace.EvVertexFate, Round: int32(round), V: int32(ev), X: int64(f),
+				Type: trace.EvVertexFate, Round: int32(round), V: int32(v), X: int64(f),
 			})
 		}
 	}
@@ -192,40 +188,5 @@ func (st *execState) drainShardEvents() {
 			st.bus.Emit(e)
 		}
 		sh.events = sh.events[:0]
-	}
-}
-
-// flowKey packs a (source shard, destination shard) pair.
-func flowKey(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
-
-// noteFlow accumulates one message into the round's shard-flow matrix.
-func (st *execState) noteFlow(srcShard int32, to int) {
-	st.flow[flowKey(srcShard, st.vshard[to])]++
-}
-
-// emitFlow publishes the round's non-zero shard-flow counts in ascending
-// (src, dst) order and resets the matrix. It only runs when flow tracing
-// is enabled (st.flow is nil otherwise), so its collect-and-sort
-// allocations never touch the untraced steady state.
-//
-//congest:coldpath
-func (st *execState) emitFlow(round int) {
-	if len(st.flow) == 0 {
-		return
-	}
-	keys := make([]uint64, 0, len(st.flow))
-	for k := range st.flow {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		st.bus.Emit(trace.Event{
-			Type:  trace.EvShardFlow,
-			Round: int32(round),
-			V:     int32(k >> 32),
-			W:     int32(uint32(k)),
-			X:     st.flow[k],
-		})
-		delete(st.flow, k)
 	}
 }

@@ -237,7 +237,7 @@ type localFleet struct {
 func (f *localFleet) NumShards() int { return f.shards }
 
 func (f *localFleet) Shard(cfg ShardConfig) (ShardConn, error) {
-	w, err := NewShardWorker(cfg, f.g.Neighbors, nil, f.factory)
+	w, err := NewShardWorker(cfg, f.g.Neighbors, f.factory)
 	if err != nil {
 		return nil, err
 	}

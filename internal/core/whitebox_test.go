@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/mis/base"
 	"repro/internal/mis/proto"
 	"repro/internal/rng"
@@ -115,7 +116,7 @@ func TestArbMISRelabelInvariance(t *testing.T) {
 	// of the relabeled graph.
 	g := gen.UnionOfTrees(200, 2, rng.New(91))
 	perm := rng.New(92).Perm(g.N())
-	h, err := gen.Relabel(g, perm)
+	h, err := graph.Relabel(g, perm)
 	if err != nil {
 		t.Fatal(err)
 	}

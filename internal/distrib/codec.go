@@ -153,24 +153,32 @@ func (d *decoder) fix64(field string) (uint64, error) {
 	return x, nil
 }
 
-// count reads a collection length and sanity-bounds it against the bytes
-// actually present (each element costs at least min bytes), so a corrupt
-// count cannot drive an oversized allocation.
+// count reads a collection length and sanity-bounds it with plausible.
 func (d *decoder) count(field string, min int) (int, error) {
 	x, err := d.u64(field)
 	if err != nil {
 		return 0, err
 	}
+	if err := d.plausible(field, x, min); err != nil {
+		return 0, err
+	}
+	return int(x), nil
+}
+
+// plausible bounds a collection length against the bytes actually left in
+// the frame (each element costs at least min bytes), so a corrupt length
+// cannot drive an oversized allocation.
+func (d *decoder) plausible(field string, x uint64, min int) error {
 	if min < 1 {
 		min = 1
 	}
 	if x > uint64(len(d.buf)-d.pos)/uint64(min)+1 {
-		return 0, d.errAt(field, "implausible count")
+		return d.errAt(field, "implausible count")
 	}
 	if x > math.MaxInt32 {
-		return 0, d.errAt(field, "count overflow")
+		return d.errAt(field, "count overflow")
 	}
-	return int(x), nil
+	return nil
 }
 
 func (d *decoder) str(field string) (string, error) {
@@ -203,14 +211,12 @@ func payloadKind(p []byte) (frameKind, *decoder, error) {
 }
 
 // configMsg is the fkConfig payload: the engine shard config, the
-// program spec, the owned vertices' adjacency (internal order under a
-// non-identity layout), the whole graph's internal→external ID map (empty
-// for identity), and the requested metrics listen address.
+// program spec, the owned vertices' adjacency, and the requested metrics
+// listen address.
 type configMsg struct {
 	cfg         congest.ShardConfig
 	prog        Program
 	adj         [][]int
-	ext         []int // internal -> external IDs for the whole graph; nil = identity
 	metricsAddr string
 }
 
@@ -231,17 +237,12 @@ func encodeConfig(e *encoder, m configMsg) {
 	} else {
 		e.u8(0)
 	}
-	e.str(c.Layout)
 	e.str(m.prog.Algorithm)
 	e.u64(uint64(len(m.prog.Args)))
 	for _, a := range m.prog.Args {
 		e.fix64(a)
 	}
 	e.str(m.metricsAddr)
-	e.u64(uint64(len(m.ext)))
-	for _, x := range m.ext {
-		e.u64(uint64(x))
-	}
 	for _, nbrs := range m.adj {
 		e.u64(uint64(len(nbrs)))
 		prev := 0
@@ -297,9 +298,6 @@ func decodeConfig(d *decoder) (configMsg, error) {
 		return m, err
 	}
 	m.cfg.Traced = traced != 0
-	if m.cfg.Layout, err = d.str("config.layout"); err != nil {
-		return m, err
-	}
 	if m.prog.Algorithm, err = d.str("config.algorithm"); err != nil {
 		return m, err
 	}
@@ -317,33 +315,11 @@ func decodeConfig(d *decoder) (configMsg, error) {
 		return m, err
 	}
 	if m.cfg.Lo < 0 || m.cfg.Hi < m.cfg.Lo || m.cfg.Hi > m.cfg.N {
-		//idspace:ok the shard range is an internal-order concept; the error describes it as such
 		return m, fmt.Errorf("distrib: config shard range [%d, %d) invalid for n=%d", m.cfg.Lo, m.cfg.Hi, m.cfg.N)
 	}
-	nExt, err := d.count("config.ext", 1)
-	if err != nil {
+	// One adjacency row per owned vertex, each at least its degree byte.
+	if err := d.plausible("config.adjacency", uint64(m.cfg.Hi-m.cfg.Lo), 1); err != nil {
 		return m, err
-	}
-	if nExt != 0 {
-		// The ID map must be a full permutation of [0, N): anything less
-		// would let a corrupt frame alias two internal vertices to one
-		// external identity.
-		if nExt != m.cfg.N {
-			return m, fmt.Errorf("distrib: config ID map has %d entries for n=%d", nExt, m.cfg.N)
-		}
-		m.ext = make([]int, nExt)
-		seen := make([]bool, nExt)
-		for i := range m.ext {
-			x, err := d.u64("config.ext-id")
-			if err != nil {
-				return m, err
-			}
-			if x >= uint64(nExt) || seen[x] {
-				return m, d.errAt("config.ext-id", "not a permutation")
-			}
-			seen[x] = true
-			m.ext[i] = int(x)
-		}
 	}
 	m.adj = make([][]int, m.cfg.Hi-m.cfg.Lo)
 	for i := range m.adj {

@@ -149,7 +149,6 @@ func TestConfigRoundTrip(t *testing.T) {
 		cfg: congest.ShardConfig{
 			Index: 2, NumShards: 4, Lo: 10, Hi: 14, N: 1 << 20,
 			Seed: math.MaxUint64, MessageBitLimit: 128, Traced: true,
-			Layout: "degsort",
 		},
 		prog:        Program{Algorithm: "colevishkin", Args: []uint64{0, 1, math.MaxUint64, 42}},
 		adj:         [][]int{{0, 1, 1<<20 - 1}, {}, {13}, {3, 7, 11, 12}},
@@ -271,14 +270,25 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// oversizedConfig is a config frame claiming a shard of 2^31-1 owned
+// vertices with no adjacency rows behind the claim.
+func oversizedConfig() []byte {
+	var e encoder
+	encodeConfig(&e, configMsg{
+		cfg:  congest.ShardConfig{NumShards: 1, Hi: math.MaxInt32, N: math.MaxInt32},
+		prog: Program{Algorithm: "metivier"},
+	})
+	return e.buf
+}
+
 // TestCorruptCountsRejected hand-crafts payloads whose collection counts
 // vastly exceed the bytes present: the plausibility bound must reject
 // them before any allocation happens.
 func TestCorruptCountsRejected(t *testing.T) {
 	var e encoder
 	e.reset(fkRound)
-	e.u64(0)        // round
-	e.u64(1 << 40)  // absurd fate count
+	e.u64(0)       // round
+	e.u64(1 << 40) // absurd fate count
 	_, dec, _ := payloadKind(e.buf)
 	if _, err := decodeRound(dec); err == nil || !strings.Contains(err.Error(), "implausible count") {
 		t.Fatalf("absurd fate count not rejected: %v", err)
@@ -295,6 +305,10 @@ func TestCorruptCountsRejected(t *testing.T) {
 	if _, err := decodeError(dec); err == nil {
 		t.Fatal("absurd string length not rejected")
 	}
+	_, dec, _ = payloadKind(oversizedConfig())
+	if _, err := decodeConfig(dec); err == nil || !strings.Contains(err.Error(), "implausible count") {
+		t.Fatalf("absurd shard width not rejected: %v", err)
+	}
 }
 
 // TestNonAscendingAdjacencyRejected corrupts a config's delta-coded
@@ -308,11 +322,9 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 	e.fix64(7) // seed
 	e.u64(0)   // bit limit
 	e.u8(0)    // traced
-	e.str("")  // layout
 	e.str("metivier")
 	e.u64(0) // args
 	e.str("")
-	e.u64(0) // ext: identity
 	e.u64(3) // degree of vertex 0
 	e.u64(4)
 	e.u64(0) // zero delta: duplicate neighbor
@@ -321,93 +333,6 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 	_, dec, _ := payloadKind(e.buf)
 	if _, err := decodeConfig(dec); err == nil || !strings.Contains(err.Error(), "non-ascending adjacency") {
 		t.Fatalf("duplicate adjacency not rejected: %v", err)
-	}
-}
-
-// TestConfigExtRoundTrip exercises the handshake's external-ID map: a
-// full permutation survives the trip, and identity ships as zero entries.
-func TestConfigExtRoundTrip(t *testing.T) {
-	m := configMsg{
-		cfg: congest.ShardConfig{
-			Index: 0, NumShards: 2, Lo: 0, Hi: 3, N: 6, Seed: 7, Layout: "bfs",
-		},
-		prog: Program{Algorithm: "metivier"},
-		ext:  []int{5, 3, 0, 1, 4, 2},
-		adj:  [][]int{{1, 2}, {0}, {0, 5}},
-	}
-	var e encoder
-	encodeConfig(&e, m)
-	_, dec, err := payloadKind(e.buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeConfig(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The decoder canonicalizes empty args to an empty slice.
-	if len(got.prog.Args) == 0 && len(m.prog.Args) == 0 {
-		got.prog.Args = m.prog.Args
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("ext config did not survive the round trip:\n got %+v\nwant %+v", got, m)
-	}
-
-	m.ext = nil
-	m.cfg.Layout = ""
-	encodeConfig(&e, m)
-	_, dec, _ = payloadKind(e.buf)
-	got, err = decodeConfig(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ext != nil {
-		t.Fatalf("identity config decoded a non-nil ext map: %v", got.ext)
-	}
-}
-
-// TestConfigExtRejected feeds the decoder corrupt external-ID maps: a
-// count that is neither 0 nor N, an out-of-range entry, and a duplicate.
-// Each must fail with a contextual error, never alias two vertices.
-func TestConfigExtRejected(t *testing.T) {
-	encode := func(ext []uint64, extCount uint64) []byte {
-		var e encoder
-		e.reset(fkConfig)
-		for _, x := range []uint64{0, 1, 0, 4, 4} { // index, shards, lo, hi, n
-			e.u64(x)
-		}
-		e.fix64(7) // seed
-		e.u64(0)   // bit limit
-		e.u8(0)    // traced
-		e.str("")  // layout
-		e.str("metivier")
-		e.u64(0) // args
-		e.str("")
-		e.u64(extCount)
-		for _, x := range ext {
-			e.u64(x)
-		}
-		// Adjacency rows omitted: the ext map must fail first.
-		return append([]byte(nil), e.buf...)
-	}
-	cases := []struct {
-		name string
-		ext  []uint64
-		n    uint64
-		want string
-	}{
-		{"short count", []uint64{0, 1, 2}, 3, "3 entries for n=4"},
-		{"out of range", []uint64{0, 1, 2, 4}, 4, "not a permutation"},
-		{"duplicate", []uint64{0, 1, 1, 2}, 4, "not a permutation"},
-	}
-	for _, tc := range cases {
-		_, dec, err := payloadKind(encode(tc.ext, tc.n))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if _, err := decodeConfig(dec); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: corrupt ext map not rejected: %v", tc.name, err)
-		}
 	}
 }
 
@@ -563,6 +488,19 @@ func TestFuzzDecodersNeverPanic(t *testing.T) {
 			_ = decodeAs(mut)
 		}
 	}
+}
+
+// FuzzDecodeFrame is the native-fuzzing counterpart of
+// TestFuzzDecodersNeverPanic: any payload must decode or fail with an
+// error, never panic or exhaust memory.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, payload := range samplePayloads() {
+		f.Add(payload)
+	}
+	f.Add(oversizedConfig())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = decodeAs(data)
+	})
 }
 
 // TestFrameConnRoundTrip pushes frames through a real socket pair and

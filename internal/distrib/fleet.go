@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
-	"repro/internal/layout"
 )
 
 // spawnTimeout bounds how long ExecFleet waits for a just-spawned worker
@@ -24,52 +23,16 @@ const (
 	rehandshakeTimeout = 5 * time.Second
 )
 
-// layoutView caches the fleet side of a run's vertex ordering: the
-// relabeled internal-order graph plus the internal→external ID map that
-// the config frames ship. Fleets resolve it lazily on the first Shard
-// call and keep it for the fleet's life, so reconfiguring a reused fleet
-// for another run of the same layout costs nothing.
-type layoutView struct {
-	resolved bool
-	name     layout.Ordering
-	ig       *graph.Graph
-	ext      []int
-}
-
-// view resolves (and caches) the ordering for g.
-func (lv *layoutView) view(g *graph.Graph, name string) (*graph.Graph, []int, error) {
-	o, err := layout.Parse(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lv.resolved && lv.name == o {
-		return lv.ig, lv.ext, nil
-	}
-	perm, ext, err := layout.Compute(g, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	ig := g
-	if perm != nil {
-		if ig, err = graph.Relabel(g, perm); err != nil {
-			return nil, nil, err
-		}
-	}
-	lv.resolved, lv.name, lv.ig, lv.ext = true, o, ig, ext
-	return ig, ext, nil
-}
-
 // handshake runs the coordinator side of connection setup: ship the
-// shard's config (program spec + internal-order adjacency of the owned
-// range + ID map) and read the worker's hello. It returns the worker's
-// metrics address.
-func handshake(fc *frameConn, ig *graph.Graph, ext []int, prog Program, cfg congest.ShardConfig, metricsAddr string) (string, error) {
+// shard's config (program spec + adjacency of the owned range) and read
+// the worker's hello. It returns the worker's metrics address.
+func handshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardConfig, metricsAddr string) (string, error) {
 	adj := make([][]int, cfg.Hi-cfg.Lo)
 	for v := cfg.Lo; v < cfg.Hi; v++ {
-		adj[v-cfg.Lo] = ig.Neighbors(v)
+		adj[v-cfg.Lo] = g.Neighbors(v)
 	}
 	var enc encoder
-	encodeConfig(&enc, configMsg{cfg: cfg, prog: prog, adj: adj, ext: ext, metricsAddr: metricsAddr})
+	encodeConfig(&enc, configMsg{cfg: cfg, prog: prog, adj: adj, metricsAddr: metricsAddr})
 	if err := fc.writeFrame(enc.buf); err != nil {
 		return "", err
 	}
@@ -193,11 +156,11 @@ func (sc *shardConn) Close() error { return sc.fc.close() }
 // falls back to a respawn on any error.
 //
 //lint:advisory the rehandshake deadline is a liveness timeout on worker reconfiguration, never program logic
-func rehandshake(fc *frameConn, ig *graph.Graph, ext []int, prog Program, cfg congest.ShardConfig, metricsAddr string) (string, error) {
+func rehandshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardConfig, metricsAddr string) (string, error) {
 	if err := fc.c.SetDeadline(time.Now().Add(rehandshakeTimeout)); err != nil {
 		return "", err
 	}
-	addr, err := handshake(fc, ig, ext, prog, cfg, metricsAddr)
+	addr, err := handshake(fc, g, prog, cfg, metricsAddr)
 	if derr := fc.c.SetDeadline(time.Time{}); err == nil && derr != nil {
 		return "", derr
 	}
@@ -220,7 +183,6 @@ type ExecFleet struct {
 	cmds         []*exec.Cmd
 	conns        []*shardConn
 	metricsAddrs []string
-	lv           layoutView
 }
 
 // ExecOption configures an ExecFleet.
@@ -306,16 +268,12 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 	if s < 0 || s >= f.shards {
 		return nil, fmt.Errorf("distrib: shard index %d outside fleet of %d", s, f.shards)
 	}
-	ig, ext, err := f.lv.view(f.g, cfg.Layout)
-	if err != nil {
-		return nil, err
-	}
 	metricsReq := ""
 	if f.metrics {
 		metricsReq = "127.0.0.1:0"
 	}
 	if f.cmds[s] != nil && f.conns[s] != nil {
-		if addr, err := rehandshake(f.conns[s].fc, ig, ext, f.prog, cfg, metricsReq); err == nil {
+		if addr, err := rehandshake(f.conns[s].fc, f.g, f.prog, cfg, metricsReq); err == nil {
 			f.metricsAddrs[s] = addr
 			return f.conns[s], nil
 		}
@@ -345,7 +303,7 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		return nil, fmt.Errorf("distrib: worker for shard %d never dialed back: %w", s, err)
 	}
 	fc := newFrameConn(conn)
-	addr, err := handshake(fc, ig, ext, f.prog, cfg, metricsReq)
+	addr, err := handshake(fc, f.g, f.prog, cfg, metricsReq)
 	if err != nil {
 		_ = fc.close()
 		_ = cmd.Process.Kill()
@@ -395,7 +353,6 @@ type DialFleet struct {
 	prog  Program
 	addrs []string
 	conns []*shardConn
-	lv    layoutView
 }
 
 // NewDialFleet prepares a TCP fleet over the given misnode addresses.
@@ -427,14 +384,10 @@ func (f *DialFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 	if s < 0 || s >= len(f.addrs) {
 		return nil, fmt.Errorf("distrib: shard index %d outside fleet of %d", s, len(f.addrs))
 	}
-	ig, ext, err := f.lv.view(f.g, cfg.Layout)
-	if err != nil {
-		return nil, err
-	}
 	// A connection kept alive by a previous run is reconfigured in place;
 	// failure falls through to a fresh dial.
 	if f.conns[s] != nil {
-		if _, err := rehandshake(f.conns[s].fc, ig, ext, f.prog, cfg, ""); err == nil {
+		if _, err := rehandshake(f.conns[s].fc, f.g, f.prog, cfg, ""); err == nil {
 			return f.conns[s], nil
 		}
 		_ = f.conns[s].Close()
@@ -442,6 +395,7 @@ func (f *DialFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 	}
 	deadline := time.Now().Add(dialTimeout)
 	var conn net.Conn
+	var err error
 	for {
 		conn, err = net.DialTimeout("tcp", f.addrs[s], time.Second)
 		if err == nil {
@@ -453,7 +407,7 @@ func (f *DialFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	fc := newFrameConn(conn)
-	if _, err := handshake(fc, ig, ext, f.prog, cfg, ""); err != nil {
+	if _, err := handshake(fc, f.g, f.prog, cfg, ""); err != nil {
 		_ = fc.close()
 		return nil, err
 	}

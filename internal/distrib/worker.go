@@ -144,7 +144,7 @@ func ServeConn(c net.Conn) error {
 		}
 		adj := cm.adj
 		lo := cm.cfg.Lo
-		worker, err := congest.NewShardWorker(cm.cfg, func(v int) []int { return adj[v-lo] }, cm.ext, factory)
+		worker, err := congest.NewShardWorker(cm.cfg, func(v int) []int { return adj[v-lo] }, factory)
 		if err != nil {
 			return fail(err)
 		}

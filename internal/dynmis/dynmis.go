@@ -104,12 +104,8 @@ type Engine struct {
 	err   error // first fatal error; poisons the engine
 
 	// Per-batch scratch, epoch-stamped so Apply never pays O(n) resets.
-	// dynmis never relabels: its vertex IDs are the caller's original
-	// (external) labels, so the scratch tables are indexed externally.
-	epoch int64
-	//idspace:index external
-	mark []int64 // vertex -> epoch when it last entered a region
-	//idspace:index external
+	epoch    int64
+	mark     []int64 // vertex -> epoch when it last entered a region
 	local    []int32 // region vertex -> repair-subgraph ID (-1 = frozen)
 	region   []int
 	seeds    []int

@@ -1,5 +1,5 @@
 // Package exp contains the experiment harness: one driver per experiment
-// in DESIGN.md's index (E1-E22, A1-A5). Each driver returns a Report with
+// in DESIGN.md's index (E1-E21, A1-A5). Each driver returns a Report with
 // a rendered table and observations; cmd/bench regenerates all of them and
 // bench_test.go exposes each as a testing.B benchmark.
 //
@@ -131,7 +131,6 @@ func All() []Driver {
 		{ID: "E19", Name: "multicore-scaling", Run: E19MulticoreScaling},
 		{ID: "E20", Name: "dynamic-updates", Run: E20DynamicUpdates},
 		{ID: "E21", Name: "distributed-driver", Run: E21DistributedDriver},
-		{ID: "E22", Name: "layout-locality", Run: E22LayoutLocality},
 		{ID: "A1", Name: "rho-opt-out", Run: A1RhoOptOut},
 		{ID: "A2", Name: "param-profiles", Run: A2ParamProfiles},
 		{ID: "A3", Name: "scale-sensitivity", Run: A3ScaleSensitivity},

@@ -45,8 +45,8 @@ func TestDriverIDsUniqueAndOrdered(t *testing.T) {
 			t.Fatalf("driver %s incomplete", d.ID)
 		}
 	}
-	if len(seen) != 27 {
-		t.Fatalf("expected 27 drivers, got %d", len(seen))
+	if len(seen) != 26 {
+		t.Fatalf("expected 26 drivers, got %d", len(seen))
 	}
 }
 

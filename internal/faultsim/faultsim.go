@@ -86,18 +86,12 @@ type Plan interface {
 	// Message decides the fate of a message sent in round `round` from
 	// vertex `from` to vertex `to`. It runs on the coordinator during
 	// delivery, once per message, in global ascending-sender order; r is
-	// the run's dedicated fault stream. Vertex IDs are external (original
-	// graph) IDs regardless of the engine's storage layout.
-	//
-	//idspace:external from to
+	// the run's dedicated fault stream.
 	Message(round, from, to int, r *rng.RNG) Fate
 	// Vertex reports v's fate in round `round`. Vertex fates apply to
 	// rounds >= 1: the engine always executes Init (round 0) so every
 	// node's state exists before the faulty network does. Vertex may be
-	// called concurrently and must not consume randomness. v is an
-	// external (original graph) ID.
-	//
-	//idspace:external v
+	// called concurrently and must not consume randomness.
 	Vertex(round, v int) VertexFate
 }
 

@@ -370,57 +370,6 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
-func TestRelabel(t *testing.T) {
-	g := Path(4)
-	perm := []int{3, 2, 1, 0}
-	h, err := Relabel(g, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.N() != 4 || h.M() != 3 {
-		t.Fatal("relabel changed size")
-	}
-	// Path 0-1-2-3 reversed is 3-2-1-0: same graph here, so degrees match.
-	for v := 0; v < 4; v++ {
-		if g.Degree(v) != h.Degree(perm[v]) {
-			t.Fatalf("degree of %d changed", v)
-		}
-	}
-}
-
-func TestRelabelPreservesStructure(t *testing.T) {
-	r := rng.New(99)
-	if err := quick.Check(func(seed uint64) bool {
-		rr := r.Split(seed)
-		g := UnionOfTrees(30, 2, rr)
-		perm := rr.Perm(30)
-		h, err := Relabel(g, perm)
-		if err != nil {
-			return false
-		}
-		if h.M() != g.M() {
-			return false
-		}
-		for _, e := range g.Edges() {
-			if !h.HasEdge(perm[e.U], perm[e.V]) {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRelabelRejectsBadPerm(t *testing.T) {
-	g := Path(3)
-	for _, perm := range [][]int{{0, 1}, {0, 0, 1}, {0, 1, 5}} {
-		if _, err := Relabel(g, perm); err == nil {
-			t.Fatalf("perm %v accepted", perm)
-		}
-	}
-}
-
 func TestRandomRegular(t *testing.T) {
 	r := rng.New(77)
 	for _, c := range []struct{ n, d int }{{20, 3}, {50, 4}, {100, 2}, {10, 0}} {

@@ -6,12 +6,13 @@ import (
 )
 
 // Relabel returns an isomorphic copy of g with vertex v renamed to
-// perm[v]; perm must be a permutation of 0..n-1. Unlike reconstructing
-// from an edge list, the copy is built row-by-row straight into CSR form:
-// new vertex p's row is old vertex inv[p]'s neighbors mapped through perm
-// and re-sorted. This is the ingest pass the engine's cache-conscious
-// layouts (internal/layout, congest.Options.Layout) and the dynamic-MIS
-// engine apply, so it avoids the O(m) edge-struct materialization.
+// perm[v]; perm must be a permutation of 0..n-1. Relabeling is how the
+// tests check that algorithm guarantees do not secretly depend on the ID
+// assignment (IDs are only ever used for tie-breaking). Unlike
+// reconstructing from an edge list, the copy is built row-by-row straight
+// into CSR form: new vertex p's row is old vertex inv[p]'s neighbors
+// mapped through perm and re-sorted, avoiding the O(m) edge-struct
+// materialization.
 func Relabel(g *Graph, perm []int) (*Graph, error) {
 	n := g.N()
 	if len(perm) != n {

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"fmt"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -37,8 +38,8 @@ func invert(perm []int) []int {
 	return inv
 }
 
-// TestRelabelRoundTrip is the layout pass's core safety property: relabeling
-// by any permutation and then by its inverse must reproduce the original CSR
+// TestRelabelRoundTrip is Relabel's core safety property: relabeling by
+// any permutation and then by its inverse must reproduce the original CSR
 // exactly, across every generator family in the suite.
 func TestRelabelRoundTrip(t *testing.T) {
 	r := rng.New(20260808)
@@ -75,6 +76,33 @@ func TestRelabelRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRelabelPreservesStructure checks the renaming itself, which a round
+// trip cannot see: every edge {u, v} of g must be the edge {perm[u],
+// perm[v]} of the copy, with no edges added.
+func TestRelabelPreservesStructure(t *testing.T) {
+	r := rng.New(99)
+	if err := quick.Check(func(seed uint64) bool {
+		rr := r.Split(seed)
+		g := gen.UnionOfTrees(30, 2, rr)
+		perm := rr.Perm(30)
+		h, err := graph.Relabel(g, perm)
+		if err != nil {
+			return false
+		}
+		if h.M() != g.M() {
+			return false
+		}
+		for _, e := range g.Edges() {
+			if !h.HasEdge(perm[e.U], perm[e.V]) {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -157,11 +185,11 @@ func TestRelabelDegenerate(t *testing.T) {
 func TestRelabelRejectsBadPerms(t *testing.T) {
 	g := gen.Grid(3, 3)
 	bad := [][]int{
-		{0, 1, 2},                         // wrong length
-		{0, 1, 2, 3, 4, 5, 6, 7, 9},       // out of range
-		{0, 1, 2, 3, 4, 5, 6, 7, -1},      // negative
-		{0, 1, 2, 3, 4, 5, 6, 7, 7},       // duplicate
-		make([]int, 9),                    // all zeros: duplicate
+		{0, 1, 2},                    // wrong length
+		{0, 1, 2, 3, 4, 5, 6, 7, 9},  // out of range
+		{0, 1, 2, 3, 4, 5, 6, 7, -1}, // negative
+		{0, 1, 2, 3, 4, 5, 6, 7, 7},  // duplicate
+		make([]int, 9),               // all zeros: duplicate
 	}
 	for i, perm := range bad {
 		t.Run(fmt.Sprintf("case-%d", i), func(t *testing.T) {

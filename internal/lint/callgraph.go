@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// Interprocedural core shared by the dataflow analyzers (idspace,
-// draworder, hotalloc v2): a module-wide index of function declarations
-// plus a static call-site resolver. The graph is deliberately modest —
+// Interprocedural core shared by the dataflow analyzers (draworder,
+// hotalloc v2): a module-wide index of function declarations plus a
+// static call-site resolver. The graph is deliberately modest —
 // only statically-dispatched calls resolve (package functions and
 // methods on concrete receivers); interface-method calls and func-value
 // calls return an object with no declaration, which every traversal

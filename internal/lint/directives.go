@@ -30,30 +30,6 @@ const (
 	// that must enumerate every declared kind constant.
 	DirExhaustive = "//wirekind:exhaustive"
 
-	// DirIdspaceInternal declares ID-space membership for the idspace
-	// analyzer: on a struct field it marks the field's values (a slice
-	// field's elements) as internal (permuted) vertex IDs; on a function
-	// or interface-method doc it takes parameter names
-	// (`//idspace:internal v w`) and marks those parameters.
-	DirIdspaceInternal = "//idspace:internal"
-	// DirIdspaceExternal is the external (original, user-visible) ID
-	// counterpart of DirIdspaceInternal.
-	DirIdspaceExternal = "//idspace:external"
-	// DirIdspaceIndex, on a slice/array struct field, declares which ID
-	// space may index it: `//idspace:index internal` or
-	// `//idspace:index external`. A field may carry both an index-space
-	// and an element-space directive (e.g. the perm table is indexed by
-	// external IDs and stores internal ones).
-	DirIdspaceIndex = "//idspace:index"
-	// DirIdspaceReturns, on a function doc, declares the space of the
-	// (single) result: `//idspace:returns external`.
-	DirIdspaceReturns = "//idspace:returns"
-	// DirIdspaceOK suppresses an idspace finding on its line or the line
-	// above, for flows the analyzer cannot see are safe (the identity
-	// layout's extID returning its argument unchanged). Suppressions are
-	// counted in misvet's summary like advisory escapes.
-	DirIdspaceOK = "//idspace:ok"
-
 	// DirWorker marks a function (doc comment) as running in a worker /
 	// per-shard context even though no `go` statement spawns it directly
 	// (the distrib ShardWorker methods, driven from a remote process);
@@ -68,22 +44,6 @@ const (
 	// above) that must enumerate every declared frame kind constant.
 	DirFrameExhaustive = "//framecodec:exhaustive"
 )
-
-// directiveArgs matches text against a directive and returns its
-// space-separated arguments. The match is exact-or-spaced: "//idspace:ok"
-// matches "//idspace:ok" and "//idspace:ok reason...", but a directive
-// that merely shares a prefix ("//idspace:index" vs "//idspace:internal")
-// does not match.
-func directiveArgs(text, directive string) ([]string, bool) {
-	if !strings.HasPrefix(text, directive) {
-		return nil, false
-	}
-	rest := text[len(directive):]
-	if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-		return nil, false
-	}
-	return strings.Fields(rest), true
-}
 
 // commentIndex maps filename -> line -> comment texts starting on that
 // line, for O(1) "is there a directive at/above this position" checks.

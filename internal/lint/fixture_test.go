@@ -103,9 +103,8 @@ func TestFixtures(t *testing.T) {
 
 	// The escapes must be suppressed, not silently dropped: the advisory
 	// escapes in fixdet (4: same-line, line-above, and a two-finding
-	// function doc), fixmap (1), and fixdraw's goroutine spawn (1), plus
-	// fixid's //idspace:ok identity-return escape (1).
-	if want := 7; suppressed != want {
+	// function doc), fixmap (1), and fixdraw's goroutine spawn (1).
+	if want := 6; suppressed != want {
 		t.Errorf("suppressed = %d, want %d", suppressed, want)
 	}
 }

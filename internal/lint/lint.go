@@ -4,7 +4,7 @@
 // only with runtime tests (cross-driver matrices, pinned trace
 // fingerprints, AllocsPerRun gates).
 //
-// The suite ships eight analyzers. Five are syntactic, per-construct
+// The suite ships seven analyzers. Five are syntactic, per-construct
 // checks:
 //
 //   - determinism: no wall-clock reads, math/rand, sync/atomic operations,
@@ -21,7 +21,7 @@
 //     the same way, and decoded frame bit sizes are bounds-checked
 //     against congest.MaxWireBits.
 //
-// Three are interprocedural, built on a shared call-graph core
+// Two are interprocedural, built on a shared call-graph core
 // (callgraph.go):
 //
 //   - hotalloc: functions annotated //congest:hotpath — and the
@@ -29,10 +29,6 @@
 //     contain no allocating constructs (closures, make/new, heap-escaping
 //     composite literals, appends to fresh slices, interface
 //     conversions);
-//   - idspace: a flow-sensitive taint analysis proving internal
-//     (permuted) vertex IDs never reach external surfaces (trace events,
-//     error strings, fault consults) without the extID translation, and
-//     external IDs never index internal-order tables;
 //   - draworder: rng.RNG draws are unreachable from worker goroutines
 //     and per-shard contexts, so randomness is always consumed
 //     coordinator-side in global sender order.
@@ -135,7 +131,6 @@ func Suite() []*Analyzer {
 		CongestbitsAnalyzer,
 		FramecodecAnalyzer,
 		HotallocAnalyzer,
-		IdspaceAnalyzer,
 		DraworderAnalyzer,
 	}
 }

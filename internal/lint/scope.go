@@ -38,7 +38,6 @@ var deterministicScopes = []string{
 	"internal/forest",
 	"internal/gen",
 	"internal/graph",
-	"internal/layout",
 	"internal/matching",
 	"internal/mis",
 	"internal/readk",

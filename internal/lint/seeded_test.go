@@ -63,22 +63,23 @@ func mutate(t *testing.T, path, anchor, replacement string) {
 	}
 }
 
-// TestSeededViolations re-seeds the two leak shapes the interprocedural
+// TestSeededViolations re-seeds the two regressions the interprocedural
 // analyzers exist to prevent into a copy of the real module and asserts
-// misvet's suite catches both: an internal (permuted) vertex ID reaching
-// a trace event without the extID translation, and an engine RNG draw
-// inside a pool worker goroutine. The module is clean before seeding
-// (TestModuleClean), so every finding here is mutation-caused.
+// misvet's suite catches both: an allocation in the pool's hot-path
+// bucket merge, and an engine RNG draw inside a pool worker goroutine.
+// The module is clean before seeding (TestModuleClean), so every finding
+// here is mutation-caused.
 func TestSeededViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks a full module copy")
 	}
 	root := copyModule(t)
 
-	// Seed A: drop the extID translation on deliver's drop event, leaking
-	// the internal inbox slot into the trace stream.
+	// Seed A: allocate in mergeBucket, a //congest:hotpath function the
+	// pool runs once per destination shard every round.
 	mutate(t, filepath.Join(root, "internal/congest/congest.go"),
-		"W: int32(st.extID(a.to))", "W: int32(a.to)")
+		"func (st *execState) mergeBucket(d int) {",
+		"func (st *execState) mergeBucket(d int) {\n\t_ = make([]int, d)")
 
 	// Seed B: draw from the coordinator-owned fault stream inside a pool
 	// worker goroutine — randomness consumed in scheduling order.
@@ -91,19 +92,19 @@ func TestSeededViolations(t *testing.T) {
 		t.Fatalf("LoadModule on seeded copy: %v", err)
 	}
 	diags, _ := Run(m, Suite())
-	var idspace, draworder int
+	var hotalloc, draworder int
 	for _, d := range diags {
 		switch d.Analyzer {
-		case "idspace":
-			idspace++
+		case "hotalloc":
+			hotalloc++
 		case "draworder":
 			draworder++
 		default:
 			t.Errorf("unexpected %s finding on seeded copy: %s", d.Analyzer, d)
 		}
 	}
-	if idspace == 0 {
-		t.Error("seeded internal-ID leak into a trace event not caught by idspace")
+	if hotalloc == 0 {
+		t.Error("seeded hot-path allocation not caught by hotalloc")
 	}
 	if draworder == 0 {
 		t.Error("seeded worker-goroutine RNG draw not caught by draworder")

@@ -85,7 +85,7 @@ func (ri roundIndex) round(r int) []Event {
 // Bisect locates the first divergent deterministic event between two
 // traces. It binary-searches the per-round prefix fingerprints to find
 // the first round whose history differs, then scans that round event by
-// event. Advisory events (timings, shard flow) are ignored, so traces
+// event. Advisory events (timings, rebalances) are ignored, so traces
 // from different drivers compare cleanly. It returns nil when the
 // deterministic streams are identical.
 func Bisect(a, b []Event) *Divergence {

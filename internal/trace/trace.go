@@ -63,10 +63,10 @@ const (
 	// this round (any fate), Y = messages delivered this round,
 	// Z = messages dropped this round.
 	EvRoundEnd
-	// EvShardFlow is the advisory per-shard traffic matrix entry:
-	// V = sender shard, W = recipient shard, X = messages sent this round
-	// on that pair. Shard boundaries depend on the driver.
-	EvShardFlow
+	// Retired slot (the per-shard traffic matrix event). It stays
+	// reserved so every later type keeps its value: type bytes are
+	// hashed into pinned fingerprints.
+	_
 	// EvShardBusy is the advisory per-shard sweep timing from the pool
 	// driver: V = shard, X = busy nanoseconds, Y = live nodes in the shard.
 	EvShardBusy
@@ -113,7 +113,6 @@ var typeNames = [...]string{
 	EvDelay:      "delay",
 	EvRNG:        "rng",
 	EvRoundEnd:   "round-end",
-	EvShardFlow:  "shard-flow",
 	EvShardBusy:  "shard-busy",
 	EvMerge:      "merge",
 	EvRebalance:  "rebalance",
@@ -142,11 +141,11 @@ func TypeFromString(s string) Type {
 
 // Deterministic reports whether events of this type are bit-identical
 // across engine drivers for the same seed. Advisory types (timings, shard
-// flow) depend on the driver's shard layout and wall clock and are
-// excluded from Fingerprint and Bisect.
+// rebalancing, transport) depend on the driver's shard layout and wall
+// clock and are excluded from Fingerprint and Bisect.
 func (t Type) Deterministic() bool {
 	switch t {
-	case EvShardFlow, EvShardBusy, EvMerge, EvRebalance, EvFrame, EvRespawn:
+	case EvShardBusy, EvMerge, EvRebalance, EvFrame, EvRespawn:
 		return false
 	}
 	return true
@@ -161,11 +160,6 @@ type Event struct {
 	// Round is the engine round the event belongs to (0 = Init).
 	Round int32
 	// V and W are the subject vertices or shards (see the Type constants).
-	// Vertex identities are always external (original graph) IDs, never
-	// the engine's relabeled internal order — misvet's idspace analyzer
-	// enforces the boundary.
-	//
-	//idspace:external
 	V, W int32
 	// X, Y and Z are type-specific values.
 	X, Y, Z int64
@@ -199,8 +193,6 @@ func (e Event) String() string {
 	case EvRoundEnd:
 		return fmt.Sprintf("round-end r=%d live=%d sent=%d delivered=%d dropped=%d",
 			e.Round, e.V, e.X, e.Y, e.Z)
-	case EvShardFlow:
-		return fmt.Sprintf("shard-flow r=%d %d→%d msgs=%d", e.Round, e.V, e.W, e.X)
 	case EvShardBusy:
 		return fmt.Sprintf("shard-busy r=%d shard=%d busy=%dns live=%d", e.Round, e.V, e.X, e.Y)
 	case EvMerge:

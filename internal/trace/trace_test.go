@@ -12,7 +12,7 @@ import (
 // allTypes is every defined event kind, for exhaustive table checks.
 var allTypes = []Type{
 	EvRoundStart, EvVertexFate, EvNodeState, EvHalt, EvDrop, EvDelay,
-	EvRNG, EvRoundEnd, EvShardFlow, EvShardBusy, EvMerge, EvRebalance,
+	EvRNG, EvRoundEnd, EvShardBusy, EvMerge, EvRebalance,
 	EvRepair,
 }
 
@@ -35,7 +35,7 @@ func TestTypeNamesRoundTrip(t *testing.T) {
 }
 
 func TestDeterministicClassification(t *testing.T) {
-	advisory := map[Type]bool{EvShardFlow: true, EvShardBusy: true, EvMerge: true, EvRebalance: true}
+	advisory := map[Type]bool{EvShardBusy: true, EvMerge: true, EvRebalance: true}
 	for _, ty := range allTypes {
 		if ty.Deterministic() == advisory[ty] {
 			t.Fatalf("type %v: Deterministic() = %v", ty, ty.Deterministic())
