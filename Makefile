@@ -64,11 +64,16 @@ cover:
 alloc-gate:
 	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN)' -count=1 ./internal/congest/
 
-# Fuzz smoke: a 10s slice of native fuzzing over the distrib frame
-# decoders, the bytes a networked shard worker (cmd/misnode -listen tcp:)
-# accepts from outside. Any panic, hang or runaway allocation fails it.
+# Fuzz smoke: a 10s slice of native fuzzing over each decoder of external
+# bytes — the distrib frame decoders (what a networked shard worker,
+# cmd/misnode -listen tcp:, accepts from outside), the JSONL trace reader
+# and the dynamic-MIS update-stream reader. Any panic, hang, runaway
+# allocation or broken round trip fails it. go test fuzzes one target per
+# run, hence three runs.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/distrib/
+	go test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace/
+	go test -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 10s ./internal/dynmis/
 
 # The benchmark's own suite (perfbench is a separate module, outside the
 # root `go test ./...`): p90 op-count rule, input determinism, tiny-size

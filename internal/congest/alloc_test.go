@@ -3,6 +3,7 @@ package congest
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/faultsim"
 	"repro/internal/gen"
@@ -75,22 +76,27 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateRoundZeroAllocsBucketed extends the gate to the pool
-// driver's destination-bucketed delivery (deliverBuckets/mergeBucket):
-// once the per-destination buckets, frontiers, and arena have grown to
-// steady-state capacity, a bucketed round must allocate nothing. The
-// shards are swept on the test goroutine (the worker barrier is driver
-// plumbing, not allocation behavior) and the coordinator-loop merge runs,
-// which is byte-for-byte the same merge the workers execute in parallel.
-func TestSteadyStateRoundZeroAllocsBucketed(t *testing.T) {
-	const n = 1024
+// TestSteadyStateRoundZeroAllocsParallelMerge extends the gate to the pool
+// driver's parallel merge (mergePhase's count and scatter over each
+// shard's destination range): once the outboxes, frontiers, and arena
+// have grown to steady-state capacity, a round merged by range must
+// allocate nothing. The shards are swept and the merge phases run on the
+// test goroutine (the worker barrier is driver plumbing, not allocation
+// behavior), which is byte-for-byte the code the workers execute in
+// parallel.
+func TestSteadyStateRoundZeroAllocsParallelMerge(t *testing.T) {
+	const n = 4 * parallelMergeMin
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
 		Seed:     1,
 		Parallel: true,
 	})
 	st := r.newExecState(4)
-	if st.buckets != 4 {
-		t.Fatalf("expected bucketed delivery (buckets=4), got %d", st.buckets)
+	phases := 0
+	st.parallel = func(cmd int) {
+		phases++
+		for _, sh := range st.shards {
+			st.mergePhase(sh, cmd)
+		}
 	}
 	round := 0
 	oneRound := func() {
@@ -109,7 +115,10 @@ func TestSteadyStateRoundZeroAllocsBucketed(t *testing.T) {
 		oneRound()
 	}
 	if avg := testing.AllocsPerRun(20, oneRound); avg != 0 {
-		t.Fatalf("steady-state bucketed round allocates %v objects, want 0", avg)
+		t.Fatalf("steady-state parallel-merge round allocates %v objects, want 0", avg)
+	}
+	if phases != 2*round {
+		t.Fatalf("%d merge phases over %d rounds, want two per round (count, scatter)", phases, round)
 	}
 }
 
@@ -207,5 +216,18 @@ func TestRunAllocsIndependentOfN(t *testing.T) {
 		if hi > lo+growth {
 			t.Errorf("%s: Run allocations grow with n: %d at n=2^10, %d at n=2^14 (allowed +%d)", c.name, lo, hi, growth)
 		}
+	}
+}
+
+// TestContextFitsCacheLine pins the per-vertex Context at 64 bytes on
+// 64-bit platforms: every run allocates one per vertex and every sweep
+// touches each live vertex's, so state shared by a whole sweep (the round,
+// the halt flag, n) belongs on the shard or the Runner instead.
+func TestContextFitsCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the 64-byte layout is for 64-bit platforms")
+	}
+	if s := unsafe.Sizeof(Context{}); s != 64 {
+		t.Fatalf("Context is %d bytes, want 64", s)
 	}
 }

@@ -21,7 +21,12 @@
 //  2. every driver materializes outgoing messages in ascending sender-ID
 //     order — within a shard nodes are swept in ID order, and shards
 //     cover contiguous ID ranges merged in shard order — so inboxes are
-//     sorted by sender without any per-round sort; and
+//     sorted by sender without any per-round sort. A shard outbox holds
+//     one record per send call: a Broadcast is a single record that
+//     every delivery pass expands over the sender's CSR row, in row
+//     order, at the record's place in the outbox, so the message order
+//     is exactly (sender ID, send call, neighbor) — what one Send per
+//     neighbor would give; and
 //  3. fault-injection decisions (the faultsim.Plan consults, including any
 //     random draws) happen on the coordinator during delivery, in that
 //     same global sender order, from a dedicated fault stream.
@@ -63,25 +68,32 @@ type Node interface {
 }
 
 // Context is the per-node view of the network that the engine passes to
-// Init and Round. It is only valid during the call it is passed to.
+// Init and Round. It is only valid during the call it is passed to. It
+// is 64 bytes, one cache line per vertex: the round number and the halt
+// flag of the call in progress live on the shard that runs it, and n on
+// the Runner, because they are the same for every vertex a sweep runs.
 type Context struct {
 	id        int
-	n         int
 	neighbors []int // the vertex's CSR row: neighbor IDs, ascending
 	// rng is held by value so a run needs no per-node allocation for it.
 	// Contexts are only ever addressed in place (&ctxs[v]): a by-value
 	// copy of a Context would fork the node's stream.
 	rng    rng.RNG
-	round  int
-	halted bool
 	shard  *shard
 	runner *Runner
 }
 
+// addressed is one outbox record: a message to one neighbor, or — when to
+// is broadcastTo — one Broadcast call, which delivery expands over the
+// sender's CSR row.
 type addressed struct {
 	to  int
 	msg Message
 }
+
+// broadcastTo marks a Broadcast record. Recipient IDs are never negative,
+// so the marker cannot collide with a real recipient.
+const broadcastTo = -1
 
 // ID returns this vertex's identifier (0..N-1). In CONGEST nodes know their
 // own O(log n)-bit ID and those of their neighbors.
@@ -90,11 +102,11 @@ func (c *Context) ID() int { return c.id }
 // N returns the number of vertices in the network. (Algorithms in this repo
 // use it only for parameterization that the model allows — e.g. knowing n
 // up to a constant factor.)
-func (c *Context) N() int { return c.n }
+func (c *Context) N() int { return c.runner.n }
 
 // Round returns the current round number, starting at 1. During Init it
 // returns 0.
-func (c *Context) Round() int { return c.round }
+func (c *Context) Round() int { return c.shard.round }
 
 // Neighbors returns the sorted neighbor IDs. The slice aliases graph
 // storage and must not be modified.
@@ -137,13 +149,17 @@ func (c *Context) SendSlot(i int, w Wire) {
 	c.enqueue(c.neighbors[i], w)
 }
 
-// Broadcast queues a message to every neighbor for delivery next round,
-// walking the adjacency list directly (no membership checks).
+// Broadcast queues a message to every neighbor for delivery next round.
+// It costs one outbox record however large the degree: delivery expands
+// the record over the sender's neighbor list, in list order, at the
+// record's place in the outbox — the order a SendSlot loop over
+// Neighbors() would produce, so the two are indistinguishable to every
+// receiver. A vertex with no neighbors sends nothing.
 //
 //congest:hotpath
 func (c *Context) Broadcast(w Wire) {
-	for _, v := range c.neighbors {
-		c.enqueue(v, w)
+	if len(c.neighbors) > 0 {
+		c.enqueue(broadcastTo, w)
 	}
 }
 
@@ -157,11 +173,12 @@ func (c *Context) fail(err error) {
 	}
 }
 
-// enqueue appends to the owning shard's outbox — the destination shard's
-// bucket when the run is bucketed, out[0] otherwise. Only the worker that
-// owns the shard runs this node, so the append is race-free, and because
-// nodes within a shard are swept in ID order every bucket stays sorted by
-// sender with per-sender append order preserved.
+// enqueue appends one record — a message to neighbor to, or a whole
+// Broadcast when to is broadcastTo — to the owning shard's outbox, after
+// checking the payload against MessageBitLimit once per send call. Only
+// the worker that owns the shard runs this node, so the append is
+// race-free, and because nodes within a shard are swept in ID order the
+// outbox stays in (sender ID, send call) order.
 //
 //congest:hotpath
 func (c *Context) enqueue(to int, w Wire) {
@@ -172,16 +189,12 @@ func (c *Context) enqueue(to int, w Wire) {
 		return
 	}
 	sh := c.shard
-	d := 0
-	if sh.vshard != nil {
-		d = int(sh.vshard[to])
-	}
-	sh.out[d] = append(sh.out[d], addressed{to: to, msg: Message{From: c.id, Wire: w}})
+	sh.out = append(sh.out, addressed{to: to, msg: Message{From: c.id, Wire: w}})
 }
 
 // Halt marks this node finished. Messages queued in the same call are still
 // delivered, but the node receives no further Round calls.
-func (c *Context) Halt() { c.halted = true }
+func (c *Context) Halt() { c.shard.halting = true }
 
 // Emit records a program-defined node-state transition on the run's
 // execution trace (a trace.EvNodeState event with this vertex, the given
@@ -196,7 +209,7 @@ func (c *Context) Emit(code int32, value int64) {
 	}
 	c.shard.events = append(c.shard.events, trace.Event{
 		Type:  trace.EvNodeState,
-		Round: int32(c.round),
+		Round: int32(c.shard.round),
 		V:     int32(c.id),
 		X:     int64(code),
 		Y:     value,
@@ -374,6 +387,7 @@ var ErrMaxRounds = errors.New("congest: max rounds exceeded before all nodes hal
 // Runner is single-use (Run may be called once).
 type Runner struct {
 	g      *graph.Graph
+	n      int    // vertex count: g.N(), or ShardConfig.N in a shard worker
 	nodes  []Node // indexed by vertex ID
 	opts   Options
 	ran    bool
@@ -387,7 +401,7 @@ func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	r := &Runner{g: g, opts: opts}
+	r := &Runner{g: g, n: g.N(), opts: opts}
 	r.nodes = make([]Node, g.N())
 	for v := 0; v < g.N(); v++ {
 		r.nodes[v] = factory(v)
@@ -419,39 +433,38 @@ func (r *Runner) Run() (Result, error) {
 }
 
 // shard is a contiguous vertex range [lo, hi) owned by one worker. Its
-// outboxes accumulate the messages its nodes send during a sweep, in
-// (sender ID, send call) order per destination bucket; its frontier is a
-// dense grow-only bitset of the not-yet-halted vertices in the range (see
-// frontier.go). Only the owning worker touches a shard during a sweep; the
-// coordinator reads and re-partitions it between sweeps (rebalance.go).
+// outbox accumulates the records its nodes send during a sweep, in
+// (sender ID, send call) order; its frontier is a dense grow-only bitset
+// of the not-yet-halted vertices in the range (see frontier.go). Only the
+// owning worker touches a shard during a sweep; the coordinator reads and
+// re-partitions it between sweeps (rebalance.go).
 type shard struct {
-	idx       int      // shard index; doubles as this shard's merge-bucket index
-	lo, hi    int      // owned contiguous vertex range [lo, hi)
-	frontier  []uint64 // live bitset over [lo, hi); word 0 starts at (lo>>6)<<6
-	liveCount int      // set bits in frontier (O(1) empty-shard skip)
-	// out is the per-destination-bucket outbox family: out[d] holds the
-	// messages this shard's nodes sent to vertices of destination shard d,
-	// in send order. Unbucketed runs (sequential driver, fault plans, the
-	// legacy driver) use a single bucket and out[0] is the classic
-	// global-send-order outbox.
-	out    [][]addressed
-	vshard []int32       // shared vertex→shard map for bucket routing (nil when unbucketed)
-	events []trace.Event // program/halt events buffered during the sweep
-	err    error         // first model violation by a node of this shard
-	busy   int64         // sweep duration in nanoseconds, when timing is on
+	lo, hi    int           // owned contiguous vertex range [lo, hi)
+	frontier  []uint64      // live bitset over [lo, hi); word 0 starts at (lo>>6)<<6
+	liveCount int           // set bits in frontier (O(1) empty-shard skip)
+	out       []addressed   // records sent during the sweep (see sizeOutboxes)
+	events    []trace.Event // program/halt events buffered during the sweep
+	err       error         // first model violation by a node of this shard
+	busy      int64         // sweep duration in nanoseconds, when timing is on
+	round     int           // round being swept (0 = Init)
+	halting   bool          // set by Context.Halt during a node call; the sweep consumes it
 
-	// Bucketed-merge scratch, owned by this shard in its destination role:
-	// mergeBase is the arena offset where the shard's inbox region starts,
-	// and the merge* counters are the region's delivery tallies, folded
-	// into Result by the coordinator in shard order after the merge.
-	mergeBase int
-	mergeMsgs int64
-	mergeBits int64
-	mergeMax  int
+	// Parallel-merge scratch, owned by this shard in its destination role
+	// (the inboxes of [lo, hi)): the messages addressed into the range, the
+	// arena offset where its inbox region starts, and the region's bit
+	// tallies, folded into Result by the coordinator in shard order.
+	mergeCount int
+	mergeBase  int
+	mergeBits  int64
+	mergeMax   int
 }
 
 // execState is the driver-independent bookkeeping for a run.
 type execState struct {
+	// g is the run's graph. Delivery expands a Broadcast record over
+	// g.Neighbors(sender) — the row ctxs[sender].neighbors aliases — because
+	// the CSR offsets are 8 dense bytes per vertex where a Context is 64.
+	g      *graph.Graph
 	ctxs   []Context
 	shards []*shard
 
@@ -474,31 +487,25 @@ type execState struct {
 	sent      int64               // messages handed to delivery, any fate
 	observed  int64               // sends already reported on the bus
 
-	// Bucketed-merge state. buckets is the destination-bucket count per
-	// shard outbox: numShards for the pool driver on a reliable network
-	// (delivery decomposes into per-destination-shard merges that can run
-	// on the workers), 1 otherwise (fault draws need the global send order
-	// a single outbox preserves). parMerge, set by the pool driver,
-	// dispatches one merge task per shard to the worker pool and waits;
-	// nil means the coordinator merges the buckets itself.
-	buckets    int
-	parMerge   func()
+	// parallel, set by the pool driver on a reliable network when every
+	// worker can have a CPU of its own (see runPool), runs one merge phase
+	// (cmdCount or cmdScatter, see mergePhase) for every shard's
+	// destination range on the pool workers and waits; nil means the
+	// coordinator merges [0, n) as a single range.
+	parallel   func(cmd int)
 	scratch    []uint64 // whole-graph frontier gather space for rebalancing
 	rebalances int64    // rebalance count over the run
 
-	// Outbox reservation (see sizeOutboxes): the one backing array of all
-	// 2m directed edges every bucket is carved from, and per-bucket count
-	// scratch.
-	outbox    []addressed
-	outCounts []int
+	// outbox is the one backing array every shard outbox is carved from
+	// (see sizeOutboxes).
+	outbox []addressed
 
 	// Event-bus state (see events.go). bus is nil when nothing listens;
 	// full means a real sink (Options.Events) wants the rich stream, not
 	// just the deprecated adapters.
 	bus            trace.Sink
 	full           bool
-	vshard         []int32 // vertex -> shard, for bucket routing (nil when unbucketed)
-	lastDelivered  int64   // round-delta trackers for EvRoundEnd/EvRNG
+	lastDelivered  int64 // round-delta trackers for EvRoundEnd/EvRNG
 	lastDropped    int64
 	lastDraws      uint64
 	lastFaultDraws uint64
@@ -540,39 +547,27 @@ func (r *Runner) newExecState(numShards int) *execState {
 		numShards = 1
 	}
 	st := &execState{
+		g:        r.g,
 		ctxs:     make([]Context, n),
 		inboxOff: make([]int, n),
 		inboxLen: make([]int, n),
 		shards:   make([]*shard, numShards),
 		live:     n,
 		plan:     r.opts.effectivePlan(),
+		remote:   r.opts.driverKind() == DriverDistributed,
 	}
 	if st.plan != nil {
 		st.faults = root.Split(^uint64(0))
 	}
 	st.bus, st.full = r.opts.eventBus()
 	r.traced = st.full
-	// Destination-bucketed outboxes let delivery decompose into disjoint
-	// per-shard merges (deliverBuckets); they require a reliable network
-	// (fault draws consume the fault stream in global send order, which
-	// only a single outbox preserves), and they only pay off under the
-	// pool driver.
-	st.buckets = 1
-	if r.opts.driverKind() == DriverPool && numShards > 1 && st.plan == nil {
-		st.buckets = numShards
-		st.vshard = make([]int32, n)
-	}
 	for s := range st.shards {
 		lo, hi := s*n/numShards, (s+1)*n/numShards
-		sh := &shard{idx: s, out: make([][]addressed, st.buckets), vshard: st.vshard}
+		sh := &shard{}
 		sh.resetFrontier(lo, hi)
 		for v := lo; v < hi; v++ {
-			if st.vshard != nil {
-				st.vshard[v] = int32(s)
-			}
 			st.ctxs[v] = Context{
 				id:        v,
-				n:         n,
 				neighbors: r.g.Neighbors(v),
 				rng:       *root.Split(uint64(v)),
 				shard:     sh,
@@ -581,42 +576,39 @@ func (r *Runner) newExecState(numShards int) *execState {
 		}
 		st.shards[s] = sh
 	}
-	st.outbox = make([]addressed, 2*r.g.M())
-	st.outCounts = make([]int, st.buckets)
+	size := n
+	if st.remote {
+		size = 2 * r.g.M()
+	}
+	st.outbox = make([]addressed, size)
 	st.sizeOutboxes()
 	return st
 }
 
-// sizeOutboxes carves every shard outbox bucket from the run's single
-// backing array at the CONGEST bound of one message per edge per direction
-// per round: bucket d of a shard never carries more in a round than the
-// directed edges from the shard's vertices into destination bucket d — the
-// shard's whole degree sum when the run has a single bucket. Set-up calls
-// it once; the rebalancer calls it again after re-cutting the shard ranges
-// (outboxes are empty between rounds), so the reservation always matches
-// the current partition. The counts of any partition sum to the same 2m
-// directed edges, so re-carving never allocates. Every bucket is capped
-// with a three-index slice: a program that sends more than once per edge
-// in a round grows its own bucket by an ordinary append and never writes
-// into a neighbor's range.
+// sizeOutboxes carves every shard outbox from the run's single backing
+// array. An outbox holds send calls, not messages, and a vertex that
+// broadcasts once per round — every program on the paper's path — makes
+// one call, so an in-process shard reserves one record per vertex of its
+// range: the shard ranges partition [0, n), and shard [lo, hi) owns
+// outbox[lo:hi]. The distributed coordinator refills its outboxes from
+// per-message packets instead, so there each shard reserves the CONGEST
+// bound of one message per incident edge, its degree sum, carved from a
+// 2m-entry array. Set-up calls sizeOutboxes once; the rebalancer calls it
+// again after re-cutting the shard ranges (outboxes are empty between
+// rounds), so the reservation always matches the current partition and
+// re-carving never allocates. Every outbox is capped with a three-index
+// slice: a program that makes more send calls than reserved grows its own
+// shard's outbox by an ordinary append and never writes into a neighbor's
+// range.
 func (st *execState) sizeOutboxes() {
-	counts := st.outCounts
 	off := 0
 	for _, sh := range st.shards {
-		if len(counts) == 1 {
-			counts[0] = roundBound(st.ctxs[sh.lo:sh.hi])
-		} else {
-			clear(counts)
-			for v := sh.lo; v < sh.hi; v++ {
-				for _, q := range st.ctxs[v].neighbors {
-					counts[st.vshard[q]]++
-				}
-			}
+		c := sh.hi - sh.lo
+		if st.remote {
+			c = roundBound(st.ctxs[sh.lo:sh.hi])
 		}
-		for d, c := range counts {
-			sh.out[d] = st.outbox[off : off : off+c]
-			off += c
-		}
+		sh.out = st.outbox[off : off : off+c]
+		off += c
 	}
 }
 
@@ -642,6 +634,7 @@ func roundBound(ctxs []Context) int {
 //
 //congest:hotpath
 func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
+	sh.round = round
 	base := sh.lo >> 6
 	for wi := range sh.frontier {
 		w := sh.frontier[wi]
@@ -664,13 +657,13 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 				}
 			}
 			ctx := &st.ctxs[v]
-			ctx.round = round
 			if round == 0 {
 				r.nodes[v].Init(ctx)
 			} else {
 				r.nodes[v].Round(ctx, st.inbox(v))
 			}
-			if ctx.halted {
+			if sh.halting {
+				sh.halting = false
 				sh.frontier[wi] &^= 1 << uint(b)
 				sh.liveCount--
 				if r.traced {
@@ -707,16 +700,20 @@ func (st *execState) inbox(v int) []Message {
 // plus every outbox message addressed to it — drops only shorten a
 // segment, never misplace one) and lays the inboxes out back-to-back via
 // a prefix sum. The delivery pass then writes each admitted message at
-// its recipient's cursor. Shards cover contiguous ascending ID ranges and
-// each shard outbox is already in ascending sender order, so visiting
-// shard outboxes in shard order delivers every inbox sorted by sender —
-// no per-vertex append, no intermediate buffer, no sort, and the arena is
-// reused across rounds so steady-state delivery allocates nothing. Fault
-// decisions happen in that same global sender order (the counting pass
-// consults no randomness), so fault stream consumption is identical
-// across drivers. Messages a plan has delayed land ahead of the round's
-// fresh traffic, in the order they were deferred (which is itself global
-// send order, so the whole inbox is deterministic).
+// its recipient's cursor. Both passes expand a Broadcast record over the
+// sender's neighbor list in list order, at the record's place in the
+// outbox, so every pass sees the messages in (sender ID, send call,
+// neighbor) order — the order per-neighbor sends would have produced.
+// Shards cover contiguous ascending ID ranges and each shard outbox is
+// already in ascending sender order, so visiting shard outboxes in shard
+// order delivers every inbox sorted by sender — no per-vertex append, no
+// intermediate buffer, no sort, and the arena is reused across rounds so
+// steady-state delivery allocates nothing. Fault decisions happen in that
+// same global order (the counting pass consults no randomness), so fault
+// stream consumption is identical across drivers. Messages a plan has
+// delayed land ahead of the round's fresh traffic, in the order they were
+// deferred (which is itself global send order, so the whole inbox is
+// deterministic).
 //
 //congest:hotpath
 func (r *Runner) deliver(st *execState, round int) error {
@@ -726,43 +723,112 @@ func (r *Runner) deliver(st *execState, round int) error {
 		}
 	}
 	st.drainShardEvents()
-	if st.buckets > 1 {
-		return st.deliverBuckets()
+	if st.plan == nil {
+		st.deliverReliable()
+	} else {
+		st.deliverFaulted(round)
 	}
+	for _, sh := range st.shards {
+		sh.out = sh.out[:0]
+	}
+	return nil
+}
+
+// parallelMergeMin is the outbox volume (send calls in the round) below
+// which a pool run merges on the coordinator rather than dispatching the
+// two merge phases to the workers: under it, the channel round-trips cost
+// more than the per-message work they would split. It sits at the
+// measured crossover for broadcasts of mean degree 8 on two workers
+// (EXPERIMENTS.md E19): the split merge took 1.2–2.1× the single-range
+// time at 512–1024 calls, 0.91–1.10× at 1536–2048, 0.76–0.88× from 3072.
+const parallelMergeMin = 1 << 11
+
+// Merge phases the pool driver runs on its workers (see mergePhase). They
+// travel on the workers' start channels, where rounds are >= 0, so the
+// values cannot collide with a sweep command.
+const (
+	cmdCount   = -1
+	cmdScatter = -2
+)
+
+// deliverReliable is delivery on a reliable network: every message is
+// admitted, so the merge is count, prefix sum, scatter. When runPool has
+// set st.parallel, a round of at least parallelMergeMin send calls splits
+// by destination: each worker counts the messages addressed into its
+// shard's vertex range, the coordinator lays out the regions back-to-back
+// in shard order, and each worker scatters its range.
+// Regions are disjoint in the arena and in inboxOff/inboxLen (the shard
+// ranges partition [0, n)), so the workers never race, and every inbox
+// gets the same messages in the same order as the single-range merge the
+// other drivers run over [0, n).
+//
+//congest:hotpath
+func (st *execState) deliverReliable() {
+	records := 0
+	for _, sh := range st.shards {
+		records += len(sh.out)
+	}
+	var total, maxBits int
+	var totalBits int64
+	if st.parallel != nil && records >= parallelMergeMin {
+		st.parallel(cmdCount)
+		for _, sh := range st.shards {
+			sh.mergeBase = total
+			total += sh.mergeCount
+		}
+		st.sizeArena(total)
+		st.parallel(cmdScatter)
+		for _, sh := range st.shards {
+			totalBits += sh.mergeBits
+			maxBits = max(maxBits, sh.mergeMax)
+		}
+	} else {
+		n := len(st.ctxs)
+		total = st.count(0, n)
+		st.sizeArena(total)
+		st.layout(0, n, 0)
+		totalBits, maxBits = st.scatter(0, n)
+	}
+	st.sent += int64(total)
+	st.res.Messages += int64(total)
+	st.res.TotalBits += totalBits
+	st.res.MaxMessageBits = max(st.res.MaxMessageBits, maxBits)
+}
+
+// mergePhase runs one phase of the parallel merge for the destination
+// range of shard sh, on the worker that owns sh.
+//
+//congest:hotpath
+func (st *execState) mergePhase(sh *shard, cmd int) {
+	if cmd == cmdCount {
+		sh.mergeCount = st.count(sh.lo, sh.hi)
+		return
+	}
+	st.layout(sh.lo, sh.hi, sh.mergeBase)
+	sh.mergeBits, sh.mergeMax = st.scatter(sh.lo, sh.hi)
+}
+
+// deliverFaulted is delivery under a fault plan: the count pass bounds
+// every inbox, then each message — a Broadcast record expanded over its
+// sender's row — has its fate drawn in global send order.
+//
+//congest:hotpath
+func (st *execState) deliverFaulted(round int) {
 	consume := round + 1
 	var delayedNow []addressed
 	if st.delayed != nil {
 		delayedNow = st.delayed[consume]
 	}
-
-	// Counting pass: inboxLen doubles as the per-vertex counter, then the
-	// prefix sum converts counts into offsets and resets the cursors.
-	for v := range st.inboxLen {
-		st.inboxLen[v] = 0
-	}
+	n := len(st.ctxs)
+	total := st.count(0, n) + len(delayedNow)
 	for _, a := range delayedNow {
 		st.inboxLen[a.to]++
 	}
-	for _, sh := range st.shards {
-		for _, a := range sh.out[0] {
-			st.inboxLen[a.to]++
-		}
-	}
-	total := 0
-	for v, c := range st.inboxLen {
-		st.inboxOff[v] = total
-		st.inboxLen[v] = 0
-		total += c
-	}
-	if cap(st.arena) < total {
-		//congest:coldpath arena growth: the backing store only grows, so steady-state rounds never take this branch
-		st.arena = make([]Message, total)
-	} else {
-		st.arena = st.arena[:total]
-	}
+	st.sizeArena(total)
+	st.layout(0, n, 0)
 
-	// Delivery pass: delayed messages first, then fresh traffic in shard
-	// (= global sender) order.
+	// Delayed messages first, then fresh traffic in shard (= global
+	// sender) order.
 	for _, a := range delayedNow {
 		st.admit(a, consume)
 	}
@@ -771,156 +837,184 @@ func (r *Runner) deliver(st *execState, round int) error {
 		delete(st.delayed, consume)
 	}
 	for _, sh := range st.shards {
-		if st.plan == nil {
-			// Reliable fast path: no fates to draw.
-			st.sent += int64(len(sh.out[0]))
-			for _, a := range sh.out[0] {
-				st.deposit(a)
-			}
-			sh.out[0] = sh.out[0][:0]
-			continue
-		}
-		for _, a := range sh.out[0] {
-			st.sent++
-			fate := st.plan.Message(round, a.msg.From, a.to, st.faults)
-			if fate.Drop {
-				st.res.Dropped++
-				if st.full {
-					st.bus.Emit(trace.Event{
-						Type: trace.EvDrop, Round: int32(round),
-						V: int32(a.msg.From), W: int32(a.to),
-					})
-				}
+		for _, a := range sh.out {
+			if a.to != broadcastTo {
+				st.route(a, round)
 				continue
 			}
-			if fate.Delay > 0 {
-				if st.delayed == nil {
-					//congest:coldpath first delay fault of the run allocates the bucket map once
-					st.delayed = make(map[int][]addressed)
-				}
-				at := consume + fate.Delay
-				st.delayed[at] = st.appendDelayed(st.delayed[at], a)
-				st.res.Delayed++
-				if st.full {
-					st.bus.Emit(trace.Event{
-						Type: trace.EvDelay, Round: int32(round),
-						V: int32(a.msg.From), W: int32(a.to), X: int64(fate.Delay),
-					})
-				}
-				continue
+			for _, q := range st.g.Neighbors(a.msg.From) {
+				st.route(addressed{to: q, msg: a.msg}, round)
 			}
-			st.admit(a, consume)
 		}
-		sh.out[0] = sh.out[0][:0]
 	}
-	return nil
 }
 
-// parallelMergeMin is the outbox volume (messages in the round) below which
-// deliverBuckets merges on the coordinator rather than dispatching merge
-// tasks to the worker pool: under it, the channel round-trip costs more
-// than the scatter it would parallelize.
-const parallelMergeMin = 1 << 13
-
-// deliverBuckets is delivery for bucketed runs (pool driver, reliable
-// network): every shard swept its nodes into per-destination-shard
-// sub-outboxes, so shard d's whole inbox region is exactly {out[d] of
-// every source shard} — a merge over disjoint arena ranges that can run
-// per destination shard, in parallel, with no coordination beyond the
-// range layout.
-//
-// Order is preserved exactly as in the single-outbox merge: recipient v's
-// inbox concatenates source shards in ascending shard order (shards cover
-// ascending contiguous ID ranges), and within a source bucket messages are
-// in (sender ID, send call) order because the sweep visits nodes in ID
-// order. That is the same sender-sorted inbox deliver produces, so bucketed
-// and unbucketed runs are bit-identical.
+// route draws one sent message's fate from the plan and drops it, defers
+// it to a later round, or admits it.
 //
 //congest:hotpath
-func (st *execState) deliverBuckets() error {
-	// Region layout: shard d's inbox region starts where shard d-1's ends,
-	// sized by the bucket lengths (a count pass over W² slice headers, not
-	// messages).
-	total := 0
-	for _, dst := range st.shards {
-		dst.mergeBase = total
-		for _, src := range st.shards {
-			total += len(src.out[dst.idx])
+func (st *execState) route(a addressed, round int) {
+	st.sent++
+	fate := st.plan.Message(round, a.msg.From, a.to, st.faults)
+	if fate.Drop {
+		st.res.Dropped++
+		if st.full {
+			st.bus.Emit(trace.Event{
+				Type: trace.EvDrop, Round: int32(round),
+				V: int32(a.msg.From), W: int32(a.to),
+			})
 		}
+		return
 	}
+	if fate.Delay > 0 {
+		if st.delayed == nil {
+			//congest:coldpath first delay fault of the run allocates the bucket map once
+			st.delayed = make(map[int][]addressed)
+		}
+		at := round + 1 + fate.Delay
+		st.delayed[at] = st.appendDelayed(st.delayed[at], a)
+		st.res.Delayed++
+		if st.full {
+			st.bus.Emit(trace.Event{
+				Type: trace.EvDelay, Round: int32(round),
+				V: int32(a.msg.From), W: int32(a.to), X: int64(fate.Delay),
+			})
+		}
+		return
+	}
+	st.admit(a, round+1)
+}
+
+// sizeArena sets the arena's length to the round's message total.
+//
+//congest:hotpath
+func (st *execState) sizeArena(total int) {
 	if cap(st.arena) < total {
 		//congest:coldpath arena growth: the backing store only grows, so steady-state rounds never take this branch
 		st.arena = make([]Message, total)
 	} else {
 		st.arena = st.arena[:total]
 	}
-	if st.parMerge != nil && total >= parallelMergeMin {
-		st.parMerge()
-	} else {
-		for d := range st.shards {
-			st.mergeBucket(d)
-		}
-	}
-	// Fold the per-region tallies into the run counters in shard order and
-	// reset the buckets for the next sweep.
-	for _, dst := range st.shards {
-		st.sent += dst.mergeMsgs
-		st.res.Messages += dst.mergeMsgs
-		st.res.TotalBits += dst.mergeBits
-		if dst.mergeMax > st.res.MaxMessageBits {
-			st.res.MaxMessageBits = dst.mergeMax
-		}
-	}
-	for _, src := range st.shards {
-		for d := range src.out {
-			src.out[d] = src.out[d][:0]
-		}
-	}
-	return nil
 }
 
-// mergeBucket scatters destination shard d's inbox region: counting pass
-// over every source shard's bucket for d, prefix sum from the region base,
-// then the cursor scatter — the same two-pass layout as deliver, restricted
-// to the region. Regions are disjoint in the arena and in inboxOff/inboxLen
-// (shard vertex ranges partition [0, n)), so mergeBucket calls for distinct
-// d are race-free and run on pool workers when volume warrants.
+// clip narrows a sorted neighbor row to the recipients in [lo, hi), by
+// binary search at each end that falls outside the range. Callers test
+// the row's ends first: a row inside the range — every row of a
+// single-range merge — needs no search.
 //
 //congest:hotpath
-func (st *execState) mergeBucket(d int) {
-	dst := st.shards[d]
-	for v := dst.lo; v < dst.hi; v++ {
-		st.inboxLen[v] = 0
+func clip(row []int, lo, hi int) []int {
+	if row[0] < lo {
+		row = row[lowerBound(row, lo):]
 	}
-	for _, src := range st.shards {
-		for _, a := range src.out[d] {
-			st.inboxLen[a.to]++
+	if len(row) > 0 && row[len(row)-1] >= hi {
+		row = row[:lowerBound(row, hi)]
+	}
+	return row
+}
+
+// lowerBound returns the index of the first element of the sorted row
+// that is at least x (len(row) when there is none).
+//
+//congest:hotpath
+func lowerBound(row []int, x int) int {
+	i, j := 0, len(row)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if row[h] < x {
+			i = h + 1
+		} else {
+			j = h
 		}
 	}
-	off := dst.mergeBase
-	for v := dst.lo; v < dst.hi; v++ {
+	return i
+}
+
+// count is the counting pass of a merge over the recipients in [lo, hi):
+// it sets inboxLen[v] to the number of outbox messages addressed to each v
+// in the range and returns their total. A Broadcast record counts once per
+// neighbor of its sender inside the range. The pass reads every shard's
+// outbox, so its cost is O(records + messages in the range).
+//
+//congest:hotpath
+func (st *execState) count(lo, hi int) int {
+	cnt := st.inboxLen
+	clear(cnt[lo:hi])
+	total := 0
+	for _, sh := range st.shards {
+		for _, a := range sh.out {
+			if a.to != broadcastTo {
+				if lo <= a.to && a.to < hi {
+					cnt[a.to]++
+					total++
+				}
+				continue
+			}
+			// Broadcast records come from senders with at least one
+			// neighbor, so the row is never empty.
+			row := st.g.Neighbors(a.msg.From)
+			if row[0] < lo || row[len(row)-1] >= hi {
+				row = clip(row, lo, hi)
+			}
+			for _, q := range row {
+				cnt[q]++
+			}
+			total += len(row)
+		}
+	}
+	return total
+}
+
+// layout turns the counts of [lo, hi) into inbox offsets laid out
+// back-to-back from arena offset base, and resets the write cursors.
+//
+//congest:hotpath
+func (st *execState) layout(lo, hi, base int) {
+	off := base
+	for v := lo; v < hi; v++ {
 		st.inboxOff[v] = off
 		off += st.inboxLen[v]
 		st.inboxLen[v] = 0
 	}
-	var msgs, totalBits int64
-	maxBits := 0
-	for _, src := range st.shards {
-		for _, a := range src.out[d] {
-			v := a.to
-			st.arena[st.inboxOff[v]+st.inboxLen[v]] = a.msg
-			st.inboxLen[v]++
-			msgs++
+}
+
+// scatter is the delivery pass of a reliable merge over the recipients in
+// [lo, hi): it writes each message addressed into the range at its
+// recipient's cursor, visiting the outboxes in shard order and expanding
+// Broadcast records as count does, and returns the range's payload bit
+// total and largest payload.
+//
+//congest:hotpath
+func (st *execState) scatter(lo, hi int) (totalBits int64, maxBits int) {
+	arena, off, cur := st.arena, st.inboxOff, st.inboxLen
+	for _, sh := range st.shards {
+		for _, a := range sh.out {
 			bits := int(a.msg.Wire.Bits)
-			totalBits += int64(bits)
-			if bits > maxBits {
-				maxBits = bits
+			if a.to != broadcastTo {
+				if a.to < lo || a.to >= hi {
+					continue
+				}
+				arena[off[a.to]+cur[a.to]] = a.msg
+				cur[a.to]++
+				totalBits += int64(bits)
+			} else {
+				row := st.g.Neighbors(a.msg.From)
+				if row[0] < lo || row[len(row)-1] >= hi {
+					row = clip(row, lo, hi)
+				}
+				if len(row) == 0 {
+					continue
+				}
+				for _, q := range row {
+					arena[off[q]+cur[q]] = a.msg
+					cur[q]++
+				}
+				totalBits += int64(len(row) * bits)
 			}
+			maxBits = max(maxBits, bits)
 		}
 	}
-	dst.mergeMsgs = msgs
-	dst.mergeBits = totalBits
-	dst.mergeMax = maxBits
+	return totalBits, maxBits
 }
 
 // appendDelayed appends to a delay bucket, seeding empty buckets from the

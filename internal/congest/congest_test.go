@@ -112,8 +112,12 @@ func (oversize) Round(*Context, []Message) {}
 func TestMessageBitLimit(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1}})
 	r := NewRunner(g, func(int) Node { return oversize{} }, Options{Seed: 1, MessageBitLimit: 64})
-	if _, err := r.Run(); err == nil {
+	_, err := r.Run()
+	if err == nil {
 		t.Fatal("oversized message not detected")
+	}
+	if want := "congest: node 0 message of 1000 bits exceeds limit 64"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 }
 

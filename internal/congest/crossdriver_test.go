@@ -400,7 +400,7 @@ func TestGoldenFaultedExecution(t *testing.T) {
 // is deliberately lopsided (a path over the low half, isolated vertices
 // above) so the live set concentrates in the low shards after round 1 and
 // the 8-worker pool actually rebalances mid-run; the test therefore proves
-// the rebalanced layout and the destination-bucketed parallel merge
+// the rebalanced layout and the destination-range parallel merge
 // reproduce the exact event stream of the sequential sweep. It runs under
 // make race, where the worker barrier, parallel merge, and rebalancer are
 // all exercised with the race detector watching.

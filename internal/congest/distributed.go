@@ -207,7 +207,6 @@ func (r *Runner) runDistributed() (Result, error) {
 		}
 	}
 	st := r.newExecState(fleet.NumShards())
-	st.remote = true
 	d := &distRun{r: r, st: st, fleet: fleet}
 	if err := d.start(); err != nil {
 		return st.res, err
@@ -461,7 +460,7 @@ func (d *distRun) apply(round int) {
 					sh.err = fmt.Errorf("congest: distributed shard %d returned packet with invalid addressing %d→%d", s, p.From, p.To)
 					break
 				}
-				sh.out[0] = append(sh.out[0], addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}})
+				sh.out = append(sh.out, addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}})
 			}
 		}
 		sh.events = append(sh.events, out.Events...)
@@ -626,8 +625,8 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 	width := cfg.Hi - cfg.Lo
 	w := &ShardWorker{
 		cfg:   cfg,
-		r:     &Runner{opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced},
-		sh:    &shard{idx: cfg.Index, out: make([][]addressed, 1)},
+		r:     &Runner{n: cfg.N, opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced},
+		sh:    &shard{},
 		ctxs:  make([]Context, width),
 		nodes: make([]Node, width),
 		fate:  make([]uint8, width),
@@ -644,18 +643,17 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 		w.nodes[i] = nd
 		w.ctxs[i] = Context{
 			id:        v,
-			n:         cfg.N,
 			neighbors: neighbors(v),
 			rng:       *root.Split(uint64(v)),
 			shard:     w.sh,
 			runner:    w.r,
 		}
 	}
-	// The shard's sends are reserved at the CONGEST bound; the packet
-	// export mirrors the outbox one to one.
-	bound := roundBound(w.ctxs)
-	w.sh.out[0] = make([]addressed, 0, bound)
-	w.pkts = make([]Packet, 0, bound)
+	// The outbox holds send calls, one per vertex for a broadcast-only
+	// program; the packet export expands broadcasts to one packet per
+	// neighbor, so it is reserved at the CONGEST bound, the degree sum.
+	w.sh.out = make([]addressed, 0, width)
+	w.pkts = make([]Packet, 0, roundBound(w.ctxs))
 	return w, nil
 }
 
@@ -703,7 +701,7 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	}
 
 	w.sh.events = w.sh.events[:0]
-	w.sh.out[0] = w.sh.out[0][:0]
+	w.sh.out = w.sh.out[:0]
 	w.halted = w.halted[:0]
 	w.sweep(in)
 	for _, f := range in.Fates {
@@ -711,9 +709,20 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	}
 	w.round++
 
+	// Broadcast records expand to one packet per neighbor in row order,
+	// so the frame carries exactly the per-message sequence in-process
+	// delivery expands.
 	w.pkts = w.pkts[:0]
-	for _, a := range w.sh.out[0] {
-		w.pkts = append(w.pkts, Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire})
+	for _, a := range w.sh.out {
+		p := Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire}
+		if a.to != broadcastTo {
+			w.pkts = append(w.pkts, p)
+			continue
+		}
+		for _, q := range w.ctxs[a.msg.From-w.cfg.Lo].neighbors {
+			p.To = int32(q)
+			w.pkts = append(w.pkts, p)
+		}
 	}
 	out := RoundOutput{
 		Packets: w.pkts,
@@ -733,6 +742,7 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 func (w *ShardWorker) sweep(in RoundInput) {
 	sh := w.sh
 	round := in.Round
+	sh.round = round
 	base := sh.lo >> 6
 	for wi := range sh.frontier {
 		wd := sh.frontier[wi]
@@ -753,7 +763,6 @@ func (w *ShardWorker) sweep(in RoundInput) {
 				continue
 			}
 			ctx := &w.ctxs[i]
-			ctx.round = round
 			if round == 0 {
 				w.nodes[i].Init(ctx)
 			} else {
@@ -761,7 +770,8 @@ func (w *ShardWorker) sweep(in RoundInput) {
 				end := off + int(in.InboxLens[i])
 				w.nodes[i].Round(ctx, in.Inbox[off:end:end])
 			}
-			if ctx.halted {
+			if sh.halting {
+				sh.halting = false
 				sh.frontier[wi] &^= 1 << uint(b)
 				sh.liveCount--
 				w.halted = append(w.halted, int32(v))

@@ -47,21 +47,18 @@ func (o Options) WorkerCount(n int) int {
 	return w
 }
 
-// cmdMerge is the out-of-band command the pool coordinator sends on a
-// worker's start channel to run that worker's destination-bucket merge
-// instead of a sweep. Rounds are >= 0, so the value cannot collide.
-const cmdMerge = -1
-
 // runPool executes the program on the sharded worker pool: workerCount
 // long-lived workers each own one contiguous vertex shard and sweep its
 // live nodes every round, with a channel barrier per round (two channel
 // operations per *worker* per round, against two per *vertex* per round
 // for the legacy driver). Delivery happens on the coordinator between
-// rounds — except that on a reliable network the destination-bucketed
-// merge (deliverBuckets) ships one merge task per shard back to these same
-// workers when volume is high. Between rounds the coordinator may also
-// re-cut the shard ranges by live weight (rebalance.go); workers always
-// sweep st.shards[s], whose range the rebalancer updates in place.
+// rounds — except that on a reliable network, with no more workers than
+// CPUs, the merge splits by destination range (deliverReliable) and ships
+// its count and scatter phases back to these same workers when volume is
+// high. Between rounds
+// the coordinator may also re-cut the shard ranges by live weight
+// (rebalance.go); workers always sweep st.shards[s], whose range the
+// rebalancer updates in place.
 func (r *Runner) runPool() (Result, error) {
 	n := r.g.N()
 	workers := r.opts.WorkerCount(n)
@@ -81,8 +78,8 @@ func (r *Runner) runPool() (Result, error) {
 		go func(sh *shard, start chan int) {
 			defer wg.Done()
 			for cmd := range start {
-				if cmd == cmdMerge {
-					st.mergeBucket(sh.idx)
+				if cmd < 0 {
+					st.mergePhase(sh, cmd)
 					done <- struct{}{}
 					continue
 				}
@@ -104,15 +101,23 @@ func (r *Runner) runPool() (Result, error) {
 		wg.Wait()
 	}()
 
-	// Parallel merge hook for deliverBuckets: one merge task per shard,
+	// Parallel merge hook for deliverReliable: one merge phase per shard,
 	// dispatched to every worker (an empty-frontier shard still owns its
-	// destination inbox region) and awaited before delivery continues.
+	// destination inbox range) and awaited before delivery continues.
 	// deliver runs strictly between sweep barriers, so the done channel is
-	// empty when this fires.
-	if st.buckets > 1 {
-		st.parMerge = func() {
+	// empty when this fires. Fault draws need the single global send
+	// order, so faulted runs merge on the coordinator. Every worker reads
+	// every outbox record, so the split only pays when each worker has a
+	// CPU of its own: with more workers than CPUs the redundant record
+	// scans queue for the same cores, and the coordinator merges alone
+	// (EXPERIMENTS.md E19). phases counts the dispatches for the round's
+	// merge event.
+	phases := 0
+	if workers > 1 && workers <= runtime.NumCPU() && st.plan == nil {
+		st.parallel = func(cmd int) {
+			phases++
 			for _, start := range starts {
-				start <- cmdMerge
+				start <- cmd
 			}
 			for range starts {
 				<-done
@@ -172,7 +177,8 @@ func (r *Runner) runPool() (Result, error) {
 				Y:     int64(sh.liveCount),
 			})
 		}
-		st.bus.Emit(trace.Event{Type: trace.EvMerge, Round: int32(round), X: int64(merge)})
+		st.bus.Emit(trace.Event{Type: trace.EvMerge, Round: int32(round), X: int64(merge), Y: int64(phases)})
+		phases = 0
 	}
 	return r.runLoop(st, timedSweep, afterRound)
 }

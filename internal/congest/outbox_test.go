@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -12,71 +11,61 @@ import (
 )
 
 // Outbox sizing suite: newExecState and NewShardWorker reserve every
-// message buffer once, at the CONGEST bound of one message per directed
-// edge per round, and a run must never need to grow them.
+// outbox once. An outbox holds send calls, so an in-process shard reserves
+// one record per vertex of its range — a broadcast-only program never
+// outgrows it — while buffers filled per message (the distributed
+// coordinator's outboxes, a worker's packet export) reserve the CONGEST
+// bound of one message per directed edge per round.
 
-// equalCuts returns the range boundaries of k equal-width contiguous
-// shards over n vertices, the partition newExecState starts from.
-func equalCuts(n, k int) []int {
-	cuts := make([]int, k+1)
-	for s := range cuts {
-		cuts[s] = s * n / k
-	}
-	return cuts
-}
-
-// rangeEdges returns the directed-edge count from each contiguous vertex
-// range into each other one, for ranges [cuts[s], cuts[s+1]) — the
-// capacities sizeOutboxes must reserve for a bucketed run on that
-// partition; a row's sum is the single-bucket reservation.
-func rangeEdges(g *graph.Graph, cuts []int) [][]int {
-	k := len(cuts) - 1
-	rangeOf := func(v int) int { return sort.SearchInts(cuts[1:], v+1) }
-	counts := make([][]int, k)
-	for s := range counts {
-		counts[s] = make([]int, k)
-	}
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			counts[rangeOf(u)][rangeOf(v)]++
-		}
-	}
-	return counts
-}
-
-func rowSum(xs []int) int {
+// degreeSum returns the directed edges leaving the vertex range [lo, hi).
+func degreeSum(g *graph.Graph, lo, hi int) int {
 	t := 0
-	for _, x := range xs {
-		t += x
+	for v := lo; v < hi; v++ {
+		t += g.Degree(v)
 	}
 	return t
 }
 
-// TestOutboxCapsMatchEdgeCounts checks the set-up reservation: a bucketed
-// pool run gives bucket (s, d) exactly the directed edges from shard s into
-// shard d; single-bucket runs give each shard its degree sum.
+// TestOutboxCapsMatchEdgeCounts checks the set-up reservation: an
+// in-process shard's outbox is outbox[lo:lo:hi] of one n-entry array under
+// every in-process driver, clean or faulted; the distributed coordinator,
+// which refills its outboxes from per-message packets, gives each shard
+// its degree sum from a 2m-entry array.
 func TestOutboxCapsMatchEdgeCounts(t *testing.T) {
 	const workers = 4
 	g := gen.PreferentialAttachment(4096, 4, rng.New(2))
-	want := rangeEdges(g, equalCuts(g.N(), workers))
-
-	st := NewRunner(g, haltFactory, Options{Seed: 1, Driver: DriverPool, Workers: workers}).newExecState(workers)
-	if st.buckets != workers {
-		t.Fatalf("buckets = %d, want %d", st.buckets, workers)
+	cases := []struct {
+		name   string
+		opts   Options
+		shards int
+	}{
+		{"pool", Options{Driver: DriverPool, Workers: workers}, workers},
+		{"faulted-pool", Options{Driver: DriverPool, Workers: workers, Faults: faultsim.BernoulliDrop{P: 0.1}}, workers},
+		{"sequential", Options{Driver: DriverSequential}, 1},
 	}
-	for s, sh := range st.shards {
-		for d, out := range sh.out {
-			if len(out) != 0 || cap(out) != want[s][d] {
-				t.Fatalf("bucket %d→%d: len %d cap %d, want len 0 cap %d", s, d, len(out), cap(out), want[s][d])
+	for _, c := range cases {
+		c.opts.Seed = 1
+		st := NewRunner(g, haltFactory, c.opts).newExecState(c.shards)
+		if len(st.outbox) != g.N() {
+			t.Fatalf("%s: outbox backing array holds %d records, want n = %d", c.name, len(st.outbox), g.N())
+		}
+		for s, sh := range st.shards {
+			if len(sh.out) != 0 || cap(sh.out) != sh.hi-sh.lo {
+				t.Fatalf("%s: shard %d [%d, %d): len %d cap %d, want len 0 cap %d", c.name, s, sh.lo, sh.hi, len(sh.out), cap(sh.out), sh.hi-sh.lo)
+			}
+			if &sh.out[:1][0] != &st.outbox[sh.lo] {
+				t.Fatalf("%s: shard %d outbox is not carved at outbox[%d]", c.name, s, sh.lo)
 			}
 		}
 	}
 
-	faulted := Options{Seed: 1, Driver: DriverPool, Workers: workers, Faults: faultsim.BernoulliDrop{P: 0.1}}
-	st = NewRunner(g, haltFactory, faulted).newExecState(workers)
+	st := NewRunner(g, haltFactory, Options{Seed: 1, Driver: DriverDistributed}).newExecState(workers)
+	if len(st.outbox) != 2*g.M() {
+		t.Fatalf("distributed: outbox backing array holds %d records, want 2m = %d", len(st.outbox), 2*g.M())
+	}
 	for s, sh := range st.shards {
-		if len(sh.out) != 1 || cap(sh.out[0]) != rowSum(want[s]) {
-			t.Fatalf("faulted shard %d: %d buckets, cap %d, want 1 bucket of the degree sum %d", s, len(sh.out), cap(sh.out[0]), rowSum(want[s]))
+		if want := degreeSum(g, sh.lo, sh.hi); len(sh.out) != 0 || cap(sh.out) != want {
+			t.Fatalf("distributed: shard %d: len %d cap %d, want len 0 cap %d (its degree sum)", s, len(sh.out), cap(sh.out), want)
 		}
 	}
 }
@@ -85,11 +74,14 @@ func TestOutboxCapsMatchEdgeCounts(t *testing.T) {
 // internal/mis/metivier imports this package). Each iteration takes three
 // rounds: broadcast a fresh priority, local maxima join and announce, their
 // neighbors retire and announce. With double set, every broadcast is sent
-// twice — past the reserved capacity. It remembers the shard that ran its
-// Init so a test can inspect every shard's buffers after the run, and it
-// implements Porter so the distributed driver can run it.
+// twice — past the reserved capacity. With slots set, every broadcast is a
+// SendSlot loop over the neighbor list instead of one Broadcast call. It
+// remembers the shard that ran its Init so a test can inspect every
+// shard's buffers after the run, and it implements Porter so the
+// distributed driver can run it.
 type priorityMIS struct {
 	double bool
+	slots  bool
 	prio   uint64
 	inMIS  bool
 	shard  *shard
@@ -102,9 +94,19 @@ const (
 )
 
 func (p *priorityMIS) send(ctx *Context, w Wire) {
-	ctx.Broadcast(w)
+	p.broadcast(ctx, w)
 	if p.double {
+		p.broadcast(ctx, w)
+	}
+}
+
+func (p *priorityMIS) broadcast(ctx *Context, w Wire) {
+	if !p.slots {
 		ctx.Broadcast(w)
+		return
+	}
+	for i := range ctx.Neighbors() {
+		ctx.SendSlot(i, w)
 	}
 }
 
@@ -152,8 +154,7 @@ func (p *priorityMIS) ExportState() uint64 {
 func (p *priorityMIS) ImportState(x uint64) { p.inMIS = x == 1 }
 
 // runShards runs priorityMIS on g and returns the run's shards (collected
-// from the nodes, ordered by index) and the number of rebalances it
-// performed.
+// from the nodes) and the number of rebalances it performed.
 func runShards(t *testing.T, g *graph.Graph, opts Options) ([]*shard, int64) {
 	t.Helper()
 	rebalances := int64(0)
@@ -170,22 +171,28 @@ func runShards(t *testing.T, g *graph.Graph, opts Options) ([]*shard, int64) {
 			shards = append(shards, sh)
 		}
 	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i].idx < shards[j].idx })
 	return shards, rebalances
 }
 
-// TestOutboxCapsStableOverRun runs a whole Métivier MIS under the bucketed
-// pool with rebalancing live, the sequential driver, a faulted pool and the
-// goroutine-per-vertex driver, and requires every outbox bucket to end the
+// lopsidedPA is a preferential-attachment graph on the low half of n IDs
+// with the high half isolated. Métivier keeps a plain preferential-
+// attachment graph balanced; on this one the isolated vertices join in
+// round 1, the high shards drain, and a pool run re-cuts its ranges
+// mid-run.
+func lopsidedPA(n int, seed uint64) *graph.Graph {
+	return graph.MustNew(n, gen.PreferentialAttachment(n/2, 4, rng.New(seed)).Edges())
+}
+
+// TestOutboxCapsStableOverRun runs a whole Métivier MIS under the pool with
+// rebalancing live, the sequential driver, a faulted pool and the
+// goroutine-per-vertex driver, and requires every shard outbox to end the
 // run with exactly the capacity sizeOutboxes reserves for the final shard
-// ranges: no round outgrew the one-message-per-edge bound. Métivier keeps
-// a plain preferential-attachment graph balanced, so the graph puts one on
-// the low half of the IDs and leaves the high half isolated: those
-// vertices join in round 1, the high shards drain, and the pool re-cuts
-// its ranges mid-run — the buckets must follow the re-cut, not grow.
+// ranges, one record per vertex: a broadcast-only program makes at most
+// one send call per vertex per round, so no round outgrew it, and after
+// the pool re-cuts its ranges mid-run the outboxes follow the re-cut.
 func TestOutboxCapsStableOverRun(t *testing.T) {
 	const n = 1 << 13
-	g := graph.MustNew(n, gen.PreferentialAttachment(n/2, 4, rng.New(4)).Edges())
+	g := lopsidedPA(n, 4)
 	cases := []struct {
 		name   string
 		opts   Options
@@ -205,20 +212,9 @@ func TestOutboxCapsStableOverRun(t *testing.T) {
 		if c.opts.Driver == DriverPool && rebalances == 0 {
 			t.Fatalf("%s: the rebalancer never fired", c.name)
 		}
-		cuts := []int{0}
-		for _, sh := range shards {
-			cuts = append(cuts, sh.hi)
-		}
-		want := rangeEdges(g, cuts)
 		for s, sh := range shards {
-			for d, out := range sh.out {
-				w := rowSum(want[s])
-				if len(sh.out) > 1 {
-					w = want[s][d]
-				}
-				if cap(out) != w {
-					t.Fatalf("%s: bucket %d→%d ended the run at cap %d, reserved %d", c.name, s, d, cap(out), w)
-				}
+			if cap(sh.out) != sh.hi-sh.lo {
+				t.Fatalf("%s: shard %d [%d, %d) ended the run at cap %d, reserved %d", c.name, s, sh.lo, sh.hi, cap(sh.out), sh.hi-sh.lo)
 			}
 		}
 	}
@@ -263,11 +259,13 @@ func (c *localConn) Outputs() ([]uint64, error) { return c.w.Outputs(), nil }
 func (c *localConn) Close() error               { return nil }
 
 // TestShardWorkerCapsStableAcrossSweeps runs Métivier through the
-// distributed coordinator on in-process workers: each worker's outbox and
-// packet buffers are reserved at its range's degree sum and must keep that
-// capacity across every Sweep. The same program sending twice per edge
-// overflows the reservation and must still match the sequential driver,
-// decision for decision, with exactly twice the traffic.
+// distributed coordinator on in-process workers: each worker's outbox is
+// reserved at its range's width (one send call per vertex) and its packet
+// buffer at the range's degree sum (Sweep expands broadcasts to one packet
+// per neighbor), and both must keep that capacity across every Sweep. The
+// same program sending twice per edge overflows the reservations and must
+// still match the sequential driver, decision for decision, with exactly
+// twice the traffic.
 func TestShardWorkerCapsStableAcrossSweeps(t *testing.T) {
 	g := gen.PreferentialAttachment(1<<12, 4, rng.New(9))
 	run := func(double bool, opts Options) (Result, []uint64, *localFleet) {
@@ -305,14 +303,10 @@ func TestShardWorkerCapsStableAcrossSweeps(t *testing.T) {
 		t.Fatalf("fleet started %d workers, want 3", len(fleet.workers))
 	}
 	for _, w := range fleet.workers {
-		want := 0
-		for v := w.cfg.Lo; v < w.cfg.Hi; v++ {
-			want += g.Degree(v)
-		}
-		if c := cap(w.sh.out[0]); c != want {
+		if c, want := cap(w.sh.out), w.cfg.Hi-w.cfg.Lo; c != want {
 			t.Fatalf("worker %d: outbox cap %d after the run, reserved %d", w.cfg.Index, c, want)
 		}
-		if c := cap(w.pkts); c != want {
+		if c, want := cap(w.pkts), degreeSum(g, w.cfg.Lo, w.cfg.Hi); c != want {
 			t.Fatalf("worker %d: packet cap %d after the run, reserved %d", w.cfg.Index, c, want)
 		}
 	}

@@ -297,9 +297,6 @@ func TestRebalancePartitionInvariants(t *testing.T) {
 			if st.ctxs[v].shard != sh {
 				t.Fatalf("vertex %d context points at the wrong shard", v)
 			}
-			if st.vshard != nil && st.vshard[v] != int32(sh.idx) {
-				t.Fatalf("vertex %d vshard = %d, want %d", v, st.vshard[v], sh.idx)
-			}
 		}
 		total += count
 		lo = sh.hi

@@ -65,8 +65,8 @@ func mutate(t *testing.T, path, anchor, replacement string) {
 
 // TestSeededViolations re-seeds the two regressions the interprocedural
 // analyzers exist to prevent into a copy of the real module and asserts
-// misvet's suite catches both: an allocation in the pool's hot-path
-// bucket merge, and an engine RNG draw inside a pool worker goroutine.
+// misvet's suite catches both: an allocation in the hot-path merge
+// scatter, and an engine RNG draw inside a pool worker goroutine.
 // The module is clean before seeding (TestModuleClean), so every finding
 // here is mutation-caused.
 func TestSeededViolations(t *testing.T) {
@@ -75,11 +75,11 @@ func TestSeededViolations(t *testing.T) {
 	}
 	root := copyModule(t)
 
-	// Seed A: allocate in mergeBucket, a //congest:hotpath function the
-	// pool runs once per destination shard every round.
+	// Seed A: allocate in scatter, a //congest:hotpath function every
+	// reliable round runs, once per destination range.
 	mutate(t, filepath.Join(root, "internal/congest/congest.go"),
-		"func (st *execState) mergeBucket(d int) {",
-		"func (st *execState) mergeBucket(d int) {\n\t_ = make([]int, d)")
+		"func (st *execState) scatter(lo, hi int) (totalBits int64, maxBits int) {",
+		"func (st *execState) scatter(lo, hi int) (totalBits int64, maxBits int) {\n\t_ = make([]int, lo)")
 
 	// Seed B: draw from the coordinator-owned fault stream inside a pool
 	// worker goroutine — randomness consumed in scheduling order.

@@ -71,7 +71,9 @@ const (
 	// driver: V = shard, X = busy nanoseconds, Y = live nodes in the shard.
 	EvShardBusy
 	// EvMerge is the advisory coordinator delivery timing from the pool
-	// driver: X = merge nanoseconds.
+	// driver: X = merge nanoseconds, Y = merge phases the workers ran (0
+	// when the coordinator merged alone, 2 when the merge split by
+	// destination range).
 	EvMerge
 	// EvRebalance is the advisory shard-rebalance record from the pool
 	// driver: the coordinator re-partitioned the vertex range by live
@@ -196,7 +198,7 @@ func (e Event) String() string {
 	case EvShardBusy:
 		return fmt.Sprintf("shard-busy r=%d shard=%d busy=%dns live=%d", e.Round, e.V, e.X, e.Y)
 	case EvMerge:
-		return fmt.Sprintf("merge r=%d %dns", e.Round, e.X)
+		return fmt.Sprintf("merge r=%d %dns phases=%d", e.Round, e.X, e.Y)
 	case EvRebalance:
 		return fmt.Sprintf("rebalance r=%d live=%d count=%d", e.Round, e.X, e.Y)
 	case EvRepair:

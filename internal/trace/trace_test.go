@@ -190,6 +190,49 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	}
 }
 
+// encodeJSONL renders events through the JSONL sink.
+func encodeJSONL(tb testing.TB, events []Event) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf)
+	for _, e := range events {
+		sink.Emit(e)
+	}
+	if err := sink.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadJSONL feeds arbitrary bytes to the trace decoder, seeded with
+// the round-trip and rejection cases above. Decoding must never panic or
+// hang, and whatever it accepts must survive a JSONL round trip
+// unchanged.
+func FuzzReadJSONL(f *testing.F) {
+	f.Add(encodeJSONL(f, append(sampleTrace(4), Event{Type: EvNodeState, Round: 3, V: -1, W: -2, X: -3, Y: -4, Z: -5})))
+	f.Add([]byte(`{"t":"bogus","r":1}` + "\n"))
+	f.Add([]byte("not json\n"))
+	f.Add([]byte("\n" + `{"t":"halt","r":2,"v":7,"w":0,"x":0,"y":0,"z":0}` + "\n\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again, err := ReadJSONL(bytes.NewReader(encodeJSONL(t, events)))
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if len(again) != len(events) {
+			t.Fatalf("round trip decoded %d events, want %d", len(again), len(events))
+		}
+		for i := range events {
+			if again[i] != events[i] {
+				t.Fatalf("event %d: round trip gave %v, want %v", i, again[i], events[i])
+			}
+		}
+	})
+}
+
 // errWriter fails after limit bytes, to exercise the sticky error.
 type errWriter struct{ limit int }
 
