@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet misvet race cover alloc-gate fuzz-smoke perfbench-test scale-smoke dynmis-smoke dist-smoke ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist
+.PHONY: build test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test scale-smoke dynmis-smoke dist-smoke ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist
 
 build:
 	go build ./...
@@ -11,6 +11,13 @@ test: build
 
 vet:
 	go vet ./...
+
+# Formatting gate: fails, listing the files, when gofmt would change any
+# tracked Go file. It checks tracked files only, so build output under
+# .bench_build/ is never walked.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Repo-specific static analysis (internal/lint via cmd/misvet): the
 # determinism and CONGEST contracts — no wall clocks / math/rand /
@@ -25,9 +32,9 @@ misvet:
 	go run ./cmd/misvet ./...
 
 # Engine safety net: vet plus race-detector coverage of the concurrent
-# code — the CONGEST drivers (sharded worker pool, legacy
-# goroutine-per-vertex, distributed coordinator) and the multi-process
-# fleet transport (frame codec, worker protocol, crash recovery).
+# code — the CONGEST drivers (sharded worker pool, distributed
+# coordinator) and the multi-process fleet transport (frame codec, worker
+# protocol, crash recovery).
 race:
 	go vet ./internal/congest/... ./internal/distrib/... && go test -race ./internal/congest/... ./internal/distrib/...
 
@@ -66,14 +73,18 @@ alloc-gate:
 
 # Fuzz smoke: a 10s slice of native fuzzing over each decoder of external
 # bytes — the distrib frame decoders (what a networked shard worker,
-# cmd/misnode -listen tcp:, accepts from outside), the JSONL trace reader
-# and the dynamic-MIS update-stream reader. Any panic, hang, runaway
-# allocation or broken round trip fails it. go test fuzzes one target per
-# run, hence three runs.
+# cmd/misnode -listen tcp:, accepts from outside), the JSONL trace reader,
+# the dynamic-MIS update-stream reader, the misvet baseline reader
+# (cmd/misvet -baseline), and the edge-list parser and graph constructor
+# (cmd/arbmis -stdin). Any panic, hang, runaway allocation or broken round
+# trip fails it. go test fuzzes one target per run, hence six runs.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/distrib/
 	go test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace/
 	go test -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 10s ./internal/dynmis/
+	go test -run '^$$' -fuzz '^FuzzLoadBaseline$$' -fuzztime 10s ./internal/lint/
+	go test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
+	go test -run '^$$' -fuzz '^FuzzNewGraph$$' -fuzztime 10s ./internal/graph/
 
 # The benchmark's own suite (perfbench is a separate module, outside the
 # root `go test ./...`): p90 op-count rule, input determinism, tiny-size
@@ -104,10 +115,11 @@ dist-smoke:
 	go run ./cmd/bench -quick -only E21
 
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
-# repo-wide vet, the misvet analyzer suite, race-detector pass, coverage
-# floors, allocation gates, decoder fuzz smoke, the benchmark's own suite,
-# multicore-scaling smoke, dynamic-MIS smoke, distributed-driver smoke.
-ci: test vet misvet race cover alloc-gate fuzz-smoke perfbench-test scale-smoke dynmis-smoke dist-smoke
+# repo-wide vet, the gofmt gate, the misvet analyzer suite, race-detector
+# pass, coverage floors, allocation gates, decoder fuzz smoke, the
+# benchmark's own suite, multicore-scaling smoke, dynamic-MIS smoke,
+# distributed-driver smoke.
+ci: test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test scale-smoke dynmis-smoke dist-smoke
 
 # Refresh the seed-pinned driver throughput trajectory consumed by future
 # PRs (rounds/sec and messages/sec per driver at n = 2^14).

@@ -18,6 +18,7 @@ import (
 
 	"repro"
 	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -31,9 +32,9 @@ func run() int {
 	p := flag.Float64("p", 0.01, "edge probability (gnp) / radius (rgg)")
 	algo := flag.String("algo", "arbmis", "algorithm: arbmis|arbmis-paper|arbmis-full|metivier|luby-a|luby-b|ghaffari|matching")
 	seed := flag.Uint64("seed", 1, "seed for graph and run")
-	parallel := flag.Bool("parallel", false, "one goroutine per node")
+	parallel := flag.Bool("parallel", false, "run on the sharded worker-pool driver (one worker per CPU)")
 	stdin := flag.Bool("stdin", false, "read an edge list (\"n m\" then \"u v\" lines) from stdin instead of generating")
-	trace := flag.Bool("trace", false, "print per-round live-node and message counts (baseline algorithms)")
+	traceRounds := flag.Bool("trace", false, "print per-round live-node and message counts (baseline algorithms)")
 	flag.Parse()
 
 	g, err := buildGraph(*stdin, *family, *n, *alpha, *p, *seed)
@@ -44,11 +45,12 @@ func run() int {
 	lo, hi := repro.ArboricityBounds(g)
 	fmt.Printf("graph: n=%d m=%d Δ=%d arboricity∈[%d,%d]\n", g.N(), g.M(), g.MaxDegree(), lo, hi)
 
-	opts := repro.Options{Seed: *seed, Parallel: *parallel}
-	if *trace {
-		opts.Observer = func(round, live int, sent int64) {
-			fmt.Printf("round %3d: live=%-6d sent=%d\n", round, live, sent)
-		}
+	opts := repro.Options{Seed: *seed}
+	if *parallel {
+		opts.Driver = repro.DriverPool
+	}
+	if *traceRounds {
+		opts.Events = roundPrinter{}
 	}
 	switch *algo {
 	case "arbmis-full":
@@ -135,6 +137,16 @@ func run() int {
 		fmt.Println("verified: MIS is independent and maximal")
 	}
 	return 0
+}
+
+// roundPrinter prints every round's live-node and send counts, read off
+// the run's round-end events.
+type roundPrinter struct{}
+
+func (roundPrinter) Emit(e trace.Event) {
+	if e.Type == trace.EvRoundEnd {
+		fmt.Printf("round %3d: live=%-6d sent=%d\n", e.Round, e.V, e.X)
+	}
 }
 
 func buildGraph(stdin bool, family string, n, alpha int, p float64, seed uint64) (*repro.Graph, error) {

@@ -14,16 +14,14 @@
 //
 // Each experiment prints its table and notes; the process exits non-zero if
 // any driver fails. With -parallel the runs use the sharded worker-pool
-// engine and a driver-efficiency summary (per-shard busy time, merge time,
-// parallel efficiency) is printed at the end. With -trace every engine run
-// the selected experiments spawn streams its execution-trace events to one
+// engine (-workers sets its shard count). With -trace every engine run the
+// selected experiments spawn streams its execution-trace events to one
 // file — JSONL (replayable with cmd/traceview) or the Chrome trace-event
 // format (loadable in chrome://tracing).
 //
-// -engine-bench measures every engine driver (sequential, worker pool,
-// legacy goroutine-per-vertex) on a seed-pinned workload and writes the
-// rounds/sec and messages/sec trajectory as JSON, so perf changes are
-// visible across PRs.
+// -engine-bench measures both in-process engine drivers (sequential and
+// worker pool) on a seed-pinned workload and writes the rounds/sec and
+// messages/sec trajectory as JSON, so perf changes are visible across PRs.
 //
 // -faults sweeps the E16 fault scenarios (drops, crashes, partitions)
 // against the fault-tolerant MIS on a seed-pinned workload and writes the
@@ -110,7 +108,6 @@ func run() int {
 	scaleNS := flag.String("scale-ns", "262144,1048576,4194304", "comma-separated graph sizes for -scale-bench")
 	scaleWorkers := flag.String("scale-workers", "1,2,4,8,0", "comma-separated pool worker counts for -scale-bench (0 = GOMAXPROCS)")
 	scaleReps := flag.Int("scale-reps", 2, "timed runs per cell for -scale-bench (best wall time wins)")
-	scaleGPV := flag.Bool("scale-gpv", false, "include the legacy goroutine-per-vertex driver in -scale-bench")
 	dynmisBench := flag.String("dynmis-bench", "", "write dynamic-MIS incremental-repair JSON to this file and exit")
 	dynmisNS := flag.String("dynmis-ns", "4096,16384,65536", "comma-separated graph sizes for -dynmis-bench")
 	dynmisBatches := flag.Int("dynmis-batches", 64, "update batches per case for -dynmis-bench")
@@ -177,7 +174,7 @@ func run() int {
 		return runTraceBench(*traceBench, *traceN, *seed, *traceReps)
 	}
 	if *scaleBench != "" {
-		return runScaleBench(*scaleBench, *scaleNS, *scaleWorkers, *seed, *scaleReps, *scaleGPV)
+		return runScaleBench(*scaleBench, *scaleNS, *scaleWorkers, *seed, *scaleReps)
 	}
 	if *allocBench != "" {
 		return runAllocBench(*allocBench, *allocN, *seed, *allocReps, *allocBaseline)
@@ -202,13 +199,12 @@ func run() int {
 		cfg = exp.QuickConfig()
 	}
 	cfg.Seed = *seed
-	cfg.Parallel = *parallel
+	if *parallel {
+		cfg.Driver = congest.DriverPool
+	}
 	cfg.Workers = *workers
 	if *seeds > 0 {
 		cfg.Seeds = *seeds
-	}
-	if *parallel {
-		cfg.PoolStats = &congest.DriverStats{}
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -280,9 +276,6 @@ func run() int {
 			fmt.Printf("(%s completed in %v)\n\n", d.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if cfg.PoolStats != nil && cfg.PoolStats.Rounds > 0 {
-		fmt.Println(cfg.PoolStats.String())
-	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) failed\n", failed)
 		return 1
@@ -346,7 +339,7 @@ func parseInts(flagName, s string) ([]int, error) {
 // runScaleBench measures the cores × n scaling matrix and writes
 // BENCH_scale.json. Every text row names both the requested and resolved
 // worker counts, so clamped requests are visible at a glance.
-func runScaleBench(path, nsFlag, workersFlag string, seed uint64, reps int, includeGPV bool) int {
+func runScaleBench(path, nsFlag, workersFlag string, seed uint64, reps int) int {
 	ns, err := parseInts("-scale-ns", nsFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scale bench: %v\n", err)
@@ -357,7 +350,7 @@ func runScaleBench(path, nsFlag, workersFlag string, seed uint64, reps int, incl
 		fmt.Fprintf(os.Stderr, "scale bench: %v\n", err)
 		return 1
 	}
-	report, err := exp.RunScaleBench(ns, workerSet, seed, reps, includeGPV)
+	report, err := exp.RunScaleBench(ns, workerSet, seed, reps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scale bench: %v\n", err)
 		return 1

@@ -26,8 +26,8 @@ func run() error {
 	fmt.Printf("graph: %d vertices, %d edges, max degree %d, arboricity in [%d,%d]\n",
 		g.N(), g.M(), g.MaxDegree(), lo, hi)
 
-	// The paper's algorithm, with goroutine-per-node execution.
-	out, err := repro.ComputeMIS(g, alpha, repro.Options{Seed: 1, Parallel: true})
+	// The paper's algorithm, on the sharded worker-pool driver.
+	out, err := repro.ComputeMIS(g, alpha, repro.Options{Seed: 1, Driver: repro.DriverPool})
 	if err != nil {
 		return err
 	}

@@ -87,8 +87,8 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 func TestSteadyStateRoundZeroAllocsParallelMerge(t *testing.T) {
 	const n = 4 * parallelMergeMin
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed:     1,
-		Parallel: true,
+		Seed:   1,
+		Driver: DriverPool,
 	})
 	st := r.newExecState(4)
 	phases := 0
@@ -129,9 +129,8 @@ func TestSteadyStateRoundZeroAllocsParallelMerge(t *testing.T) {
 func TestSteadyStateRoundZeroAllocsWithDelays(t *testing.T) {
 	const n = 256
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed:     1,
-		DropProb: 0, // keep the legacy knob off; the plan below is the fault model
-		Faults:   &delayEveryFourth{},
+		Seed:   1,
+		Faults: &delayEveryFourth{},
 	})
 	st := r.newExecState(1)
 	round := 0

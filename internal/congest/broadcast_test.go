@@ -28,7 +28,6 @@ var broadcastDrivers = []struct {
 	{"pool-1", Options{Driver: DriverPool, Workers: 1}},
 	{"pool-2", Options{Driver: DriverPool, Workers: 2}},
 	{"pool-4", Options{Driver: DriverPool, Workers: 4}},
-	{"goroutine-per-vertex", Options{Driver: DriverGoroutinePerVertex}},
 	{"distributed", Options{Driver: DriverDistributed}},
 }
 
@@ -67,7 +66,7 @@ func (s *splitSink) Emit(e trace.Event) {
 // TestBroadcastMatchesSendSlotLoop runs priorityMIS and its SendSlot twin
 // under every driver, on a clean network and under message drops, delays
 // and crashes, and requires the same error, Result, per-vertex states and
-// deterministic trace fingerprint from all twelve runs of each network.
+// deterministic trace fingerprint from all ten runs of each network.
 // The graph makes the pool rebalance mid-run, and every clean run that
 // splits its merge (splitsMerge) must then merge at least one round by
 // destination range, so the row clipping runs over re-cut ranges; no

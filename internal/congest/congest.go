@@ -3,14 +3,15 @@
 // messages between neighbors whose size the engine meters (the CONGEST
 // model allows O(log n) bits per edge per round).
 //
-// Three interchangeable drivers execute a program:
+// Three interchangeable drivers execute a program, chosen by
+// Options.Driver:
 //
-//   - the sequential driver sweeps vertices in ID order each round,
+//   - the sequential driver (the zero value) sweeps vertices in ID order
+//     each round,
 //   - the sharded worker-pool driver partitions vertices into contiguous
-//     shards, one long-lived worker goroutine per shard (default: the
-//     pool driver behind Options.Parallel), and
-//   - the legacy goroutine-per-vertex driver, retained only as a
-//     benchmark baseline (Options.Driver = DriverGoroutinePerVertex).
+//     shards, one long-lived worker goroutine per shard, and
+//   - the distributed driver runs every shard in a separate OS process
+//     (see distributed.go and internal/distrib).
 //
 // All drivers produce bit-identical executions for the same seed. Three
 // invariants make scheduling order invisible to programs:
@@ -33,9 +34,9 @@
 //
 // Fault injection is delegated to internal/faultsim: Options.Faults
 // accepts any faultsim.Plan (message drops, link bursts, partitions,
-// vertex crashes and restarts, delivery delays), and the legacy
-// Options.DropProb knob is implemented as a faultsim.BernoulliDrop layered
-// under the plan.
+// vertex crashes and restarts, delivery delays). A run is watched through
+// one channel, the typed event stream Options.Events receives (see
+// events.go and internal/trace).
 package congest
 
 import (
@@ -220,19 +221,12 @@ func (c *Context) Emit(code int32, value int64) {
 type DriverKind int
 
 const (
-	// DriverAuto picks the sequential driver, or the worker pool when
-	// Options.Parallel is set. This is the zero value.
-	DriverAuto DriverKind = iota
-	// DriverSequential sweeps vertices in ID order on one goroutine.
-	DriverSequential
+	// DriverSequential sweeps vertices in ID order on one goroutine. This
+	// is the zero value.
+	DriverSequential DriverKind = iota
 	// DriverPool is the sharded worker-pool driver: GOMAXPROCS workers
 	// (override with Options.Workers) each own a contiguous vertex shard.
 	DriverPool
-	// DriverGoroutinePerVertex is the legacy driver: one long-lived
-	// goroutine and a channel round-trip per vertex per round. It exists
-	// as a baseline for BENCH_congest.json and the engine benchmarks;
-	// prefer DriverPool for real runs.
-	DriverGoroutinePerVertex
 	// DriverDistributed runs every shard in a separate OS process: the
 	// coordinator exchanges round-batched frames with a fleet of shard
 	// workers over unix sockets or TCP (see internal/distrib), performing
@@ -248,13 +242,10 @@ func (k DriverKind) String() string {
 		return "sequential"
 	case DriverPool:
 		return "pool"
-	case DriverGoroutinePerVertex:
-		return "goroutine-per-vertex"
 	case DriverDistributed:
 		return "distributed"
-	default:
-		return "auto"
 	}
+	return fmt.Sprintf("DriverKind(%d)", int(k))
 }
 
 // Options configures a run.
@@ -264,11 +255,8 @@ type Options struct {
 	// MaxRounds aborts the run if the program has not halted by then.
 	// Zero means the DefaultMaxRounds safety net.
 	MaxRounds int
-	// Parallel selects the sharded worker-pool driver (when Driver is
-	// DriverAuto).
-	Parallel bool
-	// Driver, when not DriverAuto, selects the execution strategy
-	// explicitly and takes precedence over Parallel.
+	// Driver selects the execution strategy; the zero value is
+	// DriverSequential.
 	Driver DriverKind
 	// Workers is the worker/shard count for the pool driver. Zero or
 	// negative means GOMAXPROCS; the count is clamped to the vertex count.
@@ -276,28 +264,12 @@ type Options struct {
 	// MessageBitLimit, when positive, fails the run if any single message
 	// exceeds that many bits (CONGEST compliance enforcement).
 	MessageBitLimit int
-	// NoRebalance disables the pool driver's live-weighted shard
-	// rebalancing (see rebalance.go). Rebalancing re-partitions the
-	// contiguous vertex ranges between rounds when the live histogram is
-	// skewed; it changes which worker sweeps which vertex but not the
-	// deterministic event stream or any program-visible state, so the knob
-	// exists only for benchmarking the unbalanced baseline.
-	NoRebalance bool
-	// DropProb, when positive, drops each message independently with this
-	// probability (deterministically, from a fault stream derived from
-	// Seed).
-	//
-	// Deprecated: DropProb is the legacy uniform-loss knob, kept working
-	// for callers and experiments that predate structured fault plans. It
-	// is implemented as a faultsim.BernoulliDrop composed under Faults;
-	// new code should set Faults directly.
-	DropProb float64
 	// Faults, when non-nil, is the fault-injection plan for the run: it
 	// decides the fate of every message (drop, delay) and every vertex
 	// (crash-stop, crash-restart) per round. Plans are consulted on the
 	// coordinator in global sender order with a dedicated RNG stream split
-	// from Seed, so faulted runs stay bit-identical across drivers. When
-	// DropProb is also set, the Bernoulli layer is consulted first. This
+	// from Seed, so faulted runs stay bit-identical across drivers. Uniform
+	// message loss at rate p is faultsim.BernoulliDrop{P: p}. This
 	// deliberately breaks the reliable-delivery assumption of CONGEST; it
 	// exists for robustness experiments only.
 	Faults faultsim.Plan
@@ -307,21 +279,16 @@ type Options struct {
 	// draw totals. Emission happens on the coordinator in an order that is
 	// deterministic across drivers; tracing is purely observational and a
 	// traced run is bit-identical to an untraced one. Attach a
-	// trace.Recorder here to capture, export, or fingerprint a run.
+	// trace.Recorder here to capture, export, or fingerprint a run; a
+	// sink that reads trace.EvRoundEnd (Round, V = nodes still live,
+	// X = messages sent) sees the run round by round.
 	Events trace.Sink
 	// EventTiming, when set alongside Events, adds the pool driver's
-	// wall-clock shard-sweep and merge timing events (advisory: they are
-	// real durations, not deterministic values).
+	// wall-clock shard-sweep and merge timing events (trace.EvShardBusy,
+	// trace.EvMerge) and the distributed driver's frame records
+	// (trace.EvFrame). They are advisory: real durations and byte counts,
+	// not deterministic values.
 	EventTiming bool
-	// Observer, when non-nil, is called after every completed round with
-	// the round number, the number of nodes still live after it, and the
-	// number of messages sent during it. Round 0 reports Init. It runs on
-	// the coordinator (never concurrently) and must not retain the engine.
-	//
-	// Deprecated: Observer predates the event bus and is kept as a
-	// bit-identical adapter over it (it fires on every trace.EvRoundEnd).
-	// New code should attach a trace.Sink via Events instead.
-	Observer func(round, live int, sent int64)
 	// Fleet, when Driver is DriverDistributed, is the shard-worker fleet
 	// the coordinator drives: one connection per contiguous vertex shard,
 	// each backed by a separate OS process (see internal/distrib for the
@@ -330,27 +297,6 @@ type Options struct {
 	// restarted via Fleet.Shard and fast-forwarded from the coordinator's
 	// round-input log. Ignored by the in-process drivers.
 	Fleet Fleet
-	// PoolObserver, when non-nil, receives per-round driver-efficiency
-	// metrics (per-shard busy time, merge time, live-node histogram) from
-	// the pool driver. It runs on the coordinator; the metric's slices are
-	// reused between rounds and must not be retained. The sequential and
-	// legacy drivers never call it.
-	//
-	// Deprecated: PoolObserver predates the event bus and is kept as an
-	// adapter over its timing events (trace.EvShardBusy / trace.EvMerge).
-	// New code should set Events with EventTiming instead.
-	PoolObserver func(m PoolRoundMetrics)
-}
-
-// driverKind resolves the configured driver.
-func (o Options) driverKind() DriverKind {
-	if o.Driver != DriverAuto {
-		return o.Driver
-	}
-	if o.Parallel {
-		return DriverPool
-	}
-	return DriverSequential
 }
 
 // DefaultMaxRounds bounds runaway programs. It is generous: every algorithm
@@ -391,7 +337,7 @@ type Runner struct {
 	nodes  []Node // indexed by vertex ID
 	opts   Options
 	ran    bool
-	traced bool // full event stream wanted; set before workers start, read-only after
+	traced bool // an event sink is attached; set before workers start, read-only after
 }
 
 // NewRunner builds a runner for the given graph. factory(v) must return the
@@ -420,11 +366,9 @@ func (r *Runner) Run() (Result, error) {
 		return Result{}, errors.New("congest: Runner is single-use; construct a new one per run")
 	}
 	r.ran = true
-	switch r.opts.driverKind() {
+	switch r.opts.Driver {
 	case DriverPool:
 		return r.runPool()
-	case DriverGoroutinePerVertex:
-		return r.runGoroutinePerVertex()
 	case DriverDistributed:
 		return r.runDistributed()
 	default:
@@ -480,7 +424,7 @@ type execState struct {
 
 	live      int
 	res       Result
-	plan      faultsim.Plan       // effective fault plan (nil = reliable network)
+	plan      faultsim.Plan       // Options.Faults (nil = reliable network)
 	faults    *rng.RNG            // coordinator-owned fault stream
 	delayed   map[int][]addressed // in-flight messages keyed by consumption round
 	delayFree [][]addressed       // drained delay buckets, kept for reuse
@@ -500,11 +444,9 @@ type execState struct {
 	// (see sizeOutboxes).
 	outbox []addressed
 
-	// Event-bus state (see events.go). bus is nil when nothing listens;
-	// full means a real sink (Options.Events) wants the rich stream, not
-	// just the deprecated adapters.
+	// Event-bus state (see events.go). bus is Options.Events: nil when
+	// nothing listens.
 	bus            trace.Sink
-	full           bool
 	lastDelivered  int64 // round-delta trackers for EvRoundEnd/EvRNG
 	lastDropped    int64
 	lastDraws      uint64
@@ -517,22 +459,6 @@ type execState struct {
 	// draw, so the scan would report zero.
 	remote      bool
 	remoteDraws uint64
-}
-
-// effectivePlan resolves the run's fault model: the legacy DropProb knob
-// becomes a BernoulliDrop layer consulted before any explicit plan, which
-// keeps DropProb-only runs bit-identical to the pre-faultsim engine (one
-// Bool draw per message from the same stream, in the same order).
-func (o Options) effectivePlan() faultsim.Plan {
-	plan := o.Faults
-	if o.DropProb > 0 {
-		drop := faultsim.BernoulliDrop{P: o.DropProb}
-		if plan == nil {
-			return drop
-		}
-		plan = faultsim.Compose(drop, plan)
-	}
-	return plan
 }
 
 // newExecState prepares contexts and shards. Shard boundaries split the
@@ -553,14 +479,14 @@ func (r *Runner) newExecState(numShards int) *execState {
 		inboxLen: make([]int, n),
 		shards:   make([]*shard, numShards),
 		live:     n,
-		plan:     r.opts.effectivePlan(),
-		remote:   r.opts.driverKind() == DriverDistributed,
+		plan:     r.opts.Faults,
+		bus:      r.opts.Events,
+		remote:   r.opts.Driver == DriverDistributed,
 	}
 	if st.plan != nil {
 		st.faults = root.Split(^uint64(0))
 	}
-	st.bus, st.full = r.opts.eventBus()
-	r.traced = st.full
+	r.traced = st.bus != nil
 	for s := range st.shards {
 		lo, hi := s*n/numShards, (s+1)*n/numShards
 		sh := &shard{}
@@ -858,7 +784,7 @@ func (st *execState) route(a addressed, round int) {
 	fate := st.plan.Message(round, a.msg.From, a.to, st.faults)
 	if fate.Drop {
 		st.res.Dropped++
-		if st.full {
+		if st.bus != nil {
 			st.bus.Emit(trace.Event{
 				Type: trace.EvDrop, Round: int32(round),
 				V: int32(a.msg.From), W: int32(a.to),
@@ -874,7 +800,7 @@ func (st *execState) route(a addressed, round int) {
 		at := round + 1 + fate.Delay
 		st.delayed[at] = st.appendDelayed(st.delayed[at], a)
 		st.res.Delayed++
-		if st.full {
+		if st.bus != nil {
 			st.bus.Emit(trace.Event{
 				Type: trace.EvDelay, Round: int32(round),
 				V: int32(a.msg.From), W: int32(a.to), X: int64(fate.Delay),
@@ -1038,7 +964,7 @@ func (st *execState) appendDelayed(bucket []addressed, a addressed) []addressed 
 func (st *execState) admit(a addressed, consume int) {
 	if st.plan != nil && st.plan.Vertex(consume, a.to) != faultsim.VertexUp {
 		st.res.Dropped++
-		if st.full {
+		if st.bus != nil {
 			// consume-1 is the round being delivered: event rounds stay
 			// nondecreasing within the stream, which Bisect relies on.
 			st.bus.Emit(trace.Event{
@@ -1080,9 +1006,8 @@ func (st *execState) refreshLive() {
 // then rounds 1, 2, ... until every node has halted. sweep(round) must run
 // every live node once; afterRound, when non-nil, runs after each
 // successfully delivered round, before the round-end event (the pool
-// driver publishes its timing events there). Round reporting — the
-// deprecated Observer/PoolObserver callbacks included — rides the event
-// bus: startRound/endRound bracket each round on it.
+// driver publishes its timing events there). Round reporting rides the
+// event bus: startRound/endRound bracket each round on it.
 //
 // Result.Rounds is committed only after a round's delivery succeeds, so a
 // run aborted by a mid-round model violation reports the last *completed*

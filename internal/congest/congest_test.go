@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/faultsim"
 	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 // rawWire builds an uninterpreted test payload of the given bit size. Kind
@@ -204,14 +206,14 @@ func TestInboxSortedBySender(t *testing.T) {
 	g := graph.MustNew(6, []graph.Edge{
 		{U: 0, V: 5}, {U: 0, V: 3}, {U: 0, V: 1}, {U: 0, V: 4}, {U: 0, V: 2},
 	})
-	for _, parallel := range []bool{false, true} {
-		r := NewRunner(g, func(int) Node { return &inboxOrderChecker{} }, Options{Seed: 1, Parallel: parallel})
+	for _, driver := range []DriverKind{DriverSequential, DriverPool} {
+		r := NewRunner(g, func(int) Node { return &inboxOrderChecker{} }, Options{Seed: 1, Driver: driver})
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < 6; v++ {
 			if r.Node(v).(*inboxOrderChecker).bad {
-				t.Fatalf("parallel=%v: unsorted inbox at node %d", parallel, v)
+				t.Fatalf("%v: unsorted inbox at node %d", driver, v)
 			}
 		}
 	}
@@ -219,7 +221,7 @@ func TestInboxSortedBySender(t *testing.T) {
 
 func TestDropInjection(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1}})
-	r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 50} }, Options{Seed: 3, DropProb: 0.5})
+	r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 50} }, Options{Seed: 3, Faults: faultsim.BernoulliDrop{P: 0.5}})
 	res, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +238,7 @@ func TestDropInjection(t *testing.T) {
 func TestDropInjectionDeterministic(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1}})
 	run := func() int64 {
-		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 30} }, Options{Seed: 9, DropProb: 0.3})
+		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 30} }, Options{Seed: 9, Faults: faultsim.BernoulliDrop{P: 0.3}})
 		res, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -254,15 +256,15 @@ func TestParallelMatchesSequentialCounters(t *testing.T) {
 		{U: 5, V: 6}, {U: 6, V: 7}, {U: 7, V: 8}, {U: 8, V: 9}, {U: 9, V: 0},
 		{U: 0, V: 5}, {U: 2, V: 7},
 	})
-	run := func(parallel bool) Result {
-		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 5} }, Options{Seed: 2, Parallel: parallel})
+	run := func(driver DriverKind) Result {
+		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 5} }, Options{Seed: 2, Driver: driver})
 		res, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq, par := run(false), run(true)
+	seq, par := run(DriverSequential), run(DriverPool)
 	if seq != par {
 		t.Fatalf("sequential %+v != parallel %+v", seq, par)
 	}
@@ -306,6 +308,16 @@ type nodeFunc func(ctx *Context)
 func (f nodeFunc) Init(ctx *Context)       { f(ctx) }
 func (nodeFunc) Round(*Context, []Message) {}
 
+// roundEnds adapts a function to a trace sink that sees the (round, live,
+// sent) triple of every round-end event.
+type roundEnds func(round, live int, sent int64)
+
+func (f roundEnds) Emit(e trace.Event) {
+	if e.Type == trace.EvRoundEnd {
+		f(int(e.Round), int(e.V), e.X)
+	}
+}
+
 func TestObserverReportsRounds(t *testing.T) {
 	g := graph.MustNew(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	type obs struct {
@@ -315,9 +327,9 @@ func TestObserverReportsRounds(t *testing.T) {
 	var seen []obs
 	r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 3} }, Options{
 		Seed: 1,
-		Observer: func(round, live int, sent int64) {
+		Events: roundEnds(func(round, live int, sent int64) {
 			seen = append(seen, obs{round, live, sent})
-		},
+		}),
 	})
 	res, err := r.Run()
 	if err != nil {
@@ -343,19 +355,19 @@ func TestObserverReportsRounds(t *testing.T) {
 
 func TestObserverSequentialParallelAgree(t *testing.T) {
 	g := graph.MustNew(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}})
-	capture := func(parallel bool) []int {
+	capture := func(driver DriverKind) []int {
 		var lives []int
 		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 4} }, Options{
-			Seed:     2,
-			Parallel: parallel,
-			Observer: func(_, live int, _ int64) { lives = append(lives, live) },
+			Seed:   2,
+			Driver: driver,
+			Events: roundEnds(func(_, live int, _ int64) { lives = append(lives, live) }),
 		})
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return lives
 	}
-	a, b := capture(false), capture(true)
+	a, b := capture(DriverSequential), capture(DriverPool)
 	if len(a) != len(b) {
 		t.Fatalf("observation counts differ: %d vs %d", len(a), len(b))
 	}
@@ -385,29 +397,28 @@ func (h *haltAfterSend) Round(ctx *Context, inbox []Message) {
 
 func TestMessagesSentBeforeHaltAreDelivered(t *testing.T) {
 	g := graph.MustNew(3, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}})
-	for _, parallel := range []bool{false, true} {
-		r := NewRunner(g, func(int) Node { return &haltAfterSend{} }, Options{Seed: 1, Parallel: parallel})
+	for _, driver := range []DriverKind{DriverSequential, DriverPool} {
+		r := NewRunner(g, func(int) Node { return &haltAfterSend{} }, Options{Seed: 1, Driver: driver})
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
 		for v := 1; v <= 2; v++ {
 			if got := r.Node(v).(*haltAfterSend).got; got != 1 {
-				t.Fatalf("parallel=%v: node %d received %d messages from halting sender", parallel, v, got)
+				t.Fatalf("%v: node %d received %d messages from halting sender", driver, v, got)
 			}
 		}
 	}
 }
 
-// allDrivers enumerates one Options per execution strategy, including
-// pool shapes that exercise 1, several, and n shards.
+// allDrivers enumerates one Options per in-process execution strategy,
+// including pool shapes that exercise 1, several, and n shards.
 func allDrivers(base Options) map[string]Options {
 	out := map[string]Options{}
 	for name, set := range map[string]func(*Options){
-		"sequential":           func(o *Options) { o.Driver = DriverSequential },
-		"pool-1":               func(o *Options) { o.Driver = DriverPool; o.Workers = 1 },
-		"pool-3":               func(o *Options) { o.Driver = DriverPool; o.Workers = 3 },
-		"pool-wide":            func(o *Options) { o.Driver = DriverPool; o.Workers = 1 << 20 },
-		"goroutine-per-vertex": func(o *Options) { o.Driver = DriverGoroutinePerVertex },
+		"sequential": func(o *Options) { o.Driver = DriverSequential },
+		"pool-1":     func(o *Options) { o.Driver = DriverPool; o.Workers = 1 },
+		"pool-3":     func(o *Options) { o.Driver = DriverPool; o.Workers = 3 },
+		"pool-wide":  func(o *Options) { o.Driver = DriverPool; o.Workers = 1 << 20 },
 	} {
 		o := base
 		set(&o)
@@ -457,7 +468,10 @@ func TestAllDriversBitIdentical(t *testing.T) {
 		{U: 0, V: 5}, {U: 2, V: 7},
 	})
 	for _, drop := range []float64{0, 0.3} {
-		base := Options{Seed: 42, DropProb: drop}
+		base := Options{Seed: 42}
+		if drop > 0 {
+			base.Faults = faultsim.BernoulliDrop{P: drop}
+		}
 		var refName string
 		var ref Result
 		var refRecv []int
@@ -488,54 +502,72 @@ func TestAllDriversBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolObserverMetrics exercises the per-round driver-efficiency hook:
-// one metric per round (Init included), a live histogram matching the
-// shard count, and a coherent DriverStats aggregate.
-func TestPoolObserverMetrics(t *testing.T) {
+// timingTally is one round's advisory timing events: shard-busy events and
+// the live nodes they report, merge events, and the round-end live count.
+type timingTally struct{ busy, busyLive, merges, live int }
+
+// timingSink tallies every round's timing events, indexed by round.
+type timingSink struct{ rounds []timingTally }
+
+func (s *timingSink) Emit(e trace.Event) {
+	if e.Type == trace.EvRoundStart {
+		s.rounds = append(s.rounds, timingTally{})
+		return
+	}
+	r := &s.rounds[len(s.rounds)-1]
+	switch e.Type {
+	case trace.EvShardBusy:
+		r.busy++
+		r.busyLive += int(e.Y)
+	case trace.EvMerge:
+		r.merges++
+	case trace.EvRoundEnd:
+		r.live = int(e.V)
+	}
+}
+
+// TestPoolTimingEvents pins the pool's timing events on the bus, which
+// perfbench's shard-busy and merge metrics read: with Events and
+// EventTiming set, a two-worker pool run emits, every round including
+// Init, one EvShardBusy per shard — Y = the shard's live nodes, so they sum
+// to the round's live count and to 0 after the last round — and one
+// EvMerge. The sequential driver emits neither.
+func TestPoolTimingEvents(t *testing.T) {
 	g := graph.MustNew(8, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
 		{U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7},
 	})
-	var agg DriverStats
-	rounds := 0
-	lastLive := -1
-	r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 4} }, Options{
-		Seed:    1,
-		Driver:  DriverPool,
-		Workers: 2,
-		PoolObserver: func(m PoolRoundMetrics) {
-			if m.Round != rounds {
-				t.Fatalf("metrics round %d, want %d", m.Round, rounds)
-			}
-			if len(m.Live) != 2 || len(m.Busy) != 2 {
-				t.Fatalf("metrics sized for %d/%d shards, want 2", len(m.Live), len(m.Busy))
-			}
-			lastLive = m.Live[0] + m.Live[1]
-			rounds++
-			agg.Observe(m)
-		},
-	})
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
+	run := func(driver DriverKind) (Result, []timingTally) {
+		sink := &timingSink{}
+		r := NewRunner(g, func(int) Node { return &pingCounter{rounds: 4} }, Options{
+			Seed: 1, Driver: driver, Workers: 2, Events: sink, EventTiming: true,
+		})
+		res, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sink.rounds
 	}
-	if rounds != res.Rounds+1 {
-		t.Fatalf("observed %d metric rounds for %d engine rounds", rounds, res.Rounds)
+	res, pool := run(DriverPool)
+	if len(pool) != res.Rounds+1 {
+		t.Fatalf("%d traced rounds, run had %d (+Init)", len(pool), res.Rounds)
 	}
-	if lastLive != 0 {
-		t.Fatalf("final live histogram sums to %d, want 0", lastLive)
+	for round, r := range pool {
+		if r.busy != 2 || r.merges != 1 {
+			t.Fatalf("round %d: %d shard-busy and %d merge events, want 2 and 1", round, r.busy, r.merges)
+		}
+		if r.busyLive != r.live {
+			t.Fatalf("round %d: shard-busy events report %d live nodes, round end %d", round, r.busyLive, r.live)
+		}
 	}
-	if agg.Rounds != rounds || agg.Workers != 2 {
-		t.Fatalf("aggregate %+v inconsistent with %d rounds / 2 workers", agg, rounds)
+	if last := pool[len(pool)-1]; last.busyLive != 0 {
+		t.Fatalf("final shard-busy events report %d live nodes, want 0", last.busyLive)
 	}
-	if agg.Busy < agg.Critical || agg.Critical <= 0 {
-		t.Fatalf("busy %v must cover critical path %v > 0", agg.Busy, agg.Critical)
-	}
-	if e := agg.Efficiency(); e <= 0 || e > 1 {
-		t.Fatalf("efficiency %v outside (0, 1]", e)
-	}
-	if agg.String() == "" || (&DriverStats{}).String() == "" {
-		t.Fatal("DriverStats.String must render")
+	_, seq := run(DriverSequential)
+	for round, r := range seq {
+		if r.busy != 0 || r.merges != 0 {
+			t.Fatalf("sequential round %d: %d shard-busy and %d merge events, want none", round, r.busy, r.merges)
+		}
 	}
 }
 
@@ -565,10 +597,10 @@ func TestPoolShardingShapes(t *testing.T) {
 
 func TestDriverKindString(t *testing.T) {
 	want := map[DriverKind]string{
-		DriverAuto:               "auto",
-		DriverSequential:         "sequential",
-		DriverPool:               "pool",
-		DriverGoroutinePerVertex: "goroutine-per-vertex",
+		DriverSequential:  "sequential",
+		DriverPool:        "pool",
+		DriverDistributed: "distributed",
+		DriverKind(7):     "DriverKind(7)",
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -59,7 +59,7 @@ type ShardConfig struct {
 	Seed uint64
 	// MessageBitLimit mirrors Options.MessageBitLimit.
 	MessageBitLimit int
-	// Traced mirrors whether the run wants the full event stream; workers
+	// Traced mirrors whether the run has an event sink attached; workers
 	// buffer Context.Emit and halt events only when set.
 	Traced bool
 }
@@ -244,7 +244,7 @@ func (d *distRun) start() error {
 			N:               d.r.g.N(),
 			Seed:            d.r.opts.Seed,
 			MessageBitLimit: d.r.opts.MessageBitLimit,
-			Traced:          d.st.full,
+			Traced:          d.st.bus != nil,
 		}
 		conn, err := d.fleet.Shard(d.cfgs[s])
 		if err != nil {
@@ -394,7 +394,7 @@ func (d *distRun) recoverShard(s, round int) (RoundOutput, error) {
 		d.conns[s] = conn
 		out, err := d.replayAndRedo(s)
 		if err == nil {
-			if d.st.full {
+			if d.st.bus != nil {
 				d.adv = append(d.adv, trace.Event{
 					Type: trace.EvRespawn, Round: int32(round),
 					V: int32(s), X: int64(len(d.logs[s].inputs)),
@@ -479,7 +479,7 @@ func (d *distRun) apply(round int) {
 				sh.liveCount--
 			}
 		}
-		if st.full && d.r.opts.EventTiming {
+		if st.bus != nil && d.r.opts.EventTiming {
 			//lint:advisory frame bytes and round-trip latency are advisory transport measurements, never program logic
 			d.adv = append(d.adv, trace.Event{
 				Type: trace.EvFrame, Round: int32(round), V: int32(s),
@@ -494,7 +494,7 @@ func (d *distRun) apply(round int) {
 // transport measurements, respawns) after delivery, mirroring where the
 // pool driver publishes its timing events.
 func (d *distRun) afterRound(int) {
-	if !d.st.full {
+	if d.st.bus == nil {
 		d.adv = d.adv[:0]
 		return
 	}

@@ -1,9 +1,9 @@
 package congest
 
 // Engine-level fault-injection tests: the faultsim.Plan hooks as seen from
-// the runner — crash skips, retirement, delayed delivery, receiver-crash
-// loss, and DropProb back-compat. Cross-driver bit-identity of faulted
-// runs is covered separately by crossdriver_test.go.
+// the runner — crash skips, retirement, delayed delivery and
+// receiver-crash loss. Cross-driver bit-identity of faulted runs is
+// covered separately by crossdriver_test.go.
 
 import (
 	"testing"
@@ -105,63 +105,13 @@ func TestDelayKDefersDelivery(t *testing.T) {
 	}
 }
 
-func TestDropProbMatchesBernoulliPlan(t *testing.T) {
-	run := func(opts Options) (Result, []int) {
-		g := pair(t)
-		opts.Seed = 9
-		r := NewRunner(g, func(int) Node { return &recorder{stopAt: 30} }, opts)
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, r.Node(0).(*recorder).arrivals
-	}
-	legacyRes, legacyArr := run(Options{DropProb: 0.3})
-	planRes, planArr := run(Options{Faults: faultsim.BernoulliDrop{P: 0.3}})
-	if legacyRes != planRes {
-		t.Fatalf("DropProb %+v != BernoulliDrop %+v", legacyRes, planRes)
-	}
-	if legacyRes.Dropped == 0 {
-		t.Fatal("no drops at p=0.3 over 30 rounds")
-	}
-	if len(legacyArr) != len(planArr) {
-		t.Fatalf("arrival traces differ: %d vs %d", len(legacyArr), len(planArr))
-	}
-	for i := range legacyArr {
-		if legacyArr[i] != planArr[i] {
-			t.Fatalf("arrival %d differs: round %d vs %d", i, legacyArr[i], planArr[i])
-		}
-	}
-}
-
-func TestDropProbComposesUnderExplicitPlan(t *testing.T) {
-	// Both knobs set: the Bernoulli layer and the burst layer must both
-	// apply. Dropping everything via the burst makes the expectation exact.
-	g := pair(t)
-	r := NewRunner(g, func(int) Node { return &recorder{stopAt: 4} }, Options{
-		Seed:     3,
-		DropProb: 0.5,
-		Faults:   faultsim.NewLinkBurst(faultsim.BothWays([][2]int{{0, 1}}), 0, 100),
-	})
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Messages != 0 {
-		t.Fatalf("burst covering every round delivered %d messages", res.Messages)
-	}
-	if res.Dropped == 0 {
-		t.Fatal("nothing dropped")
-	}
-}
-
 func TestObserverCountsSendsOnceUnderDelay(t *testing.T) {
 	g := pair(t)
 	var sends int64
 	r := NewRunner(g, func(int) Node { return &recorder{stopAt: 5} }, Options{
-		Seed:     1,
-		Faults:   faultsim.DelayK{K: 1},
-		Observer: func(_, _ int, sent int64) { sends += sent },
+		Seed:   1,
+		Faults: faultsim.DelayK{K: 1},
+		Events: roundEnds(func(_, _ int, sent int64) { sends += sent }),
 	})
 	res, err := r.Run()
 	if err != nil {

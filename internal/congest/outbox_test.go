@@ -184,12 +184,12 @@ func lopsidedPA(n int, seed uint64) *graph.Graph {
 }
 
 // TestOutboxCapsStableOverRun runs a whole Métivier MIS under the pool with
-// rebalancing live, the sequential driver, a faulted pool and the
-// goroutine-per-vertex driver, and requires every shard outbox to end the
-// run with exactly the capacity sizeOutboxes reserves for the final shard
-// ranges, one record per vertex: a broadcast-only program makes at most
-// one send call per vertex per round, so no round outgrew it, and after
-// the pool re-cuts its ranges mid-run the outboxes follow the re-cut.
+// rebalancing live, the sequential driver and a faulted pool, and requires
+// every shard outbox to end the run with exactly the capacity sizeOutboxes
+// reserves for the final shard ranges, one record per vertex: a
+// broadcast-only program makes at most one send call per vertex per round,
+// so no round outgrew it, and after the pool re-cuts its ranges mid-run
+// the outboxes follow the re-cut.
 func TestOutboxCapsStableOverRun(t *testing.T) {
 	const n = 1 << 13
 	g := lopsidedPA(n, 4)
@@ -201,7 +201,6 @@ func TestOutboxCapsStableOverRun(t *testing.T) {
 		{"pool-4", Options{Driver: DriverPool, Workers: 4}, 4},
 		{"sequential", Options{Driver: DriverSequential}, 1},
 		{"faulted-pool-4", Options{Driver: DriverPool, Workers: 4, Faults: faultsim.BernoulliDrop{P: 0.05}, MaxRounds: 500}, 4},
-		{"goroutine-per-vertex", Options{Driver: DriverGoroutinePerVertex}, n},
 	}
 	for _, c := range cases {
 		c.opts.Seed = 6

@@ -109,7 +109,7 @@ func (st *execState) rebalance(round, total int) {
 	}
 	st.sizeOutboxes()
 	st.rebalances++
-	if st.full {
+	if st.bus != nil {
 		st.bus.Emit(trace.Event{
 			Type: trace.EvRebalance, Round: int32(round),
 			X: int64(total), Y: st.rebalances,

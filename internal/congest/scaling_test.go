@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -121,57 +120,6 @@ func TestWorkerCountEdgeCases(t *testing.T) {
 	}
 }
 
-// TestEfficiencyDispatchedShards is the regression test for the
-// tail-round efficiency bug: a round where the empty-shard skip
-// dispatched a single shard must count one shard's capacity in the
-// denominator, not the widest-ever worker count. Here two perfectly
-// efficient rounds — four balanced shards, then one straggler shard with
-// the other three skipped — must report efficiency 1.0; the old
-// Workers × Critical formula reported 50ms/80ms = 0.625.
-func TestEfficiencyDispatchedShards(t *testing.T) {
-	var d DriverStats
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	d.Observe(PoolRoundMetrics{
-		Round: 0,
-		Busy:  []time.Duration{ms(10), ms(10), ms(10), ms(10)},
-		Live:  []int{10, 10, 10, 10},
-	})
-	d.Observe(PoolRoundMetrics{
-		Round: 1,
-		Busy:  []time.Duration{ms(10), 0, 0, 0}, // shards 1-3 skipped
-		Live:  []int{5, 0, 0, 0},
-	})
-	if d.Workers != 4 {
-		t.Fatalf("Workers = %d, want 4", d.Workers)
-	}
-	if want := ms(50); d.DispatchedCritical != want {
-		t.Fatalf("DispatchedCritical = %v, want %v", d.DispatchedCritical, want)
-	}
-	if e := d.Efficiency(); e != 1.0 {
-		t.Fatalf("Efficiency = %v, want 1.0 (old formula: 0.625)", e)
-	}
-	// A genuinely unbalanced round still scores below 1: two dispatched
-	// shards, one twice as slow.
-	var u DriverStats
-	u.Observe(PoolRoundMetrics{
-		Busy: []time.Duration{ms(10), ms(20), 0},
-		Live: []int{4, 4, 0},
-	})
-	if e := u.Efficiency(); e != 0.75 {
-		t.Fatalf("unbalanced Efficiency = %v, want 0.75", e)
-	}
-	// A dispatched shard that halted everything this round (live 0 after,
-	// busy > 0) still counts as dispatched.
-	var h DriverStats
-	h.Observe(PoolRoundMetrics{
-		Busy: []time.Duration{ms(10), ms(10)},
-		Live: []int{0, 0},
-	})
-	if e := h.Efficiency(); e != 1.0 {
-		t.Fatalf("final-round Efficiency = %v, want 1.0", e)
-	}
-}
-
 // skewHalter drives a deliberately skewed shattering shape: vertices at or
 // above cut halt in round haltAt, the rest keep broadcasting until round
 // last. With cut at n/8, three of four equal-width shards drain at once
@@ -196,10 +144,9 @@ func (s *skewHalter) Round(ctx *Context, _ []Message) {
 }
 
 // TestRebalanceTriggersAndPreservesDeterminism runs the skewed workload on
-// the pool driver and requires (a) that rebalancing actually fired, (b)
-// that the deterministic event fingerprint, Result, and round count are
-// identical to the sequential driver and to the pool with rebalancing
-// disabled, and (c) that the post-run shard ranges still partition [0, n).
+// the pool driver and requires that rebalancing actually fired and that
+// the deterministic event fingerprint, Result, and round count are
+// identical to the sequential driver's.
 func TestRebalanceTriggersAndPreservesDeterminism(t *testing.T) {
 	const n = 4096
 	g := ringGraph(n)
@@ -226,15 +173,11 @@ func TestRebalanceTriggersAndPreservesDeterminism(t *testing.T) {
 	if poolReb == 0 {
 		t.Fatal("pool driver never rebalanced on a skewed workload")
 	}
-	offRes, offFP, offReb := run(Options{Driver: DriverPool, Workers: 4, NoRebalance: true})
-	if offReb != 0 {
-		t.Fatalf("NoRebalance run still rebalanced %d times", offReb)
+	if poolRes != seqRes {
+		t.Fatalf("Results diverge: seq %+v, pool %+v", seqRes, poolRes)
 	}
-	if poolRes != seqRes || offRes != seqRes {
-		t.Fatalf("Results diverge: seq %+v, pool %+v, pool-norebalance %+v", seqRes, poolRes, offRes)
-	}
-	if poolFP != seqFP || offFP != seqFP {
-		t.Fatalf("fingerprints diverge: seq %#x, pool %#x, pool-norebalance %#x", seqFP, poolFP, offFP)
+	if poolFP != seqFP {
+		t.Fatalf("fingerprints diverge: seq %#x, pool %#x", seqFP, poolFP)
 	}
 }
 
@@ -258,7 +201,7 @@ func (s countingSink) Emit(e trace.Event) {
 func TestRebalancePartitionInvariants(t *testing.T) {
 	const n = 2048
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Parallel: true,
+		Seed: 1, Driver: DriverPool,
 	})
 	st := r.newExecState(4)
 	// Manufacture heavy skew: clear every bit outside [0, n/8).
@@ -321,7 +264,7 @@ func TestRebalancePartitionInvariants(t *testing.T) {
 func TestRebalanceBelowThresholdIsNoop(t *testing.T) {
 	const n = 128 // 4 shards × 32 vertices < rebalanceMinPerShard each
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Parallel: true,
+		Seed: 1, Driver: DriverPool,
 	})
 	st := r.newExecState(4)
 	st.maybeRebalance(1)
@@ -330,7 +273,7 @@ func TestRebalanceBelowThresholdIsNoop(t *testing.T) {
 	}
 	// Plenty of work but perfectly balanced: still a no-op.
 	r2 := NewRunner(ringGraph(1024), func(int) Node { return steadyBroadcaster{} }, Options{
-		Seed: 1, Parallel: true,
+		Seed: 1, Driver: DriverPool,
 	})
 	st2 := r2.newExecState(4)
 	st2.maybeRebalance(1)

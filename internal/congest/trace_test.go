@@ -1,6 +1,6 @@
 // Tracing integration suite: a traced run must be bit-identical to an
 // untraced one, deterministic trace events must be bit-identical across
-// all three drivers, a recorded golden trace must not drift across PRs,
+// every driver, a recorded golden trace must not drift across PRs,
 // and trace.Bisect must pinpoint an injected single-event divergence to
 // its exact round. Together with crossdriver_test.go this makes the
 // event stream part of the engine's determinism contract.
@@ -207,90 +207,6 @@ func TestReplayAgainstRecordedTrace(t *testing.T) {
 	}
 	if div.A == nil && div.B == nil {
 		t.Fatalf("divergence carries no events: %v", div)
-	}
-}
-
-// TestObserverAdapterEquivalence checks the deprecated Observer callback
-// sees exactly the values a sink reads off round-end events, and that it
-// behaves identically whether or not a sink is also attached.
-func TestObserverAdapterEquivalence(t *testing.T) {
-	n := 128
-	g := gen.UnionOfTrees(n, 2, rng.New(4))
-	type obs struct {
-		round, live int
-		sent        int64
-	}
-	collect := func(withSink bool) ([]obs, []trace.Event) {
-		var seen []obs
-		opts := congest.Options{Seed: 11, Driver: congest.DriverPool, Workers: 4}
-		opts.Observer = func(round, live int, sent int64) {
-			seen = append(seen, obs{round, live, sent})
-		}
-		var mem *trace.MemorySink
-		if withSink {
-			mem = &trace.MemorySink{}
-			opts.Events = mem
-		}
-		if _, _, err := metivier.Run(g, opts); err != nil {
-			t.Fatal(err)
-		}
-		if mem == nil {
-			return seen, nil
-		}
-		return seen, mem.Events
-	}
-	plain, _ := collect(false)
-	traced, events := collect(true)
-	if len(plain) == 0 || len(plain) != len(traced) {
-		t.Fatalf("observer fired %d times plain, %d traced", len(plain), len(traced))
-	}
-	for i := range plain {
-		if plain[i] != traced[i] {
-			t.Fatalf("call %d: plain %+v != traced %+v", i, plain[i], traced[i])
-		}
-	}
-	// The callback triples are exactly the round-end events.
-	i := 0
-	for _, e := range events {
-		if e.Type != trace.EvRoundEnd {
-			continue
-		}
-		want := obs{int(e.Round), int(e.V), e.X}
-		if i >= len(traced) || traced[i] != want {
-			t.Fatalf("round-end %d: event %+v, observer saw %+v", i, want, traced[i])
-		}
-		i++
-	}
-	if i != len(traced) {
-		t.Fatalf("%d round-end events for %d observer calls", i, len(traced))
-	}
-}
-
-// TestPoolObserverAdapter checks the deprecated PoolObserver still
-// receives per-round timing metrics through its bus adapter.
-func TestPoolObserverAdapter(t *testing.T) {
-	n := 128
-	g := gen.UnionOfTrees(n, 2, rng.New(4))
-	var stats congest.DriverStats
-	opts := congest.Options{Seed: 11, Driver: congest.DriverPool, Workers: 4, PoolObserver: stats.Observe}
-	_, res, err := metivier.Run(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != res.Rounds+1 { // Init included
-		t.Fatalf("observed %d rounds, run had %d (+Init)", stats.Rounds, res.Rounds)
-	}
-	if stats.Workers != 4 {
-		t.Fatalf("observed %d workers, want 4", stats.Workers)
-	}
-	// Under the sequential driver the adapter must stay silent.
-	var seq congest.DriverStats
-	_, _, err = metivier.Run(g, congest.Options{Seed: 11, PoolObserver: seq.Observe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Rounds != 0 {
-		t.Fatalf("sequential driver fired PoolObserver %d times", seq.Rounds)
 	}
 }
 

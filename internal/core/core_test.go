@@ -336,7 +336,7 @@ func TestArbMISParallelDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ArbMIS(g, params, congest.Options{Seed: 4, Parallel: true})
+	par, err := ArbMIS(g, params, congest.Options{Seed: 4, Driver: congest.DriverPool})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/dynmis"
 	"repro/internal/gen"
 	"repro/internal/rng"
@@ -33,7 +34,7 @@ func TestGoldenStreamFingerprint(t *testing.T) {
 		opts dynmis.Options
 	}{
 		{"sequential", dynmis.Options{Seed: 99}},
-		{"pool", dynmis.Options{Seed: 99, Parallel: true, Workers: 4}},
+		{"pool", dynmis.Options{Seed: 99, Driver: congest.DriverPool, Workers: 4}},
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			e, err := dynmis.New(g, d.opts)

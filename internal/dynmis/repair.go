@@ -87,7 +87,6 @@ func (e *Engine) repair(region []int, rep *BatchReport) error {
 	opts := congest.Options{
 		Seed:      repairSeed(e.opts.Seed, rep.Batch),
 		Driver:    e.opts.Driver,
-		Parallel:  e.opts.Parallel,
 		Workers:   e.opts.Workers,
 		MaxRounds: e.opts.MaxRounds,
 		Events:    rec,

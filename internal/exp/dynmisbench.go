@@ -158,7 +158,7 @@ func RunDynmisBench(cases []DynmisBenchCase, cfg dynmis.StreamConfig, seed uint6
 		entry.MISSize = len(e.MIS())
 
 		// Pool engine: untimed, fingerprint must match the sequential run.
-		ep, err := dynmis.New(g, dynmis.Options{Seed: engineSeed, Parallel: true})
+		ep, err := dynmis.New(g, dynmis.Options{Seed: engineSeed, Driver: congest.DriverPool})
 		if err != nil {
 			return nil, fmt.Errorf("dynmis bench: %s n=%d pool bootstrap: %w", bc.Family, bc.N, err)
 		}

@@ -29,14 +29,11 @@ type Config struct {
 	Seeds int
 	// Quick shrinks sweeps for tests and smoke runs.
 	Quick bool
-	// Parallel selects the sharded worker-pool driver for the runs.
-	Parallel bool
+	// Driver selects the CONGEST driver for the runs (the zero value is
+	// sequential).
+	Driver congest.DriverKind
 	// Workers is the pool driver's shard count (0 = GOMAXPROCS).
 	Workers int
-	// PoolStats, when non-nil and Parallel is set, accumulates the pool
-	// driver's per-round efficiency metrics across every run the config
-	// spawns (cmd/bench -parallel reports the aggregate).
-	PoolStats *congest.DriverStats
 	// Events, when non-nil, receives the execution-trace event stream of
 	// every run the config spawns (cmd/bench -trace streams them all to
 	// one JSONL or Chrome file).
@@ -62,16 +59,12 @@ func (c Config) seeds() int {
 
 // opts builds engine options for replication i of a labeled sub-experiment.
 func (c Config) opts(label uint64, i int) congest.Options {
-	o := congest.Options{
-		Seed:     rng.New(c.Seed).Split(label).Split(uint64(i)).Uint64(),
-		Parallel: c.Parallel,
-		Workers:  c.Workers,
+	return congest.Options{
+		Seed:    rng.New(c.Seed).Split(label).Split(uint64(i)).Uint64(),
+		Driver:  c.Driver,
+		Workers: c.Workers,
+		Events:  c.Events,
 	}
-	if c.Parallel && c.PoolStats != nil {
-		o.PoolObserver = c.PoolStats.Observe
-	}
-	o.Events = c.Events
-	return o
 }
 
 // graphRNG derives the generator stream for a labeled sub-experiment.

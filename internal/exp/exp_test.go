@@ -75,26 +75,25 @@ func TestOptsDeterministic(t *testing.T) {
 }
 
 func TestOptsWirePoolDriver(t *testing.T) {
-	var stats congest.DriverStats
-	c := Config{Seed: 1, Parallel: true, Workers: 3, PoolStats: &stats}
+	c := Config{Seed: 1, Driver: congest.DriverPool, Workers: 3}
 	o := c.opts(1, 0)
-	if !o.Parallel || o.Workers != 3 || o.PoolObserver == nil {
+	if o.Driver != congest.DriverPool || o.Workers != 3 {
 		t.Fatalf("pool plumbing lost: %+v", o)
 	}
-	if seq := (Config{Seed: 1}).opts(1, 0); seq.PoolObserver != nil {
-		t.Fatal("sequential config must not install a pool observer")
+	if seq := (Config{Seed: 1}).opts(1, 0); seq.Driver != congest.DriverSequential {
+		t.Fatalf("zero config runs on %v, want sequential", seq.Driver)
 	}
 }
 
-// TestRunEngineBench covers the BENCH_congest.json producer: all three
-// drivers measured on identical work, with identical counters.
+// TestRunEngineBench covers the BENCH_congest.json producer: both
+// in-process drivers measured on identical work, with identical counters.
 func TestRunEngineBench(t *testing.T) {
 	rep, err := RunEngineBench(256, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Drivers) != 3 {
-		t.Fatalf("expected 3 drivers, got %d", len(rep.Drivers))
+	if len(rep.Drivers) != 2 {
+		t.Fatalf("expected 2 drivers, got %d", len(rep.Drivers))
 	}
 	names := map[string]bool{}
 	for _, d := range rep.Drivers {
@@ -106,7 +105,7 @@ func TestRunEngineBench(t *testing.T) {
 			t.Fatalf("driver %s has non-positive throughput: %+v", d.Driver, d)
 		}
 	}
-	for _, want := range []string{"sequential", "pool", "goroutine-per-vertex"} {
+	for _, want := range []string{"sequential", "pool"} {
 		if !names[want] {
 			t.Fatalf("driver %q missing from report", want)
 		}

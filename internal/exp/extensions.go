@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/core"
+	"repro/internal/faultsim"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matching"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/mis/luby"
 	"repro/internal/mis/metivier"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // E13DegreeReduction measures the §3.3 preprocessing (Barenboim et al.
@@ -71,9 +73,9 @@ func E13DegreeReduction(c Config) (*Report, error) {
 	return rep, nil
 }
 
-// E14RoundDecay uses the engine's observer to trace the active-set decay
-// per round — the raw shattering dynamics behind Lemma 3.7 — for the two
-// randomized engines the paper discusses.
+// E14RoundDecay reads the active-set decay per round off the engine's
+// round-end events — the raw shattering dynamics behind Lemma 3.7 — for
+// the two randomized engines the paper discusses.
 func E14RoundDecay(c Config) (*Report, error) {
 	n := 1 << 13
 	if c.Quick {
@@ -101,7 +103,7 @@ func E14RoundDecay(c Config) (*Report, error) {
 			g := arbGraph(n, 3, c.graphRNG(label, i))
 			opts := c.opts(label, i)
 			cross := map[string]int{}
-			opts.Observer = func(round, live int, _ int64) {
+			opts.Events = roundEnds{next: opts.Events, fn: func(round, live int) {
 				frac := float64(live) / float64(n)
 				for _, mark := range []struct {
 					key string
@@ -111,7 +113,7 @@ func E14RoundDecay(c Config) (*Report, error) {
 						cross[mark.key] = round
 					}
 				}
-			}
+			}}
 			if err := algo.run(g, opts); err != nil {
 				return nil, fmt.Errorf("E14: %s: %w", algo.name, err)
 			}
@@ -128,6 +130,23 @@ func E14RoundDecay(c Config) (*Report, error) {
 		Table: table,
 	}
 	return rep, nil
+}
+
+// roundEnds is a trace sink that calls fn with the round and the live-node
+// count of every round-end event, after forwarding each event to next
+// (the config's sink) when one is set.
+type roundEnds struct {
+	fn   func(round, live int)
+	next trace.Sink
+}
+
+func (s roundEnds) Emit(e trace.Event) {
+	if s.next != nil {
+		s.next.Emit(e)
+	}
+	if e.Type == trace.EvRoundEnd {
+		s.fn(int(e.Round), int(e.V))
+	}
 }
 
 // A4Reliability ablates CONGEST's reliable-delivery assumption: with
@@ -160,7 +179,9 @@ func A4Reliability(c Config) (*Report, error) {
 			for i := 0; i < runs; i++ {
 				g := arbGraph(n, 2, c.graphRNG(label, i))
 				opts := c.opts(label, i)
-				opts.DropProb = drop
+				if drop > 0 {
+					opts.Faults = faultsim.BernoulliDrop{P: drop}
+				}
 				opts.MaxRounds = 3000
 				statuses, err := algo.run(g, opts)
 				switch {

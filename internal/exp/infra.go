@@ -294,7 +294,7 @@ type EngineBenchReport struct {
 	Drivers    []EngineBenchEntry `json:"drivers"`
 }
 
-// RunEngineBench measures every engine driver on one pinned workload:
+// RunEngineBench measures both in-process drivers on one pinned workload:
 // Métivier MIS on UnionOfTrees(n, 2) at the given seed, best wall time of
 // reps runs per driver. The run counters must agree across drivers — a
 // mismatch is reported as an error, making the benchmark double as a
@@ -312,34 +312,26 @@ func RunEngineBench(n int, seed uint64, reps int) (*EngineBenchReport, error) {
 		Reps:       reps,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	drivers := []struct {
-		kind    congest.DriverKind
-		workers int
-	}{
-		{congest.DriverSequential, 0},
-		{congest.DriverPool, 0},
-		{congest.DriverGoroutinePerVertex, 0},
-	}
 	var ref *congest.Result
-	for _, d := range drivers {
-		entry := EngineBenchEntry{Driver: d.kind.String()}
-		if d.kind == congest.DriverPool {
-			entry.Workers = congest.Options{Workers: d.workers}.WorkerCount(n)
+	for _, kind := range []congest.DriverKind{congest.DriverSequential, congest.DriverPool} {
+		entry := EngineBenchEntry{Driver: kind.String()}
+		if kind == congest.DriverPool {
+			entry.Workers = congest.Options{}.WorkerCount(n)
 		}
 		var best time.Duration
 		for rep := 0; rep < reps; rep++ {
-			opts := congest.Options{Seed: seed, Driver: d.kind, Workers: d.workers}
+			opts := congest.Options{Seed: seed, Driver: kind}
 			start := time.Now()
 			_, res, err := metivier.Run(g, opts)
 			wall := time.Since(start)
 			if err != nil {
-				return nil, fmt.Errorf("engine bench: %s: %w", d.kind, err)
+				return nil, fmt.Errorf("engine bench: %s: %w", kind, err)
 			}
 			if ref == nil {
 				r := res
 				ref = &r
 			} else if res != *ref {
-				return nil, fmt.Errorf("engine bench: %s diverged: %+v != %+v", d.kind, res, *ref)
+				return nil, fmt.Errorf("engine bench: %s diverged: %+v != %+v", kind, res, *ref)
 			}
 			if rep == 0 || wall < best {
 				best = wall

@@ -87,16 +87,15 @@ const scaleFaultMaxRounds = 300
 
 // RunScaleBench measures the pool driver's multicore scaling on Métivier
 // MIS over UnionOfTrees(n, 2): for every n it times the sequential driver
-// and the pool at each requested worker count (0 = GOMAXPROCS) — plus the
-// legacy goroutine-per-vertex driver at the smallest n — and fingerprints
-// one traced clean and one traced faulted run per cell. Any fingerprint or
+// and the pool at each requested worker count (0 = GOMAXPROCS) and
+// fingerprints one traced clean and one traced faulted run per cell. Any fingerprint or
 // counter divergence across a size's cells is an error, so the benchmark
 // doubles as the cross-worker-count determinism check at production scale.
 //
 // GOMAXPROCS is raised to the widest worker request for the duration of
 // the bench (and restored), so requesting 8 workers measures 8-way
 // parallelism wherever the hardware has the cores to back it.
-func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int, includeGPV bool) (*ScaleBenchReport, error) {
+func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int) (*ScaleBenchReport, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -132,16 +131,12 @@ func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int, includeGPV 
 	for _, n := range ns {
 		g := gen.UnionOfTrees(n, 2, rng.New(seed))
 		type config struct {
-			name    string
 			kind    congest.DriverKind
 			workers int // requested; pool only
 		}
-		configs := []config{{name: "sequential", kind: congest.DriverSequential}}
+		configs := []config{{kind: congest.DriverSequential}}
 		for _, w := range workerSet {
-			configs = append(configs, config{name: "pool", kind: congest.DriverPool, workers: w})
-		}
-		if includeGPV {
-			configs = append(configs, config{name: "goroutine-per-vertex", kind: congest.DriverGoroutinePerVertex})
+			configs = append(configs, config{kind: congest.DriverPool, workers: w})
 		}
 
 		size := ScaleBenchSize{N: n}
@@ -149,7 +144,7 @@ func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int, includeGPV 
 		var refRes congest.Result
 		pool1 := int64(0)
 		for _, cfg := range configs {
-			entry := ScaleBenchEntry{Driver: cfg.name}
+			entry := ScaleBenchEntry{Driver: cfg.kind.String()}
 			if cfg.kind == congest.DriverPool {
 				entry.WorkersRequested = cfg.workers
 				entry.Workers = congest.Options{Workers: cfg.workers}.WorkerCount(n)
@@ -163,7 +158,7 @@ func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int, includeGPV 
 				_, res, err := metivier.Run(g, base)
 				wall := time.Since(start)
 				if err != nil {
-					return nil, fmt.Errorf("scale bench: n=%d %s: %w", n, cfg.name, err)
+					return nil, fmt.Errorf("scale bench: n=%d %s: %w", n, cfg.kind, err)
 				}
 				if rep == 0 || wall < best {
 					best = wall
@@ -172,7 +167,7 @@ func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int, includeGPV 
 				if size.Entries == nil && rep == 0 {
 					refRes = res
 				} else if res != refRes {
-					return nil, fmt.Errorf("scale bench: n=%d %s diverged: %+v != %+v", n, cfg.name, res, refRes)
+					return nil, fmt.Errorf("scale bench: n=%d %s diverged: %+v != %+v", n, cfg.kind, res, refRes)
 				}
 			}
 			entry.WallNS = int64(best)
@@ -183,7 +178,7 @@ func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int, includeGPV 
 			// Traced clean run: fingerprint + rebalance count.
 			cleanFP, rebalances, _, err := scaleTracedRun(g, base)
 			if err != nil {
-				return nil, fmt.Errorf("scale bench: n=%d %s traced: %w", n, cfg.name, err)
+				return nil, fmt.Errorf("scale bench: n=%d %s traced: %w", n, cfg.kind, err)
 			}
 			entry.FingerprintClean = cleanFP
 			entry.Rebalances = rebalances
@@ -194,7 +189,7 @@ func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int, includeGPV 
 			faulted.MaxRounds = scaleFaultMaxRounds
 			faultedFP, _, stalled, err := scaleTracedRun(g, faulted)
 			if err != nil {
-				return nil, fmt.Errorf("scale bench: n=%d %s faulted: %w", n, cfg.name, err)
+				return nil, fmt.Errorf("scale bench: n=%d %s faulted: %w", n, cfg.kind, err)
 			}
 			entry.FingerprintFaulted = faultedFP
 			entry.FaultedStalled = stalled
@@ -204,11 +199,11 @@ func RunScaleBench(ns []int, workerSet []int, seed uint64, reps int, includeGPV 
 			} else {
 				if entry.FingerprintClean != refClean {
 					return nil, fmt.Errorf("scale bench: n=%d %s clean fingerprint %s != %s",
-						n, cfg.name, entry.FingerprintClean, refClean)
+						n, cfg.kind, entry.FingerprintClean, refClean)
 				}
 				if entry.FingerprintFaulted != refFaulted {
 					return nil, fmt.Errorf("scale bench: n=%d %s faulted fingerprint %s != %s",
-						n, cfg.name, entry.FingerprintFaulted, refFaulted)
+						n, cfg.kind, entry.FingerprintFaulted, refFaulted)
 				}
 			}
 			if cfg.kind == congest.DriverPool && entry.Workers == 1 {
@@ -244,7 +239,7 @@ func E19MulticoreScaling(c Config) (*Report, error) {
 		reps = 1
 	}
 	seed := rng.New(c.Seed).Split(0xE19).Uint64()
-	bench, err := RunScaleBench([]int{n}, workerSet, seed, reps, false)
+	bench, err := RunScaleBench([]int{n}, workerSet, seed, reps)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -110,4 +111,39 @@ func TestBaselineErrors(t *testing.T) {
 	if _, err := LoadBaseline(wrongVersion); err == nil {
 		t.Error("loading an unsupported version should fail")
 	}
+}
+
+// FuzzLoadBaseline feeds arbitrary bytes to the baseline reader that
+// cmd/misvet -baseline runs on a file from outside: any input must load as
+// a baseline or fail with an error, never panic, and an accepted baseline
+// must survive a Write → LoadBaseline round trip unchanged.
+func FuzzLoadBaseline(f *testing.F) {
+	f.Add([]byte(`{"version": 1, "findings": [{"analyzer": "determinism", "file": "a.go", "line": 10, "col": 1, "message": "call of time.Now"}]}`))
+	f.Add([]byte(`{"version": 1, "findings": []}`))
+	f.Add([]byte(`{"version": 1}`))
+	f.Add([]byte(`{"version": 9, "findings": []}`))
+	f.Add([]byte(`{"version": 1, "findings": [null, {"line": -3}]}`))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "baseline.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoadBaseline(path)
+		if err != nil {
+			return // rejecting is always acceptable
+		}
+		again := filepath.Join(dir, "again.json")
+		if err := b.Write(again); err != nil {
+			t.Fatalf("writing an accepted baseline: %v", err)
+		}
+		reloaded, err := LoadBaseline(again)
+		if err != nil {
+			t.Fatalf("re-written baseline rejected: %v", err)
+		}
+		if !reflect.DeepEqual(reloaded, b) {
+			t.Fatalf("round trip gave %+v, want %+v", reloaded, b)
+		}
+	})
 }

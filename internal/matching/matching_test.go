@@ -111,7 +111,7 @@ func TestParallelDriverIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, bres, err := Run(g, congest.Options{Seed: 3, Parallel: true})
+	b, bres, err := Run(g, congest.Options{Seed: 3, Driver: congest.DriverPool})
 	if err != nil {
 		t.Fatal(err)
 	}

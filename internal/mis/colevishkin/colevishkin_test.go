@@ -174,7 +174,7 @@ func TestParallelDriverIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parRes, err := Run(g, p, congest.Options{Seed: 2, Parallel: true})
+	par, parRes, err := Run(g, p, congest.Options{Seed: 2, Driver: congest.DriverPool})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestBParallelDriverIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parRes, err := RunB(g, congest.Options{Seed: 4, Parallel: true})
+	par, parRes, err := RunB(g, congest.Options{Seed: 4, Driver: congest.DriverPool})
 	if err != nil {
 		t.Fatal(err)
 	}

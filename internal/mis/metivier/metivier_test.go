@@ -58,7 +58,7 @@ func TestParallelDriverIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parRes, err := Run(g, congest.Options{Seed: 7, Parallel: true})
+	par, parRes, err := Run(g, congest.Options{Seed: 7, Driver: congest.DriverPool})
 	if err != nil {
 		t.Fatal(err)
 	}

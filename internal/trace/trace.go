@@ -15,11 +15,18 @@
 //
 //   - deterministic events (round boundaries, counters, fault fates, node
 //     transitions, halts, RNG draw totals) are bit-identical across the
-//     sequential, worker-pool, and goroutine-per-vertex drivers for the
-//     same seed — they are covered by Fingerprint and compared by Bisect;
-//   - advisory events (shard timings, merge time, per-shard message flow)
-//     describe how a particular driver executed the run and legitimately
-//     differ between drivers; Fingerprint and Bisect ignore them.
+//     sequential, worker-pool, and distributed drivers for the same seed —
+//     they are covered by Fingerprint and compared by Bisect;
+//   - advisory events (shard sweep and merge timings, rebalances,
+//     transport frames, respawns) describe how a particular driver
+//     executed the run and legitimately differ between drivers;
+//     Fingerprint and Bisect ignore them.
+//
+// The stream is the engine's one way to watch a run
+// (congest.Options.Events): a sink that keys on EvRoundEnd sees each
+// round's live and sent counts, and one that keys on EvShardBusy and
+// EvMerge (with congest.Options.EventTiming) sees the pool driver's
+// per-shard and merge timing.
 //
 // A Recorder is the standard capture point: it keeps the most recent
 // events in a bounded ring buffer, maintains a running fingerprint of the

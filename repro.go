@@ -12,10 +12,10 @@
 //     analysis);
 //   - the experiment drivers that regenerate every table in EXPERIMENTS.md.
 //
-// Everything runs on the in-repo CONGEST simulator: pass Options{Parallel:
-// true} to execute on the sharded worker-pool driver (one worker per CPU,
-// each owning a contiguous vertex shard), which is bit-identical to the
-// sequential driver for the same seed.
+// Everything runs on the in-repo CONGEST simulator: pass Options{Driver:
+// DriverPool} to execute on the sharded worker-pool driver (one worker per
+// CPU, each owning a contiguous vertex shard), which is bit-identical to
+// the sequential driver for the same seed.
 package repro
 
 import (
@@ -54,9 +54,6 @@ type (
 	// DriverKind selects the engine execution strategy (see the Driver*
 	// constants).
 	DriverKind = congest.DriverKind
-	// DriverStats aggregates the worker-pool driver's efficiency metrics;
-	// plug its Observe method into Options.PoolObserver.
-	DriverStats = congest.DriverStats
 	// Family is a read-k family of boolean variables.
 	Family = readk.Family
 	// Report is a regenerated experiment table.
@@ -71,17 +68,14 @@ const (
 	StatusDominated = base.StatusDominated
 )
 
-// Engine drivers. Options{Parallel: true} selects DriverPool; set
-// Options.Driver for an explicit choice.
+// Engine drivers, selected by Options.Driver.
 const (
-	// DriverSequential sweeps vertices in ID order on one goroutine.
+	// DriverSequential sweeps vertices in ID order on one goroutine. It is
+	// the zero value.
 	DriverSequential = congest.DriverSequential
 	// DriverPool is the sharded worker-pool driver (GOMAXPROCS workers by
 	// default; override with Options.Workers).
 	DriverPool = congest.DriverPool
-	// DriverGoroutinePerVertex is the legacy one-goroutine-per-node
-	// driver, kept as a benchmark baseline.
-	DriverGoroutinePerVertex = congest.DriverGoroutinePerVertex
 )
 
 // NewGraph builds a graph on n vertices from an edge list (self-loops and

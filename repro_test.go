@@ -20,7 +20,7 @@ func TestComputeMISQuickstart(t *testing.T) {
 
 func TestComputeMISParallelDriver(t *testing.T) {
 	g := RandomTree(300, 7)
-	out, err := ComputeMIS(g, 1, Options{Seed: 2, Parallel: true})
+	out, err := ComputeMIS(g, 1, Options{Seed: 2, Driver: DriverPool})
 	if err != nil {
 		t.Fatal(err)
 	}
