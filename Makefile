@@ -62,12 +62,13 @@ cover:
 	@go test -cover repro/internal/dynmis | awk -v min=$(DYNMIS_COVER_MIN) '$(COVER_AWK)'
 	@go test -cover repro/internal/distrib | awk -v min=$(DISTRIB_COVER_MIN) '$(COVER_AWK)'
 
-# Allocation gates: a steady-state round (n = 1024 ring, every node
-# broadcasting) must perform zero heap allocations — the invariant the
-# value-typed wire payloads and the flat inbox arena exist to provide —
-# and a whole Run must make a fixed number of allocations independent of
-# n, because every message buffer is sized once from the CSR. Fast
-# (< 1s); runs in ci.
+# Allocation gates: a steady-state round must perform zero heap
+# allocations — pulled (every node broadcasting, sequentially and on four
+# pool shards) or pushed (SendSlot loops, and under a delay plan) — the
+# invariant the value-typed wire payloads, the flat inbox arena and the
+# per-shard pull scratch exist to provide; and a whole Run must make a
+# fixed number of allocations independent of n, because every message
+# buffer is sized once from the CSR. Fast (< 1s); runs in ci.
 alloc-gate:
 	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN)' -count=1 ./internal/congest/
 
@@ -76,9 +77,13 @@ alloc-gate:
 # cmd/misnode -listen tcp:, accepts from outside), the JSONL trace reader,
 # the dynamic-MIS update-stream reader, the misvet baseline reader
 # (cmd/misvet -baseline), and the edge-list parser and graph constructor
-# (cmd/arbmis -stdin). Any panic, hang, runaway allocation or broken round
-# trip fails it. go test fuzzes one target per run, hence six runs.
+# (cmd/arbmis -stdin) — plus the engine's differential target, which runs
+# byte-scripted programs under every driver and requires the pull, push
+# and faulted delivery paths to agree. Any panic, hang, runaway
+# allocation, broken round trip or cross-driver divergence fails it. go
+# test fuzzes one target per run, hence seven runs.
 fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzCrossDriver$$' -fuzztime 10s ./internal/congest/
 	go test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/distrib/
 	go test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace/
 	go test -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 10s ./internal/dynmis/

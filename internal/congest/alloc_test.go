@@ -43,18 +43,30 @@ func (d *delayEveryFourth) Message(_, _, _ int, _ *rng.RNG) faultsim.Fate {
 
 func (*delayEveryFourth) Vertex(int, int) faultsim.VertexFate { return faultsim.VertexUp }
 
-// TestSteadyStateRoundZeroAllocs is the allocation gate for the value-typed
-// message path: once the reused buffers (shard outboxes, the inbox arena)
-// have grown to steady-state capacity, a full sequential round — sweep,
-// delivery, live refresh, round bookkeeping — must allocate nothing. It
-// drives the exact per-round body of runLoop whitebox so the measurement
-// isolates rounds from run setup.
-func TestSteadyStateRoundZeroAllocs(t *testing.T) {
-	const n = 1024
-	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{Seed: 1})
-	st := r.newExecState(1)
+// slotBroadcaster sends to every neighbor every round by a SendSlot loop
+// and never halts: steadyBroadcaster's traffic in the per-neighbor shape,
+// which delivery always pushes into the inbox arena.
+type slotBroadcaster struct{}
+
+func (slotBroadcaster) Init(ctx *Context) { slotBroadcaster{}.Round(ctx, nil) }
+func (slotBroadcaster) Round(ctx *Context, _ []Message) {
+	for i := range ctx.Neighbors() {
+		ctx.SendSlot(i, rawWire(8))
+	}
+}
+
+// roundTally counts the rounds a steadyRounds body ran and how many of
+// them were delivered by pull.
+type roundTally struct{ rounds, pulls int }
+
+// steadyRounds returns the exact per-round body of runLoop for a whitebox
+// state, so an allocation gate measures rounds in isolation from run
+// set-up, and tallies each round into tally. The shards are swept on the
+// calling goroutine: the pool's worker barrier is driver plumbing, not
+// allocation behavior, and each worker runs byte-for-byte this sweep.
+func steadyRounds(t *testing.T, r *Runner, st *execState, tally *roundTally) func() {
 	round := 0
-	oneRound := func() {
+	return func() {
 		r.startRound(st, round)
 		for _, sh := range st.shards {
 			r.sweepShard(st, sh, round)
@@ -65,60 +77,73 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 		st.refreshLive()
 		r.endRound(st, round)
 		round++
-	}
-	// Warm up: round 0 (Init) plus a few steady rounds grow every reused
-	// buffer to its final capacity.
-	for i := 0; i < 4; i++ {
-		oneRound()
-	}
-	if avg := testing.AllocsPerRun(20, oneRound); avg != 0 {
-		t.Fatalf("steady-state sequential round allocates %v objects, want 0", avg)
+		tally.rounds++
+		if st.pull {
+			tally.pulls++
+		}
 	}
 }
 
-// TestSteadyStateRoundZeroAllocsParallelMerge extends the gate to the pool
-// driver's parallel merge (mergePhase's count and scatter over each
-// shard's destination range): once the outboxes, frontiers, and arena
-// have grown to steady-state capacity, a round merged by range must
-// allocate nothing. The shards are swept and the merge phases run on the
-// test goroutine (the worker barrier is driver plumbing, not allocation
-// behavior), which is byte-for-byte the code the workers execute in
-// parallel.
-func TestSteadyStateRoundZeroAllocsParallelMerge(t *testing.T) {
-	const n = 4 * parallelMergeMin
+// TestSteadyStateRoundZeroAllocs is the allocation gate for the value-typed
+// message path: once the reused buffers (shard outboxes, the inbox arena,
+// the pull scratch) have grown to steady-state capacity, a full sequential
+// round — sweep, delivery, live refresh, round bookkeeping — must allocate
+// nothing, whether a round of Broadcast calls is delivered by pull or a
+// round of SendSlot loops by push.
+func TestSteadyStateRoundZeroAllocs(t *testing.T) {
+	const n = 1024
+	for _, c := range []struct {
+		name string
+		node Node
+		pull bool
+	}{
+		{"broadcast", steadyBroadcaster{}, true},
+		{"sendslot", slotBroadcaster{}, false},
+	} {
+		r := NewRunner(ringGraph(n), func(int) Node { return c.node }, Options{Seed: 1})
+		var tally roundTally
+		oneRound := steadyRounds(t, r, r.newExecState(1), &tally)
+		// Warm up: round 0 (Init) plus a few steady rounds grow every
+		// reused buffer to its final capacity.
+		for i := 0; i < 4; i++ {
+			oneRound()
+		}
+		tally = roundTally{}
+		if avg := testing.AllocsPerRun(20, oneRound); avg != 0 {
+			t.Fatalf("%s: steady-state sequential round allocates %v objects, want 0", c.name, avg)
+		}
+		want := 0
+		if c.pull {
+			want = tally.rounds
+		}
+		if tally.pulls != want {
+			t.Fatalf("%s: %d of %d measured rounds delivered by pull, want %d", c.name, tally.pulls, tally.rounds, want)
+		}
+	}
+}
+
+// TestSteadyStateRoundZeroAllocsPullShards extends the gate to pull rounds
+// on four pool shards: once the outboxes, frontiers and per-shard pull
+// scratch have reached steady-state capacity, a round whose inboxes every
+// shard builds from its own rows must allocate nothing — and every
+// measured round must have been delivered by pull.
+func TestSteadyStateRoundZeroAllocsPullShards(t *testing.T) {
+	const n = 1 << 13
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
 		Seed:   1,
 		Driver: DriverPool,
 	})
-	st := r.newExecState(4)
-	phases := 0
-	st.parallel = func(cmd int) {
-		phases++
-		for _, sh := range st.shards {
-			st.mergePhase(sh, cmd)
-		}
-	}
-	round := 0
-	oneRound := func() {
-		r.startRound(st, round)
-		for _, sh := range st.shards {
-			r.sweepShard(st, sh, round)
-		}
-		if err := r.deliver(st, round); err != nil {
-			t.Fatal(err)
-		}
-		st.refreshLive()
-		r.endRound(st, round)
-		round++
-	}
+	var tally roundTally
+	oneRound := steadyRounds(t, r, r.newExecState(4), &tally)
 	for i := 0; i < 4; i++ {
 		oneRound()
 	}
+	tally = roundTally{}
 	if avg := testing.AllocsPerRun(20, oneRound); avg != 0 {
-		t.Fatalf("steady-state parallel-merge round allocates %v objects, want 0", avg)
+		t.Fatalf("steady-state pull round on 4 shards allocates %v objects, want 0", avg)
 	}
-	if phases != 2*round {
-		t.Fatalf("%d merge phases over %d rounds, want two per round (count, scatter)", phases, round)
+	if tally.pulls != tally.rounds || tally.rounds == 0 {
+		t.Fatalf("%d of %d measured rounds delivered by pull, want all", tally.pulls, tally.rounds)
 	}
 }
 
@@ -132,20 +157,7 @@ func TestSteadyStateRoundZeroAllocsWithDelays(t *testing.T) {
 		Seed:   1,
 		Faults: &delayEveryFourth{},
 	})
-	st := r.newExecState(1)
-	round := 0
-	oneRound := func() {
-		r.startRound(st, round)
-		for _, sh := range st.shards {
-			r.sweepShard(st, sh, round)
-		}
-		if err := r.deliver(st, round); err != nil {
-			t.Fatal(err)
-		}
-		st.refreshLive()
-		r.endRound(st, round)
-		round++
-	}
+	oneRound := steadyRounds(t, r, r.newExecState(1), &roundTally{})
 	// Longer warm-up: the delay map and its buckets need several rounds to
 	// reach the steady population the free list then recycles.
 	for i := 0; i < 12; i++ {

@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 
@@ -31,31 +30,23 @@ var broadcastDrivers = []struct {
 	{"distributed", Options{Driver: DriverDistributed}},
 }
 
-// splitsMerge reports whether a run with opts merges large rounds by
-// destination range on a reliable network: under the pool, with more than
-// one worker and no more workers than CPUs.
-func splitsMerge(opts Options) bool {
-	return opts.Driver == DriverPool && opts.Workers > 1 && opts.Workers <= runtime.NumCPU()
-}
-
-// splitSink forwards every event to a recorder and counts rebalances and
-// the rounds whose merge split by destination range on the pool workers
-// (an EvMerge with worker phases): all of them, and those after the pool
-// first re-cut its shard ranges. A run must set EventTiming for merge
-// events to flow.
-type splitSink struct {
+// pullSink forwards every event to a recorder and counts rebalances and
+// the rounds the pool delivered by pull (an EvMerge with Y = 1): all of
+// them, and those after the pool first re-cut its shard ranges. A run must
+// set EventTiming for merge events to flow; only the pool emits them.
+type pullSink struct {
 	rec        *trace.Recorder
 	rebalances int64
-	splits     int // rounds merged by destination range
+	pulls      int // rounds delivered by pull
 	recut      int // of those, rounds after the first rebalance
 }
 
-func (s *splitSink) Emit(e trace.Event) {
+func (s *pullSink) Emit(e trace.Event) {
 	switch {
 	case e.Type == trace.EvRebalance:
 		s.rebalances++
-	case e.Type == trace.EvMerge && e.Y > 0:
-		s.splits++
+	case e.Type == trace.EvMerge && e.Y == 1:
+		s.pulls++
 		if s.rebalances > 0 {
 			s.recut++
 		}
@@ -66,12 +57,13 @@ func (s *splitSink) Emit(e trace.Event) {
 // TestBroadcastMatchesSendSlotLoop runs priorityMIS and its SendSlot twin
 // under every driver, on a clean network and under message drops, delays
 // and crashes, and requires the same error, Result, per-vertex states and
-// deterministic trace fingerprint from all ten runs of each network.
-// The graph makes the pool rebalance mid-run, and every clean run that
-// splits its merge (splitsMerge) must then merge at least one round by
-// destination range, so the row clipping runs over re-cut ranges; no
-// other run may split. The stateful delay plan is rebuilt for every run,
-// so each run sees the same fates in the same message order.
+// deterministic trace fingerprint from all ten runs of each network: pull
+// delivery, push delivery and faulted delivery must be indistinguishable.
+// The graph makes the pool rebalance mid-run, and every clean Broadcast
+// run on the pool must deliver rounds by pull, at least one of them after
+// the re-cut, so pull inboxes are built over re-cut ranges; no SendSlot
+// twin and no faulted run may pull. The stateful delay plan is rebuilt for
+// every run, so each run sees the same fates in the same message order.
 func TestBroadcastMatchesSendSlotLoop(t *testing.T) {
 	const n = 1 << 14
 	g := lopsidedPA(n, 4)
@@ -90,7 +82,7 @@ func TestBroadcastMatchesSendSlotLoop(t *testing.T) {
 		states []uint64
 		fp     uint64
 	}
-	run := func(slots bool, opts Options, plan faultsim.Plan) (outcome, *splitSink) {
+	run := func(slots bool, opts Options, plan faultsim.Plan) (outcome, *pullSink) {
 		t.Helper()
 		factory := func(int) Node { return &priorityMIS{slots: slots} }
 		if opts.Driver == DriverDistributed {
@@ -99,7 +91,7 @@ func TestBroadcastMatchesSendSlotLoop(t *testing.T) {
 		opts.Seed = 6
 		opts.Faults = plan
 		opts.MaxRounds = 500
-		sink := &splitSink{rec: trace.NewRecorder(0)}
+		sink := &pullSink{rec: trace.NewRecorder(0)}
 		opts.Events = sink
 		opts.EventTiming = opts.Driver == DriverPool
 		r := NewRunner(g, factory, opts)
@@ -125,12 +117,12 @@ func TestBroadcastMatchesSendSlotLoop(t *testing.T) {
 				if d.opts.Workers > 1 && sink.rebalances == 0 {
 					t.Fatalf("%s: the rebalancer never fired", name)
 				}
-				split := nw.name == "clean" && splitsMerge(d.opts)
-				if split && sink.recut == 0 {
-					t.Fatalf("%s: no round merged by destination range after a rebalance", name)
+				pulls := nw.name == "clean" && !slots && d.opts.Driver == DriverPool
+				if pulls && (sink.pulls == 0 || (d.opts.Workers > 1 && sink.recut == 0)) {
+					t.Fatalf("%s: %d rounds delivered by pull, %d after a rebalance", name, sink.pulls, sink.recut)
 				}
-				if !split && sink.splits > 0 {
-					t.Fatalf("%s: %d rounds merged by destination range", name, sink.splits)
+				if !pulls && sink.pulls > 0 {
+					t.Fatalf("%s: %d rounds delivered by pull", name, sink.pulls)
 				}
 				if i == 0 && !slots {
 					ref = got
@@ -198,9 +190,7 @@ func (m *mixedSender) ImportState(x uint64) { m.ok = x == 1 }
 // TestMixedSendOrder interleaves per-message and Broadcast records from
 // one sender in one round: every receiver's inbox must hold each sender's
 // messages in call order, under every driver, with identical counters.
-// Three calls per vertex keep the round above parallelMergeMin, so the
-// rows that split their merge (splitsMerge) must merge it by destination
-// range.
+// Three calls per sender rule out pull, so every round is pushed.
 func TestMixedSendOrder(t *testing.T) {
 	g := gen.PreferentialAttachment(2048, 3, rng.New(8))
 	factory := func(int) Node { return &mixedSender{g: g} }
@@ -211,7 +201,7 @@ func TestMixedSendOrder(t *testing.T) {
 		if opts.Driver == DriverDistributed {
 			opts.Fleet = &localFleet{g: g, shards: 3, factory: factory}
 		}
-		sink := &splitSink{rec: trace.NewRecorder(0)}
+		sink := &pullSink{rec: trace.NewRecorder(0)}
 		opts.Events = sink
 		opts.EventTiming = opts.Driver == DriverPool
 		r := NewRunner(g, factory, opts)
@@ -219,8 +209,8 @@ func TestMixedSendOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d.name, err)
 		}
-		if splitsMerge(opts) != (sink.splits > 0) {
-			t.Fatalf("%s: %d rounds merged by destination range", d.name, sink.splits)
+		if sink.pulls > 0 {
+			t.Fatalf("%s: %d rounds delivered by pull", d.name, sink.pulls)
 		}
 		for v := 0; v < g.N(); v++ {
 			if r.Node(v).(Porter).ExportState() != 1 {
@@ -235,5 +225,78 @@ func TestMixedSendOrder(t *testing.T) {
 	}
 	if want := int64(2*g.M() + 2*g.N()); ref.Messages != want {
 		t.Fatalf("delivered %d messages, want 2m + 2n = %d", ref.Messages, want)
+	}
+}
+
+// TestPullNeedsOneBroadcastPerSender drives deliver whitebox on hand-filled
+// outboxes. Only a reliable in-process round whose records are all
+// Broadcasts, one per sender, is delivered by pull, and its pulled inboxes
+// and counters must equal what push delivery makes of the same records. A
+// SendSlot record, a second call by one sender, a silent round, a fault
+// plan and the distributed coordinator all push.
+func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
+	g := gen.PreferentialAttachment(256, 3, rng.New(5))
+	bcast := func(v int) addressed {
+		return addressed{to: broadcastTo, msg: Message{From: v, Wire: rawWire(1 + v%60)}}
+	}
+	// Every third vertex broadcasts, up to 252: sender n-2 = 254 stays
+	// free for the cases that add one more call.
+	everyThird := func(st *execState) {
+		for v := 0; v < g.N()-3; v += 3 {
+			sh := st.ctxs[v].shard
+			sh.out = append(sh.out, bcast(v))
+		}
+	}
+	cases := []struct {
+		name   string
+		opts   Options
+		shards int
+		fill   func(st *execState)
+		pull   bool
+	}{
+		{"broadcasts", Options{}, 1, everyThird, true},
+		{"broadcasts-4-shards", Options{Driver: DriverPool}, 4, everyThird, true},
+		{"sendslot", Options{}, 1, func(st *execState) {
+			everyThird(st)
+			u := g.N() - 2
+			sh := st.ctxs[u].shard
+			sh.out = append(sh.out, addressed{to: g.Neighbors(u)[0], msg: Message{From: u, Wire: rawWire(8)}})
+		}, false},
+		{"two-calls", Options{}, 1, func(st *execState) {
+			everyThird(st)
+			u := g.N() - 2
+			sh := st.ctxs[u].shard
+			sh.out = append(sh.out, bcast(u), bcast(u))
+		}, false},
+		{"silent", Options{}, 1, func(*execState) {}, false},
+		{"faulted", Options{Faults: faultsim.BernoulliDrop{P: 0}}, 1, everyThird, false},
+		{"distributed", Options{Driver: DriverDistributed}, 3, everyThird, false},
+	}
+	for _, c := range cases {
+		c.opts.Seed = 1
+		r := NewRunner(g, haltFactory, c.opts)
+		st := r.newExecState(c.shards)
+		c.fill(st)
+		if err := r.deliver(st, 0); err != nil {
+			t.Fatal(err)
+		}
+		if st.pull != c.pull {
+			t.Fatalf("%s: delivered by pull = %v, want %v", c.name, st.pull, c.pull)
+		}
+		if !c.pull {
+			continue
+		}
+		push := r.newExecState(c.shards)
+		c.fill(push)
+		push.deliverReliable()
+		if st.res != push.res || st.sent != push.sent {
+			t.Fatalf("%s: pull counters %+v (sent %d), push %+v (sent %d)", c.name, st.res, st.sent, push.res, push.sent)
+		}
+		for v := 0; v < g.N(); v++ {
+			got := st.pullInbox(st.ctxs[v].shard, g.Neighbors(v))
+			if want := push.inbox(v); !slices.Equal(got, want) {
+				t.Fatalf("%s: vertex %d pulled inbox %v, push inbox %v", c.name, v, got, want)
+			}
+		}
 	}
 }

@@ -19,15 +19,18 @@
 //  1. each node owns a private RNG stream split from the run seed by
 //     vertex ID (splitting is a pure function, so creation order is
 //     irrelevant);
-//  2. every driver materializes outgoing messages in ascending sender-ID
-//     order — within a shard nodes are swept in ID order, and shards
-//     cover contiguous ID ranges merged in shard order — so inboxes are
-//     sorted by sender without any per-round sort. A shard outbox holds
-//     one record per send call: a Broadcast is a single record that
-//     every delivery pass expands over the sender's CSR row, in row
-//     order, at the record's place in the outbox, so the message order
-//     is exactly (sender ID, send call, neighbor) — what one Send per
-//     neighbor would give; and
+//  2. every driver builds each inbox in ascending sender-ID order — within
+//     a shard nodes are swept in ID order, and shards cover contiguous ID
+//     ranges visited in shard order — so no inbox needs a per-round sort.
+//     A shard outbox holds one record per send call; a Broadcast is a
+//     single record. A reliable in-process round in which every sender
+//     made exactly one call, a Broadcast, is delivered by pull: the next
+//     sweep builds each live vertex's inbox from its own CSR row, keeping
+//     the neighbors that broadcast. Every other round is delivered by
+//     push: the records are scattered into an inbox arena in outbox order,
+//     a Broadcast expanded over the sender's CSR row at its place. Both
+//     give the message order (sender ID, send call, neighbor) — what one
+//     Send per neighbor would give; and
 //  3. fault-injection decisions (the faultsim.Plan consults, including any
 //     random draws) happen on the coordinator during delivery, in that
 //     same global sender order, from a dedicated fault stream.
@@ -53,7 +56,8 @@ import (
 
 // Message is a wire payload annotated with its sender's vertex ID. It is
 // a plain value (no pointers): messages move from shard outboxes into the
-// round's inbox arena by value copy, with zero heap traffic.
+// round's inboxes — the push arena or a shard's pull scratch — by value
+// copy, with zero heap traffic.
 type Message struct {
 	From int
 	Wire Wire
@@ -61,8 +65,10 @@ type Message struct {
 
 // Node is one vertex's state machine. Init runs before round 1 and may
 // send messages (delivered in round 1). Round runs once per round with the
-// messages delivered this round. A node that calls Context.Halt receives no
-// further Round calls.
+// messages delivered this round. The inbox is only valid during the call:
+// pull delivery builds it in a scratch slice that the shard reuses for its
+// next vertex. A node that calls Context.Halt receives no further Round
+// calls.
 type Node interface {
 	Init(ctx *Context)
 	Round(ctx *Context, inbox []Message)
@@ -85,8 +91,8 @@ type Context struct {
 }
 
 // addressed is one outbox record: a message to one neighbor, or — when to
-// is broadcastTo — one Broadcast call, which delivery expands over the
-// sender's CSR row.
+// is broadcastTo — one Broadcast call, which push delivery expands over
+// the sender's CSR row.
 type addressed struct {
 	to  int
 	msg Message
@@ -151,11 +157,12 @@ func (c *Context) SendSlot(i int, w Wire) {
 }
 
 // Broadcast queues a message to every neighbor for delivery next round.
-// It costs one outbox record however large the degree: delivery expands
-// the record over the sender's neighbor list, in list order, at the
-// record's place in the outbox — the order a SendSlot loop over
-// Neighbors() would produce, so the two are indistinguishable to every
-// receiver. A vertex with no neighbors sends nothing.
+// It costs one outbox record however large the degree, and every neighbor
+// receives it at the record's place in sender order — where a SendSlot
+// loop over Neighbors() would have put it, so the two are
+// indistinguishable to every receiver. A round in which every sender
+// makes one Broadcast and nothing else is delivered by pull (see
+// deliver). A vertex with no neighbors sends nothing.
 //
 //congest:hotpath
 func (c *Context) Broadcast(w Wire) {
@@ -190,7 +197,23 @@ func (c *Context) enqueue(to int, w Wire) {
 		return
 	}
 	sh := c.shard
+	if len(sh.out) == cap(sh.out) {
+		sh.growOutbox()
+	}
 	sh.out = append(sh.out, addressed{to: to, msg: Message{From: c.id, Wire: w}})
+}
+
+// growOutbox replaces a full shard outbox with a larger copy. The first
+// overflow goes in one step to the range's degree sum, the CONGEST bound
+// of one message per edge, which a program of per-neighbor sends (forest
+// orientation, say) reaches; append would climb there in 1.25× steps. A
+// program past that bound doubles from there.
+//
+//congest:coldpath
+func (sh *shard) growOutbox() {
+	out := make([]addressed, len(sh.out), max(sh.bound, 2*cap(sh.out)))
+	copy(out, sh.out)
+	sh.out = out
 }
 
 // Halt marks this node finished. Messages queued in the same call are still
@@ -387,20 +410,13 @@ type shard struct {
 	frontier  []uint64      // live bitset over [lo, hi); word 0 starts at (lo>>6)<<6
 	liveCount int           // set bits in frontier (O(1) empty-shard skip)
 	out       []addressed   // records sent during the sweep (see sizeOutboxes)
+	bound     int           // degree sum of [lo, hi): growOutbox's first target
+	inbox     []Message     // pull-round inbox scratch, as long as the range's widest row
 	events    []trace.Event // program/halt events buffered during the sweep
 	err       error         // first model violation by a node of this shard
 	busy      int64         // sweep duration in nanoseconds, when timing is on
 	round     int           // round being swept (0 = Init)
 	halting   bool          // set by Context.Halt during a node call; the sweep consumes it
-
-	// Parallel-merge scratch, owned by this shard in its destination role
-	// (the inboxes of [lo, hi)): the messages addressed into the range, the
-	// arena offset where its inbox region starts, and the region's bit
-	// tallies, folded into Result by the coordinator in shard order.
-	mergeCount int
-	mergeBase  int
-	mergeBits  int64
-	mergeMax   int
 }
 
 // execState is the driver-independent bookkeeping for a run.
@@ -412,15 +428,24 @@ type execState struct {
 	ctxs   []Context
 	shards []*shard
 
-	// The flat inbox arena: one contiguous backing store for all of the
-	// round's inboxes, sized by a counting pass over the shard outboxes
-	// and reused across rounds (it only grows, so steady-state rounds
-	// allocate nothing). Vertex v's inbox is arena[inboxOff[v] :
+	// Push delivery's flat inbox arena: one contiguous backing store for
+	// all of the round's inboxes, sized by a counting pass over the shard
+	// outboxes and reused across rounds (it only grows, so steady-state
+	// rounds allocate nothing). Vertex v's inbox is arena[inboxOff[v] :
 	// inboxOff[v]+inboxLen[v]] — inboxes are laid out in ascending vertex
 	// order, so the sweep reads the arena sequentially.
 	arena    []Message
 	inboxOff []int // vertex -> arena offset of its inbox
 	inboxLen []int // vertex -> messages delivered this round (write cursor)
+
+	// Pull delivery's state (see deliverPull): pull reports that the round
+	// the next sweep consumes was delivered by pull, senders flags that
+	// round's senders (one bit per vertex) and wires[v] holds sender v's
+	// Broadcast payload. senders and wires exist only in a reliable
+	// in-process run, the only kind that pulls.
+	pull    bool
+	senders []uint64
+	wires   []Wire
 
 	live      int
 	res       Result
@@ -431,12 +456,6 @@ type execState struct {
 	sent      int64               // messages handed to delivery, any fate
 	observed  int64               // sends already reported on the bus
 
-	// parallel, set by the pool driver on a reliable network when every
-	// worker can have a CPU of its own (see runPool), runs one merge phase
-	// (cmdCount or cmdScatter, see mergePhase) for every shard's
-	// destination range on the pool workers and waits; nil means the
-	// coordinator merges [0, n) as a single range.
-	parallel   func(cmd int)
 	scratch    []uint64 // whole-graph frontier gather space for rebalancing
 	rebalances int64    // rebalance count over the run
 
@@ -485,6 +504,8 @@ func (r *Runner) newExecState(numShards int) *execState {
 	}
 	if st.plan != nil {
 		st.faults = root.Split(^uint64(0))
+	} else if !st.remote {
+		st.senders, st.wires = make([]uint64, (n+63)>>6), make([]Wire, n)
 	}
 	r.traced = st.bus != nil
 	for s := range st.shards {
@@ -512,41 +533,49 @@ func (r *Runner) newExecState(numShards int) *execState {
 }
 
 // sizeOutboxes carves every shard outbox from the run's single backing
-// array. An outbox holds send calls, not messages, and a vertex that
-// broadcasts once per round — every program on the paper's path — makes
-// one call, so an in-process shard reserves one record per vertex of its
-// range: the shard ranges partition [0, n), and shard [lo, hi) owns
-// outbox[lo:hi]. The distributed coordinator refills its outboxes from
-// per-message packets instead, so there each shard reserves the CONGEST
-// bound of one message per incident edge, its degree sum, carved from a
-// 2m-entry array. Set-up calls sizeOutboxes once; the rebalancer calls it
-// again after re-cutting the shard ranges (outboxes are empty between
-// rounds), so the reservation always matches the current partition and
-// re-carving never allocates. Every outbox is capped with a three-index
-// slice: a program that makes more send calls than reserved grows its own
-// shard's outbox by an ordinary append and never writes into a neighbor's
-// range.
+// array and sizes every shard's pull scratch. An outbox holds send calls,
+// not messages, and a vertex that broadcasts once per round — every
+// program on the paper's path — makes one call, so an in-process shard
+// reserves one record per vertex of its range: the shard ranges partition
+// [0, n), and shard [lo, hi) owns outbox[lo:hi]. The distributed
+// coordinator refills its outboxes from per-message packets instead, so
+// there each shard reserves the CONGEST bound of one message per incident
+// edge, its degree sum, carved from a 2m-entry array. Set-up calls
+// sizeOutboxes once; the rebalancer calls it again after re-cutting the
+// shard ranges (outboxes are empty between rounds), so the reservation
+// always matches the current partition. Every outbox is capped with a
+// three-index slice: a program that makes more send calls than reserved
+// grows its own shard's outbox (growOutbox) and never writes into a
+// neighbor's range. A pull inbox holds at most one message per neighbor,
+// so an in-process shard's scratch is as long as its range's widest row;
+// it only grows, so re-carving allocates only when a re-cut range holds a
+// wider row than the shard has seen.
 func (st *execState) sizeOutboxes() {
 	off := 0
 	for _, sh := range st.shards {
+		var widest int
+		sh.bound, widest = rowStats(st.ctxs[sh.lo:sh.hi])
 		c := sh.hi - sh.lo
 		if st.remote {
-			c = roundBound(st.ctxs[sh.lo:sh.hi])
+			c = sh.bound
+		} else if len(sh.inbox) < widest {
+			sh.inbox = make([]Message, widest)
 		}
 		sh.out = st.outbox[off : off : off+c]
 		off += c
 	}
 }
 
-// roundBound is the most messages a run of contexts can send, or receive,
-// in one round under CONGEST's one message per edge per direction: their
-// degree sum.
-func roundBound(ctxs []Context) int {
-	sum := 0
+// rowStats returns the degree sum of a run of contexts — the most messages
+// they can send, or receive, in one round under CONGEST's one message per
+// edge per direction — and their largest degree.
+func rowStats(ctxs []Context) (sum, widest int) {
 	for i := range ctxs {
-		sum += len(ctxs[i].neighbors)
+		d := len(ctxs[i].neighbors)
+		sum += d
+		widest = max(widest, d)
 	}
-	return sum
+	return sum, widest
 }
 
 // sweepShard runs one round for every live node of a shard, in ascending
@@ -583,9 +612,12 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 				}
 			}
 			ctx := &st.ctxs[v]
-			if round == 0 {
+			switch {
+			case round == 0:
 				r.nodes[v].Init(ctx)
-			} else {
+			case st.pull:
+				r.nodes[v].Round(ctx, st.pullInbox(sh, ctx.neighbors))
+			default:
 				r.nodes[v].Round(ctx, st.inbox(v))
 			}
 			if sh.halting {
@@ -602,10 +634,10 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 	}
 }
 
-// inbox returns vertex v's slice of the round's arena. The three-index
-// form caps the slice at its own segment, so a program that (incorrectly)
-// appends to its inbox forces a copy instead of corrupting a neighbor's
-// inbox.
+// inbox returns vertex v's slice of the round's arena after push delivery.
+// The three-index form caps the slice at its own segment, so a program
+// that (incorrectly) appends to its inbox forces a copy instead of
+// corrupting a neighbor's inbox.
 //
 //congest:hotpath
 func (st *execState) inbox(v int) []Message {
@@ -614,19 +646,45 @@ func (st *execState) inbox(v int) []Message {
 	return st.arena[off:end:end]
 }
 
-// deliver merges every shard's outbox into the next round's inboxes,
+// pullInbox builds a live vertex's inbox after pull delivery, in its
+// shard's scratch: the vertex's CSR row filtered to the neighbors flagged
+// as senders, each with its wire. The row is ascending, so the inbox holds
+// one message per sender in sender order — the inbox push delivery would
+// have scattered.
+//
+//congest:hotpath
+func (st *execState) pullInbox(sh *shard, row []int) []Message {
+	buf, k := sh.inbox, 0
+	for _, u := range row {
+		if st.senders[u>>6]&(1<<(uint(u)&63)) != 0 {
+			buf[k] = Message{From: u, Wire: st.wires[u]}
+			k++
+		}
+	}
+	return buf[:k:k]
+}
+
+// deliver hands every shard's outbox to the next round's inboxes,
 // applying the fault plan and accounting. round is the round that was just
 // swept (the send round); its messages are consumed in round+1. It returns
 // the first model violation recorded by any shard (shards cover ascending
 // contiguous ID ranges and sweep in ID order, so the reported error is the
 // lowest erring vertex's under every driver).
 //
-// Delivery is a two-pass scatter into the flat inbox arena. The counting
-// pass upper-bounds each vertex's inbox (delayed messages due this round
-// plus every outbox message addressed to it — drops only shorten a
-// segment, never misplace one) and lays the inboxes out back-to-back via
-// a prefix sum. The delivery pass then writes each admitted message at
-// its recipient's cursor. Both passes expand a Broadcast record over the
+// The round's outbox shape picks the delivery, round by round. A reliable
+// in-process round of exactly one Broadcast per sender goes by pull
+// (deliverPull): the coordinator flags the senders, and the next sweep
+// builds each live vertex's inbox from its own row. Every other round goes
+// by push: per-neighbor sends, a sender with two calls, a silent round,
+// and every round of a faulted run or of the distributed coordinator,
+// whose RoundInput ships the arena layout.
+//
+// Push is a two-pass scatter into the flat inbox arena. The counting pass
+// upper-bounds each vertex's inbox (delayed messages due this round plus
+// every outbox message addressed to it — drops only shorten a segment,
+// never misplace one) and lays the inboxes out back-to-back via a prefix
+// sum. The delivery pass then writes each admitted message at its
+// recipient's cursor. Both passes expand a Broadcast record over the
 // sender's neighbor list in list order, at the record's place in the
 // outbox, so every pass sees the messages in (sender ID, send call,
 // neighbor) order — the order per-neighbor sends would have produced.
@@ -649,10 +707,13 @@ func (r *Runner) deliver(st *execState, round int) error {
 		}
 	}
 	st.drainShardEvents()
-	if st.plan == nil {
-		st.deliverReliable()
-	} else {
-		st.deliverFaulted(round)
+	st.pull = st.senders != nil && st.deliverPull()
+	if !st.pull {
+		if st.plan == nil {
+			st.deliverReliable()
+		} else {
+			st.deliverFaulted(round)
+		}
 	}
 	for _, sh := range st.shards {
 		sh.out = sh.out[:0]
@@ -660,78 +721,64 @@ func (r *Runner) deliver(st *execState, round int) error {
 	return nil
 }
 
-// parallelMergeMin is the outbox volume (send calls in the round) below
-// which a pool run merges on the coordinator rather than dispatching the
-// two merge phases to the workers: under it, the channel round-trips cost
-// more than the per-message work they would split. It sits at the
-// measured crossover for broadcasts of mean degree 8 on two workers
-// (EXPERIMENTS.md E19): the split merge took 1.2–2.1× the single-range
-// time at 512–1024 calls, 0.91–1.10× at 1536–2048, 0.76–0.88× from 3072.
-const parallelMergeMin = 1 << 11
+// deliverPull delivers the round by pull if its outboxes have the shape
+// pull needs: at least one record, every record a Broadcast, and senders
+// strictly ascending across the shard outboxes in shard order, so each
+// sender made exactly one call. It flags each sender, parks the sender's
+// wire in its slot and accounts deg(sender) messages exactly as push
+// would: O(records) work plus clearing an n-bit bitset. On any other
+// shape it reports false and push delivery runs; the flags it set before
+// it stopped are never read, since the next pull round clears them first.
+//
+//congest:hotpath
+func (st *execState) deliverPull() bool {
+	clear(st.senders)
+	prev := -1
+	var total, maxBits int
+	var totalBits int64
+	for _, sh := range st.shards {
+		for _, a := range sh.out {
+			u := a.msg.From
+			if a.to != broadcastTo || u <= prev {
+				return false
+			}
+			prev = u
+			st.senders[u>>6] |= 1 << (uint(u) & 63)
+			st.wires[u] = a.msg.Wire
+			deg, bits := st.g.Degree(u), int(a.msg.Wire.Bits)
+			total += deg
+			totalBits += int64(deg * bits)
+			maxBits = max(maxBits, bits)
+		}
+	}
+	if prev < 0 {
+		return false // a silent round: push gives each empty inbox in O(1), not a row scan
+	}
+	st.account(total, totalBits, maxBits)
+	return true
+}
 
-// Merge phases the pool driver runs on its workers (see mergePhase). They
-// travel on the workers' start channels, where rounds are >= 0, so the
-// values cannot collide with a sweep command.
-const (
-	cmdCount   = -1
-	cmdScatter = -2
-)
-
-// deliverReliable is delivery on a reliable network: every message is
-// admitted, so the merge is count, prefix sum, scatter. When runPool has
-// set st.parallel, a round of at least parallelMergeMin send calls splits
-// by destination: each worker counts the messages addressed into its
-// shard's vertex range, the coordinator lays out the regions back-to-back
-// in shard order, and each worker scatters its range.
-// Regions are disjoint in the arena and in inboxOff/inboxLen (the shard
-// ranges partition [0, n)), so the workers never race, and every inbox
-// gets the same messages in the same order as the single-range merge the
-// other drivers run over [0, n).
+// deliverReliable is push delivery on a reliable network: every message is
+// admitted, so the merge is count, prefix sum, scatter.
 //
 //congest:hotpath
 func (st *execState) deliverReliable() {
-	records := 0
-	for _, sh := range st.shards {
-		records += len(sh.out)
-	}
-	var total, maxBits int
-	var totalBits int64
-	if st.parallel != nil && records >= parallelMergeMin {
-		st.parallel(cmdCount)
-		for _, sh := range st.shards {
-			sh.mergeBase = total
-			total += sh.mergeCount
-		}
-		st.sizeArena(total)
-		st.parallel(cmdScatter)
-		for _, sh := range st.shards {
-			totalBits += sh.mergeBits
-			maxBits = max(maxBits, sh.mergeMax)
-		}
-	} else {
-		n := len(st.ctxs)
-		total = st.count(0, n)
-		st.sizeArena(total)
-		st.layout(0, n, 0)
-		totalBits, maxBits = st.scatter(0, n)
-	}
+	total := st.count()
+	st.sizeArena(total)
+	st.layout()
+	totalBits, maxBits := st.scatter()
+	st.account(total, totalBits, maxBits)
+}
+
+// account folds a reliable round's delivered messages into the run
+// counters: every message sent is delivered.
+//
+//congest:hotpath
+func (st *execState) account(total int, totalBits int64, maxBits int) {
 	st.sent += int64(total)
 	st.res.Messages += int64(total)
 	st.res.TotalBits += totalBits
 	st.res.MaxMessageBits = max(st.res.MaxMessageBits, maxBits)
-}
-
-// mergePhase runs one phase of the parallel merge for the destination
-// range of shard sh, on the worker that owns sh.
-//
-//congest:hotpath
-func (st *execState) mergePhase(sh *shard, cmd int) {
-	if cmd == cmdCount {
-		sh.mergeCount = st.count(sh.lo, sh.hi)
-		return
-	}
-	st.layout(sh.lo, sh.hi, sh.mergeBase)
-	sh.mergeBits, sh.mergeMax = st.scatter(sh.lo, sh.hi)
 }
 
 // deliverFaulted is delivery under a fault plan: the count pass bounds
@@ -745,13 +792,12 @@ func (st *execState) deliverFaulted(round int) {
 	if st.delayed != nil {
 		delayedNow = st.delayed[consume]
 	}
-	n := len(st.ctxs)
-	total := st.count(0, n) + len(delayedNow)
+	total := st.count() + len(delayedNow)
 	for _, a := range delayedNow {
 		st.inboxLen[a.to]++
 	}
 	st.sizeArena(total)
-	st.layout(0, n, 0)
+	st.layout()
 
 	// Delayed messages first, then fresh traffic in shard (= global
 	// sender) order.
@@ -823,65 +869,23 @@ func (st *execState) sizeArena(total int) {
 	}
 }
 
-// clip narrows a sorted neighbor row to the recipients in [lo, hi), by
-// binary search at each end that falls outside the range. Callers test
-// the row's ends first: a row inside the range — every row of a
-// single-range merge — needs no search.
+// count is push delivery's counting pass: it sets inboxLen[v] to the
+// number of outbox messages addressed to each vertex v and returns their
+// total. A Broadcast record counts once per neighbor of its sender.
 //
 //congest:hotpath
-func clip(row []int, lo, hi int) []int {
-	if row[0] < lo {
-		row = row[lowerBound(row, lo):]
-	}
-	if len(row) > 0 && row[len(row)-1] >= hi {
-		row = row[:lowerBound(row, hi)]
-	}
-	return row
-}
-
-// lowerBound returns the index of the first element of the sorted row
-// that is at least x (len(row) when there is none).
-//
-//congest:hotpath
-func lowerBound(row []int, x int) int {
-	i, j := 0, len(row)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if row[h] < x {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// count is the counting pass of a merge over the recipients in [lo, hi):
-// it sets inboxLen[v] to the number of outbox messages addressed to each v
-// in the range and returns their total. A Broadcast record counts once per
-// neighbor of its sender inside the range. The pass reads every shard's
-// outbox, so its cost is O(records + messages in the range).
-//
-//congest:hotpath
-func (st *execState) count(lo, hi int) int {
+func (st *execState) count() int {
 	cnt := st.inboxLen
-	clear(cnt[lo:hi])
+	clear(cnt)
 	total := 0
 	for _, sh := range st.shards {
 		for _, a := range sh.out {
 			if a.to != broadcastTo {
-				if lo <= a.to && a.to < hi {
-					cnt[a.to]++
-					total++
-				}
+				cnt[a.to]++
+				total++
 				continue
 			}
-			// Broadcast records come from senders with at least one
-			// neighbor, so the row is never empty.
 			row := st.g.Neighbors(a.msg.From)
-			if row[0] < lo || row[len(row)-1] >= hi {
-				row = clip(row, lo, hi)
-			}
 			for _, q := range row {
 				cnt[q]++
 			}
@@ -891,46 +895,36 @@ func (st *execState) count(lo, hi int) int {
 	return total
 }
 
-// layout turns the counts of [lo, hi) into inbox offsets laid out
-// back-to-back from arena offset base, and resets the write cursors.
+// layout turns the counts into inbox offsets laid out back-to-back from
+// the start of the arena, and resets the write cursors.
 //
 //congest:hotpath
-func (st *execState) layout(lo, hi, base int) {
-	off := base
-	for v := lo; v < hi; v++ {
+func (st *execState) layout() {
+	off := 0
+	for v, c := range st.inboxLen {
 		st.inboxOff[v] = off
-		off += st.inboxLen[v]
+		off += c
 		st.inboxLen[v] = 0
 	}
 }
 
-// scatter is the delivery pass of a reliable merge over the recipients in
-// [lo, hi): it writes each message addressed into the range at its
-// recipient's cursor, visiting the outboxes in shard order and expanding
-// Broadcast records as count does, and returns the range's payload bit
-// total and largest payload.
+// scatter is push delivery's writing pass on a reliable network: it
+// writes each message at its recipient's cursor, visiting the outboxes in
+// shard order and expanding Broadcast records as count does, and returns
+// the round's payload bit total and largest payload.
 //
 //congest:hotpath
-func (st *execState) scatter(lo, hi int) (totalBits int64, maxBits int) {
+func (st *execState) scatter() (totalBits int64, maxBits int) {
 	arena, off, cur := st.arena, st.inboxOff, st.inboxLen
 	for _, sh := range st.shards {
 		for _, a := range sh.out {
 			bits := int(a.msg.Wire.Bits)
 			if a.to != broadcastTo {
-				if a.to < lo || a.to >= hi {
-					continue
-				}
 				arena[off[a.to]+cur[a.to]] = a.msg
 				cur[a.to]++
 				totalBits += int64(bits)
 			} else {
 				row := st.g.Neighbors(a.msg.From)
-				if row[0] < lo || row[len(row)-1] >= hi {
-					row = clip(row, lo, hi)
-				}
-				if len(row) == 0 {
-					continue
-				}
 				for _, q := range row {
 					arena[off[q]+cur[q]] = a.msg
 					cur[q]++

@@ -256,7 +256,7 @@ func (d *distRun) start() error {
 			// Faulted rounds compact the shard's admitted inboxes here: at
 			// most one fresh message per incident edge (messages a plan
 			// delayed into the same round grow the buffer by append).
-			d.bufs[s] = make([]Message, 0, roundBound(d.st.ctxs[sh.lo:sh.hi]))
+			d.bufs[s] = make([]Message, 0, sh.bound)
 		}
 	}
 	return nil
@@ -652,8 +652,9 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 	// The outbox holds send calls, one per vertex for a broadcast-only
 	// program; the packet export expands broadcasts to one packet per
 	// neighbor, so it is reserved at the CONGEST bound, the degree sum.
+	w.sh.bound, _ = rowStats(w.ctxs)
 	w.sh.out = make([]addressed, 0, width)
-	w.pkts = make([]Packet, 0, roundBound(w.ctxs))
+	w.pkts = make([]Packet, 0, w.sh.bound)
 	return w, nil
 }
 

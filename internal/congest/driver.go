@@ -32,12 +32,11 @@ func (o Options) WorkerCount(n int) int {
 // long-lived workers each own one contiguous vertex shard and sweep its
 // live nodes every round, with a channel barrier per round (two channel
 // operations per worker per round). Delivery happens on the coordinator
-// between rounds — except that on a reliable network, with no more
-// workers than CPUs, the merge splits by destination range
-// (deliverReliable) and ships its count and scatter phases back to these
-// same workers when volume is high. Between rounds the coordinator may
-// also re-cut the shard ranges by live weight (rebalance.go); workers
-// always sweep st.shards[s], whose range the rebalancer updates in place.
+// between rounds; after a pull round (deliverPull) the coordinator has
+// only flagged the senders, and each worker builds its own vertices'
+// inboxes inside the sweep. Between rounds the coordinator may also re-cut
+// the shard ranges by live weight (rebalance.go); workers always sweep
+// st.shards[s], whose range the rebalancer updates in place.
 func (r *Runner) runPool() (Result, error) {
 	n := r.g.N()
 	workers := r.opts.WorkerCount(n)
@@ -56,18 +55,13 @@ func (r *Runner) runPool() (Result, error) {
 		//lint:advisory shard workers are deterministic by construction: shard-ordered merge makes scheduling invisible (see package doc)
 		go func(sh *shard, start chan int) {
 			defer wg.Done()
-			for cmd := range start {
-				if cmd < 0 {
-					st.mergePhase(sh, cmd)
-					done <- struct{}{}
-					continue
-				}
+			for round := range start {
 				if timed {
 					t0 := time.Now() //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
-					r.sweepShard(st, sh, cmd)
+					r.sweepShard(st, sh, round)
 					sh.busy = int64(time.Since(t0)) //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
 				} else {
-					r.sweepShard(st, sh, cmd)
+					r.sweepShard(st, sh, round)
 				}
 				done <- struct{}{}
 			}
@@ -79,30 +73,6 @@ func (r *Runner) runPool() (Result, error) {
 		}
 		wg.Wait()
 	}()
-
-	// Parallel merge hook for deliverReliable: one merge phase per shard,
-	// dispatched to every worker (an empty-frontier shard still owns its
-	// destination inbox range) and awaited before delivery continues.
-	// deliver runs strictly between sweep barriers, so the done channel is
-	// empty when this fires. Fault draws need the single global send
-	// order, so faulted runs merge on the coordinator. Every worker reads
-	// every outbox record, so the split only pays when each worker has a
-	// CPU of its own: with more workers than CPUs the redundant record
-	// scans queue for the same cores, and the coordinator merges alone
-	// (EXPERIMENTS.md E19). phases counts the dispatches for the round's
-	// merge event.
-	phases := 0
-	if workers > 1 && workers <= runtime.NumCPU() && st.plan == nil {
-		st.parallel = func(cmd int) {
-			phases++
-			for _, start := range starts {
-				start <- cmd
-			}
-			for range starts {
-				<-done
-			}
-		}
-	}
 
 	// The barrier: every worker with live nodes sweeps, the coordinator
 	// waits for exactly those. Shards whose frontier has drained get no
@@ -137,7 +107,7 @@ func (r *Runner) runPool() (Result, error) {
 
 	// Timing plumbing: wrap deliver timing around the coordinator's merge
 	// and publish one shard-busy event per shard plus the merge duration
-	// on the event bus, ahead of the round-end record.
+	// and delivery path on the event bus, ahead of the round-end record.
 	var mergeStart time.Time
 	timedSweep := func(round int) {
 		sweep(round)
@@ -154,8 +124,11 @@ func (r *Runner) runPool() (Result, error) {
 				Y:     int64(sh.liveCount),
 			})
 		}
-		st.bus.Emit(trace.Event{Type: trace.EvMerge, Round: int32(round), X: int64(merge), Y: int64(phases)})
-		phases = 0
+		pulled := int64(0)
+		if st.pull {
+			pulled = 1
+		}
+		st.bus.Emit(trace.Event{Type: trace.EvMerge, Round: int32(round), X: int64(merge), Y: pulled})
 	}
 	return r.runLoop(st, timedSweep, afterRound)
 }

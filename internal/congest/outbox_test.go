@@ -15,7 +15,9 @@ import (
 // one record per vertex of its range — a broadcast-only program never
 // outgrows it — while buffers filled per message (the distributed
 // coordinator's outboxes, a worker's packet export) reserve the CONGEST
-// bound of one message per directed edge per round.
+// bound of one message per directed edge per round. A program that makes
+// more send calls than reserved grows a full outbox in one step to that
+// same bound.
 
 // degreeSum returns the directed edges leaving the vertex range [lo, hi).
 func degreeSum(g *graph.Graph, lo, hi int) int {
@@ -153,13 +155,14 @@ func (p *priorityMIS) ExportState() uint64 {
 
 func (p *priorityMIS) ImportState(x uint64) { p.inMIS = x == 1 }
 
-// runShards runs priorityMIS on g and returns the run's shards (collected
-// from the nodes) and the number of rebalances it performed.
-func runShards(t *testing.T, g *graph.Graph, opts Options) ([]*shard, int64) {
+// runShards runs priorityMIS, configured as node, on g and returns the
+// run's shards (collected from the nodes) and the number of rebalances it
+// performed.
+func runShards(t *testing.T, g *graph.Graph, opts Options, node priorityMIS) ([]*shard, int64) {
 	t.Helper()
 	rebalances := int64(0)
 	opts.Events = countingSink{rec: trace.NewRecorder(0), rebalances: &rebalances}
-	r := NewRunner(g, func(int) Node { return &priorityMIS{} }, opts)
+	r := NewRunner(g, func(int) Node { p := node; return &p }, opts)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +207,7 @@ func TestOutboxCapsStableOverRun(t *testing.T) {
 	}
 	for _, c := range cases {
 		c.opts.Seed = 6
-		shards, rebalances := runShards(t, g, c.opts)
+		shards, rebalances := runShards(t, g, c.opts, priorityMIS{})
 		if len(shards) != c.shards {
 			t.Fatalf("%s: collected %d shards, want %d", c.name, len(shards), c.shards)
 		}
@@ -214,6 +217,42 @@ func TestOutboxCapsStableOverRun(t *testing.T) {
 		for s, sh := range shards {
 			if cap(sh.out) != sh.hi-sh.lo {
 				t.Fatalf("%s: shard %d [%d, %d) ended the run at cap %d, reserved %d", c.name, s, sh.lo, sh.hi, cap(sh.out), sh.hi-sh.lo)
+			}
+		}
+	}
+}
+
+// TestOutboxGrowsToDegreeSum runs priorityMIS as SendSlot loops, one
+// record per edge, which overflows the one-record-per-vertex reservation
+// in round 0. Each full shard outbox must grow in one step to its range's
+// degree sum and end the run at exactly that capacity; when the program
+// sends every message twice, the outbox must double once more, to twice
+// the degree sum.
+func TestOutboxGrowsToDegreeSum(t *testing.T) {
+	g := gen.PreferentialAttachment(1<<12, 4, rng.New(9))
+	cases := []struct {
+		name   string
+		opts   Options
+		shards int
+	}{
+		{"sequential", Options{Driver: DriverSequential}, 1},
+		{"pool-4", Options{Driver: DriverPool, Workers: 4}, 4},
+	}
+	for _, c := range cases {
+		for _, double := range []bool{false, true} {
+			c.opts.Seed = 12
+			shards, rebalances := runShards(t, g, c.opts, priorityMIS{slots: true, double: double})
+			if len(shards) != c.shards || rebalances != 0 {
+				t.Fatalf("%s: %d shards and %d rebalances, want %d shards and no re-carve", c.name, len(shards), rebalances, c.shards)
+			}
+			for s, sh := range shards {
+				want := degreeSum(g, sh.lo, sh.hi)
+				if double {
+					want *= 2
+				}
+				if cap(sh.out) != want {
+					t.Fatalf("%s (double %v): shard %d [%d, %d) ended the run at cap %d, want %d", c.name, double, s, sh.lo, sh.hi, cap(sh.out), want)
+				}
 			}
 		}
 	}

@@ -56,8 +56,8 @@ func (st *execState) maybeRebalance(round int) {
 // re-cuts it into contiguous ranges of near-equal popcount, on word (64
 // vertex) boundaries so the per-shard frontiers are copied word-for-word.
 // Word-aligned cuts bound the imbalance at 64 vertices per boundary —
-// noise against the rebalanceMinPerShard floor. The outboxes are then
-// re-carved for the new ranges.
+// noise against the rebalanceMinPerShard floor. The outboxes and pull
+// scratch are then re-sized for the new ranges.
 func (st *execState) rebalance(round, total int) {
 	n := len(st.ctxs)
 	numShards := len(st.shards)
@@ -81,7 +81,7 @@ func (st *execState) rebalance(round, total int) {
 	// where the running count reaches s's cumulative target. Cuts are
 	// monotone (targets are), every shard gets a valid possibly-empty
 	// range, and the last shard always closes at n so the ranges partition
-	// [0, n) — the parallel merge's region layout depends on that.
+	// [0, n) — every vertex keeps exactly one owning shard.
 	lo := 0
 	seen := 0
 	word := 0

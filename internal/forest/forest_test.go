@@ -264,3 +264,27 @@ func TestForestsUsableByColeVishkin(t *testing.T) {
 		t.Fatalf("parent links %d != edges %d", total, g.M())
 	}
 }
+
+// BenchmarkDecompose measures one Decompose of a union of 3 random trees
+// at n = 2^16 under the sequential driver and the pool at 2 workers. Its
+// orientation round is one SendSlot call per out-edge, about m outbox
+// records against the n a run reserves, so it is the standing measure of
+// push delivery and of the outbox's growth step; run with -benchmem.
+func BenchmarkDecompose(b *testing.B) {
+	g := gen.UnionOfTrees(1<<16, 3, rng.New(7))
+	for _, c := range []struct {
+		name string
+		opts congest.Options
+	}{
+		{"sequential", congest.Options{Seed: 1}},
+		{"pool-2", congest.Options{Seed: 1, Driver: congest.DriverPool, Workers: 2}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Decompose(g, 3, c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -65,8 +65,8 @@ func mutate(t *testing.T, path, anchor, replacement string) {
 
 // TestSeededViolations re-seeds the two regressions the interprocedural
 // analyzers exist to prevent into a copy of the real module and asserts
-// misvet's suite catches both: an allocation in the hot-path merge
-// scatter, and an engine RNG draw inside a pool worker goroutine.
+// misvet's suite catches both: an allocation in the hot-path pull inbox
+// builder, and an engine RNG draw inside a pool worker goroutine.
 // The module is clean before seeding (TestModuleClean), so every finding
 // here is mutation-caused.
 func TestSeededViolations(t *testing.T) {
@@ -75,17 +75,17 @@ func TestSeededViolations(t *testing.T) {
 	}
 	root := copyModule(t)
 
-	// Seed A: allocate in scatter, a //congest:hotpath function every
-	// reliable round runs, once per destination range.
+	// Seed A: allocate in pullInbox, a //congest:hotpath function every
+	// pull round runs once per live vertex.
 	mutate(t, filepath.Join(root, "internal/congest/congest.go"),
-		"func (st *execState) scatter(lo, hi int) (totalBits int64, maxBits int) {",
-		"func (st *execState) scatter(lo, hi int) (totalBits int64, maxBits int) {\n\t_ = make([]int, lo)")
+		"func (st *execState) pullInbox(sh *shard, row []int) []Message {",
+		"func (st *execState) pullInbox(sh *shard, row []int) []Message {\n\t_ = make([]int, len(row))")
 
 	// Seed B: draw from the coordinator-owned fault stream inside a pool
 	// worker goroutine — randomness consumed in scheduling order.
 	mutate(t, filepath.Join(root, "internal/congest/driver.go"),
-		"for cmd := range start {",
-		"for cmd := range start {\n\t\t\t\t_ = st.faults.Uint64()")
+		"for round := range start {",
+		"for round := range start {\n\t\t\t\t_ = st.faults.Uint64()")
 
 	m, err := LoadModule(root)
 	if err != nil {

@@ -161,3 +161,27 @@ func TestMessageBitsConstant(t *testing.T) {
 		t.Fatalf("max bits %d", res.MaxMessageBits)
 	}
 }
+
+// BenchmarkRun measures one maximal-matching Run on a preferential-
+// attachment graph (n = 2^16, 4 edges per arrival) under the sequential
+// driver and the pool at 2 workers. Its proposal and acceptance rounds are
+// SendSlot and Send calls, so it is a standing measure of push delivery;
+// run with -benchmem.
+func BenchmarkRun(b *testing.B) {
+	g := gen.PreferentialAttachment(1<<16, 4, rng.New(7))
+	for _, c := range []struct {
+		name string
+		opts congest.Options
+	}{
+		{"sequential", congest.Options{Seed: 1}},
+		{"pool-2", congest.Options{Seed: 1, Driver: congest.DriverPool, Workers: 2}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Run(g, c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -78,9 +78,10 @@ const (
 	// driver: V = shard, X = busy nanoseconds, Y = live nodes in the shard.
 	EvShardBusy
 	// EvMerge is the advisory coordinator delivery timing from the pool
-	// driver: X = merge nanoseconds, Y = merge phases the workers ran (0
-	// when the coordinator merged alone, 2 when the merge split by
-	// destination range).
+	// driver: X = delivery nanoseconds, Y = 1 when the round was delivered
+	// by pull (the coordinator only flagged the senders; the workers build
+	// the inboxes in the next sweep) and 0 when it was pushed into the
+	// inbox arena.
 	EvMerge
 	// EvRebalance is the advisory shard-rebalance record from the pool
 	// driver: the coordinator re-partitioned the vertex range by live
@@ -205,7 +206,11 @@ func (e Event) String() string {
 	case EvShardBusy:
 		return fmt.Sprintf("shard-busy r=%d shard=%d busy=%dns live=%d", e.Round, e.V, e.X, e.Y)
 	case EvMerge:
-		return fmt.Sprintf("merge r=%d %dns phases=%d", e.Round, e.X, e.Y)
+		mode := "push"
+		if e.Y == 1 {
+			mode = "pull"
+		}
+		return fmt.Sprintf("merge r=%d %dns %s", e.Round, e.X, mode)
 	case EvRebalance:
 		return fmt.Sprintf("rebalance r=%d live=%d count=%d", e.Round, e.X, e.Y)
 	case EvRepair:
