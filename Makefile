@@ -33,10 +33,12 @@ misvet:
 
 # Engine safety net: vet plus race-detector coverage of the concurrent
 # code — the CONGEST drivers (sharded worker pool, distributed
-# coordinator) and the multi-process fleet transport (frame codec, worker
-# protocol, crash recovery).
+# coordinator), the multi-process fleet transport (frame codec, worker
+# protocol, crash recovery), and Algorithm 1, whose run-wide node, flag
+# and scale-record slices pool shard workers write concurrently, each at
+# its own vertices' entries.
 race:
-	go vet ./internal/congest/... ./internal/distrib/... && go test -race ./internal/congest/... ./internal/distrib/...
+	go vet ./internal/congest/... ./internal/distrib/... ./internal/core/... && go test -race ./internal/congest/... ./internal/distrib/... ./internal/core/...
 
 # Coverage gates: the engine, the fault-injection subsystem, and the
 # execution-trace subsystem are the load-bearing packages; their statement
@@ -66,11 +68,16 @@ cover:
 # allocations — pulled (every node broadcasting, sequentially and on four
 # pool shards) or pushed (SendSlot loops, and under a delay plan) — the
 # invariant the value-typed wire payloads, the flat inbox arena and the
-# per-shard pull scratch exist to provide; and a whole Run must make a
-# fixed number of allocations independent of n, because every message
-# buffer is sized once from the CSR. Fast (< 1s); runs in ci.
+# per-shard pull scratch exist to provide; a whole Run must make a fixed
+# number of allocations independent of n, because every message buffer
+# is sized once from the CSR; and a whole Algorithm 1 run (RunAlg1:
+# nodes, Run, outputs) must make at most 64 heap objects plus one per
+# returned ScaleRecord at n = 2^10 and 2^14, sequentially and on two pool
+# shards, because its nodes, active-neighbour flags and records live in
+# run-wide slices. Fast (< 1s); runs in ci.
 alloc-gate:
 	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN)' -count=1 ./internal/congest/
+	go test -run '^TestAlg1RunAllocs$$' -count=1 ./internal/core/
 
 # Fuzz smoke: a 10s slice of native fuzzing over each decoder of external
 # bytes — the distrib frame decoders (what a networked shard worker,

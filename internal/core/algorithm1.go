@@ -50,6 +50,35 @@ func (o *Alg1Output) CountStatus(s base.Status) int {
 	return n
 }
 
+// alg1Run is one Algorithm 1 run's state. Every vertex's node lives in one
+// slab, the active-neighbour flags in one run-wide tracker and the scale
+// records in one per-vertex table that becomes Alg1Output.Traces as is,
+// so the only per-vertex allocations left are the backing arrays of the
+// records a run returns. A node reaches all of it through its one
+// pointer; shard workers write only their own vertices' entries.
+type alg1Run struct {
+	params *Params
+	nodes  []node
+	active *base.ActiveNeighbors
+	traces [][]ScaleRecord // traces[v]: v's records, appended at each scale's bad test
+}
+
+func newAlg1Run(g *graph.Graph, params *Params) *alg1Run {
+	return &alg1Run{
+		params: params,
+		nodes:  make([]node, g.N()),
+		active: base.NewActiveNeighbors(g),
+		traces: make([][]ScaleRecord, g.N()),
+	}
+}
+
+// newNode is the node factory: it hands out vertex v's node from the slab.
+func (run *alg1Run) newNode(v int) congest.Node {
+	nd := &run.nodes[v]
+	*nd = node{run: run, status: base.StatusActive}
+	return nd
+}
+
 // node is the per-vertex state machine of Algorithm 1. The whole schedule
 // is fixed in advance (nodes know Δ and α, hence Θ, Λ and every
 // threshold), so a node derives its current (scale, iteration, phase) from
@@ -63,24 +92,23 @@ func (o *Alg1Output) CountStatus(s base.Status) int {
 //	  slot 3Λ:    process removals, broadcast current active degree
 //	  slot 3Λ+1:  count high-degree active neighbors; nodes over the
 //	              Invariant bound turn bad, announce removal and halt
+//
+// Its deg_IB and scale records live in the run, indexed by ctx.ID().
 type node struct {
-	params   *Params
-	status   base.Status
-	active   *base.ActiveSet
+	run      *alg1Run
 	priority uint64
+	status   base.Status
 	compete  bool
-	trace    []ScaleRecord
 }
 
 // Status implements base.Membership.
 func (nd *node) Status() base.Status { return nd.status }
 
-// NewProgram returns a factory for Algorithm 1 nodes with the given
-// parameters.
-func NewProgram(params *Params) func(v int) congest.Node {
-	return func(int) congest.Node {
-		return &node{params: params, status: base.StatusActive}
-	}
+// NewProgram returns a factory for Algorithm 1 nodes on g with the given
+// parameters. The nodes share one run's state, so a factory serves one
+// run.
+func NewProgram(g *graph.Graph, params *Params) func(v int) congest.Node {
+	return newAlg1Run(g, params).newNode
 }
 
 // RunAlg1 executes BoundedArbIndependentSet on g.
@@ -91,26 +119,22 @@ func RunAlg1(g *graph.Graph, params *Params, opts congest.Options) (*Alg1Output,
 	if params.Delta < g.MaxDegree() {
 		return nil, fmt.Errorf("core: params built for Δ=%d but graph has Δ=%d", params.Delta, g.MaxDegree())
 	}
-	r := congest.NewRunner(g, NewProgram(params), opts)
+	run := newAlg1Run(g, params)
+	r := congest.NewRunner(g, run.newNode, opts)
 	res, err := r.Run()
 	if err != nil {
 		return nil, err
 	}
-	out := &Alg1Output{
+	return &Alg1Output{
 		Statuses: base.Statuses(r, g.N()),
-		Traces:   make([][]ScaleRecord, g.N()),
+		Traces:   run.traces,
 		Result:   res,
 		Params:   params,
-	}
-	for v := 0; v < g.N(); v++ {
-		out.Traces[v] = r.Node(v).(*node).trace
-	}
-	return out, nil
+	}, nil
 }
 
 func (nd *node) Init(ctx *congest.Context) {
-	nd.active = base.NewActiveSet(ctx.Neighbors())
-	if nd.params.TotalRounds() == 0 {
+	if nd.run.params.TotalRounds() == 0 {
 		// Θ = 0: the scale loop is empty (paper constants at small Δ);
 		// every node stays in V_IB for the finishing stages.
 		ctx.Halt()
@@ -119,14 +143,10 @@ func (nd *node) Init(ctx *congest.Context) {
 	nd.startIteration(ctx, 1)
 }
 
-// scaleOf maps a slot (round number) to its 1-based scale.
-func (nd *node) scaleOf(slot int) int {
-	return slot/nd.params.RoundsPerScale() + 1
-}
-
 // startIteration is phase 0: apply the ρₖ opt-out and broadcast a priority.
 func (nd *node) startIteration(ctx *congest.Context, scale int) {
-	nd.compete = !nd.params.RhoOptOut || nd.active.Count() <= nd.params.Rho(scale)
+	p := nd.run.params
+	nd.compete = !p.RhoOptOut || nd.run.active.Count(ctx.ID()) <= p.Rho(scale)
 	if nd.compete {
 		nd.priority = ctx.RNG().Uint64()
 	} else {
@@ -135,30 +155,30 @@ func (nd *node) startIteration(ctx *congest.Context, scale int) {
 	ctx.Broadcast(proto.Priority{Value: nd.priority, Competitive: nd.compete}.Wire())
 }
 
-// processRemovals shrinks the active set from removal announcements.
-func (nd *node) processRemovals(inbox []congest.Message) {
+// processRemovals shrinks v's active set from removal announcements.
+func (nd *node) processRemovals(v int, inbox []congest.Message) {
 	for _, m := range inbox {
 		if f, ok := proto.AsFlag(m.Wire); ok && f.Kind == proto.KindRemoved {
-			nd.active.Remove(m.From)
+			nd.run.active.Remove(v, m.From)
 		}
 	}
 }
 
 func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
-	slot := ctx.Round()
-	p := nd.params
+	slot, v := ctx.Round(), ctx.ID()
+	run, p := nd.run, nd.run.params
 	inScale := slot % p.RoundsPerScale()
-	scale := nd.scaleOf(slot)
+	scale := p.scaleOf(slot)
 	last := slot == p.TotalRounds()-1
 
 	switch {
 	case inScale < 3*p.Iterations:
 		switch inScale % 3 {
 		case 0: // fresh iteration
-			nd.processRemovals(inbox)
+			nd.processRemovals(v, inbox)
 			nd.startIteration(ctx, scale)
 		case 1: // priorities arrived
-			if nd.wins(ctx.ID(), inbox) {
+			if nd.wins(v, inbox) {
 				nd.status = base.StatusInMIS
 				ctx.Broadcast(proto.Flag{Kind: proto.KindJoined}.Wire())
 				ctx.Halt()
@@ -174,21 +194,21 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 			}
 		}
 	case inScale == 3*p.Iterations: // degree exchange
-		nd.processRemovals(inbox)
-		ctx.Broadcast(proto.Degree{Value: int32(nd.active.Count())}.Wire())
+		nd.processRemovals(v, inbox)
+		ctx.Broadcast(proto.Degree{Value: int32(run.active.Count(v))}.Wire())
 	default: // bad test (inScale == 3Λ+1)
 		high := 0
 		threshold := p.HighDeg(scale)
 		for _, m := range inbox {
-			if d, ok := proto.AsDegree(m.Wire); ok && nd.active.Contains(m.From) {
+			if d, ok := proto.AsDegree(m.Wire); ok && run.active.Contains(v, m.From) {
 				if int(d.Value) > threshold {
 					high++
 				}
 			}
 		}
-		nd.trace = append(nd.trace, ScaleRecord{
+		run.traces[v] = append(run.traces[v], ScaleRecord{
 			Scale:       scale,
-			DegIB:       nd.active.Count(),
+			DegIB:       run.active.Count(v),
 			HighDegNbrs: high,
 			Bound:       p.BadLimit(scale),
 		})

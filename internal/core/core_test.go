@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/congest"
@@ -345,6 +347,89 @@ func TestArbMISParallelDriver(t *testing.T) {
 			t.Fatalf("node %d differs across drivers", v)
 		}
 	}
+
+	// Algorithm 1's whole output — every status, every scale record and
+	// the engine counters — is pinned on a 2^12-vertex union of 3 trees
+	// for two seeds, plus a one-iteration run whose last-scale bad limit
+	// of −1 turns every scale-2 survivor bad. Every driver shape must
+	// reproduce the pins: the run-wide node, flag and record slices are
+	// written by shard workers, each at its own vertices' entries.
+	g = gen.UnionOfTrees(1<<12, 3, rng.New(12))
+	params = PracticalParams(3, g.MaxDegree())
+	forced := PracticalParams(3, g.MaxDegree())
+	forced.Iterations = 1
+	forced.SetBadLimit(forced.NumScales, -1)
+	pins := []struct {
+		seed   uint64
+		params *Params
+		want   uint64
+	}{
+		{seed: 1, params: params, want: 0xb1310740dfe3ef2d},
+		{seed: 2, params: params, want: 0x280bac7cceb4bda8},
+		{seed: 1, params: forced, want: 0x8837573720b73c6b},
+	}
+	drivers := []struct {
+		name string
+		opts congest.Options
+	}{
+		{"sequential", congest.Options{}},
+		{"pool-2", congest.Options{Driver: congest.DriverPool, Workers: 2}},
+		{"pool-3", congest.Options{Driver: congest.DriverPool, Workers: 3}},
+		{"pool-n", congest.Options{Driver: congest.DriverPool, Workers: 1 << 30}},
+	}
+	for _, pin := range pins {
+		for _, d := range drivers {
+			opts := d.opts
+			opts.Seed = pin.seed
+			out, err := RunAlg1(g, pin.params, opts)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", pin.seed, d.name, err)
+			}
+			if got := alg1Fingerprint(out); got != pin.want {
+				t.Errorf("seed %d %s: fingerprint %#x, want %#x (%d rounds, %d bad, %d records)",
+					pin.seed, d.name, got, pin.want, out.Result.Rounds,
+					out.CountStatus(base.StatusBad), countRecords(out))
+			}
+		}
+	}
+}
+
+// alg1Fingerprint hashes everything RunAlg1 returns about a run: every
+// status, each vertex's scale records (count first, so records cannot
+// shift between vertices unnoticed) and every Result counter.
+func alg1Fingerprint(out *Alg1Output) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(x int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
+	}
+	for _, s := range out.Statuses {
+		word(int64(s))
+	}
+	for _, tr := range out.Traces {
+		word(int64(len(tr)))
+		for _, rec := range tr {
+			word(int64(rec.Scale))
+			word(int64(rec.DegIB))
+			word(int64(rec.HighDegNbrs))
+			word(int64(rec.Bound))
+		}
+	}
+	r := out.Result
+	for _, x := range []int64{int64(r.Rounds), r.Messages, r.TotalBits, int64(r.MaxMessageBits), r.Dropped, r.Delayed} {
+		word(x)
+	}
+	return h.Sum64()
+}
+
+// countRecords is the number of ScaleRecords a run returned.
+func countRecords(out *Alg1Output) int {
+	n := 0
+	for _, tr := range out.Traces {
+		n += len(tr)
+	}
+	return n
 }
 
 func TestArbMISRhoOptOutAblation(t *testing.T) {

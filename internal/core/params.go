@@ -216,3 +216,6 @@ func (p *Params) RoundsPerScale() int { return 3*p.Iterations + 2 }
 
 // TotalRounds returns the fixed length of the Algorithm 1 schedule.
 func (p *Params) TotalRounds() int { return p.NumScales * p.RoundsPerScale() }
+
+// scaleOf maps a slot (round number) to its 1-based scale.
+func (p *Params) scaleOf(slot int) int { return slot/p.RoundsPerScale() + 1 }

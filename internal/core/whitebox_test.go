@@ -26,15 +26,14 @@ func TestScheduleArithmetic(t *testing.T) {
 	if p.TotalRounds() != 3*(3*4+2) {
 		t.Fatalf("TotalRounds = %d", p.TotalRounds())
 	}
-	nd := &node{params: p}
 	// Slot 0 is scale 1; the last slot of scale 1 is RoundsPerScale-1.
-	if nd.scaleOf(0) != 1 || nd.scaleOf(p.RoundsPerScale()-1) != 1 {
+	if p.scaleOf(0) != 1 || p.scaleOf(p.RoundsPerScale()-1) != 1 {
 		t.Fatal("scale 1 boundary wrong")
 	}
-	if nd.scaleOf(p.RoundsPerScale()) != 2 {
+	if p.scaleOf(p.RoundsPerScale()) != 2 {
 		t.Fatal("scale 2 start wrong")
 	}
-	if nd.scaleOf(p.TotalRounds()-1) != 3 {
+	if p.scaleOf(p.TotalRounds()-1) != 3 {
 		t.Fatal("last scale wrong")
 	}
 }

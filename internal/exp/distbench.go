@@ -25,9 +25,11 @@ import (
 type DistBenchEntry struct {
 	// Shards is the worker-process count; Transport and Socket name the
 	// resolved topology (unix socket fleets report their socket path).
+	// Socket labels the report's rows but is left out of the JSON: each
+	// fleet's path is random, and the artefact must not change with it.
 	Shards    int    `json:"shards"`
 	Transport string `json:"transport"`
-	Socket    string `json:"socket"`
+	Socket    string `json:"-"`
 	// WallNS is the best clean-run wall time across reps.
 	WallNS int64 `json:"wall_ns"`
 	// Rounds and Messages are the clean run's counters (identical to the

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -56,6 +57,11 @@ func TestRunDistBench(t *testing.T) {
 		if e.Transport != "unix" || e.Socket == "" {
 			t.Fatalf("shards=%d: topology not resolved: transport=%q socket=%q",
 				e.Shards, e.Transport, e.Socket)
+		}
+		// The socket path is random per fleet; BENCH_dist.json leaves it
+		// out so regenerating the artefact does not churn it.
+		if b, err := json.Marshal(e); err != nil || strings.Contains(string(b), e.Socket) {
+			t.Fatalf("shards=%d: socket path in the JSON entry (err %v): %s", e.Shards, err, b)
 		}
 		if e.Rounds <= 0 || e.Messages <= 0 || e.WallNS <= 0 {
 			t.Fatalf("shards=%d: empty counters: %+v", e.Shards, e)

@@ -115,6 +115,12 @@ func (g *Graph) Degree(v int) int { return g.offsets[v+1] - g.offsets[v] }
 // aliases internal storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int { return g.adj[g.offsets[v]:g.offsets[v+1]] }
 
+// Offset returns where v's row starts in the flattened adjacency: rows are
+// stored in vertex order, Neighbors(v)[i] is entry Offset(v)+i, and
+// Offset(N()) is 2·M(). Per-endpoint data kept in a 2m-entry slice aligned
+// with the adjacency is indexed through it.
+func (g *Graph) Offset(v int) int { return g.offsets[v] }
+
 // HasEdge reports whether {u, v} is an edge (binary search).
 func (g *Graph) HasEdge(u, v int) bool {
 	row := g.Neighbors(u)

@@ -290,6 +290,20 @@ func TestDegreeSumEqualsTwiceM(t *testing.T) {
 	}
 }
 
+func TestOffsetTilesAdjacency(t *testing.T) {
+	// Rows follow one another in vertex order: each starts where the
+	// previous one ends, and the last ends at 2m.
+	g := randomGraph(rng.New(41), 40, 0.15)
+	if g.Offset(0) != 0 || g.Offset(g.N()) != 2*g.M() {
+		t.Fatalf("Offset(0) = %d, Offset(n) = %d, 2m = %d", g.Offset(0), g.Offset(g.N()), 2*g.M())
+	}
+	for v := 0; v < g.N(); v++ {
+		if g.Offset(v+1)-g.Offset(v) != g.Degree(v) {
+			t.Fatalf("row %d spans %d entries, degree %d", v, g.Offset(v+1)-g.Offset(v), g.Degree(v))
+		}
+	}
+}
+
 func TestDistancePowerPath(t *testing.T) {
 	// Path 0..5: distances are |i-j|. G^[2,3] connects pairs at 2 or 3.
 	g := path(6)

@@ -1,6 +1,7 @@
 // Package base holds the small pieces shared by every MIS node program:
-// the node-status vocabulary, the active-neighbor tracker, and helpers for
-// reading results out of a finished CONGEST run.
+// the node-status vocabulary, the active-neighbor trackers (per vertex and
+// run-wide), and helpers for reading results out of a finished CONGEST
+// run.
 package base
 
 import (
@@ -77,27 +78,19 @@ func MISSet(statuses []Status) []bool {
 // programs use it to maintain deg_IB(v) (the paper's notation for a node's
 // degree restricted to active nodes) as neighbors announce removal.
 type ActiveSet struct {
-	ids    []int // sorted neighbor IDs
-	active []bool
-	count  int
+	ids     []int  // sorted neighbor IDs
+	removed []bool // removed[i]: ids[i] announced removal
+	count   int
 }
 
 // NewActiveSet starts with every listed neighbor active. The ids slice must
 // be sorted (graph adjacency lists are); it is not copied.
 func NewActiveSet(ids []int) *ActiveSet {
 	return &ActiveSet{
-		ids:    ids,
-		active: allTrue(len(ids)),
-		count:  len(ids),
+		ids:     ids,
+		removed: make([]bool, len(ids)),
+		count:   len(ids),
 	}
-}
-
-func allTrue(n int) []bool {
-	b := make([]bool, n)
-	for i := range b {
-		b[i] = true
-	}
-	return b
 }
 
 // Count returns the number of active neighbors (deg_IB).
@@ -105,16 +98,16 @@ func (s *ActiveSet) Count() int { return s.count }
 
 // Contains reports whether neighbor id is still active.
 func (s *ActiveSet) Contains(id int) bool {
-	i := s.indexOf(id)
-	return i >= 0 && s.active[i]
+	i := slotOf(s.ids, id)
+	return i >= 0 && !s.removed[i]
 }
 
 // Remove marks neighbor id inactive. Removing an unknown or already
 // inactive neighbor is a no-op (duplicate announcements are harmless).
 func (s *ActiveSet) Remove(id int) {
-	i := s.indexOf(id)
-	if i >= 0 && s.active[i] {
-		s.active[i] = false
+	i := slotOf(s.ids, id)
+	if i >= 0 && !s.removed[i] {
+		s.removed[i] = true
 		s.count--
 	}
 }
@@ -122,7 +115,7 @@ func (s *ActiveSet) Remove(id int) {
 // Each calls f for every active neighbor in increasing ID order.
 func (s *ActiveSet) Each(f func(id int)) {
 	for i, id := range s.ids {
-		if s.active[i] {
+		if !s.removed[i] {
 			f(id)
 		}
 	}
@@ -135,15 +128,60 @@ func (s *ActiveSet) Each(f func(id int)) {
 // programs can address messages without any neighbor search.
 func (s *ActiveSet) EachSlot(f func(slot, id int)) {
 	for i, id := range s.ids {
-		if s.active[i] {
+		if !s.removed[i] {
 			f(i, id)
 		}
 	}
 }
 
-func (s *ActiveSet) indexOf(id int) int {
-	i := sort.SearchInts(s.ids, id)
-	if i < len(s.ids) && s.ids[i] == id {
+// ActiveNeighbors is an ActiveSet for every vertex of a graph at once, in
+// two pointer-free slices: one removed flag per adjacency entry, aligned
+// with the graph's CSR (v's flags start at g.Offset(v), in Neighbors(v)
+// order), and deg_IB per vertex. A program that keeps one per run makes
+// three allocations where per-vertex ActiveSets make 2n. Every call names
+// the vertex whose row it reads or writes, so shard workers may update
+// their own vertices concurrently.
+type ActiveNeighbors struct {
+	g       *graph.Graph
+	removed []bool  // removed[g.Offset(v)+i]: Neighbors(v)[i] announced removal
+	count   []int32 // count[v] is deg_IB(v)
+}
+
+// NewActiveNeighbors starts with every vertex's every neighbor active.
+func NewActiveNeighbors(g *graph.Graph) *ActiveNeighbors {
+	count := make([]int32, g.N())
+	for v := range count {
+		count[v] = int32(g.Degree(v))
+	}
+	return &ActiveNeighbors{g: g, removed: make([]bool, 2*g.M()), count: count}
+}
+
+// Count returns v's number of active neighbors (deg_IB(v)).
+func (a *ActiveNeighbors) Count(v int) int { return int(a.count[v]) }
+
+// Contains reports whether neighbor id of v is still active.
+func (a *ActiveNeighbors) Contains(v, id int) bool {
+	i := slotOf(a.g.Neighbors(v), id)
+	return i >= 0 && !a.removed[a.g.Offset(v)+i]
+}
+
+// Remove marks neighbor id of v inactive. As with ActiveSet.Remove, an
+// unknown or already inactive neighbor is a no-op.
+func (a *ActiveNeighbors) Remove(v, id int) {
+	i := slotOf(a.g.Neighbors(v), id)
+	if i < 0 {
+		return
+	}
+	if f := &a.removed[a.g.Offset(v)+i]; !*f {
+		*f = true
+		a.count[v]--
+	}
+}
+
+// slotOf returns id's index in the sorted row, or -1 if it is absent.
+func slotOf(row []int, id int) int {
+	i := sort.SearchInts(row, id)
+	if i < len(row) && row[i] == id {
 		return i
 	}
 	return -1

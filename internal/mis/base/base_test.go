@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 func TestActiveSetBasics(t *testing.T) {
@@ -49,6 +50,44 @@ func TestActiveSetEmpty(t *testing.T) {
 		t.Fatal("empty set has members")
 	}
 	s.Each(func(int) { t.Fatal("Each on empty set called f") })
+}
+
+func TestActiveNeighborsMatchesActiveSets(t *testing.T) {
+	// The run-wide tracker must agree with one ActiveSet per vertex under
+	// any removal sequence, repeats and non-neighbors included.
+	const n = 40
+	r := rng.New(7)
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		for w := u + 1; w < n; w++ {
+			if r.Intn(5) == 0 {
+				edges = append(edges, graph.Edge{U: u, V: w})
+			}
+		}
+	}
+	g := graph.MustNew(n, edges)
+	a := NewActiveNeighbors(g)
+	sets := make([]*ActiveSet, n)
+	for v := range sets {
+		sets[v] = NewActiveSet(g.Neighbors(v))
+	}
+	for step := 0; step <= 1500; step++ {
+		if step%100 == 0 {
+			for v := 0; v < n; v++ {
+				if a.Count(v) != sets[v].Count() {
+					t.Fatalf("step %d: Count(%d) = %d, ActiveSet says %d", step, v, a.Count(v), sets[v].Count())
+				}
+				for id := -1; id <= n; id++ {
+					if a.Contains(v, id) != sets[v].Contains(id) {
+						t.Fatalf("step %d: Contains(%d, %d) = %v", step, v, id, a.Contains(v, id))
+					}
+				}
+			}
+		}
+		v, id := r.Intn(n), r.Intn(n)
+		a.Remove(v, id)
+		sets[v].Remove(id)
+	}
 }
 
 func TestStatusString(t *testing.T) {
