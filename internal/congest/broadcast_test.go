@@ -237,7 +237,7 @@ func TestMixedSendOrder(t *testing.T) {
 func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 	g := gen.PreferentialAttachment(256, 3, rng.New(5))
 	bcast := func(v int) addressed {
-		return addressed{to: broadcastTo, msg: Message{From: v, Wire: rawWire(1 + v%60)}}
+		return addressed{to: BroadcastTo, msg: Message{From: v, Wire: rawWire(1 + v%60)}}
 	}
 	// Every third vertex broadcasts, up to 252: sender n-2 = 254 stays
 	// free for the cases that add one more call.

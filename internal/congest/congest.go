@@ -91,16 +91,17 @@ type Context struct {
 }
 
 // addressed is one outbox record: a message to one neighbor, or — when to
-// is broadcastTo — one Broadcast call, which push delivery expands over
+// is BroadcastTo — one Broadcast call, which push delivery expands over
 // the sender's CSR row.
 type addressed struct {
 	to  int
 	msg Message
 }
 
-// broadcastTo marks a Broadcast record. Recipient IDs are never negative,
-// so the marker cannot collide with a real recipient.
-const broadcastTo = -1
+// BroadcastTo marks a Broadcast record, in an outbox record's recipient
+// and in a Packet's To. Recipient IDs are never negative, so the marker
+// cannot collide with a real recipient.
+const BroadcastTo = -1
 
 // ID returns this vertex's identifier (0..N-1). In CONGEST nodes know their
 // own O(log n)-bit ID and those of their neighbors.
@@ -167,7 +168,7 @@ func (c *Context) SendSlot(i int, w Wire) {
 //congest:hotpath
 func (c *Context) Broadcast(w Wire) {
 	if len(c.neighbors) > 0 {
-		c.enqueue(broadcastTo, w)
+		c.enqueue(BroadcastTo, w)
 	}
 }
 
@@ -182,7 +183,7 @@ func (c *Context) fail(err error) {
 }
 
 // enqueue appends one record — a message to neighbor to, or a whole
-// Broadcast when to is broadcastTo — to the owning shard's outbox, after
+// Broadcast when to is BroadcastTo — to the owning shard's outbox, after
 // checking the payload against MessageBitLimit once per send call. Only
 // the worker that owns the shard runs this node, so the append is
 // race-free, and because nodes within a shard are swept in ID order the
@@ -411,7 +412,7 @@ type shard struct {
 	liveCount int           // set bits in frontier (O(1) empty-shard skip)
 	out       []addressed   // records sent during the sweep (see sizeOutboxes)
 	bound     int           // degree sum of [lo, hi): growOutbox's first target
-	inbox     []Message     // pull-round inbox scratch, as long as the range's widest row
+	inbox     []Message     // pull-round inbox scratch, as long as the range's widest row (runs that can pull)
 	events    []trace.Event // program/halt events buffered during the sweep
 	err       error         // first model violation by a node of this shard
 	busy      int64         // sweep duration in nanoseconds, when timing is on
@@ -523,11 +524,7 @@ func (r *Runner) newExecState(numShards int) *execState {
 		}
 		st.shards[s] = sh
 	}
-	size := n
-	if st.remote {
-		size = 2 * r.g.M()
-	}
-	st.outbox = make([]addressed, size)
+	st.outbox = make([]addressed, n)
 	st.sizeOutboxes()
 	return st
 }
@@ -535,34 +532,27 @@ func (r *Runner) newExecState(numShards int) *execState {
 // sizeOutboxes carves every shard outbox from the run's single backing
 // array and sizes every shard's pull scratch. An outbox holds send calls,
 // not messages, and a vertex that broadcasts once per round — every
-// program on the paper's path — makes one call, so an in-process shard
-// reserves one record per vertex of its range: the shard ranges partition
-// [0, n), and shard [lo, hi) owns outbox[lo:hi]. The distributed
-// coordinator refills its outboxes from per-message packets instead, so
-// there each shard reserves the CONGEST bound of one message per incident
-// edge, its degree sum, carved from a 2m-entry array. Set-up calls
-// sizeOutboxes once; the rebalancer calls it again after re-cutting the
-// shard ranges (outboxes are empty between rounds), so the reservation
-// always matches the current partition. Every outbox is capped with a
-// three-index slice: a program that makes more send calls than reserved
-// grows its own shard's outbox (growOutbox) and never writes into a
-// neighbor's range. A pull inbox holds at most one message per neighbor,
-// so an in-process shard's scratch is as long as its range's widest row;
-// it only grows, so re-carving allocates only when a re-cut range holds a
-// wider row than the shard has seen.
+// program on the paper's path — makes one call, so a shard reserves one
+// record per vertex of its range: the shard ranges partition [0, n), and
+// shard [lo, hi) owns outbox[lo:hi]. That holds for the distributed
+// coordinator too, whose workers ship one Packet per send call. Set-up
+// calls sizeOutboxes once; the rebalancer calls it again after re-cutting
+// the shard ranges (outboxes are empty between rounds), so the
+// reservation always matches the current partition. Every outbox is
+// capped with a three-index slice: a program that makes more send calls
+// than reserved grows its own shard's outbox (growOutbox) and never writes
+// into a neighbor's range. A pull inbox holds at most one message per
+// neighbor, so in a run that can pull a shard's scratch is as long as its
+// range's widest row; it only grows, so re-carving allocates only when a
+// re-cut range holds a wider row than the shard has seen.
 func (st *execState) sizeOutboxes() {
-	off := 0
 	for _, sh := range st.shards {
 		var widest int
 		sh.bound, widest = rowStats(st.ctxs[sh.lo:sh.hi])
-		c := sh.hi - sh.lo
-		if st.remote {
-			c = sh.bound
-		} else if len(sh.inbox) < widest {
+		if st.senders != nil && len(sh.inbox) < widest {
 			sh.inbox = make([]Message, widest)
 		}
-		sh.out = st.outbox[off : off : off+c]
-		off += c
+		sh.out = st.outbox[sh.lo:sh.lo:sh.hi]
 	}
 }
 
@@ -739,7 +729,7 @@ func (st *execState) deliverPull() bool {
 	for _, sh := range st.shards {
 		for _, a := range sh.out {
 			u := a.msg.From
-			if a.to != broadcastTo || u <= prev {
+			if a.to != BroadcastTo || u <= prev {
 				return false
 			}
 			prev = u
@@ -810,7 +800,7 @@ func (st *execState) deliverFaulted(round int) {
 	}
 	for _, sh := range st.shards {
 		for _, a := range sh.out {
-			if a.to != broadcastTo {
+			if a.to != BroadcastTo {
 				st.route(a, round)
 				continue
 			}
@@ -880,7 +870,7 @@ func (st *execState) count() int {
 	total := 0
 	for _, sh := range st.shards {
 		for _, a := range sh.out {
-			if a.to != broadcastTo {
+			if a.to != BroadcastTo {
 				cnt[a.to]++
 				total++
 				continue
@@ -919,7 +909,7 @@ func (st *execState) scatter() (totalBits int64, maxBits int) {
 	for _, sh := range st.shards {
 		for _, a := range sh.out {
 			bits := int(a.msg.Wire.Bits)
-			if a.to != broadcastTo {
+			if a.to != BroadcastTo {
 				arena[off[a.to]+cur[a.to]] = a.msg
 				cur[a.to]++
 				totalBits += int64(bits)

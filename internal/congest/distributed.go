@@ -16,7 +16,11 @@ package congest
 //     the already-drawn vertex fates and the already-filtered inboxes);
 //   - shards are contiguous ascending ID ranges and each worker sweeps its
 //     nodes in ID order, so concatenating worker outboxes in shard order
-//     reproduces the global send order every in-process driver uses;
+//     reproduces the global send order every in-process driver uses; a
+//     Broadcast crosses the socket as one record, and the coordinator's
+//     delivery expands it over the sender's CSR row exactly as it does
+//     in-process, so fault draws keep their (sender, call, neighbor)
+//     order;
 //   - node RNG streams are Split(v) of the run seed on the worker — the
 //     same pure function of (seed, v) the in-process drivers use, so
 //     stream contents do not depend on which process draws them.
@@ -76,7 +80,9 @@ type VertexFate struct {
 // number, the non-Up fates for the shard's live vertices, and the shard's
 // inboxes — per-vertex lengths over [Lo, Hi) plus the concatenated
 // messages in ascending vertex order (the coordinator's arena layout).
-// The slices are only valid during the Send call they are passed to.
+// The coordinator builds every input in fresh slices of exact size and
+// keeps them, as sent, in its recovery log, so a ShardConn may encode them
+// at any time but must not modify them.
 type RoundInput struct {
 	Round     int
 	Fates     []VertexFate
@@ -84,17 +90,21 @@ type RoundInput struct {
 	Inbox     []Message
 }
 
-// Packet is one outgoing message from a worker sweep, in (sender ID, send
-// call) order — the exported form of the engine's internal outbox entry.
+// Packet is one send call from a worker sweep, in (sender ID, send call)
+// order — the exported form of the engine's internal outbox record. A
+// Broadcast travels as one Packet whose To is BroadcastTo; the
+// coordinator's delivery expands it over the sender's CSR row, as
+// in-process delivery does.
 type Packet struct {
-	To, From int32 // recipient and sender vertex IDs
+	To, From int32 // recipient (or BroadcastTo) and sender vertex IDs
 	Wire     Wire
 }
 
 // RoundOutput is one round's worker → coordinator payload.
 type RoundOutput struct {
-	// Packets are the shard's sends this round in global send order for
-	// the shard (ascending sender ID, send-call order per sender).
+	// Packets are the shard's send calls this round in global send order
+	// for the shard (ascending sender ID, send-call order per sender): one
+	// per Send or SendSlot, and one BroadcastTo record per Broadcast.
 	Packets []Packet
 	// Events are the trace events the sweep buffered (Context.Emit node
 	// states and halt events, interleaved per vertex exactly as the
@@ -168,8 +178,8 @@ var errReplayDiverged = errors.New("replayed round output diverged from the orig
 // shard in one round before declaring the shard lost.
 const respawnAttempts = 3
 
-// shardLog is one shard's recovery state: deep copies of every round
-// input sent so far, and a digest of every round output received.
+// shardLog is one shard's recovery state: every round input sent so far,
+// as sent, and a digest of every round output received.
 type shardLog struct {
 	inputs  []RoundInput
 	digests []uint64
@@ -187,8 +197,6 @@ type distRun struct {
 	ins   []RoundInput
 	outs  []RoundOutput
 	errs  []error
-	lens  [][]int32     // per-shard InboxLens scratch, reused across rounds
-	bufs  [][]Message   // per-shard inbox compaction scratch (faulted rounds)
 	adv   []trace.Event // advisory frame/respawn events, emitted in afterRound
 }
 
@@ -230,8 +238,6 @@ func (d *distRun) start() error {
 	d.ins = make([]RoundInput, nShards)
 	d.outs = make([]RoundOutput, nShards)
 	d.errs = make([]error, nShards)
-	d.lens = make([][]int32, nShards)
-	d.bufs = make([][]Message, nShards)
 	for s, sh := range d.st.shards {
 		if sh.hi <= sh.lo {
 			continue
@@ -251,13 +257,6 @@ func (d *distRun) start() error {
 			return fmt.Errorf("congest: distributed shard %d failed to start: %w", s, err)
 		}
 		d.conns[s] = conn
-		d.lens[s] = make([]int32, sh.hi-sh.lo)
-		if d.st.plan != nil {
-			// Faulted rounds compact the shard's admitted inboxes here: at
-			// most one fresh message per incident edge (messages a plan
-			// delayed into the same round grow the buffer by append).
-			d.bufs[s] = make([]Message, 0, sh.bound)
-		}
 	}
 	return nil
 }
@@ -265,38 +264,27 @@ func (d *distRun) start() error {
 // sweep is the distributed driver's round body: build every shard's
 // input, ship all inputs, collect all outputs (recovering any shard whose
 // connection broke), and merge the outputs into the shard outboxes that
-// the shared deliver pass consumes.
+// the shared deliver pass consumes. Each input is built in fresh slices
+// of exact size — the shard's inboxes copied out of the arena, which the
+// next delivery overwrites — so the recovery log keeps it as sent.
 func (d *distRun) sweep(round int) {
 	st := d.st
 	for s, sh := range st.shards {
 		if d.conns[s] == nil {
 			continue
 		}
-		in := RoundInput{Round: round}
+		in := RoundInput{Round: round, InboxLens: make([]int32, sh.hi-sh.lo)}
 		if round > 0 && st.plan != nil {
 			in.Fates = d.scanFates(sh, round)
 		}
-		lens := d.lens[s]
+		total := 0
 		for v := sh.lo; v < sh.hi; v++ {
-			lens[v-sh.lo] = int32(st.inboxLen[v])
+			in.InboxLens[v-sh.lo] = int32(st.inboxLen[v])
+			total += st.inboxLen[v]
 		}
-		in.InboxLens = lens
-		if st.plan == nil {
-			// Reliable delivery admits every counted message, so the arena
-			// segment for [lo, hi) is dense and can ship as one slice.
-			start := st.inboxOff[sh.lo]
-			end := st.inboxOff[sh.hi-1] + st.inboxLen[sh.hi-1]
-			in.Inbox = st.arena[start:end]
-		} else {
-			// Drops and delays leave gaps between inboxOff[v]+inboxLen[v]
-			// and the next vertex's offset: compact the admitted segments.
-			buf := d.bufs[s][:0]
-			for v := sh.lo; v < sh.hi; v++ {
-				off := st.inboxOff[v]
-				buf = append(buf, st.arena[off:off+st.inboxLen[v]]...)
-			}
-			d.bufs[s] = buf
-			in.Inbox = buf
+		in.Inbox = make([]Message, 0, total)
+		for v := sh.lo; v < sh.hi; v++ {
+			in.Inbox = append(in.Inbox, st.inbox(v)...)
 		}
 		d.ins[s] = in
 	}
@@ -435,9 +423,9 @@ func (d *distRun) replayAndRedo(s int) (RoundOutput, error) {
 }
 
 // apply merges the round's worker outputs into the coordinator's mirror
-// state in shard order: outbox packets (validated), buffered trace
-// events, halt retirements on the mirror frontier, draw totals, and any
-// worker-reported model violation.
+// state in shard order: outbox records (validated; a full outbox grows as
+// enqueue grows it), buffered trace events, halt retirements on the
+// mirror frontier, draw totals, and any worker-reported model violation.
 func (d *distRun) apply(round int) {
 	st := d.st
 	var draws uint64
@@ -448,7 +436,7 @@ func (d *distRun) apply(round int) {
 		out := d.outs[s]
 		// Log before interpreting: recovery needs the input/digest pair
 		// even for a round that ends the run.
-		d.logs[s].inputs = append(d.logs[s].inputs, copyRoundInput(d.ins[s]))
+		d.logs[s].inputs = append(d.logs[s].inputs, d.ins[s])
 		d.logs[s].digests = append(d.logs[s].digests, outputDigest(out))
 		draws += out.Draws
 		if out.Err != "" && sh.err == nil {
@@ -456,9 +444,12 @@ func (d *distRun) apply(round int) {
 		}
 		if sh.err == nil {
 			for _, p := range out.Packets {
-				if int(p.To) < 0 || int(p.To) >= len(st.inboxLen) || int(p.From) < sh.lo || int(p.From) >= sh.hi {
+				if int(p.To) < BroadcastTo || int(p.To) >= len(st.inboxLen) || int(p.From) < sh.lo || int(p.From) >= sh.hi {
 					sh.err = fmt.Errorf("congest: distributed shard %d returned packet with invalid addressing %d→%d", s, p.From, p.To)
 					break
+				}
+				if len(sh.out) == cap(sh.out) {
+					sh.growOutbox()
 				}
 				sh.out = append(sh.out, addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}})
 			}
@@ -534,18 +525,6 @@ func (d *distRun) collectOutputs(runFailed bool) error {
 	return nil
 }
 
-// copyRoundInput deep-copies a round input for the recovery log: the
-// original's Inbox aliases the coordinator's arena (reused every round)
-// and InboxLens aliases per-shard scratch.
-func copyRoundInput(in RoundInput) RoundInput {
-	return RoundInput{
-		Round:     in.Round,
-		Fates:     append([]VertexFate(nil), in.Fates...),
-		InboxLens: append([]int32(nil), in.InboxLens...),
-		Inbox:     append([]Message(nil), in.Inbox...),
-	}
-}
-
 // digest constants: the FNV-1a offset basis seeds the accumulator and the
 // Murmur3 finalizer multiplier mixes each word (the same recipe as the
 // trace fingerprint, applied to round outputs).
@@ -617,7 +596,10 @@ type ShardWorker struct {
 // NewShardWorker builds the sweep engine for cfg. neighbors(v) must
 // return the sorted adjacency of each owned vertex v in [cfg.Lo, cfg.Hi).
 // factory must return the same state machine the coordinator's mirror
-// uses. Every node must implement Porter.
+// uses. Every node must implement Porter. The worker's outbox and packet
+// buffer each reserve one send call per owned vertex, what a
+// broadcast-only program makes in a round; a round with more calls grows
+// them.
 func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v int) Node) (*ShardWorker, error) {
 	if cfg.Lo < 0 || cfg.Hi < cfg.Lo || cfg.Hi > cfg.N {
 		return nil, fmt.Errorf("congest: shard range [%d, %d) invalid for n=%d", cfg.Lo, cfg.Hi, cfg.N)
@@ -649,12 +631,11 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 			runner:    w.r,
 		}
 	}
-	// The outbox holds send calls, one per vertex for a broadcast-only
-	// program; the packet export expands broadcasts to one packet per
-	// neighbor, so it is reserved at the CONGEST bound, the degree sum.
+	// The outbox and the packet export both hold send calls, one per
+	// vertex for a broadcast-only program; bound is growOutbox's target.
 	w.sh.bound, _ = rowStats(w.ctxs)
 	w.sh.out = make([]addressed, 0, width)
-	w.pkts = make([]Packet, 0, w.sh.bound)
+	w.pkts = make([]Packet, 0, width)
 	return w, nil
 }
 
@@ -662,11 +643,12 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 func (w *ShardWorker) Live() int { return w.sh.liveCount }
 
 // Sweep runs one round over the shard's live vertices and returns their
-// sends, buffered trace events, halts and draw totals. The returned
-// slices are valid until the next Sweep call. An error return is a
-// protocol violation (malformed input, out-of-sequence round) and is
-// fatal for the connection; a model violation by a node travels in
-// RoundOutput.Err instead, like the in-process shard error.
+// send calls — one Packet per outbox record, a Broadcast as a single
+// BroadcastTo record — buffered trace events, halts and draw totals.
+// The returned slices are valid until the next Sweep call. An error
+// return is a protocol violation (malformed input, out-of-sequence
+// round) and is fatal for the connection; a model violation by a node
+// travels in RoundOutput.Err instead, like the in-process shard error.
 //
 // Sweep runs in a worker process: engine-side randomness (the fault
 // stream) must never be drawn here — misvet's draworder analyzer walks
@@ -710,20 +692,9 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	}
 	w.round++
 
-	// Broadcast records expand to one packet per neighbor in row order,
-	// so the frame carries exactly the per-message sequence in-process
-	// delivery expands.
 	w.pkts = w.pkts[:0]
 	for _, a := range w.sh.out {
-		p := Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire}
-		if a.to != broadcastTo {
-			w.pkts = append(w.pkts, p)
-			continue
-		}
-		for _, q := range w.ctxs[a.msg.From-w.cfg.Lo].neighbors {
-			p.To = int32(q)
-			w.pkts = append(w.pkts, p)
-		}
+		w.pkts = append(w.pkts, Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire})
 	}
 	out := RoundOutput{
 		Packets: w.pkts,

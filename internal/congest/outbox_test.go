@@ -11,13 +11,13 @@ import (
 )
 
 // Outbox sizing suite: newExecState and NewShardWorker reserve every
-// outbox once. An outbox holds send calls, so an in-process shard reserves
-// one record per vertex of its range — a broadcast-only program never
-// outgrows it — while buffers filled per message (the distributed
-// coordinator's outboxes, a worker's packet export) reserve the CONGEST
-// bound of one message per directed edge per round. A program that makes
-// more send calls than reserved grows a full outbox in one step to that
-// same bound.
+// outbox once. An outbox holds send calls, and so does a worker's packet
+// export (a Broadcast ships as one record), so every shard — in-process,
+// on the distributed coordinator, or in a worker — reserves one record
+// per vertex of its range, and a broadcast-only program never outgrows
+// it. A program that makes more send calls than reserved grows a full
+// outbox in one step to the CONGEST bound of one message per directed
+// edge per round.
 
 // degreeSum returns the directed edges leaving the vertex range [lo, hi).
 func degreeSum(g *graph.Graph, lo, hi int) int {
@@ -28,11 +28,10 @@ func degreeSum(g *graph.Graph, lo, hi int) int {
 	return t
 }
 
-// TestOutboxCapsMatchEdgeCounts checks the set-up reservation: an
-// in-process shard's outbox is outbox[lo:lo:hi] of one n-entry array under
-// every in-process driver, clean or faulted; the distributed coordinator,
-// which refills its outboxes from per-message packets, gives each shard
-// its degree sum from a 2m-entry array.
+// TestOutboxCapsMatchEdgeCounts checks the set-up reservation: a shard's
+// outbox is outbox[lo:lo:hi] of one n-entry array under every driver,
+// clean or faulted — the distributed coordinator included, since its
+// workers ship one record per send call.
 func TestOutboxCapsMatchEdgeCounts(t *testing.T) {
 	const workers = 4
 	g := gen.PreferentialAttachment(4096, 4, rng.New(2))
@@ -44,6 +43,7 @@ func TestOutboxCapsMatchEdgeCounts(t *testing.T) {
 		{"pool", Options{Driver: DriverPool, Workers: workers}, workers},
 		{"faulted-pool", Options{Driver: DriverPool, Workers: workers, Faults: faultsim.BernoulliDrop{P: 0.1}}, workers},
 		{"sequential", Options{Driver: DriverSequential}, 1},
+		{"distributed", Options{Driver: DriverDistributed}, workers},
 	}
 	for _, c := range cases {
 		c.opts.Seed = 1
@@ -58,16 +58,6 @@ func TestOutboxCapsMatchEdgeCounts(t *testing.T) {
 			if &sh.out[:1][0] != &st.outbox[sh.lo] {
 				t.Fatalf("%s: shard %d outbox is not carved at outbox[%d]", c.name, s, sh.lo)
 			}
-		}
-	}
-
-	st := NewRunner(g, haltFactory, Options{Seed: 1, Driver: DriverDistributed}).newExecState(workers)
-	if len(st.outbox) != 2*g.M() {
-		t.Fatalf("distributed: outbox backing array holds %d records, want 2m = %d", len(st.outbox), 2*g.M())
-	}
-	for s, sh := range st.shards {
-		if want := degreeSum(g, sh.lo, sh.hi); len(sh.out) != 0 || cap(sh.out) != want {
-			t.Fatalf("distributed: shard %d: len %d cap %d, want len 0 cap %d (its degree sum)", s, len(sh.out), cap(sh.out), want)
 		}
 	}
 }
@@ -279,8 +269,7 @@ func (f *localFleet) Shard(cfg ShardConfig) (ShardConn, error) {
 	return &localConn{w: w}, nil
 }
 
-// localConn sweeps on Send (the input's slices are only valid during the
-// call) and hands the output back on Recv.
+// localConn sweeps on Send and hands the output back on Recv.
 type localConn struct {
 	w   *ShardWorker
 	out RoundOutput
@@ -297,13 +286,12 @@ func (c *localConn) Outputs() ([]uint64, error) { return c.w.Outputs(), nil }
 func (c *localConn) Close() error               { return nil }
 
 // TestShardWorkerCapsStableAcrossSweeps runs Métivier through the
-// distributed coordinator on in-process workers: each worker's outbox is
-// reserved at its range's width (one send call per vertex) and its packet
-// buffer at the range's degree sum (Sweep expands broadcasts to one packet
-// per neighbor), and both must keep that capacity across every Sweep. The
-// same program sending twice per edge overflows the reservations and must
-// still match the sequential driver, decision for decision, with exactly
-// twice the traffic.
+// distributed coordinator on in-process workers: each worker's outbox and
+// packet buffer are reserved at its range's width (one send call per
+// vertex; Sweep ships a Broadcast as one record), and both must keep that
+// capacity across every Sweep. The same program sending twice per edge
+// overflows the reservations and must still match the sequential driver,
+// decision for decision, with exactly twice the traffic.
 func TestShardWorkerCapsStableAcrossSweeps(t *testing.T) {
 	g := gen.PreferentialAttachment(1<<12, 4, rng.New(9))
 	run := func(double bool, opts Options) (Result, []uint64, *localFleet) {
@@ -344,7 +332,7 @@ func TestShardWorkerCapsStableAcrossSweeps(t *testing.T) {
 		if c, want := cap(w.sh.out), w.cfg.Hi-w.cfg.Lo; c != want {
 			t.Fatalf("worker %d: outbox cap %d after the run, reserved %d", w.cfg.Index, c, want)
 		}
-		if c, want := cap(w.pkts), degreeSum(g, w.cfg.Lo, w.cfg.Hi); c != want {
+		if c, want := cap(w.pkts), w.cfg.Hi-w.cfg.Lo; c != want {
 			t.Fatalf("worker %d: packet cap %d after the run, reserved %d", w.cfg.Index, c, want)
 		}
 	}

@@ -521,13 +521,15 @@ func (sc *decodeScratch) round(d *decoder) (congest.RoundInput, error) {
 	return in, d.done()
 }
 
-// encodeSweep serializes one round output. The advisory transport fields
-// are connection-side measurements and do not travel the wire.
+// encodeSweep serializes one round output. A packet's recipient is
+// zigzag-coded, so a Broadcast record's congest.BroadcastTo takes one
+// byte. The advisory transport fields are connection-side measurements
+// and do not travel the wire.
 func encodeSweep(e *encoder, out congest.RoundOutput) {
 	e.reset(fkSweep)
 	e.u64(uint64(len(out.Packets)))
 	for _, p := range out.Packets {
-		e.u64(uint64(p.To))
+		e.i64(int64(p.To))
 		e.u64(uint64(p.From))
 		e.u8(byte(p.Wire.Kind))
 		e.u64(uint64(p.Wire.Bits))
@@ -570,16 +572,19 @@ func (sc *decodeScratch) sweep(d *decoder) (congest.RoundOutput, error) {
 	out.Packets = sc.pkts
 	for i := range out.Packets {
 		var p congest.Packet
-		to, err := d.u64("sweep.packet-to")
+		to, err := d.i64("sweep.packet-to")
 		if err != nil {
 			return out, err
+		}
+		if to < congest.BroadcastTo || to > math.MaxInt32 {
+			return out, d.errAt("sweep.packet-to", "recipient is neither a vertex nor the broadcast marker")
 		}
 		from, err := d.u64("sweep.packet-from")
 		if err != nil {
 			return out, err
 		}
-		if to > math.MaxInt32 || from > math.MaxInt32 {
-			return out, d.errAt("sweep.packet", "vertex overflow")
+		if from > math.MaxInt32 {
+			return out, d.errAt("sweep.packet-from", "vertex overflow")
 		}
 		p.To, p.From = int32(to), int32(from)
 		kind, err := d.u8("sweep.packet-kind")

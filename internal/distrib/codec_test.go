@@ -108,11 +108,14 @@ func TestRoundTripAllWireKinds(t *testing.T) {
 }
 
 // TestSweepRoundTrip exercises the worker→coordinator payload with
-// boundary packets, negative event fields, and an error string.
+// boundary packets, a Broadcast record between per-neighbor packets,
+// negative event fields, and an error string.
 func TestSweepRoundTrip(t *testing.T) {
 	out := congest.RoundOutput{
 		Packets: []congest.Packet{
 			{To: 0, From: 0, Wire: congest.Wire{Kind: proto.WirePriority, Bits: 1, A: 1}},
+			{To: congest.BroadcastTo, From: 1, Wire: congest.Wire{Kind: proto.WirePriority, Bits: 64, A: math.MaxUint64}},
+			{To: 2, From: 1, Wire: congest.Wire{Kind: proto.WireFlag, Bits: 1, A: 1}},
 			{To: math.MaxInt32, From: math.MaxInt32, Wire: congest.Wire{
 				Kind: proto.WireForestEdge, Bits: uint16(congest.MaxWireBits),
 				A: math.MaxUint64, B: math.MaxUint64,
@@ -223,11 +226,14 @@ func samplePayloads() map[string][]byte {
 	})
 	out["round"] = append([]byte(nil), e.buf...)
 	encodeSweep(&e, congest.RoundOutput{
-		Packets: []congest.Packet{{To: 1, From: 2, Wire: congest.Wire{Kind: proto.WireDesire, Bits: 2, A: 2}}},
-		Events:  []trace.Event{{Type: trace.EvHalt, Round: 2, V: 3}},
-		Halted:  []int32{3},
-		Draws:   17,
-		Err:     "",
+		Packets: []congest.Packet{
+			{To: 1, From: 2, Wire: congest.Wire{Kind: proto.WireDesire, Bits: 2, A: 2}},
+			{To: congest.BroadcastTo, From: 3, Wire: congest.Wire{Kind: proto.WirePriority, Bits: 64, A: 5}},
+		},
+		Events: []trace.Event{{Type: trace.EvHalt, Round: 2, V: 3}},
+		Halted: []int32{3},
+		Draws:  17,
+		Err:    "",
 	})
 	out["sweep"] = append([]byte(nil), e.buf...)
 	encodeOutputs(&e, []uint64{1, 2, 3})
@@ -308,6 +314,53 @@ func TestCorruptCountsRejected(t *testing.T) {
 	_, dec, _ = payloadKind(oversizedConfig())
 	if _, err := decodeConfig(dec); err == nil || !strings.Contains(err.Error(), "implausible count") {
 		t.Fatalf("absurd shard width not rejected: %v", err)
+	}
+}
+
+// TestSweepAddressingRejected hand-crafts sweep frames whose one packet is
+// misaddressed: a recipient below congest.BroadcastTo or above
+// math.MaxInt32, or a sender above math.MaxInt32, must be rejected with an
+// error naming the field.
+func TestSweepAddressingRejected(t *testing.T) {
+	cases := []struct {
+		name     string
+		to       int64
+		from     uint64
+		field    string
+		accepted bool
+	}{
+		{"broadcast marker", congest.BroadcastTo, 7, "", true},
+		{"largest recipient", math.MaxInt32, math.MaxInt32, "", true},
+		{"below the marker", congest.BroadcastTo - 1, 7, "sweep.packet-to", false},
+		{"most negative", math.MinInt64, 7, "sweep.packet-to", false},
+		{"recipient above int32", math.MaxInt32 + 1, 7, "sweep.packet-to", false},
+		{"sender above int32", 3, math.MaxInt32 + 1, "sweep.packet-from", false},
+	}
+	for _, c := range cases {
+		var e encoder
+		e.reset(fkSweep)
+		e.u64(1) // one packet
+		e.i64(c.to)
+		e.u64(c.from)
+		e.u8(byte(proto.WirePriority))
+		e.u64(64)
+		e.fix64(1)
+		e.fix64(0)
+		e.u64(0) // events
+		e.u64(0) // halted
+		e.fix64(0)
+		e.str("")
+		_, dec, _ := payloadKind(e.buf)
+		out, err := decodeSweep(dec)
+		if c.accepted {
+			if err != nil || len(out.Packets) != 1 || int64(out.Packets[0].To) != c.to {
+				t.Fatalf("%s: decoded %+v, %v; want one packet to %d", c.name, out.Packets, err, c.to)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "distrib:") || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("%s: got %v, want a contextual error reading %s", c.name, err, c.field)
+		}
 	}
 }
 
@@ -394,13 +447,18 @@ func TestDecodeScratchReuse(t *testing.T) {
 			t.Fatalf("frame %d: scratch decode diverged from fresh decode:\n got %+v\nwant %+v", i, got, fresh)
 		}
 	}
-	// The sweep and outputs paths share the same scratch.
+	// The sweep and outputs paths share the same scratch. Every third
+	// packet is a Broadcast record.
 	outSizes := []int{0, 2000, 5}
 	for i, n := range outSizes {
 		out := congest.RoundOutput{Draws: uint64(n)}
 		for j := 0; j < n; j++ {
+			to := int32(j)
+			if j%3 == 0 {
+				to = congest.BroadcastTo
+			}
 			out.Packets = append(out.Packets, congest.Packet{
-				To: int32(j), From: int32(j), Wire: congest.Wire{Kind: proto.WireFlag, Bits: 1, A: 1},
+				To: to, From: int32(j), Wire: congest.Wire{Kind: proto.WireFlag, Bits: 1, A: 1},
 			})
 			out.Halted = append(out.Halted, int32(j))
 		}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -299,32 +300,55 @@ func (k *killerSink) Emit(e trace.Event) {
 }
 
 // TestDistributedCrashRecovery is the subsystem's headline guarantee: a
-// shard worker SIGKILLed at a pinned round mid-way through the golden
-// faulted run is respawned and fast-forwarded from the replay log, and
-// the run still converges to the exact pinned golden fingerprint.
+// shard worker SIGKILLed at a pinned round mid-run is respawned and
+// fast-forwarded from the replay log, and the run ends exactly where an
+// undisturbed one does. The golden faulted run must still converge to the
+// pinned golden fingerprint; a reliable Métivier run, whose logged inputs
+// are copied out of the coordinator's reused inbox arena, must still
+// match the sequential reference's Result and statuses.
 func TestDistributedCrashRecovery(t *testing.T) {
 	n := 256
 	g := gen.UnionOfTrees(n, 2, rng.New(77))
+
 	plan := goldenFaultedPlan()
-	prog := distrib.Program{Algorithm: "ftmetivier"}
+	st, res := runKilled(t, g, distrib.Program{Algorithm: "ftmetivier"},
+		congest.Options{Seed: 1234, Faults: plan, MaxRounds: 400}, 2, 57)
+	checkGolden(t, "recovered", g, st, res, plan)
+
+	prog := distrib.Program{Algorithm: "metivier"}
+	opts := congest.Options{Seed: 1234}
+	st, res = runKilled(t, g, prog, opts, 1, 4)
+	seqSt, seqRes, err := runSequential(t, g, prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != seqRes {
+		t.Fatalf("recovered reliable run: Result %+v != sequential %+v", res, seqRes)
+	}
+	for v := range seqSt {
+		if seqSt[v] != st[v] {
+			t.Fatalf("recovered reliable run: node %d status %v sequential, %v distributed", v, seqSt[v], st[v])
+		}
+	}
+}
+
+// runKilled runs prog on a fresh four-shard ExecFleet, SIGKILLs shard
+// killShard's worker when round killRound starts, and requires the run to
+// succeed through at least one respawn. It returns the statuses and the
+// Result.
+func runKilled(t *testing.T, g *graph.Graph, prog distrib.Program, opts congest.Options, killShard int, killRound int32) ([]base.Status, congest.Result) {
+	t.Helper()
 	fleet, err := distrib.NewExecFleet(g, prog, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-
-	const killRound = 57
-	const killShard = 2
-	rec := trace.NewRecorder(0)
-	killer := &killerSink{inner: rec, killAt: killRound, pid: func() int { return fleet.Pid(killShard) }}
-	factory, err := distrib.Factory(prog, n)
+	factory, err := distrib.Factory(prog, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := congest.Options{
-		Seed: 1234, Faults: plan, MaxRounds: 400,
-		Driver: congest.DriverDistributed, Fleet: fleet, Events: killer,
-	}
+	killer := &killerSink{inner: trace.NewRecorder(0), killAt: killRound, pid: func() int { return fleet.Pid(killShard) }}
+	opts.Driver, opts.Fleet, opts.Events = congest.DriverDistributed, fleet, killer
 	r := congest.NewRunner(g, factory, opts)
 	res, err := r.Run()
 	if err != nil {
@@ -336,7 +360,7 @@ func TestDistributedCrashRecovery(t *testing.T) {
 	if killer.respawns == 0 {
 		t.Fatal("no respawn event observed: the killed worker was never recovered")
 	}
-	checkGolden(t, "recovered", g, base.Statuses(r, n), res, plan)
+	return base.Statuses(r, g.N()), res
 }
 
 // TestFleetReuse is the fleet-reuse guarantee: one ExecFleet serves
@@ -511,26 +535,45 @@ func (s *scraperSink) Emit(e trace.Event) {
 	if e.Type != trace.EvRoundStart || e.Round != s.at || s.body.Load() != nil {
 		return
 	}
-	resp, err := http.Get("http://" + s.addr() + "/metrics")
+	body, err := scrape(s.addr())
 	if err != nil {
-		msg := "scrape error: " + err.Error()
-		s.body.Store(&msg)
-		return
+		body = "scrape error: " + err.Error()
+	}
+	s.body.Store(&body)
+}
+
+// scrape reads a worker's /metrics page.
+func scrape(addr string) (string, error) {
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		return "", err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		msg := "scrape read error: " + err.Error()
-		s.body.Store(&msg)
-		return
+	return string(b), err
+}
+
+// counterValue returns the value of a counter on a scraped /metrics page.
+func counterValue(t *testing.T, body, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			x, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("counter %s: %v", name, err)
+			}
+			return x
+		}
 	}
-	body := string(b)
-	s.body.Store(&body)
+	t.Fatalf("metrics output missing %s:\n%s", name, body)
+	return 0
 }
 
 // TestWorkerMetricsEndpoint spawns a fleet with per-shard Prometheus
 // endpoints and scrapes one mid-run: the misnode metric family must be
 // present and the shard must have swept rounds by the time it is scraped.
+// After the run, the two shards' sent-message counters, which count a
+// Broadcast record once per neighbor, must sum to the run's messages.
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	n := 64
 	g := gen.UnionOfTrees(n, 2, rng.New(4))
@@ -548,7 +591,8 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	}
 	opts := congest.Options{Seed: 6, Driver: congest.DriverDistributed, Fleet: fleet, Events: scraper}
 	r := congest.NewRunner(g, factory, opts)
-	if _, err := r.Run(); err != nil {
+	res, err := r.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	bp := scraper.body.Load()
@@ -570,6 +614,17 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	}
 	if fleet.MetricsAddr(1) == "" {
 		t.Fatal("shard 1 reported no metrics address")
+	}
+	var sent int64
+	for s := 0; s < 2; s++ {
+		body, err := scrape(fleet.MetricsAddr(s))
+		if err != nil {
+			t.Fatalf("shard %d: scrape after the run: %v", s, err)
+		}
+		sent += counterValue(t, body, "misnode_packets_out_total")
+	}
+	if sent != res.Messages {
+		t.Fatalf("shards counted %d messages sent, the run delivered %d", sent, res.Messages)
 	}
 }
 

@@ -144,7 +144,8 @@ func ServeConn(c net.Conn) error {
 		}
 		adj := cm.adj
 		lo := cm.cfg.Lo
-		worker, err := congest.NewShardWorker(cm.cfg, func(v int) []int { return adj[v-lo] }, factory)
+		neighbors := func(v int) []int { return adj[v-lo] }
+		worker, err := congest.NewShardWorker(cm.cfg, neighbors, factory)
 		if err != nil {
 			return fail(err)
 		}
@@ -164,17 +165,18 @@ func ServeConn(c net.Conn) error {
 			return err
 		}
 
-		if err := serveRun(fc, &enc, &sc, worker, m, fail); err != nil {
+		if err := serveRun(fc, &enc, &sc, worker, neighbors, m, fail); err != nil {
 			return err
 		}
 	}
 }
 
 // serveRun drives one run's round loop: sweep every fkRound until the
-// fkFinish/outputs exchange ends it.
+// fkFinish/outputs exchange ends it. neighbors is the owned vertices'
+// adjacency, which the sent-message counter expands Broadcast records by.
 //
 //draworder:worker
-func serveRun(fc *frameConn, enc *encoder, sc *decodeScratch, worker *congest.ShardWorker, m *workerMetrics, fail func(error) error) error {
+func serveRun(fc *frameConn, enc *encoder, sc *decodeScratch, worker *congest.ShardWorker, neighbors func(v int) []int, m *workerMetrics, fail func(error) error) error {
 	for {
 		payload, err := fc.readFrame()
 		if err != nil {
@@ -201,7 +203,7 @@ func serveRun(fc *frameConn, enc *encoder, sc *decodeScratch, worker *congest.Sh
 			if m != nil {
 				m.rounds.Inc()
 				m.msgsIn.Add(int64(len(in.Inbox)))
-				m.pktsOut.Add(int64(len(out.Packets)))
+				m.pktsOut.Add(sentMessages(out.Packets, neighbors))
 				m.live.Set(int64(worker.Live()))
 				m.bytesIn.Add(fc.bytesIn - m.bytesIn.Value())
 				m.bytesOut.Add(fc.bytesOut - m.bytesOut.Value())
@@ -216,4 +218,18 @@ func serveRun(fc *frameConn, enc *encoder, sc *decodeScratch, worker *congest.Sh
 			return fail(fmt.Errorf("distrib: worker expected round or finish frame, got %s", kind))
 		}
 	}
+}
+
+// sentMessages counts the messages a sweep's packets carry: a Broadcast
+// record is one message per neighbor of its sender.
+func sentMessages(pkts []congest.Packet, neighbors func(v int) []int) int64 {
+	var n int64
+	for _, p := range pkts {
+		if p.To == congest.BroadcastTo {
+			n += int64(len(neighbors(int(p.From))))
+		} else {
+			n++
+		}
+	}
+	return n
 }
