@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test scale-smoke dynmis-smoke dist-smoke ci bench-engine bench bench-faults bench-trace bench-alloc bench-scale bench-dynmis bench-dist
+.PHONY: build test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test ci bench
 
 build:
 	go build ./...
@@ -105,83 +105,14 @@ fuzz-smoke:
 perfbench-test:
 	cd perfbench && go test ./...
 
-# Scaling smoke: the E19 slice of the cores × n matrix at test size —
-# sequential + pool at two worker counts, fingerprints forced identical
-# (any divergence fails the run). Fast (< 1s); runs in ci. The full
-# production trajectory is `make bench-scale`.
-scale-smoke:
-	go run ./cmd/bench -quick -only E19
-
-# Dynamic-MIS smoke: the E20 slice at test size — incremental repair vs
-# full recompute on a generated update stream, with the sequential/pool
-# stream-fingerprint equality enforced inside the driver. Fast (< 1s);
-# runs in ci. The full trajectory is `make bench-dynmis`.
-dynmis-smoke:
-	go run ./cmd/bench -quick -only E20
-
-# Distributed-driver smoke: the E21 slice at test size — shard workers in
-# separate OS processes over unix sockets, every fleet shape forced to
-# reproduce the sequential fingerprint bit-for-bit, clean and faulted.
-# Fast (< 2s); runs in ci. The full trajectory is `make bench-dist`.
-dist-smoke:
-	go run ./cmd/bench -quick -only E21
-
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
 # repo-wide vet, the gofmt gate, the misvet analyzer suite, race-detector
-# pass, coverage floors, allocation gates, decoder fuzz smoke, the
-# benchmark's own suite, multicore-scaling smoke, dynamic-MIS smoke,
-# distributed-driver smoke.
-ci: test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test scale-smoke dynmis-smoke dist-smoke
-
-# Refresh the seed-pinned driver throughput trajectory consumed by future
-# PRs (rounds/sec and messages/sec per driver at n = 2^14).
-bench-engine:
-	go run ./cmd/bench -engine-bench BENCH_congest.json
-
-# Refresh the seed-pinned fault-tolerance sweep (safety must hold at every
-# fault intensity; rounds and coverage are the recorded trajectory).
-bench-faults:
-	go run ./cmd/bench -faults BENCH_faults.json
-
-# Refresh the seed-pinned tracing-overhead trajectory (E17: the ring
-# recorder must stay within 15% wall-clock overhead at n = 2^14 on the
-# pool driver; off / ring / JSONL are the recorded modes).
-bench-trace:
-	go run ./cmd/bench -trace-bench BENCH_trace.json
-
-# Refresh the seed-pinned allocation trajectory (E18: allocations and
-# bytes per run, allocations per message, messages/sec per driver at
-# n = 2^14, with the sequential speedup over the PR-1 BENCH_congest.json
-# baseline embedded in the artifact).
-bench-alloc:
-	go run ./cmd/bench -alloc-bench BENCH_alloc.json -alloc-baseline BENCH_congest.json
-
-# Refresh the seed-pinned cores × n scaling trajectory (E19 / DESIGN.md
-# S27: sequential + pool at workers ∈ {1,2,4,8,GOMAXPROCS} across
-# n ∈ {2^18, 2^20, 2^22}, every cell's clean and faulted fingerprints
-# forced bit-identical). GOMAXPROCS is raised to the widest request for
-# the run; on fewer physical cores the wall-clock curve is hardware-bound
-# and the artifact records num_cpu so the bound is visible.
-bench-scale:
-	go run ./cmd/bench -scale-bench BENCH_scale.json
-
-# Refresh the seed-pinned dynamic-MIS trajectory (E20 / DESIGN.md S28:
-# incremental-repair vs full-recompute throughput and the repaired-region
-# size distribution on low-locality streams over tree and union-of-trees
-# at n ∈ {2^12, 2^14, 2^16}). The n = 2^16 rows must beat full
-# recomputation by ≥ 10x or the run fails; the sequential and pool
-# drivers must agree on every stream fingerprint.
-bench-dynmis:
-	go run ./cmd/bench -dynmis-bench BENCH_dynmis.json
-
-# Refresh the seed-pinned distributed-driver trajectory (E21: fleet shapes
-# shards ∈ {1,2,4,8} at n = 2^10, each a set of worker OS processes over
-# unix sockets; every shape must reproduce the sequential run's
-# deterministic fingerprint bit-for-bit, clean and faulted, or the run
-# fails; frame bytes and round-trip latency per round are the recorded
-# transport cost).
-bench-dist:
-	go run ./cmd/bench -dist-bench BENCH_dist.json
+# pass, coverage floors, allocation gates, decoder fuzz smoke and the
+# benchmark's own suite. Cross-driver identity (sequential, pool and
+# multi-process fleets, clean and faulted, static and dynamic graphs) is
+# pinned by tests under `go test ./...`; the benchmark itself is
+# perfbench (BENCHMARK.json).
+ci: test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test
 
 # Engine driver micro-benchmarks (ns/round per driver at n = 2^11, 2^14).
 bench:

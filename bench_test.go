@@ -2,20 +2,10 @@ package repro
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
-	"repro/internal/distrib"
 	"repro/internal/exp"
 )
-
-// TestMain lets this test binary double as the misnode worker: the E21
-// benchmark spawns self-exec fleets, which re-run the binary with the
-// worker socket in the environment.
-func TestMain(m *testing.M) {
-	distrib.MaybeWorker()
-	os.Exit(m.Run())
-}
 
 // One benchmark per experiment in DESIGN.md's index. Each runs the driver
 // at test size (cmd/bench runs the full sweeps) and reports the wall cost
@@ -64,11 +54,6 @@ func BenchmarkE13DegreeReduction(b *testing.B)   { benchDriver(b, "E13") }
 func BenchmarkE14RoundDecay(b *testing.B)        { benchDriver(b, "E14") }
 func BenchmarkE15Matching(b *testing.B)          { benchDriver(b, "E15") }
 func BenchmarkE16FaultTolerance(b *testing.B)    { benchDriver(b, "E16") }
-func BenchmarkE17TraceOverhead(b *testing.B)     { benchDriver(b, "E17") }
-func BenchmarkE18AllocProfile(b *testing.B)      { benchDriver(b, "E18") }
-func BenchmarkE19MulticoreScaling(b *testing.B)  { benchDriver(b, "E19") }
-func BenchmarkE20DynamicUpdates(b *testing.B)    { benchDriver(b, "E20") }
-func BenchmarkE21DistributedDriver(b *testing.B) { benchDriver(b, "E21") }
 func BenchmarkA1RhoOptOut(b *testing.B)          { benchDriver(b, "A1") }
 func BenchmarkA2ParamProfiles(b *testing.B)      { benchDriver(b, "A2") }
 func BenchmarkA3ScaleSensitivity(b *testing.B)   { benchDriver(b, "A3") }
@@ -133,8 +118,9 @@ func benchEngineDriver(b *testing.B, g *Graph, opts Options) {
 }
 
 // BenchmarkEngineDrivers compares the two in-process execution strategies
-// on the same workload at n = 2^11 and n = 2^14 (see BENCH_congest.json for
-// the recorded trajectory).
+// on the same workload at n = 2^11 and n = 2^14. It is a quick local probe;
+// the repo's benchmark, with repeated ops, pinned digests and bounded
+// metrics, is perfbench (BENCHMARK.json).
 func BenchmarkEngineDrivers(b *testing.B) {
 	for _, n := range []int{1 << 11, 1 << 14} {
 		g := UnionOfTrees(n, 2, 7)

@@ -241,38 +241,64 @@ func TestDistributedGoldenFaulted(t *testing.T) {
 // TestDistributedTraceFingerprint pins the deterministic event stream:
 // a traced distributed run must produce the exact deterministic
 // fingerprint of the traced sequential run — program events, halts, RNG
-// accounting and round markers all cross the socket unchanged.
+// accounting and round markers all cross the socket unchanged. The
+// n = 1024 cases also pin that fingerprint, clean and under drops plus
+// crash-restart windows, across fleets of 1, 2, 4 and 8 worker processes.
 func TestDistributedTraceFingerprint(t *testing.T) {
-	n := 512
-	g := gen.UnionOfTrees(n, 2, rng.New(3))
 	prog := distrib.Program{Algorithm: "metivier"}
-	factory, err := distrib.Factory(prog, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seqRec := trace.NewRecorder(0)
-	seqRunner := congest.NewRunner(g, factory, congest.Options{Seed: 42, Events: seqRec})
-	seqRes, err := seqRunner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	distRec := trace.NewRecorder(0)
-	distRes, _, err := distrib.Run(g, prog, 3, congest.Options{Seed: 42, Events: distRec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqRes != distRes {
-		t.Fatalf("Result diverged: sequential %+v, distributed %+v", seqRes, distRes)
-	}
-	if seqRec.Fingerprint() != distRec.Fingerprint() {
-		t.Fatalf("deterministic fingerprint diverged: sequential %#x, distributed %#x",
-			seqRec.Fingerprint(), distRec.Fingerprint())
-	}
-	if seqRec.DeterministicCount() != distRec.DeterministicCount() {
-		t.Fatalf("deterministic event count diverged: sequential %d, distributed %d",
-			seqRec.DeterministicCount(), distRec.DeterministicCount())
+	small := gen.UnionOfTrees(512, 2, rng.New(3))
+	const n = 1024
+	fleetGraph := gen.UnionOfTrees(n, 2, rng.New(1))
+	plan := faultsim.Compose(
+		faultsim.BernoulliDrop{P: 0.02},
+		faultsim.NewCrashRestart(map[int]faultsim.Window{1: {Down: 2, Up: 9}, n / 2: {Down: 3}}),
+	)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		opts   congest.Options
+		shards []int
+		want   uint64 // 0: the sequential run is the only reference
+	}{
+		{"union-512", small, congest.Options{Seed: 42}, []int{3}, 0},
+		{"fleets-clean", fleetGraph, congest.Options{Seed: 1}, []int{1, 2, 4, 8}, 0xee357cf0bb63a037},
+		{"fleets-faulted", fleetGraph, congest.Options{Seed: 1, Faults: plan, MaxRounds: 4 * n}, []int{1, 2, 4, 8}, 0x6e8038d02cd3f2bf},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			factory, err := distrib.Factory(prog, tc.g.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqRec := trace.NewRecorder(0)
+			opts := tc.opts
+			opts.Events = seqRec
+			seqRes, err := congest.NewRunner(tc.g, factory, opts).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want != 0 && seqRec.Fingerprint() != tc.want {
+				t.Fatalf("sequential fingerprint %#x, want %#x", seqRec.Fingerprint(), tc.want)
+			}
+			for _, shards := range tc.shards {
+				distRec := trace.NewRecorder(0)
+				opts.Events = distRec
+				distRes, _, err := distrib.Run(tc.g, prog, shards, opts)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if seqRes != distRes {
+					t.Fatalf("shards=%d: Result diverged: sequential %+v, distributed %+v", shards, seqRes, distRes)
+				}
+				if seqRec.Fingerprint() != distRec.Fingerprint() {
+					t.Fatalf("shards=%d: deterministic fingerprint diverged: sequential %#x, distributed %#x",
+						shards, seqRec.Fingerprint(), distRec.Fingerprint())
+				}
+				if seqRec.DeterministicCount() != distRec.DeterministicCount() {
+					t.Fatalf("shards=%d: deterministic event count diverged: sequential %d, distributed %d",
+						shards, seqRec.DeterministicCount(), distRec.DeterministicCount())
+				}
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@
 // that survive the randomized phase, and an update's consequences have
 // exactly that local structure — so re-running the engine on the region
 // beats recomputing from scratch by the ratio of region size to graph
-// size (experiment E20 measures the gap).
+// size (TestGoldenStreamFingerprint bounds the gap in messages).
 //
 // Determinism extends from single runs to streams: for a fixed (graph,
 // seed, update stream), the maintained MIS, the region of every repair,

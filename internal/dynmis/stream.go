@@ -19,7 +19,7 @@ type StreamConfig struct {
 	// locality hammers one neighborhood (repair regions overlap batch to
 	// batch); zero locality sprays updates across the graph — the regime
 	// where incremental repair beats full recomputation by the widest
-	// margin, and the one E20's acceptance bar measures.
+	// margin, and the one TestGoldenStreamFingerprint's work bar measures.
 	Locality float64
 	// Churn in [0,1] is the probability that an update is node churn
 	// (insert or remove a vertex) rather than an edge flip.

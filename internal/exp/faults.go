@@ -6,11 +6,9 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/faultsim"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mis/base"
 	"repro/internal/mis/ftmetivier"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -23,8 +21,8 @@ type faultScenario struct {
 	build       func(n int, x float64) faultsim.Plan
 }
 
-// faultScenarios returns the E16 / fault-bench sweep: every faultsim plan
-// kind at escalating intensities, plus a composed worst case.
+// faultScenarios returns the E16 sweep: every faultsim plan kind at
+// escalating intensities, plus a composed worst case.
 func faultScenarios() []faultScenario {
 	return []faultScenario{
 		{"drop", []float64{0, 0.02, 0.05, 0.1, 0.2}, func(_ int, p float64) faultsim.Plan {
@@ -64,24 +62,18 @@ func faultScenarios() []faultScenario {
 
 // faultedRun executes fault-tolerant Métivier under plan and scores the
 // output with the faultsim checker.
-func faultedRun(g *graph.Graph, plan faultsim.Plan, opts congest.Options) (*faultsim.Report, congest.Result, bool, error) {
+func faultedRun(g *graph.Graph, plan faultsim.Plan, opts congest.Options) (*faultsim.Report, congest.Result, error) {
 	opts.Faults = plan
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 3 * ftmetivier.DefaultMaxIters * 2
 	}
 	st, res, err := ftmetivier.Run(g, opts)
-	if errors.Is(err, congest.ErrMaxRounds) {
-		return nil, res, true, nil
-	}
 	if err != nil {
-		return nil, res, false, err
+		return nil, res, err
 	}
 	crashed := faultsim.CrashedAt(plan, res.Rounds+1, g.N())
 	rep, err := faultsim.Check(g, base.MISSet(st), crashed)
-	if err != nil {
-		return nil, res, false, err
-	}
-	return rep, res, false, nil
+	return rep, res, err
 }
 
 // E16FaultTolerance sweeps the faultsim plan families against the
@@ -103,12 +95,12 @@ func E16FaultTolerance(c Config) (*Report, error) {
 			var rounds, coverage, undecided, crashed, dropped, delayed stats.Summary
 			for i := 0; i < c.seeds(); i++ {
 				g := arbGraph(n, 2, c.graphRNG(label, i))
-				rep, res, stalled, err := faultedRun(g, sc.build(n, x), c.opts(label, i))
+				rep, res, err := faultedRun(g, sc.build(n, x), c.opts(label, i))
+				if errors.Is(err, congest.ErrMaxRounds) {
+					return nil, fmt.Errorf("E16: %s x=%v: hit MaxRounds; the iteration budget must terminate every run", sc.name, x)
+				}
 				if err != nil {
 					return nil, fmt.Errorf("E16: %s x=%v: %w", sc.name, x, err)
-				}
-				if stalled {
-					return nil, fmt.Errorf("E16: %s x=%v: hit MaxRounds; the iteration budget must terminate every run", sc.name, x)
 				}
 				violations += len(rep.Violations)
 				rounds.Add(float64(res.Rounds))
@@ -133,85 +125,4 @@ func E16FaultTolerance(c Config) (*Report, error) {
 		"zero independence violations across the whole sweep — positive-evidence joining is safe under loss, crashes and partitions.",
 		"coverage < 1 rows show the price: fault-stalled nodes give up undecided at the iteration budget instead of guessing.")
 	return rep, nil
-}
-
-// FaultBenchEntry is one (scenario, intensity) point in a fault bench run
-// (the BENCH_faults.json schema). Counters are summed over runs; rounds
-// and coverage are means.
-type FaultBenchEntry struct {
-	Scenario   string  `json:"scenario"`
-	Intensity  float64 `json:"intensity"`
-	Runs       int     `json:"runs"`
-	MeanRounds float64 `json:"mean_rounds"`
-	// Coverage is the mean fraction of non-crashed vertices that ended
-	// decided (in the MIS or dominated); 1 means full liveness.
-	Coverage   float64 `json:"coverage"`
-	Undecided  int     `json:"undecided"`
-	Crashed    int     `json:"crashed"`
-	Dropped    int64   `json:"dropped"`
-	Delayed    int64   `json:"delayed"`
-	Stalled    int     `json:"stalled"`
-	Violations int     `json:"violations"`
-}
-
-// FaultBenchReport is the seed-pinned fault-tolerance trajectory that
-// cmd/bench -faults writes to BENCH_faults.json, so successive PRs can
-// compare safety (always zero violations) and liveness under identical
-// fault plans.
-type FaultBenchReport struct {
-	Algorithm string            `json:"algorithm"`
-	Graph     string            `json:"graph"`
-	N         int               `json:"n"`
-	Seed      uint64            `json:"seed"`
-	Seeds     int               `json:"seeds"`
-	Entries   []FaultBenchEntry `json:"entries"`
-}
-
-// RunFaultBench sweeps the E16 scenarios on one pinned workload:
-// fault-tolerant Métivier on UnionOfTrees(n, 2), seeds replications per
-// point. Any independence violation is returned as an error — safety is
-// an invariant of the bench, not a metric.
-func RunFaultBench(n int, seed uint64, seeds int) (*FaultBenchReport, error) {
-	if seeds < 1 {
-		seeds = 1
-	}
-	report := &FaultBenchReport{
-		Algorithm: "ftmetivier",
-		Graph:     "union-of-trees(alpha=2)",
-		N:         n,
-		Seed:      seed,
-		Seeds:     seeds,
-	}
-	for si, sc := range faultScenarios() {
-		for _, x := range sc.intensities {
-			entry := FaultBenchEntry{Scenario: sc.name, Intensity: x, Runs: seeds}
-			var rounds, coverage stats.Summary
-			for i := 0; i < seeds; i++ {
-				stream := rng.New(seed).Split(uint64(si)<<16 | uint64(x*1000)).Split(uint64(i))
-				g := gen.UnionOfTrees(n, 2, stream)
-				rep, res, stalled, err := faultedRun(g, sc.build(n, x), congest.Options{Seed: stream.Uint64()})
-				if err != nil {
-					return nil, fmt.Errorf("fault bench: %s x=%v: %w", sc.name, x, err)
-				}
-				if stalled {
-					entry.Stalled++
-					continue
-				}
-				rounds.Add(float64(res.Rounds))
-				coverage.Add(rep.Coverage())
-				entry.Undecided += rep.Undecided
-				entry.Crashed += rep.Crashed
-				entry.Violations += len(rep.Violations)
-				entry.Dropped += res.Dropped
-				entry.Delayed += res.Delayed
-			}
-			entry.MeanRounds = rounds.Mean()
-			entry.Coverage = coverage.Mean()
-			if entry.Violations > 0 {
-				return nil, fmt.Errorf("fault bench: %s x=%v: %d independence violations", sc.name, x, entry.Violations)
-			}
-			report.Entries = append(report.Entries, entry)
-		}
-	}
-	return report, nil
 }

@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"repro/internal/congest"
 	"repro/internal/forest"
@@ -15,7 +13,6 @@ import (
 	"repro/internal/mis/ghaffari"
 	"repro/internal/mis/luby"
 	"repro/internal/mis/metivier"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -260,96 +257,6 @@ func E12Comparison(c Config) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"at these n the O(log n) algorithms win on absolute rounds — consistent with the paper, whose claim is asymptotic shape, not laptop-scale constants (§1.2 concedes Ghaffari dominates).")
 	return rep, nil
-}
-
-// EngineBenchEntry is one driver's throughput measurement in an engine
-// benchmark run (the BENCH_congest.json schema).
-type EngineBenchEntry struct {
-	// Driver names the execution strategy (congest.DriverKind.String).
-	Driver string `json:"driver"`
-	// Workers is the pool shard count (0 for non-pool drivers).
-	Workers int `json:"workers,omitempty"`
-	// WallNS is the best-of-reps wall time for one full run.
-	WallNS int64 `json:"wall_ns"`
-	// Rounds and Messages are the run's CONGEST counters (identical
-	// across drivers by the determinism guarantee).
-	Rounds   int   `json:"rounds"`
-	Messages int64 `json:"messages"`
-	// NSPerRound, RoundsPerSec and MessagesPerSec derive from WallNS.
-	NSPerRound     float64 `json:"ns_per_round"`
-	RoundsPerSec   float64 `json:"rounds_per_sec"`
-	MessagesPerSec float64 `json:"messages_per_sec"`
-}
-
-// EngineBenchReport is the seed-pinned engine throughput trajectory that
-// cmd/bench -engine-bench writes to BENCH_congest.json, so successive PRs
-// can compare driver performance on identical work.
-type EngineBenchReport struct {
-	Algorithm  string             `json:"algorithm"`
-	Graph      string             `json:"graph"`
-	N          int                `json:"n"`
-	Seed       uint64             `json:"seed"`
-	Reps       int                `json:"reps"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Drivers    []EngineBenchEntry `json:"drivers"`
-}
-
-// RunEngineBench measures both in-process drivers on one pinned workload:
-// Métivier MIS on UnionOfTrees(n, 2) at the given seed, best wall time of
-// reps runs per driver. The run counters must agree across drivers — a
-// mismatch is reported as an error, making the benchmark double as a
-// determinism check.
-func RunEngineBench(n int, seed uint64, reps int) (*EngineBenchReport, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	g := gen.UnionOfTrees(n, 2, rng.New(seed))
-	report := &EngineBenchReport{
-		Algorithm:  "metivier",
-		Graph:      "union-of-trees(alpha=2)",
-		N:          n,
-		Seed:       seed,
-		Reps:       reps,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	var ref *congest.Result
-	for _, kind := range []congest.DriverKind{congest.DriverSequential, congest.DriverPool} {
-		entry := EngineBenchEntry{Driver: kind.String()}
-		if kind == congest.DriverPool {
-			entry.Workers = congest.Options{}.WorkerCount(n)
-		}
-		var best time.Duration
-		for rep := 0; rep < reps; rep++ {
-			opts := congest.Options{Seed: seed, Driver: kind}
-			start := time.Now()
-			_, res, err := metivier.Run(g, opts)
-			wall := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("engine bench: %s: %w", kind, err)
-			}
-			if ref == nil {
-				r := res
-				ref = &r
-			} else if res != *ref {
-				return nil, fmt.Errorf("engine bench: %s diverged: %+v != %+v", kind, res, *ref)
-			}
-			if rep == 0 || wall < best {
-				best = wall
-			}
-			entry.Rounds, entry.Messages = res.Rounds, res.Messages
-		}
-		entry.WallNS = int64(best)
-		secs := best.Seconds()
-		if entry.Rounds > 0 {
-			entry.NSPerRound = float64(best) / float64(entry.Rounds)
-		}
-		if secs > 0 {
-			entry.RoundsPerSec = float64(entry.Rounds) / secs
-			entry.MessagesPerSec = float64(entry.Messages) / secs
-		}
-		report.Drivers = append(report.Drivers, entry)
-	}
-	return report, nil
 }
 
 func count(statuses []base.Status) int {

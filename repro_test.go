@@ -141,7 +141,7 @@ func TestReadKToolkitViaPublicAPI(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	drivers := Experiments()
-	if len(drivers) != 26 {
+	if len(drivers) != 21 {
 		t.Fatalf("%d drivers", len(drivers))
 	}
 	if !QuickExperimentConfig().Quick || FullExperimentConfig().Quick {
