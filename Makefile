@@ -20,14 +20,13 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Repo-specific static analysis (internal/lint via cmd/misvet): the
-# determinism and CONGEST contracts — no wall clocks / math/rand /
-# atomics / goroutines / map ranges in deterministic packages, closed
-# wire-kind and frame-kind namespaces, encoder bit sizes within
-# congest.MaxWireBits, allocation-free //congest:hotpath call chains, and
-# coordinator-only randomness (draworder). Any non-baselined finding fails
-# the build; the summary line records the suite's wall time so analyzer
-# cost regressions show up in CI logs. See README "Static analysis" for
-# the escape hatches.
+# determinism contracts on code paths no test is sure to run — no wall
+# clocks / math/rand / atomics / goroutines / map ranges in
+# deterministic packages, allocation-free //congest:hotpath call chains,
+# and coordinator-only randomness (draworder). Any finding fails the
+# build; the summary line records the suite's wall time so analyzer cost
+# regressions show up in CI logs. See README "Static analysis" for the
+# escape hatches.
 misvet:
 	go run ./cmd/misvet ./...
 
@@ -81,20 +80,19 @@ alloc-gate:
 
 # Fuzz smoke: a 10s slice of native fuzzing over each decoder of external
 # bytes — the distrib frame decoders (what a networked shard worker,
-# cmd/misnode -listen tcp:, accepts from outside), the JSONL trace reader,
-# the dynamic-MIS update-stream reader, the misvet baseline reader
-# (cmd/misvet -baseline), and the edge-list parser and graph constructor
-# (cmd/arbmis -stdin) — plus the engine's differential target, which runs
-# byte-scripted programs under every driver and requires the pull, push
-# and faulted delivery paths to agree. Any panic, hang, runaway
-# allocation, broken round trip or cross-driver divergence fails it. go
-# test fuzzes one target per run, hence seven runs.
+# cmd/misnode -listen tcp:, accepts from outside; an accepted frame must
+# carry no message above congest.MaxWireBits), the JSONL trace reader,
+# the dynamic-MIS update-stream reader, and the edge-list parser and
+# graph constructor (cmd/arbmis -stdin) — plus the engine's differential
+# target, which runs byte-scripted programs under every driver and
+# requires the pull, push and faulted delivery paths to agree. Any panic,
+# hang, runaway allocation, broken round trip or cross-driver divergence
+# fails it. go test fuzzes one target per run, hence six runs.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzCrossDriver$$' -fuzztime 10s ./internal/congest/
 	go test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/distrib/
 	go test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace/
 	go test -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 10s ./internal/dynmis/
-	go test -run '^$$' -fuzz '^FuzzLoadBaseline$$' -fuzztime 10s ./internal/lint/
 	go test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzNewGraph$$' -fuzztime 10s ./internal/graph/
 

@@ -17,24 +17,16 @@
 //
 // Flags:
 //
-//	-json                emit findings as a JSON array instead of text
-//	-baseline FILE       suppress findings recorded in FILE (burn-down mode)
-//	-strict-baseline     treat stale baseline entries as an error
-//	-write-baseline FILE record current findings as the accepted baseline
-//	-only a,b            run only the named analyzers
-//	-list                list the analyzers and exit
+//	-json      emit findings as a JSON array instead of text
+//	-only a,b  run only the named analyzers
+//	-list      list the analyzers and exit
+//	-C DIR     analyze the module in DIR (default ".")
 //
-// Baseline entries that no longer match any finding are stale: the
-// violation was fixed but the entry lingers. Stale entries are reported
-// as warnings so burn-down actually burns down; -strict-baseline makes
-// them fail the run (exit 1) until the baseline file is re-recorded.
+// The summary line on stderr counts findings and advisory-suppressed
+// findings and includes the suite's wall time, so analyzer cost
+// regressions are visible in CI logs.
 //
-// The summary line on stderr includes the suite's wall time, so analyzer
-// cost regressions are visible in CI logs.
-//
-// Exit status: 0 when clean (or every finding is baselined), 1 when
-// non-baselined findings exist (or stale entries under -strict-baseline),
-// 2 on usage or load errors.
+// Exit status: 0 when clean, 1 on any finding, 2 on usage or load errors.
 //
 // misvet is stdlib-only: it is a standalone checker rather than a
 // `go vet -vettool` plugin (which would require golang.org/x/tools), but
@@ -61,13 +53,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("misvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut        = fs.Bool("json", false, "emit findings as JSON")
-		baselinePath   = fs.String("baseline", "", "suppress findings recorded in this baseline file")
-		strictBaseline = fs.Bool("strict-baseline", false, "treat stale baseline entries as an error")
-		writeBaseline  = fs.String("write-baseline", "", "record current findings to this baseline file and exit")
-		only           = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		list           = fs.Bool("list", false, "list analyzers and exit")
-		dir            = fs.String("C", ".", "module directory to analyze")
+		jsonOut = fs.Bool("json", false, "emit findings as JSON")
+		only    = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+		list    = fs.Bool("list", false, "list analyzers and exit")
+		dir     = fs.String("C", ".", "module directory to analyze")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: misvet [flags] [package pattern ...]\n")
@@ -114,31 +103,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	elapsed := time.Since(start).Round(time.Millisecond)
 	diags = filterPatterns(diags, fs.Args())
 
-	if *writeBaseline != "" {
-		if err := lint.NewBaseline(diags).Write(*writeBaseline); err != nil {
-			fmt.Fprintf(stderr, "misvet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "misvet: recorded %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	var baseline *lint.Baseline
-	if *baselinePath != "" {
-		baseline, err = lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "misvet: %v\n", err)
-			return 2
-		}
-	}
-	fresh, absorbed, stale := baseline.Filter(diags)
-	for _, d := range stale {
-		fmt.Fprintf(stderr, "misvet: stale baseline entry (fixed? re-record with -write-baseline): %s: %s: %s\n",
-			d.Analyzer, d.File, d.Message)
-	}
-
 	if *jsonOut {
-		out := fresh
+		out := diags
 		if out == nil {
 			out = []lint.Diagnostic{}
 		}
@@ -149,16 +115,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}
 	}
-	fmt.Fprintf(stderr, "misvet: %d finding(s); %d advisory-suppressed, %d baselined, %d stale (%d analyzers in %s)\n",
-		len(fresh), suppressed, absorbed, len(stale), len(analyzers), elapsed)
-	if len(fresh) > 0 {
-		return 1
-	}
-	if *strictBaseline && len(stale) > 0 {
+	fmt.Fprintf(stderr, "misvet: %d finding(s); %d advisory-suppressed (%d analyzers in %s)\n",
+		len(diags), suppressed, len(analyzers), elapsed)
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0

@@ -14,8 +14,8 @@
 //
 // diff bisects two traces to their first divergent deterministic event and
 // exits non-zero if they diverge; advisory events (driver timings, shard
-// flow) are ignored, so traces recorded under different engine drivers
-// compare clean.
+// rebalances, transport frames, respawns) are ignored, so traces recorded
+// under different engine drivers compare clean.
 //
 // chrome converts a JSONL trace to the Chrome trace-event format on
 // stdout, loadable in chrome://tracing or https://ui.perfetto.dev.

@@ -26,14 +26,15 @@ type Wire struct {
 }
 
 // WireKind tags the payload family packed into a Wire. Kind 0 is invalid;
-// protocol packages allocate kinds starting at 1 (internal/mis/proto owns
-// 1..8 for the MIS protocol payloads).
+// internal/mis/proto owns the namespace, and a new kind goes in its iota
+// block, before the wireKindEnd sentinel, with an encoder and a decoder.
 type WireKind uint8
 
 // MaxWireBits is the repository's concrete O(log n) CONGEST message-size
 // budget: no Wire() encoder may declare more bits than this. Two 64-bit
 // words bound any payload the Wire record can carry, and 128 = O(log n)
 // for every feasible n, so the constant is both the physical and the
-// model-level ceiling. The misvet congestbits analyzer enforces it at
-// compile time; Options.MessageBitLimit meters it at run time.
+// model-level ceiling. proto's TestBitsArePositiveAndSmall holds every
+// payload to it, the distrib frame decoders reject a larger message, and
+// Options.MessageBitLimit meters it at run time.
 const MaxWireBits = 128

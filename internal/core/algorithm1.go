@@ -104,13 +104,6 @@ type node struct {
 // Status implements base.Membership.
 func (nd *node) Status() base.Status { return nd.status }
 
-// NewProgram returns a factory for Algorithm 1 nodes on g with the given
-// parameters. The nodes share one run's state, so a factory serves one
-// run.
-func NewProgram(g *graph.Graph, params *Params) func(v int) congest.Node {
-	return newAlg1Run(g, params).newNode
-}
-
 // RunAlg1 executes BoundedArbIndependentSet on g.
 func RunAlg1(g *graph.Graph, params *Params, opts congest.Options) (*Alg1Output, error) {
 	if err := params.Validate(); err != nil {

@@ -1,8 +1,9 @@
-// Frame codec hardening: exhaustive round-trip property tests over every
-// proto wire kind and boundary bit size, plus adversarial decoding —
-// every truncated prefix and a fuzz sweep of corrupt payloads must be
-// rejected with a contextual error, never a panic, and corrupt counts
-// must not drive oversized allocations.
+// Frame codec hardening: round-trip property tests over raw wire-kind
+// bytes and boundary bit sizes, the frame-kind registry and the CONGEST
+// bit-size bound, plus adversarial decoding — every truncated prefix and
+// a fuzz sweep of corrupt payloads must be rejected with a contextual
+// error, never a panic, and corrupt counts must not drive oversized
+// allocations.
 package distrib
 
 import (
@@ -18,13 +19,10 @@ import (
 	"repro/internal/trace"
 )
 
-// protoKinds is the exhaustive wire-kind set programs put on the wire.
-func protoKinds() []congest.WireKind {
-	return []congest.WireKind{
-		proto.WirePriority, proto.WireEpochPriority, proto.WireFlag,
-		proto.WireDegree, proto.WireDesire, proto.WireColor,
-		proto.WireLevel, proto.WireForestEdge,
-	}
+// probeKinds are the wire-kind bytes worth probing. The codec carries
+// Kind as an opaque byte, so the extremes stand for every kind.
+func probeKinds() []congest.WireKind {
+	return []congest.WireKind{0, 1, 128, 255}
 }
 
 // boundaryBits are the payload sizes worth probing: empty, single bit,
@@ -39,12 +37,13 @@ func boundaryWords() []uint64 {
 }
 
 // decodeAs reruns payloadKind + the kind's decoder, returning the decode
-// error (nil on success). It is the single entry point the adversarial
-// tests drive so no decoder path can panic unobserved.
-func decodeAs(payload []byte) error {
+// error (nil on success) and the wire payloads a round or sweep frame
+// carries. It is the single entry point the adversarial tests drive so no
+// decoder path can panic unobserved.
+func decodeAs(payload []byte) (wires []congest.Wire, err error) {
 	kind, dec, err := payloadKind(payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch kind {
 	case fkConfig:
@@ -52,9 +51,17 @@ func decodeAs(payload []byte) error {
 	case fkHello:
 		_, err = decodeHello(dec)
 	case fkRound:
-		_, err = decodeRound(dec)
+		var in congest.RoundInput
+		in, err = decodeRound(dec)
+		for _, msg := range in.Inbox {
+			wires = append(wires, msg.Wire)
+		}
 	case fkSweep:
-		_, err = decodeSweep(dec)
+		var out congest.RoundOutput
+		out, err = decodeSweep(dec)
+		for _, p := range out.Packets {
+			wires = append(wires, p.Wire)
+		}
 	case fkFinish:
 		err = dec.done()
 	case fkOutputs:
@@ -64,15 +71,15 @@ func decodeAs(payload []byte) error {
 	default:
 		err = dec.done()
 	}
-	return err
+	return wires, err
 }
 
-// TestRoundTripAllWireKinds sends one message of every proto kind at
-// every boundary bit size and word value through the round codec.
+// TestRoundTripAllWireKinds sends one message of every probed kind byte
+// at every boundary bit size and word value through the round codec.
 func TestRoundTripAllWireKinds(t *testing.T) {
 	var msgs []congest.Message
 	from := 0
-	for _, k := range protoKinds() {
+	for _, k := range probeKinds() {
 		for _, bits := range boundaryBits() {
 			for _, word := range boundaryWords() {
 				msgs = append(msgs, congest.Message{
@@ -203,6 +210,8 @@ func TestSmallFramesRoundTrip(t *testing.T) {
 }
 
 // samplePayloads builds one representative encoded payload per frame kind.
+// The round and sweep samples each carry a message of exactly
+// congest.MaxWireBits, so FuzzDecodeFrame mutates from the budget's edge.
 func samplePayloads() map[string][]byte {
 	var e encoder
 	out := map[string][]byte{}
@@ -217,11 +226,12 @@ func samplePayloads() map[string][]byte {
 	encodeRound(&e, congest.RoundInput{
 		Round:     2,
 		Fates:     []congest.VertexFate{{V: 3, Fate: 1}},
-		InboxLens: []int32{1, 2},
+		InboxLens: []int32{1, 3},
 		Inbox: []congest.Message{
 			{From: 0, Wire: congest.Wire{Kind: proto.WireFlag, Bits: 1, A: 1}},
 			{From: 5, Wire: congest.Wire{Kind: proto.WireDegree, Bits: 32, A: 9}},
 			{From: 6, Wire: congest.Wire{Kind: proto.WireColor, Bits: 8, A: 3, B: 1}},
+			{From: 7, Wire: congest.Wire{Kind: proto.WireEpochPriority, Bits: congest.MaxWireBits, A: 4}},
 		},
 	})
 	out["round"] = append([]byte(nil), e.buf...)
@@ -229,6 +239,7 @@ func samplePayloads() map[string][]byte {
 		Packets: []congest.Packet{
 			{To: 1, From: 2, Wire: congest.Wire{Kind: proto.WireDesire, Bits: 2, A: 2}},
 			{To: congest.BroadcastTo, From: 3, Wire: congest.Wire{Kind: proto.WirePriority, Bits: 64, A: 5}},
+			{To: 4, From: 3, Wire: congest.Wire{Kind: proto.WireEpochPriority, Bits: congest.MaxWireBits, A: 6}},
 		},
 		Events: []trace.Event{{Type: trace.EvHalt, Round: 2, V: 3}},
 		Halted: []int32{3},
@@ -245,16 +256,41 @@ func samplePayloads() map[string][]byte {
 	return out
 }
 
+// namedFrameKinds is the number of kind bytes frameKind.String names.
+func namedFrameKinds() int {
+	n := 0
+	for b := 0; b < 256; b++ {
+		if !strings.HasPrefix(frameKind(b).String(), "frame-kind(") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTruncatedFramesRejected decodes every strict prefix of every frame
 // kind: each must fail with a contextual error (and never panic) — a
-// partial frame cannot be mistaken for a complete one.
+// partial frame cannot be mistaken for a complete one. It also checks the
+// frame-kind registry: kind byte 0 stays unnamed, each sample's kind byte
+// is named by frameKind.String as its map key, and every named kind has
+// one sample, so a zero or duplicated tag or a missing String case fails
+// here.
 func TestTruncatedFramesRejected(t *testing.T) {
-	for name, payload := range samplePayloads() {
-		if err := decodeAs(payload); err != nil {
+	samples := samplePayloads()
+	if name := frameKind(0).String(); !strings.HasPrefix(name, "frame-kind(") {
+		t.Fatalf("kind byte 0 is named %q; zero must stay an invalid frame kind", name)
+	}
+	if n := namedFrameKinds(); len(samples) != n {
+		t.Fatalf("%d sample payloads for %d named frame kinds", len(samples), n)
+	}
+	for name, payload := range samples {
+		if got := frameKind(payload[0]).String(); got != name {
+			t.Fatalf("%s sample carries kind byte %d, which String names %q", name, payload[0], got)
+		}
+		if _, err := decodeAs(payload); err != nil {
 			t.Fatalf("%s: intact payload rejected: %v", name, err)
 		}
 		for cut := 0; cut < len(payload); cut++ {
-			err := decodeAs(payload[:cut])
+			_, err := decodeAs(payload[:cut])
 			if err == nil {
 				t.Fatalf("%s: prefix of %d/%d bytes decoded cleanly", name, cut, len(payload))
 			}
@@ -270,7 +306,7 @@ func TestTruncatedFramesRejected(t *testing.T) {
 func TestTrailingBytesRejected(t *testing.T) {
 	for name, payload := range samplePayloads() {
 		grown := append(append([]byte(nil), payload...), 0x5a)
-		if err := decodeAs(grown); err == nil {
+		if _, err := decodeAs(grown); err == nil {
 			t.Fatalf("%s: payload with trailing bytes decoded cleanly", name)
 		}
 	}
@@ -318,23 +354,26 @@ func TestCorruptCountsRejected(t *testing.T) {
 }
 
 // TestSweepAddressingRejected hand-crafts sweep frames whose one packet is
-// misaddressed: a recipient below congest.BroadcastTo or above
-// math.MaxInt32, or a sender above math.MaxInt32, must be rejected with an
-// error naming the field.
+// misaddressed or oversized: a recipient below congest.BroadcastTo or
+// above math.MaxInt32, a sender above math.MaxInt32, or a bit size above
+// congest.MaxWireBits must be rejected with an error naming the field.
 func TestSweepAddressingRejected(t *testing.T) {
 	cases := []struct {
 		name     string
 		to       int64
 		from     uint64
+		bits     uint64
 		field    string
 		accepted bool
 	}{
-		{"broadcast marker", congest.BroadcastTo, 7, "", true},
-		{"largest recipient", math.MaxInt32, math.MaxInt32, "", true},
-		{"below the marker", congest.BroadcastTo - 1, 7, "sweep.packet-to", false},
-		{"most negative", math.MinInt64, 7, "sweep.packet-to", false},
-		{"recipient above int32", math.MaxInt32 + 1, 7, "sweep.packet-to", false},
-		{"sender above int32", 3, math.MaxInt32 + 1, "sweep.packet-from", false},
+		{"broadcast marker", congest.BroadcastTo, 7, 64, "", true},
+		{"largest recipient", math.MaxInt32, math.MaxInt32, 64, "", true},
+		{"largest bit size", 3, 7, congest.MaxWireBits, "", true},
+		{"below the marker", congest.BroadcastTo - 1, 7, 64, "sweep.packet-to", false},
+		{"most negative", math.MinInt64, 7, 64, "sweep.packet-to", false},
+		{"recipient above int32", math.MaxInt32 + 1, 7, 64, "sweep.packet-to", false},
+		{"sender above int32", 3, math.MaxInt32 + 1, 64, "sweep.packet-from", false},
+		{"bits above the budget", 3, 7, congest.MaxWireBits + 1, "sweep.packet-bits", false},
 	}
 	for _, c := range cases {
 		var e encoder
@@ -343,7 +382,7 @@ func TestSweepAddressingRejected(t *testing.T) {
 		e.i64(c.to)
 		e.u64(c.from)
 		e.u8(byte(proto.WirePriority))
-		e.u64(64)
+		e.u64(c.bits)
 		e.fix64(1)
 		e.fix64(0)
 		e.u64(0) // events
@@ -360,6 +399,37 @@ func TestSweepAddressingRejected(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), "distrib:") || !strings.Contains(err.Error(), c.field) {
 			t.Fatalf("%s: got %v, want a contextual error reading %s", c.name, err, c.field)
+		}
+	}
+}
+
+// TestRoundMessageBitsBound hand-crafts round frames whose one message
+// declares a bit size at and just above congest.MaxWireBits: the first is
+// accepted, the second rejected with an error naming message.bits.
+func TestRoundMessageBitsBound(t *testing.T) {
+	for _, bits := range []uint64{congest.MaxWireBits, congest.MaxWireBits + 1} {
+		var e encoder
+		e.reset(fkRound)
+		e.u64(1) // round
+		e.u64(0) // fates
+		e.u64(1) // inbox lens
+		e.u64(1)
+		e.u64(1) // one message
+		e.u64(4) // from
+		e.u8(byte(proto.WirePriority))
+		e.u64(bits)
+		e.fix64(1)
+		e.fix64(0)
+		_, dec, _ := payloadKind(e.buf)
+		in, err := decodeRound(dec)
+		if bits <= congest.MaxWireBits {
+			if err != nil || len(in.Inbox) != 1 || uint64(in.Inbox[0].Wire.Bits) != bits {
+				t.Fatalf("%d-bit message: decoded %+v, %v; want it accepted", bits, in.Inbox, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "distrib:") || !strings.Contains(err.Error(), "message.bits") {
+			t.Fatalf("%d-bit message: got %v, want a contextual error reading message.bits", bits, err)
 		}
 	}
 }
@@ -523,6 +593,7 @@ func normSweep(out *congest.RoundOutput) {
 func TestFuzzDecodersNeverPanic(t *testing.T) {
 	r := rng.New(0xf022)
 	buf := make([]byte, 256)
+	kinds := uint64(namedFrameKinds())
 	for trial := 0; trial < 4096; trial++ {
 		n := int(r.Uint64() % uint64(len(buf)))
 		payload := buf[:n]
@@ -532,10 +603,10 @@ func TestFuzzDecodersNeverPanic(t *testing.T) {
 		if n > 0 {
 			// Half the trials get a valid kind byte so the real decoders run.
 			if r.Uint64()&1 == 0 {
-				payload[0] = byte(1 + r.Uint64()%7)
+				payload[0] = byte(1 + r.Uint64()%kinds)
 			}
 		}
-		_ = decodeAs(payload)
+		_, _ = decodeAs(payload)
 	}
 	// Mutate valid frames: flip one byte at a time and decode. Some
 	// mutations stay well-formed; the property under test is no-panic.
@@ -543,21 +614,30 @@ func TestFuzzDecodersNeverPanic(t *testing.T) {
 		for i := range payload {
 			mut := append([]byte(nil), payload...)
 			mut[i] ^= 0xff
-			_ = decodeAs(mut)
+			_, _ = decodeAs(mut)
 		}
 	}
 }
 
 // FuzzDecodeFrame is the native-fuzzing counterpart of
 // TestFuzzDecodersNeverPanic: any payload must decode or fail with an
-// error, never panic or exhaust memory.
+// error, never panic or exhaust memory, and an accepted round or sweep
+// frame carries no message above the CONGEST budget.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, payload := range samplePayloads() {
 		f.Add(payload)
 	}
 	f.Add(oversizedConfig())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = decodeAs(data)
+		wires, err := decodeAs(data)
+		if err != nil {
+			return
+		}
+		for _, w := range wires {
+			if w.Bits > congest.MaxWireBits {
+				t.Fatalf("accepted a %d-bit message, above congest.MaxWireBits = %d", w.Bits, congest.MaxWireBits)
+			}
+		}
 	})
 }
 

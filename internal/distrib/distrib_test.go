@@ -520,9 +520,6 @@ func TestDialFleetTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	if got := fleet.Transport(); got != "tcp" {
-		t.Fatalf("Transport() = %q, want tcp", got)
-	}
 	factory, err := distrib.Factory(prog, n)
 	if err != nil {
 		t.Fatal(err)

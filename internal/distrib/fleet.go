@@ -235,12 +235,6 @@ func NewExecFleet(g *graph.Graph, prog Program, shards int, opts ...ExecOption) 
 // NumShards returns the fleet's worker count.
 func (f *ExecFleet) NumShards() int { return f.shards }
 
-// Transport names the fleet's transport for topology reporting.
-func (f *ExecFleet) Transport() string { return "unix" }
-
-// Socket returns the fleet's unix socket path.
-func (f *ExecFleet) Socket() string { return f.socket }
-
 // Pid returns the worker process ID for a shard (0 before it starts),
 // so tests can deliver signals to a live worker.
 func (f *ExecFleet) Pid(shard int) int {
@@ -368,12 +362,6 @@ func NewDialFleet(g *graph.Graph, prog Program, addrs []string) (*DialFleet, err
 
 // NumShards returns the fleet's worker count.
 func (f *DialFleet) NumShards() int { return len(f.addrs) }
-
-// Transport names the fleet's transport for topology reporting.
-func (f *DialFleet) Transport() string { return "tcp" }
-
-// Addrs returns the configured misnode addresses.
-func (f *DialFleet) Addrs() []string { return f.addrs }
 
 // Shard dials the shard's misnode (with retries, so a respawn can wait
 // out a supervisor restart) and runs the config handshake.

@@ -26,9 +26,6 @@ func (o *Orientation) Parents(v int) []int { return o.out[v] }
 // Children returns the in-neighbors of v (aliases internal storage).
 func (o *Orientation) Children(v int) []int { return o.in[v] }
 
-// OutDegree returns |Parents(v)|.
-func (o *Orientation) OutDegree(v int) int { return len(o.out[v]) }
-
 // MaxOutDegree returns the maximum out-degree over all vertices.
 func (o *Orientation) MaxOutDegree() int {
 	max := 0

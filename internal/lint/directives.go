@@ -26,9 +26,6 @@ const (
 	// the whole function as a sanctioned cold callee: hotalloc's
 	// interprocedural traversal does not follow calls into it.
 	DirColdpath = "//congest:coldpath"
-	// DirExhaustive marks a wire-kind switch (same line or the line above)
-	// that must enumerate every declared kind constant.
-	DirExhaustive = "//wirekind:exhaustive"
 
 	// DirWorker marks a function (doc comment) as running in a worker /
 	// per-shard context even though no `go` statement spawns it directly
@@ -39,10 +36,6 @@ const (
 	// by contract: draworder does not traverse into it even when a worker
 	// path appears to call it.
 	DirCoordinator = "//draworder:coordinator"
-
-	// DirFrameExhaustive marks a frame-kind switch (same line or the line
-	// above) that must enumerate every declared frame kind constant.
-	DirFrameExhaustive = "//framecodec:exhaustive"
 )
 
 // commentIndex maps filename -> line -> comment texts starting on that

@@ -111,7 +111,7 @@ func TestFixtures(t *testing.T) {
 
 // TestFixtureDeterministicOutput runs the suite twice over fresh loads
 // and demands byte-identical reports: analyzer output order is part of
-// the tool's contract (diffable CI logs, stable baselines).
+// the tool's contract (diffable CI logs).
 func TestFixtureDeterministicOutput(t *testing.T) {
 	render := func() string {
 		m, err := LoadTree("testdata/src", "repro")

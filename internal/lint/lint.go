@@ -4,22 +4,13 @@
 // only with runtime tests (cross-driver matrices, pinned trace
 // fingerprints, AllocsPerRun gates).
 //
-// The suite ships seven analyzers. Five are syntactic, per-construct
+// The suite ships four analyzers. Two are syntactic, per-construct
 // checks:
 //
 //   - determinism: no wall-clock reads, math/rand, sync/atomic operations,
 //     or goroutine spawns inside deterministic packages;
 //   - maprange: no bare `range` over a map in deterministic packages
-//     (collect-and-sort the keys instead);
-//   - wirekind: the proto wire-kind namespace is closed — unique non-zero
-//     tags, one Wire() encoder and an As* decoder per kind, well-formed
-//     kind-switches;
-//   - congestbits: every Wire() encoder declares a constant bit size that
-//     agrees with the payload's Bits() method and stays within the
-//     congest.MaxWireBits CONGEST budget;
-//   - framecodec: the distrib transport's frame-kind namespace is closed
-//     the same way, and decoded frame bit sizes are bounds-checked
-//     against congest.MaxWireBits.
+//     (collect-and-sort the keys instead).
 //
 // Two are interprocedural, built on a shared call-graph core
 // (callgraph.go):
@@ -32,6 +23,10 @@
 //   - draworder: rng.RNG draws are unreachable from worker goroutines
 //     and per-shard contexts, so randomness is always consumed
 //     coordinator-side in global sender order.
+//
+// All four check code paths that no test is sure to run. The wire and frame
+// codec contracts, which tests can walk exhaustively, are go tests in the
+// packages that own them (internal/mis/proto, internal/distrib).
 //
 // Escape hatches are comment directives (see directives.go): a finding on
 // a line marked //lint:advisory — or inside a function whose doc comment
@@ -57,14 +52,14 @@ import (
 // module-level analyzers, every package of the module) and reports
 // findings through Pass.Reportf.
 type Analyzer struct {
-	// Name is the short identifier used as the diagnostic prefix and in
-	// baseline files.
+	// Name is the short identifier used as the diagnostic prefix and by
+	// misvet -only.
 	Name string
 	// Doc is a one-line description, shown by `misvet -list`.
 	Doc string
 	// ModuleLevel analyzers run once with Pass.Pkg == nil and inspect
 	// pass.Module.Pkgs themselves; they exist for cross-package contracts
-	// (e.g. wire-kind tag uniqueness). Package-level analyzers run once
+	// (e.g. draworder's call chains). Package-level analyzers run once
 	// per loaded package.
 	ModuleLevel bool
 	// Run performs the check.
@@ -127,9 +122,6 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		MaprangeAnalyzer,
-		WirekindAnalyzer,
-		CongestbitsAnalyzer,
-		FramecodecAnalyzer,
 		HotallocAnalyzer,
 		DraworderAnalyzer,
 	}

@@ -141,37 +141,10 @@ const (
 	WireLevel
 	// WireForestEdge tags a ForestEdge payload.
 	WireForestEdge
+	// wireKindEnd is one past the last kind. A new kind goes above it;
+	// proto_test.go requires exactly one codec for every kind below it.
+	wireKindEnd
 )
-
-// KindName is the canonical registry of this package's wire-kind tags:
-// it names every declared kind for trace tooling and test output, and
-// returns "invalid" for anything outside the namespace. The switch is
-// marked exhaustive, so adding a ninth payload kind without extending it
-// is a misvet error — the compile-time reminder that a new kind also
-// needs an encoder, a decoder, and a name.
-func KindName(k congest.WireKind) string {
-	//wirekind:exhaustive
-	switch k {
-	case WirePriority:
-		return "priority"
-	case WireEpochPriority:
-		return "epoch-priority"
-	case WireFlag:
-		return "flag"
-	case WireDegree:
-		return "degree"
-	case WireDesire:
-		return "desire"
-	case WireColor:
-		return "color"
-	case WireLevel:
-		return "level"
-	case WireForestEdge:
-		return "forest-edge"
-	default:
-		return "invalid"
-	}
-}
 
 // boolWord encodes a flag into a wire word.
 func boolWord(b bool) uint64 {

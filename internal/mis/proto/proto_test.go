@@ -1,36 +1,30 @@
 package proto
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/congest"
 )
 
-func TestBitsArePositiveAndSmall(t *testing.T) {
-	// Every payload must report a positive size bounded by a constant
-	// multiple of an O(log n) word — the CONGEST requirement.
-	payloads := []interface{ Bits() int }{
-		Priority{}, Flag{}, Degree{}, Desire{}, Color{}, Level{}, ForestEdge{},
-	}
-	for _, p := range payloads {
-		if b := p.Bits(); b <= 0 || b > 128 {
-			t.Errorf("%T.Bits() = %d", p, b)
-		}
-	}
+// allKinds lists the announcement kinds.
+func allKinds() []Kind {
+	return []Kind{KindJoined, KindRemoved, KindMarked, KindLeader, KindPropose, KindAccept, KindMatched}
 }
 
 func TestKindZeroValueInvalid(t *testing.T) {
 	// Kinds start at 1 so the zero value signals a forgotten field.
-	if KindJoined == 0 || KindRemoved == 0 || KindMarked == 0 || KindLeader == 0 {
-		t.Fatal("a Kind constant is zero")
+	for _, k := range allKinds() {
+		if k == 0 {
+			t.Fatal("a Kind constant is zero")
+		}
 	}
 }
 
 func TestKindsDistinct(t *testing.T) {
-	kinds := []Kind{KindJoined, KindRemoved, KindMarked, KindLeader}
 	seen := map[Kind]bool{}
-	for _, k := range kinds {
+	for _, k := range allKinds() {
 		if seen[k] {
 			t.Fatalf("duplicate kind %d", k)
 		}
@@ -38,152 +32,128 @@ func TestKindsDistinct(t *testing.T) {
 	}
 }
 
-// wireCodecs enumerates every payload codec in the package once, so the
-// round-trip and collision tests below fail to compile when a payload is
-// added without being registered here.
-func wireKinds() []congest.WireKind {
-	return []congest.WireKind{
-		WirePriority, WireEpochPriority, WireFlag, WireDegree,
-		WireDesire, WireColor, WireLevel, WireForestEdge,
+// wireCodec is one payload type's wire contract: encode draws a random
+// value and returns it with its Wire() encoding and its Bits(); decode is
+// the type's As* decoder.
+type wireCodec struct {
+	name   string
+	encode func(r *rand.Rand) (value any, w congest.Wire, bits int)
+	decode func(congest.Wire) (any, bool)
+}
+
+// codecOf builds a payload type's table row from a random-value
+// generator and its decoder.
+func codecOf[P interface {
+	comparable
+	Wire() congest.Wire
+	Bits() int
+}](random func(*rand.Rand) P, as func(congest.Wire) (P, bool)) wireCodec {
+	var zero P
+	return wireCodec{
+		name: fmt.Sprintf("%T", zero),
+		encode: func(r *rand.Rand) (any, congest.Wire, int) {
+			p := random(r)
+			return p, p.Wire(), p.Bits()
+		},
+		decode: func(w congest.Wire) (any, bool) { return as(w) },
 	}
 }
 
-// TestWireRoundTrip is the codec property test: for many randomized field
-// values, every payload must survive encode→decode with identical fields,
-// and its Wire record must carry the same bit size Bits() reports.
+// wireCodecs is the package's codec table, one row per payload type.
+// TestWireKindsDistinctAndNonzero requires a row for every kind below
+// wireKindEnd, so a kind added without a codec fails it.
+func wireCodecs() []wireCodec {
+	return []wireCodec{
+		codecOf(func(r *rand.Rand) Priority {
+			return Priority{Value: r.Uint64(), Competitive: r.Intn(2) == 0}
+		}, AsPriority),
+		codecOf(func(r *rand.Rand) EpochPriority {
+			return EpochPriority{Value: r.Uint64(), Epoch: int32(r.Uint32())}
+		}, AsEpochPriority),
+		codecOf(func(r *rand.Rand) Flag { return Flag{Kind: Kind(r.Intn(256))} }, AsFlag),
+		codecOf(func(r *rand.Rand) Degree { return Degree{Value: int32(r.Uint32())} }, AsDegree),
+		codecOf(func(r *rand.Rand) Desire { return Desire{P30: r.Uint32()} }, AsDesire),
+		codecOf(func(r *rand.Rand) Color { return Color{Value: r.Uint64()} }, AsColor),
+		codecOf(func(r *rand.Rand) Level { return Level{Value: int32(r.Uint32())} }, AsLevel),
+		codecOf(func(r *rand.Rand) ForestEdge { return ForestEdge{Forest: int32(r.Uint32())} }, AsForestEdge),
+	}
+}
+
+// kindOf is the kind a codec's encoding carries.
+func kindOf(c wireCodec) congest.WireKind {
+	_, w, _ := c.encode(rand.New(rand.NewSource(1)))
+	return w.Kind
+}
+
+// TestWireRoundTrip is the codec property test: for many random values,
+// every payload must survive encode→decode unchanged, and its encoding
+// must carry one constant kind and the one constant bit size Bits()
+// reports.
 func TestWireRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		{
-			p := Priority{Value: r.Uint64(), Competitive: r.Intn(2) == 0}
-			w := p.Wire()
-			got, ok := AsPriority(w)
+	for _, c := range wireCodecs() {
+		_, first, firstBits := c.encode(r)
+		for i := 0; i < 2000; i++ {
+			p, w, bits := c.encode(r)
+			got, ok := c.decode(w)
 			if !ok || got != p {
-				t.Fatalf("Priority %+v round-tripped to %+v (ok=%v)", p, got, ok)
+				t.Fatalf("%s %+v round-tripped to %+v (ok=%v)", c.name, p, got, ok)
 			}
-			if int(w.Bits) != p.Bits() {
-				t.Fatalf("Priority wire bits %d != Bits() %d", w.Bits, p.Bits())
+			if int(w.Bits) != bits {
+				t.Fatalf("%s %+v: wire bits %d != Bits() %d", c.name, p, w.Bits, bits)
 			}
-		}
-		{
-			p := EpochPriority{Value: r.Uint64(), Epoch: int32(r.Uint32())}
-			w := p.Wire()
-			got, ok := AsEpochPriority(w)
-			if !ok || got != p {
-				t.Fatalf("EpochPriority %+v round-tripped to %+v (ok=%v)", p, got, ok)
-			}
-			if int(w.Bits) != p.Bits() {
-				t.Fatalf("EpochPriority wire bits %d != Bits() %d", w.Bits, p.Bits())
-			}
-		}
-		{
-			p := Flag{Kind: Kind(r.Intn(256))}
-			w := p.Wire()
-			got, ok := AsFlag(w)
-			if !ok || got != p {
-				t.Fatalf("Flag %+v round-tripped to %+v (ok=%v)", p, got, ok)
-			}
-			if int(w.Bits) != p.Bits() {
-				t.Fatalf("Flag wire bits %d != Bits() %d", w.Bits, p.Bits())
-			}
-		}
-		{
-			p := Degree{Value: int32(r.Uint32())}
-			w := p.Wire()
-			got, ok := AsDegree(w)
-			if !ok || got != p {
-				t.Fatalf("Degree %+v round-tripped to %+v (ok=%v)", p, got, ok)
-			}
-			if int(w.Bits) != p.Bits() {
-				t.Fatalf("Degree wire bits %d != Bits() %d", w.Bits, p.Bits())
-			}
-		}
-		{
-			p := Desire{P30: r.Uint32()}
-			w := p.Wire()
-			got, ok := AsDesire(w)
-			if !ok || got != p {
-				t.Fatalf("Desire %+v round-tripped to %+v (ok=%v)", p, got, ok)
-			}
-			if int(w.Bits) != p.Bits() {
-				t.Fatalf("Desire wire bits %d != Bits() %d", w.Bits, p.Bits())
-			}
-		}
-		{
-			p := Color{Value: r.Uint64()}
-			w := p.Wire()
-			got, ok := AsColor(w)
-			if !ok || got != p {
-				t.Fatalf("Color %+v round-tripped to %+v (ok=%v)", p, got, ok)
-			}
-			if int(w.Bits) != p.Bits() {
-				t.Fatalf("Color wire bits %d != Bits() %d", w.Bits, p.Bits())
-			}
-		}
-		{
-			p := Level{Value: int32(r.Uint32())}
-			w := p.Wire()
-			got, ok := AsLevel(w)
-			if !ok || got != p {
-				t.Fatalf("Level %+v round-tripped to %+v (ok=%v)", p, got, ok)
-			}
-			if int(w.Bits) != p.Bits() {
-				t.Fatalf("Level wire bits %d != Bits() %d", w.Bits, p.Bits())
-			}
-		}
-		{
-			p := ForestEdge{Forest: int32(r.Uint32())}
-			w := p.Wire()
-			got, ok := AsForestEdge(w)
-			if !ok || got != p {
-				t.Fatalf("ForestEdge %+v round-tripped to %+v (ok=%v)", p, got, ok)
-			}
-			if int(w.Bits) != p.Bits() {
-				t.Fatalf("ForestEdge wire bits %d != Bits() %d", w.Bits, p.Bits())
+			if w.Kind != first.Kind || bits != firstBits {
+				t.Fatalf("%s %+v: kind %d, %d bits; another value encodes as kind %d, %d bits",
+					c.name, p, w.Kind, bits, first.Kind, firstBits)
 			}
 		}
 	}
 }
 
-// TestWireKindsDistinctAndNonzero is the exhaustive kind-tag collision
-// check: every wire kind in the package is distinct and none is the
-// invalid zero tag.
+// TestWireKindsDistinctAndNonzero closes the kind namespace: every
+// codec's kind is a declared one, in [1, wireKindEnd), no two codecs
+// share a kind, and every declared kind has a codec.
 func TestWireKindsDistinctAndNonzero(t *testing.T) {
-	seen := map[congest.WireKind]bool{}
-	for _, k := range wireKinds() {
-		if k == 0 {
-			t.Fatalf("wire kind %d is the invalid zero tag", k)
+	owner := map[congest.WireKind]string{}
+	for _, c := range wireCodecs() {
+		k := kindOf(c)
+		if k == 0 || k >= wireKindEnd {
+			t.Fatalf("%s encodes as kind %d, outside the declared kinds [1, %d)", c.name, k, wireKindEnd)
 		}
-		if seen[k] {
-			t.Fatalf("wire kind %d assigned twice", k)
+		if prev, ok := owner[k]; ok {
+			t.Fatalf("wire kind %d is encoded by both %s and %s", k, prev, c.name)
 		}
-		seen[k] = true
+		owner[k] = c.name
 	}
-	if len(seen) != 8 {
-		t.Fatalf("expected 8 wire kinds, saw %d", len(seen))
+	for k := congest.WireKind(1); k < wireKindEnd; k++ {
+		if _, ok := owner[k]; !ok {
+			t.Errorf("wire kind %d has no codec", k)
+		}
 	}
 }
 
-// TestWireDecodersRejectForeignKinds checks every decoder returns ok=false
-// for every wire kind it does not own — the moral equivalent of a failed
-// type assertion — including the zero Wire and an out-of-range tag.
+// TestWireDecodersRejectForeignKinds checks every decoder accepts its own
+// kind and returns ok=false for each of the other 255 kind bytes — the
+// moral equivalent of a failed type assertion.
 func TestWireDecodersRejectForeignKinds(t *testing.T) {
-	decoders := map[congest.WireKind]func(congest.Wire) bool{
-		WirePriority:      func(w congest.Wire) bool { _, ok := AsPriority(w); return ok },
-		WireEpochPriority: func(w congest.Wire) bool { _, ok := AsEpochPriority(w); return ok },
-		WireFlag:          func(w congest.Wire) bool { _, ok := AsFlag(w); return ok },
-		WireDegree:        func(w congest.Wire) bool { _, ok := AsDegree(w); return ok },
-		WireDesire:        func(w congest.Wire) bool { _, ok := AsDesire(w); return ok },
-		WireColor:         func(w congest.Wire) bool { _, ok := AsColor(w); return ok },
-		WireLevel:         func(w congest.Wire) bool { _, ok := AsLevel(w); return ok },
-		WireForestEdge:    func(w congest.Wire) bool { _, ok := AsForestEdge(w); return ok },
-	}
-	probes := append(wireKinds(), 0, 99)
-	for own, dec := range decoders {
-		for _, k := range probes {
-			if got := dec(congest.Wire{Kind: k}); got != (k == own) {
-				t.Fatalf("decoder for kind %d accepted=%v on kind %d", own, got, k)
+	for _, c := range wireCodecs() {
+		own := kindOf(c)
+		for k := 0; k < 256; k++ {
+			if _, ok := c.decode(congest.Wire{Kind: congest.WireKind(k)}); ok != (congest.WireKind(k) == own) {
+				t.Fatalf("%s decoder (kind %d) accepted=%v on kind %d", c.name, own, ok, k)
 			}
+		}
+	}
+}
+
+// TestBitsArePositiveAndSmall checks the CONGEST requirement: every
+// payload reports a positive size within the O(log n) budget
+// congest.MaxWireBits.
+func TestBitsArePositiveAndSmall(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, c := range wireCodecs() {
+		if _, _, b := c.encode(r); b <= 0 || b > congest.MaxWireBits {
+			t.Errorf("%s.Bits() = %d, want within (0, %d]", c.name, b, congest.MaxWireBits)
 		}
 	}
 }
