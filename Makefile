@@ -69,13 +69,19 @@ cover:
 # invariant the value-typed wire payloads, the flat inbox arena and the
 # per-shard pull scratch exist to provide; a whole Run must make a fixed
 # number of allocations independent of n, because every message buffer
-# is sized once from the CSR; and a whole Algorithm 1 run (RunAlg1:
+# is sized once from the CSR, and at n = 2^14 must allocate at most about
+# 100 bytes per vertex on a reliable network and 204 under drops, because
+# a run holds one Context per shard and its node streams in one 16-byte
+# per-vertex table; every program factory (the distrib registry's and
+# matching.New) must build 2^14 nodes in at most 64 allocations, because
+# it carves them from a slab; and a whole Algorithm 1 run (RunAlg1:
 # nodes, Run, outputs) must make at most 64 heap objects plus one per
 # returned ScaleRecord at n = 2^10 and 2^14, sequentially and on two pool
 # shards, because its nodes, active-neighbour flags and records live in
 # run-wide slices. Fast (< 1s); runs in ci.
 alloc-gate:
-	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN)' -count=1 ./internal/congest/
+	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex)' -count=1 ./internal/congest/
+	go test -run '^TestFactoryAllocs$$' -count=1 ./internal/distrib/
 	go test -run '^TestAlg1RunAllocs$$' -count=1 ./internal/core/
 
 # Fuzz smoke: a 10s slice of native fuzzing over each decoder of external

@@ -2,8 +2,8 @@ package congest
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
-	"unsafe"
 
 	"repro/internal/faultsim"
 	"repro/internal/gen"
@@ -230,15 +230,54 @@ func TestRunAllocsIndependentOfN(t *testing.T) {
 	}
 }
 
-// TestContextFitsCacheLine pins the per-vertex Context at 64 bytes on
-// 64-bit platforms: every run allocates one per vertex and every sweep
-// touches each live vertex's, so state shared by a whole sweep (the round,
-// the halt flag, n) belongs on the shard or the Runner instead.
-func TestContextFitsCacheLine(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the 64-byte layout is for 64-bit platforms")
+// runBytes returns the fewest bytes one whole Run allocated over a few
+// repetitions, each on a fresh Runner built outside the measurement, with
+// the collector off so no GC cycle's own allocations land in the count.
+func runBytes(t *testing.T, g *graph.Graph, factory func(int) Node, opts Options) uint64 {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	best := ^uint64(0)
+	var ms runtime.MemStats
+	for rep := 0; rep < 3; rep++ {
+		r := NewRunner(g, factory, opts)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.TotalAlloc-before)
 	}
-	if s := unsafe.Sizeof(Context{}); s != 64 {
-		t.Fatalf("Context is %d bytes, want 64", s)
+	return best
+}
+
+// TestRunBytesPerVertex is the run-level byte gate beside
+// TestRunAllocsIndependentOfN: a whole Run holds no per-vertex object, so
+// what it allocates per vertex is its run-wide tables — a 16-byte RNG
+// stream, the push arena's two 8-byte inbox counters, one outbox record
+// (40 bytes) and, on a reliable network, the pull wire slot (24 bytes).
+// A broadcast-every-round program at n = 2^14 must stay within about 100
+// bytes per vertex on a reliable network and 204 under a fault plan, whose
+// arena holds every delivered message instead of the pull tables; a
+// 64-byte Context per vertex would take the two to 144 and 248.
+func TestRunBytesPerVertex(t *testing.T) {
+	const n = 1 << 14
+	factory := func(int) Node { return &pingCounter{rounds: 4} }
+	g := gen.UnionOfTrees(n, 2, rng.New(3))
+	for _, c := range []struct {
+		name   string
+		opts   Options
+		budget float64 // bytes per vertex
+	}{
+		{"sequential", Options{Driver: DriverSequential}, 100},
+		{"pool-2", Options{Driver: DriverPool, Workers: 2}, 100},
+		{"bernoulli", Options{Faults: faultsim.BernoulliDrop{P: 0.05}}, 204},
+	} {
+		c.opts.Seed = 1
+		perVertex := float64(runBytes(t, g, factory, c.opts)) / n
+		t.Logf("%s: %.1f B/vertex at n=2^14", c.name, perVertex)
+		if perVertex > c.budget {
+			t.Errorf("%s: Run allocates %.1f bytes per vertex, budget %.0f", c.name, perVertex, c.budget)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -228,6 +229,16 @@ func TestMixedSendOrder(t *testing.T) {
 	}
 }
 
+// shardOf returns the shard whose range holds vertex v.
+func (st *execState) shardOf(v int) *shard {
+	for _, sh := range st.shards {
+		if v >= sh.lo && v < sh.hi {
+			return sh
+		}
+	}
+	panic(fmt.Sprintf("vertex %d is in no shard", v))
+}
+
 // TestPullNeedsOneBroadcastPerSender drives deliver whitebox on hand-filled
 // outboxes. Only a reliable in-process round whose records are all
 // Broadcasts, one per sender, is delivered by pull, and its pulled inboxes
@@ -243,7 +254,7 @@ func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 	// free for the cases that add one more call.
 	everyThird := func(st *execState) {
 		for v := 0; v < g.N()-3; v += 3 {
-			sh := st.ctxs[v].shard
+			sh := st.shardOf(v)
 			sh.out = append(sh.out, bcast(v))
 		}
 	}
@@ -259,13 +270,13 @@ func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 		{"sendslot", Options{}, 1, func(st *execState) {
 			everyThird(st)
 			u := g.N() - 2
-			sh := st.ctxs[u].shard
+			sh := st.shardOf(u)
 			sh.out = append(sh.out, addressed{to: g.Neighbors(u)[0], msg: Message{From: u, Wire: rawWire(8)}})
 		}, false},
 		{"two-calls", Options{}, 1, func(st *execState) {
 			everyThird(st)
 			u := g.N() - 2
-			sh := st.ctxs[u].shard
+			sh := st.shardOf(u)
 			sh.out = append(sh.out, bcast(u), bcast(u))
 		}, false},
 		{"silent", Options{}, 1, func(*execState) {}, false},
@@ -293,7 +304,7 @@ func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 			t.Fatalf("%s: pull counters %+v (sent %d), push %+v (sent %d)", c.name, st.res, st.sent, push.res, push.sent)
 		}
 		for v := 0; v < g.N(); v++ {
-			got := st.pullInbox(st.ctxs[v].shard, g.Neighbors(v))
+			got := st.pullInbox(st.shardOf(v), g.Neighbors(v))
 			if want := push.inbox(v); !slices.Equal(got, want) {
 				t.Fatalf("%s: vertex %d pulled inbox %v, push inbox %v", c.name, v, got, want)
 			}

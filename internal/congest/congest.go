@@ -74,20 +74,20 @@ type Node interface {
 	Round(ctx *Context, inbox []Message)
 }
 
-// Context is the per-node view of the network that the engine passes to
-// Init and Round. It is only valid during the call it is passed to. It
-// is 64 bytes, one cache line per vertex: the round number and the halt
-// flag of the call in progress live on the shard that runs it, and n on
-// the Runner, because they are the same for every vertex a sweep runs.
+// Context is the view of the network that the engine passes to Init and
+// Round. A run holds one Context per shard, and the shard's sweep
+// re-points it at each vertex it visits — the vertex ID, its CSR row and
+// its RNG stream — so a Context is only valid during the call it is
+// passed to, and a program must not keep it. The round number and
+// the halt flag of the call in progress live on the shard that runs it,
+// and n on the Runner, because they are the same for every vertex a sweep
+// runs.
 type Context struct {
 	id        int
-	neighbors []int // the vertex's CSR row: neighbor IDs, ascending
-	// rng is held by value so a run needs no per-node allocation for it.
-	// Contexts are only ever addressed in place (&ctxs[v]): a by-value
-	// copy of a Context would fork the node's stream.
-	rng    rng.RNG
-	shard  *shard
-	runner *Runner
+	neighbors []int    // the vertex's CSR row: neighbor IDs, ascending
+	rng       *rng.RNG // the vertex's entry in the run-wide stream table
+	shard     *shard
+	runner    *Runner
 }
 
 // addressed is one outbox record: a message to one neighbor, or — when to
@@ -125,7 +125,9 @@ func (c *Context) Degree() int { return len(c.neighbors) }
 
 // RNG returns this node's private random stream. Draws are deterministic
 // given the run seed and vertex ID, and no other node shares the stream.
-func (c *Context) RNG() *rng.RNG { return &c.rng }
+// The stream lives in a pointer-free run-wide table, not in the Context,
+// so the pointer stays valid for the whole run.
+func (c *Context) RNG() *rng.RNG { return c.rng }
 
 // Send queues a message to neighbor `to` for delivery next round. Sending
 // to a non-neighbor is a programming error and poisons the run with an
@@ -365,8 +367,11 @@ type Runner struct {
 }
 
 // NewRunner builds a runner for the given graph. factory(v) must return the
-// state machine for vertex v; it is called once per vertex in ascending ID
-// order.
+// state machine for vertex v. NewRunner calls it once per vertex, from one
+// goroutine, in ascending ID order, so a factory may hold unsynchronized
+// state — every program factory in this repository carves its nodes from
+// its own slab (mis/base.Slab) — and one factory may serve several Runners
+// built one after another.
 func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
@@ -407,6 +412,7 @@ func (r *Runner) Run() (Result, error) {
 // owning worker touches a shard during a sweep; the coordinator reads and
 // re-partitions it between sweeps (rebalance.go).
 type shard struct {
+	ctx       Context       // the shard's one Context, re-pointed at each vertex the sweep visits
 	lo, hi    int           // owned contiguous vertex range [lo, hi)
 	frontier  []uint64      // live bitset over [lo, hi); word 0 starts at (lo>>6)<<6
 	liveCount int           // set bits in frontier (O(1) empty-shard skip)
@@ -422,12 +428,15 @@ type shard struct {
 
 // execState is the driver-independent bookkeeping for a run.
 type execState struct {
-	// g is the run's graph. Delivery expands a Broadcast record over
-	// g.Neighbors(sender) — the row ctxs[sender].neighbors aliases — because
-	// the CSR offsets are 8 dense bytes per vertex where a Context is 64.
+	// g is the run's graph: the sweep points each shard's Context at
+	// g.Neighbors(v), and delivery expands a Broadcast record over
+	// g.Neighbors(sender).
 	g      *graph.Graph
-	ctxs   []Context
 	shards []*shard
+	// rngs holds every node's RNG stream, rngs[v] = Split(v) of the run
+	// seed: one pointer-free run-wide table the collector never scans. The
+	// distributed coordinator never sweeps, so its table is nil.
+	rngs []rng.RNG
 
 	// Push delivery's flat inbox arena: one contiguous backing store for
 	// all of the round's inboxes, sized by a counting pass over the shard
@@ -474,17 +483,16 @@ type execState struct {
 
 	// Distributed-driver state: when remote is set, node RNG draws happen
 	// in the shard worker processes and remoteDraws (the sum of the
-	// workers' cumulative draw counts) replaces the coordinator-side
-	// context scan in endRound — the coordinator's mirror contexts never
-	// draw, so the scan would report zero.
+	// workers' cumulative draw counts) replaces endRound's scan of the
+	// stream table, which the coordinator does not hold.
 	remote      bool
 	remoteDraws uint64
 }
 
-// newExecState prepares contexts and shards. Shard boundaries split the
-// vertex range into numShards near-equal contiguous pieces.
+// newExecState prepares the node streams and the shards, each with its
+// Context. Shard boundaries split the vertex range into numShards
+// near-equal contiguous pieces.
 func (r *Runner) newExecState(numShards int) *execState {
-	root := rng.New(r.opts.Seed)
 	n := r.g.N()
 	if numShards > n {
 		numShards = n
@@ -494,7 +502,6 @@ func (r *Runner) newExecState(numShards int) *execState {
 	}
 	st := &execState{
 		g:        r.g,
-		ctxs:     make([]Context, n),
 		inboxOff: make([]int, n),
 		inboxLen: make([]int, n),
 		shards:   make([]*shard, numShards),
@@ -503,30 +510,34 @@ func (r *Runner) newExecState(numShards int) *execState {
 		bus:      r.opts.Events,
 		remote:   r.opts.Driver == DriverDistributed,
 	}
+	root := rng.New(r.opts.Seed)
 	if st.plan != nil {
 		st.faults = root.Split(^uint64(0))
 	} else if !st.remote {
 		st.senders, st.wires = make([]uint64, (n+63)>>6), make([]Wire, n)
 	}
+	if !st.remote {
+		st.rngs = make([]rng.RNG, n)
+		for v := range st.rngs {
+			st.rngs[v] = *root.Split(uint64(v))
+		}
+	}
 	r.traced = st.bus != nil
 	for s := range st.shards {
-		lo, hi := s*n/numShards, (s+1)*n/numShards
-		sh := &shard{}
-		sh.resetFrontier(lo, hi)
-		for v := lo; v < hi; v++ {
-			st.ctxs[v] = Context{
-				id:        v,
-				neighbors: r.g.Neighbors(v),
-				rng:       *root.Split(uint64(v)),
-				shard:     sh,
-				runner:    r,
-			}
-		}
+		sh := r.newShard()
+		sh.resetFrontier(s*n/numShards, (s+1)*n/numShards)
 		st.shards[s] = sh
 	}
 	st.outbox = make([]addressed, n)
 	st.sizeOutboxes()
 	return st
+}
+
+// newShard returns an empty shard holding its one Context.
+func (r *Runner) newShard() *shard {
+	sh := &shard{}
+	sh.ctx = Context{shard: sh, runner: r}
+	return sh
 }
 
 // sizeOutboxes carves every shard outbox from the run's single backing
@@ -548,7 +559,7 @@ func (r *Runner) newExecState(numShards int) *execState {
 func (st *execState) sizeOutboxes() {
 	for _, sh := range st.shards {
 		var widest int
-		sh.bound, widest = rowStats(st.ctxs[sh.lo:sh.hi])
+		sh.bound, widest = rowStats(st.g.Neighbors, sh.lo, sh.hi)
 		if st.senders != nil && len(sh.inbox) < widest {
 			sh.inbox = make([]Message, widest)
 		}
@@ -556,12 +567,13 @@ func (st *execState) sizeOutboxes() {
 	}
 }
 
-// rowStats returns the degree sum of a run of contexts — the most messages
-// they can send, or receive, in one round under CONGEST's one message per
-// edge per direction — and their largest degree.
-func rowStats(ctxs []Context) (sum, widest int) {
-	for i := range ctxs {
-		d := len(ctxs[i].neighbors)
+// rowStats returns the degree sum of the vertices in [lo, hi), row(v)
+// being v's CSR row — the most messages they can send, or receive, in one
+// round under CONGEST's one message per edge per direction — and their
+// largest degree.
+func rowStats(row func(v int) []int, lo, hi int) (sum, widest int) {
+	for v := lo; v < hi; v++ {
+		d := len(row(v))
 		sum += d
 		widest = max(widest, d)
 	}
@@ -575,11 +587,13 @@ func rowStats(ctxs []Context) (sum, widest int) {
 // with permanent crashes can still terminate, while VertexDown leaves the
 // bit set (the vertex is skipped this round only). Vertex fates are pure
 // functions of (round, vertex), so concurrent shard workers agree with
-// the sequential sweep.
+// the sequential sweep. The shard's Context is re-pointed at each vertex
+// before its call; only this shard's worker writes it.
 //
 //congest:hotpath
 func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 	sh.round = round
+	ctx := &sh.ctx
 	base := sh.lo >> 6
 	for wi := range sh.frontier {
 		w := sh.frontier[wi]
@@ -601,7 +615,7 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 					continue
 				}
 			}
-			ctx := &st.ctxs[v]
+			ctx.id, ctx.neighbors, ctx.rng = v, st.g.Neighbors(v), &st.rngs[v]
 			switch {
 			case round == 0:
 				r.nodes[v].Init(ctx)

@@ -581,38 +581,45 @@ func outputDigest(out RoundOutput) uint64 {
 // coordinator, which is what keeps socket transport outside the
 // determinism surface.
 type ShardWorker struct {
-	cfg    ShardConfig
-	r      *Runner // options/traced carcass for Context plumbing; never Run
-	sh     *shard
-	ctxs   []Context
-	nodes  []Node
-	round  int     // next expected round
-	fate   []uint8 // per-vertex fate scratch for the current round
-	off    []int   // per-vertex inbox offset scratch
-	halted []int32
-	pkts   []Packet
+	cfg       ShardConfig
+	r         *Runner // options/traced carcass for Context plumbing; never Run
+	sh        *shard
+	neighbors func(v int) []int // owned vertices' CSR rows
+	rngs      []rng.RNG         // owned vertices' node streams, indexed by v - cfg.Lo
+	nodes     []Node
+	round     int     // next expected round
+	fate      []uint8 // per-vertex fate scratch for the current round
+	off       []int   // per-vertex inbox offset scratch
+	halted    []int32
+	pkts      []Packet
 }
 
 // NewShardWorker builds the sweep engine for cfg. neighbors(v) must
-// return the sorted adjacency of each owned vertex v in [cfg.Lo, cfg.Hi).
-// factory must return the same state machine the coordinator's mirror
-// uses. Every node must implement Porter. The worker's outbox and packet
-// buffer each reserve one send call per owned vertex, what a
-// broadcast-only program makes in a round; a round with more calls grows
-// them.
+// return the sorted adjacency of each owned vertex v in [cfg.Lo, cfg.Hi);
+// the sweep calls it for every vertex it visits. factory must return the
+// same state machine the coordinator's mirror uses. NewShardWorker calls
+// it for each owned vertex, from one goroutine, in ascending ID order, as
+// NewRunner does, so a factory may carve its nodes from its own slab. A
+// fleet that shares one factory between its shards must therefore open
+// them one after another — the coordinator asks for them in turn. Every
+// node must implement Porter. The worker's outbox and packet buffer each
+// reserve one send call per owned vertex, what a broadcast-only program
+// makes in a round; a round with more calls grows them.
 func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v int) Node) (*ShardWorker, error) {
 	if cfg.Lo < 0 || cfg.Hi < cfg.Lo || cfg.Hi > cfg.N {
 		return nil, fmt.Errorf("congest: shard range [%d, %d) invalid for n=%d", cfg.Lo, cfg.Hi, cfg.N)
 	}
 	width := cfg.Hi - cfg.Lo
+	r := &Runner{n: cfg.N, opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced}
 	w := &ShardWorker{
-		cfg:   cfg,
-		r:     &Runner{n: cfg.N, opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced},
-		sh:    &shard{},
-		ctxs:  make([]Context, width),
-		nodes: make([]Node, width),
-		fate:  make([]uint8, width),
-		off:   make([]int, width),
+		cfg:       cfg,
+		r:         r,
+		sh:        r.newShard(),
+		neighbors: neighbors,
+		rngs:      make([]rng.RNG, width),
+		nodes:     make([]Node, width),
+		fate:      make([]uint8, width),
+		off:       make([]int, width),
 	}
 	w.sh.resetFrontier(cfg.Lo, cfg.Hi)
 	root := rng.New(cfg.Seed)
@@ -623,17 +630,11 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 		}
 		i := v - cfg.Lo
 		w.nodes[i] = nd
-		w.ctxs[i] = Context{
-			id:        v,
-			neighbors: neighbors(v),
-			rng:       *root.Split(uint64(v)),
-			shard:     w.sh,
-			runner:    w.r,
-		}
+		w.rngs[i] = *root.Split(uint64(v))
 	}
 	// The outbox and the packet export both hold send calls, one per
 	// vertex for a broadcast-only program; bound is growOutbox's target.
-	w.sh.bound, _ = rowStats(w.ctxs)
+	w.sh.bound, _ = rowStats(neighbors, cfg.Lo, cfg.Hi)
 	w.sh.out = make([]addressed, 0, width)
 	w.pkts = make([]Packet, 0, width)
 	return w, nil
@@ -709,10 +710,12 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 }
 
 // sweep is the mirror of the in-process sweepShard over the worker's own
-// frontier: live vertices in ascending ID order, fates applied the way
-// the coordinator drew them, halts retiring frontier bits.
+// frontier: live vertices in ascending ID order, the shard's Context
+// re-pointed at each, fates applied the way the coordinator drew them,
+// halts retiring frontier bits.
 func (w *ShardWorker) sweep(in RoundInput) {
 	sh := w.sh
+	ctx := &sh.ctx
 	round := in.Round
 	sh.round = round
 	base := sh.lo >> 6
@@ -734,7 +737,7 @@ func (w *ShardWorker) sweep(in RoundInput) {
 				}
 				continue
 			}
-			ctx := &w.ctxs[i]
+			ctx.id, ctx.neighbors, ctx.rng = v, w.neighbors(v), &w.rngs[i]
 			if round == 0 {
 				w.nodes[i].Init(ctx)
 			} else {
@@ -760,8 +763,8 @@ func (w *ShardWorker) sweep(in RoundInput) {
 // draws sums the cumulative draw counts of the shard's node streams.
 func (w *ShardWorker) draws() uint64 {
 	var d uint64
-	for i := range w.ctxs {
-		d += w.ctxs[i].rng.Draws()
+	for i := range w.rngs {
+		d += w.rngs[i].Draws()
 	}
 	return d
 }

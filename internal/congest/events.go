@@ -28,7 +28,7 @@ func (r *Runner) startRound(st *execState, round int) {
 	if st.plan == nil || round == 0 {
 		return
 	}
-	for v := 0; v < len(st.ctxs); v++ {
+	for v := 0; v < st.g.N(); v++ {
 		if f := st.plan.Vertex(round, v); f != faultsim.VertexUp {
 			st.bus.Emit(trace.Event{
 				Type: trace.EvVertexFate, Round: int32(round), V: int32(v), X: int64(f),
@@ -50,8 +50,8 @@ func (r *Runner) endRound(st *execState, round int) {
 	if st.remote {
 		draws = st.remoteDraws
 	} else {
-		for v := range st.ctxs {
-			draws += st.ctxs[v].rng.Draws()
+		for v := range st.rngs {
+			draws += st.rngs[v].Draws()
 		}
 	}
 	var faultDraws uint64

@@ -59,7 +59,7 @@ func (st *execState) maybeRebalance(round int) {
 // noise against the rebalanceMinPerShard floor. The outboxes and pull
 // scratch are then re-sized for the new ranges.
 func (st *execState) rebalance(round, total int) {
-	n := len(st.ctxs)
+	n := st.g.N()
 	numShards := len(st.shards)
 	words := (n + 63) >> 6
 	if st.scratch == nil {
@@ -102,9 +102,6 @@ func (st *execState) rebalance(round, total int) {
 			}
 		}
 		sh.loadFrontier(lo, hi, st.scratch)
-		for v := lo; v < hi; v++ {
-			st.ctxs[v].shard = sh
-		}
 		lo = hi
 	}
 	st.sizeOutboxes()

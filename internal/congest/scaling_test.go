@@ -196,8 +196,8 @@ func (s countingSink) Emit(e trace.Event) {
 
 // TestRebalancePartitionInvariants drives the rebalancer directly: after
 // any rebalance the shard ranges must partition [0, n) contiguously, every
-// shard's liveCount must equal its frontier popcount, the total must be
-// conserved, and every context must point at the shard that owns it.
+// shard's liveCount must equal its frontier popcount, and the total must
+// be conserved.
 func TestRebalancePartitionInvariants(t *testing.T) {
 	const n = 2048
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
@@ -235,11 +235,6 @@ func TestRebalancePartitionInvariants(t *testing.T) {
 		}
 		if count != sh.liveCount {
 			t.Fatalf("shard %d liveCount %d != popcount %d", s, sh.liveCount, count)
-		}
-		for v := sh.lo; v < sh.hi; v++ {
-			if st.ctxs[v].shard != sh {
-				t.Fatalf("vertex %d context points at the wrong shard", v)
-			}
 		}
 		total += count
 		lo = sh.hi

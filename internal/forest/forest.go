@@ -92,7 +92,7 @@ type node struct {
 	threshold int
 	levels    map[int]int // neighbor -> level (0 = still active)
 	level     int
-	active    *base.ActiveSet
+	active    base.ActiveSet
 	numPhases int
 	// parents[i] is this node's parent in forest i (local view).
 	parents []int
@@ -110,13 +110,14 @@ func phases(n int) int {
 
 // New returns a factory for H-partition nodes with arboricity bound alpha.
 func New(alpha, n int) func(v int) congest.Node {
+	var slab base.Slab[node]
 	return func(int) congest.Node {
-		return &node{
+		return slab.New(node{
 			alpha:     alpha,
 			threshold: (2 + Epsilon) * alpha,
 			levels:    make(map[int]int),
 			numPhases: phases(n),
-		}
+		})
 	}
 }
 

@@ -31,7 +31,7 @@ const Unmatched = -1
 
 // node is the per-vertex state machine.
 type node struct {
-	active  *base.ActiveSet
+	active  base.ActiveSet
 	partner int
 	// sender records this iteration's role; proposal the target.
 	sender   bool
@@ -45,8 +45,9 @@ func (nd *node) Partner() int { return nd.partner }
 
 // New returns a factory for matching nodes.
 func New() func(v int) congest.Node {
+	var slab base.Slab[node]
 	return func(int) congest.Node {
-		return &node{partner: Unmatched, accepted: Unmatched, proposal: Unmatched}
+		return slab.New(node{partner: Unmatched, accepted: Unmatched, proposal: Unmatched})
 	}
 }
 

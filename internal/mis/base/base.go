@@ -1,7 +1,7 @@
 // Package base holds the small pieces shared by every MIS node program:
-// the node-status vocabulary, the active-neighbor trackers (per vertex and
-// run-wide), and helpers for reading results out of a finished CONGEST
-// run.
+// the node-status vocabulary, the slab program factories carve their
+// nodes from, the active-neighbor trackers (per vertex and run-wide), and
+// helpers for reading results out of a finished CONGEST run.
 package base
 
 import (
@@ -74,9 +74,43 @@ func MISSet(statuses []Status) []bool {
 	return set
 }
 
+// Slab hands out a program factory's nodes from chunks it allocates, so
+// building n nodes costs a few dozen allocations, not n. Chunks start at
+// slabFirstChunk nodes and double up to slabMaxChunk: a factory serving a
+// Runner over a handful of vertices (a dynamic-MIS repair region) carves
+// one small chunk, one serving 2^17 vertices 135 chunks. A Slab never
+// reuses a node, so one factory may serve several Runners (a fleet's
+// mirror runs, say) without two of them sharing one; a chunk stays live
+// while any of its nodes is. The zero value is ready to use. A Slab is not
+// safe for concurrent use, which the engine's factory contract allows:
+// congest.NewRunner and congest.NewShardWorker call a factory from one
+// goroutine.
+type Slab[T any] struct {
+	free []T // the current chunk's nodes not yet handed out
+	size int // the current chunk's length
+}
+
+const (
+	slabFirstChunk = 8
+	slabMaxChunk   = 1024
+)
+
+// New returns a pointer to a fresh node holding v.
+func (s *Slab[T]) New(v T) *T {
+	if len(s.free) == 0 {
+		s.size = min(max(2*s.size, slabFirstChunk), slabMaxChunk)
+		s.free = make([]T, s.size)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	*p = v
+	return p
+}
+
 // ActiveSet tracks which neighbors of a node are still active. MIS node
 // programs use it to maintain deg_IB(v) (the paper's notation for a node's
-// degree restricted to active nodes) as neighbors announce removal.
+// degree restricted to active nodes) as neighbors announce removal. A node
+// holds it by value, so its only allocation is the removed flags.
 type ActiveSet struct {
 	ids     []int  // sorted neighbor IDs
 	removed []bool // removed[i]: ids[i] announced removal
@@ -85,8 +119,8 @@ type ActiveSet struct {
 
 // NewActiveSet starts with every listed neighbor active. The ids slice must
 // be sorted (graph adjacency lists are); it is not copied.
-func NewActiveSet(ids []int) *ActiveSet {
-	return &ActiveSet{
+func NewActiveSet(ids []int) ActiveSet {
+	return ActiveSet{
 		ids:     ids,
 		removed: make([]bool, len(ids)),
 		count:   len(ids),

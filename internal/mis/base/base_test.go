@@ -8,6 +8,30 @@ import (
 	"repro/internal/rng"
 )
 
+func TestSlabHandsOutFreshNodes(t *testing.T) {
+	// Past several chunk boundaries, every node must be distinct and
+	// still hold the value it was made with once later chunks are carved.
+	const total = 3 * slabMaxChunk
+	var s Slab[[2]int]
+	nodes := make([]*[2]int, total)
+	seen := make(map[*[2]int]bool, total)
+	for i := range nodes {
+		nodes[i] = s.New([2]int{i, -i})
+		if seen[nodes[i]] {
+			t.Fatalf("node %d reuses an earlier node's memory", i)
+		}
+		seen[nodes[i]] = true
+	}
+	for i, p := range nodes {
+		if *p != [2]int{i, -i} {
+			t.Fatalf("node %d holds %v", i, *p)
+		}
+	}
+	if s.size != slabMaxChunk {
+		t.Fatalf("chunk length %d after %d nodes, want the %d cap", s.size, total, slabMaxChunk)
+	}
+}
+
 func TestActiveSetBasics(t *testing.T) {
 	s := NewActiveSet([]int{2, 5, 9})
 	if s.Count() != 3 {
@@ -67,7 +91,7 @@ func TestActiveNeighborsMatchesActiveSets(t *testing.T) {
 	}
 	g := graph.MustNew(n, edges)
 	a := NewActiveNeighbors(g)
-	sets := make([]*ActiveSet, n)
+	sets := make([]ActiveSet, n)
 	for v := range sets {
 		sets[v] = NewActiveSet(g.Neighbors(v))
 	}

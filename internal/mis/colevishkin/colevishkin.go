@@ -63,13 +63,14 @@ func (nd *node) Color() uint64 { return nd.color }
 // parent[v] is v's parent or -1 for roots.
 func New(parent []int, n int) func(v int) congest.Node {
 	t := ReductionRounds(n)
+	var slab base.Slab[node]
 	return func(v int) congest.Node {
-		return &node{
+		return slab.New(node{
 			status: base.StatusActive,
 			parent: parent[v],
 			color:  uint64(v),
 			total:  t,
-		}
+		})
 	}
 }
 

@@ -57,8 +57,9 @@ func (nd *node) Status() base.Status { return nd.status }
 
 // New returns a factory running exactly iters priority iterations.
 func New(iters int) func(v int) congest.Node {
+	var slab base.Slab[node]
 	return func(int) congest.Node {
-		return &node{status: base.StatusActive, budget: iters}
+		return slab.New(node{status: base.StatusActive, budget: iters})
 	}
 }
 

@@ -57,7 +57,7 @@ type node struct {
 	status   base.Status
 	priority uint64
 	epoch    int32
-	active   *base.ActiveSet
+	active   base.ActiveSet
 	// got holds the priorities received for the current epoch.
 	got      map[int]uint64
 	maxIters int
@@ -73,8 +73,9 @@ func New(maxIters int) func(v int) congest.Node {
 	if maxIters <= 0 {
 		maxIters = DefaultMaxIters
 	}
+	var slab base.Slab[node]
 	return func(int) congest.Node {
-		return &node{status: base.StatusActive, maxIters: maxIters}
+		return slab.New(node{status: base.StatusActive, maxIters: maxIters})
 	}
 }
 

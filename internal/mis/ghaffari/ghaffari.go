@@ -35,7 +35,7 @@ const minP30 = uint32(1)
 // node is the per-vertex state machine.
 type node struct {
 	status base.Status
-	active *base.ActiveSet
+	active base.ActiveSet
 	p30    uint32
 	marked bool
 }
@@ -45,8 +45,9 @@ func (nd *node) Status() base.Status { return nd.status }
 
 // New returns a factory for Ghaffari MIS nodes.
 func New() func(v int) congest.Node {
+	var slab base.Slab[node]
 	return func(int) congest.Node {
-		return &node{status: base.StatusActive, p30: uint32(fixedOne / 2)}
+		return slab.New(node{status: base.StatusActive, p30: uint32(fixedOne / 2)})
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // node is the per-vertex state machine.
 type node struct {
 	status base.Status
-	active *base.ActiveSet
+	active base.ActiveSet
 }
 
 // Status implements base.Membership.
@@ -26,8 +26,9 @@ func (nd *node) Status() base.Status { return nd.status }
 
 // New returns a factory for local-min MIS nodes.
 func New() func(v int) congest.Node {
+	var slab base.Slab[node]
 	return func(int) congest.Node {
-		return &node{status: base.StatusActive}
+		return slab.New(node{status: base.StatusActive})
 	}
 }
 

@@ -51,8 +51,9 @@ func NewA(n int) func(v int) congest.Node {
 	if r == 0 {
 		r = 1
 	}
+	var slab base.Slab[nodeA]
 	return func(int) congest.Node {
-		return &nodeA{status: base.StatusActive, rangeMax: r}
+		return slab.New(nodeA{status: base.StatusActive, rangeMax: r})
 	}
 }
 
@@ -107,7 +108,7 @@ func (nd *nodeA) Round(ctx *congest.Context, inbox []congest.Message) {
 // nodeB runs Algorithm B.
 type nodeB struct {
 	status base.Status
-	active *base.ActiveSet
+	active base.ActiveSet
 	marked bool
 	myDeg  int
 }
@@ -117,8 +118,9 @@ func (nd *nodeB) Status() base.Status { return nd.status }
 
 // NewB returns a factory for Algorithm B.
 func NewB() func(v int) congest.Node {
+	var slab base.Slab[nodeB]
 	return func(int) congest.Node {
-		return &nodeB{status: base.StatusActive}
+		return slab.New(nodeB{status: base.StatusActive})
 	}
 }
 

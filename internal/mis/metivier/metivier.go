@@ -35,8 +35,9 @@ func (nd *node) Status() base.Status { return nd.status }
 // New returns a factory for Métivier MIS nodes, for use with
 // congest.NewRunner.
 func New() func(v int) congest.Node {
+	var slab base.Slab[node]
 	return func(int) congest.Node {
-		return &node{status: base.StatusActive}
+		return slab.New(node{status: base.StatusActive})
 	}
 }
 
