@@ -13,9 +13,11 @@
 //
 // With -once the worker exits after its first run, which is what the
 // crash-recovery tests and throwaway fleets want; without it the accept
-// loop serves runs until killed. The coordinator can also ask the worker
-// to expose Prometheus metrics (shard config carries the listen address),
-// independent of any flags here.
+// loop serves runs until killed. The worker opens no socket but the one
+// it listens on. What a shard did is in the coordinator's trace: each
+// round's sent, delivered and live counts (trace.EvRoundEnd) and, with
+// congest.Options.EventTiming set, each shard's frame bytes and round-trip
+// time (trace.EvFrame).
 package main
 
 import (

@@ -13,9 +13,9 @@
 // pin).
 //
 // diff bisects two traces to their first divergent deterministic event and
-// exits non-zero if they diverge; advisory events (driver timings, shard
-// rebalances, transport frames, respawns) are ignored, so traces recorded
-// under different engine drivers compare clean.
+// exits non-zero if they diverge; advisory events (driver timings,
+// transport frames, respawns) are ignored, so traces recorded under
+// different engine drivers compare clean.
 //
 // chrome converts a JSONL trace to the Chrome trace-event format on
 // stdout, loadable in chrome://tracing or https://ui.perfetto.dev.

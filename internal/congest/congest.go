@@ -186,17 +186,19 @@ func (c *Context) fail(err error) {
 
 // enqueue appends one record — a message to neighbor to, or a whole
 // Broadcast when to is BroadcastTo — to the owning shard's outbox, after
-// checking the payload against MessageBitLimit once per send call. Only
-// the worker that owns the shard runs this node, so the append is
-// race-free, and because nodes within a shard are swept in ID order the
-// outbox stays in (sender ID, send call) order.
+// checking the payload against MaxWireBits once per send call. The check
+// runs in the sweep under every driver, a distributed worker's included,
+// so an oversized message fails every run with the same error before any
+// delivery or frame sees it. Only the worker that owns the shard runs
+// this node, so the append is race-free, and because nodes within a shard
+// are swept in ID order the outbox stays in (sender ID, send call) order.
 //
 //congest:hotpath
 func (c *Context) enqueue(to int, w Wire) {
-	if c.runner.opts.MessageBitLimit > 0 && int(w.Bits) > c.runner.opts.MessageBitLimit {
+	if w.Bits > MaxWireBits {
 		//congest:coldpath oversized messages poison the run; the error path may allocate
-		c.fail(fmt.Errorf("congest: node %d message of %d bits exceeds limit %d",
-			c.id, w.Bits, c.runner.opts.MessageBitLimit))
+		c.fail(fmt.Errorf("congest: node %d message of %d bits exceeds the %d-bit CONGEST budget",
+			c.id, w.Bits, MaxWireBits))
 		return
 	}
 	sh := c.shard
@@ -287,9 +289,6 @@ type Options struct {
 	// Workers is the worker/shard count for the pool driver. Zero or
 	// negative means GOMAXPROCS; the count is clamped to the vertex count.
 	Workers int
-	// MessageBitLimit, when positive, fails the run if any single message
-	// exceeds that many bits (CONGEST compliance enforcement).
-	MessageBitLimit int
 	// Faults, when non-nil, is the fault-injection plan for the run: it
 	// decides the fate of every message (drop, delay) and every vertex
 	// (crash-stop, crash-restart) per round. Plans are consulted on the
@@ -389,7 +388,8 @@ func (r *Runner) Node(v int) Node { return r.nodes[v] }
 
 // Run executes the program to completion and returns run statistics. It
 // returns ErrMaxRounds if any node is still live at the round limit, or the
-// first model violation (send to non-neighbor, oversized message) detected.
+// first model violation (send to non-neighbor, message above MaxWireBits)
+// detected.
 func (r *Runner) Run() (Result, error) {
 	if r.ran {
 		return Result{}, errors.New("congest: Runner is single-use; construct a new one per run")
@@ -407,10 +407,10 @@ func (r *Runner) Run() (Result, error) {
 
 // shard is a contiguous vertex range [lo, hi) owned by one worker. Its
 // outbox accumulates the records its nodes send during a sweep, in
-// (sender ID, send call) order; its frontier is a dense grow-only bitset
-// of the not-yet-halted vertices in the range (see frontier.go). Only the
-// owning worker touches a shard during a sweep; the coordinator reads and
-// re-partitions it between sweeps (rebalance.go).
+// (sender ID, send call) order; its frontier is a dense bitset of the
+// not-yet-halted vertices in the range (see frontier.go). The range is
+// fixed at set-up. Only the owning worker touches a shard during a sweep;
+// the coordinator reads it between sweeps.
 type shard struct {
 	ctx       Context       // the shard's one Context, re-pointed at each vertex the sweep visits
 	lo, hi    int           // owned contiguous vertex range [lo, hi)
@@ -466,9 +466,6 @@ type execState struct {
 	sent      int64               // messages handed to delivery, any fate
 	observed  int64               // sends already reported on the bus
 
-	scratch    []uint64 // whole-graph frontier gather space for rebalancing
-	rebalances int64    // rebalance count over the run
-
 	// outbox is the one backing array every shard outbox is carved from
 	// (see sizeOutboxes).
 	outbox []addressed
@@ -491,7 +488,8 @@ type execState struct {
 
 // newExecState prepares the node streams and the shards, each with its
 // Context. Shard boundaries split the vertex range into numShards
-// near-equal contiguous pieces.
+// near-equal contiguous pieces, shard s owning [s·n/numShards,
+// (s+1)·n/numShards) for the whole run.
 func (r *Runner) newExecState(numShards int) *execState {
 	n := r.g.N()
 	if numShards > n {
@@ -546,21 +544,18 @@ func (r *Runner) newShard() *shard {
 // program on the paper's path — makes one call, so a shard reserves one
 // record per vertex of its range: the shard ranges partition [0, n), and
 // shard [lo, hi) owns outbox[lo:hi]. That holds for the distributed
-// coordinator too, whose workers ship one Packet per send call. Set-up
-// calls sizeOutboxes once; the rebalancer calls it again after re-cutting
-// the shard ranges (outboxes are empty between rounds), so the
-// reservation always matches the current partition. Every outbox is
-// capped with a three-index slice: a program that makes more send calls
-// than reserved grows its own shard's outbox (growOutbox) and never writes
-// into a neighbor's range. A pull inbox holds at most one message per
-// neighbor, so in a run that can pull a shard's scratch is as long as its
-// range's widest row; it only grows, so re-carving allocates only when a
-// re-cut range holds a wider row than the shard has seen.
+// coordinator too, whose workers ship one Packet per send call. Shard
+// ranges never change, so newExecState calls sizeOutboxes once. Every
+// outbox is capped with a three-index slice: a program that makes more
+// send calls than reserved grows its own shard's outbox (growOutbox) and
+// never writes into a neighbor's range. A pull inbox holds at most one
+// message per neighbor, so in a run that can pull a shard's scratch is as
+// long as its range's widest row.
 func (st *execState) sizeOutboxes() {
 	for _, sh := range st.shards {
 		var widest int
 		sh.bound, widest = rowStats(st.g.Neighbors, sh.lo, sh.hi)
-		if st.senders != nil && len(sh.inbox) < widest {
+		if st.senders != nil {
 			sh.inbox = make([]Message, widest)
 		}
 		sh.out = st.outbox[sh.lo:sh.lo:sh.hi]

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -102,24 +103,40 @@ func TestSendToNonNeighborFails(t *testing.T) {
 	}
 }
 
-// oversize sends a payload above the bit limit.
+// oversize broadcasts one payload a bit above MaxWireBits. It implements
+// Porter so the distributed driver can run it.
 type oversize struct{}
 
 func (oversize) Init(ctx *Context) {
-	ctx.Broadcast(rawWire(1000))
+	ctx.Broadcast(rawWire(MaxWireBits + 1))
 	ctx.Halt()
 }
 func (oversize) Round(*Context, []Message) {}
+func (oversize) ExportState() uint64       { return 0 }
+func (oversize) ImportState(uint64)        {}
 
+// TestMessageBitLimit sends one message of MaxWireBits+1 bits under the
+// sequential driver, a two-shard pool and the distributed coordinator on
+// in-process workers: every driver must reject it with the same error,
+// the distributed one from the worker's RoundOutput.Err, so the message
+// never reaches a frame.
 func TestMessageBitLimit(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1}})
-	r := NewRunner(g, func(int) Node { return oversize{} }, Options{Seed: 1, MessageBitLimit: 64})
-	_, err := r.Run()
-	if err == nil {
-		t.Fatal("oversized message not detected")
-	}
-	if want := "congest: node 0 message of 1000 bits exceeds limit 64"; err.Error() != want {
-		t.Fatalf("error %q, want %q", err, want)
+	factory := func(int) Node { return oversize{} }
+	want := fmt.Sprintf("congest: node 0 message of %d bits exceeds the %d-bit CONGEST budget", MaxWireBits+1, MaxWireBits)
+	for _, d := range []struct {
+		name string
+		opts Options
+	}{
+		{"sequential", Options{}},
+		{"pool-2", Options{Driver: DriverPool, Workers: 2}},
+		{"distributed", Options{Driver: DriverDistributed, Fleet: &localFleet{g: g, shards: 2, factory: factory}}},
+	} {
+		d.opts.Seed = 1
+		_, err := NewRunner(g, factory, d.opts).Run()
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: error %v, want %q", d.name, err, want)
+		}
 	}
 }
 

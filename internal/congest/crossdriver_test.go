@@ -396,17 +396,16 @@ func TestGoldenFaultedExecution(t *testing.T) {
 }
 
 // TestGoldenMulticoreFingerprint pins one clean traced run at n = 4096
-// under GOMAXPROCS = 8 with shard rebalancing enabled: the
-// deterministic-event fingerprint, round count, and message totals must be
-// identical across the sequential driver, the pool at 1, 4, 8 and n
-// workers, and the distributed driver — and must not drift across PRs. The graph
-// is deliberately lopsided (a path over the low half, isolated vertices
-// above) so the live set concentrates in the low shards after round 1 and
-// the 8-worker pool actually rebalances mid-run; the test therefore proves
-// the rebalanced layout and the destination-range parallel merge
-// reproduce the exact event stream of the sequential sweep. It runs under
-// make race, where the worker barrier, parallel merge, and rebalancer are
-// all exercised with the race detector watching.
+// under GOMAXPROCS = 8: the deterministic-event fingerprint, round count,
+// and message totals must be identical across the sequential driver, the
+// pool at 1, 4, 8 and n workers, and the distributed driver — and must not
+// drift across PRs. The graph is deliberately lopsided (a path over the
+// low half, isolated vertices above), so after round 1 the live set sits
+// in the low shards and the high shards' workers get no dispatch; the test
+// therefore proves that skipped shards and pull inboxes built by
+// concurrent workers reproduce the exact event stream of the sequential
+// sweep. It runs under make race, where the worker barrier and the
+// concurrent pull sweeps run with the race detector watching.
 func TestGoldenMulticoreFingerprint(t *testing.T) {
 	const (
 		wantRounds      = 7

@@ -61,8 +61,6 @@ type ShardConfig struct {
 	// Seed is the run's root seed; the worker splits node streams from it
 	// exactly as the in-process drivers do.
 	Seed uint64
-	// MessageBitLimit mirrors Options.MessageBitLimit.
-	MessageBitLimit int
 	// Traced mirrors whether the run has an event sink attached; workers
 	// buffer Context.Emit and halt events only when set.
 	Traced bool
@@ -70,7 +68,8 @@ type ShardConfig struct {
 
 // VertexFate is one non-Up fault verdict for a live vertex this round,
 // drawn (purely) on the coordinator and shipped to the owning worker.
-// Fate uses the faultsim.VertexState values (1 = down, 2 = gone).
+// Fate uses the faultsim.VertexFate values 1 (down) and 2 (gone); the
+// round-frame decoder rejects any other.
 type VertexFate struct {
 	V    int32
 	Fate int32
@@ -118,8 +117,10 @@ type RoundOutput struct {
 	// vertices, for the coordinator's EvRNG accounting.
 	Draws uint64
 	// Err is the first model violation a node of this shard committed
-	// (send to a non-neighbor, oversized message), as an error string; it
-	// aborts the run on the coordinator exactly as sh.err does in-process.
+	// (send to a non-neighbor, message above MaxWireBits), as an error
+	// string; it aborts the run on the coordinator exactly as sh.err does
+	// in-process. The violating send never reaches Packets, so no frame
+	// carries it.
 	Err string
 
 	// Advisory transport measurements, filled by the connection (not the
@@ -243,14 +244,13 @@ func (d *distRun) start() error {
 			continue
 		}
 		d.cfgs[s] = ShardConfig{
-			Index:           s,
-			NumShards:       nShards,
-			Lo:              sh.lo,
-			Hi:              sh.hi,
-			N:               d.r.g.N(),
-			Seed:            d.r.opts.Seed,
-			MessageBitLimit: d.r.opts.MessageBitLimit,
-			Traced:          d.st.bus != nil,
+			Index:     s,
+			NumShards: nShards,
+			Lo:        sh.lo,
+			Hi:        sh.hi,
+			N:         d.r.g.N(),
+			Seed:      d.r.opts.Seed,
+			Traced:    d.st.bus != nil,
 		}
 		conn, err := d.fleet.Shard(d.cfgs[s])
 		if err != nil {
@@ -582,7 +582,7 @@ func outputDigest(out RoundOutput) uint64 {
 // determinism surface.
 type ShardWorker struct {
 	cfg       ShardConfig
-	r         *Runner // options/traced carcass for Context plumbing; never Run
+	r         *Runner // n/traced carcass for Context plumbing; never Run
 	sh        *shard
 	neighbors func(v int) []int // owned vertices' CSR rows
 	rngs      []rng.RNG         // owned vertices' node streams, indexed by v - cfg.Lo
@@ -610,7 +610,7 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 		return nil, fmt.Errorf("congest: shard range [%d, %d) invalid for n=%d", cfg.Lo, cfg.Hi, cfg.N)
 	}
 	width := cfg.Hi - cfg.Lo
-	r := &Runner{n: cfg.N, opts: Options{MessageBitLimit: cfg.MessageBitLimit}, traced: cfg.Traced}
+	r := &Runner{n: cfg.N, traced: cfg.Traced}
 	w := &ShardWorker{
 		cfg:       cfg,
 		r:         r,
@@ -639,9 +639,6 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 	w.pkts = make([]Packet, 0, width)
 	return w, nil
 }
-
-// Live returns the number of not-yet-halted vertices in the shard.
-func (w *ShardWorker) Live() int { return w.sh.liveCount }
 
 // Sweep runs one round over the shard's live vertices and returns their
 // send calls — one Packet per outbox record, a Broadcast as a single

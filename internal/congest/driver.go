@@ -34,9 +34,8 @@ func (o Options) WorkerCount(n int) int {
 // operations per worker per round). Delivery happens on the coordinator
 // between rounds; after a pull round (deliverPull) the coordinator has
 // only flagged the senders, and each worker builds its own vertices'
-// inboxes inside the sweep. Between rounds the coordinator may also re-cut
-// the shard ranges by live weight (rebalance.go); workers always sweep
-// st.shards[s], whose range the rebalancer updates in place.
+// inboxes inside the sweep. Every shard keeps its set-up range
+// [s·n/W, (s+1)·n/W) for the whole run.
 func (r *Runner) runPool() (Result, error) {
 	n := r.g.N()
 	workers := r.opts.WorkerCount(n)
@@ -81,12 +80,8 @@ func (r *Runner) runPool() (Result, error) {
 	// per-empty-shard coordination cost of the tail rounds, where
 	// shattering has halted most of the graph. A skipped shard's worker
 	// is idle for the round, so the coordinator may safely clear its
-	// timing residue. Before dispatch, while every worker is parked, the
-	// coordinator re-cuts skewed shard layouts by live weight.
+	// timing residue.
 	sweep := func(round int) {
-		if round > 0 {
-			st.maybeRebalance(round)
-		}
 		dispatched := 0
 		for s, start := range starts {
 			if st.shards[s].liveCount == 0 {

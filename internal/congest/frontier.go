@@ -1,18 +1,17 @@
 package congest
 
-import "math/bits"
-
 // This file is the dense-bitset frontier layer behind shard.frontier: the
 // live set of a shard's contiguous vertex range [lo, hi), one bit per
 // vertex, in the Ligra dense-active-set style. Word wi of the frontier
 // covers vertices [((lo>>6)+wi)<<6, ((lo>>6)+wi+1)<<6) — word boundaries
 // are global (vertex v always lives at bit v&63 of word v>>6 minus the
-// shard's base), so rebalancing on word-aligned cuts moves whole words and
-// a whole-graph gather (rebalance.go) is a word-wise OR.
+// shard's base), so the sweep and the distributed coordinator's mirror
+// find a vertex's bit the same way whatever the shard's range.
 //
-// The bitset is grow-only within a run: sweepShard clears bits as nodes
-// halt or crash for good, and nothing ever resurrects a cleared bit.
-// liveCount mirrors the popcount so the empty-shard skip is O(1).
+// A shard keeps the range it was set up with for the whole run. The
+// bitset only loses bits: sweepShard clears bits as nodes halt or crash
+// for good, and nothing ever resurrects a cleared bit. liveCount mirrors
+// the popcount so the empty-shard skip is O(1).
 
 // frontierWords returns the word count a frontier over [lo, hi) needs.
 func frontierWords(lo, hi int) int {
@@ -22,17 +21,10 @@ func frontierWords(lo, hi int) int {
 	return (hi-1)>>6 - lo>>6 + 1
 }
 
-// resetFrontier points the shard at [lo, hi) with every vertex live. The
-// word storage is reused when capacity allows, so a rebalance in steady
-// state allocates nothing (ranges only shrink in word count as nodes halt).
+// resetFrontier points the shard at [lo, hi) with every vertex live.
 func (sh *shard) resetFrontier(lo, hi int) {
 	sh.lo, sh.hi = lo, hi
-	words := frontierWords(lo, hi)
-	if cap(sh.frontier) < words {
-		sh.frontier = make([]uint64, words)
-	} else {
-		sh.frontier = sh.frontier[:words]
-	}
+	sh.frontier = make([]uint64, frontierWords(lo, hi))
 	base := lo >> 6
 	for wi := range sh.frontier {
 		vbase := (base + wi) << 6
@@ -46,34 +38,4 @@ func (sh *shard) resetFrontier(lo, hi int) {
 		sh.frontier[wi] = wd
 	}
 	sh.liveCount = hi - lo
-}
-
-// loadFrontier points the shard at [lo, hi) with liveness copied from the
-// whole-graph bitset global (indexed by v>>6), masking the partial edge
-// words. Rebalancing cuts on word boundaries, so in practice the masks are
-// no-ops except at n's final partial word; the masking keeps the function
-// correct for any range.
-func (sh *shard) loadFrontier(lo, hi int, global []uint64) {
-	sh.lo, sh.hi = lo, hi
-	words := frontierWords(lo, hi)
-	if cap(sh.frontier) < words {
-		sh.frontier = make([]uint64, words)
-	} else {
-		sh.frontier = sh.frontier[:words]
-	}
-	base := lo >> 6
-	count := 0
-	for wi := range sh.frontier {
-		vbase := (base + wi) << 6
-		wd := global[base+wi]
-		if vbase < lo {
-			wd &= ^uint64(0) << uint(lo-vbase)
-		}
-		if vbase+64 > hi {
-			wd &= ^uint64(0) >> uint(vbase+64-hi)
-		}
-		sh.frontier[wi] = wd
-		count += bits.OnesCount64(wd)
-	}
-	sh.liveCount = count
 }

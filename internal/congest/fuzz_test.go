@@ -30,8 +30,8 @@ func FuzzCrossDriver(f *testing.F) {
 	// rounds (Métivier's shape, every round pulled), rounds of mostly
 	// SendSlot calls (the SendSlot twin's push rounds), Broadcast, SendSlot
 	// and Send calls mixed in one round (mixedSender), two Broadcasts per
-	// vertex (doublesend), under drops and under delays, plus oversized
-	// messages and a round limit the script outlives.
+	// vertex (doublesend), under drops and under delays, plus messages
+	// above MaxWireBits and a round limit the script outlives.
 	for _, s := range []fuzzSeed{
 		{n: 12, edges: path(12), rounds: 6, script: []byte{0x00, 0x08, 0x10, 0x18}},
 		{n: 12, edges: path(12), rounds: 6, script: []byte{0x40, 0x44, 0x4c, 0x54}},
@@ -40,7 +40,7 @@ func FuzzCrossDriver(f *testing.F) {
 		{n: 12, edges: path(12), plan: 2, rounds: 8, script: []byte{0x00, 0x02, 0x10, 0x09}},
 		{n: 6, edges: star, plan: 7, rounds: 7, script: []byte{0x40, 0x46, 0x00, 0x03}},
 		{n: 40, edges: append(path(40), 0, 39, 5, 17, 9, 30), plan: 2, rounds: 10, script: []byte{0x00, 0x44, 0x0b, 0x81, 0x47}},
-		{n: 9, edges: path(9), limit: true, rounds: 3, script: []byte{0xf8, 0x00, 0x70}},
+		{n: 9, edges: path(9), oversize: true, rounds: 3, script: []byte{0xf8, 0x00, 0x70}},
 		{n: 9, edges: path(9), rounds: 12, maxRounds: 4, script: []byte{0x01}},
 	} {
 		f.Add(s.encode())
@@ -89,7 +89,7 @@ type fuzzSeed struct {
 	n         int
 	edges     []byte // vertex pairs
 	plan      byte   // see decodeFuzzInput
-	limit     bool
+	oversize  bool
 	rounds    int
 	maxRounds int // 0: the script's rounds plus one
 	script    []byte
@@ -97,7 +97,7 @@ type fuzzSeed struct {
 
 func (s fuzzSeed) encode() []byte {
 	flags := byte(0)
-	if s.limit {
+	if s.oversize {
 		flags = 1
 	}
 	out := []byte{byte(s.n - 1), byte(len(s.edges) / 2)}
@@ -109,7 +109,7 @@ func (s fuzzSeed) encode() []byte {
 type fuzzInput struct {
 	g         *graph.Graph
 	plan      func() faultsim.Plan
-	limit     int // Options.MessageBitLimit
+	extraBits int // added to every wire's bit size
 	rounds    int // the script's length in rounds; every vertex halts after it
 	maxRounds int
 	script    []byte
@@ -118,8 +118,9 @@ type fuzzInput struct {
 // decodeFuzzInput reads n-1 (mod 64), an edge count and that many vertex
 // pairs (self-loops skipped), a plan byte (mod 4: 0 and 1 reliable, 2
 // BernoulliDrop at 0.25, 3 DelayK with K = 1 + (byte>>2)%3), a flags byte
-// (bit 0: a 120-bit message limit), the script's rounds minus one (mod
-// 12), Options.MaxRounds (0: rounds+1), and the script itself.
+// (bit 0: every wire 8 bits larger, so a script byte b with b%128 >= 120
+// sends above MaxWireBits), the script's rounds minus one (mod 12),
+// Options.MaxRounds (0: rounds+1), and the script itself.
 func decodeFuzzInput(data []byte) (fuzzInput, bool) {
 	if len(data) < 2 {
 		return fuzzInput{}, false
@@ -151,7 +152,7 @@ func decodeFuzzInput(data []byte) (fuzzInput, bool) {
 		in.plan = func() faultsim.Plan { return faultsim.DelayK{K: 1 + int(p>>2)%3} }
 	}
 	if data[1]&1 != 0 {
-		in.limit = 120
+		in.extraBits = 8
 	}
 	if in.maxRounds == 0 {
 		in.maxRounds = in.rounds + 1
@@ -178,7 +179,6 @@ func (in fuzzInput) run(opts Options) fuzzOutcome {
 	rec := trace.NewRecorder(1)
 	opts.Seed = 5
 	opts.Faults = in.plan()
-	opts.MessageBitLimit = in.limit
 	opts.MaxRounds = in.maxRounds
 	opts.Events = rec
 	opts.EventTiming = true
@@ -243,7 +243,7 @@ func (s *scriptNode) step(ctx *Context) {
 	if script[round%len(script)]&0x40 != 0 {
 		ops = 8
 	}
-	w := Wire{Kind: 1 + WireKind(b%3), Bits: uint16(1 + int(b)%128), A: uint64(ctx.ID())<<32 | uint64(round), B: uint64(b)}
+	w := Wire{Kind: 1 + WireKind(b%3), Bits: uint16(1 + int(b)%128 + s.in.extraBits), A: uint64(ctx.ID())<<32 | uint64(round), B: uint64(b)}
 	nb := ctx.Neighbors()
 	slot := int(b>>3) % max(len(nb), 1)
 	switch int(b) % ops {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // Outbox sizing suite: newExecState and NewShardWorker reserve every
@@ -146,12 +145,10 @@ func (p *priorityMIS) ExportState() uint64 {
 func (p *priorityMIS) ImportState(x uint64) { p.inMIS = x == 1 }
 
 // runShards runs priorityMIS, configured as node, on g and returns the
-// run's shards (collected from the nodes) and the number of rebalances it
-// performed.
-func runShards(t *testing.T, g *graph.Graph, opts Options, node priorityMIS) ([]*shard, int64) {
+// run's shards, collected from the nodes in ascending vertex order, so in
+// shard order.
+func runShards(t *testing.T, g *graph.Graph, opts Options, node priorityMIS) []*shard {
 	t.Helper()
-	rebalances := int64(0)
-	opts.Events = countingSink{rec: trace.NewRecorder(0), rebalances: &rebalances}
 	r := NewRunner(g, func(int) Node { p := node; return &p }, opts)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
@@ -164,25 +161,23 @@ func runShards(t *testing.T, g *graph.Graph, opts Options, node priorityMIS) ([]
 			shards = append(shards, sh)
 		}
 	}
-	return shards, rebalances
+	return shards
 }
 
 // lopsidedPA is a preferential-attachment graph on the low half of n IDs
-// with the high half isolated. Métivier keeps a plain preferential-
-// attachment graph balanced; on this one the isolated vertices join in
-// round 1, the high shards drain, and a pool run re-cuts its ranges
-// mid-run.
+// with the high half isolated. The isolated vertices make no send call
+// (a Broadcast with no neighbors sends nothing) and join in round 1, so
+// the high shards drain early while the low ones are still busy.
 func lopsidedPA(n int, seed uint64) *graph.Graph {
 	return graph.MustNew(n, gen.PreferentialAttachment(n/2, 4, rng.New(seed)).Edges())
 }
 
-// TestOutboxCapsStableOverRun runs a whole Métivier MIS under the pool with
-// rebalancing live, the sequential driver and a faulted pool, and requires
-// every shard outbox to end the run with exactly the capacity sizeOutboxes
-// reserves for the final shard ranges, one record per vertex: a
-// broadcast-only program makes at most one send call per vertex per round,
-// so no round outgrew it, and after the pool re-cuts its ranges mid-run
-// the outboxes follow the re-cut.
+// TestOutboxCapsStableOverRun runs a whole Métivier MIS under the pool, the
+// sequential driver and a faulted pool, on a graph whose high shards drain
+// early, and requires every shard to end the run at its set-up cut
+// [s·n/W, (s+1)·n/W) with its outbox at exactly the capacity sizeOutboxes
+// reserved for it, one record per vertex: a broadcast-only program makes
+// at most one send call per vertex per round, so no round outgrew it.
 func TestOutboxCapsStableOverRun(t *testing.T) {
 	const n = 1 << 13
 	g := lopsidedPA(n, 4)
@@ -197,14 +192,14 @@ func TestOutboxCapsStableOverRun(t *testing.T) {
 	}
 	for _, c := range cases {
 		c.opts.Seed = 6
-		shards, rebalances := runShards(t, g, c.opts, priorityMIS{})
+		shards := runShards(t, g, c.opts, priorityMIS{})
 		if len(shards) != c.shards {
 			t.Fatalf("%s: collected %d shards, want %d", c.name, len(shards), c.shards)
 		}
-		if c.opts.Driver == DriverPool && rebalances == 0 {
-			t.Fatalf("%s: the rebalancer never fired", c.name)
-		}
 		for s, sh := range shards {
+			if lo, hi := s*n/c.shards, (s+1)*n/c.shards; sh.lo != lo || sh.hi != hi {
+				t.Fatalf("%s: shard %d ended the run at [%d, %d), set up at [%d, %d)", c.name, s, sh.lo, sh.hi, lo, hi)
+			}
 			if cap(sh.out) != sh.hi-sh.lo {
 				t.Fatalf("%s: shard %d [%d, %d) ended the run at cap %d, reserved %d", c.name, s, sh.lo, sh.hi, cap(sh.out), sh.hi-sh.lo)
 			}
@@ -231,9 +226,9 @@ func TestOutboxGrowsToDegreeSum(t *testing.T) {
 	for _, c := range cases {
 		for _, double := range []bool{false, true} {
 			c.opts.Seed = 12
-			shards, rebalances := runShards(t, g, c.opts, priorityMIS{slots: true, double: double})
-			if len(shards) != c.shards || rebalances != 0 {
-				t.Fatalf("%s: %d shards and %d rebalances, want %d shards and no re-carve", c.name, len(shards), rebalances, c.shards)
+			shards := runShards(t, g, c.opts, priorityMIS{slots: true, double: double})
+			if len(shards) != c.shards {
+				t.Fatalf("%s: collected %d shards, want %d", c.name, len(shards), c.shards)
 			}
 			for s, sh := range shards {
 				want := degreeSum(g, sh.lo, sh.hi)

@@ -19,7 +19,8 @@ type Wire struct {
 	Kind WireKind
 	// Bits is the payload's encoded size in bits — an honest upper bound
 	// for the encoding a real implementation would use. The engine uses it
-	// for Result.TotalBits/MaxMessageBits and the MessageBitLimit check.
+	// for Result.TotalBits/MaxMessageBits and rejects a send above
+	// MaxWireBits.
 	Bits uint16
 	// A and B are the payload words; their meaning is defined by Kind.
 	A, B uint64
@@ -36,5 +37,5 @@ type WireKind uint8
 // for every feasible n, so the constant is both the physical and the
 // model-level ceiling. proto's TestBitsArePositiveAndSmall holds every
 // payload to it, the distrib frame decoders reject a larger message, and
-// Options.MessageBitLimit meters it at run time.
+// every driver fails a run whose program sends one (Context.enqueue).
 const MaxWireBits = 128

@@ -13,8 +13,8 @@
 // deterministic (no maps, no timestamps inside deterministic payloads);
 // the advisory frame-byte and latency measurements the connections take
 // are reported out of band of the replay digest. Socket I/O helpers that
-// must touch the wall clock or spawn goroutines (dial retries, metrics
-// servers) carry //lint:advisory escapes with their reasons.
+// must touch the wall clock (dial retries, spawn and handshake deadlines)
+// carry //lint:advisory escapes with their reasons.
 package distrib
 
 import (
@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"repro/internal/congest"
+	"repro/internal/faultsim"
 	"repro/internal/trace"
 )
 
@@ -35,8 +36,7 @@ const (
 	// fkConfig is coordinator → worker: the shard's run configuration,
 	// program spec and adjacency. First frame on every connection.
 	fkConfig frameKind = iota + 1
-	// fkHello is worker → coordinator: config accepted; carries the
-	// worker's metrics listen address ("" when metrics are off).
+	// fkHello is worker → coordinator: config accepted. It has no body.
 	fkHello
 	// fkRound is coordinator → worker: one round's input batch.
 	fkRound
@@ -210,13 +210,11 @@ func payloadKind(p []byte) (frameKind, *decoder, error) {
 }
 
 // configMsg is the fkConfig payload: the engine shard config, the
-// program spec, the owned vertices' adjacency, and the requested metrics
-// listen address.
+// program spec and the owned vertices' adjacency.
 type configMsg struct {
-	cfg         congest.ShardConfig
-	prog        Program
-	adj         [][]int
-	metricsAddr string
+	cfg  congest.ShardConfig
+	prog Program
+	adj  [][]int
 }
 
 // encodeConfig serializes a configMsg. Adjacency lists are sorted
@@ -230,7 +228,6 @@ func encodeConfig(e *encoder, m configMsg) {
 	e.u64(uint64(c.Hi))
 	e.u64(uint64(c.N))
 	e.fix64(c.Seed)
-	e.u64(uint64(c.MessageBitLimit))
 	if c.Traced {
 		e.u8(1)
 	} else {
@@ -241,7 +238,6 @@ func encodeConfig(e *encoder, m configMsg) {
 	for _, a := range m.prog.Args {
 		e.fix64(a)
 	}
-	e.str(m.metricsAddr)
 	for _, nbrs := range m.adj {
 		e.u64(uint64(len(nbrs)))
 		prev := 0
@@ -284,14 +280,6 @@ func decodeConfig(d *decoder) (configMsg, error) {
 		return m, err
 	}
 	m.cfg.Seed = seed
-	limit, err := d.u64("config.bit-limit")
-	if err != nil {
-		return m, err
-	}
-	if limit > math.MaxInt32 {
-		return m, d.errAt("config.bit-limit", "value overflow")
-	}
-	m.cfg.MessageBitLimit = int(limit)
 	traced, err := d.u8("config.traced")
 	if err != nil {
 		return m, err
@@ -309,9 +297,6 @@ func decodeConfig(d *decoder) (configMsg, error) {
 		if m.prog.Args[i], err = d.fix64("config.arg"); err != nil {
 			return m, err
 		}
-	}
-	if m.metricsAddr, err = d.str("config.metrics-addr"); err != nil {
-		return m, err
 	}
 	if m.cfg.Lo < 0 || m.cfg.Hi < m.cfg.Lo || m.cfg.Hi > m.cfg.N {
 		return m, fmt.Errorf("distrib: config shard range [%d, %d) invalid for n=%d", m.cfg.Lo, m.cfg.Hi, m.cfg.N)
@@ -352,18 +337,8 @@ func decodeConfig(d *decoder) (configMsg, error) {
 }
 
 // encodeHello serializes the worker's post-config acknowledgement.
-func encodeHello(e *encoder, metricsAddr string) {
+func encodeHello(e *encoder) {
 	e.reset(fkHello)
-	e.str(metricsAddr)
-}
-
-// decodeHello parses an fkHello body.
-func decodeHello(d *decoder) (string, error) {
-	addr, err := d.str("hello.metrics-addr")
-	if err != nil {
-		return "", err
-	}
-	return addr, d.done()
 }
 
 // encodeRound serializes one round input.
@@ -487,6 +462,9 @@ func (sc *decodeScratch) round(d *decoder) (congest.RoundInput, error) {
 		fate, err := d.u8("round.fate")
 		if err != nil {
 			return in, err
+		}
+		if fate != byte(faultsim.VertexDown) && fate != byte(faultsim.VertexGone) {
+			return in, d.errAt("round.fate", fmt.Sprintf("fate %d is neither down nor gone", fate))
 		}
 		in.Fates[i] = congest.VertexFate{V: int32(v), Fate: int32(fate)}
 	}

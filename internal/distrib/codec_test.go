@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/congest"
+	"repro/internal/faultsim"
 	"repro/internal/mis/proto"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -36,33 +37,39 @@ func boundaryWords() []uint64 {
 	return []uint64{0, 1, math.MaxUint32, math.MaxUint64 - 1, math.MaxUint64}
 }
 
+// decoded is what decodeAs reports of an accepted frame: the wire payloads
+// a round or sweep frame carries and the vertex fates a round frame ships.
+type decoded struct {
+	wires []congest.Wire
+	fates []congest.VertexFate
+}
+
 // decodeAs reruns payloadKind + the kind's decoder, returning the decode
-// error (nil on success) and the wire payloads a round or sweep frame
-// carries. It is the single entry point the adversarial tests drive so no
-// decoder path can panic unobserved.
-func decodeAs(payload []byte) (wires []congest.Wire, err error) {
+// error (nil on success) and the payloads and fates the frame carries. It
+// is the single entry point the adversarial tests drive so no decoder path
+// can panic unobserved.
+func decodeAs(payload []byte) (got decoded, err error) {
 	kind, dec, err := payloadKind(payload)
 	if err != nil {
-		return nil, err
+		return got, err
 	}
 	switch kind {
 	case fkConfig:
 		_, err = decodeConfig(dec)
-	case fkHello:
-		_, err = decodeHello(dec)
 	case fkRound:
 		var in congest.RoundInput
 		in, err = decodeRound(dec)
 		for _, msg := range in.Inbox {
-			wires = append(wires, msg.Wire)
+			got.wires = append(got.wires, msg.Wire)
 		}
+		got.fates = in.Fates
 	case fkSweep:
 		var out congest.RoundOutput
 		out, err = decodeSweep(dec)
 		for _, p := range out.Packets {
-			wires = append(wires, p.Wire)
+			got.wires = append(got.wires, p.Wire)
 		}
-	case fkFinish:
+	case fkHello, fkFinish:
 		err = dec.done()
 	case fkOutputs:
 		_, err = decodeOutputs(dec)
@@ -71,7 +78,7 @@ func decodeAs(payload []byte) (wires []congest.Wire, err error) {
 	default:
 		err = dec.done()
 	}
-	return wires, err
+	return got, err
 }
 
 // TestRoundTripAllWireKinds sends one message of every probed kind byte
@@ -158,11 +165,10 @@ func TestConfigRoundTrip(t *testing.T) {
 	m := configMsg{
 		cfg: congest.ShardConfig{
 			Index: 2, NumShards: 4, Lo: 10, Hi: 14, N: 1 << 20,
-			Seed: math.MaxUint64, MessageBitLimit: 128, Traced: true,
+			Seed: math.MaxUint64, Traced: true,
 		},
-		prog:        Program{Algorithm: "colevishkin", Args: []uint64{0, 1, math.MaxUint64, 42}},
-		adj:         [][]int{{0, 1, 1<<20 - 1}, {}, {13}, {3, 7, 11, 12}},
-		metricsAddr: "127.0.0.1:0",
+		prog: Program{Algorithm: "colevishkin", Args: []uint64{0, 1, math.MaxUint64, 42}},
+		adj:  [][]int{{0, 1, 1<<20 - 1}, {}, {13}, {3, 7, 11, 12}},
 	}
 	var e encoder
 	encodeConfig(&e, m)
@@ -186,10 +192,10 @@ func TestConfigRoundTrip(t *testing.T) {
 // TestSmallFramesRoundTrip covers hello, outputs, error and finish.
 func TestSmallFramesRoundTrip(t *testing.T) {
 	var e encoder
-	encodeHello(&e, "10.0.0.1:9999")
-	_, dec, _ := payloadKind(e.buf)
-	if addr, err := decodeHello(dec); err != nil || addr != "10.0.0.1:9999" {
-		t.Fatalf("hello round trip: %q, %v", addr, err)
+	encodeHello(&e)
+	kind, dec, _ := payloadKind(e.buf)
+	if err := dec.done(); kind != fkHello || err != nil {
+		t.Fatalf("hello frame should be a bare %s kind byte: got %s, %v", fkHello, kind, err)
 	}
 	vals := []uint64{0, 1, math.MaxUint64}
 	encodeOutputs(&e, vals)
@@ -221,7 +227,7 @@ func samplePayloads() map[string][]byte {
 		adj:  [][]int{{0, 3}, {1}},
 	})
 	out["config"] = append([]byte(nil), e.buf...)
-	encodeHello(&e, "127.0.0.1:41234")
+	encodeHello(&e)
 	out["hello"] = append([]byte(nil), e.buf...)
 	encodeRound(&e, congest.RoundInput{
 		Round:     2,
@@ -403,33 +409,50 @@ func TestSweepAddressingRejected(t *testing.T) {
 	}
 }
 
-// TestRoundMessageBitsBound hand-crafts round frames whose one message
-// declares a bit size at and just above congest.MaxWireBits: the first is
-// accepted, the second rejected with an error naming message.bits.
+// TestRoundMessageBitsBound hand-crafts round frames with one vertex fate
+// and one message. A message at congest.MaxWireBits and the two fates the
+// coordinator sends, down and gone, are accepted; a message just above the
+// budget is rejected with an error naming message.bits, and any other fate
+// byte with one naming round.fate.
 func TestRoundMessageBitsBound(t *testing.T) {
-	for _, bits := range []uint64{congest.MaxWireBits, congest.MaxWireBits + 1} {
+	down, gone := byte(faultsim.VertexDown), byte(faultsim.VertexGone)
+	cases := []struct {
+		fate  byte
+		bits  uint64
+		field string // "" when the frame must be accepted
+	}{
+		{down, congest.MaxWireBits, ""},
+		{gone, 64, ""},
+		{down, congest.MaxWireBits + 1, "message.bits"},
+		{0, 64, "round.fate"},
+		{3, 64, "round.fate"},
+		{200, 64, "round.fate"},
+	}
+	for _, c := range cases {
 		var e encoder
 		e.reset(fkRound)
 		e.u64(1) // round
-		e.u64(0) // fates
+		e.u64(1) // one fate
+		e.u64(4) // fate vertex
+		e.u8(c.fate)
 		e.u64(1) // inbox lens
 		e.u64(1)
 		e.u64(1) // one message
 		e.u64(4) // from
 		e.u8(byte(proto.WirePriority))
-		e.u64(bits)
+		e.u64(c.bits)
 		e.fix64(1)
 		e.fix64(0)
 		_, dec, _ := payloadKind(e.buf)
 		in, err := decodeRound(dec)
-		if bits <= congest.MaxWireBits {
-			if err != nil || len(in.Inbox) != 1 || uint64(in.Inbox[0].Wire.Bits) != bits {
-				t.Fatalf("%d-bit message: decoded %+v, %v; want it accepted", bits, in.Inbox, err)
+		if c.field == "" {
+			if err != nil || len(in.Inbox) != 1 || uint64(in.Inbox[0].Wire.Bits) != c.bits || len(in.Fates) != 1 || in.Fates[0].Fate != int32(c.fate) {
+				t.Fatalf("fate %d, %d-bit message: decoded %+v, %v; want it accepted", c.fate, c.bits, in, err)
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(err.Error(), "distrib:") || !strings.Contains(err.Error(), "message.bits") {
-			t.Fatalf("%d-bit message: got %v, want a contextual error reading message.bits", bits, err)
+		if err == nil || !strings.Contains(err.Error(), "distrib:") || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("fate %d, %d-bit message: got %v, want a contextual error reading %s", c.fate, c.bits, err, c.field)
 		}
 	}
 }
@@ -443,11 +466,9 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 		e.u64(x)
 	}
 	e.fix64(7) // seed
-	e.u64(0)   // bit limit
 	e.u8(0)    // traced
 	e.str("metivier")
 	e.u64(0) // args
-	e.str("")
 	e.u64(3) // degree of vertex 0
 	e.u64(4)
 	e.u64(0) // zero delta: duplicate neighbor
@@ -468,7 +489,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 	mkRound := func(nMsgs, nFates, nLens int) congest.RoundInput {
 		in := congest.RoundInput{Round: int(r.Uint64() % 100)}
 		for i := 0; i < nFates; i++ {
-			in.Fates = append(in.Fates, congest.VertexFate{V: int32(i), Fate: int32(r.Uint64() % 3)})
+			in.Fates = append(in.Fates, congest.VertexFate{V: int32(i), Fate: int32(1 + r.Uint64()%2)})
 		}
 		for i := 0; i < nLens; i++ {
 			in.InboxLens = append(in.InboxLens, 0)
@@ -621,21 +642,27 @@ func TestFuzzDecodersNeverPanic(t *testing.T) {
 
 // FuzzDecodeFrame is the native-fuzzing counterpart of
 // TestFuzzDecodersNeverPanic: any payload must decode or fail with an
-// error, never panic or exhaust memory, and an accepted round or sweep
-// frame carries no message above the CONGEST budget.
+// error, never panic or exhaust memory; an accepted round or sweep frame
+// carries no message above the CONGEST budget, and an accepted round
+// frame no vertex fate but down and gone.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, payload := range samplePayloads() {
 		f.Add(payload)
 	}
 	f.Add(oversizedConfig())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wires, err := decodeAs(data)
+		got, err := decodeAs(data)
 		if err != nil {
 			return
 		}
-		for _, w := range wires {
+		for _, w := range got.wires {
 			if w.Bits > congest.MaxWireBits {
 				t.Fatalf("accepted a %d-bit message, above congest.MaxWireBits = %d", w.Bits, congest.MaxWireBits)
+			}
+		}
+		for _, vf := range got.fates {
+			if vf.Fate != int32(faultsim.VertexDown) && vf.Fate != int32(faultsim.VertexGone) {
+				t.Fatalf("accepted fate %d for vertex %d, neither down nor gone", vf.Fate, vf.V)
 			}
 		}
 	})
@@ -650,7 +677,7 @@ func TestFrameConnRoundTrip(t *testing.T) {
 	fa, fb := newFrameConn(a), newFrameConn(b)
 
 	var e encoder
-	encodeHello(&e, "addr")
+	encodeError(&e, "addr")
 	sent := append([]byte(nil), e.buf...)
 	errc := make(chan error, 1)
 	go func() { errc <- fa.writeFrame(sent) }()

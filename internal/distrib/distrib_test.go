@@ -7,13 +7,8 @@
 package distrib_test
 
 import (
-	"io"
 	"net"
-	"net/http"
 	"os"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -543,111 +538,6 @@ func TestDialFleetTCP(t *testing.T) {
 		if seqSt[v] != distSt[v] {
 			t.Fatalf("node %d status %v sequential, %v tcp", v, seqSt[v], distSt[v])
 		}
-	}
-}
-
-// scraperSink scrapes a worker's /metrics endpoint once a pinned round
-// starts, while the worker is still alive mid-run.
-type scraperSink struct {
-	at   int32
-	addr func() string
-	body atomic.Pointer[string]
-}
-
-func (s *scraperSink) Emit(e trace.Event) {
-	if e.Type != trace.EvRoundStart || e.Round != s.at || s.body.Load() != nil {
-		return
-	}
-	body, err := scrape(s.addr())
-	if err != nil {
-		body = "scrape error: " + err.Error()
-	}
-	s.body.Store(&body)
-}
-
-// scrape reads a worker's /metrics page.
-func scrape(addr string) (string, error) {
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
-}
-
-// counterValue returns the value of a counter on a scraped /metrics page.
-func counterValue(t *testing.T, body, name string) int64 {
-	t.Helper()
-	for _, line := range strings.Split(body, "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			x, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				t.Fatalf("counter %s: %v", name, err)
-			}
-			return x
-		}
-	}
-	t.Fatalf("metrics output missing %s:\n%s", name, body)
-	return 0
-}
-
-// TestWorkerMetricsEndpoint spawns a fleet with per-shard Prometheus
-// endpoints and scrapes one mid-run: the misnode metric family must be
-// present and the shard must have swept rounds by the time it is scraped.
-// After the run, the two shards' sent-message counters, which count a
-// Broadcast record once per neighbor, must sum to the run's messages.
-func TestWorkerMetricsEndpoint(t *testing.T) {
-	n := 64
-	g := gen.UnionOfTrees(n, 2, rng.New(4))
-	prog := distrib.Program{Algorithm: "metivier"}
-	fleet, err := distrib.NewExecFleet(g, prog, 2, distrib.WithMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-
-	scraper := &scraperSink{at: 2, addr: func() string { return fleet.MetricsAddr(0) }}
-	factory, err := distrib.Factory(prog, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := congest.Options{Seed: 6, Driver: congest.DriverDistributed, Fleet: fleet, Events: scraper}
-	r := congest.NewRunner(g, factory, opts)
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := scraper.body.Load()
-	if bp == nil {
-		t.Fatal("metrics scrape never ran: run ended before the pinned round")
-	}
-	body := *bp
-	if strings.HasPrefix(body, "scrape") {
-		t.Fatalf("metrics scrape failed: %s", body)
-	}
-	for _, metric := range []string{
-		"misnode_rounds_total", "misnode_messages_in_total", "misnode_packets_out_total",
-		"misnode_frame_bytes_in_total", "misnode_frame_bytes_out_total",
-		"misnode_live_vertices", "misnode_shard_index",
-	} {
-		if !strings.Contains(body, metric) {
-			t.Fatalf("metrics output missing %s:\n%s", metric, body)
-		}
-	}
-	if fleet.MetricsAddr(1) == "" {
-		t.Fatal("shard 1 reported no metrics address")
-	}
-	var sent int64
-	for s := 0; s < 2; s++ {
-		body, err := scrape(fleet.MetricsAddr(s))
-		if err != nil {
-			t.Fatalf("shard %d: scrape after the run: %v", s, err)
-		}
-		sent += counterValue(t, body, "misnode_packets_out_total")
-	}
-	if sent != res.Messages {
-		t.Fatalf("shards counted %d messages sent, the run delivered %d", sent, res.Messages)
 	}
 }
 

@@ -25,36 +25,36 @@ const (
 
 // handshake runs the coordinator side of connection setup: ship the
 // shard's config (program spec + adjacency of the owned range) and read
-// the worker's hello. It returns the worker's metrics address.
-func handshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardConfig, metricsAddr string) (string, error) {
+// the worker's hello.
+func handshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardConfig) error {
 	adj := make([][]int, cfg.Hi-cfg.Lo)
 	for v := cfg.Lo; v < cfg.Hi; v++ {
 		adj[v-cfg.Lo] = g.Neighbors(v)
 	}
 	var enc encoder
-	encodeConfig(&enc, configMsg{cfg: cfg, prog: prog, adj: adj, metricsAddr: metricsAddr})
+	encodeConfig(&enc, configMsg{cfg: cfg, prog: prog, adj: adj})
 	if err := fc.writeFrame(enc.buf); err != nil {
-		return "", err
+		return err
 	}
 	payload, err := fc.readFrame()
 	if err != nil {
-		return "", err
+		return err
 	}
 	kind, dec, err := payloadKind(payload)
 	if err != nil {
-		return "", err
+		return err
 	}
 	switch kind {
 	case fkHello:
-		return decodeHello(dec)
+		return dec.done()
 	case fkError:
 		msg, derr := decodeError(dec)
 		if derr != nil {
-			return "", derr
+			return derr
 		}
-		return "", fmt.Errorf("distrib: worker rejected config: %s", msg)
+		return fmt.Errorf("distrib: worker rejected config: %s", msg)
 	default:
-		return "", fmt.Errorf("distrib: expected hello frame, got %s", kind)
+		return fmt.Errorf("distrib: expected hello frame, got %s", kind)
 	}
 }
 
@@ -156,15 +156,15 @@ func (sc *shardConn) Close() error { return sc.fc.close() }
 // falls back to a respawn on any error.
 //
 //lint:advisory the rehandshake deadline is a liveness timeout on worker reconfiguration, never program logic
-func rehandshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardConfig, metricsAddr string) (string, error) {
+func rehandshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardConfig) error {
 	if err := fc.c.SetDeadline(time.Now().Add(rehandshakeTimeout)); err != nil {
-		return "", err
+		return err
 	}
-	addr, err := handshake(fc, g, prog, cfg, metricsAddr)
+	err := handshake(fc, g, prog, cfg)
 	if derr := fc.c.SetDeadline(time.Time{}); err == nil && derr != nil {
-		return "", derr
+		return derr
 	}
-	return addr, err
+	return err
 }
 
 // ExecFleet spawns shard workers by re-executing the current binary with
@@ -173,32 +173,20 @@ func rehandshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardC
 // one run. The fleet tracks worker processes so tests can SIGKILL one
 // mid-run and crash recovery can respawn it.
 type ExecFleet struct {
-	g            *graph.Graph
-	prog         Program
-	shards       int
-	metrics      bool
-	dir          string
-	socket       string
-	ln           *net.UnixListener
-	cmds         []*exec.Cmd
-	conns        []*shardConn
-	metricsAddrs []string
-}
-
-// ExecOption configures an ExecFleet.
-type ExecOption func(*ExecFleet)
-
-// WithMetrics makes every spawned worker expose its Prometheus registry
-// on an ephemeral per-shard /metrics endpoint (127.0.0.1); the bound
-// addresses are available from MetricsAddr after the shard starts.
-func WithMetrics() ExecOption {
-	return func(f *ExecFleet) { f.metrics = true }
+	g      *graph.Graph
+	prog   Program
+	shards int
+	dir    string
+	socket string
+	ln     *net.UnixListener
+	cmds   []*exec.Cmd
+	conns  []*shardConn
 }
 
 // NewExecFleet prepares a self-exec worker fleet of the given shard
 // count over a fresh unix socket. Close releases the socket, the workers
 // and the temp directory.
-func NewExecFleet(g *graph.Graph, prog Program, shards int, opts ...ExecOption) (*ExecFleet, error) {
+func NewExecFleet(g *graph.Graph, prog Program, shards int) (*ExecFleet, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("distrib: fleet needs at least one shard, got %d", shards)
 	}
@@ -215,21 +203,16 @@ func NewExecFleet(g *graph.Graph, prog Program, shards int, opts ...ExecOption) 
 		os.RemoveAll(dir)
 		return nil, fmt.Errorf("distrib: fleet listen: %w", err)
 	}
-	f := &ExecFleet{
-		g:            g,
-		prog:         prog,
-		shards:       shards,
-		dir:          dir,
-		socket:       socket,
-		ln:           ln.(*net.UnixListener),
-		cmds:         make([]*exec.Cmd, shards),
-		conns:        make([]*shardConn, shards),
-		metricsAddrs: make([]string, shards),
-	}
-	for _, o := range opts {
-		o(f)
-	}
-	return f, nil
+	return &ExecFleet{
+		g:      g,
+		prog:   prog,
+		shards: shards,
+		dir:    dir,
+		socket: socket,
+		ln:     ln.(*net.UnixListener),
+		cmds:   make([]*exec.Cmd, shards),
+		conns:  make([]*shardConn, shards),
+	}, nil
 }
 
 // NumShards returns the fleet's worker count.
@@ -243,10 +226,6 @@ func (f *ExecFleet) Pid(shard int) int {
 	}
 	return f.cmds[shard].Process.Pid
 }
-
-// MetricsAddr returns the worker's bound /metrics address ("" when
-// metrics are off or the shard has not started).
-func (f *ExecFleet) MetricsAddr(shard int) string { return f.metricsAddrs[shard] }
 
 // Shard provides the worker for cfg.Index. A worker kept alive by a
 // previous run on this fleet is reused: the fleet re-runs the config
@@ -262,13 +241,8 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 	if s < 0 || s >= f.shards {
 		return nil, fmt.Errorf("distrib: shard index %d outside fleet of %d", s, f.shards)
 	}
-	metricsReq := ""
-	if f.metrics {
-		metricsReq = "127.0.0.1:0"
-	}
 	if f.cmds[s] != nil && f.conns[s] != nil {
-		if addr, err := rehandshake(f.conns[s].fc, f.g, f.prog, cfg, metricsReq); err == nil {
-			f.metricsAddrs[s] = addr
+		if err := rehandshake(f.conns[s].fc, f.g, f.prog, cfg); err == nil {
 			return f.conns[s], nil
 		}
 		_ = f.conns[s].Close()
@@ -297,8 +271,7 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		return nil, fmt.Errorf("distrib: worker for shard %d never dialed back: %w", s, err)
 	}
 	fc := newFrameConn(conn)
-	addr, err := handshake(fc, f.g, f.prog, cfg, metricsReq)
-	if err != nil {
+	if err := handshake(fc, f.g, f.prog, cfg); err != nil {
 		_ = fc.close()
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
@@ -306,7 +279,6 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 	}
 	f.cmds[s] = cmd
 	f.conns[s] = &shardConn{fc: fc}
-	f.metricsAddrs[s] = addr
 	return f.conns[s], nil
 }
 
@@ -375,7 +347,7 @@ func (f *DialFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 	// A connection kept alive by a previous run is reconfigured in place;
 	// failure falls through to a fresh dial.
 	if f.conns[s] != nil {
-		if _, err := rehandshake(f.conns[s].fc, f.g, f.prog, cfg, ""); err == nil {
+		if err := rehandshake(f.conns[s].fc, f.g, f.prog, cfg); err == nil {
 			return f.conns[s], nil
 		}
 		_ = f.conns[s].Close()
@@ -395,7 +367,7 @@ func (f *DialFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	fc := newFrameConn(conn)
-	if _, err := handshake(fc, f.g, f.prog, cfg, ""); err != nil {
+	if err := handshake(fc, f.g, f.prog, cfg); err != nil {
 		_ = fc.close()
 		return nil, err
 	}
@@ -420,8 +392,8 @@ func (f *DialFleet) Close() error {
 // the per-vertex exported states' run result — the distributed
 // equivalent of the per-algorithm Run helpers. It wires the fleet into
 // Options and closes it afterwards.
-func Run(g *graph.Graph, prog Program, shards int, opts congest.Options, fleetOpts ...ExecOption) (congest.Result, *congest.Runner, error) {
-	fleet, err := NewExecFleet(g, prog, shards, fleetOpts...)
+func Run(g *graph.Graph, prog Program, shards int, opts congest.Options) (congest.Result, *congest.Runner, error) {
+	fleet, err := NewExecFleet(g, prog, shards)
 	if err != nil {
 		return congest.Result{}, nil, err
 	}

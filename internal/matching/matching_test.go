@@ -153,7 +153,7 @@ func TestMatchingSizeAtLeastHalfMaximum(t *testing.T) {
 
 func TestMessageBitsConstant(t *testing.T) {
 	g := gen.RandomTree(200, rng.New(7))
-	_, res, err := Run(g, congest.Options{Seed: 4, MessageBitLimit: 8})
+	_, res, err := Run(g, congest.Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestRoundsReasonable(t *testing.T) {
 
 func TestMessageSizeSmall(t *testing.T) {
 	g := gen.RandomTree(100, rng.New(5))
-	_, res, err := Run(g, congest.Options{Seed: 6, MessageBitLimit: 64})
+	_, res, err := Run(g, congest.Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestCompleteGraphPicksExactlyOne(t *testing.T) {
 
 func TestMessageSizesAreConstant(t *testing.T) {
 	g := gen.RandomTree(100, rng.New(2))
-	_, res, err := Run(g, congest.Options{Seed: 3, MessageBitLimit: 65})
+	_, res, err := Run(g, congest.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,8 +85,8 @@ func (ri roundIndex) round(r int) []Event {
 // Bisect locates the first divergent deterministic event between two
 // traces. It binary-searches the per-round prefix fingerprints to find
 // the first round whose history differs, then scans that round event by
-// event. Advisory events (timings, rebalances) are ignored, so traces
-// from different drivers compare cleanly. It returns nil when the
+// event. Advisory events (timings, frames, respawns) are ignored, so
+// traces from different drivers compare cleanly. It returns nil when the
 // deterministic streams are identical.
 func Bisect(a, b []Event) *Divergence {
 	ia, ib := indexRounds(a), indexRounds(b)

@@ -17,10 +17,10 @@
 //     transitions, halts, RNG draw totals) are bit-identical across the
 //     sequential, worker-pool, and distributed drivers for the same seed —
 //     they are covered by Fingerprint and compared by Bisect;
-//   - advisory events (shard sweep and merge timings, rebalances,
-//     transport frames, respawns) describe how a particular driver
-//     executed the run and legitimately differ between drivers;
-//     Fingerprint and Bisect ignore them.
+//   - advisory events (shard sweep and merge timings, transport frames,
+//     respawns) describe how a particular driver executed the run and
+//     legitimately differ between drivers; Fingerprint and Bisect ignore
+//     them.
 //
 // The stream is the engine's one way to watch a run
 // (congest.Options.Events): a sink that keys on EvRoundEnd sees each
@@ -83,11 +83,11 @@ const (
 	// the inboxes in the next sweep) and 0 when it was pushed into the
 	// inbox arena.
 	EvMerge
-	// EvRebalance is the advisory shard-rebalance record from the pool
-	// driver: the coordinator re-partitioned the vertex range by live
-	// weight before the round's sweep. X = total live vertices at the
-	// rebalance, Y = the run's cumulative rebalance count. Shard layout
-	// depends on the worker count, so the event is advisory.
+	// EvRebalance is no longer emitted: pool shards keep their set-up
+	// ranges, and the shard rebalancer that recorded its re-cuts here is
+	// gone. The type and its wire name "rebalance" stay so the later types
+	// keep their fingerprinted values and readers that look the event up
+	// by name still resolve it. It is advisory.
 	EvRebalance
 	// EvRepair is one incremental repair by the dynamic-MIS engine
 	// (internal/dynmis): Round = the update-batch index (0 = bootstrap),
@@ -150,9 +150,9 @@ func TypeFromString(s string) Type {
 }
 
 // Deterministic reports whether events of this type are bit-identical
-// across engine drivers for the same seed. Advisory types (timings, shard
-// rebalancing, transport) depend on the driver's shard layout and wall
-// clock and are excluded from Fingerprint and Bisect.
+// across engine drivers for the same seed. Advisory types (timings,
+// transport, respawns) depend on the driver's shard layout and wall clock
+// and are excluded from Fingerprint and Bisect.
 func (t Type) Deterministic() bool {
 	switch t {
 	case EvShardBusy, EvMerge, EvRebalance, EvFrame, EvRespawn:
