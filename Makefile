@@ -84,21 +84,21 @@ alloc-gate:
 	go test -run '^TestFactoryAllocs$$' -count=1 ./internal/distrib/
 	go test -run '^TestAlg1RunAllocs$$' -count=1 ./internal/core/
 
-# Fuzz smoke: a 10s slice of native fuzzing over each decoder of external
-# bytes — the distrib frame decoders (what a networked shard worker,
-# cmd/misnode -listen tcp:, accepts from outside; an accepted frame must
-# carry no message above congest.MaxWireBits), the JSONL trace reader,
-# the dynamic-MIS update-stream reader, and the edge-list parser and
-# graph constructor (cmd/arbmis -stdin) — plus the engine's differential
-# target, which runs byte-scripted programs under every driver and
-# requires the pull, push and faulted delivery paths to agree. Any panic,
-# hang, runaway allocation, broken round trip or cross-driver divergence
-# fails it. go test fuzzes one target per run, hence six runs.
+# Fuzz smoke: a 10s slice of native fuzzing over each decoder of bytes
+# from outside the program — the distrib frame decoders (what the
+# coordinator reads from a spawned worker process over the fleet's
+# private unix socket, and a worker from the coordinator; an accepted
+# frame must carry no message above congest.MaxWireBits), the JSONL trace
+# reader, and the edge-list parser and graph constructor (cmd/arbmis
+# -stdin) — plus the engine's differential target, which runs
+# byte-scripted programs under every driver and requires the pull, push
+# and faulted delivery paths to agree. Any panic, hang, runaway
+# allocation, broken round trip or cross-driver divergence fails it. go
+# test fuzzes one target per run, hence five runs.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzCrossDriver$$' -fuzztime 10s ./internal/congest/
 	go test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/distrib/
 	go test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace/
-	go test -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 10s ./internal/dynmis/
 	go test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzNewGraph$$' -fuzztime 10s ./internal/graph/
 

@@ -257,7 +257,7 @@ const (
 	DriverPool
 	// DriverDistributed runs every shard in a separate OS process: the
 	// coordinator exchanges round-batched frames with a fleet of shard
-	// workers over unix sockets or TCP (see internal/distrib), performing
+	// worker processes over unix sockets (see internal/distrib), performing
 	// all fault/RNG draws itself in global sender order so executions stay
 	// bit-identical with the in-process drivers. Requires Options.Fleet.
 	DriverDistributed

@@ -1,9 +1,9 @@
 // Package distrib is the transport layer of the distributed CONGEST
 // driver (congest.DriverDistributed): a length-prefixed binary frame
-// codec, socket connections to shard worker processes (self-exec'd over
-// unix sockets, or pre-started cmd/misnode workers over TCP), the worker
-// serve loop, and the algorithm registry that lets a worker process
-// construct the same node state machines the coordinator mirrors.
+// codec, the self-exec fleet that spawns shard worker processes and
+// talks to each over a private unix socket, the worker serve loop, and
+// the algorithm registry that lets a worker process construct the same
+// node state machines the coordinator mirrors.
 //
 // Determinism contract. Nothing in this package draws randomness or
 // makes a scheduling decision that the run can observe: the coordinator
@@ -13,8 +13,8 @@
 // deterministic (no maps, no timestamps inside deterministic payloads);
 // the advisory frame-byte and latency measurements the connections take
 // are reported out of band of the replay digest. Socket I/O helpers that
-// must touch the wall clock (dial retries, spawn and handshake deadlines)
-// carry //lint:advisory escapes with their reasons.
+// must touch the wall clock (spawn and handshake deadlines) carry
+// //lint:advisory escapes with their reasons.
 package distrib
 
 import (

@@ -7,7 +7,6 @@
 package distrib_test
 
 import (
-	"net"
 	"os"
 	"syscall"
 	"testing"
@@ -74,10 +73,30 @@ func runSequential(t *testing.T, g *graph.Graph, prog distrib.Program, opts cong
 	return base.Statuses(r, g.N()), res, nil
 }
 
+// runFleet executes prog over g on a fresh self-exec fleet of the given
+// shard count and closes the fleet afterwards. It returns the run's
+// Result, its Runner and its error.
+func runFleet(t *testing.T, g *graph.Graph, prog distrib.Program, shards int, opts congest.Options) (congest.Result, *congest.Runner, error) {
+	t.Helper()
+	fleet, err := distrib.NewExecFleet(g, prog, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	factory, err := distrib.Factory(prog, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Driver, opts.Fleet = congest.DriverDistributed, fleet
+	r := congest.NewRunner(g, factory, opts)
+	res, err := r.Run()
+	return res, r, err
+}
+
 // runDistributed executes prog over a fresh self-exec fleet.
 func runDistributed(t *testing.T, g *graph.Graph, prog distrib.Program, shards int, opts congest.Options) ([]base.Status, congest.Result, error) {
 	t.Helper()
-	res, r, err := distrib.Run(g, prog, shards, opts)
+	res, r, err := runFleet(t, g, prog, shards, opts)
 	if err != nil {
 		return nil, res, err
 	}
@@ -277,7 +296,7 @@ func TestDistributedTraceFingerprint(t *testing.T) {
 			for _, shards := range tc.shards {
 				distRec := trace.NewRecorder(0)
 				opts.Events = distRec
-				distRes, _, err := distrib.Run(tc.g, prog, shards, opts)
+				distRes, _, err := runFleet(t, tc.g, prog, shards, opts)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -477,70 +496,6 @@ func TestFleetReuse(t *testing.T) {
 	}
 }
 
-// TestDialFleetTCP runs the distributed driver over TCP against
-// in-process listeners speaking the worker protocol — the transport
-// cmd/misnode serves — and checks bit-identity with sequential.
-func TestDialFleetTCP(t *testing.T) {
-	n := 80
-	g := gen.UnionOfTrees(n, 2, rng.New(8))
-	prog := distrib.Program{Algorithm: "metivier"}
-	shards := 3
-
-	addrs := make([]string, shards)
-	lns := make([]net.Listener, shards)
-	for s := 0; s < shards; s++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		lns[s] = ln
-		addrs[s] = ln.Addr().String()
-		go func(ln net.Listener) {
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func(c net.Conn) {
-					defer c.Close()
-					_ = distrib.ServeConn(c)
-				}(c)
-			}
-		}(ln)
-	}
-
-	fleet, err := distrib.NewDialFleet(g, prog, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-	factory, err := distrib.Factory(prog, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := congest.Options{Seed: 77, Driver: congest.DriverDistributed, Fleet: fleet}
-	r := congest.NewRunner(g, factory, opts)
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seqSt, seqRes, err := runSequential(t, g, prog, congest.Options{Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != seqRes {
-		t.Fatalf("tcp Result %+v != sequential %+v", res, seqRes)
-	}
-	distSt := base.Statuses(r, n)
-	for v := range seqSt {
-		if seqSt[v] != distSt[v] {
-			t.Fatalf("node %d status %v sequential, %v tcp", v, seqSt[v], distSt[v])
-		}
-	}
-}
-
 // TestFrameEventsEmitted checks the coordinator publishes advisory
 // EvFrame transport events when timing is requested, and that they stay
 // out of the deterministic fingerprint.
@@ -549,7 +504,7 @@ func TestFrameEventsEmitted(t *testing.T) {
 	g := gen.UnionOfTrees(n, 2, rng.New(2))
 	prog := distrib.Program{Algorithm: "metivier"}
 	rec := trace.NewRecorder(0)
-	_, _, err := distrib.Run(g, prog, 2, congest.Options{Seed: 5, Events: rec, EventTiming: true})
+	_, _, err := runFleet(t, g, prog, 2, congest.Options{Seed: 5, Events: rec, EventTiming: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +529,7 @@ func TestFrameEventsEmitted(t *testing.T) {
 	// The same run untimed must fingerprint identically: EvFrame is
 	// advisory and cannot leak into the deterministic stream.
 	rec2 := trace.NewRecorder(0)
-	_, _, err = distrib.Run(g, prog, 2, congest.Options{Seed: 5, Events: rec2})
+	_, _, err = runFleet(t, g, prog, 2, congest.Options{Seed: 5, Events: rec2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,8 +563,5 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := distrib.NewExecFleet(g, distrib.Program{Algorithm: "metivier"}, 0); err == nil {
 		t.Fatal("zero-shard fleet must fail")
-	}
-	if _, err := distrib.NewDialFleet(g, distrib.Program{Algorithm: "metivier"}, nil); err == nil {
-		t.Fatal("empty dial fleet must fail")
 	}
 }

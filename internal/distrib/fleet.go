@@ -13,20 +13,32 @@ import (
 )
 
 // spawnTimeout bounds how long ExecFleet waits for a just-spawned worker
-// to dial back, dialTimeout how long DialFleet retries a misnode address
-// before giving up, and rehandshakeTimeout how long a fleet waits for a
-// kept-alive worker to accept a new run's config before falling back to
-// a respawn (a wedged worker must not hang the next run).
+// to dial back and answer its config, and rehandshakeTimeout how long it
+// waits for a kept-alive worker to accept a new run's config before
+// falling back to a respawn. A worker that is wedged, or that connects
+// and then stalls, must not hang the coordinator.
 const (
 	spawnTimeout       = 30 * time.Second
-	dialTimeout        = 10 * time.Second
 	rehandshakeTimeout = 5 * time.Second
 )
 
 // handshake runs the coordinator side of connection setup: ship the
 // shard's config (program spec + adjacency of the owned range) and read
-// the worker's hello.
-func handshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardConfig) error {
+// the worker's hello. The whole exchange runs under a socket deadline of
+// timeout, so a worker that never answers fails the handshake instead
+// of hanging the run; the deadline is cleared on return, leaving the
+// round exchanges that follow unbounded.
+//
+//lint:advisory the handshake deadline is a liveness timeout on worker setup, never program logic
+func handshake(fc *frameConn, timeout time.Duration, g *graph.Graph, prog Program, cfg congest.ShardConfig) (err error) {
+	if err := fc.c.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	defer func() {
+		if derr := fc.c.SetDeadline(time.Time{}); err == nil {
+			err = derr
+		}
+	}()
 	adj := make([][]int, cfg.Hi-cfg.Lo)
 	for v := cfg.Lo; v < cfg.Hi; v++ {
 		adj[v-cfg.Lo] = g.Neighbors(v)
@@ -149,29 +161,12 @@ func (sc *shardConn) Outputs() ([]uint64, error) {
 // Close tears the connection down.
 func (sc *shardConn) Close() error { return sc.fc.close() }
 
-// rehandshake re-runs the config handshake on a live worker connection
-// (fleet reuse: one spawned fleet serving several runs back-to-back).
-// The whole exchange runs under a socket deadline so a wedged or
-// mid-run worker fails fast instead of hanging the next run; the caller
-// falls back to a respawn on any error.
-//
-//lint:advisory the rehandshake deadline is a liveness timeout on worker reconfiguration, never program logic
-func rehandshake(fc *frameConn, g *graph.Graph, prog Program, cfg congest.ShardConfig) error {
-	if err := fc.c.SetDeadline(time.Now().Add(rehandshakeTimeout)); err != nil {
-		return err
-	}
-	err := handshake(fc, g, prog, cfg)
-	if derr := fc.c.SetDeadline(time.Time{}); err == nil && derr != nil {
-		return derr
-	}
-	return err
-}
-
 // ExecFleet spawns shard workers by re-executing the current binary with
 // the MISNODE_SOCKET environment variable set (see MaybeWorker): each
 // worker dials the fleet's unix socket, receives its config, and serves
-// one run. The fleet tracks worker processes so tests can SIGKILL one
-// mid-run and crash recovery can respawn it.
+// runs until the fleet closes the connection. The fleet tracks worker
+// processes so tests can SIGKILL one mid-run and crash recovery can
+// respawn it.
 type ExecFleet struct {
 	g      *graph.Graph
 	prog   Program
@@ -231,7 +226,7 @@ func (f *ExecFleet) Pid(shard int) int {
 // previous run on this fleet is reused: the fleet re-runs the config
 // handshake on its live connection (workers loop back to config-wait
 // after exporting outputs), so consecutive runs skip the process spawn.
-// Any rehandshake failure — the worker died, is wedged mid-run, or
+// Any failure of that handshake — the worker died, is wedged mid-run, or
 // rejected the config — falls back to the spawn path, which is also how
 // crash recovery respawns a shard mid-run.
 //
@@ -242,7 +237,7 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		return nil, fmt.Errorf("distrib: shard index %d outside fleet of %d", s, f.shards)
 	}
 	if f.cmds[s] != nil && f.conns[s] != nil {
-		if err := rehandshake(f.conns[s].fc, f.g, f.prog, cfg); err == nil {
+		if err := handshake(f.conns[s].fc, rehandshakeTimeout, f.g, f.prog, cfg); err == nil {
 			return f.conns[s], nil
 		}
 		_ = f.conns[s].Close()
@@ -271,11 +266,11 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		return nil, fmt.Errorf("distrib: worker for shard %d never dialed back: %w", s, err)
 	}
 	fc := newFrameConn(conn)
-	if err := handshake(fc, f.g, f.prog, cfg); err != nil {
+	if err := handshake(fc, spawnTimeout, f.g, f.prog, cfg); err != nil {
 		_ = fc.close()
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
-		return nil, err
+		return nil, fmt.Errorf("distrib: handshake with shard %d worker: %w", s, err)
 	}
 	f.cmds[s] = cmd
 	f.conns[s] = &shardConn{fc: fc}
@@ -307,104 +302,4 @@ func (f *ExecFleet) Close() error {
 	err := f.ln.Close()
 	os.RemoveAll(f.dir)
 	return err
-}
-
-// DialFleet connects to pre-started cmd/misnode workers over TCP, one
-// address per shard. Respawning through a DialFleet redials the same
-// address: a misnode process accepts a fresh run connection after the
-// previous one ends, and an externally supervised misnode that crashed
-// is expected to come back on the same address.
-type DialFleet struct {
-	g     *graph.Graph
-	prog  Program
-	addrs []string
-	conns []*shardConn
-}
-
-// NewDialFleet prepares a TCP fleet over the given misnode addresses.
-func NewDialFleet(g *graph.Graph, prog Program, addrs []string) (*DialFleet, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("distrib: dial fleet needs at least one address")
-	}
-	if _, err := Factory(prog, g.N()); err != nil {
-		return nil, err
-	}
-	return &DialFleet{g: g, prog: prog, addrs: addrs, conns: make([]*shardConn, len(addrs))}, nil
-}
-
-// NumShards returns the fleet's worker count.
-func (f *DialFleet) NumShards() int { return len(f.addrs) }
-
-// Shard dials the shard's misnode (with retries, so a respawn can wait
-// out a supervisor restart) and runs the config handshake.
-//
-//lint:advisory the dial retry loop times out worker startup, never program logic
-func (f *DialFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
-	s := cfg.Index
-	if s < 0 || s >= len(f.addrs) {
-		return nil, fmt.Errorf("distrib: shard index %d outside fleet of %d", s, len(f.addrs))
-	}
-	// A connection kept alive by a previous run is reconfigured in place;
-	// failure falls through to a fresh dial.
-	if f.conns[s] != nil {
-		if err := rehandshake(f.conns[s].fc, f.g, f.prog, cfg); err == nil {
-			return f.conns[s], nil
-		}
-		_ = f.conns[s].Close()
-		f.conns[s] = nil
-	}
-	deadline := time.Now().Add(dialTimeout)
-	var conn net.Conn
-	var err error
-	for {
-		conn, err = net.DialTimeout("tcp", f.addrs[s], time.Second)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("distrib: dial misnode %s: %w", f.addrs[s], err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	fc := newFrameConn(conn)
-	if err := handshake(fc, f.g, f.prog, cfg); err != nil {
-		_ = fc.close()
-		return nil, err
-	}
-	f.conns[s] = &shardConn{fc: fc}
-	return f.conns[s], nil
-}
-
-// Close closes every live connection.
-func (f *DialFleet) Close() error {
-	var first error
-	for _, c := range f.conns {
-		if c != nil {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
-// Run executes a program over g on a fresh self-exec fleet and returns
-// the per-vertex exported states' run result — the distributed
-// equivalent of the per-algorithm Run helpers. It wires the fleet into
-// Options and closes it afterwards.
-func Run(g *graph.Graph, prog Program, shards int, opts congest.Options) (congest.Result, *congest.Runner, error) {
-	fleet, err := NewExecFleet(g, prog, shards)
-	if err != nil {
-		return congest.Result{}, nil, err
-	}
-	defer fleet.Close()
-	factory, err := Factory(prog, g.N())
-	if err != nil {
-		return congest.Result{}, nil, err
-	}
-	opts.Driver = congest.DriverDistributed
-	opts.Fleet = fleet
-	r := congest.NewRunner(g, factory, opts)
-	res, err := r.Run()
-	return res, r, err
 }

@@ -29,11 +29,11 @@ func MaybeWorker() {
 	}
 	c, err := net.Dial("unix", path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "misnode worker: dial %s: %v\n", path, err)
+		fmt.Fprintf(os.Stderr, "distrib worker: dial %s: %v\n", path, err)
 		os.Exit(3)
 	}
-	if err := ServeConn(c); err != nil {
-		fmt.Fprintf(os.Stderr, "misnode worker: %v\n", err)
+	if err := serveConn(c); err != nil {
+		fmt.Fprintf(os.Stderr, "distrib worker: %v\n", err)
 		c.Close()
 		os.Exit(1)
 	}
@@ -41,7 +41,7 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// ServeConn runs the worker side of the shard protocol over an
+// serveConn runs the worker side of the shard protocol over an
 // established coordinator connection: config, hello, then round sweeps
 // until the finish/outputs exchange ends the run — and then back to
 // waiting for the next run's config, so one worker process serves a
@@ -50,12 +50,12 @@ func MaybeWorker() {
 // the coordinator as an error frame (best effort) and returned. The frame
 // codec's decode buffers are per-connection and reused across frames.
 //
-// ServeConn is a worker-process entry point: the coordinator owns every
+// serveConn is a worker-process entry point: the coordinator owns every
 // engine-side RNG stream, so nothing reachable from here may draw —
 // misvet's draworder analyzer enforces that.
 //
 //draworder:worker
-func ServeConn(c net.Conn) error {
+func serveConn(c net.Conn) error {
 	fc := newFrameConn(c)
 	var enc encoder
 	var sc decodeScratch

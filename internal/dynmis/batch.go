@@ -1,11 +1,6 @@
 package dynmis
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Op enumerates the update kinds a stream can carry. Values start at 1 so
 // a zero-valued update is detectably invalid.
@@ -25,7 +20,7 @@ const (
 	OpRemoveNode
 )
 
-// opNames maps Op to its wire name (the JSONL "op" field).
+// opNames maps Op to the name String reports.
 var opNames = [...]string{
 	OpInsertEdge: "insert-edge",
 	OpRemoveEdge: "remove-edge",
@@ -33,7 +28,7 @@ var opNames = [...]string{
 	OpRemoveNode: "remove-node",
 }
 
-// String returns the op's wire name.
+// String returns the op's name, as update diagnostics print it.
 func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
@@ -41,18 +36,8 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// OpFromString inverts String; it returns 0 for an unknown name.
-func OpFromString(s string) Op {
-	for o, name := range opNames {
-		if name == s {
-			return Op(o)
-		}
-	}
-	return 0
-}
-
 // Update is one graph mutation. Edge ops use U and V; node ops use U only
-// (V is ignored and stays 0 on the wire).
+// (V is ignored).
 type Update struct {
 	Op   Op
 	U, V int
@@ -85,111 +70,3 @@ func (u Update) String() string {
 // updates sequentially in order, then runs a single incremental repair for
 // the whole batch — batches are the unit of both atomicity and repair.
 type Batch []Update
-
-// StreamHeader is the self-description line at the top of a stream file:
-// enough to regenerate the base graph and the stream itself, so one JSONL
-// file is a complete replayable workload.
-type StreamHeader struct {
-	// Family, N, Alpha and P name the base-graph generator and its
-	// parameters (cmd/graphgen vocabulary).
-	Family string  `json:"family"`
-	N      int     `json:"n"`
-	Alpha  int     `json:"alpha,omitempty"`
-	P      float64 `json:"p,omitempty"`
-	// Seed is the base-graph generator seed; StreamSeed drives the update
-	// stream generator.
-	Seed       uint64 `json:"seed"`
-	StreamSeed uint64 `json:"stream_seed"`
-	// Batches/BatchSize/Locality/Churn are the stream-shape knobs (see
-	// StreamConfig).
-	Batches   int     `json:"batches"`
-	BatchSize int     `json:"batch_size"`
-	Locality  float64 `json:"locality"`
-	Churn     float64 `json:"churn"`
-}
-
-// streamLine is the JSONL wire form: exactly one of Header or Ops per line.
-type streamLine struct {
-	Header *StreamHeader `json:"header,omitempty"`
-	Ops    []wireUpdate  `json:"ops,omitempty"`
-}
-
-// wireUpdate is Update's JSON form with the symbolic op name. V is
-// omitted when zero (node ops never carry it); an edge op with a missing
-// "v" therefore means vertex 0 — the round trip is exact.
-type wireUpdate struct {
-	Op string `json:"op"`
-	U  int    `json:"u"`
-	V  int    `json:"v,omitempty"`
-}
-
-// WriteStream writes an update stream as JSONL: an optional header line
-// (hdr may be nil), then one line per batch. The format round-trips
-// through ReadStream.
-func WriteStream(w io.Writer, hdr *StreamHeader, batches []Batch) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if hdr != nil {
-		if err := enc.Encode(streamLine{Header: hdr}); err != nil {
-			return fmt.Errorf("dynmis: write header: %w", err)
-		}
-	}
-	for i, b := range batches {
-		ops := make([]wireUpdate, len(b))
-		for j, u := range b {
-			ops[j] = wireUpdate{Op: u.Op.String(), U: u.U}
-			if u.Op == OpInsertEdge || u.Op == OpRemoveEdge {
-				ops[j].V = u.V
-			}
-		}
-		if err := enc.Encode(streamLine{Ops: ops}); err != nil {
-			return fmt.Errorf("dynmis: write batch %d: %w", i, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("dynmis: flush stream: %w", err)
-	}
-	return nil
-}
-
-// ReadStream parses a JSONL update stream: the header (nil when the file
-// has none) and the batches in order. An empty "ops" line decodes as an
-// empty batch — a legal no-op the engine accepts.
-func ReadStream(r io.Reader) (*StreamHeader, []Batch, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var hdr *StreamHeader
-	var batches []Batch
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var line streamLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, nil, fmt.Errorf("dynmis: stream line %d: %w", lineNo, err)
-		}
-		if line.Header != nil {
-			if lineNo != 1 {
-				return nil, nil, fmt.Errorf("dynmis: stream line %d: header after data", lineNo)
-			}
-			hdr = line.Header
-			continue
-		}
-		b := make(Batch, len(line.Ops))
-		for j, wu := range line.Ops {
-			op := OpFromString(wu.Op)
-			if op == 0 {
-				return nil, nil, fmt.Errorf("dynmis: stream line %d op %d: unknown op %q", lineNo, j, wu.Op)
-			}
-			b[j] = Update{Op: op, U: wu.U, V: wu.V}
-		}
-		batches = append(batches, b)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("dynmis: read stream: %w", err)
-	}
-	return hdr, batches, nil
-}

@@ -9,7 +9,7 @@ import (
 
 // DGraph is a mutable simple undirected graph under streaming updates: the
 // substrate the dynamic-MIS engine maintains its set over, and the state
-// the update-stream generator (internal/gen) mirrors while emitting ops.
+// the update-stream generator (UpdateStream) mirrors while emitting ops.
 //
 // Vertex IDs are append-only: InsertNode always allocates the next unused
 // ID and RemoveNode retires an ID forever (no reuse). That keeps every ID

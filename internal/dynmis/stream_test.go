@@ -1,7 +1,6 @@
 package dynmis_test
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,123 +11,16 @@ import (
 	"repro/internal/rng"
 )
 
-func TestStreamRoundTrip(t *testing.T) {
-	hdr := &dynmis.StreamHeader{
-		Family: "tree", N: 64, Alpha: 2, P: 0.25,
-		Seed: 3, StreamSeed: 9, Batches: 2, BatchSize: 3,
-		Locality: 0.5, Churn: 0.1,
-	}
-	batches := []dynmis.Batch{
-		{dynmis.InsertEdge(0, 5), dynmis.RemoveEdge(5, 0), dynmis.InsertNode(64)},
-		{}, // empty batch is a legal no-op
-		{dynmis.RemoveNode(7), dynmis.InsertEdge(2, 0)}, // edge touching vertex 0
-	}
-	var buf bytes.Buffer
-	if err := dynmis.WriteStream(&buf, hdr, batches); err != nil {
-		t.Fatal(err)
-	}
-	gotHdr, gotBatches, err := dynmis.ReadStream(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotHdr, hdr) {
-		t.Fatalf("header round trip: %+v != %+v", gotHdr, hdr)
-	}
-	if len(gotBatches) != len(batches) {
-		t.Fatalf("batch count %d != %d", len(gotBatches), len(batches))
-	}
-	for i := range batches {
-		if len(batches[i]) == 0 && len(gotBatches[i]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(gotBatches[i], batches[i]) {
-			t.Fatalf("batch %d round trip: %v != %v", i, gotBatches[i], batches[i])
-		}
-	}
-}
-
-func TestStreamHeaderless(t *testing.T) {
-	var buf bytes.Buffer
-	if err := dynmis.WriteStream(&buf, nil, []dynmis.Batch{{dynmis.InsertEdge(1, 2)}}); err != nil {
-		t.Fatal(err)
-	}
-	hdr, batches, err := dynmis.ReadStream(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr != nil || len(batches) != 1 {
-		t.Fatalf("hdr=%v batches=%d", hdr, len(batches))
-	}
-}
-
-func TestStreamRejectsMisplacedHeader(t *testing.T) {
-	in := `{"ops":[{"op":"insert-edge","u":1,"v":2}]}
-{"header":{"family":"tree","n":4,"seed":1,"stream_seed":1,"batches":1,"batch_size":1,"locality":0,"churn":0}}
-`
-	if _, _, err := dynmis.ReadStream(strings.NewReader(in)); err == nil {
-		t.Fatal("header after data accepted")
-	}
-}
-
-func TestStreamRejectsUnknownOp(t *testing.T) {
-	in := `{"ops":[{"op":"explode","u":1}]}` + "\n"
-	if _, _, err := dynmis.ReadStream(strings.NewReader(in)); err == nil {
-		t.Fatal("unknown op accepted")
-	}
-}
-
-// FuzzReadStream feeds arbitrary bytes to the update-stream decoder,
-// seeded with the round-trip and rejection cases above. Decoding must
-// never panic or hang, and whatever it accepts must re-encode to a
-// canonical stream: encoding, decoding and encoding again gives the same
-// bytes.
-func FuzzReadStream(f *testing.F) {
-	var buf bytes.Buffer
-	hdr := &dynmis.StreamHeader{Family: "tree", N: 64, Alpha: 2, P: 0.25, Seed: 3, StreamSeed: 9, Batches: 2, BatchSize: 3, Locality: 0.5, Churn: 0.1}
-	batches := []dynmis.Batch{
-		{dynmis.InsertEdge(0, 5), dynmis.RemoveEdge(5, 0), dynmis.InsertNode(64)},
-		{},
-		{dynmis.RemoveNode(7), dynmis.InsertEdge(2, 0)},
-	}
-	if err := dynmis.WriteStream(&buf, hdr, batches); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(`{"ops":[{"op":"insert-edge","u":1,"v":2}]}` + "\n"))
-	f.Add([]byte(`{"ops":[{"op":"insert-edge","u":1,"v":2}]}
-{"header":{"family":"tree","n":4,"seed":1,"stream_seed":1,"batches":1,"batch_size":1,"locality":0,"churn":0}}
-`))
-	f.Add([]byte(`{"ops":[{"op":"explode","u":1}]}` + "\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, batches, err := dynmis.ReadStream(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var first, second bytes.Buffer
-		if err := dynmis.WriteStream(&first, hdr, batches); err != nil {
-			t.Fatal(err)
-		}
-		hdr2, batches2, err := dynmis.ReadStream(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded stream rejected: %v", err)
-		}
-		if err := dynmis.WriteStream(&second, hdr2, batches2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("stream is not canonical after one round trip:\n%s\n%s", first.Bytes(), second.Bytes())
-		}
-	})
-}
-
+// TestOpNames: every update kind renders under its own name, and an
+// invalid (zero) op renders with its number rather than an empty string.
 func TestOpNames(t *testing.T) {
+	seen := map[string]bool{}
 	for _, op := range []dynmis.Op{dynmis.OpInsertEdge, dynmis.OpRemoveEdge, dynmis.OpInsertNode, dynmis.OpRemoveNode} {
-		if got := dynmis.OpFromString(op.String()); got != op {
-			t.Fatalf("OpFromString(%q) = %v, want %v", op.String(), got, op)
+		s := op.String()
+		if strings.HasPrefix(s, "op(") || seen[s] {
+			t.Fatalf("op %d renders as %q: unnamed or a duplicate name", int(op), s)
 		}
-	}
-	if dynmis.OpFromString("nope") != 0 {
-		t.Fatal("unknown name resolved")
+		seen[s] = true
 	}
 	if s := dynmis.Op(0).String(); !strings.Contains(s, "0") {
 		t.Fatalf("zero op renders as %q", s)
