@@ -72,9 +72,13 @@ cover:
 # is sized once from the CSR, and at n = 2^14 must allocate at most about
 # 100 bytes per vertex on a reliable network and 204 under drops, because
 # a run holds one Context per shard and its node streams in one 16-byte
-# per-vertex table; every program factory (the distrib registry's and
-# matching.New) must build 2^14 nodes in at most 64 allocations, because
-# it carves them from a slab; and a whole Algorithm 1 run (RunAlg1:
+# per-vertex table, and a distributed run under drops on two in-process
+# workers at most 260, coordinator and workers together, because the
+# coordinator keeps no outbox, inbox arena or inbox copy — it ships each
+# round's send records once and the workers pull; every program factory
+# (the distrib registry's and matching.New) must build 2^14 nodes in at
+# most 64 allocations, because it carves them from a slab; and a whole
+# Algorithm 1 run (RunAlg1:
 # nodes, Run, outputs) must make at most 64 heap objects plus one per
 # returned ScaleRecord at n = 2^10 and 2^14, sequentially and on two pool
 # shards, because its nodes, active-neighbour flags and records live in
@@ -88,9 +92,11 @@ alloc-gate:
 # from outside the program — the distrib frame decoders (what the
 # coordinator reads from a spawned worker process over the fleet's
 # private unix socket, and a worker from the coordinator; an accepted
-# frame must carry no message above congest.MaxWireBits), the JSONL trace
-# reader, and the edge-list parser and graph constructor (cmd/arbmis
-# -stdin) — plus the engine's differential target, which runs
+# frame must carry no packet, record or late message above
+# congest.MaxWireBits, and a round frame's records, withheld pairs and
+# late messages must be in the order the worker's pull walks), the JSONL
+# trace reader, and the edge-list parser and graph constructor
+# (cmd/arbmis -stdin) — plus the engine's differential target, which runs
 # byte-scripted programs under every driver and requires the pull, push
 # and faulted delivery paths to agree. Any panic, hang, runaway
 # allocation, broken round trip or cross-driver divergence fails it. go

@@ -251,6 +251,21 @@ func runBytes(t *testing.T, g *graph.Graph, factory func(int) Node, opts Options
 	return best
 }
 
+// priorityFactory returns a priorityMIS factory that carves its nodes
+// from chunks of 1024, as every program factory in the repository does
+// through mis/base.Slab, so building n nodes costs n/1024 allocations.
+func priorityFactory() func(int) Node {
+	var free []priorityMIS
+	return func(int) Node {
+		if len(free) == 0 {
+			free = make([]priorityMIS, 1024)
+		}
+		p := &free[0]
+		free = free[1:]
+		return p
+	}
+}
+
 // TestRunBytesPerVertex is the run-level byte gate beside
 // TestRunAllocsIndependentOfN: a whole Run holds no per-vertex object, so
 // what it allocates per vertex is its run-wide tables — a 16-byte RNG
@@ -260,21 +275,36 @@ func runBytes(t *testing.T, g *graph.Graph, factory func(int) Node, opts Options
 // bytes per vertex on a reliable network and 204 under a fault plan, whose
 // arena holds every delivered message instead of the pull tables; a
 // 64-byte Context per vertex would take the two to 144 and 248.
+//
+// The distributed row runs priorityMIS under 2% drops through the
+// coordinator on two in-process workers, so it counts both sides: the
+// coordinator's recovery log — every round's send records, withheld
+// pairs and fates, kept once — and each worker's nodes, stream table,
+// outbox, packet buffer and sender index, built inside Run. The
+// coordinator keeps no outbox, no inbox arena, no inbox counters and no
+// inbox copies: before the workers pulled, this row read 674.6 bytes per
+// vertex.
 func TestRunBytesPerVertex(t *testing.T) {
 	const n = 1 << 14
-	factory := func(int) Node { return &pingCounter{rounds: 4} }
+	ping := func(int) Node { return &pingCounter{rounds: 4} }
 	g := gen.UnionOfTrees(n, 2, rng.New(3))
 	for _, c := range []struct {
-		name   string
-		opts   Options
-		budget float64 // bytes per vertex
+		name    string
+		factory func(int) Node
+		opts    Options
+		budget  float64 // bytes per vertex
 	}{
-		{"sequential", Options{Driver: DriverSequential}, 100},
-		{"pool-2", Options{Driver: DriverPool, Workers: 2}, 100},
-		{"bernoulli", Options{Faults: faultsim.BernoulliDrop{P: 0.05}}, 204},
+		{"sequential", ping, Options{Driver: DriverSequential}, 100},
+		{"pool-2", ping, Options{Driver: DriverPool, Workers: 2}, 100},
+		{"bernoulli", ping, Options{Faults: faultsim.BernoulliDrop{P: 0.05}}, 204},
+		{"distributed", nil, Options{Driver: DriverDistributed, Faults: faultsim.BernoulliDrop{P: 0.02}}, 260},
 	} {
 		c.opts.Seed = 1
-		perVertex := float64(runBytes(t, g, factory, c.opts)) / n
+		if c.factory == nil {
+			c.factory = priorityFactory()
+			c.opts.Fleet = &localFleet{g: g, shards: 2, factory: c.factory}
+		}
+		perVertex := float64(runBytes(t, g, c.factory, c.opts)) / n
 		t.Logf("%s: %.1f B/vertex at n=2^14", c.name, perVertex)
 		if perVertex > c.budget {
 			t.Errorf("%s: Run allocates %.1f bytes per vertex, budget %.0f", c.name, perVertex, c.budget)

@@ -26,11 +26,14 @@
 //     single record. A reliable in-process round in which every sender
 //     made exactly one call, a Broadcast, is delivered by pull: the next
 //     sweep builds each live vertex's inbox from its own CSR row, keeping
-//     the neighbors that broadcast. Every other round is delivered by
-//     push: the records are scattered into an inbox arena in outbox order,
-//     a Broadcast expanded over the sender's CSR row at its place. Both
-//     give the message order (sender ID, send call, neighbor) — what one
-//     Send per neighbor would give; and
+//     the neighbors that broadcast. Every other in-process round is
+//     delivered by push: the records are scattered into an inbox arena in
+//     outbox order, a Broadcast expanded over the sender's CSR row at its
+//     place. Every distributed round is pulled in the workers: the next
+//     round frame ships the records, and a worker reads each neighbor's
+//     records off the vertex's CSR row, skipping what the fault plan
+//     withheld. All give the message order (sender ID, send call,
+//     neighbor) — what one Send per neighbor would give; and
 //  3. fault-injection decisions (the faultsim.Plan consults, including any
 //     random draws) happen on the coordinator during delivery, in that
 //     same global sender order, from a dedicated fault stream.
@@ -443,7 +446,8 @@ type execState struct {
 	// outboxes and reused across rounds (it only grows, so steady-state
 	// rounds allocate nothing). Vertex v's inbox is arena[inboxOff[v] :
 	// inboxOff[v]+inboxLen[v]] — inboxes are laid out in ascending vertex
-	// order, so the sweep reads the arena sequentially.
+	// order, so the sweep reads the arena sequentially. The distributed
+	// coordinator never pushes, so its three are nil.
 	arena    []Message
 	inboxOff []int // vertex -> arena offset of its inbox
 	inboxLen []int // vertex -> messages delivered this round (write cursor)
@@ -467,7 +471,9 @@ type execState struct {
 	observed  int64               // sends already reported on the bus
 
 	// outbox is the one backing array every shard outbox is carved from
-	// (see sizeOutboxes).
+	// (see sizeOutboxes). The distributed coordinator sends nothing
+	// itself: its workers' packets go straight into records, so it has no
+	// outbox.
 	outbox []addressed
 
 	// Event-bus state (see events.go). bus is Options.Events: nil when
@@ -481,9 +487,18 @@ type execState struct {
 	// Distributed-driver state: when remote is set, node RNG draws happen
 	// in the shard worker processes and remoteDraws (the sum of the
 	// workers' cumulative draw counts) replaces endRound's scan of the
-	// stream table, which the coordinator does not hold.
+	// stream table, which the coordinator does not hold. records are the
+	// round's send records in global sender order, a fresh exact-size
+	// slice per round that the next round's inputs ship; withheld and late
+	// are reused scratch in which a faulted delivery collects the pairs
+	// the plan withheld and the delayed messages it admitted, for the next
+	// sweep to sort and split by shard (see deliverRecords). The
+	// coordinator keeps no inbox arena: the workers pull.
 	remote      bool
 	remoteDraws uint64
+	records     []Packet
+	withheld    []Withheld
+	late        []Packet
 }
 
 // newExecState prepares the node streams and the shards, each with its
@@ -499,14 +514,15 @@ func (r *Runner) newExecState(numShards int) *execState {
 		numShards = 1
 	}
 	st := &execState{
-		g:        r.g,
-		inboxOff: make([]int, n),
-		inboxLen: make([]int, n),
-		shards:   make([]*shard, numShards),
-		live:     n,
-		plan:     r.opts.Faults,
-		bus:      r.opts.Events,
-		remote:   r.opts.Driver == DriverDistributed,
+		g:      r.g,
+		shards: make([]*shard, numShards),
+		live:   n,
+		plan:   r.opts.Faults,
+		bus:    r.opts.Events,
+		remote: r.opts.Driver == DriverDistributed,
+	}
+	if !st.remote {
+		st.inboxOff, st.inboxLen = make([]int, n), make([]int, n)
 	}
 	root := rng.New(r.opts.Seed)
 	if st.plan != nil {
@@ -526,8 +542,10 @@ func (r *Runner) newExecState(numShards int) *execState {
 		sh.resetFrontier(s*n/numShards, (s+1)*n/numShards)
 		st.shards[s] = sh
 	}
-	st.outbox = make([]addressed, n)
-	st.sizeOutboxes()
+	if !st.remote {
+		st.outbox = make([]addressed, n)
+		st.sizeOutboxes()
+	}
 	return st
 }
 
@@ -543,9 +561,7 @@ func (r *Runner) newShard() *shard {
 // not messages, and a vertex that broadcasts once per round — every
 // program on the paper's path — makes one call, so a shard reserves one
 // record per vertex of its range: the shard ranges partition [0, n), and
-// shard [lo, hi) owns outbox[lo:hi]. That holds for the distributed
-// coordinator too, whose workers ship one Packet per send call. Shard
-// ranges never change, so newExecState calls sizeOutboxes once. Every
+// shard [lo, hi) owns outbox[lo:hi]. Shard ranges never change, so newExecState calls sizeOutboxes once. Every
 // outbox is capped with a three-index slice: a program that makes more
 // send calls than reserved grows its own shard's outbox (growOutbox) and
 // never writes into a neighbor's range. A pull inbox holds at most one
@@ -673,10 +689,12 @@ func (st *execState) pullInbox(sh *shard, row []int) []Message {
 // The round's outbox shape picks the delivery, round by round. A reliable
 // in-process round of exactly one Broadcast per sender goes by pull
 // (deliverPull): the coordinator flags the senders, and the next sweep
-// builds each live vertex's inbox from its own row. Every other round goes
-// by push: per-neighbor sends, a sender with two calls, a silent round,
-// and every round of a faulted run or of the distributed coordinator,
-// whose RoundInput ships the arena layout.
+// builds each live vertex's inbox from its own row. Every other in-process
+// round goes by push: per-neighbor sends, a sender with two calls, a
+// silent round, and every round of a faulted run. The distributed
+// coordinator deposits nothing (deliverRecords): its next RoundInput
+// ships the round's send records, and every worker pulls its inboxes
+// from them.
 //
 // Push is a two-pass scatter into the flat inbox arena. The counting pass
 // upper-bounds each vertex's inbox (delayed messages due this round plus
@@ -707,12 +725,14 @@ func (r *Runner) deliver(st *execState, round int) error {
 	}
 	st.drainShardEvents()
 	st.pull = st.senders != nil && st.deliverPull()
-	if !st.pull {
-		if st.plan == nil {
-			st.deliverReliable()
-		} else {
-			st.deliverFaulted(round)
-		}
+	switch {
+	case st.pull:
+	case st.remote:
+		st.deliverRecords(round)
+	case st.plan == nil:
+		st.deliverReliable()
+	default:
+		st.deliverFaulted(round)
 	}
 	for _, sh := range st.shards {
 		sh.out = sh.out[:0]
@@ -801,7 +821,9 @@ func (st *execState) deliverFaulted(round int) {
 	// Delayed messages first, then fresh traffic in shard (= global
 	// sender) order.
 	for _, a := range delayedNow {
-		st.admit(a, consume)
+		if st.admit(a, consume) {
+			st.deposit(a)
+		}
 	}
 	if delayedNow != nil {
 		st.delayFree = append(st.delayFree, delayedNow[:0])
@@ -810,21 +832,27 @@ func (st *execState) deliverFaulted(round int) {
 	for _, sh := range st.shards {
 		for _, a := range sh.out {
 			if a.to != BroadcastTo {
-				st.route(a, round)
+				if st.route(a, round) && st.admit(a, consume) {
+					st.deposit(a)
+				}
 				continue
 			}
 			for _, q := range st.g.Neighbors(a.msg.From) {
-				st.route(addressed{to: q, msg: a.msg}, round)
+				b := addressed{to: q, msg: a.msg}
+				if st.route(b, round) && st.admit(b, consume) {
+					st.deposit(b)
+				}
 			}
 		}
 	}
 }
 
-// route draws one sent message's fate from the plan and drops it, defers
-// it to a later round, or admits it.
+// route draws one sent message's fate from the plan: it drops the message
+// or defers it to a later round and reports false, or reports true when
+// the message is due next round, for the caller to admit.
 //
 //congest:hotpath
-func (st *execState) route(a addressed, round int) {
+func (st *execState) route(a addressed, round int) bool {
 	st.sent++
 	fate := st.plan.Message(round, a.msg.From, a.to, st.faults)
 	if fate.Drop {
@@ -835,7 +863,7 @@ func (st *execState) route(a addressed, round int) {
 				V: int32(a.msg.From), W: int32(a.to),
 			})
 		}
-		return
+		return false
 	}
 	if fate.Delay > 0 {
 		if st.delayed == nil {
@@ -851,9 +879,9 @@ func (st *execState) route(a addressed, round int) {
 				V: int32(a.msg.From), W: int32(a.to), X: int64(fate.Delay),
 			})
 		}
-		return
+		return false
 	}
-	st.admit(a, round+1)
+	return true
 }
 
 // sizeArena sets the arena's length to the round's message total.
@@ -949,12 +977,14 @@ func (st *execState) appendDelayed(bucket []addressed, a addressed) []addressed 
 	return append(bucket, a)
 }
 
-// admit finalizes delivery of one message into its recipient's inbox for
-// the given consumption round, unless the recipient is crashed then — a
-// dead vertex is not listening, so the message is lost.
+// admit finalizes delivery of one message for the given consumption
+// round and folds it into the run counters, unless the recipient is
+// crashed then — a dead vertex is not listening, so the message is lost.
+// It reports whether the message was delivered; the in-process caller
+// then deposits it into the recipient's inbox.
 //
 //congest:hotpath
-func (st *execState) admit(a addressed, consume int) {
+func (st *execState) admit(a addressed, consume int) bool {
 	if st.plan != nil && st.plan.Vertex(consume, a.to) != faultsim.VertexUp {
 		st.res.Dropped++
 		if st.bus != nil {
@@ -965,25 +995,24 @@ func (st *execState) admit(a addressed, consume int) {
 				V: int32(a.msg.From), W: int32(a.to), X: 1,
 			})
 		}
-		return
+		return false
 	}
-	st.deposit(a)
-}
-
-// deposit writes one delivered message at its recipient's arena cursor
-// and folds it into the run counters.
-//
-//congest:hotpath
-func (st *execState) deposit(a addressed) {
-	v := a.to
-	st.arena[st.inboxOff[v]+st.inboxLen[v]] = a.msg
-	st.inboxLen[v]++
 	st.res.Messages++
 	bits := int(a.msg.Wire.Bits)
 	st.res.TotalBits += int64(bits)
 	if bits > st.res.MaxMessageBits {
 		st.res.MaxMessageBits = bits
 	}
+	return true
+}
+
+// deposit writes one delivered message at its recipient's arena cursor.
+//
+//congest:hotpath
+func (st *execState) deposit(a addressed) {
+	v := a.to
+	st.arena[st.inboxOff[v]+st.inboxLen[v]] = a.msg
+	st.inboxLen[v]++
 }
 
 // refreshLive recomputes the live-node count from the shard frontiers.

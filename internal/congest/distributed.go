@@ -7,20 +7,23 @@ package congest
 // and the binary codec; this file is transport-agnostic).
 //
 // Determinism contract. The distributed driver reuses the in-process
-// coordinator verbatim — runLoop, deliver, the event bus — so everything
-// that consumes randomness or emits deterministic events stays on the
-// coordinator, in global sender order:
+// coordinator verbatim — runLoop, deliver's fate walk, the event bus — so
+// everything that consumes randomness or emits deterministic events stays
+// on the coordinator, in global sender order:
 //
 //   - fault fates and fault-stream draws happen in deliver, exactly as for
 //     the sequential driver (workers never see the fault RNG; they receive
-//     the already-drawn vertex fates and the already-filtered inboxes);
+//     the already-drawn vertex fates and the list of deliveries the plan
+//     withheld);
 //   - shards are contiguous ascending ID ranges and each worker sweeps its
 //     nodes in ID order, so concatenating worker outboxes in shard order
 //     reproduces the global send order every in-process driver uses; a
-//     Broadcast crosses the socket as one record, and the coordinator's
-//     delivery expands it over the sender's CSR row exactly as it does
-//     in-process, so fault draws keep their (sender, call, neighbor)
-//     order;
+//     Broadcast crosses the socket as one record, the coordinator's fate
+//     walk expands it over the sender's CSR row exactly as in-process
+//     delivery does, so fault draws keep their (sender, call, neighbor)
+//     order, and the next round ships the records themselves: each worker
+//     builds every inbox by pull over its own vertices' CSR rows, in the
+//     order push delivery would have scattered;
 //   - node RNG streams are Split(v) of the run seed on the worker — the
 //     same pure function of (seed, v) the in-process drivers use, so
 //     stream contents do not depend on which process draws them.
@@ -37,9 +40,11 @@ package congest
 // one by construction.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/faultsim"
 	"repro/internal/rng"
@@ -75,25 +80,44 @@ type VertexFate struct {
 	Fate int32
 }
 
-// RoundInput is one round's coordinator → worker payload: the round
-// number, the non-Up fates for the shard's live vertices, and the shard's
-// inboxes — per-vertex lengths over [Lo, Hi) plus the concatenated
-// messages in ascending vertex order (the coordinator's arena layout).
+// Withheld is one delivery the fault plan dropped or delayed: record Rec
+// of RoundInput.Records does not reach recipient To this round.
+type Withheld struct {
+	To, Rec int32
+}
+
+// RoundInput is one round's coordinator → worker payload. The worker
+// builds every inbox from it by pull (see ShardWorker.Sweep):
+//
+//   - Records are the previous round's send records, every shard's, in
+//     global sender order (ascending sender, send-call order per sender),
+//     one per send call as the workers shipped them — a Broadcast is one
+//     BroadcastTo record. Every shard's input shares one slice.
+//   - Fates are the non-Up verdicts for the shard's live vertices.
+//   - Withheld are the deliveries the fault plan dropped or delayed, for
+//     recipients in [Lo, Hi), sorted by recipient and then by record.
+//   - Late are the delayed messages due this round, for recipients in
+//     [Lo, Hi) (To is the recipient), sorted by recipient and kept in
+//     deferral order per recipient.
+//
 // The coordinator builds every input in fresh slices of exact size and
-// keeps them, as sent, in its recovery log, so a ShardConn may encode them
-// at any time but must not modify them.
+// keeps them, as sent, in its recovery log — Records once, however many
+// inputs share it — so a ShardConn may encode them at any time but must
+// not modify them.
 type RoundInput struct {
-	Round     int
-	Fates     []VertexFate
-	InboxLens []int32
-	Inbox     []Message
+	Round    int
+	Records  []Packet
+	Fates    []VertexFate
+	Withheld []Withheld
+	Late     []Packet
 }
 
 // Packet is one send call from a worker sweep, in (sender ID, send call)
 // order — the exported form of the engine's internal outbox record. A
 // Broadcast travels as one Packet whose To is BroadcastTo; the
-// coordinator's delivery expands it over the sender's CSR row, as
-// in-process delivery does.
+// coordinator's fate walk and the receiving workers' pull expand it over
+// the sender's CSR row, as in-process delivery does. RoundInput.Late
+// reuses the type for a delayed message, To being its recipient.
 type Packet struct {
 	To, From int32 // recipient (or BroadcastTo) and sender vertex IDs
 	Wire     Wire
@@ -135,7 +159,9 @@ type RoundOutput struct {
 // before collecting any output — all workers sweep concurrently while the
 // coordinator's round stays sequential and deterministic.
 type ShardConn interface {
-	// Send ships one round's input to the worker.
+	// Send ships one round's input to the worker. The input's slices are
+	// shared with other shards' inputs and with the recovery log; Send
+	// must not modify them.
 	Send(in RoundInput) error
 	// Recv collects the worker's output for the round last sent.
 	Recv() (RoundOutput, error)
@@ -263,33 +289,66 @@ func (d *distRun) start() error {
 
 // sweep is the distributed driver's round body: build every shard's
 // input, ship all inputs, collect all outputs (recovering any shard whose
-// connection broke), and merge the outputs into the shard outboxes that
-// the shared deliver pass consumes. Each input is built in fresh slices
-// of exact size — the shard's inboxes copied out of the arena, which the
-// next delivery overwrites — so the recovery log keeps it as sent.
+// connection broke), and merge the outputs into the round's send records,
+// which the shared deliver pass walks. Every input shares the previous
+// round's records; the withheld pairs and late messages the last delivery
+// collected are sorted once into fresh exact-size slices and split by
+// shard, so the recovery log keeps each input as sent.
 func (d *distRun) sweep(round int) {
 	st := d.st
+	withheld := sortedWithheld(st.withheld)
+	late := sortedLate(st.late)
 	for s, sh := range st.shards {
 		if d.conns[s] == nil {
 			continue
 		}
-		in := RoundInput{Round: round, InboxLens: make([]int32, sh.hi-sh.lo)}
+		in := RoundInput{Round: round, Records: st.records}
 		if round > 0 && st.plan != nil {
 			in.Fates = d.scanFates(sh, round)
 		}
-		total := 0
-		for v := sh.lo; v < sh.hi; v++ {
-			in.InboxLens[v-sh.lo] = int32(st.inboxLen[v])
-			total += st.inboxLen[v]
+		k := 0
+		for k < len(withheld) && int(withheld[k].To) < sh.hi {
+			k++
 		}
-		in.Inbox = make([]Message, 0, total)
-		for v := sh.lo; v < sh.hi; v++ {
-			in.Inbox = append(in.Inbox, st.inbox(v)...)
+		in.Withheld, withheld = withheld[:k:k], withheld[k:]
+		k = 0
+		for k < len(late) && int(late[k].To) < sh.hi {
+			k++
 		}
+		in.Late, late = late[:k:k], late[k:]
 		d.ins[s] = in
 	}
 	d.exchange(round)
 	d.apply(round)
+}
+
+// sortedWithheld returns a fresh exact-size copy of the withheld pairs
+// sorted by recipient and then by record, or nil when there are none. The
+// pairs are unique, so the order is total.
+func sortedWithheld(ws []Withheld) []Withheld {
+	if len(ws) == 0 {
+		return nil
+	}
+	out := slices.Clone(ws)
+	slices.SortFunc(out, func(a, b Withheld) int {
+		if a.To != b.To {
+			return cmp.Compare(a.To, b.To)
+		}
+		return cmp.Compare(a.Rec, b.Rec)
+	})
+	return out
+}
+
+// sortedLate returns a fresh exact-size copy of the late messages sorted
+// by recipient — stably, so each recipient's messages stay in deferral
+// order — or nil when there are none.
+func sortedLate(late []Packet) []Packet {
+	if len(late) == 0 {
+		return nil
+	}
+	out := slices.Clone(late)
+	slices.SortStableFunc(out, func(a, b Packet) int { return cmp.Compare(a.To, b.To) })
+	return out
 }
 
 // scanFates draws the round's vertex fates for a shard's live vertices —
@@ -423,11 +482,22 @@ func (d *distRun) replayAndRedo(s int) (RoundOutput, error) {
 }
 
 // apply merges the round's worker outputs into the coordinator's mirror
-// state in shard order: outbox records (validated; a full outbox grows as
-// enqueue grows it), buffered trace events, halt retirements on the
+// state in shard order: send records (validated, and copied into one
+// fresh exact-size slice in global sender order — the next round's
+// RoundInput.Records), buffered trace events, halt retirements on the
 // mirror frontier, draw totals, and any worker-reported model violation.
 func (d *distRun) apply(round int) {
 	st := d.st
+	total := 0
+	for s := range st.shards {
+		if d.conns[s] != nil && d.errs[s] == nil {
+			total += len(d.outs[s].Packets)
+		}
+	}
+	var recs []Packet
+	if total > 0 {
+		recs = make([]Packet, 0, total)
+	}
 	var draws uint64
 	for s, sh := range st.shards {
 		if d.conns[s] == nil || d.errs[s] != nil {
@@ -443,16 +513,7 @@ func (d *distRun) apply(round int) {
 			sh.err = errors.New(out.Err)
 		}
 		if sh.err == nil {
-			for _, p := range out.Packets {
-				if int(p.To) < BroadcastTo || int(p.To) >= len(st.inboxLen) || int(p.From) < sh.lo || int(p.From) >= sh.hi {
-					sh.err = fmt.Errorf("congest: distributed shard %d returned packet with invalid addressing %d→%d", s, p.From, p.To)
-					break
-				}
-				if len(sh.out) == cap(sh.out) {
-					sh.growOutbox()
-				}
-				sh.out = append(sh.out, addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}})
-			}
+			recs, sh.err = d.appendRecords(recs, s, sh, out.Packets)
 		}
 		sh.events = append(sh.events, out.Events...)
 		for _, v32 := range out.Halted {
@@ -478,7 +539,100 @@ func (d *distRun) apply(round int) {
 			})
 		}
 	}
+	st.records = recs
 	st.remoteDraws = draws
+}
+
+// appendRecords validates shard s's packets and appends them to the
+// round's records. The fault draws and every worker's pull follow the
+// records' (sender, call) order, so a packet must come from the shard's
+// range, in non-decreasing sender order, address the broadcast marker or
+// a neighbor of its sender, and carry at most MaxWireBits; the first
+// packet that does not is reported with the shard's index.
+func (d *distRun) appendRecords(recs []Packet, s int, sh *shard, pkts []Packet) ([]Packet, error) {
+	prev := sh.lo
+	for _, p := range pkts {
+		from, to := int(p.From), int(p.To)
+		switch {
+		case from < sh.lo || from >= sh.hi:
+			return recs, fmt.Errorf("congest: distributed shard %d returned packet from sender %d outside its range [%d, %d)", s, from, sh.lo, sh.hi)
+		case from < prev:
+			return recs, fmt.Errorf("congest: distributed shard %d returned packets out of sender order: sender %d after %d", s, from, prev)
+		case to != BroadcastTo && !d.st.g.HasEdge(from, to):
+			return recs, fmt.Errorf("congest: distributed shard %d returned packet with invalid addressing %d→%d", s, from, to)
+		case p.Wire.Bits > MaxWireBits:
+			return recs, fmt.Errorf("congest: distributed shard %d returned a %d-bit message from %d, above the %d-bit CONGEST budget", s, p.Wire.Bits, from, MaxWireBits)
+		}
+		prev = from
+		recs = append(recs, p)
+	}
+	return recs, nil
+}
+
+// deliverRecords is the distributed coordinator's delivery. It deposits
+// nothing: the next round's inputs ship the round's records, and every
+// worker pulls its inboxes from them. On a reliable network it only
+// accounts the round, in O(records) as deliverPull does. Under a fault
+// plan it walks the records in (sender, call, neighbor) order — a
+// Broadcast expanded over its sender's row, the delayed messages due next
+// round first — drawing every fate through route and admit exactly as
+// deliverFaulted does, and collects the withheld (recipient, record)
+// pairs and the admitted late messages for the next sweep. A message
+// route passes but admit refuses goes to a vertex that is down next
+// round; that vertex is not swept, so nothing needs to withhold it.
+//
+//congest:hotpath
+func (st *execState) deliverRecords(round int) {
+	if st.plan == nil {
+		var total, maxBits int
+		var totalBits int64
+		for _, p := range st.records {
+			k, bits := 1, int(p.Wire.Bits)
+			if p.To == BroadcastTo {
+				k = st.g.Degree(int(p.From))
+			}
+			total += k
+			totalBits += int64(k * bits)
+			maxBits = max(maxBits, bits)
+		}
+		st.account(total, totalBits, maxBits)
+		return
+	}
+	consume := round + 1
+	st.withheld, st.late = st.withheld[:0], st.late[:0]
+	if due := st.delayed[consume]; due != nil {
+		for _, a := range due {
+			if st.admit(a, consume) {
+				st.late = append(st.late, Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire})
+			}
+		}
+		st.delayFree = append(st.delayFree, due[:0])
+		delete(st.delayed, consume)
+	}
+	for i, p := range st.records {
+		a := addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}}
+		if p.To != BroadcastTo {
+			st.walkFate(a, i, round)
+			continue
+		}
+		for _, q := range st.g.Neighbors(a.msg.From) {
+			a.to = q
+			st.walkFate(a, i, round)
+		}
+	}
+}
+
+// walkFate draws the fate of one message of record rec: a message route
+// passes is admitted for next round, and one it drops or delays is
+// withheld from its recipient's pull.
+//
+//congest:hotpath
+func (st *execState) walkFate(a addressed, rec, round int) {
+	if st.route(a, round) {
+		st.admit(a, round+1)
+		return
+	}
+	st.withheld = append(st.withheld, Withheld{To: int32(a.to), Rec: int32(rec)})
 }
 
 // afterRound publishes the round's buffered advisory events (frame
@@ -579,19 +733,25 @@ func outputDigest(out RoundOutput) uint64 {
 // the environment the in-process drivers give them; what it does NOT have
 // is the fault plan, the fault RNG, or delivery — those stay on the
 // coordinator, which is what keeps socket transport outside the
-// determinism surface.
+// determinism surface. It builds its vertices' inboxes itself, by pull
+// over their CSR rows, from the records, withheld pairs and late messages
+// each RoundInput ships.
 type ShardWorker struct {
 	cfg       ShardConfig
-	r         *Runner // n/traced carcass for Context plumbing; never Run
-	sh        *shard
+	r         *Runner           // n/traced carcass for Context plumbing; never Run
+	sh        *shard            // sh.inbox is the pull scratch, grown to the largest inbox built
 	neighbors func(v int) []int // owned vertices' CSR rows
 	rngs      []rng.RNG         // owned vertices' node streams, indexed by v - cfg.Lo
 	nodes     []Node
 	round     int     // next expected round
 	fate      []uint8 // per-vertex fate scratch for the current round
-	off       []int   // per-vertex inbox offset scratch
-	halted    []int32
-	pkts      []Packet
+	// first[u] is 1 + the index of sender u's first record in the round's
+	// Records, 0 when u sent nothing; Sweep sets it for the round's senders
+	// and clears it again, O(records) each way.
+	first          []int32
+	lateAt, heldAt int // the sweep's cursors into the round's Late and Withheld
+	halted         []int32
+	pkts           []Packet
 }
 
 // NewShardWorker builds the sweep engine for cfg. neighbors(v) must
@@ -604,7 +764,9 @@ type ShardWorker struct {
 // them one after another — the coordinator asks for them in turn. Every
 // node must implement Porter. The worker's outbox and packet buffer each
 // reserve one send call per owned vertex, what a broadcast-only program
-// makes in a round; a round with more calls grows them.
+// makes in a round; a round with more calls grows them. Its pull scratch
+// starts as long as the range's widest row, one message per neighbor, and
+// grows when late messages or several calls by one sender need more.
 func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v int) Node) (*ShardWorker, error) {
 	if cfg.Lo < 0 || cfg.Hi < cfg.Lo || cfg.Hi > cfg.N {
 		return nil, fmt.Errorf("congest: shard range [%d, %d) invalid for n=%d", cfg.Lo, cfg.Hi, cfg.N)
@@ -619,7 +781,7 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 		rngs:      make([]rng.RNG, width),
 		nodes:     make([]Node, width),
 		fate:      make([]uint8, width),
-		off:       make([]int, width),
+		first:     make([]int32, cfg.N),
 	}
 	w.sh.resetFrontier(cfg.Lo, cfg.Hi)
 	root := rng.New(cfg.Seed)
@@ -634,8 +796,10 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 	}
 	// The outbox and the packet export both hold send calls, one per
 	// vertex for a broadcast-only program; bound is growOutbox's target.
-	w.sh.bound, _ = rowStats(neighbors, cfg.Lo, cfg.Hi)
+	var widest int
+	w.sh.bound, widest = rowStats(neighbors, cfg.Lo, cfg.Hi)
 	w.sh.out = make([]addressed, 0, width)
+	w.sh.inbox = make([]Message, 0, widest)
 	w.pkts = make([]Packet, 0, width)
 	return w, nil
 }
@@ -659,20 +823,8 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	if in.Round != w.round {
 		return RoundOutput{}, fmt.Errorf("congest: shard %d expected round %d, got %d", w.cfg.Index, w.round, in.Round)
 	}
-	width := w.cfg.Hi - w.cfg.Lo
-	if len(in.InboxLens) != width {
-		return RoundOutput{}, fmt.Errorf("congest: shard %d got %d inbox lengths for %d vertices", w.cfg.Index, len(in.InboxLens), width)
-	}
-	total := 0
-	for i, l := range in.InboxLens {
-		if l < 0 {
-			return RoundOutput{}, fmt.Errorf("congest: shard %d got negative inbox length for vertex %d", w.cfg.Index, w.cfg.Lo+i)
-		}
-		w.off[i] = total
-		total += int(l)
-	}
-	if total != len(in.Inbox) {
-		return RoundOutput{}, fmt.Errorf("congest: shard %d inbox has %d messages, lengths sum to %d", w.cfg.Index, len(in.Inbox), total)
+	if err := w.check(in); err != nil {
+		return RoundOutput{}, err
 	}
 	for _, f := range in.Fates {
 		if int(f.V) < w.cfg.Lo || int(f.V) >= w.cfg.Hi {
@@ -680,13 +832,22 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 		}
 		w.fate[int(f.V)-w.cfg.Lo] = uint8(f.Fate)
 	}
+	for i, p := range in.Records {
+		if i == 0 || in.Records[i-1].From != p.From {
+			w.first[p.From] = int32(i + 1)
+		}
+	}
 
 	w.sh.events = w.sh.events[:0]
 	w.sh.out = w.sh.out[:0]
 	w.halted = w.halted[:0]
+	w.lateAt, w.heldAt = 0, 0
 	w.sweep(in)
 	for _, f := range in.Fates {
 		w.fate[int(f.V)-w.cfg.Lo] = 0
+	}
+	for _, p := range in.Records {
+		w.first[p.From] = 0
 	}
 	w.round++
 
@@ -704,6 +865,56 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 		out.Err = w.sh.err.Error()
 	}
 	return out, nil
+}
+
+// check validates what the pull relies on: records from real senders in
+// non-decreasing sender order, addressed to the broadcast marker or a real
+// vertex; withheld pairs naming a record, for a recipient in the shard,
+// strictly ascending by (recipient, record); late messages for recipients
+// in the shard, by ascending recipient, from real senders; and no record
+// or late message above MaxWireBits. The error names the offending field.
+func (w *ShardWorker) check(in RoundInput) error {
+	n, lo, hi := w.cfg.N, w.cfg.Lo, w.cfg.Hi
+	bad := func(field string, i int, why string) error {
+		return fmt.Errorf("congest: shard %d round %d input: %s[%d] %s", w.cfg.Index, in.Round, field, i, why)
+	}
+	prev := 0
+	for i, p := range in.Records {
+		switch {
+		case p.From < 0 || int(p.From) >= n:
+			return bad("Records", i, fmt.Sprintf("sender %d outside [0, %d)", p.From, n))
+		case int(p.From) < prev:
+			return bad("Records", i, fmt.Sprintf("sender %d follows sender %d: records out of sender order", p.From, prev))
+		case p.To < BroadcastTo || int(p.To) >= n:
+			return bad("Records", i, fmt.Sprintf("recipient %d is neither a vertex nor the broadcast marker", p.To))
+		case p.Wire.Bits > MaxWireBits:
+			return bad("Records", i, fmt.Sprintf("carries %d bits, above the %d-bit CONGEST budget", p.Wire.Bits, MaxWireBits))
+		}
+		prev = int(p.From)
+	}
+	for i, h := range in.Withheld {
+		switch {
+		case h.Rec < 0 || int(h.Rec) >= len(in.Records):
+			return bad("Withheld", i, fmt.Sprintf("names record %d of %d", h.Rec, len(in.Records)))
+		case int(h.To) < lo || int(h.To) >= hi:
+			return bad("Withheld", i, fmt.Sprintf("recipient %d outside the shard [%d, %d)", h.To, lo, hi))
+		case i > 0 && (h.To < in.Withheld[i-1].To || h.To == in.Withheld[i-1].To && h.Rec <= in.Withheld[i-1].Rec):
+			return bad("Withheld", i, "pairs not strictly ascending by (recipient, record)")
+		}
+	}
+	for i, p := range in.Late {
+		switch {
+		case int(p.To) < lo || int(p.To) >= hi:
+			return bad("Late", i, fmt.Sprintf("recipient %d outside the shard [%d, %d)", p.To, lo, hi))
+		case i > 0 && p.To < in.Late[i-1].To:
+			return bad("Late", i, "recipients out of order")
+		case p.From < 0 || int(p.From) >= n:
+			return bad("Late", i, fmt.Sprintf("sender %d outside [0, %d)", p.From, n))
+		case p.Wire.Bits > MaxWireBits:
+			return bad("Late", i, fmt.Sprintf("carries %d bits, above the %d-bit CONGEST budget", p.Wire.Bits, MaxWireBits))
+		}
+	}
+	return nil
 }
 
 // sweep is the mirror of the in-process sweepShard over the worker's own
@@ -738,9 +949,7 @@ func (w *ShardWorker) sweep(in RoundInput) {
 			if round == 0 {
 				w.nodes[i].Init(ctx)
 			} else {
-				off := w.off[i]
-				end := off + int(in.InboxLens[i])
-				w.nodes[i].Round(ctx, in.Inbox[off:end:end])
+				w.nodes[i].Round(ctx, w.pull(v, ctx.neighbors, &in))
 			}
 			if sh.halting {
 				sh.halting = false
@@ -755,6 +964,51 @@ func (w *ShardWorker) sweep(in RoundInput) {
 			}
 		}
 	}
+}
+
+// pull builds live vertex v's inbox in the shard's scratch, the inbox push
+// delivery would have scattered: v's late messages first, in deferral
+// order, then, for each neighbor u in row order, u's records that are
+// broadcasts or addressed to v, in call order — (sender, call) order —
+// skipping the pairs the plan withheld. Late and Withheld are sorted by
+// recipient and the sweep visits vertices in ascending order, so one
+// cursor over each serves the whole sweep; within v, the records visited
+// ascend, so the withheld cursor only moves forward.
+func (w *ShardWorker) pull(v int, row []int, in *RoundInput) []Message {
+	buf := w.sh.inbox[:0]
+	late, held, recs := in.Late, in.Withheld, in.Records
+	for w.lateAt < len(late) && int(late[w.lateAt].To) < v {
+		w.lateAt++
+	}
+	for ; w.lateAt < len(late) && int(late[w.lateAt].To) == v; w.lateAt++ {
+		p := late[w.lateAt]
+		buf = append(buf, Message{From: int(p.From), Wire: p.Wire})
+	}
+	for w.heldAt < len(held) && int(held[w.heldAt].To) < v {
+		w.heldAt++
+	}
+	for _, u := range row {
+		f := w.first[u]
+		if f == 0 {
+			continue
+		}
+		for i := int(f) - 1; i < len(recs) && int(recs[i].From) == u; i++ {
+			p := recs[i]
+			if p.To != BroadcastTo && int(p.To) != v {
+				continue
+			}
+			for w.heldAt < len(held) && int(held[w.heldAt].To) == v && int(held[w.heldAt].Rec) < i {
+				w.heldAt++
+			}
+			if w.heldAt < len(held) && int(held[w.heldAt].To) == v && int(held[w.heldAt].Rec) == i {
+				w.heldAt++
+				continue
+			}
+			buf = append(buf, Message{From: u, Wire: p.Wire})
+		}
+	}
+	w.sh.inbox = buf
+	return buf[:len(buf):len(buf)]
 }
 
 // draws sums the cumulative draw counts of the shard's node streams.

@@ -11,10 +11,10 @@ import (
 
 // Outbox sizing suite: newExecState and NewShardWorker reserve every
 // outbox once. An outbox holds send calls, and so does a worker's packet
-// export (a Broadcast ships as one record), so every shard — in-process,
-// on the distributed coordinator, or in a worker — reserves one record
-// per vertex of its range, and a broadcast-only program never outgrows
-// it. A program that makes more send calls than reserved grows a full
+// export (a Broadcast ships as one record), so every shard — in-process
+// or in a distributed worker — reserves one record per vertex of its
+// range, and a broadcast-only program never outgrows it. The distributed
+// coordinator sends nothing itself and reserves no outbox. A program that makes more send calls than reserved grows a full
 // outbox in one step to the CONGEST bound of one message per directed
 // edge per round.
 
@@ -28,9 +28,9 @@ func degreeSum(g *graph.Graph, lo, hi int) int {
 }
 
 // TestOutboxCapsMatchEdgeCounts checks the set-up reservation: a shard's
-// outbox is outbox[lo:lo:hi] of one n-entry array under every driver,
-// clean or faulted — the distributed coordinator included, since its
-// workers ship one record per send call.
+// outbox is outbox[lo:lo:hi] of one n-entry array under every in-process
+// driver, clean or faulted. The distributed coordinator's workers' packets
+// go straight into the round's records, so it reserves no outbox at all.
 func TestOutboxCapsMatchEdgeCounts(t *testing.T) {
 	const workers = 4
 	g := gen.PreferentialAttachment(4096, 4, rng.New(2))
@@ -47,6 +47,14 @@ func TestOutboxCapsMatchEdgeCounts(t *testing.T) {
 	for _, c := range cases {
 		c.opts.Seed = 1
 		st := NewRunner(g, haltFactory, c.opts).newExecState(c.shards)
+		if c.opts.Driver == DriverDistributed {
+			for s, sh := range st.shards {
+				if st.outbox != nil || sh.out != nil {
+					t.Fatalf("%s: coordinator reserved an outbox (%d records; shard %d cap %d)", c.name, len(st.outbox), s, cap(sh.out))
+				}
+			}
+			continue
+		}
 		if len(st.outbox) != g.N() {
 			t.Fatalf("%s: outbox backing array holds %d records, want n = %d", c.name, len(st.outbox), g.N())
 		}

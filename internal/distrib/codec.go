@@ -34,7 +34,8 @@ type frameKind byte
 
 const (
 	// fkConfig is coordinator → worker: the shard's run configuration,
-	// program spec and adjacency. First frame on every connection.
+	// program spec and, on a spawn, the owned rows of the adjacency. First
+	// frame on every connection, and the first of every run.
 	fkConfig frameKind = iota + 1
 	// fkHello is worker → coordinator: config accepted. It has no body.
 	fkHello
@@ -210,15 +211,18 @@ func payloadKind(p []byte) (frameKind, *decoder, error) {
 }
 
 // configMsg is the fkConfig payload: the engine shard config, the
-// program spec and the owned vertices' adjacency.
+// program spec and the owned vertices' adjacency rows. A nil adj ships
+// the config without rows: a reused worker keeps the rows of its spawn
+// handshake, since the fleet's graph never changes.
 type configMsg struct {
 	cfg  congest.ShardConfig
 	prog Program
 	adj  [][]int
 }
 
-// encodeConfig serializes a configMsg. Adjacency lists are sorted
-// ascending, so neighbors encode as a first absolute ID plus deltas.
+// encodeConfig serializes a configMsg. A flag byte says whether rows
+// follow. Adjacency lists are sorted ascending, so neighbors encode as a
+// first absolute ID plus deltas.
 func encodeConfig(e *encoder, m configMsg) {
 	e.reset(fkConfig)
 	c := m.cfg
@@ -238,6 +242,11 @@ func encodeConfig(e *encoder, m configMsg) {
 	for _, a := range m.prog.Args {
 		e.fix64(a)
 	}
+	if m.adj == nil {
+		e.u8(0)
+		return
+	}
+	e.u8(1)
 	for _, nbrs := range m.adj {
 		e.u64(uint64(len(nbrs)))
 		prev := 0
@@ -252,7 +261,8 @@ func encodeConfig(e *encoder, m configMsg) {
 	}
 }
 
-// decodeConfig parses an fkConfig body.
+// decodeConfig parses an fkConfig body; adj is nil for a config without
+// rows.
 func decodeConfig(d *decoder) (configMsg, error) {
 	var m configMsg
 	fields := []struct {
@@ -301,6 +311,17 @@ func decodeConfig(d *decoder) (configMsg, error) {
 	if m.cfg.Lo < 0 || m.cfg.Hi < m.cfg.Lo || m.cfg.Hi > m.cfg.N {
 		return m, fmt.Errorf("distrib: config shard range [%d, %d) invalid for n=%d", m.cfg.Lo, m.cfg.Hi, m.cfg.N)
 	}
+	rows, err := d.u8("config.rows")
+	if err != nil {
+		return m, err
+	}
+	switch rows {
+	case 0:
+		return m, d.done()
+	case 1:
+	default:
+		return m, d.errAt("config.rows", fmt.Sprintf("flag %d is neither 0 nor 1", rows))
+	}
 	// One adjacency row per owned vertex, each at least its degree byte.
 	if err := d.plausible("config.adjacency", uint64(m.cfg.Hi-m.cfg.Lo), 1); err != nil {
 		return m, err
@@ -341,7 +362,11 @@ func encodeHello(e *encoder) {
 	e.reset(fkHello)
 }
 
-// encodeRound serializes one round input.
+// encodeRound serializes one round input. A record's sender is coded as
+// its difference from the previous record's (zigzag, so a worker that
+// reads senders out of order sees a negative delta the decoder rejects)
+// and its recipient zigzag-coded, so a Broadcast record's
+// congest.BroadcastTo takes one byte.
 func encodeRound(e *encoder, in congest.RoundInput) {
 	e.reset(fkRound)
 	e.u64(uint64(in.Round))
@@ -350,56 +375,69 @@ func encodeRound(e *encoder, in congest.RoundInput) {
 		e.u64(uint64(f.V))
 		e.u8(byte(f.Fate))
 	}
-	e.u64(uint64(len(in.InboxLens)))
-	for _, l := range in.InboxLens {
-		e.u64(uint64(l))
+	e.u64(uint64(len(in.Records)))
+	prev := int64(0)
+	for _, p := range in.Records {
+		e.i64(int64(p.From) - prev)
+		prev = int64(p.From)
+		e.i64(int64(p.To))
+		encodeWire(e, p.Wire)
 	}
-	e.u64(uint64(len(in.Inbox)))
-	for _, msg := range in.Inbox {
-		encodeMessage(e, msg)
+	e.u64(uint64(len(in.Withheld)))
+	for _, h := range in.Withheld {
+		e.u64(uint64(h.To))
+		e.u64(uint64(h.Rec))
+	}
+	e.u64(uint64(len(in.Late)))
+	for _, p := range in.Late {
+		e.u64(uint64(p.To))
+		e.u64(uint64(p.From))
+		encodeWire(e, p.Wire)
 	}
 }
 
-// encodeMessage serializes one delivered message (sender + wire payload).
-func encodeMessage(e *encoder, msg congest.Message) {
-	e.u64(uint64(msg.From))
-	e.u8(byte(msg.Wire.Kind))
-	e.u64(uint64(msg.Wire.Bits))
-	e.fix64(msg.Wire.A)
-	e.fix64(msg.Wire.B)
+// encodeWire serializes one wire payload: kind, bit size, both words.
+func encodeWire(e *encoder, w congest.Wire) {
+	e.u8(byte(w.Kind))
+	e.u64(uint64(w.Bits))
+	e.fix64(w.A)
+	e.fix64(w.B)
 }
 
-// decodeMessage parses one delivered message.
-func decodeMessage(d *decoder) (congest.Message, error) {
-	var msg congest.Message
-	from, err := d.u64("message.from")
+// wireFields names a wire payload's four fields in decode errors. The
+// names are constants, so decoding a payload builds no string.
+type wireFields struct{ kind, bits, a, b string }
+
+var (
+	recordWire = wireFields{"round.record-kind", "round.record-bits", "round.record-a", "round.record-b"}
+	lateWire   = wireFields{"round.late-kind", "round.late-bits", "round.late-a", "round.late-b"}
+	packetWire = wireFields{"sweep.packet-kind", "sweep.packet-bits", "sweep.packet-a", "sweep.packet-b"}
+)
+
+// decodeWire parses one wire payload, rejecting a bit size above the
+// CONGEST budget.
+func decodeWire(d *decoder, f wireFields) (congest.Wire, error) {
+	var w congest.Wire
+	kind, err := d.u8(f.kind)
 	if err != nil {
-		return msg, err
+		return w, err
 	}
-	if from > math.MaxInt32 {
-		return msg, d.errAt("message.from", "value overflow")
-	}
-	msg.From = int(from)
-	kind, err := d.u8("message.kind")
+	w.Kind = congest.WireKind(kind)
+	bits, err := d.u64(f.bits)
 	if err != nil {
-		return msg, err
-	}
-	msg.Wire.Kind = congest.WireKind(kind)
-	bits, err := d.u64("message.bits")
-	if err != nil {
-		return msg, err
+		return w, err
 	}
 	if bits > congest.MaxWireBits {
-		return msg, d.errAt("message.bits", "bit size exceeds the CONGEST budget")
+		return w, d.errAt(f.bits, "bit size exceeds the CONGEST budget")
 	}
-	msg.Wire.Bits = uint16(bits)
-	if msg.Wire.A, err = d.fix64("message.a"); err != nil {
-		return msg, err
+	w.Bits = uint16(bits)
+	if w.A, err = d.fix64(f.a); err != nil {
+		return w, err
 	}
-	if msg.Wire.B, err = d.fix64("message.b"); err != nil {
-		return msg, err
+	if w.B, err = d.fix64(f.b); err != nil {
+		return w, err
 	}
-	return msg, nil
+	return w, nil
 }
 
 // decodeScratch holds the grow-only buffers one connection reuses across
@@ -411,8 +449,9 @@ func decodeMessage(d *decoder) (congest.Message, error) {
 // frame is read).
 type decodeScratch struct {
 	fates  []congest.VertexFate
-	lens   []int32
-	inbox  []congest.Message
+	recs   []congest.Packet
+	held   []congest.Withheld
+	late   []congest.Packet
 	pkts   []congest.Packet
 	events []trace.Event
 	halted []int32
@@ -427,15 +466,24 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// decodeRound parses an fkRound body into freshly allocated slices.
-// Connections that decode many frames should use decodeScratch.round.
-func decodeRound(d *decoder) (congest.RoundInput, error) {
+// decodeRound parses an fkRound body for the shard cfg describes into
+// freshly allocated slices. Connections that decode many frames should use
+// decodeScratch.round.
+func decodeRound(d *decoder, cfg congest.ShardConfig) (congest.RoundInput, error) {
 	var sc decodeScratch
-	return sc.round(d)
+	return sc.round(d, cfg)
 }
 
-// round parses an fkRound body, reusing the scratch buffers.
-func (sc *decodeScratch) round(d *decoder) (congest.RoundInput, error) {
+// round parses an fkRound body for the shard cfg describes, reusing the
+// scratch buffers. Beyond the framing it checks what the worker's pull
+// relies on, each failure naming its field: only down and gone fates;
+// records from senders in [0, N) in non-decreasing order, each addressed
+// to the broadcast marker or a vertex; withheld pairs naming a record,
+// for recipients in [Lo, Hi), strictly ascending by (recipient, record);
+// late messages for recipients in [Lo, Hi), by ascending recipient, from
+// senders in [0, N); and no record or late message above
+// congest.MaxWireBits.
+func (sc *decodeScratch) round(d *decoder, cfg congest.ShardConfig) (congest.RoundInput, error) {
 	var in congest.RoundInput
 	round, err := d.u64("round.number")
 	if err != nil {
@@ -468,32 +516,97 @@ func (sc *decodeScratch) round(d *decoder) (congest.RoundInput, error) {
 		}
 		in.Fates[i] = congest.VertexFate{V: int32(v), Fate: int32(fate)}
 	}
-	nLens, err := d.count("round.inbox-lens", 1)
+	n, lo, hi := int64(cfg.N), int64(cfg.Lo), int64(cfg.Hi)
+	nRecs, err := d.count("round.records", 20)
 	if err != nil {
 		return in, err
 	}
-	sc.lens = grown(sc.lens, nLens)
-	in.InboxLens = sc.lens
-	for i := range in.InboxLens {
-		l, err := d.u64("round.inbox-len")
+	sc.recs = grown(sc.recs, nRecs)
+	in.Records = sc.recs
+	from := int64(0)
+	for i := range in.Records {
+		delta, err := d.i64("round.record-from")
 		if err != nil {
 			return in, err
 		}
-		if l > math.MaxInt32 {
-			return in, d.errAt("round.inbox-len", "value overflow")
+		if delta < 0 {
+			return in, d.errAt("round.record-from", "senders out of order")
 		}
-		in.InboxLens[i] = int32(l)
+		if delta >= n-from {
+			return in, d.errAt("round.record-from", "sender outside the graph")
+		}
+		from += delta
+		to, err := d.i64("round.record-to")
+		if err != nil {
+			return in, err
+		}
+		if to < congest.BroadcastTo || to >= n {
+			return in, d.errAt("round.record-to", "recipient is neither a vertex nor the broadcast marker")
+		}
+		w, err := decodeWire(d, recordWire)
+		if err != nil {
+			return in, err
+		}
+		in.Records[i] = congest.Packet{To: int32(to), From: int32(from), Wire: w}
 	}
-	nMsgs, err := d.count("round.inbox", 12)
+	nHeld, err := d.count("round.withheld", 2)
 	if err != nil {
 		return in, err
 	}
-	sc.inbox = grown(sc.inbox, nMsgs)
-	in.Inbox = sc.inbox
-	for i := range in.Inbox {
-		if in.Inbox[i], err = decodeMessage(d); err != nil {
+	sc.held = grown(sc.held, nHeld)
+	in.Withheld = sc.held
+	for i := range in.Withheld {
+		to, err := d.u64("round.withheld-to")
+		if err != nil {
 			return in, err
 		}
+		if to < uint64(lo) || to >= uint64(hi) {
+			return in, d.errAt("round.withheld-to", "recipient outside the shard")
+		}
+		rec, err := d.u64("round.withheld-rec")
+		if err != nil {
+			return in, err
+		}
+		if rec >= uint64(nRecs) {
+			return in, d.errAt("round.withheld-rec", "record index past the records")
+		}
+		h := congest.Withheld{To: int32(to), Rec: int32(rec)}
+		if i > 0 {
+			if p := in.Withheld[i-1]; h.To < p.To || h.To == p.To && h.Rec <= p.Rec {
+				return in, d.errAt("round.withheld", "pairs not strictly ascending by (recipient, record)")
+			}
+		}
+		in.Withheld[i] = h
+	}
+	nLate, err := d.count("round.late", 20)
+	if err != nil {
+		return in, err
+	}
+	sc.late = grown(sc.late, nLate)
+	in.Late = sc.late
+	for i := range in.Late {
+		to, err := d.u64("round.late-to")
+		if err != nil {
+			return in, err
+		}
+		if to < uint64(lo) || to >= uint64(hi) {
+			return in, d.errAt("round.late-to", "recipient outside the shard")
+		}
+		if i > 0 && int32(to) < in.Late[i-1].To {
+			return in, d.errAt("round.late-to", "recipients out of order")
+		}
+		from, err := d.u64("round.late-from")
+		if err != nil {
+			return in, err
+		}
+		if from >= uint64(n) {
+			return in, d.errAt("round.late-from", "sender outside the graph")
+		}
+		w, err := decodeWire(d, lateWire)
+		if err != nil {
+			return in, err
+		}
+		in.Late[i] = congest.Packet{To: int32(to), From: int32(from), Wire: w}
 	}
 	return in, d.done()
 }
@@ -508,10 +621,7 @@ func encodeSweep(e *encoder, out congest.RoundOutput) {
 	for _, p := range out.Packets {
 		e.i64(int64(p.To))
 		e.u64(uint64(p.From))
-		e.u8(byte(p.Wire.Kind))
-		e.u64(uint64(p.Wire.Bits))
-		e.fix64(p.Wire.A)
-		e.fix64(p.Wire.B)
+		encodeWire(e, p.Wire)
 	}
 	e.u64(uint64(len(out.Events)))
 	for _, ev := range out.Events {
@@ -564,23 +674,7 @@ func (sc *decodeScratch) sweep(d *decoder) (congest.RoundOutput, error) {
 			return out, d.errAt("sweep.packet-from", "vertex overflow")
 		}
 		p.To, p.From = int32(to), int32(from)
-		kind, err := d.u8("sweep.packet-kind")
-		if err != nil {
-			return out, err
-		}
-		p.Wire.Kind = congest.WireKind(kind)
-		bits, err := d.u64("sweep.packet-bits")
-		if err != nil {
-			return out, err
-		}
-		if bits > congest.MaxWireBits {
-			return out, d.errAt("sweep.packet-bits", "bit size exceeds the CONGEST budget")
-		}
-		p.Wire.Bits = uint16(bits)
-		if p.Wire.A, err = d.fix64("sweep.packet-a"); err != nil {
-			return out, err
-		}
-		if p.Wire.B, err = d.fix64("sweep.packet-b"); err != nil {
+		if p.Wire, err = decodeWire(d, packetWire); err != nil {
 			return out, err
 		}
 		out.Packets[i] = p

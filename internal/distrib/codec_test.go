@@ -37,17 +37,22 @@ func boundaryWords() []uint64 {
 	return []uint64{0, 1, math.MaxUint32, math.MaxUint64 - 1, math.MaxUint64}
 }
 
+// sampleShard is the shard the sample frames describe: the config sample
+// configures it, and decodeAs decodes every round frame for it.
+var sampleShard = congest.ShardConfig{Index: 1, NumShards: 2, Lo: 2, Hi: 4, N: 8, Seed: 99}
+
 // decoded is what decodeAs reports of an accepted frame: the wire payloads
-// a round or sweep frame carries and the vertex fates a round frame ships.
+// a round frame's records and late messages or a sweep frame's packets
+// carry, and a round frame's whole input.
 type decoded struct {
 	wires []congest.Wire
-	fates []congest.VertexFate
+	round congest.RoundInput
 }
 
 // decodeAs reruns payloadKind + the kind's decoder, returning the decode
-// error (nil on success) and the payloads and fates the frame carries. It
-// is the single entry point the adversarial tests drive so no decoder path
-// can panic unobserved.
+// error (nil on success) and the payloads and round input the frame
+// carries. It is the single entry point the adversarial tests drive so no
+// decoder path can panic unobserved.
 func decodeAs(payload []byte) (got decoded, err error) {
 	kind, dec, err := payloadKind(payload)
 	if err != nil {
@@ -57,12 +62,13 @@ func decodeAs(payload []byte) (got decoded, err error) {
 	case fkConfig:
 		_, err = decodeConfig(dec)
 	case fkRound:
-		var in congest.RoundInput
-		in, err = decodeRound(dec)
-		for _, msg := range in.Inbox {
-			got.wires = append(got.wires, msg.Wire)
+		got.round, err = decodeRound(dec, sampleShard)
+		for _, p := range got.round.Records {
+			got.wires = append(got.wires, p.Wire)
 		}
-		got.fates = in.Fates
+		for _, p := range got.round.Late {
+			got.wires = append(got.wires, p.Wire)
+		}
 	case fkSweep:
 		var out congest.RoundOutput
 		out, err = decodeSweep(dec)
@@ -81,27 +87,35 @@ func decodeAs(payload []byte) (got decoded, err error) {
 	return got, err
 }
 
-// TestRoundTripAllWireKinds sends one message of every probed kind byte
-// at every boundary bit size and word value through the round codec.
+// TestRoundTripAllWireKinds sends one record and one late message of
+// every probed kind byte at every boundary bit size and word value through
+// the round codec: records from ascending senders, two per sender, every
+// third a Broadcast, one withheld pair per sender, and the late messages
+// spread over the shard.
 func TestRoundTripAllWireKinds(t *testing.T) {
-	var msgs []congest.Message
-	from := 0
+	var wires []congest.Wire
 	for _, k := range probeKinds() {
 		for _, bits := range boundaryBits() {
 			for _, word := range boundaryWords() {
-				msgs = append(msgs, congest.Message{
-					From: from,
-					Wire: congest.Wire{Kind: k, Bits: bits, A: word, B: ^word},
-				})
-				from++
+				wires = append(wires, congest.Wire{Kind: k, Bits: bits, A: word, B: ^word})
 			}
 		}
 	}
+	cfg := congest.ShardConfig{Lo: 100, Hi: 110, N: len(wires) + 200}
 	in := congest.RoundInput{
-		Round:     3,
-		Fates:     []congest.VertexFate{{V: 0, Fate: 1}, {V: int32(len(msgs) - 1), Fate: 2}},
-		InboxLens: []int32{int32(len(msgs))},
-		Inbox:     msgs,
+		Round: 3,
+		Fates: []congest.VertexFate{{V: 100, Fate: 1}, {V: 109, Fate: 2}},
+	}
+	for i, w := range wires {
+		to := int32(cfg.N - 1 - i)
+		if i%3 == 0 {
+			to = congest.BroadcastTo
+		}
+		in.Records = append(in.Records, congest.Packet{To: to, From: int32(i / 2), Wire: w})
+		if i%2 == 0 {
+			in.Withheld = append(in.Withheld, congest.Withheld{To: int32(cfg.Lo + i*10/len(wires)), Rec: int32(i)})
+		}
+		in.Late = append(in.Late, congest.Packet{To: int32(cfg.Lo + i*10/len(wires)), From: int32(i), Wire: w})
 	}
 	var e encoder
 	encodeRound(&e, in)
@@ -112,7 +126,7 @@ func TestRoundTripAllWireKinds(t *testing.T) {
 	if kind != fkRound {
 		t.Fatalf("payload kind = %s, want round", kind)
 	}
-	got, err := decodeRound(dec)
+	got, err := decodeRound(dec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +174,8 @@ func TestSweepRoundTrip(t *testing.T) {
 }
 
 // TestConfigRoundTrip exercises the handshake payload with boundary
-// seeds, program args, and gap-heavy adjacency deltas.
+// seeds, program args, and gap-heavy adjacency deltas, and the reuse
+// handshake's config without rows.
 func TestConfigRoundTrip(t *testing.T) {
 	m := configMsg{
 		cfg: congest.ShardConfig{
@@ -186,6 +201,12 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("config did not survive the round trip:\n got %+v\nwant %+v", got, m)
+	}
+	m.adj = nil
+	encodeConfig(&e, m)
+	_, dec, _ = payloadKind(e.buf)
+	if got, err = decodeConfig(dec); err != nil || !reflect.DeepEqual(got, m) {
+		t.Fatalf("config without rows did not survive the round trip: got %+v, %v; want %+v", got, err, m)
 	}
 }
 
@@ -215,31 +236,46 @@ func TestSmallFramesRoundTrip(t *testing.T) {
 	}
 }
 
+// sampleRound is the round sample: it sits at the edge of every rule the
+// round decoder enforces, so FuzzDecodeFrame mutates from each edge. Two
+// records share a sender (a zero sender delta), one record and one late
+// message carry exactly congest.MaxWireBits, the withheld pairs name the
+// last record and both ends of the shard and share a recipient, and the
+// late messages go to both ends of the shard.
+func sampleRound() congest.RoundInput {
+	return congest.RoundInput{
+		Round: 2,
+		Fates: []congest.VertexFate{{V: 3, Fate: 1}},
+		Records: []congest.Packet{
+			{To: congest.BroadcastTo, From: 1, Wire: congest.Wire{Kind: proto.WireFlag, Bits: 1, A: 1}},
+			{To: 3, From: 5, Wire: congest.Wire{Kind: proto.WireDegree, Bits: 32, A: 9}},
+			{To: congest.BroadcastTo, From: 5, Wire: congest.Wire{Kind: proto.WireColor, Bits: 8, A: 3, B: 1}},
+			{To: 7, From: 7, Wire: congest.Wire{Kind: proto.WireEpochPriority, Bits: congest.MaxWireBits, A: 4}},
+		},
+		Withheld: []congest.Withheld{{To: 2, Rec: 0}, {To: 3, Rec: 1}, {To: 3, Rec: 3}},
+		Late: []congest.Packet{
+			{To: 2, From: 0, Wire: congest.Wire{Kind: proto.WirePriority, Bits: congest.MaxWireBits, A: 5}},
+			{To: 3, From: 7, Wire: congest.Wire{Kind: proto.WireFlag, Bits: 1, A: 1}},
+		},
+	}
+}
+
 // samplePayloads builds one representative encoded payload per frame kind.
-// The round and sweep samples each carry a message of exactly
-// congest.MaxWireBits, so FuzzDecodeFrame mutates from the budget's edge.
+// The round sample is sampleRound, and the sweep sample carries a message
+// of exactly congest.MaxWireBits, so FuzzDecodeFrame mutates from the
+// budget's edge.
 func samplePayloads() map[string][]byte {
 	var e encoder
 	out := map[string][]byte{}
 	encodeConfig(&e, configMsg{
-		cfg:  congest.ShardConfig{Index: 1, NumShards: 2, Lo: 2, Hi: 4, N: 8, Seed: 99},
+		cfg:  sampleShard,
 		prog: Program{Algorithm: "metivier", Args: []uint64{7}},
 		adj:  [][]int{{0, 3}, {1}},
 	})
 	out["config"] = append([]byte(nil), e.buf...)
 	encodeHello(&e)
 	out["hello"] = append([]byte(nil), e.buf...)
-	encodeRound(&e, congest.RoundInput{
-		Round:     2,
-		Fates:     []congest.VertexFate{{V: 3, Fate: 1}},
-		InboxLens: []int32{1, 3},
-		Inbox: []congest.Message{
-			{From: 0, Wire: congest.Wire{Kind: proto.WireFlag, Bits: 1, A: 1}},
-			{From: 5, Wire: congest.Wire{Kind: proto.WireDegree, Bits: 32, A: 9}},
-			{From: 6, Wire: congest.Wire{Kind: proto.WireColor, Bits: 8, A: 3, B: 1}},
-			{From: 7, Wire: congest.Wire{Kind: proto.WireEpochPriority, Bits: congest.MaxWireBits, A: 4}},
-		},
-	})
+	encodeRound(&e, sampleRound())
 	out["round"] = append([]byte(nil), e.buf...)
 	encodeSweep(&e, congest.RoundOutput{
 		Packets: []congest.Packet{
@@ -319,12 +355,13 @@ func TestTrailingBytesRejected(t *testing.T) {
 }
 
 // oversizedConfig is a config frame claiming a shard of 2^31-1 owned
-// vertices with no adjacency rows behind the claim.
+// vertices whose rows follow, with no adjacency rows behind the claim.
 func oversizedConfig() []byte {
 	var e encoder
 	encodeConfig(&e, configMsg{
 		cfg:  congest.ShardConfig{NumShards: 1, Hi: math.MaxInt32, N: math.MaxInt32},
 		prog: Program{Algorithm: "metivier"},
+		adj:  [][]int{},
 	})
 	return e.buf
 }
@@ -338,8 +375,16 @@ func TestCorruptCountsRejected(t *testing.T) {
 	e.u64(0)       // round
 	e.u64(1 << 40) // absurd fate count
 	_, dec, _ := payloadKind(e.buf)
-	if _, err := decodeRound(dec); err == nil || !strings.Contains(err.Error(), "implausible count") {
+	if _, err := decodeRound(dec, sampleShard); err == nil || !strings.Contains(err.Error(), "implausible count") {
 		t.Fatalf("absurd fate count not rejected: %v", err)
+	}
+	e.reset(fkRound)
+	e.u64(0)       // round
+	e.u64(0)       // fates
+	e.u64(1 << 40) // absurd record count
+	_, dec, _ = payloadKind(e.buf)
+	if _, err := decodeRound(dec, sampleShard); err == nil || !strings.Contains(err.Error(), "implausible count") {
+		t.Fatalf("absurd record count not rejected: %v", err)
 	}
 	e.reset(fkOutputs)
 	e.u64(math.MaxUint64 / 2)
@@ -409,50 +454,137 @@ func TestSweepAddressingRejected(t *testing.T) {
 	}
 }
 
-// TestRoundMessageBitsBound hand-crafts round frames with one vertex fate
-// and one message. A message at congest.MaxWireBits and the two fates the
-// coordinator sends, down and gone, are accepted; a message just above the
-// budget is rejected with an error naming message.bits, and any other fate
-// byte with one naming round.fate.
+// roundFrame hand-crafts a round frame for sampleShard [2, 4) of n = 8:
+// one fate, then the records (sender delta, recipient, bit size), the
+// withheld pairs and the late messages (recipient, sender, bit size), each
+// wire of kind WirePriority. It writes the fields raw, so a test can put
+// any value where the encoder would not.
+type roundFrame struct {
+	fate     byte
+	records  [][3]int64 // sender delta, recipient, bits
+	withheld [][2]uint64
+	late     [][3]uint64 // recipient, sender, bits
+}
+
+func (f roundFrame) encode() []byte {
+	var e encoder
+	e.reset(fkRound)
+	e.u64(1) // round
+	e.u64(1) // one fate
+	e.u64(3) // fate vertex
+	e.u8(f.fate)
+	e.u64(uint64(len(f.records)))
+	for _, r := range f.records {
+		e.i64(r[0])
+		e.i64(r[1])
+		e.u8(byte(proto.WirePriority))
+		e.u64(uint64(r[2]))
+		e.fix64(1)
+		e.fix64(0)
+	}
+	e.u64(uint64(len(f.withheld)))
+	for _, h := range f.withheld {
+		e.u64(h[0])
+		e.u64(h[1])
+	}
+	e.u64(uint64(len(f.late)))
+	for _, l := range f.late {
+		e.u64(l[0])
+		e.u64(l[1])
+		e.u8(byte(proto.WirePriority))
+		e.u64(l[2])
+		e.fix64(1)
+		e.fix64(0)
+	}
+	return e.buf
+}
+
+// TestRoundMessageBitsBound hand-crafts round frames with one vertex fate,
+// one record and one late message. A record and a late message at
+// congest.MaxWireBits and the two fates the coordinator sends, down and
+// gone, are accepted; a record or late message just above the budget is
+// rejected with an error naming round.record-bits or round.late-bits, and
+// any other fate byte with one naming round.fate.
 func TestRoundMessageBitsBound(t *testing.T) {
 	down, gone := byte(faultsim.VertexDown), byte(faultsim.VertexGone)
 	cases := []struct {
-		fate  byte
-		bits  uint64
-		field string // "" when the frame must be accepted
+		fate     byte
+		rec, lat uint64
+		field    string // "" when the frame must be accepted
 	}{
-		{down, congest.MaxWireBits, ""},
-		{gone, 64, ""},
-		{down, congest.MaxWireBits + 1, "message.bits"},
-		{0, 64, "round.fate"},
-		{3, 64, "round.fate"},
-		{200, 64, "round.fate"},
+		{down, congest.MaxWireBits, congest.MaxWireBits, ""},
+		{gone, 64, 1, ""},
+		{down, congest.MaxWireBits + 1, 64, "round.record-bits"},
+		{down, 64, congest.MaxWireBits + 1, "round.late-bits"},
+		{0, 64, 64, "round.fate"},
+		{3, 64, 64, "round.fate"},
+		{200, 64, 64, "round.fate"},
 	}
 	for _, c := range cases {
-		var e encoder
-		e.reset(fkRound)
-		e.u64(1) // round
-		e.u64(1) // one fate
-		e.u64(4) // fate vertex
-		e.u8(c.fate)
-		e.u64(1) // inbox lens
-		e.u64(1)
-		e.u64(1) // one message
-		e.u64(4) // from
-		e.u8(byte(proto.WirePriority))
-		e.u64(c.bits)
-		e.fix64(1)
-		e.fix64(0)
-		_, dec, _ := payloadKind(e.buf)
-		in, err := decodeRound(dec)
+		f := roundFrame{
+			fate:    c.fate,
+			records: [][3]int64{{4, congest.BroadcastTo, int64(c.rec)}},
+			late:    [][3]uint64{{2, 4, c.lat}},
+		}
+		_, dec, _ := payloadKind(f.encode())
+		in, err := decodeRound(dec, sampleShard)
 		if c.field == "" {
-			if err != nil || len(in.Inbox) != 1 || uint64(in.Inbox[0].Wire.Bits) != c.bits || len(in.Fates) != 1 || in.Fates[0].Fate != int32(c.fate) {
-				t.Fatalf("fate %d, %d-bit message: decoded %+v, %v; want it accepted", c.fate, c.bits, in, err)
+			if err != nil || len(in.Records) != 1 || uint64(in.Records[0].Wire.Bits) != c.rec ||
+				len(in.Late) != 1 || uint64(in.Late[0].Wire.Bits) != c.lat ||
+				len(in.Fates) != 1 || in.Fates[0].Fate != int32(c.fate) {
+				t.Fatalf("fate %d, %d-bit record, %d-bit late message: decoded %+v, %v; want it accepted", c.fate, c.rec, c.lat, in, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), "distrib:") || !strings.Contains(err.Error(), c.field) {
-			t.Fatalf("fate %d, %d-bit message: got %v, want a contextual error reading %s", c.fate, c.bits, err, c.field)
+			t.Fatalf("fate %d, %d-bit record, %d-bit late message: got %v, want a contextual error reading %s", c.fate, c.rec, c.lat, err, c.field)
+		}
+	}
+}
+
+// TestRoundPullRulesRejected hand-crafts round frames for sampleShard
+// [2, 4) of n = 8 that break one rule the worker's pull relies on each —
+// senders out of order, a withheld index past the records, a withheld
+// recipient outside the shard, withheld pairs out of order or repeated, a
+// late message outside the shard or out of recipient order — and requires
+// an error naming the field. Each rule's edge decodes cleanly.
+func TestRoundPullRulesRejected(t *testing.T) {
+	two := [][3]int64{{1, congest.BroadcastTo, 8}, {4, 3, 8}} // senders 1, 5
+	cases := []struct {
+		name  string
+		f     roundFrame
+		field string
+	}{
+		{"equal senders", roundFrame{records: [][3]int64{{5, 3, 8}, {0, congest.BroadcastTo, 8}}}, ""},
+		{"sender below the previous", roundFrame{records: [][3]int64{{5, 3, 8}, {-1, congest.BroadcastTo, 8}}}, "round.record-from"},
+		{"sender outside the graph", roundFrame{records: [][3]int64{{8, congest.BroadcastTo, 8}}}, "round.record-from"},
+		{"recipient outside the graph", roundFrame{records: [][3]int64{{1, 8, 8}}}, "round.record-to"},
+		{"recipient below the marker", roundFrame{records: [][3]int64{{1, congest.BroadcastTo - 1, 8}}}, "round.record-to"},
+		{"last record withheld", roundFrame{records: two, withheld: [][2]uint64{{2, 0}, {3, 1}}}, ""},
+		{"withheld index past the records", roundFrame{records: two, withheld: [][2]uint64{{2, 2}}}, "round.withheld-rec"},
+		{"withheld below the shard", roundFrame{records: two, withheld: [][2]uint64{{1, 0}}}, "round.withheld-to"},
+		{"withheld above the shard", roundFrame{records: two, withheld: [][2]uint64{{4, 0}}}, "round.withheld-to"},
+		{"withheld recipients descending", roundFrame{records: two, withheld: [][2]uint64{{3, 0}, {2, 1}}}, "round.withheld"},
+		{"withheld records descending", roundFrame{records: two, withheld: [][2]uint64{{3, 1}, {3, 0}}}, "round.withheld"},
+		{"withheld pair repeated", roundFrame{records: two, withheld: [][2]uint64{{3, 1}, {3, 1}}}, "round.withheld"},
+		{"late at both ends", roundFrame{late: [][3]uint64{{2, 7, 8}, {3, 0, 8}, {3, 1, 8}}}, ""},
+		{"late below the shard", roundFrame{late: [][3]uint64{{1, 0, 8}}}, "round.late-to"},
+		{"late above the shard", roundFrame{late: [][3]uint64{{4, 0, 8}}}, "round.late-to"},
+		{"late out of order", roundFrame{late: [][3]uint64{{3, 0, 8}, {2, 0, 8}}}, "round.late-to"},
+		{"late sender outside the graph", roundFrame{late: [][3]uint64{{2, 8, 8}}}, "round.late-from"},
+	}
+	for _, c := range cases {
+		c.f.fate = byte(faultsim.VertexDown)
+		_, dec, _ := payloadKind(c.f.encode())
+		_, err := decodeRound(dec, sampleShard)
+		if c.field == "" {
+			if err != nil {
+				t.Fatalf("%s: rejected: %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "distrib:") || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("%s: got %v, want a contextual error reading %s", c.name, err, c.field)
 		}
 	}
 }
@@ -469,6 +601,7 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 	e.u8(0)    // traced
 	e.str("metivier")
 	e.u64(0) // args
+	e.u8(1)  // rows follow
 	e.u64(3) // degree of vertex 0
 	e.u64(4)
 	e.u64(0) // zero delta: duplicate neighbor
@@ -486,47 +619,54 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 // fresh-allocation decode, including shrinking after a large frame.
 func TestDecodeScratchReuse(t *testing.T) {
 	r := rng.New(0xc0de)
-	mkRound := func(nMsgs, nFates, nLens int) congest.RoundInput {
+	cfg := congest.ShardConfig{Lo: 100, Hi: 132, N: 1000}
+	// mkRound builds a valid input: records from ascending senders, every
+	// third a Broadcast, withheld pairs naming records for the shard's
+	// vertices in ascending order, late messages by ascending recipient.
+	mkRound := func(nRecs, nFates, nLate int) congest.RoundInput {
 		in := congest.RoundInput{Round: int(r.Uint64() % 100)}
 		for i := 0; i < nFates; i++ {
-			in.Fates = append(in.Fates, congest.VertexFate{V: int32(i), Fate: int32(1 + r.Uint64()%2)})
+			in.Fates = append(in.Fates, congest.VertexFate{V: int32(cfg.Lo + i%32), Fate: int32(1 + r.Uint64()%2)})
 		}
-		for i := 0; i < nLens; i++ {
-			in.InboxLens = append(in.InboxLens, 0)
-		}
-		for i := 0; i < nMsgs; i++ {
-			if nLens > 0 {
-				in.InboxLens[int(r.Uint64()%uint64(nLens))]++
+		for i := 0; i < nRecs; i++ {
+			to := int32(r.Uint64() % uint64(cfg.N))
+			if i%3 == 0 {
+				to = congest.BroadcastTo
 			}
-			in.Inbox = append(in.Inbox, congest.Message{
-				From: int(r.Uint64() % 1000),
+			in.Records = append(in.Records, congest.Packet{
+				To: to, From: int32(i * cfg.N / (nRecs + 1)),
 				Wire: congest.Wire{Kind: proto.WireFlag, Bits: 64, A: r.Uint64()},
 			})
+			if i%7 == 0 {
+				in.Withheld = append(in.Withheld, congest.Withheld{To: int32(cfg.Lo + i*32/nRecs), Rec: int32(i)})
+			}
 		}
-		// Inbox is delivered grouped by destination; only the lens sum matters.
-		if nLens == 0 {
-			in.Inbox = nil
+		for i := 0; i < nLate; i++ {
+			in.Late = append(in.Late, congest.Packet{
+				To: int32(cfg.Lo + i*32/nLate), From: int32(r.Uint64() % uint64(cfg.N)),
+				Wire: congest.Wire{Kind: proto.WireFlag, Bits: 1, A: r.Uint64()},
+			})
 		}
 		return in
 	}
 	var e encoder
 	var sc decodeScratch
-	sizes := []struct{ msgs, fates, lens int }{
+	sizes := []struct{ recs, fates, late int }{
 		{0, 0, 0}, {1000, 64, 32}, {3, 1, 2}, {0, 0, 8}, {500, 0, 16}, {1, 1, 1},
 	}
 	for i, sz := range sizes {
-		in := mkRound(sz.msgs, sz.fates, sz.lens)
+		in := mkRound(sz.recs, sz.fates, sz.late)
 		encodeRound(&e, in)
 		_, dec, err := payloadKind(e.buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		got, err := sc.round(dec)
+		got, err := sc.round(dec, cfg)
 		if err != nil {
 			t.Fatalf("frame %d: scratch decode: %v", i, err)
 		}
 		_, dec, _ = payloadKind(e.buf)
-		fresh, err := decodeRound(dec)
+		fresh, err := decodeRound(dec, cfg)
 		if err != nil {
 			t.Fatalf("frame %d: fresh decode: %v", i, err)
 		}
@@ -536,6 +676,10 @@ func TestDecodeScratchReuse(t *testing.T) {
 		normRound(&fresh)
 		if !reflect.DeepEqual(got, fresh) {
 			t.Fatalf("frame %d: scratch decode diverged from fresh decode:\n got %+v\nwant %+v", i, got, fresh)
+		}
+		normRound(&in)
+		if !reflect.DeepEqual(got, in) {
+			t.Fatalf("frame %d: scratch decode diverged from the encoded input:\n got %+v\nwant %+v", i, got, in)
 		}
 	}
 	// The sweep and outputs paths share the same scratch. Every third
@@ -588,11 +732,14 @@ func normRound(in *congest.RoundInput) {
 	if len(in.Fates) == 0 {
 		in.Fates = nil
 	}
-	if len(in.InboxLens) == 0 {
-		in.InboxLens = nil
+	if len(in.Records) == 0 {
+		in.Records = nil
 	}
-	if len(in.Inbox) == 0 {
-		in.Inbox = nil
+	if len(in.Withheld) == 0 {
+		in.Withheld = nil
+	}
+	if len(in.Late) == 0 {
+		in.Late = nil
 	}
 }
 
@@ -642,9 +789,11 @@ func TestFuzzDecodersNeverPanic(t *testing.T) {
 
 // FuzzDecodeFrame is the native-fuzzing counterpart of
 // TestFuzzDecodersNeverPanic: any payload must decode or fail with an
-// error, never panic or exhaust memory; an accepted round or sweep frame
-// carries no message above the CONGEST budget, and an accepted round
-// frame no vertex fate but down and gone.
+// error, never panic or exhaust memory; an accepted sweep frame carries no
+// packet, and an accepted round frame no record and no late message,
+// above the CONGEST budget, and an accepted round frame no vertex fate
+// but down and gone, and withheld pairs and late messages only for
+// sampleShard's vertices, in the order the worker's pull walks them.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, payload := range samplePayloads() {
 		f.Add(payload)
@@ -660,9 +809,27 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("accepted a %d-bit message, above congest.MaxWireBits = %d", w.Bits, congest.MaxWireBits)
 			}
 		}
-		for _, vf := range got.fates {
+		in := got.round
+		for _, vf := range in.Fates {
 			if vf.Fate != int32(faultsim.VertexDown) && vf.Fate != int32(faultsim.VertexGone) {
 				t.Fatalf("accepted fate %d for vertex %d, neither down nor gone", vf.Fate, vf.V)
+			}
+		}
+		lo, hi := int32(sampleShard.Lo), int32(sampleShard.Hi)
+		for i, p := range in.Records {
+			if i > 0 && p.From < in.Records[i-1].From {
+				t.Fatalf("accepted record %d from sender %d after sender %d", i, p.From, in.Records[i-1].From)
+			}
+		}
+		for i, h := range in.Withheld {
+			if h.To < lo || h.To >= hi || int(h.Rec) >= len(in.Records) ||
+				i > 0 && (h.To < in.Withheld[i-1].To || h.To == in.Withheld[i-1].To && h.Rec <= in.Withheld[i-1].Rec) {
+				t.Fatalf("accepted withheld pair %d %+v among %d records", i, h, len(in.Records))
+			}
+		}
+		for i, p := range in.Late {
+			if p.To < lo || p.To >= hi || i > 0 && p.To < in.Late[i-1].To {
+				t.Fatalf("accepted late message %d to %d", i, p.To)
 			}
 		}
 	})

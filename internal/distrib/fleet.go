@@ -23,11 +23,13 @@ const (
 )
 
 // handshake runs the coordinator side of connection setup: ship the
-// shard's config (program spec + adjacency of the owned range) and read
-// the worker's hello. The whole exchange runs under a socket deadline of
-// timeout, so a worker that never answers fails the handshake instead
-// of hanging the run; the deadline is cleared on return, leaving the
-// round exchanges that follow unbounded.
+// shard's config (program spec, plus the owned range's adjacency rows
+// from g — a nil g ships the config without rows, for a reused worker
+// that keeps the rows of its spawn) and read the worker's hello. The
+// whole exchange runs under a socket deadline of timeout, so a worker
+// that never answers fails the handshake instead of hanging the run; the
+// deadline is cleared on return, leaving the round exchanges that follow
+// unbounded.
 //
 //lint:advisory the handshake deadline is a liveness timeout on worker setup, never program logic
 func handshake(fc *frameConn, timeout time.Duration, g *graph.Graph, prog Program, cfg congest.ShardConfig) (err error) {
@@ -39,9 +41,12 @@ func handshake(fc *frameConn, timeout time.Duration, g *graph.Graph, prog Progra
 			err = derr
 		}
 	}()
-	adj := make([][]int, cfg.Hi-cfg.Lo)
-	for v := cfg.Lo; v < cfg.Hi; v++ {
-		adj[v-cfg.Lo] = g.Neighbors(v)
+	var adj [][]int
+	if g != nil {
+		adj = make([][]int, cfg.Hi-cfg.Lo)
+		for v := cfg.Lo; v < cfg.Hi; v++ {
+			adj[v-cfg.Lo] = g.Neighbors(v)
+		}
 	}
 	var enc encoder
 	encodeConfig(&enc, configMsg{cfg: cfg, prog: prog, adj: adj})
@@ -226,9 +231,11 @@ func (f *ExecFleet) Pid(shard int) int {
 // previous run on this fleet is reused: the fleet re-runs the config
 // handshake on its live connection (workers loop back to config-wait
 // after exporting outputs), so consecutive runs skip the process spawn.
-// Any failure of that handshake — the worker died, is wedged mid-run, or
-// rejected the config — falls back to the spawn path, which is also how
-// crash recovery respawns a shard mid-run.
+// The reuse handshake ships no adjacency rows — the worker kept those of
+// its spawn handshake, which always ships them. Any failure of that
+// handshake — the worker died, is wedged mid-run, or rejected the config
+// — falls back to the spawn path, which is also how crash recovery
+// respawns a shard mid-run.
 //
 //lint:advisory the accept deadline is a liveness timeout on worker startup, never program logic
 func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
@@ -237,7 +244,7 @@ func (f *ExecFleet) Shard(cfg congest.ShardConfig) (congest.ShardConn, error) {
 		return nil, fmt.Errorf("distrib: shard index %d outside fleet of %d", s, f.shards)
 	}
 	if f.cmds[s] != nil && f.conns[s] != nil {
-		if err := handshake(f.conns[s].fc, rehandshakeTimeout, f.g, f.prog, cfg); err == nil {
+		if err := handshake(f.conns[s].fc, rehandshakeTimeout, nil, f.prog, cfg); err == nil {
 			return f.conns[s], nil
 		}
 		_ = f.conns[s].Close()

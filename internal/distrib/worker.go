@@ -45,7 +45,11 @@ func MaybeWorker() {
 // established coordinator connection: config, hello, then round sweeps
 // until the finish/outputs exchange ends the run — and then back to
 // waiting for the next run's config, so one worker process serves a
-// reused fleet back-to-back. It returns nil when the coordinator closes
+// reused fleet back-to-back. The worker keeps the adjacency rows of the
+// first config that ships them: a reused fleet's later configs come
+// without rows, and one the kept rows cannot serve — none kept yet, or a
+// different N, Lo or Hi — is refused with an error frame, on which the
+// fleet spawns a fresh worker. It returns nil when the coordinator closes
 // the connection cleanly between runs; any protocol failure is sent to
 // the coordinator as an error frame (best effort) and returned. The frame
 // codec's decode buffers are per-connection and reused across frames.
@@ -59,6 +63,8 @@ func serveConn(c net.Conn) error {
 	fc := newFrameConn(c)
 	var enc encoder
 	var sc decodeScratch
+	var adj [][]int              // the kept rows, adj[v-rows.Lo] for v in [rows.Lo, rows.Hi)
+	var rows congest.ShardConfig // the config the kept rows came with
 
 	fail := func(err error) error {
 		encodeError(&enc, err.Error())
@@ -87,13 +93,21 @@ func serveConn(c net.Conn) error {
 		if err != nil {
 			return fail(err)
 		}
+		switch {
+		case cm.adj != nil:
+			adj, rows = cm.adj, cm.cfg
+		case adj == nil:
+			return fail(errors.New("distrib: worker got a config without rows and holds none"))
+		case cm.cfg.N != rows.N || cm.cfg.Lo != rows.Lo || cm.cfg.Hi != rows.Hi:
+			return fail(fmt.Errorf("distrib: worker got a config without rows for n=%d [%d, %d); its rows are for n=%d [%d, %d)",
+				cm.cfg.N, cm.cfg.Lo, cm.cfg.Hi, rows.N, rows.Lo, rows.Hi))
+		}
 		factory, err := Factory(cm.prog, cm.cfg.N)
 		if err != nil {
 			return fail(err)
 		}
-		adj := cm.adj
-		lo := cm.cfg.Lo
-		neighbors := func(v int) []int { return adj[v-lo] }
+		kept, lo := adj, rows.Lo
+		neighbors := func(v int) []int { return kept[v-lo] }
 		worker, err := congest.NewShardWorker(cm.cfg, neighbors, factory)
 		if err != nil {
 			return fail(err)
@@ -103,17 +117,17 @@ func serveConn(c net.Conn) error {
 			return err
 		}
 
-		if err := serveRun(fc, &enc, &sc, worker, fail); err != nil {
+		if err := serveRun(fc, &enc, &sc, cm.cfg, worker, fail); err != nil {
 			return err
 		}
 	}
 }
 
-// serveRun drives one run's round loop: sweep every fkRound until the
-// fkFinish/outputs exchange ends it.
+// serveRun drives one run's round loop: sweep every fkRound, decoded for
+// the run's shard config, until the fkFinish/outputs exchange ends it.
 //
 //draworder:worker
-func serveRun(fc *frameConn, enc *encoder, sc *decodeScratch, worker *congest.ShardWorker, fail func(error) error) error {
+func serveRun(fc *frameConn, enc *encoder, sc *decodeScratch, cfg congest.ShardConfig, worker *congest.ShardWorker, fail func(error) error) error {
 	for {
 		payload, err := fc.readFrame()
 		if err != nil {
@@ -125,7 +139,7 @@ func serveRun(fc *frameConn, enc *encoder, sc *decodeScratch, worker *congest.Sh
 		}
 		switch kind {
 		case fkRound:
-			in, err := sc.round(dec)
+			in, err := sc.round(dec, cfg)
 			if err != nil {
 				return fail(err)
 			}

@@ -168,21 +168,27 @@ func (r *Registry) Handler() http.Handler {
 
 // Metrics folds the engine's event stream into a Prometheus registry: a
 // Sink that turns a traced run (or a stream of runs) into scrapeable
-// counters, gauges, and histograms.
+// counters, gauges, and histograms. The distributed driver's advisory
+// transport events feed it too: EvFrame's frame bytes each way and round
+// trip, and EvRespawn's crash-recovery respawns.
 type Metrics struct {
 	reg *Registry
 
-	Rounds    *Counter
-	Sent      *Counter
-	Delivered *Counter
-	Dropped   *Counter
-	Delayed   *Counter
-	Halts     *Counter
-	NodeDraws *Counter
-	Live      *Gauge
+	Rounds        *Counter
+	Sent          *Counter
+	Delivered     *Counter
+	Dropped       *Counter
+	Delayed       *Counter
+	Halts         *Counter
+	NodeDraws     *Counter
+	FrameBytesOut *Counter
+	FrameBytesIn  *Counter
+	Respawns      *Counter
+	Live          *Gauge
 
 	RoundMessages *Histogram
 	MergeSeconds  *Histogram
+	FrameRTT      *Histogram
 }
 
 // NewMetrics builds a Metrics sink over a fresh registry.
@@ -197,13 +203,21 @@ func NewMetrics() *Metrics {
 		Delayed:   reg.Counter("congest_messages_delayed_total", "Messages deferred by the fault plan."),
 		Halts:     reg.Counter("congest_node_halts_total", "Nodes that halted."),
 		NodeDraws: reg.Counter("congest_rng_draws_total", "Node-stream RNG draws."),
-		Live:      reg.Gauge("congest_live_nodes", "Nodes still live after the latest round."),
+		FrameBytesOut: reg.Counter("congest_frame_bytes_out_total",
+			"Round-frame bytes the distributed coordinator wrote to its shard workers."),
+		FrameBytesIn: reg.Counter("congest_frame_bytes_in_total",
+			"Sweep-frame bytes the distributed coordinator read back from its shard workers."),
+		Respawns: reg.Counter("congest_respawns_total", "Shard workers crash recovery respawned."),
+		Live:     reg.Gauge("congest_live_nodes", "Nodes still live after the latest round."),
 		RoundMessages: reg.Histogram("congest_round_messages",
 			"Messages delivered per round.",
 			[]float64{0, 10, 100, 1000, 10000, 100000, 1e6}),
 		MergeSeconds: reg.Histogram("congest_merge_seconds",
 			"Coordinator delivery (merge) time per round.",
 			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}),
+		FrameRTT: reg.Histogram("congest_frame_rtt_seconds",
+			"Round trip of one shard's round frame and sweep frame.",
+			[]float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}),
 	}
 }
 
@@ -228,5 +242,11 @@ func (m *Metrics) Emit(e Event) {
 		m.NodeDraws.Add(e.X)
 	case EvMerge:
 		m.MergeSeconds.Observe(float64(e.X) / 1e9)
+	case EvFrame:
+		m.FrameBytesOut.Add(e.X)
+		m.FrameBytesIn.Add(e.Y)
+		m.FrameRTT.Observe(float64(e.Z) / 1e9)
+	case EvRespawn:
+		m.Respawns.Inc()
 	}
 }

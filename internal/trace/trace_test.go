@@ -338,6 +338,41 @@ func TestRegistryRendersPrometheusText(t *testing.T) {
 	}
 }
 
+// TestMetricsFoldTransportEvents feeds the Metrics sink the distributed
+// driver's advisory transport events: two EvFrame records and one
+// EvRespawn must render as the frame byte counters, a round-trip
+// histogram of two samples, and one respawn.
+func TestMetricsFoldTransportEvents(t *testing.T) {
+	m := NewMetrics()
+	m.Emit(Event{Type: EvFrame, Round: 1, V: 0, X: 1000, Y: 200, Z: 1_953_125}) // 2^-9 s
+	m.Emit(Event{Type: EvFrame, Round: 1, V: 1, X: 24, Y: 3, Z: 500_000_000})   // 0.5 s
+	m.Emit(Event{Type: EvRespawn, Round: 4, V: 1, X: 3})
+
+	var buf bytes.Buffer
+	m.Registry().WriteText(&buf)
+	out := buf.String()
+	for _, want := range []string{
+		"# TYPE congest_frame_bytes_out_total counter",
+		"congest_frame_bytes_out_total 1024",
+		"# TYPE congest_frame_bytes_in_total counter",
+		"congest_frame_bytes_in_total 203",
+		"# TYPE congest_respawns_total counter",
+		"congest_respawns_total 1",
+		"# TYPE congest_frame_rtt_seconds histogram",
+		`congest_frame_rtt_seconds_bucket{le="0.001"} 0`,
+		`congest_frame_rtt_seconds_bucket{le="0.01"} 1`,
+		`congest_frame_rtt_seconds_bucket{le="0.1"} 1`,
+		`congest_frame_rtt_seconds_bucket{le="1"} 2`,
+		`congest_frame_rtt_seconds_bucket{le="+Inf"} 2`,
+		"congest_frame_rtt_seconds_sum 0.501953125",
+		"congest_frame_rtt_seconds_count 2",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestRegistryHandler(t *testing.T) {
 	m := NewMetrics()
 	m.Rounds.Inc()
