@@ -64,18 +64,21 @@ cover:
 	@go test -cover repro/internal/distrib | awk -v min=$(DISTRIB_COVER_MIN) '$(COVER_AWK)'
 
 # Allocation gates: a steady-state round must perform zero heap
-# allocations — pulled (every node broadcasting, sequentially and on four
-# pool shards) or pushed (SendSlot loops, and under a delay plan) — the
-# invariant the value-typed wire payloads, the flat inbox arena and the
-# per-shard pull scratch exist to provide; a whole Run must make a fixed
-# number of allocations independent of n, because every message buffer
-# is sized once from the CSR, and at n = 2^14 must allocate at most about
-# 100 bytes per vertex on a reliable network and 204 under drops, because
-# a run holds one Context per shard and its node streams in one 16-byte
-# per-vertex table, and a distributed run under drops on two in-process
-# workers at most 260, coordinator and workers together, because the
-# coordinator keeps no outbox, inbox arena or inbox copy — it ships each
-# round's send records once and the workers pull; every program factory
+# allocations — by the broadcast pull (every node broadcasting,
+# sequentially and on four pool shards) or by the record pull (SendSlot
+# loops, and under a delay plan) — the invariant the value-typed wire
+# payloads, the reused records buffer and the per-shard inbox scratch
+# exist to provide; a whole Run must make a fixed number of allocations
+# independent of n, because every message buffer is sized once from the
+# CSR (a faulted run reserves its records, their Broadcast index and n/8
+# withheld pairs once), and at n = 2^14 must allocate at most 79 bytes
+# per vertex on a reliable network and 94 under drops, because a run holds one Context
+# per shard, its node streams in one 16-byte per-vertex table, one
+# 32-byte outbox record and a 4-byte Broadcast-table entry per vertex and
+# no inbox arena, and a distributed run under drops on two in-process workers at
+# most 216, coordinator and workers together, because the coordinator
+# keeps no outbox or inbox copy — it ships each round's send records once
+# and the workers pull — and a worker ships its outbox as is; every program factory
 # (the distrib registry's and matching.New) must build 2^14 nodes in at
 # most 64 allocations, because it carves them from a slab; and a whole
 # Algorithm 1 run (RunAlg1:
@@ -97,10 +100,12 @@ alloc-gate:
 # late messages must be in the order the worker's pull walks), the JSONL
 # trace reader, and the edge-list parser and graph constructor
 # (cmd/arbmis -stdin) — plus the engine's differential target, which runs
-# byte-scripted programs under every driver and requires the pull, push
-# and faulted delivery paths to agree. Any panic, hang, runaway
-# allocation, broken round trip or cross-driver divergence fails it. go
-# test fuzzes one target per run, hence five runs.
+# byte-scripted programs under every driver and requires the broadcast
+# pull and the record pull, reliable and faulted, to agree, and every
+# inbox to equal a reference written from the record pull's definition.
+# Any panic, hang, runaway allocation, broken round trip, cross-driver
+# divergence or reference mismatch fails it. go test fuzzes one target
+# per run, hence five runs.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzCrossDriver$$' -fuzztime 10s ./internal/congest/
 	go test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/distrib/

@@ -45,7 +45,7 @@ func (*delayEveryFourth) Vertex(int, int) faultsim.VertexFate { return faultsim.
 
 // slotBroadcaster sends to every neighbor every round by a SendSlot loop
 // and never halts: steadyBroadcaster's traffic in the per-neighbor shape,
-// which delivery always pushes into the inbox arena.
+// which always takes the record pull.
 type slotBroadcaster struct{}
 
 func (slotBroadcaster) Init(ctx *Context) { slotBroadcaster{}.Round(ctx, nil) }
@@ -56,7 +56,7 @@ func (slotBroadcaster) Round(ctx *Context, _ []Message) {
 }
 
 // roundTally counts the rounds a steadyRounds body ran and how many of
-// them were delivered by pull.
+// them took the broadcast pull.
 type roundTally struct{ rounds, pulls int }
 
 // steadyRounds returns the exact per-round body of runLoop for a whitebox
@@ -85,11 +85,11 @@ func steadyRounds(t *testing.T, r *Runner, st *execState, tally *roundTally) fun
 }
 
 // TestSteadyStateRoundZeroAllocs is the allocation gate for the value-typed
-// message path: once the reused buffers (shard outboxes, the inbox arena,
-// the pull scratch) have grown to steady-state capacity, a full sequential
-// round — sweep, delivery, live refresh, round bookkeeping — must allocate
-// nothing, whether a round of Broadcast calls is delivered by pull or a
-// round of SendSlot loops by push.
+// message path: once the reused buffers (shard outboxes, the round's
+// records, the inbox scratch) have grown to steady-state capacity, a full
+// sequential round — sweep, delivery, live refresh, round bookkeeping —
+// must allocate nothing, whether a round of Broadcast calls takes the
+// broadcast pull or a round of SendSlot loops the record pull.
 func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 	const n = 1024
 	for _, c := range []struct {
@@ -98,7 +98,7 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 		pull bool
 	}{
 		{"broadcast", steadyBroadcaster{}, true},
-		{"sendslot", slotBroadcaster{}, false},
+		{"sendslot", slotBroadcaster{}, false}, // the record pull
 	} {
 		r := NewRunner(ringGraph(n), func(int) Node { return c.node }, Options{Seed: 1})
 		var tally roundTally
@@ -117,16 +117,16 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 			want = tally.rounds
 		}
 		if tally.pulls != want {
-			t.Fatalf("%s: %d of %d measured rounds delivered by pull, want %d", c.name, tally.pulls, tally.rounds, want)
+			t.Fatalf("%s: %d of %d measured rounds took the broadcast pull, want %d", c.name, tally.pulls, tally.rounds, want)
 		}
 	}
 }
 
-// TestSteadyStateRoundZeroAllocsPullShards extends the gate to pull rounds
-// on four pool shards: once the outboxes, frontiers and per-shard pull
-// scratch have reached steady-state capacity, a round whose inboxes every
-// shard builds from its own rows must allocate nothing — and every
-// measured round must have been delivered by pull.
+// TestSteadyStateRoundZeroAllocsPullShards extends the gate to broadcast
+// pull rounds on four pool shards: once the outboxes, frontiers and
+// per-shard inbox scratch have reached steady-state capacity, a round whose
+// inboxes every shard builds from its own rows must allocate nothing — and
+// every measured round must have taken the broadcast pull.
 func TestSteadyStateRoundZeroAllocsPullShards(t *testing.T) {
 	const n = 1 << 13
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
@@ -140,17 +140,18 @@ func TestSteadyStateRoundZeroAllocsPullShards(t *testing.T) {
 	}
 	tally = roundTally{}
 	if avg := testing.AllocsPerRun(20, oneRound); avg != 0 {
-		t.Fatalf("steady-state pull round on 4 shards allocates %v objects, want 0", avg)
+		t.Fatalf("steady-state broadcast-pull round on 4 shards allocates %v objects, want 0", avg)
 	}
 	if tally.pulls != tally.rounds || tally.rounds == 0 {
-		t.Fatalf("%d of %d measured rounds delivered by pull, want all", tally.pulls, tally.rounds)
+		t.Fatalf("%d of %d measured rounds took the broadcast pull, want all", tally.pulls, tally.rounds)
 	}
 }
 
-// TestSteadyStateRoundZeroAllocsWithDelays extends the gate to the faulted
-// delivery path: with a plan that only delays (never drops), steady-state
-// rounds must still allocate nothing once the delay buckets have cycled
-// through the free list a few times.
+// TestSteadyStateRoundZeroAllocsWithDelays extends the gate to the record
+// pull under a fault plan: with a plan that only delays (never drops),
+// steady-state rounds — fate walk, sort, split and the record pull of
+// withheld pairs and late messages — must still allocate nothing once the
+// delay buckets have cycled through the free list a few times.
 func TestSteadyStateRoundZeroAllocsWithDelays(t *testing.T) {
 	const n = 256
 	r := NewRunner(ringGraph(n), func(int) Node { return steadyBroadcaster{} }, Options{
@@ -269,21 +270,25 @@ func priorityFactory() func(int) Node {
 // TestRunBytesPerVertex is the run-level byte gate beside
 // TestRunAllocsIndependentOfN: a whole Run holds no per-vertex object, so
 // what it allocates per vertex is its run-wide tables — a 16-byte RNG
-// stream, the push arena's two 8-byte inbox counters, one outbox record
-// (40 bytes) and, on a reliable network, the pull wire slot (24 bytes).
-// A broadcast-every-round program at n = 2^14 must stay within about 100
-// bytes per vertex on a reliable network and 204 under a fault plan, whose
-// arena holds every delivered message instead of the pull tables; a
-// 64-byte Context per vertex would take the two to 144 and 248.
+// stream, one 32-byte outbox record, a 4-byte entry in the record pull's
+// per-sender Broadcast table and, on a reliable network, the broadcast
+// pull's wire slot (24 bytes). A faulted run keeps no wire slots; it
+// reserves the round's records (32 bytes per vertex), their 4-byte
+// Broadcast index and n/8 8-byte withheld pairs. This row's 5% drops
+// withhold about 0.2n pairs a round, so its withheld scratch outgrows the
+// reservation by append. No run
+// keeps an inbox arena or inbox counters: both pulls build each inbox in
+// a per-shard scratch as long as the widest row. A broadcast-every-round
+// program at n = 2^14 must stay within 79 bytes per vertex on a reliable
+// network and 94 under drops.
 //
 // The distributed row runs priorityMIS under 2% drops through the
 // coordinator on two in-process workers, so it counts both sides: the
 // coordinator's recovery log — every round's send records, withheld
 // pairs and fates, kept once — and each worker's nodes, stream table,
-// outbox, packet buffer and sender index, built inside Run. The
-// coordinator keeps no outbox, no inbox arena, no inbox counters and no
-// inbox copies: before the workers pulled, this row read 674.6 bytes per
-// vertex.
+// outbox, Broadcast table and n-entry Broadcast index, built inside Run. The
+// coordinator keeps no outbox and no inbox copies, and a worker ships its
+// outbox as is.
 func TestRunBytesPerVertex(t *testing.T) {
 	const n = 1 << 14
 	ping := func(int) Node { return &pingCounter{rounds: 4} }
@@ -294,10 +299,10 @@ func TestRunBytesPerVertex(t *testing.T) {
 		opts    Options
 		budget  float64 // bytes per vertex
 	}{
-		{"sequential", ping, Options{Driver: DriverSequential}, 100},
-		{"pool-2", ping, Options{Driver: DriverPool, Workers: 2}, 100},
-		{"bernoulli", ping, Options{Faults: faultsim.BernoulliDrop{P: 0.05}}, 204},
-		{"distributed", nil, Options{Driver: DriverDistributed, Faults: faultsim.BernoulliDrop{P: 0.02}}, 260},
+		{"sequential", ping, Options{Driver: DriverSequential}, 79},
+		{"pool-2", ping, Options{Driver: DriverPool, Workers: 2}, 79},
+		{"bernoulli", ping, Options{Faults: faultsim.BernoulliDrop{P: 0.05}}, 94},
+		{"distributed", nil, Options{Driver: DriverDistributed, Faults: faultsim.BernoulliDrop{P: 0.02}}, 216},
 	} {
 		c.opts.Seed = 1
 		if c.factory == nil {

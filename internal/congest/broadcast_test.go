@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/faultsim"
 	"repro/internal/gen"
@@ -32,11 +33,11 @@ var broadcastDrivers = []struct {
 }
 
 // pullSink forwards every event to a recorder and counts the rounds the
-// pool delivered by pull (an EvMerge with Y = 1). A run must set
+// pool delivered by the broadcast pull (an EvMerge with Y = 1). A run must set
 // EventTiming for merge events to flow; only the pool emits them.
 type pullSink struct {
 	rec   *trace.Recorder
-	pulls int // rounds delivered by pull
+	pulls int // rounds delivered by the broadcast pull
 }
 
 func (s *pullSink) Emit(e trace.Event) {
@@ -49,13 +50,13 @@ func (s *pullSink) Emit(e trace.Event) {
 // TestBroadcastMatchesSendSlotLoop runs priorityMIS and its SendSlot twin
 // under every driver, on a clean network and under message drops, delays
 // and crashes, and requires the same error, Result, per-vertex states and
-// deterministic trace fingerprint from all ten runs of each network: pull
-// delivery, push delivery and faulted delivery must be indistinguishable.
-// The graph's high shards drain early, so pool shards pull over ranges that
-// are partly or wholly halted. Every clean Broadcast run on the pool must
-// deliver rounds by pull; no SendSlot twin and no faulted run may pull. The
-// stateful delay plan is rebuilt for every run, so each run sees the same
-// fates in the same message order.
+// deterministic trace fingerprint from all ten runs of each network: the
+// broadcast pull and the record pull, reliable and faulted, must be
+// indistinguishable. The graph's high shards drain early, so pool shards
+// pull over ranges that are partly or wholly halted. Every clean Broadcast
+// run on the pool must take the broadcast pull in some rounds; no SendSlot
+// twin and no faulted run may take it. The stateful delay plan is rebuilt
+// for every run, so each run sees the same fates in the same message order.
 func TestBroadcastMatchesSendSlotLoop(t *testing.T) {
 	const n = 1 << 14
 	g := lopsidedPA(n, 4)
@@ -108,10 +109,10 @@ func TestBroadcastMatchesSendSlotLoop(t *testing.T) {
 				}
 				pulls := nw.name == "clean" && !slots && d.opts.Driver == DriverPool
 				if pulls && sink.pulls == 0 {
-					t.Fatalf("%s: no round delivered by pull", name)
+					t.Fatalf("%s: no round took the broadcast pull", name)
 				}
 				if !pulls && sink.pulls > 0 {
-					t.Fatalf("%s: %d rounds delivered by pull", name, sink.pulls)
+					t.Fatalf("%s: %d rounds took the broadcast pull", name, sink.pulls)
 				}
 				if i == 0 && !slots {
 					ref = got
@@ -179,7 +180,8 @@ func (m *mixedSender) ImportState(x uint64) { m.ok = x == 1 }
 // TestMixedSendOrder interleaves per-message and Broadcast records from
 // one sender in one round: every receiver's inbox must hold each sender's
 // messages in call order, under every driver, with identical counters.
-// Three calls per sender rule out pull, so every round is pushed.
+// Three calls per sender rule out the broadcast pull, so every round takes
+// the record pull.
 func TestMixedSendOrder(t *testing.T) {
 	g := gen.PreferentialAttachment(2048, 3, rng.New(8))
 	factory := func(int) Node { return &mixedSender{g: g} }
@@ -199,7 +201,7 @@ func TestMixedSendOrder(t *testing.T) {
 			t.Fatalf("%s: %v", d.name, err)
 		}
 		if sink.pulls > 0 {
-			t.Fatalf("%s: %d rounds delivered by pull", d.name, sink.pulls)
+			t.Fatalf("%s: %d rounds took the broadcast pull", d.name, sink.pulls)
 		}
 		for v := 0; v < g.N(); v++ {
 			if r.Node(v).(Porter).ExportState() != 1 {
@@ -217,6 +219,72 @@ func TestMixedSendOrder(t *testing.T) {
 	}
 }
 
+// starSender is a star's traffic: for three rounds the center sends to
+// every leaf, by a SendSlot loop or, as the twin, by one Broadcast, and
+// every vertex then halts.
+type starSender struct{ slots bool }
+
+func (s starSender) Init(ctx *Context) { s.Round(ctx, nil) }
+
+func (s starSender) Round(ctx *Context, _ []Message) {
+	switch {
+	case ctx.Round() >= 3:
+		ctx.Halt()
+	case ctx.ID() != 0:
+	case s.slots:
+		for i := range ctx.Neighbors() {
+			ctx.SendSlot(i, rawWire(8))
+		}
+	default:
+		ctx.Broadcast(rawWire(8))
+	}
+}
+
+// TestRecordPullLinearOnStar bounds the record pull's work on a sender
+// with many calls: the center of a 2^14-vertex star SendSlot-loops to
+// every leaf, so each leaf's inbox holds one of the center's 2^14 - 1
+// records. The pull must find it without walking the others — O(messages)
+// a round, not deg·calls — so the run may take at most 25× its Broadcast
+// twin's time, whose rounds take the broadcast pull; it reads about 2×.
+// Each side keeps the fastest of five runs. A pull that walked all of a
+// neighbor's records for each receiver did 2^28 steps a round and read
+// about 1,400×.
+func TestRecordPullLinearOnStar(t *testing.T) {
+	const n = 1 << 14
+	edges := make([]graph.Edge, n-1)
+	for i := range edges {
+		edges[i] = graph.Edge{U: 0, V: i + 1}
+	}
+	g := graph.MustNew(n, edges)
+	best := func(slots bool) (time.Duration, Result) {
+		var fastest time.Duration
+		var res Result
+		for rep := 0; rep < 5; rep++ {
+			r := NewRunner(g, func(int) Node { return starSender{slots: slots} }, Options{Seed: 1})
+			start := time.Now()
+			got, err := r.Run()
+			took := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep == 0 || took < fastest {
+				fastest = took
+			}
+			res = got
+		}
+		return fastest, res
+	}
+	slot, slotRes := best(true)
+	bcast, bcastRes := best(false)
+	t.Logf("SendSlot loop %v, Broadcast %v (%.1f×)", slot, bcast, float64(slot)/float64(bcast))
+	if slotRes != bcastRes || slotRes.Messages != 3*(n-1) {
+		t.Fatalf("SendSlot loop %+v, Broadcast %+v, want %d messages each", slotRes, bcastRes, 3*(n-1))
+	}
+	if slot > 25*bcast {
+		t.Fatalf("SendSlot-loop star run took %v, over 25× its Broadcast twin's %v", slot, bcast)
+	}
+}
+
 // shardOf returns the shard whose range holds vertex v.
 func (st *execState) shardOf(v int) *shard {
 	for _, sh := range st.shards {
@@ -227,16 +295,47 @@ func (st *execState) shardOf(v int) *shard {
 	panic(fmt.Sprintf("vertex %d is in no shard", v))
 }
 
+// refInbox is the record pull's reference, written from its definition
+// rather than from the pull's cursors: vertex v's late messages in
+// deferral order, then every record, in record order, whose sender is a
+// neighbor of v and which is a Broadcast or addressed to v, less the
+// (v, record) pairs the plan withheld.
+func refInbox(g *graph.Graph, v int, recs []Packet, withheld []Withheld, late []Packet) []Message {
+	var want []Message
+	for _, p := range late {
+		if int(p.To) == v {
+			want = append(want, Message{From: int(p.From), Wire: p.Wire})
+		}
+	}
+	for i, p := range recs {
+		if !g.HasEdge(int(p.From), v) || p.To != BroadcastTo && int(p.To) != v {
+			continue
+		}
+		if slices.Contains(withheld, Withheld{To: int32(v), Rec: int32(i)}) {
+			continue
+		}
+		want = append(want, Message{From: int(p.From), Wire: p.Wire})
+	}
+	return want
+}
+
 // TestPullNeedsOneBroadcastPerSender drives deliver whitebox on hand-filled
 // outboxes. Only a reliable in-process round whose records are all
-// Broadcasts, one per sender, is delivered by pull, and its pulled inboxes
-// and counters must equal what push delivery makes of the same records. A
+// Broadcasts, one per sender, takes the broadcast pull, and its counters
+// must equal what the record path accounts for the same records. A
 // SendSlot record, a second call by one sender, a silent round, a fault
-// plan and the distributed coordinator all push.
+// plan and the distributed coordinator take the record pull. Every
+// in-process vertex's inbox, from either pull, must equal refInbox: the
+// drop rows withhold pairs, the delay row, run for three rounds, also
+// delivers late messages, and in the mixed row one sender addresses its
+// last neighbor, broadcasts, then addresses its first, so the pull must
+// merge that sender's direct and Broadcast records by record index. Both
+// pulls must leave the shard's scratch at full length, as the broadcast
+// pull writes it by index.
 func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 	g := gen.PreferentialAttachment(256, 3, rng.New(5))
-	bcast := func(v int) addressed {
-		return addressed{to: BroadcastTo, msg: Message{From: v, Wire: rawWire(1 + v%60)}}
+	bcast := func(v int) Packet {
+		return Packet{To: BroadcastTo, From: int32(v), Wire: rawWire(1 + v%60)}
 	}
 	// Every third vertex broadcasts, up to 252: sender n-2 = 254 stays
 	// free for the cases that add one more call.
@@ -246,55 +345,95 @@ func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 			sh.out = append(sh.out, bcast(v))
 		}
 	}
+	drops := faultsim.BernoulliDrop{P: 0.3}
 	cases := []struct {
 		name   string
 		opts   Options
 		shards int
+		rounds int
 		fill   func(st *execState)
 		pull   bool
 	}{
-		{"broadcasts", Options{}, 1, everyThird, true},
-		{"broadcasts-4-shards", Options{Driver: DriverPool}, 4, everyThird, true},
-		{"sendslot", Options{}, 1, func(st *execState) {
+		{"broadcasts", Options{}, 1, 1, everyThird, true},
+		{"broadcasts-4-shards", Options{Driver: DriverPool}, 4, 1, everyThird, true},
+		{"sendslot", Options{}, 1, 1, func(st *execState) {
 			everyThird(st)
 			u := g.N() - 2
 			sh := st.shardOf(u)
-			sh.out = append(sh.out, addressed{to: g.Neighbors(u)[0], msg: Message{From: u, Wire: rawWire(8)}})
+			sh.out = append(sh.out, Packet{To: int32(g.Neighbors(u)[0]), From: int32(u), Wire: rawWire(8)})
 		}, false},
-		{"two-calls", Options{}, 1, func(st *execState) {
+		{"two-calls", Options{}, 1, 1, func(st *execState) {
 			everyThird(st)
 			u := g.N() - 2
 			sh := st.shardOf(u)
 			sh.out = append(sh.out, bcast(u), bcast(u))
 		}, false},
-		{"silent", Options{}, 1, func(*execState) {}, false},
-		{"faulted", Options{Faults: faultsim.BernoulliDrop{P: 0}}, 1, everyThird, false},
-		{"distributed", Options{Driver: DriverDistributed}, 3, everyThird, false},
+		{"mixed-4-shards", Options{Driver: DriverPool, Faults: drops}, 4, 1, func(st *execState) {
+			everyThird(st)
+			u := g.N() - 2
+			nb := g.Neighbors(u)
+			sh := st.shardOf(u)
+			sh.out = append(sh.out,
+				Packet{To: int32(nb[len(nb)-1]), From: int32(u), Wire: rawWire(8)},
+				bcast(u),
+				Packet{To: int32(nb[0]), From: int32(u), Wire: rawWire(9)})
+		}, false},
+		{"silent", Options{}, 1, 1, func(*execState) {}, false},
+		{"faulted", Options{Faults: faultsim.BernoulliDrop{P: 0}}, 1, 1, everyThird, false},
+		{"drops", Options{Faults: drops}, 1, 1, everyThird, false},
+		{"drops-4-shards", Options{Driver: DriverPool, Faults: drops}, 4, 1, everyThird, false},
+		{"delays", Options{Faults: &delayEveryFourth{}}, 1, 3, everyThird, false},
+		{"distributed", Options{Driver: DriverDistributed}, 3, 1, everyThird, false},
 	}
 	for _, c := range cases {
 		c.opts.Seed = 1
 		r := NewRunner(g, haltFactory, c.opts)
 		st := r.newExecState(c.shards)
-		c.fill(st)
-		if err := r.deliver(st, 0); err != nil {
-			t.Fatal(err)
+		var recs, late []Packet
+		for round := range c.rounds {
+			c.fill(st)
+			recs = recs[:0]
+			for _, sh := range st.shards {
+				recs = append(recs, sh.out...)
+			}
+			late = slices.Clone(st.delayed[round+1])
+			if err := r.deliver(st, round); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if st.pull != c.pull {
-			t.Fatalf("%s: delivered by pull = %v, want %v", c.name, st.pull, c.pull)
+			t.Fatalf("%s: broadcast pull = %v, want %v", c.name, st.pull, c.pull)
 		}
-		if !c.pull {
+		if st.remote {
 			continue
 		}
-		push := r.newExecState(c.shards)
-		c.fill(push)
-		push.deliverReliable()
-		if st.res != push.res || st.sent != push.sent {
-			t.Fatalf("%s: pull counters %+v (sent %d), push %+v (sent %d)", c.name, st.res, st.sent, push.res, push.sent)
+		if c.opts.Faults == drops && len(st.withheld) == 0 || c.rounds > 1 && (len(late) == 0 || len(st.withheld) == 0) {
+			t.Fatalf("%s: %d withheld pairs and %d late messages: the row tests nothing", c.name, len(st.withheld), len(late))
+		}
+		if c.pull {
+			rec := r.newExecState(c.shards)
+			c.fill(rec)
+			rec.gatherRecords()
+			rec.deliverRecords(0)
+			if st.res != rec.res || st.sent != rec.sent {
+				t.Fatalf("%s: broadcast-pull counters %+v (sent %d), record path %+v (sent %d)", c.name, st.res, st.sent, rec.res, rec.sent)
+			}
 		}
 		for v := 0; v < g.N(); v++ {
-			got := st.pullInbox(st.shardOf(v), g.Neighbors(v))
-			if want := push.inbox(v); !slices.Equal(got, want) {
-				t.Fatalf("%s: vertex %d pulled inbox %v, push inbox %v", c.name, v, got, want)
+			sh, row := st.shardOf(v), g.Neighbors(v)
+			var got []Message
+			if st.pull {
+				got = st.pullInbox(sh, row)
+			} else {
+				got = sh.pull(v, row)
+			}
+			if want := refInbox(g, v, recs, st.withheld, late); !slices.Equal(got, want) {
+				t.Fatalf("%s: vertex %d inbox %v, reference %v", c.name, v, got, want)
+			}
+		}
+		for s, sh := range st.shards {
+			if _, widest := rowStats(g.Neighbors, sh.lo, sh.hi); len(sh.inbox) < widest {
+				t.Fatalf("%s: shard %d scratch at length %d after the pulls, widest row %d", c.name, s, len(sh.inbox), widest)
 			}
 		}
 	}

@@ -22,18 +22,17 @@
 //  2. every driver builds each inbox in ascending sender-ID order — within
 //     a shard nodes are swept in ID order, and shards cover contiguous ID
 //     ranges visited in shard order — so no inbox needs a per-round sort.
-//     A shard outbox holds one record per send call; a Broadcast is a
-//     single record. A reliable in-process round in which every sender
-//     made exactly one call, a Broadcast, is delivered by pull: the next
-//     sweep builds each live vertex's inbox from its own CSR row, keeping
-//     the neighbors that broadcast. Every other in-process round is
-//     delivered by push: the records are scattered into an inbox arena in
-//     outbox order, a Broadcast expanded over the sender's CSR row at its
-//     place. Every distributed round is pulled in the workers: the next
-//     round frame ships the records, and a worker reads each neighbor's
-//     records off the vertex's CSR row, skipping what the fault plan
-//     withheld. All give the message order (sender ID, send call,
-//     neighbor) — what one Send per neighbor would give; and
+//     A shard outbox holds one Packet per send call; a Broadcast is a
+//     single record. Every inbox is built by pull, in the sweep that
+//     consumes it. A reliable in-process round in which every sender made
+//     one call, a Broadcast, takes the broadcast pull: the sweep keeps the
+//     flagged senders of the vertex's CSR row. Every other round —
+//     in-process or distributed, reliable or faulted — takes the record
+//     pull: the sweep merges the records addressed to the vertex, sorted
+//     by recipient once a round, with its row's Broadcasts, less the
+//     deliveries the fault plan withheld, after its late messages. Both
+//     give the message order (sender ID, send call, neighbor) — what one
+//     Send per neighbor would give; and
 //  3. fault-injection decisions (the faultsim.Plan consults, including any
 //     random draws) happen on the coordinator during delivery, in that
 //     same global sender order, from a dedicated fault stream.
@@ -46,9 +45,11 @@
 package congest
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/faultsim"
@@ -58,9 +59,9 @@ import (
 )
 
 // Message is a wire payload annotated with its sender's vertex ID. It is
-// a plain value (no pointers): messages move from shard outboxes into the
-// round's inboxes — the push arena or a shard's pull scratch — by value
-// copy, with zero heap traffic.
+// a plain value (no pointers): the pull copies each message from a
+// neighbor's outbox record into the inbox scratch of the shard that
+// consumes it, with zero heap traffic.
 type Message struct {
 	From int
 	Wire Wire
@@ -69,8 +70,8 @@ type Message struct {
 // Node is one vertex's state machine. Init runs before round 1 and may
 // send messages (delivered in round 1). Round runs once per round with the
 // messages delivered this round. The inbox is only valid during the call:
-// pull delivery builds it in a scratch slice that the shard reuses for its
-// next vertex. A node that calls Context.Halt receives no further Round
+// the pull builds it in a scratch slice that the shard reuses for its next
+// vertex. A node that calls Context.Halt receives no further Round
 // calls.
 type Node interface {
 	Init(ctx *Context)
@@ -93,17 +94,8 @@ type Context struct {
 	runner    *Runner
 }
 
-// addressed is one outbox record: a message to one neighbor, or — when to
-// is BroadcastTo — one Broadcast call, which push delivery expands over
-// the sender's CSR row.
-type addressed struct {
-	to  int
-	msg Message
-}
-
-// BroadcastTo marks a Broadcast record, in an outbox record's recipient
-// and in a Packet's To. Recipient IDs are never negative, so the marker
-// cannot collide with a real recipient.
+// BroadcastTo marks a Broadcast record in a Packet's To. Recipient IDs are
+// never negative, so the marker cannot collide with a real recipient.
 const BroadcastTo = -1
 
 // ID returns this vertex's identifier (0..N-1). In CONGEST nodes know their
@@ -166,9 +158,9 @@ func (c *Context) SendSlot(i int, w Wire) {
 // It costs one outbox record however large the degree, and every neighbor
 // receives it at the record's place in sender order — where a SendSlot
 // loop over Neighbors() would have put it, so the two are
-// indistinguishable to every receiver. A round in which every sender
-// makes one Broadcast and nothing else is delivered by pull (see
-// deliver). A vertex with no neighbors sends nothing.
+// indistinguishable to every receiver. A reliable round in which every
+// sender makes one Broadcast and nothing else takes the broadcast pull
+// (see deliver). A vertex with no neighbors sends nothing.
 //
 //congest:hotpath
 func (c *Context) Broadcast(w Wire) {
@@ -208,7 +200,7 @@ func (c *Context) enqueue(to int, w Wire) {
 	if len(sh.out) == cap(sh.out) {
 		sh.growOutbox()
 	}
-	sh.out = append(sh.out, addressed{to: to, msg: Message{From: c.id, Wire: w}})
+	sh.out = append(sh.out, Packet{To: int32(to), From: int32(c.id), Wire: w})
 }
 
 // growOutbox replaces a full shard outbox with a larger copy. The first
@@ -219,7 +211,7 @@ func (c *Context) enqueue(to int, w Wire) {
 //
 //congest:coldpath
 func (sh *shard) growOutbox() {
-	out := make([]addressed, len(sh.out), max(sh.bound, 2*cap(sh.out)))
+	out := make([]Packet, len(sh.out), max(sh.bound, 2*cap(sh.out)))
 	copy(out, sh.out)
 	sh.out = out
 }
@@ -419,20 +411,34 @@ type shard struct {
 	lo, hi    int           // owned contiguous vertex range [lo, hi)
 	frontier  []uint64      // live bitset over [lo, hi); word 0 starts at (lo>>6)<<6
 	liveCount int           // set bits in frontier (O(1) empty-shard skip)
-	out       []addressed   // records sent during the sweep (see sizeOutboxes)
+	out       []Packet      // records sent during the sweep (see sizeOutboxes)
 	bound     int           // degree sum of [lo, hi): growOutbox's first target
-	inbox     []Message     // pull-round inbox scratch, as long as the range's widest row (runs that can pull)
+	inbox     []Message     // inbox scratch both pulls build in, at full length: at least the range's widest row
 	events    []trace.Event // program/halt events buffered during the sweep
 	err       error         // first model violation by a node of this shard
 	busy      int64         // sweep duration in nanoseconds, when timing is on
 	round     int           // round being swept (0 = Init)
 	halting   bool          // set by Context.Halt during a node call; the sweep consumes it
+
+	// The record pull's input for the round the sweep consumes (see pull
+	// and indexRecords): the round's records in global sender order, the
+	// indices of its Broadcast records and, per sender, the first of them —
+	// all three shared by every shard of a run — and this shard's direct
+	// keys, withheld pairs and due late messages, with the sweep's cursor
+	// into each.
+	recs                     []Packet
+	bcast                    []int32  // indices in recs of the Broadcast records, ascending
+	first                    []int32  // first[u] = 1 + the index in bcast of sender u's first Broadcast (stale when u made none; see pull)
+	direct                   []uint64 // this shard's addressed records, recipient<<32 | record index, ascending
+	held                     []Withheld
+	late                     []Packet
+	directAt, heldAt, lateAt int
 }
 
 // execState is the driver-independent bookkeeping for a run.
 type execState struct {
 	// g is the run's graph: the sweep points each shard's Context at
-	// g.Neighbors(v), and delivery expands a Broadcast record over
+	// g.Neighbors(v), and the fate walk expands a Broadcast record over
 	// g.Neighbors(sender).
 	g      *graph.Graph
 	shards []*shard
@@ -441,40 +447,29 @@ type execState struct {
 	// distributed coordinator never sweeps, so its table is nil.
 	rngs []rng.RNG
 
-	// Push delivery's flat inbox arena: one contiguous backing store for
-	// all of the round's inboxes, sized by a counting pass over the shard
-	// outboxes and reused across rounds (it only grows, so steady-state
-	// rounds allocate nothing). Vertex v's inbox is arena[inboxOff[v] :
-	// inboxOff[v]+inboxLen[v]] — inboxes are laid out in ascending vertex
-	// order, so the sweep reads the arena sequentially. The distributed
-	// coordinator never pushes, so its three are nil.
-	arena    []Message
-	inboxOff []int // vertex -> arena offset of its inbox
-	inboxLen []int // vertex -> messages delivered this round (write cursor)
-
-	// Pull delivery's state (see deliverPull): pull reports that the round
-	// the next sweep consumes was delivered by pull, senders flags that
-	// round's senders (one bit per vertex) and wires[v] holds sender v's
-	// Broadcast payload. senders and wires exist only in a reliable
-	// in-process run, the only kind that pulls.
+	// The broadcast pull's state (see deliverPull): pull reports that the
+	// round the next sweep consumes takes the broadcast pull, senders
+	// flags that round's senders (one bit per vertex) and wires[v] holds
+	// sender v's Broadcast payload. senders and wires exist only in a
+	// reliable in-process run, the only kind that can take it.
 	pull    bool
 	senders []uint64
 	wires   []Wire
 
 	live      int
 	res       Result
-	plan      faultsim.Plan       // Options.Faults (nil = reliable network)
-	faults    *rng.RNG            // coordinator-owned fault stream
-	delayed   map[int][]addressed // in-flight messages keyed by consumption round
-	delayFree [][]addressed       // drained delay buckets, kept for reuse
-	sent      int64               // messages handed to delivery, any fate
-	observed  int64               // sends already reported on the bus
+	plan      faultsim.Plan    // Options.Faults (nil = reliable network)
+	faults    *rng.RNG         // coordinator-owned fault stream
+	delayed   map[int][]Packet // in-flight messages keyed by consumption round, To the recipient
+	delayFree [][]Packet       // drained delay buckets, kept for reuse
+	sent      int64            // messages handed to delivery, any fate
+	observed  int64            // sends already reported on the bus
 
 	// outbox is the one backing array every shard outbox is carved from
 	// (see sizeOutboxes). The distributed coordinator sends nothing
 	// itself: its workers' packets go straight into records, so it has no
 	// outbox.
-	outbox []addressed
+	outbox []Packet
 
 	// Event-bus state (see events.go). bus is Options.Events: nil when
 	// nothing listens.
@@ -484,21 +479,27 @@ type execState struct {
 	lastDraws      uint64
 	lastFaultDraws uint64
 
+	// The record pull's state. records are the round's send records in
+	// global sender order: in-process, the shard outboxes concatenated
+	// into one reused buffer and indexed into bcast, first and direct (see
+	// gatherRecords); in the distributed coordinator, a fresh exact-size
+	// slice per round that the next round's inputs ship. withheld and late
+	// are reused scratch in which a faulted round collects the pairs the
+	// plan withheld and the delayed messages it admitted (see
+	// deliverRecords), sorted and split by shard before the next sweep.
+	records  []Packet
+	bcast    []int32
+	first    []int32
+	direct   []uint64
+	withheld []Withheld
+	late     []Packet
+
 	// Distributed-driver state: when remote is set, node RNG draws happen
 	// in the shard worker processes and remoteDraws (the sum of the
 	// workers' cumulative draw counts) replaces endRound's scan of the
-	// stream table, which the coordinator does not hold. records are the
-	// round's send records in global sender order, a fresh exact-size
-	// slice per round that the next round's inputs ship; withheld and late
-	// are reused scratch in which a faulted delivery collects the pairs
-	// the plan withheld and the delayed messages it admitted, for the next
-	// sweep to sort and split by shard (see deliverRecords). The
-	// coordinator keeps no inbox arena: the workers pull.
+	// stream table, which the coordinator does not hold.
 	remote      bool
 	remoteDraws uint64
-	records     []Packet
-	withheld    []Withheld
-	late        []Packet
 }
 
 // newExecState prepares the node streams and the shards, each with its
@@ -521,16 +522,24 @@ func (r *Runner) newExecState(numShards int) *execState {
 		bus:    r.opts.Events,
 		remote: r.opts.Driver == DriverDistributed,
 	}
-	if !st.remote {
-		st.inboxOff, st.inboxLen = make([]int, n), make([]int, n)
-	}
 	root := rng.New(r.opts.Seed)
 	if st.plan != nil {
 		st.faults = root.Split(^uint64(0))
-	} else if !st.remote {
-		st.senders, st.wires = make([]uint64, (n+63)>>6), make([]Wire, n)
 	}
 	if !st.remote {
+		st.first = make([]int32, n)
+		if st.plan == nil {
+			st.senders, st.wires = make([]uint64, (n+63)>>6), make([]Wire, n)
+		} else {
+			// A faulted run takes the record pull every round: reserve its
+			// records at one send call per vertex, as the outbox, their
+			// Broadcast index alike, and n/8 withheld pairs, above the
+			// 0.084n that Métivier under 2% drops on a union of two trees
+			// withholds at most in a round (n = 2^14, 60 runs). The rest of
+			// its scratch grows by append.
+			st.records, st.bcast = make([]Packet, 0, n), make([]int32, 0, n)
+			st.withheld = make([]Withheld, 0, n/8)
+		}
 		st.rngs = make([]rng.RNG, n)
 		for v := range st.rngs {
 			st.rngs[v] = *root.Split(uint64(v))
@@ -543,7 +552,7 @@ func (r *Runner) newExecState(numShards int) *execState {
 		st.shards[s] = sh
 	}
 	if !st.remote {
-		st.outbox = make([]addressed, n)
+		st.outbox = make([]Packet, n)
 		st.sizeOutboxes()
 	}
 	return st
@@ -557,23 +566,24 @@ func (r *Runner) newShard() *shard {
 }
 
 // sizeOutboxes carves every shard outbox from the run's single backing
-// array and sizes every shard's pull scratch. An outbox holds send calls,
-// not messages, and a vertex that broadcasts once per round — every
-// program on the paper's path — makes one call, so a shard reserves one
-// record per vertex of its range: the shard ranges partition [0, n), and
-// shard [lo, hi) owns outbox[lo:hi]. Shard ranges never change, so newExecState calls sizeOutboxes once. Every
-// outbox is capped with a three-index slice: a program that makes more
-// send calls than reserved grows its own shard's outbox (growOutbox) and
-// never writes into a neighbor's range. A pull inbox holds at most one
-// message per neighbor, so in a run that can pull a shard's scratch is as
-// long as its range's widest row.
+// array, sizes every shard's inbox scratch and points each shard at the
+// run-wide Broadcast table (first). An outbox holds send calls, not messages, and a
+// vertex that broadcasts once per round — every program on the paper's
+// path — makes one call, so a shard reserves one record per vertex of its
+// range: the shard ranges partition [0, n), and shard [lo, hi) owns
+// outbox[lo:hi]. Shard ranges never change, so newExecState calls
+// sizeOutboxes once. Every outbox is capped with a three-index slice: a
+// program that makes more send calls than reserved grows its own shard's
+// outbox (growOutbox) and never writes into a neighbor's range. An inbox
+// under one message per edge holds at most one message per neighbor, so a
+// shard's scratch starts as long as its range's widest row; the record
+// pull grows it for late messages or several calls by one sender.
 func (st *execState) sizeOutboxes() {
 	for _, sh := range st.shards {
 		var widest int
 		sh.bound, widest = rowStats(st.g.Neighbors, sh.lo, sh.hi)
-		if st.senders != nil {
-			sh.inbox = make([]Message, widest)
-		}
+		sh.inbox = make([]Message, widest)
+		sh.first = st.first
 		sh.out = st.outbox[sh.lo:sh.lo:sh.hi]
 	}
 }
@@ -633,7 +643,7 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 			case st.pull:
 				r.nodes[v].Round(ctx, st.pullInbox(sh, ctx.neighbors))
 			default:
-				r.nodes[v].Round(ctx, st.inbox(v))
+				r.nodes[v].Round(ctx, sh.pull(v, ctx.neighbors))
 			}
 			if sh.halting {
 				sh.halting = false
@@ -649,23 +659,12 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 	}
 }
 
-// inbox returns vertex v's slice of the round's arena after push delivery.
-// The three-index form caps the slice at its own segment, so a program
-// that (incorrectly) appends to its inbox forces a copy instead of
-// corrupting a neighbor's inbox.
-//
-//congest:hotpath
-func (st *execState) inbox(v int) []Message {
-	off := st.inboxOff[v]
-	end := off + st.inboxLen[v]
-	return st.arena[off:end:end]
-}
-
-// pullInbox builds a live vertex's inbox after pull delivery, in its
+// pullInbox builds a live vertex's inbox by the broadcast pull, in its
 // shard's scratch: the vertex's CSR row filtered to the neighbors flagged
 // as senders, each with its wire. The row is ascending, so the inbox holds
-// one message per sender in sender order — the inbox push delivery would
-// have scattered.
+// one message per sender in sender order — the inbox the record pull
+// would build from the same round. It writes the scratch by index, which
+// is why the scratch stays at full length.
 //
 //congest:hotpath
 func (st *execState) pullInbox(sh *shard, row []int) []Message {
@@ -679,6 +678,106 @@ func (st *execState) pullInbox(sh *shard, row []int) []Message {
 	return buf[:k:k]
 }
 
+// pull builds live vertex v's inbox by the record pull, in the shard's
+// scratch: v's late messages in deferral order, then every record that
+// reaches v in record order — (sender, call) order — less the pairs the
+// plan withheld: v's direct keys merged by record index with the
+// Broadcasts of each neighbor in row order. The late messages, direct
+// keys and withheld pairs are sorted by recipient and the sweep visits
+// vertices in ascending order, so one cursor over each serves the whole
+// sweep, and a round's pulls cost O(messages) plus, if anyone broadcast,
+// the swept rows. first is never cleared: an entry left from an earlier
+// round points past bcast or at another sender's Broadcast, which the
+// walk over u's Broadcasts rejects. The in-process sweep and a
+// distributed worker's both build their record-round inboxes here.
+//
+//congest:hotpath
+func (sh *shard) pull(v int, row []int) []Message {
+	buf := sh.inbox[:0]
+	to := int32(v)
+	late, direct, bcast, recs := sh.late, sh.direct, sh.bcast, sh.recs
+	i := sh.lateAt
+	for ; i < len(late) && late[i].To <= to; i++ {
+		if late[i].To == to {
+			buf = append(buf, Message{From: int(late[i].From), Wire: late[i].Wire})
+		}
+	}
+	sh.lateAt = i
+	// v's direct keys are [key, key+1<<32): recipient v, any record.
+	key, d := uint64(v)<<32, sh.directAt
+	for d < len(direct) && direct[d] < key {
+		d++
+	}
+	if len(bcast) > 0 {
+		for _, u := range row {
+			f := sh.first[u]
+			if f == 0 {
+				continue
+			}
+			for j := int(f) - 1; j < len(bcast) && int(recs[bcast[j]].From) == u; j++ {
+				b := bcast[j]
+				for ; d < len(direct) && direct[d] < key|uint64(b); d++ {
+					buf = sh.take(buf, to, int32(uint32(direct[d])))
+				}
+				buf = sh.take(buf, to, b)
+			}
+		}
+	}
+	for ; d < len(direct) && direct[d] < key+1<<32; d++ {
+		buf = sh.take(buf, to, int32(uint32(direct[d])))
+	}
+	sh.directAt = d
+	sh.inbox = buf[:cap(buf)]
+	return buf[:len(buf):len(buf)]
+}
+
+// take appends record rec to recipient to's inbox unless the plan
+// withheld the pair. pull hands it the (recipient, record) pairs in
+// ascending order, and the withheld pairs are sorted the same way, so the
+// withheld cursor only moves forward.
+//
+//congest:hotpath
+func (sh *shard) take(buf []Message, to, rec int32) []Message {
+	pair, held, h := Withheld{To: to, Rec: rec}, sh.held, sh.heldAt
+	for h < len(held) && cmpWithheld(held[h], pair) < 0 {
+		h++
+	}
+	if sh.heldAt = h; h < len(held) && held[h] == pair {
+		sh.heldAt++
+		return buf
+	}
+	p := sh.recs[rec]
+	return append(buf, Message{From: int(p.From), Wire: p.Wire})
+}
+
+// indexRecords indexes a round's records, which are in sender order, for
+// the record pull: it appends the index of every Broadcast record to
+// bcast, sets first[u] to 1 + the position in bcast of sender u's first
+// Broadcast, and appends the key recipient<<32 | index of every record
+// addressed to a recipient in [lo, hi) to direct, sorted — by recipient,
+// then by record; direct grows at most once a round, to at most the
+// round's record count. It returns the two lists.
+//
+//congest:hotpath
+func indexRecords(recs []Packet, first, bcast []int32, direct []uint64, lo, hi int) ([]int32, []uint64) {
+	for i, p := range recs {
+		switch {
+		case p.To == BroadcastTo:
+			if len(bcast) == 0 || recs[bcast[len(bcast)-1]].From != p.From {
+				first[p.From] = int32(len(bcast) + 1)
+			}
+			bcast = append(bcast, int32(i))
+		case int(p.To) >= lo && int(p.To) < hi:
+			if len(direct) == cap(direct) {
+				direct = slices.Grow(direct, len(recs)-i)
+			}
+			direct = append(direct, uint64(p.To)<<32|uint64(i))
+		}
+	}
+	slices.Sort(direct)
+	return bcast, direct
+}
+
 // deliver hands every shard's outbox to the next round's inboxes,
 // applying the fault plan and accounting. round is the round that was just
 // swept (the send round); its messages are consumed in round+1. It returns
@@ -686,35 +785,17 @@ func (st *execState) pullInbox(sh *shard, row []int) []Message {
 // contiguous ID ranges and sweep in ID order, so the reported error is the
 // lowest erring vertex's under every driver).
 //
-// The round's outbox shape picks the delivery, round by round. A reliable
-// in-process round of exactly one Broadcast per sender goes by pull
-// (deliverPull): the coordinator flags the senders, and the next sweep
-// builds each live vertex's inbox from its own row. Every other in-process
-// round goes by push: per-neighbor sends, a sender with two calls, a
-// silent round, and every round of a faulted run. The distributed
-// coordinator deposits nothing (deliverRecords): its next RoundInput
-// ships the round's send records, and every worker pulls its inboxes
-// from them.
-//
-// Push is a two-pass scatter into the flat inbox arena. The counting pass
-// upper-bounds each vertex's inbox (delayed messages due this round plus
-// every outbox message addressed to it — drops only shorten a segment,
-// never misplace one) and lays the inboxes out back-to-back via a prefix
-// sum. The delivery pass then writes each admitted message at its
-// recipient's cursor. Both passes expand a Broadcast record over the
-// sender's neighbor list in list order, at the record's place in the
-// outbox, so every pass sees the messages in (sender ID, send call,
-// neighbor) order — the order per-neighbor sends would have produced.
-// Shards cover contiguous ascending ID ranges and each shard outbox is
-// already in ascending sender order, so visiting shard outboxes in shard
-// order delivers every inbox sorted by sender — no per-vertex append, no
-// intermediate buffer, no sort, and the arena is reused across rounds so
-// steady-state delivery allocates nothing. Fault decisions happen in that
-// same global order (the counting pass consults no randomness), so fault
-// stream consumption is identical across drivers. Messages a plan has
-// delayed land ahead of the round's fresh traffic, in the order they were
-// deferred (which is itself global send order, so the whole inbox is
-// deterministic).
+// Delivery deposits nothing: the sweep of round+1 builds every inbox by
+// pull, and the round's outbox shape picks which (see the package doc). A
+// reliable in-process round of exactly one Broadcast per sender takes the
+// broadcast pull (deliverPull). Every other round takes the record pull:
+// in process, gatherRecords concatenates and indexes the shard outboxes
+// into the round's records (the distributed coordinator already holds
+// them, merged from its workers' packets); deliverRecords accounts the
+// round or, under a fault plan, walks every message's fate in global
+// sender order; and in process split hands every shard its part of the
+// direct keys, withheld pairs and late messages, as the distributed sweep
+// ships its workers theirs.
 //
 //congest:hotpath
 func (r *Runner) deliver(st *execState, round int) error {
@@ -729,10 +810,10 @@ func (r *Runner) deliver(st *execState, round int) error {
 	case st.pull:
 	case st.remote:
 		st.deliverRecords(round)
-	case st.plan == nil:
-		st.deliverReliable()
 	default:
-		st.deliverFaulted(round)
+		st.gatherRecords()
+		st.deliverRecords(round)
+		st.split(st.withheld, st.late, st.direct)
 	}
 	for _, sh := range st.shards {
 		sh.out = sh.out[:0]
@@ -740,14 +821,15 @@ func (r *Runner) deliver(st *execState, round int) error {
 	return nil
 }
 
-// deliverPull delivers the round by pull if its outboxes have the shape
-// pull needs: at least one record, every record a Broadcast, and senders
-// strictly ascending across the shard outboxes in shard order, so each
-// sender made exactly one call. It flags each sender, parks the sender's
-// wire in its slot and accounts deg(sender) messages exactly as push
-// would: O(records) work plus clearing an n-bit bitset. On any other
-// shape it reports false and push delivery runs; the flags it set before
-// it stopped are never read, since the next pull round clears them first.
+// deliverPull takes the broadcast pull if the round's outboxes have the
+// shape it needs: at least one record, every record a Broadcast, and
+// senders strictly ascending across the shard outboxes in shard order, so
+// each sender made exactly one call. It flags each sender, parks the
+// sender's wire in its slot and accounts deg(sender) messages exactly as
+// deliverRecords would: O(records) work plus clearing an n-bit bitset. On
+// any other shape it reports false and the record pull runs; the flags it
+// set before it stopped are never read, since the next broadcast-pull
+// round clears them first.
 //
 //congest:hotpath
 func (st *execState) deliverPull() bool {
@@ -756,37 +838,92 @@ func (st *execState) deliverPull() bool {
 	var total, maxBits int
 	var totalBits int64
 	for _, sh := range st.shards {
-		for _, a := range sh.out {
-			u := a.msg.From
-			if a.to != BroadcastTo || u <= prev {
+		for _, p := range sh.out {
+			u := int(p.From)
+			if p.To != BroadcastTo || u <= prev {
 				return false
 			}
 			prev = u
 			st.senders[u>>6] |= 1 << (uint(u) & 63)
-			st.wires[u] = a.msg.Wire
-			deg, bits := st.g.Degree(u), int(a.msg.Wire.Bits)
+			st.wires[u] = p.Wire
+			deg, bits := st.g.Degree(u), int(p.Wire.Bits)
 			total += deg
 			totalBits += int64(deg * bits)
 			maxBits = max(maxBits, bits)
 		}
 	}
 	if prev < 0 {
-		return false // a silent round: push gives each empty inbox in O(1), not a row scan
+		return false // a silent round: the record pull gives each empty inbox in O(1), not a row scan
 	}
 	st.account(total, totalBits, maxBits)
 	return true
 }
 
-// deliverReliable is push delivery on a reliable network: every message is
-// admitted, so the merge is count, prefix sum, scatter.
+// gatherRecords makes an in-process round's records: it concatenates the
+// shard outboxes, in shard order, into one buffer reused across rounds and
+// grown at most once a round, indexes them (indexRecords, over the whole
+// vertex range; split cuts the direct keys by shard), and hands the
+// records and their Broadcast index to every shard.
 //
 //congest:hotpath
-func (st *execState) deliverReliable() {
-	total := st.count()
-	st.sizeArena(total)
-	st.layout()
-	totalBits, maxBits := st.scatter()
-	st.account(total, totalBits, maxBits)
+func (st *execState) gatherRecords() {
+	total := 0
+	for _, sh := range st.shards {
+		total += len(sh.out)
+	}
+	recs := slices.Grow(st.records[:0], total)
+	for _, sh := range st.shards {
+		recs = append(recs, sh.out...)
+	}
+	st.records = recs
+	st.bcast, st.direct = indexRecords(recs, st.first, st.bcast[:0], st.direct[:0], 0, st.g.N())
+	for _, sh := range st.shards {
+		sh.recs, sh.bcast = recs, st.bcast
+	}
+}
+
+// cmpWithheld orders withheld pairs, which are unique, by recipient and
+// then by record: the order the record pull walks them in.
+func cmpWithheld(a, b Withheld) int {
+	if a.To != b.To {
+		return cmp.Compare(a.To, b.To)
+	}
+	return cmp.Compare(a.Rec, b.Rec)
+}
+
+// cmpLateTo orders late messages by recipient.
+func cmpLateTo(a, b Packet) int { return cmp.Compare(a.To, b.To) }
+
+// split sorts a round's withheld pairs and late messages in place into
+// the order the record pull walks them in — by recipient, the late
+// messages stably so that each recipient's stay in deferral order — gives
+// every shard its part of them and of the direct keys, which
+// indexRecords sorted, and rewinds the shard's cursors. Shards cover
+// ascending contiguous ranges, so each part is a prefix of what the
+// shards before it left.
+//
+//congest:hotpath
+func (st *execState) split(held []Withheld, late []Packet, direct []uint64) {
+	slices.SortFunc(held, cmpWithheld)
+	slices.SortStableFunc(late, cmpLateTo)
+	for _, sh := range st.shards {
+		k := 0
+		for k < len(held) && int(held[k].To) < sh.hi {
+			k++
+		}
+		sh.held, held = held[:k:k], held[k:]
+		k = 0
+		for k < len(late) && int(late[k].To) < sh.hi {
+			k++
+		}
+		sh.late, late = late[:k:k], late[k:]
+		k = 0
+		for k < len(direct) && direct[k] < uint64(sh.hi)<<32 {
+			k++
+		}
+		sh.direct, direct = direct[:k:k], direct[k:]
+		sh.directAt, sh.heldAt, sh.lateAt = 0, 0, 0
+	}
 }
 
 // account folds a reliable round's delivered messages into the run
@@ -800,51 +937,67 @@ func (st *execState) account(total int, totalBits int64, maxBits int) {
 	st.res.MaxMessageBits = max(st.res.MaxMessageBits, maxBits)
 }
 
-// deliverFaulted is delivery under a fault plan: the count pass bounds
-// every inbox, then each message — a Broadcast record expanded over its
-// sender's row — has its fate drawn in global send order.
+// deliverRecords delivers a record round; it deposits nothing, since the
+// next sweep pulls. On a reliable network it only accounts the round, in
+// O(records) as deliverPull does. Under a fault plan it walks the records
+// in (sender, call, neighbor) order — a Broadcast expanded over its
+// sender's row, the delayed messages due next round first — drawing every
+// fate through route and admit, and collects the withheld (recipient,
+// record) pairs and the admitted late messages for the next sweep. A
+// message route passes but admit refuses goes to a vertex that is down
+// next round; that vertex is not swept, so nothing needs to withhold it.
 //
 //congest:hotpath
-func (st *execState) deliverFaulted(round int) {
-	consume := round + 1
-	var delayedNow []addressed
-	if st.delayed != nil {
-		delayedNow = st.delayed[consume]
-	}
-	total := st.count() + len(delayedNow)
-	for _, a := range delayedNow {
-		st.inboxLen[a.to]++
-	}
-	st.sizeArena(total)
-	st.layout()
-
-	// Delayed messages first, then fresh traffic in shard (= global
-	// sender) order.
-	for _, a := range delayedNow {
-		if st.admit(a, consume) {
-			st.deposit(a)
+func (st *execState) deliverRecords(round int) {
+	if st.plan == nil {
+		var total, maxBits int
+		var totalBits int64
+		for _, p := range st.records {
+			k, bits := 1, int(p.Wire.Bits)
+			if p.To == BroadcastTo {
+				k = st.g.Degree(int(p.From))
+			}
+			total += k
+			totalBits += int64(k * bits)
+			maxBits = max(maxBits, bits)
 		}
+		st.account(total, totalBits, maxBits)
+		return
 	}
-	if delayedNow != nil {
-		st.delayFree = append(st.delayFree, delayedNow[:0])
+	consume := round + 1
+	st.withheld, st.late = st.withheld[:0], st.late[:0]
+	if due := st.delayed[consume]; due != nil {
+		for _, p := range due {
+			if st.admit(p, consume) {
+				st.late = append(st.late, p)
+			}
+		}
+		st.delayFree = append(st.delayFree, due[:0])
 		delete(st.delayed, consume)
 	}
-	for _, sh := range st.shards {
-		for _, a := range sh.out {
-			if a.to != BroadcastTo {
-				if st.route(a, round) && st.admit(a, consume) {
-					st.deposit(a)
-				}
-				continue
-			}
-			for _, q := range st.g.Neighbors(a.msg.From) {
-				b := addressed{to: q, msg: a.msg}
-				if st.route(b, round) && st.admit(b, consume) {
-					st.deposit(b)
-				}
-			}
+	for i, p := range st.records {
+		if p.To != BroadcastTo {
+			st.walkFate(p, i, round)
+			continue
+		}
+		for _, q := range st.g.Neighbors(int(p.From)) {
+			p.To = int32(q)
+			st.walkFate(p, i, round)
 		}
 	}
+}
+
+// walkFate draws the fate of one message p of record rec: a message route
+// passes is admitted for next round, and one it drops or delays is
+// withheld from its recipient's pull.
+//
+//congest:hotpath
+func (st *execState) walkFate(p Packet, rec, round int) {
+	if st.route(p, round) {
+		st.admit(p, round+1)
+		return
+	}
+	st.withheld = append(st.withheld, Withheld{To: p.To, Rec: int32(rec)})
 }
 
 // route draws one sent message's fate from the plan: it drops the message
@@ -852,15 +1005,15 @@ func (st *execState) deliverFaulted(round int) {
 // the message is due next round, for the caller to admit.
 //
 //congest:hotpath
-func (st *execState) route(a addressed, round int) bool {
+func (st *execState) route(p Packet, round int) bool {
 	st.sent++
-	fate := st.plan.Message(round, a.msg.From, a.to, st.faults)
+	fate := st.plan.Message(round, int(p.From), int(p.To), st.faults)
 	if fate.Drop {
 		st.res.Dropped++
 		if st.bus != nil {
 			st.bus.Emit(trace.Event{
 				Type: trace.EvDrop, Round: int32(round),
-				V: int32(a.msg.From), W: int32(a.to),
+				V: p.From, W: p.To,
 			})
 		}
 		return false
@@ -868,100 +1021,20 @@ func (st *execState) route(a addressed, round int) bool {
 	if fate.Delay > 0 {
 		if st.delayed == nil {
 			//congest:coldpath first delay fault of the run allocates the bucket map once
-			st.delayed = make(map[int][]addressed)
+			st.delayed = make(map[int][]Packet)
 		}
 		at := round + 1 + fate.Delay
-		st.delayed[at] = st.appendDelayed(st.delayed[at], a)
+		st.delayed[at] = st.appendDelayed(st.delayed[at], p)
 		st.res.Delayed++
 		if st.bus != nil {
 			st.bus.Emit(trace.Event{
 				Type: trace.EvDelay, Round: int32(round),
-				V: int32(a.msg.From), W: int32(a.to), X: int64(fate.Delay),
+				V: p.From, W: p.To, X: int64(fate.Delay),
 			})
 		}
 		return false
 	}
 	return true
-}
-
-// sizeArena sets the arena's length to the round's message total.
-//
-//congest:hotpath
-func (st *execState) sizeArena(total int) {
-	if cap(st.arena) < total {
-		//congest:coldpath arena growth: the backing store only grows, so steady-state rounds never take this branch
-		st.arena = make([]Message, total)
-	} else {
-		st.arena = st.arena[:total]
-	}
-}
-
-// count is push delivery's counting pass: it sets inboxLen[v] to the
-// number of outbox messages addressed to each vertex v and returns their
-// total. A Broadcast record counts once per neighbor of its sender.
-//
-//congest:hotpath
-func (st *execState) count() int {
-	cnt := st.inboxLen
-	clear(cnt)
-	total := 0
-	for _, sh := range st.shards {
-		for _, a := range sh.out {
-			if a.to != BroadcastTo {
-				cnt[a.to]++
-				total++
-				continue
-			}
-			row := st.g.Neighbors(a.msg.From)
-			for _, q := range row {
-				cnt[q]++
-			}
-			total += len(row)
-		}
-	}
-	return total
-}
-
-// layout turns the counts into inbox offsets laid out back-to-back from
-// the start of the arena, and resets the write cursors.
-//
-//congest:hotpath
-func (st *execState) layout() {
-	off := 0
-	for v, c := range st.inboxLen {
-		st.inboxOff[v] = off
-		off += c
-		st.inboxLen[v] = 0
-	}
-}
-
-// scatter is push delivery's writing pass on a reliable network: it
-// writes each message at its recipient's cursor, visiting the outboxes in
-// shard order and expanding Broadcast records as count does, and returns
-// the round's payload bit total and largest payload.
-//
-//congest:hotpath
-func (st *execState) scatter() (totalBits int64, maxBits int) {
-	arena, off, cur := st.arena, st.inboxOff, st.inboxLen
-	for _, sh := range st.shards {
-		for _, a := range sh.out {
-			bits := int(a.msg.Wire.Bits)
-			if a.to != BroadcastTo {
-				arena[off[a.to]+cur[a.to]] = a.msg
-				cur[a.to]++
-				totalBits += int64(bits)
-			} else {
-				row := st.g.Neighbors(a.msg.From)
-				for _, q := range row {
-					arena[off[q]+cur[q]] = a.msg
-					cur[q]++
-				}
-				totalBits += int64(len(row) * bits)
-			}
-			maxBits = max(maxBits, bits)
-		}
-	}
-	return totalBits, maxBits
 }
 
 // appendDelayed appends to a delay bucket, seeding empty buckets from the
@@ -969,50 +1042,40 @@ func (st *execState) scatter() (totalBits int64, maxBits int) {
 // reuses buffers instead of allocating.
 //
 //congest:hotpath
-func (st *execState) appendDelayed(bucket []addressed, a addressed) []addressed {
+func (st *execState) appendDelayed(bucket []Packet, p Packet) []Packet {
 	if bucket == nil && len(st.delayFree) > 0 {
 		bucket = st.delayFree[len(st.delayFree)-1]
 		st.delayFree = st.delayFree[:len(st.delayFree)-1]
 	}
-	return append(bucket, a)
+	return append(bucket, p)
 }
 
 // admit finalizes delivery of one message for the given consumption
-// round and folds it into the run counters, unless the recipient is
-// crashed then — a dead vertex is not listening, so the message is lost.
-// It reports whether the message was delivered; the in-process caller
-// then deposits it into the recipient's inbox.
+// round and folds it into the run counters, unless the plan has the
+// recipient crashed then — a dead vertex is not listening, so the message
+// is lost. It reports whether the message was delivered.
 //
 //congest:hotpath
-func (st *execState) admit(a addressed, consume int) bool {
-	if st.plan != nil && st.plan.Vertex(consume, a.to) != faultsim.VertexUp {
+func (st *execState) admit(p Packet, consume int) bool {
+	if st.plan.Vertex(consume, int(p.To)) != faultsim.VertexUp {
 		st.res.Dropped++
 		if st.bus != nil {
 			// consume-1 is the round being delivered: event rounds stay
 			// nondecreasing within the stream, which Bisect relies on.
 			st.bus.Emit(trace.Event{
 				Type: trace.EvDrop, Round: int32(consume - 1),
-				V: int32(a.msg.From), W: int32(a.to), X: 1,
+				V: p.From, W: p.To, X: 1,
 			})
 		}
 		return false
 	}
 	st.res.Messages++
-	bits := int(a.msg.Wire.Bits)
+	bits := int(p.Wire.Bits)
 	st.res.TotalBits += int64(bits)
 	if bits > st.res.MaxMessageBits {
 		st.res.MaxMessageBits = bits
 	}
 	return true
-}
-
-// deposit writes one delivered message at its recipient's arena cursor.
-//
-//congest:hotpath
-func (st *execState) deposit(a addressed) {
-	v := a.to
-	st.arena[st.inboxOff[v]+st.inboxLen[v]] = a.msg
-	st.inboxLen[v]++
 }
 
 // refreshLive recomputes the live-node count from the shard frontiers.

@@ -19,11 +19,11 @@ package congest
 //     nodes in ID order, so concatenating worker outboxes in shard order
 //     reproduces the global send order every in-process driver uses; a
 //     Broadcast crosses the socket as one record, the coordinator's fate
-//     walk expands it over the sender's CSR row exactly as in-process
-//     delivery does, so fault draws keep their (sender, call, neighbor)
-//     order, and the next round ships the records themselves: each worker
-//     builds every inbox by pull over its own vertices' CSR rows, in the
-//     order push delivery would have scattered;
+//     walk (deliverRecords, the one every in-process record round runs)
+//     expands it over the sender's CSR row, so fault draws keep their
+//     (sender, call, neighbor) order, and the next round ships the records
+//     themselves: each worker indexes them for its own vertices and builds
+//     every inbox by the in-process drivers' record pull (shard.pull);
 //   - node RNG streams are Split(v) of the run seed on the worker — the
 //     same pure function of (seed, v) the in-process drivers use, so
 //     stream contents do not depend on which process draws them.
@@ -40,7 +40,6 @@ package congest
 // one by construction.
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -112,12 +111,13 @@ type RoundInput struct {
 	Late     []Packet
 }
 
-// Packet is one send call from a worker sweep, in (sender ID, send call)
-// order — the exported form of the engine's internal outbox record. A
-// Broadcast travels as one Packet whose To is BroadcastTo; the
-// coordinator's fate walk and the receiving workers' pull expand it over
-// the sender's CSR row, as in-process delivery does. RoundInput.Late
-// reuses the type for a delayed message, To being its recipient.
+// Packet is one send call, the engine's outbox record: every shard outbox,
+// in process or in a worker, holds them in (sender ID, send call) order,
+// and a round's records are the outboxes concatenated in shard order. A
+// Broadcast is one Packet whose To is BroadcastTo; the fate walk and the
+// record pull expand it over the sender's CSR row. The type also carries
+// a delayed message (RoundInput.Late and the delay buckets), To being its
+// recipient.
 type Packet struct {
 	To, From int32 // recipient (or BroadcastTo) and sender vertex IDs
 	Wire     Wire
@@ -127,7 +127,9 @@ type Packet struct {
 type RoundOutput struct {
 	// Packets are the shard's send calls this round in global send order
 	// for the shard (ascending sender ID, send-call order per sender): one
-	// per Send or SendSlot, and one BroadcastTo record per Broadcast.
+	// per Send or SendSlot, and one BroadcastTo record per Broadcast. The
+	// slice is the worker's outbox itself, so it is valid until the next
+	// Sweep.
 	Packets []Packet
 	// Events are the trace events the sweep buffered (Context.Emit node
 	// states and halt events, interleaved per vertex exactly as the
@@ -292,63 +294,24 @@ func (d *distRun) start() error {
 // connection broke), and merge the outputs into the round's send records,
 // which the shared deliver pass walks. Every input shares the previous
 // round's records; the withheld pairs and late messages the last delivery
-// collected are sorted once into fresh exact-size slices and split by
-// shard, so the recovery log keeps each input as sent.
+// collected are copied once into fresh exact-size slices, which split
+// sorts and cuts by shard as it does for the in-process record pull, so
+// the recovery log keeps each input as sent.
 func (d *distRun) sweep(round int) {
 	st := d.st
-	withheld := sortedWithheld(st.withheld)
-	late := sortedLate(st.late)
+	st.split(slices.Clone(st.withheld), slices.Clone(st.late), nil)
 	for s, sh := range st.shards {
 		if d.conns[s] == nil {
 			continue
 		}
-		in := RoundInput{Round: round, Records: st.records}
+		in := RoundInput{Round: round, Records: st.records, Withheld: sh.held, Late: sh.late}
 		if round > 0 && st.plan != nil {
 			in.Fates = d.scanFates(sh, round)
 		}
-		k := 0
-		for k < len(withheld) && int(withheld[k].To) < sh.hi {
-			k++
-		}
-		in.Withheld, withheld = withheld[:k:k], withheld[k:]
-		k = 0
-		for k < len(late) && int(late[k].To) < sh.hi {
-			k++
-		}
-		in.Late, late = late[:k:k], late[k:]
 		d.ins[s] = in
 	}
 	d.exchange(round)
 	d.apply(round)
-}
-
-// sortedWithheld returns a fresh exact-size copy of the withheld pairs
-// sorted by recipient and then by record, or nil when there are none. The
-// pairs are unique, so the order is total.
-func sortedWithheld(ws []Withheld) []Withheld {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := slices.Clone(ws)
-	slices.SortFunc(out, func(a, b Withheld) int {
-		if a.To != b.To {
-			return cmp.Compare(a.To, b.To)
-		}
-		return cmp.Compare(a.Rec, b.Rec)
-	})
-	return out
-}
-
-// sortedLate returns a fresh exact-size copy of the late messages sorted
-// by recipient — stably, so each recipient's messages stay in deferral
-// order — or nil when there are none.
-func sortedLate(late []Packet) []Packet {
-	if len(late) == 0 {
-		return nil
-	}
-	out := slices.Clone(late)
-	slices.SortStableFunc(out, func(a, b Packet) int { return cmp.Compare(a.To, b.To) })
-	return out
 }
 
 // scanFates draws the round's vertex fates for a shard's live vertices —
@@ -569,72 +532,6 @@ func (d *distRun) appendRecords(recs []Packet, s int, sh *shard, pkts []Packet) 
 	return recs, nil
 }
 
-// deliverRecords is the distributed coordinator's delivery. It deposits
-// nothing: the next round's inputs ship the round's records, and every
-// worker pulls its inboxes from them. On a reliable network it only
-// accounts the round, in O(records) as deliverPull does. Under a fault
-// plan it walks the records in (sender, call, neighbor) order — a
-// Broadcast expanded over its sender's row, the delayed messages due next
-// round first — drawing every fate through route and admit exactly as
-// deliverFaulted does, and collects the withheld (recipient, record)
-// pairs and the admitted late messages for the next sweep. A message
-// route passes but admit refuses goes to a vertex that is down next
-// round; that vertex is not swept, so nothing needs to withhold it.
-//
-//congest:hotpath
-func (st *execState) deliverRecords(round int) {
-	if st.plan == nil {
-		var total, maxBits int
-		var totalBits int64
-		for _, p := range st.records {
-			k, bits := 1, int(p.Wire.Bits)
-			if p.To == BroadcastTo {
-				k = st.g.Degree(int(p.From))
-			}
-			total += k
-			totalBits += int64(k * bits)
-			maxBits = max(maxBits, bits)
-		}
-		st.account(total, totalBits, maxBits)
-		return
-	}
-	consume := round + 1
-	st.withheld, st.late = st.withheld[:0], st.late[:0]
-	if due := st.delayed[consume]; due != nil {
-		for _, a := range due {
-			if st.admit(a, consume) {
-				st.late = append(st.late, Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire})
-			}
-		}
-		st.delayFree = append(st.delayFree, due[:0])
-		delete(st.delayed, consume)
-	}
-	for i, p := range st.records {
-		a := addressed{to: int(p.To), msg: Message{From: int(p.From), Wire: p.Wire}}
-		if p.To != BroadcastTo {
-			st.walkFate(a, i, round)
-			continue
-		}
-		for _, q := range st.g.Neighbors(a.msg.From) {
-			a.to = q
-			st.walkFate(a, i, round)
-		}
-	}
-}
-
-// walkFate draws the fate of one message of record rec: a message route
-// passes is admitted for next round, and one it drops or delays is
-// withheld from its recipient's pull.
-//
-//congest:hotpath
-func (st *execState) walkFate(a addressed, rec, round int) {
-	if st.route(a, round) {
-		st.admit(a, round+1)
-		return
-	}
-	st.withheld = append(st.withheld, Withheld{To: int32(a.to), Rec: int32(rec)})
-}
-
 // afterRound publishes the round's buffered advisory events (frame
 // transport measurements, respawns) after delivery, mirroring where the
 // pool driver publishes its timing events.
@@ -733,25 +630,19 @@ func outputDigest(out RoundOutput) uint64 {
 // the environment the in-process drivers give them; what it does NOT have
 // is the fault plan, the fault RNG, or delivery — those stay on the
 // coordinator, which is what keeps socket transport outside the
-// determinism surface. It builds its vertices' inboxes itself, by pull
-// over their CSR rows, from the records, withheld pairs and late messages
-// each RoundInput ships.
+// determinism surface. It builds its vertices' inboxes itself, by the
+// record pull the in-process drivers run (shard.pull), from the records,
+// withheld pairs and late messages each RoundInput ships.
 type ShardWorker struct {
 	cfg       ShardConfig
 	r         *Runner           // n/traced carcass for Context plumbing; never Run
-	sh        *shard            // sh.inbox is the pull scratch, grown to the largest inbox built
+	sh        *shard            // outbox, inbox scratch and record-pull input; sh.first spans all N vertices, sh.direct only [Lo, Hi)
 	neighbors func(v int) []int // owned vertices' CSR rows
 	rngs      []rng.RNG         // owned vertices' node streams, indexed by v - cfg.Lo
 	nodes     []Node
 	round     int     // next expected round
 	fate      []uint8 // per-vertex fate scratch for the current round
-	// first[u] is 1 + the index of sender u's first record in the round's
-	// Records, 0 when u sent nothing; Sweep sets it for the round's senders
-	// and clears it again, O(records) each way.
-	first          []int32
-	lateAt, heldAt int // the sweep's cursors into the round's Late and Withheld
-	halted         []int32
-	pkts           []Packet
+	halted    []int32
 }
 
 // NewShardWorker builds the sweep engine for cfg. neighbors(v) must
@@ -762,11 +653,13 @@ type ShardWorker struct {
 // NewRunner does, so a factory may carve its nodes from its own slab. A
 // fleet that shares one factory between its shards must therefore open
 // them one after another — the coordinator asks for them in turn. Every
-// node must implement Porter. The worker's outbox and packet buffer each
-// reserve one send call per owned vertex, what a broadcast-only program
-// makes in a round; a round with more calls grows them. Its pull scratch
-// starts as long as the range's widest row, one message per neighbor, and
-// grows when late messages or several calls by one sender need more.
+// node must implement Porter. The worker's outbox, which Sweep returns as
+// its packets, reserves one send call per owned vertex, what a
+// broadcast-only program makes in a round; a round with more calls grows
+// it. Its inbox scratch starts as long as the range's widest row, one
+// message per neighbor, and grows when late messages or several calls by
+// one sender need more. It indexes every shard's records, so its
+// Broadcast index reserves one entry per vertex of the graph.
 func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v int) Node) (*ShardWorker, error) {
 	if cfg.Lo < 0 || cfg.Hi < cfg.Lo || cfg.Hi > cfg.N {
 		return nil, fmt.Errorf("congest: shard range [%d, %d) invalid for n=%d", cfg.Lo, cfg.Hi, cfg.N)
@@ -781,7 +674,6 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 		rngs:      make([]rng.RNG, width),
 		nodes:     make([]Node, width),
 		fate:      make([]uint8, width),
-		first:     make([]int32, cfg.N),
 	}
 	w.sh.resetFrontier(cfg.Lo, cfg.Hi)
 	root := rng.New(cfg.Seed)
@@ -794,18 +686,16 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 		w.nodes[i] = nd
 		w.rngs[i] = *root.Split(uint64(v))
 	}
-	// The outbox and the packet export both hold send calls, one per
-	// vertex for a broadcast-only program; bound is growOutbox's target.
 	var widest int
 	w.sh.bound, widest = rowStats(neighbors, cfg.Lo, cfg.Hi)
-	w.sh.out = make([]addressed, 0, width)
-	w.sh.inbox = make([]Message, 0, widest)
-	w.pkts = make([]Packet, 0, width)
+	w.sh.out = make([]Packet, 0, width)
+	w.sh.inbox = make([]Message, widest)
+	w.sh.first, w.sh.bcast = make([]int32, cfg.N), make([]int32, 0, cfg.N)
 	return w, nil
 }
 
 // Sweep runs one round over the shard's live vertices and returns their
-// send calls — one Packet per outbox record, a Broadcast as a single
+// send calls — its outbox, one Packet per call, a Broadcast as a single
 // BroadcastTo record — buffered trace events, halts and draw totals.
 // The returned slices are valid until the next Sweep call. An error
 // return is a protocol violation (malformed input, out-of-sequence
@@ -832,42 +722,32 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 		}
 		w.fate[int(f.V)-w.cfg.Lo] = uint8(f.Fate)
 	}
-	for i, p := range in.Records {
-		if i == 0 || in.Records[i-1].From != p.From {
-			w.first[p.From] = int32(i + 1)
-		}
-	}
-
-	w.sh.events = w.sh.events[:0]
-	w.sh.out = w.sh.out[:0]
+	sh := w.sh
+	sh.bcast, sh.direct = indexRecords(in.Records, sh.first, sh.bcast[:0], sh.direct[:0], w.cfg.Lo, w.cfg.Hi)
+	sh.recs, sh.held, sh.late = in.Records, in.Withheld, in.Late
+	sh.directAt, sh.heldAt, sh.lateAt = 0, 0, 0
+	sh.events = sh.events[:0]
+	sh.out = sh.out[:0]
 	w.halted = w.halted[:0]
-	w.lateAt, w.heldAt = 0, 0
-	w.sweep(in)
+	w.sweep(in.Round)
 	for _, f := range in.Fates {
 		w.fate[int(f.V)-w.cfg.Lo] = 0
 	}
-	for _, p := range in.Records {
-		w.first[p.From] = 0
-	}
 	w.round++
 
-	w.pkts = w.pkts[:0]
-	for _, a := range w.sh.out {
-		w.pkts = append(w.pkts, Packet{To: int32(a.to), From: int32(a.msg.From), Wire: a.msg.Wire})
-	}
 	out := RoundOutput{
-		Packets: w.pkts,
-		Events:  w.sh.events,
+		Packets: sh.out,
+		Events:  sh.events,
 		Halted:  w.halted,
 		Draws:   w.draws(),
 	}
-	if w.sh.err != nil {
-		out.Err = w.sh.err.Error()
+	if sh.err != nil {
+		out.Err = sh.err.Error()
 	}
 	return out, nil
 }
 
-// check validates what the pull relies on: records from real senders in
+// check validates what the record pull relies on: records from real senders in
 // non-decreasing sender order, addressed to the broadcast marker or a real
 // vertex; withheld pairs naming a record, for a recipient in the shard,
 // strictly ascending by (recipient, record); late messages for recipients
@@ -921,10 +801,9 @@ func (w *ShardWorker) check(in RoundInput) error {
 // frontier: live vertices in ascending ID order, the shard's Context
 // re-pointed at each, fates applied the way the coordinator drew them,
 // halts retiring frontier bits.
-func (w *ShardWorker) sweep(in RoundInput) {
+func (w *ShardWorker) sweep(round int) {
 	sh := w.sh
 	ctx := &sh.ctx
-	round := in.Round
 	sh.round = round
 	base := sh.lo >> 6
 	for wi := range sh.frontier {
@@ -949,7 +828,7 @@ func (w *ShardWorker) sweep(in RoundInput) {
 			if round == 0 {
 				w.nodes[i].Init(ctx)
 			} else {
-				w.nodes[i].Round(ctx, w.pull(v, ctx.neighbors, &in))
+				w.nodes[i].Round(ctx, sh.pull(v, ctx.neighbors))
 			}
 			if sh.halting {
 				sh.halting = false
@@ -964,51 +843,6 @@ func (w *ShardWorker) sweep(in RoundInput) {
 			}
 		}
 	}
-}
-
-// pull builds live vertex v's inbox in the shard's scratch, the inbox push
-// delivery would have scattered: v's late messages first, in deferral
-// order, then, for each neighbor u in row order, u's records that are
-// broadcasts or addressed to v, in call order — (sender, call) order —
-// skipping the pairs the plan withheld. Late and Withheld are sorted by
-// recipient and the sweep visits vertices in ascending order, so one
-// cursor over each serves the whole sweep; within v, the records visited
-// ascend, so the withheld cursor only moves forward.
-func (w *ShardWorker) pull(v int, row []int, in *RoundInput) []Message {
-	buf := w.sh.inbox[:0]
-	late, held, recs := in.Late, in.Withheld, in.Records
-	for w.lateAt < len(late) && int(late[w.lateAt].To) < v {
-		w.lateAt++
-	}
-	for ; w.lateAt < len(late) && int(late[w.lateAt].To) == v; w.lateAt++ {
-		p := late[w.lateAt]
-		buf = append(buf, Message{From: int(p.From), Wire: p.Wire})
-	}
-	for w.heldAt < len(held) && int(held[w.heldAt].To) < v {
-		w.heldAt++
-	}
-	for _, u := range row {
-		f := w.first[u]
-		if f == 0 {
-			continue
-		}
-		for i := int(f) - 1; i < len(recs) && int(recs[i].From) == u; i++ {
-			p := recs[i]
-			if p.To != BroadcastTo && int(p.To) != v {
-				continue
-			}
-			for w.heldAt < len(held) && int(held[w.heldAt].To) == v && int(held[w.heldAt].Rec) < i {
-				w.heldAt++
-			}
-			if w.heldAt < len(held) && int(held[w.heldAt].To) == v && int(held[w.heldAt].Rec) == i {
-				w.heldAt++
-				continue
-			}
-			buf = append(buf, Message{From: u, Wire: p.Wire})
-		}
-	}
-	w.sh.inbox = buf
-	return buf[:len(buf):len(buf)]
 }
 
 // draws sums the cumulative draw counts of the shard's node streams.

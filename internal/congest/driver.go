@@ -32,10 +32,11 @@ func (o Options) WorkerCount(n int) int {
 // long-lived workers each own one contiguous vertex shard and sweep its
 // live nodes every round, with a channel barrier per round (two channel
 // operations per worker per round). Delivery happens on the coordinator
-// between rounds; after a pull round (deliverPull) the coordinator has
-// only flagged the senders, and each worker builds its own vertices'
-// inboxes inside the sweep. Every shard keeps its set-up range
-// [s·n/W, (s+1)·n/W) for the whole run.
+// between rounds and deposits nothing: it flags the senders for the
+// broadcast pull (deliverPull), or gathers the records, walks their fates
+// and splits the result by shard for the record pull, and each worker
+// builds its own vertices' inboxes inside the next sweep. Every shard
+// keeps its set-up range [s·n/W, (s+1)·n/W) for the whole run.
 func (r *Runner) runPool() (Result, error) {
 	n := r.g.N()
 	workers := r.opts.WorkerCount(n)
@@ -102,7 +103,8 @@ func (r *Runner) runPool() (Result, error) {
 
 	// Timing plumbing: wrap deliver timing around the coordinator's merge
 	// and publish one shard-busy event per shard plus the merge duration
-	// and delivery path on the event bus, ahead of the round-end record.
+	// and the pull it chose (1 = broadcast, 0 = record) on the event bus,
+	// ahead of the round-end record.
 	var mergeStart time.Time
 	timedSweep := func(round int) {
 		sweep(round)

@@ -1,6 +1,8 @@
 package congest
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -8,15 +10,19 @@ import (
 	"repro/internal/trace"
 )
 
-// FuzzCrossDriver is the differential guard for the engine's three
-// delivery paths — pull, push and faulted — which deliver picks round by
-// round from the shape of the outboxes. An input decodes to a graph of at
-// most 64 vertices, a byte script that picks every live vertex's calls in
-// every round, and an optional drop or delay plan. The input runs under
-// the sequential driver, the pool at 1, 2 and 3 workers and at one vertex
-// per shard, and the distributed coordinator on in-process workers, and
-// every run must give the same error text, Result, per-vertex inbox digest
-// and deterministic trace fingerprint.
+// FuzzCrossDriver is the differential guard for the engine's two inbox
+// builders — the broadcast pull and the record pull, reliable and faulted —
+// which deliver picks round by round from the shape of the outboxes. An
+// input decodes to a graph of at most 64 vertices, a byte script that
+// picks every live vertex's calls in every round, and an optional drop or
+// delay plan. The input runs under the sequential driver, the pool at 1,
+// 2 and 3 workers and at one vertex per shard, and the distributed
+// coordinator on in-process workers, and every run must give the same
+// error text, Result, per-vertex inbox digest and deterministic trace
+// fingerprint. Every driver builds its record-round inboxes with the same
+// pull, so agreement alone cannot catch a defect in it: the input also
+// runs whitebox on 1, 3 and n shards, where every inbox either pull
+// builds must equal refInbox (see checkInboxes).
 func FuzzCrossDriver(f *testing.F) {
 	path := func(n int) []byte {
 		var e []byte
@@ -27,8 +33,8 @@ func FuzzCrossDriver(f *testing.F) {
 	}
 	star := []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 2, 3, 4}
 	// Seeds mirror the crossdriver and broadcast suites: broadcast-only
-	// rounds (Métivier's shape, every round pulled), rounds of mostly
-	// SendSlot calls (the SendSlot twin's push rounds), Broadcast, SendSlot
+	// rounds (Métivier's shape, every round broadcast-pulled), rounds of
+	// mostly SendSlot calls (the SendSlot twin's record rounds), Broadcast, SendSlot
 	// and Send calls mixed in one round (mixedSender), two Broadcasts per
 	// vertex (doublesend), under drops and under delays, plus messages
 	// above MaxWireBits and a round limit the script outlives.
@@ -67,7 +73,61 @@ func FuzzCrossDriver(f *testing.F) {
 				}
 			}
 		}
+		for _, shards := range []int{1, 3, in.g.N()} {
+			if bad := in.checkInboxes(shards); bad != "" {
+				t.Fatalf("%d shards: %s", shards, bad)
+			}
+		}
 	})
+}
+
+// inboxOracle holds what refInbox needs to check a whitebox run's inboxes:
+// the graph, the run's state — whose withheld pairs and late messages are
+// the last delivery's — the send calls of the round just swept, copied
+// from the shard outboxes in shard order as the round's records are, and
+// the first mismatch.
+type inboxOracle struct {
+	g    *graph.Graph
+	st   *execState
+	sent []Packet
+	bad  string
+}
+
+// oracleNode is a scriptNode that checks every inbox against refInbox
+// before it runs its round.
+type oracleNode struct {
+	scriptNode
+	o *inboxOracle
+}
+
+func (n *oracleNode) Round(ctx *Context, inbox []Message) {
+	o := n.o
+	if want := refInbox(o.g, ctx.ID(), o.sent, o.st.withheld, o.st.late); o.bad == "" && !slices.Equal(inbox, want) {
+		o.bad = fmt.Sprintf("round %d: vertex %d inbox %v, reference %v", ctx.Round(), ctx.ID(), inbox, want)
+	}
+	n.scriptNode.Round(ctx, inbox)
+}
+
+// checkInboxes runs the input whitebox through runLoop on the given number
+// of shards, swept in shard order on one goroutine, and returns the first
+// inbox that differs from refInbox, or "" when none does. The reference is
+// written from the record pull's definition, not from its cursors, so it
+// is independent of both pulls.
+func (in fuzzInput) checkInboxes(shards int) string {
+	o := &inboxOracle{g: in.g}
+	factory := func(int) Node { return &oracleNode{scriptNode: scriptNode{in: &in}, o: o} }
+	r := NewRunner(in.g, factory, Options{Seed: 5, Faults: in.plan(), MaxRounds: in.maxRounds})
+	o.st = r.newExecState(shards)
+	r.runLoop(o.st, func(round int) {
+		for _, sh := range o.st.shards {
+			r.sweepShard(o.st, sh, round)
+		}
+		o.sent = o.sent[:0]
+		for _, sh := range o.st.shards {
+			o.sent = append(o.sent, sh.out...)
+		}
+	}, nil)
+	return o.bad
 }
 
 // fuzzDrivers is every run FuzzCrossDriver compares, the reference first.
@@ -197,8 +257,8 @@ func (in fuzzInput) run(opts Options) fuzzOutcome {
 // scriptNode runs a FuzzCrossDriver script: in every round up to the
 // script's last, byte script[(round·n + v) mod len] picks vertex v's
 // calls, and after it the vertex halts. A round's own byte,
-// script[round mod len], restricts the round to the calls pull delivery
-// accepts (bit 6 clear: ops 0-3) or allows every op (bit 6 set). The
+// script[round mod len], restricts the round to the calls the broadcast
+// pull accepts (bit 6 clear: ops 0-3) or allows every op (bit 6 set). The
 // node folds every inbox it receives into a digest, which it exports
 // through Porter so distributed runs report it too.
 type scriptNode struct {
@@ -206,7 +266,7 @@ type scriptNode struct {
 	digest uint64
 }
 
-// Script ops: the first four keep a round pullable.
+// Script ops: the first four keep a round fit for the broadcast pull.
 const (
 	opBroadcast = iota
 	opSilent

@@ -9,10 +9,10 @@ package congest
 // The engine never interprets Kind, A or B — it only meters Bits and moves
 // the value. Protocol packages own the kind namespace and the codec (see
 // internal/mis/proto: each payload type has a Wire() encoder and a
-// matching As* decoder). Because Wire contains no pointers, shard outboxes
-// and the round's inbox arena are pointer-free memory: sending a message
-// is a 40-byte value copy with no heap allocation, no interface boxing,
-// and nothing for the garbage collector to scan.
+// matching As* decoder). Because Wire contains no pointers, shard outboxes,
+// the round's records and the inbox scratch are pointer-free memory:
+// sending a message is a 32-byte Packet copy with no heap allocation, no
+// interface boxing, and nothing for the garbage collector to scan.
 type Wire struct {
 	// Kind tags the payload family. Zero is invalid, so a forgotten
 	// encoder shows up as kind 0 in tests.

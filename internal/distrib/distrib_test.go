@@ -344,8 +344,8 @@ func (k *killerSink) Emit(e trace.Event) {
 // fast-forwarded from the replay log, and the run ends exactly where an
 // undisturbed one does. The golden faulted run must still converge to the
 // pinned golden fingerprint; a reliable Métivier run, whose logged inputs
-// are copied out of the coordinator's reused inbox arena, must still
-// match the sequential reference's Result and statuses.
+// share each round's send records, must still match the sequential
+// reference's Result and statuses.
 func TestDistributedCrashRecovery(t *testing.T) {
 	n := 256
 	g := gen.UnionOfTrees(n, 2, rng.New(77))

@@ -268,8 +268,9 @@ func TestForestsUsableByColeVishkin(t *testing.T) {
 // BenchmarkDecompose measures one Decompose of a union of 3 random trees
 // at n = 2^16 under the sequential driver and the pool at 2 workers. Its
 // orientation round is one SendSlot call per out-edge, about m outbox
-// records against the n a run reserves, so it is the standing measure of
-// push delivery and of the outbox's growth step; run with -benchmem.
+// records against the n a run reserves, so it measures the in-process
+// record pull on a round of per-neighbor sends and the outbox's growth
+// step; run with -benchmem.
 func BenchmarkDecompose(b *testing.B) {
 	g := gen.UnionOfTrees(1<<16, 3, rng.New(7))
 	for _, c := range []struct {

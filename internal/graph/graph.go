@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -32,10 +33,15 @@ type Edge struct {
 var ErrBadEdge = errors.New("graph: edge endpoint out of range or self-loop")
 
 // New builds a graph on n vertices from an edge list. Duplicate edges are
-// merged; self-loops and out-of-range endpoints are rejected.
+// merged; self-loops and out-of-range endpoints are rejected. n may not
+// exceed math.MaxInt32, since the CONGEST engine carries vertex IDs in
+// int32 fields; a larger n is rejected before anything is allocated.
 func New(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: vertex count %d above %d: vertex IDs must fit an int32", n, math.MaxInt32)
 	}
 	deg := make([]int, n)
 	for _, e := range edges {
@@ -277,18 +283,27 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return nil
 }
 
-// ReadEdgeList parses the format produced by WriteEdgeList.
+// ReadEdgeList parses the format produced by WriteEdgeList. The header's
+// counts are untrusted input: a negative one is an error, and the edge
+// slice grows with the edges actually read, so a header that declares
+// more edges than follow fails at the first missing edge without
+// allocating for the rest.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var n, m int
 	if _, err := fmt.Fscan(br, &n, &m); err != nil {
 		return nil, fmt.Errorf("graph: read header: %w", err)
 	}
-	edges := make([]Edge, m)
+	if n < 0 || m < 0 {
+		return nil, fmt.Errorf("graph: read header: negative count in %d vertices, %d edges", n, m)
+	}
+	var edges []Edge
 	for i := 0; i < m; i++ {
-		if _, err := fmt.Fscan(br, &edges[i].U, &edges[i].V); err != nil {
-			return nil, fmt.Errorf("graph: read edge %d: %w", i, err)
+		var e Edge
+		if _, err := fmt.Fscan(br, &e.U, &e.V); err != nil {
+			return nil, fmt.Errorf("graph: read edge %d of %d: %w", i, m, err)
 		}
+		edges = append(edges, e)
 	}
 	return New(n, edges)
 }

@@ -3,6 +3,9 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +87,20 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 func TestNewRejectsNegativeN(t *testing.T) {
 	if _, err := New(-1, nil); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestNewRejectsNAboveInt32 requires New to refuse a vertex count that
+// does not fit the engine's int32 vertex IDs, before it allocates the 16 GB
+// the count would ask for.
+func TestNewRejectsNAboveInt32(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int is 32 bits: no vertex count exceeds math.MaxInt32")
+	}
+	top := int64(math.MaxInt32)
+	n := int(top + 1)
+	if _, err := New(n, nil); err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Fatalf("New(%d) returned %v, want an error naming the int32 bound", n, err)
 	}
 }
 
@@ -262,6 +279,13 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 	if _, err := ReadEdgeList(bytes.NewBufferString("3 2\n0 1\n")); err == nil {
 		t.Fatal("truncated edge list accepted")
+	}
+	// Headers whose counts would size an allocation: each must fail with
+	// an error, not a makeslice panic.
+	for _, in := range []string{"3 -1\n", "-1 0\n", "2 4611686018427387904\n0 1\n"} {
+		if _, err := ReadEdgeList(bytes.NewBufferString(in)); err == nil {
+			t.Fatalf("header %q accepted", in)
+		}
 	}
 }
 

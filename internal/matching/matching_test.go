@@ -165,8 +165,8 @@ func TestMessageBitsConstant(t *testing.T) {
 // BenchmarkRun measures one maximal-matching Run on a preferential-
 // attachment graph (n = 2^16, 4 edges per arrival) under the sequential
 // driver and the pool at 2 workers. Its proposal and acceptance rounds are
-// SendSlot and Send calls, so it is a standing measure of push delivery;
-// run with -benchmem.
+// SendSlot and Send calls, so it measures the in-process record pull on
+// rounds of per-neighbor sends; run with -benchmem.
 func BenchmarkRun(b *testing.B) {
 	g := gen.PreferentialAttachment(1<<16, 4, rng.New(7))
 	for _, c := range []struct {

@@ -78,10 +78,11 @@ const (
 	// driver: V = shard, X = busy nanoseconds, Y = live nodes in the shard.
 	EvShardBusy
 	// EvMerge is the advisory coordinator delivery timing from the pool
-	// driver: X = delivery nanoseconds, Y = 1 when the round was delivered
-	// by pull (the coordinator only flagged the senders; the workers build
-	// the inboxes in the next sweep) and 0 when it was pushed into the
-	// inbox arena.
+	// driver: X = delivery nanoseconds, Y = 1 when the round took the
+	// broadcast pull (the coordinator only flagged the senders) and 0 when
+	// it took the record pull (the coordinator gathered the send records
+	// and walked their fates). Either way the workers build the inboxes in
+	// the next sweep.
 	EvMerge
 	// EvRebalance is no longer emitted: pool shards keep their set-up
 	// ranges, and the shard rebalancer that recorded its re-cuts here is
@@ -206,9 +207,9 @@ func (e Event) String() string {
 	case EvShardBusy:
 		return fmt.Sprintf("shard-busy r=%d shard=%d busy=%dns live=%d", e.Round, e.V, e.X, e.Y)
 	case EvMerge:
-		mode := "push"
+		mode := "record"
 		if e.Y == 1 {
-			mode = "pull"
+			mode = "broadcast"
 		}
 		return fmt.Sprintf("merge r=%d %dns %s", e.Round, e.X, mode)
 	case EvRebalance:
