@@ -59,23 +59,22 @@ func (slotBroadcaster) Round(ctx *Context, _ []Message) {
 // them took the broadcast pull.
 type roundTally struct{ rounds, pulls int }
 
-// steadyRounds returns the exact per-round body of runLoop for a whitebox
-// state, so an allocation gate measures rounds in isolation from run
-// set-up, and tallies each round into tally. The shards are swept on the
-// calling goroutine: the pool's worker barrier is driver plumbing, not
-// allocation behavior, and each worker runs byte-for-byte this sweep.
+// steadyRounds returns runLoop's round body, step, for a whitebox state,
+// one round per call, so an allocation gate measures rounds in isolation
+// from run set-up, and tallies each round into tally. The shards are
+// swept on the calling goroutine: the pool's worker barrier is driver
+// plumbing, not allocation behavior, and each worker runs this sweep.
 func steadyRounds(t *testing.T, r *Runner, st *execState, tally *roundTally) func() {
 	round := 0
-	return func() {
-		r.startRound(st, round)
+	sweep := func(round int) {
 		for _, sh := range st.shards {
-			r.sweepShard(st, sh, round)
+			sh.sweep(round, st.pull)
 		}
-		if err := r.deliver(st, round); err != nil {
+	}
+	return func() {
+		if err := r.step(st, round, sweep, nil); err != nil {
 			t.Fatal(err)
 		}
-		st.refreshLive()
-		r.endRound(st, round)
 		round++
 		tally.rounds++
 		if st.pull {
@@ -89,18 +88,26 @@ func steadyRounds(t *testing.T, r *Runner, st *execState, tally *roundTally) fun
 // records, the inbox scratch) have grown to steady-state capacity, a full
 // sequential round — sweep, delivery, live refresh, round bookkeeping —
 // must allocate nothing, whether a round of Broadcast calls takes the
-// broadcast pull or a round of SendSlot loops the record pull.
+// broadcast pull, a round of SendSlot loops the record pull, or a faulted
+// round with one vertex in 16 down draws its vertex fates into the
+// shard's reused list.
 func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 	const n = 1024
+	down := make(map[int]faultsim.Window)
+	for v := 0; v < n; v += 16 {
+		down[v] = faultsim.Window{Down: 2, Up: 1 << 30}
+	}
 	for _, c := range []struct {
-		name string
-		node Node
-		pull bool
+		name   string
+		node   Node
+		pull   bool
+		faults faultsim.Plan
 	}{
-		{"broadcast", steadyBroadcaster{}, true},
-		{"sendslot", slotBroadcaster{}, false}, // the record pull
+		{"broadcast", steadyBroadcaster{}, true, nil},
+		{"sendslot", slotBroadcaster{}, false, nil}, // the record pull
+		{"crash-restart", steadyBroadcaster{}, false, faultsim.NewCrashRestart(down)},
 	} {
-		r := NewRunner(ringGraph(n), func(int) Node { return c.node }, Options{Seed: 1})
+		r := NewRunner(ringGraph(n), func(int) Node { return c.node }, Options{Seed: 1, Faults: c.faults})
 		var tally roundTally
 		oneRound := steadyRounds(t, r, r.newExecState(1), &tally)
 		// Warm up: round 0 (Init) plus a few steady rounds grow every

@@ -423,7 +423,7 @@ func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 			sh, row := st.shardOf(v), g.Neighbors(v)
 			var got []Message
 			if st.pull {
-				got = st.pullInbox(sh, row)
+				got = sh.pullInbox(row)
 			} else {
 				got = sh.pull(v, row)
 			}
@@ -432,7 +432,7 @@ func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 			}
 		}
 		for s, sh := range st.shards {
-			if _, widest := rowStats(g.Neighbors, sh.lo, sh.hi); len(sh.inbox) < widest {
+			if widest := widestRow(g.Rows(sh.lo, sh.hi)); len(sh.inbox) < widest {
 				t.Fatalf("%s: shard %d scratch at length %d after the pulls, widest row %d", c.name, s, len(sh.inbox), widest)
 			}
 		}

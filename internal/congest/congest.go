@@ -34,8 +34,10 @@
 //     give the message order (sender ID, send call, neighbor) — what one
 //     Send per neighbor would give; and
 //  3. fault-injection decisions (the faultsim.Plan consults, including any
-//     random draws) happen on the coordinator during delivery, in that
-//     same global sender order, from a dedicated fault stream.
+//     random draws) happen on the coordinator: each round's vertex fates
+//     are drawn before the sweep, which reads them and never consults the
+//     plan, and message fates during delivery, in that same global sender
+//     order, from a dedicated fault stream.
 //
 // Fault injection is delegated to internal/faultsim: Options.Faults
 // accepts any faultsim.Plan (message drops, link bursts, partitions,
@@ -82,16 +84,15 @@ type Node interface {
 // Round. A run holds one Context per shard, and the shard's sweep
 // re-points it at each vertex it visits — the vertex ID, its CSR row and
 // its RNG stream — so a Context is only valid during the call it is
-// passed to, and a program must not keep it. The round number and
-// the halt flag of the call in progress live on the shard that runs it,
-// and n on the Runner, because they are the same for every vertex a sweep
-// runs.
+// passed to, and a program must not keep it. The round number, the halt
+// flag of the call in progress, n and whether the run is traced live on
+// the shard that runs it, because they are the same for every vertex a
+// sweep runs.
 type Context struct {
 	id        int
 	neighbors []int    // the vertex's CSR row: neighbor IDs, ascending
 	rng       *rng.RNG // the vertex's entry in the run-wide stream table
 	shard     *shard
-	runner    *Runner
 }
 
 // BroadcastTo marks a Broadcast record in a Packet's To. Recipient IDs are
@@ -105,7 +106,7 @@ func (c *Context) ID() int { return c.id }
 // N returns the number of vertices in the network. (Algorithms in this repo
 // use it only for parameterization that the model allows — e.g. knowing n
 // up to a constant factor.)
-func (c *Context) N() int { return c.runner.n }
+func (c *Context) N() int { return c.shard.n }
 
 // Round returns the current round number, starting at 1. During Init it
 // returns 0.
@@ -211,7 +212,8 @@ func (c *Context) enqueue(to int, w Wire) {
 //
 //congest:coldpath
 func (sh *shard) growOutbox() {
-	out := make([]Packet, len(sh.out), max(sh.bound, 2*cap(sh.out)))
+	off := sh.rows.Off
+	out := make([]Packet, len(sh.out), max(off[len(off)-1]-off[0], 2*cap(sh.out)))
 	copy(out, sh.out)
 	sh.out = out
 }
@@ -228,7 +230,7 @@ func (c *Context) Halt() { c.shard.halting = true }
 // deterministic across drivers: events ride the same shard-ordered merge
 // as messages.
 func (c *Context) Emit(code int32, value int64) {
-	if !c.runner.traced {
+	if !c.shard.traced {
 		return
 	}
 	c.shard.events = append(c.shard.events, trace.Event{
@@ -352,12 +354,10 @@ var ErrMaxRounds = errors.New("congest: max rounds exceeded before all nodes hal
 // Runner executes a program over a graph. Construct with NewRunner; a
 // Runner is single-use (Run may be called once).
 type Runner struct {
-	g      *graph.Graph
-	n      int    // vertex count: g.N(), or ShardConfig.N in a shard worker
-	nodes  []Node // indexed by vertex ID
-	opts   Options
-	ran    bool
-	traced bool // an event sink is attached; set before workers start, read-only after
+	g     *graph.Graph
+	nodes []Node // indexed by vertex ID
+	opts  Options
+	ran   bool
 }
 
 // NewRunner builds a runner for the given graph. factory(v) must return the
@@ -370,7 +370,7 @@ func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	r := &Runner{g: g, n: g.N(), opts: opts}
+	r := &Runner{g: g, opts: opts}
 	r.nodes = make([]Node, g.N())
 	for v := 0; v < g.N(); v++ {
 		r.nodes[v] = factory(v)
@@ -400,25 +400,40 @@ func (r *Runner) Run() (Result, error) {
 	}
 }
 
-// shard is a contiguous vertex range [lo, hi) owned by one worker. Its
-// outbox accumulates the records its nodes send during a sweep, in
-// (sender ID, send call) order; its frontier is a dense bitset of the
-// not-yet-halted vertices in the range (see frontier.go). The range is
-// fixed at set-up. Only the owning worker touches a shard during a sweep;
-// the coordinator reads it between sweeps.
+// shard is a contiguous vertex range [lo, hi) owned by one worker, and
+// what its sweep runs: the range's CSR rows, nodes and node streams, each
+// indexed by v - lo — in process a view of the run's graph and sub-slices
+// of the run-wide tables, in a distributed worker its own. Its outbox
+// accumulates the records its nodes send during a sweep, in (sender ID,
+// send call) order; its frontier is a dense bitset of the not-yet-halted
+// vertices in the range (see frontier.go). The range is fixed at set-up.
+// Only the owning worker touches a shard during a sweep; the coordinator
+// reads it between sweeps.
 type shard struct {
 	ctx       Context       // the shard's one Context, re-pointed at each vertex the sweep visits
 	lo, hi    int           // owned contiguous vertex range [lo, hi)
+	n         int           // the run's vertex count, for Context.N
+	rows      graph.Rows    // the range's CSR rows
+	nodes     []Node        // nodes[v-lo] is vertex v's state machine
+	rngs      []rng.RNG     // rngs[v-lo] is vertex v's stream
 	frontier  []uint64      // live bitset over [lo, hi); word 0 starts at (lo>>6)<<6
 	liveCount int           // set bits in frontier (O(1) empty-shard skip)
+	fates     []VertexFate  // the round's non-Up vertex fates in the range, ascending (see scanFates)
 	out       []Packet      // records sent during the sweep (see sizeOutboxes)
-	bound     int           // degree sum of [lo, hi): growOutbox's first target
 	inbox     []Message     // inbox scratch both pulls build in, at full length: at least the range's widest row
 	events    []trace.Event // program/halt events buffered during the sweep
-	err       error         // first model violation by a node of this shard
-	busy      int64         // sweep duration in nanoseconds, when timing is on
+	halted    []int32       // the round's halts, listed only in a distributed worker (listHalts)
+	err       error         // first model violation or panic by a node of this shard
 	round     int           // round being swept (0 = Init)
 	halting   bool          // set by Context.Halt during a node call; the sweep consumes it
+	traced    bool          // an event sink is attached: buffer Emit and halt events
+	listHalts bool          // a distributed worker's shard, which reports its halts
+
+	// The broadcast pull's input (see deliverPull), shared by every shard
+	// of a run: senders flags the round's senders, one bit per vertex, and
+	// wires[u] holds sender u's Broadcast payload.
+	senders []uint64
+	wires   []Wire
 
 	// The record pull's input for the round the sweep consumes (see pull
 	// and indexRecords): the round's records in global sender order, the
@@ -437,21 +452,21 @@ type shard struct {
 
 // execState is the driver-independent bookkeeping for a run.
 type execState struct {
-	// g is the run's graph: the sweep points each shard's Context at
-	// g.Neighbors(v), and the fate walk expands a Broadcast record over
+	// g is the run's graph: each in-process shard sweeps a view of its
+	// rows, and the fate walk expands a Broadcast record over
 	// g.Neighbors(sender).
 	g      *graph.Graph
 	shards []*shard
 	// rngs holds every node's RNG stream, rngs[v] = Split(v) of the run
-	// seed: one pointer-free run-wide table the collector never scans. The
-	// distributed coordinator never sweeps, so its table is nil.
+	// seed: one pointer-free run-wide table the collector never scans, of
+	// which each shard sweeps its range. The distributed coordinator never
+	// sweeps, so its table is nil.
 	rngs []rng.RNG
 
 	// The broadcast pull's state (see deliverPull): pull reports that the
-	// round the next sweep consumes takes the broadcast pull, senders
-	// flags that round's senders (one bit per vertex) and wires[v] holds
-	// sender v's Broadcast payload. senders and wires exist only in a
-	// reliable in-process run, the only kind that can take it.
+	// round the next sweep consumes takes the broadcast pull, and senders
+	// and wires are the tables every shard reads it from. They exist only
+	// in a reliable in-process run, the only kind that can take it.
 	pull    bool
 	senders []uint64
 	wires   []Wire
@@ -505,7 +520,9 @@ type execState struct {
 // newExecState prepares the node streams and the shards, each with its
 // Context. Shard boundaries split the vertex range into numShards
 // near-equal contiguous pieces, shard s owning [s·n/numShards,
-// (s+1)·n/numShards) for the whole run.
+// (s+1)·n/numShards) for the whole run. An in-process shard sweeps its
+// part of the run's graph, nodes and streams; the distributed
+// coordinator's shards only mirror their workers' frontiers.
 func (r *Runner) newExecState(numShards int) *execState {
 	n := r.g.N()
 	if numShards > n {
@@ -545,10 +562,13 @@ func (r *Runner) newExecState(numShards int) *execState {
 			st.rngs[v] = *root.Split(uint64(v))
 		}
 	}
-	r.traced = st.bus != nil
 	for s := range st.shards {
-		sh := r.newShard()
-		sh.resetFrontier(s*n/numShards, (s+1)*n/numShards)
+		lo, hi := s*n/numShards, (s+1)*n/numShards
+		sh := newShard(lo, hi, n, st.bus != nil)
+		if !st.remote {
+			sh.rows, sh.nodes, sh.rngs = r.g.Rows(lo, hi), r.nodes[lo:hi], st.rngs[lo:hi]
+			sh.senders, sh.wires = st.senders, st.wires
+		}
 		st.shards[s] = sh
 	}
 	if !st.remote {
@@ -558,10 +578,12 @@ func (r *Runner) newExecState(numShards int) *execState {
 	return st
 }
 
-// newShard returns an empty shard holding its one Context.
-func (r *Runner) newShard() *shard {
-	sh := &shard{}
-	sh.ctx = Context{shard: sh, runner: r}
+// newShard returns the shard over [lo, hi) of an n-vertex run, every
+// vertex live, holding its one Context.
+func newShard(lo, hi, n int, traced bool) *shard {
+	sh := &shard{n: n, traced: traced}
+	sh.ctx.shard = sh
+	sh.resetFrontier(lo, hi)
 	return sh
 }
 
@@ -580,44 +602,44 @@ func (r *Runner) newShard() *shard {
 // pull grows it for late messages or several calls by one sender.
 func (st *execState) sizeOutboxes() {
 	for _, sh := range st.shards {
-		var widest int
-		sh.bound, widest = rowStats(st.g.Neighbors, sh.lo, sh.hi)
-		sh.inbox = make([]Message, widest)
+		sh.inbox = make([]Message, widestRow(sh.rows))
 		sh.first = st.first
 		sh.out = st.outbox[sh.lo:sh.lo:sh.hi]
 	}
 }
 
-// rowStats returns the degree sum of the vertices in [lo, hi), row(v)
-// being v's CSR row — the most messages they can send, or receive, in one
-// round under CONGEST's one message per edge per direction — and their
-// largest degree.
-func rowStats(row func(v int) []int, lo, hi int) (sum, widest int) {
-	for v := lo; v < hi; v++ {
-		d := len(row(v))
-		sum += d
-		widest = max(widest, d)
+// widestRow returns the largest degree among the vertices rows covers.
+func widestRow(rows graph.Rows) (widest int) {
+	for i := 1; i < len(rows.Off); i++ {
+		widest = max(widest, rows.Off[i]-rows.Off[i-1])
 	}
-	return sum, widest
+	return widest
 }
 
-// sweepShard runs one round for every live node of a shard, in ascending
-// ID order by iterating the frontier bitset word by word (set bits resolve
-// low-to-high via TrailingZeros64, so bit order is ID order). A halted
-// node's bit is cleared; a VertexGone fate also retires the bit so a run
-// with permanent crashes can still terminate, while VertexDown leaves the
-// bit set (the vertex is skipped this round only). Vertex fates are pure
-// functions of (round, vertex), so concurrent shard workers agree with
-// the sequential sweep. The shard's Context is re-pointed at each vertex
-// before its call; only this shard's worker writes it.
+// sweep runs one round for every live node of the shard, in ascending ID
+// order by iterating the frontier bitset word by word (set bits resolve
+// low-to-high via TrailingZeros64, so bit order is ID order); pull says
+// whether the round takes the broadcast pull. It is the one sweep of
+// every driver: a pool worker runs it on its shard, the sequential driver
+// on its only one, a distributed worker in ShardWorker.Sweep. A halted
+// node's bit is cleared. The sweep never consults the fault plan: it
+// reads the round's vertex fates, drawn on the coordinator (scanFates),
+// with a cursor, skips a vertex that is down and retires one that is gone
+// for good — in process scanFates has already retired it. The shard's
+// Context is re-pointed at each vertex before its call; only this shard's
+// worker writes it. A node that panics ends the sweep with the shard's
+// error (see recoverPanic).
 //
 //congest:hotpath
-func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
+func (sh *shard) sweep(round int, pull bool) {
+	defer sh.recoverPanic(round)
 	sh.round = round
 	ctx := &sh.ctx
-	base := sh.lo >> 6
-	for wi := range sh.frontier {
-		w := sh.frontier[wi]
+	lo, frontier, rows, nodes, rngs := sh.lo, sh.frontier, sh.rows, sh.nodes, sh.rngs
+	fates, f := sh.fates, 0
+	base := lo >> 6
+	for wi := range frontier {
+		w := frontier[wi]
 		if w == 0 {
 			continue
 		}
@@ -626,30 +648,34 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 			b := bits.TrailingZeros64(rem)
 			rem &^= 1 << uint(b)
 			v := vbase + b
-			if round > 0 && st.plan != nil {
-				switch st.plan.Vertex(round, v) {
-				case faultsim.VertexGone:
-					sh.frontier[wi] &^= 1 << uint(b)
-					sh.liveCount--
-					continue
-				case faultsim.VertexDown:
-					continue
-				}
+			for f < len(fates) && int(fates[f].V) < v {
+				f++
 			}
-			ctx.id, ctx.neighbors, ctx.rng = v, st.g.Neighbors(v), &st.rngs[v]
+			if f < len(fates) && int(fates[f].V) == v {
+				if fates[f].Fate == int32(faultsim.VertexGone) {
+					frontier[wi] &^= 1 << uint(b)
+					sh.liveCount--
+				}
+				continue
+			}
+			i := v - lo
+			ctx.id, ctx.neighbors, ctx.rng = v, rows.Neighbors(v), &rngs[i]
 			switch {
 			case round == 0:
-				r.nodes[v].Init(ctx)
-			case st.pull:
-				r.nodes[v].Round(ctx, st.pullInbox(sh, ctx.neighbors))
+				nodes[i].Init(ctx)
+			case pull:
+				nodes[i].Round(ctx, sh.pullInbox(ctx.neighbors))
 			default:
-				r.nodes[v].Round(ctx, sh.pull(v, ctx.neighbors))
+				nodes[i].Round(ctx, sh.pull(v, ctx.neighbors))
 			}
 			if sh.halting {
 				sh.halting = false
-				sh.frontier[wi] &^= 1 << uint(b)
+				frontier[wi] &^= 1 << uint(b)
 				sh.liveCount--
-				if r.traced {
+				if sh.listHalts {
+					sh.halted = append(sh.halted, int32(v))
+				}
+				if sh.traced {
 					sh.events = append(sh.events, trace.Event{
 						Type: trace.EvHalt, Round: int32(round), V: int32(v),
 					})
@@ -659,7 +685,21 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 	}
 }
 
-// pullInbox builds a live vertex's inbox by the broadcast pull, in its
+// recoverPanic, deferred by the sweep, turns a node's panic into the
+// shard's error, naming the vertex and round, unless a lower vertex of the
+// shard already failed — the precedence model violations have. The sweep
+// ends there, and the run fails with that error under every driver: a
+// pool worker goroutine survives to report it, and a distributed worker
+// ships it in RoundOutput.Err.
+//
+//congest:coldpath
+func (sh *shard) recoverPanic(round int) {
+	if p := recover(); p != nil && sh.err == nil {
+		sh.err = fmt.Errorf("congest: vertex %d panicked in round %d: %v", sh.ctx.id, round, p)
+	}
+}
+
+// pullInbox builds a live vertex's inbox by the broadcast pull, in the
 // shard's scratch: the vertex's CSR row filtered to the neighbors flagged
 // as senders, each with its wire. The row is ascending, so the inbox holds
 // one message per sender in sender order — the inbox the record pull
@@ -667,11 +707,11 @@ func (r *Runner) sweepShard(st *execState, sh *shard, round int) {
 // is why the scratch stays at full length.
 //
 //congest:hotpath
-func (st *execState) pullInbox(sh *shard, row []int) []Message {
-	buf, k := sh.inbox, 0
+func (sh *shard) pullInbox(row []int) []Message {
+	buf, senders, wires, k := sh.inbox, sh.senders, sh.wires, 0
 	for _, u := range row {
-		if st.senders[u>>6]&(1<<(uint(u)&63)) != 0 {
-			buf[k] = Message{From: u, Wire: st.wires[u]}
+		if senders[u>>6]&(1<<(uint(u)&63)) != 0 {
+			buf[k] = Message{From: u, Wire: wires[u]}
 			k++
 		}
 	}
@@ -688,8 +728,8 @@ func (st *execState) pullInbox(sh *shard, row []int) []Message {
 // sweep, and a round's pulls cost O(messages) plus, if anyone broadcast,
 // the swept rows. first is never cleared: an entry left from an earlier
 // round points past bcast or at another sender's Broadcast, which the
-// walk over u's Broadcasts rejects. The in-process sweep and a
-// distributed worker's both build their record-round inboxes here.
+// walk over u's Broadcasts rejects. The sweep builds every record-round
+// inbox here, under every driver.
 //
 //congest:hotpath
 func (sh *shard) pull(v int, row []int) []Message {
@@ -1087,51 +1127,80 @@ func (st *execState) refreshLive() {
 	st.live = live
 }
 
-// runLoop is the coordinator shared by every driver: sweep round 0 (Init),
-// then rounds 1, 2, ... until every node has halted. sweep(round) must run
-// every live node once; afterRound, when non-nil, runs after each
-// successfully delivered round, before the round-end event (the pool
-// driver publishes its timing events there). Round reporting rides the
-// event bus: startRound/endRound bracket each round on it.
+// runLoop is the coordinator shared by every driver: round 0 (Init), then
+// rounds 1, 2, ... until every node has halted, each run by step. sweep
+// must run every live node of the round once; afterRound, when non-nil,
+// runs after each successfully delivered round, before the round-end
+// event (the pool driver publishes its timing events there).
 //
 // Result.Rounds is committed only after a round's delivery succeeds, so a
 // run aborted by a mid-round model violation reports the last *completed*
 // round, not the one that failed.
-func (r *Runner) runLoop(st *execState, sweep func(round int), afterRound func(round int)) (Result, error) {
-	r.startRound(st, 0)
-	sweep(0)
-	if err := r.deliver(st, 0); err != nil {
-		return st.res, err
-	}
-	st.refreshLive()
-	if afterRound != nil {
-		afterRound(0)
-	}
-	r.endRound(st, 0)
-	for round := 1; st.live > 0; round++ {
+func (r *Runner) runLoop(st *execState, sweep, afterRound func(round int)) (Result, error) {
+	for round := 0; round == 0 || st.live > 0; round++ {
 		if round > r.opts.MaxRounds {
 			return st.res, fmt.Errorf("%w (limit %d, %d nodes live)", ErrMaxRounds, r.opts.MaxRounds, st.live)
 		}
-		r.startRound(st, round)
-		sweep(round)
-		if err := r.deliver(st, round); err != nil {
+		if err := r.step(st, round, sweep, afterRound); err != nil {
 			return st.res, err
 		}
-		st.res.Rounds = round
-		st.refreshLive()
-		if afterRound != nil {
-			afterRound(round)
-		}
-		r.endRound(st, round)
 	}
 	return st.res, nil
 }
 
+// step is the body of every round under every driver: open the round on
+// the event bus, draw the round's vertex fates for every shard on a
+// faulted run (scanFates — Init, round 0, always runs), sweep, deliver,
+// commit the round and close it on the bus.
+func (r *Runner) step(st *execState, round int, sweep, afterRound func(round int)) error {
+	r.startRound(st, round)
+	if round > 0 && st.plan != nil {
+		for _, sh := range st.shards {
+			sh.fates = st.scanFates(sh, round, sh.fates[:0])
+		}
+	}
+	sweep(round)
+	if err := r.deliver(st, round); err != nil {
+		return err
+	}
+	st.res.Rounds = round
+	st.refreshLive()
+	if afterRound != nil {
+		afterRound(round)
+	}
+	r.endRound(st, round)
+	return nil
+}
+
+// scanFates appends to fates the round's non-Up vertex fates for a
+// shard's live vertices, ascending, and retires the vertices gone for good
+// from the shard's frontier. It runs on the coordinator for every driver,
+// so the sweep only reads the list; a distributed worker gets a copy in
+// RoundInput.Fates.
+//
+//congest:hotpath
+func (st *execState) scanFates(sh *shard, round int, fates []VertexFate) []VertexFate {
+	base := sh.lo >> 6
+	for wi, w := range sh.frontier {
+		vbase := (base + wi) << 6
+		for rem := w; rem != 0; {
+			b := bits.TrailingZeros64(rem)
+			rem &^= 1 << uint(b)
+			v := vbase + b
+			switch f := st.plan.Vertex(round, v); f {
+			case faultsim.VertexGone:
+				sh.frontier[wi] &^= 1 << uint(b)
+				sh.liveCount--
+				fates = append(fates, VertexFate{V: int32(v), Fate: int32(f)})
+			case faultsim.VertexDown:
+				fates = append(fates, VertexFate{V: int32(v), Fate: int32(f)})
+			}
+		}
+	}
+	return fates
+}
+
 func (r *Runner) runSequential() (Result, error) {
 	st := r.newExecState(1)
-	return r.runLoop(st, func(round int) {
-		for _, sh := range st.shards {
-			r.sweepShard(st, sh, round)
-		}
-	}, nil)
+	return r.runLoop(st, func(round int) { st.shards[0].sweep(round, st.pull) }, nil)
 }

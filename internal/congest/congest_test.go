@@ -140,6 +140,72 @@ func TestMessageBitLimit(t *testing.T) {
 	}
 }
 
+// panicky broadcasts every round and panics at vertex 5 in round 2. It
+// implements Porter so the distributed driver can run it.
+type panicky struct{}
+
+func (panicky) Init(ctx *Context) { ctx.Broadcast(rawWire(8)) }
+func (panicky) Round(ctx *Context, _ []Message) {
+	if ctx.ID() == 5 && ctx.Round() == 2 {
+		panic("boom")
+	}
+	ctx.Broadcast(rawWire(8))
+}
+func (panicky) ExportState() uint64 { return 0 }
+func (panicky) ImportState(uint64)  {}
+
+// countingFleet is a localFleet that counts its Shard calls.
+type countingFleet struct {
+	*localFleet
+	calls int
+}
+
+func (f *countingFleet) Shard(cfg ShardConfig) (ShardConn, error) {
+	f.calls++
+	return f.localFleet.Shard(cfg)
+}
+
+// TestNodePanicIsOneError runs a program that panics at vertex 5 in round
+// 2 of a 256-cycle under the sequential driver, pools of 1, 2 and n
+// workers and the distributed coordinator on three in-process workers:
+// every driver must return the same contextual error and the same Result
+// — a pool worker goroutine surviving the panic — and the distributed
+// run must fail without respawning a worker.
+func TestNodePanicIsOneError(t *testing.T) {
+	g := ringGraph(256)
+	factory := func(int) Node { return panicky{} }
+	fleet := &countingFleet{localFleet: &localFleet{g: g, shards: 3, factory: factory}}
+	const want = "congest: vertex 5 panicked in round 2: boom"
+	var ref Result
+	for i, d := range []struct {
+		name string
+		opts Options
+	}{
+		{"sequential", Options{}},
+		{"pool-1", Options{Driver: DriverPool, Workers: 1}},
+		{"pool-2", Options{Driver: DriverPool, Workers: 2}},
+		{"pool-n", Options{Driver: DriverPool, Workers: 1 << 30}},
+		{"distributed", Options{Driver: DriverDistributed, Fleet: fleet}},
+	} {
+		d.opts.Seed = 1
+		res, err := NewRunner(g, factory, d.opts).Run()
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: error %v, want %q", d.name, err, want)
+		}
+		if i == 0 {
+			ref = res
+		} else if res != ref {
+			t.Fatalf("%s: result %+v, sequential %+v", d.name, res, ref)
+		}
+	}
+	if ref.Rounds != 1 {
+		t.Fatalf("failed run reports %d completed rounds, want 1", ref.Rounds)
+	}
+	if fleet.calls != 3 {
+		t.Fatalf("fleet saw %d Shard calls for 3 shards", fleet.calls)
+	}
+}
+
 // neverHalt runs forever.
 type neverHalt struct{}
 

@@ -11,10 +11,11 @@ package congest
 // everything that consumes randomness or emits deterministic events stays
 // on the coordinator, in global sender order:
 //
-//   - fault fates and fault-stream draws happen in deliver, exactly as for
-//     the sequential driver (workers never see the fault RNG; they receive
-//     the already-drawn vertex fates and the list of deliveries the plan
-//     withheld);
+//   - fault fates and fault-stream draws happen on the coordinator,
+//     exactly as for the sequential driver: the round's vertex fates in
+//     step, before the sweep, and message fates in deliver (workers never
+//     see the plan or the fault RNG; they receive the already-drawn vertex
+//     fates and the list of deliveries the plan withheld);
 //   - shards are contiguous ascending ID ranges and each worker sweeps its
 //     nodes in ID order, so concatenating worker outboxes in shard order
 //     reproduces the global send order every in-process driver uses; a
@@ -22,8 +23,9 @@ package congest
 //     walk (deliverRecords, the one every in-process record round runs)
 //     expands it over the sender's CSR row, so fault draws keep their
 //     (sender, call, neighbor) order, and the next round ships the records
-//     themselves: each worker indexes them for its own vertices and builds
-//     every inbox by the in-process drivers' record pull (shard.pull);
+//     themselves: each worker is one shard of the in-process engine, which
+//     indexes them for its own vertices and runs the sweep every driver
+//     runs (shard.sweep), building every inbox by the record pull;
 //   - node RNG streams are Split(v) of the run seed on the worker — the
 //     same pure function of (seed, v) the in-process drivers use, so
 //     stream contents do not depend on which process draws them.
@@ -42,10 +44,9 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
-	"repro/internal/faultsim"
+	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -55,9 +56,8 @@ import (
 // and the adjacency of [Lo, Hi) travel with the Fleet implementation,
 // which owns the graph and the program spec.
 type ShardConfig struct {
-	// Index is this shard's position in the fleet; NumShards is the
-	// effective shard count (the fleet's size clamped to the vertex count).
-	Index, NumShards int
+	// Index is this shard's position in the fleet.
+	Index int
 	// Lo, Hi delimit the owned contiguous vertex range [Lo, Hi).
 	Lo, Hi int
 	// N is the whole graph's vertex count.
@@ -71,7 +71,8 @@ type ShardConfig struct {
 }
 
 // VertexFate is one non-Up fault verdict for a live vertex this round,
-// drawn (purely) on the coordinator and shipped to the owning worker.
+// drawn (purely) on the coordinator by scanFates, read by the sweep and
+// shipped to the owning worker.
 // Fate uses the faultsim.VertexFate values 1 (down) and 2 (gone); the
 // round-frame decoder rejects any other.
 type VertexFate struct {
@@ -92,7 +93,8 @@ type Withheld struct {
 //     global sender order (ascending sender, send-call order per sender),
 //     one per send call as the workers shipped them — a Broadcast is one
 //     BroadcastTo record. Every shard's input shares one slice.
-//   - Fates are the non-Up verdicts for the shard's live vertices.
+//   - Fates are the non-Up verdicts for the shard's live vertices,
+//     strictly ascending by vertex, so the sweep reads them with a cursor.
 //   - Withheld are the deliveries the fault plan dropped or delayed, for
 //     recipients in [Lo, Hi), sorted by recipient and then by record.
 //   - Late are the delayed messages due this round, for recipients in
@@ -143,10 +145,10 @@ type RoundOutput struct {
 	// vertices, for the coordinator's EvRNG accounting.
 	Draws uint64
 	// Err is the first model violation a node of this shard committed
-	// (send to a non-neighbor, message above MaxWireBits), as an error
-	// string; it aborts the run on the coordinator exactly as sh.err does
-	// in-process. The violating send never reaches Packets, so no frame
-	// carries it.
+	// (send to a non-neighbor, message above MaxWireBits) or its first
+	// panic, as an error string; it aborts the run on the coordinator
+	// exactly as sh.err does in-process. The violating send never reaches
+	// Packets, so no frame carries it.
 	Err string
 
 	// Advisory transport measurements, filled by the connection (not the
@@ -272,13 +274,12 @@ func (d *distRun) start() error {
 			continue
 		}
 		d.cfgs[s] = ShardConfig{
-			Index:     s,
-			NumShards: nShards,
-			Lo:        sh.lo,
-			Hi:        sh.hi,
-			N:         d.r.g.N(),
-			Seed:      d.r.opts.Seed,
-			Traced:    d.st.bus != nil,
+			Index:  s,
+			Lo:     sh.lo,
+			Hi:     sh.hi,
+			N:      d.r.g.N(),
+			Seed:   d.r.opts.Seed,
+			Traced: d.st.bus != nil,
 		}
 		conn, err := d.fleet.Shard(d.cfgs[s])
 		if err != nil {
@@ -295,8 +296,10 @@ func (d *distRun) start() error {
 // which the shared deliver pass walks. Every input shares the previous
 // round's records; the withheld pairs and late messages the last delivery
 // collected are copied once into fresh exact-size slices, which split
-// sorts and cuts by shard as it does for the in-process record pull, so
-// the recovery log keeps each input as sent.
+// sorts and cuts by shard as it does for the in-process record pull, and
+// each shard's vertex fates, which step drew into the mirror shard's
+// reused list, into a fresh copy, so the recovery log keeps each input as
+// sent.
 func (d *distRun) sweep(round int) {
 	st := d.st
 	st.split(slices.Clone(st.withheld), slices.Clone(st.late), nil)
@@ -304,45 +307,10 @@ func (d *distRun) sweep(round int) {
 		if d.conns[s] == nil {
 			continue
 		}
-		in := RoundInput{Round: round, Records: st.records, Withheld: sh.held, Late: sh.late}
-		if round > 0 && st.plan != nil {
-			in.Fates = d.scanFates(sh, round)
-		}
-		d.ins[s] = in
+		d.ins[s] = RoundInput{Round: round, Records: st.records, Fates: slices.Clone(sh.fates), Withheld: sh.held, Late: sh.late}
 	}
 	d.exchange(round)
 	d.apply(round)
-}
-
-// scanFates draws the round's vertex fates for a shard's live vertices —
-// the same pure plan.Vertex consult the in-process sweep performs — and
-// retires permanently-gone vertices from the coordinator's mirror
-// frontier, exactly as sweepShard does.
-func (d *distRun) scanFates(sh *shard, round int) []VertexFate {
-	st := d.st
-	var fates []VertexFate
-	base := sh.lo >> 6
-	for wi := range sh.frontier {
-		w := sh.frontier[wi]
-		if w == 0 {
-			continue
-		}
-		vbase := (base + wi) << 6
-		for rem := w; rem != 0; {
-			b := bits.TrailingZeros64(rem)
-			rem &^= 1 << uint(b)
-			v := vbase + b
-			switch st.plan.Vertex(round, v) {
-			case faultsim.VertexGone:
-				fates = append(fates, VertexFate{V: int32(v), Fate: int32(faultsim.VertexGone)})
-				sh.frontier[wi] &^= 1 << uint(b)
-				sh.liveCount--
-			case faultsim.VertexDown:
-				fates = append(fates, VertexFate{V: int32(v), Fate: int32(faultsim.VertexDown)})
-			}
-		}
-	}
-	return fates
 }
 
 // exchange ships the round to the fleet: send phase in shard order, recv
@@ -624,74 +592,58 @@ func outputDigest(out RoundOutput) uint64 {
 	return h
 }
 
-// ShardWorker is the worker-process side of the distributed driver: the
-// sweep engine for one contiguous vertex shard. It reuses the in-process
-// engine's Context and outbox machinery, so node programs observe exactly
-// the environment the in-process drivers give them; what it does NOT have
-// is the fault plan, the fault RNG, or delivery — those stay on the
-// coordinator, which is what keeps socket transport outside the
-// determinism surface. It builds its vertices' inboxes itself, by the
-// record pull the in-process drivers run (shard.pull), from the records,
-// withheld pairs and late messages each RoundInput ships.
+// ShardWorker is the worker-process side of the distributed driver: one
+// shard of the in-process engine, over one contiguous vertex range. It
+// runs the sweep every driver runs (shard.sweep), so node programs observe
+// exactly the environment the in-process drivers give them; what it does
+// NOT have is the fault plan, the fault RNG, or delivery — those stay on
+// the coordinator, which is what keeps socket transport outside the
+// determinism surface. The sweep builds its vertices' inboxes by the
+// record pull from the records, withheld pairs and late messages each
+// RoundInput ships, and reads the input's vertex fates.
 type ShardWorker struct {
-	cfg       ShardConfig
-	r         *Runner           // n/traced carcass for Context plumbing; never Run
-	sh        *shard            // outbox, inbox scratch and record-pull input; sh.first spans all N vertices, sh.direct only [Lo, Hi)
-	neighbors func(v int) []int // owned vertices' CSR rows
-	rngs      []rng.RNG         // owned vertices' node streams, indexed by v - cfg.Lo
-	nodes     []Node
-	round     int     // next expected round
-	fate      []uint8 // per-vertex fate scratch for the current round
-	halted    []int32
+	cfg   ShardConfig
+	sh    *shard // the range's rows, nodes and streams, outbox, inbox scratch and record-pull input; sh.first spans all N vertices, sh.direct only [Lo, Hi)
+	round int    // next expected round
 }
 
-// NewShardWorker builds the sweep engine for cfg. neighbors(v) must
-// return the sorted adjacency of each owned vertex v in [cfg.Lo, cfg.Hi);
-// the sweep calls it for every vertex it visits. factory must return the
-// same state machine the coordinator's mirror uses. NewShardWorker calls
-// it for each owned vertex, from one goroutine, in ascending ID order, as
-// NewRunner does, so a factory may carve its nodes from its own slab. A
-// fleet that shares one factory between its shards must therefore open
-// them one after another — the coordinator asks for them in turn. Every
-// node must implement Porter. The worker's outbox, which Sweep returns as
-// its packets, reserves one send call per owned vertex, what a
-// broadcast-only program makes in a round; a round with more calls grows
-// it. Its inbox scratch starts as long as the range's widest row, one
-// message per neighbor, and grows when late messages or several calls by
-// one sender need more. It indexes every shard's records, so its
-// Broadcast index reserves one entry per vertex of the graph.
-func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v int) Node) (*ShardWorker, error) {
+// NewShardWorker builds the sweep engine for cfg. rows must be the CSR
+// rows of [cfg.Lo, cfg.Hi), which the worker keeps and sweeps. factory must
+// return the same state machine the coordinator's mirror uses.
+// NewShardWorker calls it for each owned vertex, from one goroutine, in
+// ascending ID order, as NewRunner does, so a factory may carve its nodes
+// from its own slab. A fleet that shares one factory between its shards
+// must therefore open them one after another — the coordinator asks for
+// them in turn. Every node must implement Porter. The worker's outbox,
+// which Sweep returns as its packets, reserves one send call per owned
+// vertex, what a broadcast-only program makes in a round; a round with
+// more calls grows it. Its inbox scratch starts as long as the range's
+// widest row, one message per neighbor, and grows when late messages or
+// several calls by one sender need more. It indexes every shard's records,
+// so its Broadcast index reserves one entry per vertex of the graph.
+func NewShardWorker(cfg ShardConfig, rows graph.Rows, factory func(v int) Node) (*ShardWorker, error) {
 	if cfg.Lo < 0 || cfg.Hi < cfg.Lo || cfg.Hi > cfg.N {
 		return nil, fmt.Errorf("congest: shard range [%d, %d) invalid for n=%d", cfg.Lo, cfg.Hi, cfg.N)
 	}
-	width := cfg.Hi - cfg.Lo
-	r := &Runner{n: cfg.N, traced: cfg.Traced}
-	w := &ShardWorker{
-		cfg:       cfg,
-		r:         r,
-		sh:        r.newShard(),
-		neighbors: neighbors,
-		rngs:      make([]rng.RNG, width),
-		nodes:     make([]Node, width),
-		fate:      make([]uint8, width),
+	if rows.Lo != cfg.Lo || len(rows.Off) != cfg.Hi-cfg.Lo+1 {
+		return nil, fmt.Errorf("congest: shard %d rows from vertex %d with %d offsets do not cover its range [%d, %d)",
+			cfg.Index, rows.Lo, len(rows.Off), cfg.Lo, cfg.Hi)
 	}
-	w.sh.resetFrontier(cfg.Lo, cfg.Hi)
+	width := cfg.Hi - cfg.Lo
+	sh := newShard(cfg.Lo, cfg.Hi, cfg.N, cfg.Traced)
+	sh.rows, sh.nodes, sh.rngs, sh.listHalts = rows, make([]Node, width), make([]rng.RNG, width), true
 	root := rng.New(cfg.Seed)
 	for v := cfg.Lo; v < cfg.Hi; v++ {
 		nd := factory(v)
 		if _, ok := nd.(Porter); !ok {
 			return nil, fmt.Errorf("congest: distributed runs need every node to implement Porter; vertex %d (%T) does not", v, nd)
 		}
-		i := v - cfg.Lo
-		w.nodes[i] = nd
-		w.rngs[i] = *root.Split(uint64(v))
+		sh.nodes[v-cfg.Lo], sh.rngs[v-cfg.Lo] = nd, *root.Split(uint64(v))
 	}
-	var widest int
-	w.sh.bound, widest = rowStats(neighbors, cfg.Lo, cfg.Hi)
-	w.sh.out = make([]Packet, 0, width)
-	w.sh.inbox = make([]Message, widest)
-	w.sh.first, w.sh.bcast = make([]int32, cfg.N), make([]int32, 0, cfg.N)
-	return w, nil
+	sh.out = make([]Packet, 0, width)
+	sh.inbox = make([]Message, widestRow(rows))
+	sh.first, sh.bcast = make([]int32, cfg.N), make([]int32, 0, cfg.N)
+	return &ShardWorker{cfg: cfg, sh: sh}, nil
 }
 
 // Sweep runs one round over the shard's live vertices and returns their
@@ -699,8 +651,9 @@ func NewShardWorker(cfg ShardConfig, neighbors func(v int) []int, factory func(v
 // BroadcastTo record — buffered trace events, halts and draw totals.
 // The returned slices are valid until the next Sweep call. An error
 // return is a protocol violation (malformed input, out-of-sequence
-// round) and is fatal for the connection; a model violation by a node
-// travels in RoundOutput.Err instead, like the in-process shard error.
+// round) and is fatal for the connection; a model violation or a panic by
+// a node travels in RoundOutput.Err instead, like the in-process shard
+// error.
 //
 // Sweep runs in a worker process: engine-side randomness (the fault
 // stream) must never be drawn here — misvet's draworder analyzer walks
@@ -716,30 +669,19 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	if err := w.check(in); err != nil {
 		return RoundOutput{}, err
 	}
-	for _, f := range in.Fates {
-		if int(f.V) < w.cfg.Lo || int(f.V) >= w.cfg.Hi {
-			return RoundOutput{}, fmt.Errorf("congest: shard %d got fate for foreign vertex %d", w.cfg.Index, f.V)
-		}
-		w.fate[int(f.V)-w.cfg.Lo] = uint8(f.Fate)
-	}
 	sh := w.sh
 	sh.bcast, sh.direct = indexRecords(in.Records, sh.first, sh.bcast[:0], sh.direct[:0], w.cfg.Lo, w.cfg.Hi)
-	sh.recs, sh.held, sh.late = in.Records, in.Withheld, in.Late
+	sh.recs, sh.held, sh.late, sh.fates = in.Records, in.Withheld, in.Late, in.Fates
 	sh.directAt, sh.heldAt, sh.lateAt = 0, 0, 0
-	sh.events = sh.events[:0]
-	sh.out = sh.out[:0]
-	w.halted = w.halted[:0]
-	w.sweep(in.Round)
-	for _, f := range in.Fates {
-		w.fate[int(f.V)-w.cfg.Lo] = 0
-	}
+	sh.events, sh.out, sh.halted = sh.events[:0], sh.out[:0], sh.halted[:0]
+	sh.sweep(in.Round, false)
 	w.round++
 
 	out := RoundOutput{
 		Packets: sh.out,
 		Events:  sh.events,
-		Halted:  w.halted,
-		Draws:   w.draws(),
+		Halted:  sh.halted,
+		Draws:   drawSum(sh.rngs),
 	}
 	if sh.err != nil {
 		out.Err = sh.err.Error()
@@ -747,7 +689,8 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	return out, nil
 }
 
-// check validates what the record pull relies on: records from real senders in
+// check validates what the sweep relies on: vertex fates for vertices in
+// the shard, strictly ascending by vertex; records from real senders in
 // non-decreasing sender order, addressed to the broadcast marker or a real
 // vertex; withheld pairs naming a record, for a recipient in the shard,
 // strictly ascending by (recipient, record); late messages for recipients
@@ -757,6 +700,14 @@ func (w *ShardWorker) check(in RoundInput) error {
 	n, lo, hi := w.cfg.N, w.cfg.Lo, w.cfg.Hi
 	bad := func(field string, i int, why string) error {
 		return fmt.Errorf("congest: shard %d round %d input: %s[%d] %s", w.cfg.Index, in.Round, field, i, why)
+	}
+	for i, f := range in.Fates {
+		switch {
+		case int(f.V) < lo || int(f.V) >= hi:
+			return bad("Fates", i, fmt.Sprintf("vertex %d outside the shard [%d, %d)", f.V, lo, hi))
+		case i > 0 && f.V <= in.Fates[i-1].V:
+			return bad("Fates", i, "vertices not strictly ascending")
+		}
 	}
 	prev := 0
 	for i, p := range in.Records {
@@ -797,67 +748,19 @@ func (w *ShardWorker) check(in RoundInput) error {
 	return nil
 }
 
-// sweep is the mirror of the in-process sweepShard over the worker's own
-// frontier: live vertices in ascending ID order, the shard's Context
-// re-pointed at each, fates applied the way the coordinator drew them,
-// halts retiring frontier bits.
-func (w *ShardWorker) sweep(round int) {
-	sh := w.sh
-	ctx := &sh.ctx
-	sh.round = round
-	base := sh.lo >> 6
-	for wi := range sh.frontier {
-		wd := sh.frontier[wi]
-		if wd == 0 {
-			continue
-		}
-		vbase := (base + wi) << 6
-		for rem := wd; rem != 0; {
-			b := bits.TrailingZeros64(rem)
-			rem &^= 1 << uint(b)
-			v := vbase + b
-			i := v - w.cfg.Lo
-			if f := w.fate[i]; f != 0 {
-				if f == uint8(faultsim.VertexGone) {
-					sh.frontier[wi] &^= 1 << uint(b)
-					sh.liveCount--
-				}
-				continue
-			}
-			ctx.id, ctx.neighbors, ctx.rng = v, w.neighbors(v), &w.rngs[i]
-			if round == 0 {
-				w.nodes[i].Init(ctx)
-			} else {
-				w.nodes[i].Round(ctx, sh.pull(v, ctx.neighbors))
-			}
-			if sh.halting {
-				sh.halting = false
-				sh.frontier[wi] &^= 1 << uint(b)
-				sh.liveCount--
-				w.halted = append(w.halted, int32(v))
-				if w.r.traced {
-					sh.events = append(sh.events, trace.Event{
-						Type: trace.EvHalt, Round: int32(round), V: int32(v),
-					})
-				}
-			}
-		}
-	}
-}
-
-// draws sums the cumulative draw counts of the shard's node streams.
-func (w *ShardWorker) draws() uint64 {
+// drawSum sums the cumulative draw counts of a table of node streams.
+func drawSum(rngs []rng.RNG) uint64 {
 	var d uint64
-	for i := range w.rngs {
-		d += w.rngs[i].Draws()
+	for i := range rngs {
+		d += rngs[i].Draws()
 	}
 	return d
 }
 
 // Outputs exports every owned vertex's terminal state, in vertex order.
 func (w *ShardWorker) Outputs() []uint64 {
-	vals := make([]uint64, len(w.nodes))
-	for i, nd := range w.nodes {
+	vals := make([]uint64, len(w.sh.nodes))
+	for i, nd := range w.sh.nodes {
 		vals[i] = nd.(Porter).ExportState()
 	}
 	return vals

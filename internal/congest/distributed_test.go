@@ -60,18 +60,25 @@ func TestDistributedRejectsSenderDisorder(t *testing.T) {
 	}
 }
 
-// TestShardWorkerRejectsMalformedInput sweeps round 1 of a worker owning
-// [2, 4) of an 8-vertex path with inputs that each break one rule its pull
-// relies on, and requires an error naming the field; the well-formed
-// input at every rule's edge must sweep.
+// TestShardWorkerRejectsMalformedInput builds a worker owning [2, 4) of an
+// 8-vertex path, which must refuse rows that do not cover its range, and
+// sweeps its round 1 with inputs that each break one rule its sweep
+// relies on, requiring an error naming the field; the well-formed input
+// at every rule's edge must sweep, as must round 2's ascending fates.
 func TestShardWorkerRejectsMalformedInput(t *testing.T) {
 	edges := make([]graph.Edge, 7)
 	for i := range edges {
 		edges[i] = graph.Edge{U: i, V: i + 1}
 	}
 	g := graph.MustNew(8, edges)
-	cfg := ShardConfig{Index: 1, NumShards: 4, Lo: 2, Hi: 4, N: 8, Seed: 3}
-	w, err := NewShardWorker(cfg, g.Neighbors, func(int) Node { return &priorityMIS{} })
+	cfg := ShardConfig{Index: 1, Lo: 2, Hi: 4, N: 8, Seed: 3}
+	factory := func(int) Node { return &priorityMIS{} }
+	for _, rows := range []graph.Rows{g.Rows(2, 3), g.Rows(1, 3), {Lo: 2}} {
+		if _, err := NewShardWorker(cfg, rows, factory); err == nil || !strings.Contains(err.Error(), "do not cover its range [2, 4)") {
+			t.Fatalf("rows from %d over %d offsets: NewShardWorker returned %v, want an error naming the range", rows.Lo, len(rows.Off), err)
+		}
+	}
+	w, err := NewShardWorker(cfg, g.Rows(2, 4), factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +93,9 @@ func TestShardWorkerRejectsMalformedInput(t *testing.T) {
 		in    RoundInput
 		field string
 	}{
+		{"fate for a foreign vertex", RoundInput{Fates: []VertexFate{{V: 4, Fate: 1}}}, "Fates[0]"},
+		{"fates descending", RoundInput{Fates: []VertexFate{{V: 3, Fate: 1}, {V: 2, Fate: 1}}}, "Fates[1]"},
+		{"fate repeated", RoundInput{Fates: []VertexFate{{V: 2, Fate: 1}, {V: 2, Fate: 2}}}, "Fates[1]"},
 		{"senders descending", RoundInput{Records: []Packet{recs[2], recs[0]}}, "Records[1]"},
 		{"sender outside the graph", RoundInput{Records: []Packet{{To: BroadcastTo, From: 8, Wire: wire}}}, "Records[0]"},
 		{"recipient below the marker", RoundInput{Records: []Packet{{To: BroadcastTo - 1, From: 1, Wire: wire}}}, "Records[0]"},
@@ -111,5 +121,8 @@ func TestShardWorkerRejectsMalformedInput(t *testing.T) {
 	}
 	if _, err := w.Sweep(edge); err != nil {
 		t.Fatalf("well-formed input at every rule's edge rejected: %v", err)
+	}
+	if _, err := w.Sweep(RoundInput{Round: 2, Fates: []VertexFate{{V: 2, Fate: 1}, {V: 3, Fate: 2}}}); err != nil {
+		t.Fatalf("ascending fates rejected: %v", err)
 	}
 }

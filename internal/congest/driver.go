@@ -31,8 +31,9 @@ func (o Options) WorkerCount(n int) int {
 // runPool executes the program on the sharded worker pool: workerCount
 // long-lived workers each own one contiguous vertex shard and sweep its
 // live nodes every round, with a channel barrier per round (two channel
-// operations per worker per round). Delivery happens on the coordinator
-// between rounds and deposits nothing: it flags the senders for the
+// operations per worker per round). The round's vertex fates (scanFates)
+// and its delivery happen on the coordinator between sweeps, and delivery
+// deposits nothing: it flags the senders for the
 // broadcast pull (deliverPull), or gathers the records, walks their fates
 // and splits the result by shard for the record pull, and each worker
 // builds its own vertices' inboxes inside the next sweep. Every shard
@@ -47,25 +48,26 @@ func (r *Runner) runPool() (Result, error) {
 	timed := r.opts.Events != nil && r.opts.EventTiming
 
 	starts := make([]chan int, workers)
+	busy := make([]int64, workers) // each shard's last sweep in nanoseconds, when timed
 	done := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for s := 0; s < workers; s++ {
 		starts[s] = make(chan int, 1)
 		//lint:advisory shard workers are deterministic by construction: shard-ordered merge makes scheduling invisible (see package doc)
-		go func(sh *shard, start chan int) {
+		go func(sh *shard, start chan int, busy *int64) {
 			defer wg.Done()
 			for round := range start {
 				if timed {
 					t0 := time.Now() //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
-					r.sweepShard(st, sh, round)
-					sh.busy = int64(time.Since(t0)) //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
+					sh.sweep(round, st.pull)
+					*busy = int64(time.Since(t0)) //lint:advisory shard-busy timings are advisory-only events, excluded from fingerprints
 				} else {
-					r.sweepShard(st, sh, round)
+					sh.sweep(round, st.pull)
 				}
 				done <- struct{}{}
 			}
-		}(st.shards[s], starts[s])
+		}(st.shards[s], starts[s], &busy[s])
 	}
 	defer func() {
 		for _, start := range starts {
@@ -86,7 +88,7 @@ func (r *Runner) runPool() (Result, error) {
 		dispatched := 0
 		for s, start := range starts {
 			if st.shards[s].liveCount == 0 {
-				st.shards[s].busy = 0
+				busy[s] = 0
 				continue
 			}
 			start <- round
@@ -117,7 +119,7 @@ func (r *Runner) runPool() (Result, error) {
 				Type:  trace.EvShardBusy,
 				Round: int32(round),
 				V:     int32(s),
-				X:     sh.busy,
+				X:     busy[s],
 				Y:     int64(sh.liveCount),
 			})
 		}

@@ -46,13 +46,9 @@ func (r *Runner) endRound(st *execState, round int) {
 	}
 	sent := st.sent - st.observed
 	st.observed = st.sent
-	draws := uint64(0)
-	if st.remote {
-		draws = st.remoteDraws
-	} else {
-		for v := range st.rngs {
-			draws += st.rngs[v].Draws()
-		}
+	draws := st.remoteDraws
+	if !st.remote {
+		draws = drawSum(st.rngs)
 	}
 	var faultDraws uint64
 	if st.faults != nil {

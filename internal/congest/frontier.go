@@ -9,9 +9,11 @@ package congest
 // find a vertex's bit the same way whatever the shard's range.
 //
 // A shard keeps the range it was set up with for the whole run. The
-// bitset only loses bits: sweepShard clears bits as nodes halt or crash
-// for good, and nothing ever resurrects a cleared bit. liveCount mirrors
-// the popcount so the empty-shard skip is O(1).
+// bitset only loses bits: the sweep clears a node's bit when it halts,
+// scanFates when the plan has it gone for good (a distributed worker's
+// sweep, when the shipped fates say so), and nothing ever resurrects a
+// cleared bit. liveCount mirrors the popcount so the empty-shard skip is
+// O(1).
 
 // frontierWords returns the word count a frontier over [lo, hi) needs.
 func frontierWords(lo, hi int) int {

@@ -120,7 +120,7 @@ func (in fuzzInput) checkInboxes(shards int) string {
 	o.st = r.newExecState(shards)
 	r.runLoop(o.st, func(round int) {
 		for _, sh := range o.st.shards {
-			r.sweepShard(o.st, sh, round)
+			sh.sweep(round, o.st.pull)
 		}
 		o.sent = o.sent[:0]
 		for _, sh := range o.st.shards {

@@ -264,7 +264,7 @@ type localFleet struct {
 func (f *localFleet) NumShards() int { return f.shards }
 
 func (f *localFleet) Shard(cfg ShardConfig) (ShardConn, error) {
-	w, err := NewShardWorker(cfg, f.g.Neighbors, f.factory)
+	w, err := NewShardWorker(cfg, f.g.Rows(cfg.Lo, cfg.Hi), f.factory)
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/faultsim"
+	"repro/internal/graph"
 	"repro/internal/trace"
 )
 
@@ -211,13 +212,13 @@ func payloadKind(p []byte) (frameKind, *decoder, error) {
 }
 
 // configMsg is the fkConfig payload: the engine shard config, the
-// program spec and the owned vertices' adjacency rows. A nil adj ships
-// the config without rows: a reused worker keeps the rows of its spawn
-// handshake, since the fleet's graph never changes.
+// program spec and the owned vertices' adjacency rows. Rows with nil Off
+// ship the config without rows: a reused worker keeps the rows of its
+// spawn handshake, since the fleet's graph never changes.
 type configMsg struct {
 	cfg  congest.ShardConfig
 	prog Program
-	adj  [][]int
+	rows graph.Rows
 }
 
 // encodeConfig serializes a configMsg. A flag byte says whether rows
@@ -227,7 +228,6 @@ func encodeConfig(e *encoder, m configMsg) {
 	e.reset(fkConfig)
 	c := m.cfg
 	e.u64(uint64(c.Index))
-	e.u64(uint64(c.NumShards))
 	e.u64(uint64(c.Lo))
 	e.u64(uint64(c.Hi))
 	e.u64(uint64(c.N))
@@ -242,12 +242,14 @@ func encodeConfig(e *encoder, m configMsg) {
 	for _, a := range m.prog.Args {
 		e.fix64(a)
 	}
-	if m.adj == nil {
+	if m.rows.Off == nil {
 		e.u8(0)
 		return
 	}
 	e.u8(1)
-	for _, nbrs := range m.adj {
+	off := m.rows.Off
+	for i := 1; i < len(off); i++ {
+		nbrs := m.rows.Adj[off[i-1]:off[i]]
 		e.u64(uint64(len(nbrs)))
 		prev := 0
 		for i, w := range nbrs {
@@ -261,8 +263,9 @@ func encodeConfig(e *encoder, m configMsg) {
 	}
 }
 
-// decodeConfig parses an fkConfig body; adj is nil for a config without
-// rows.
+// decodeConfig parses an fkConfig body into one Rows for the shard's
+// range, its offsets and its adjacency each one growing slice; the rows'
+// Off is nil for a config without rows.
 func decodeConfig(d *decoder) (configMsg, error) {
 	var m configMsg
 	fields := []struct {
@@ -270,7 +273,6 @@ func decodeConfig(d *decoder) (configMsg, error) {
 		name string
 	}{
 		{&m.cfg.Index, "config.index"},
-		{&m.cfg.NumShards, "config.num-shards"},
 		{&m.cfg.Lo, "config.lo"},
 		{&m.cfg.Hi, "config.hi"},
 		{&m.cfg.N, "config.n"},
@@ -326,15 +328,14 @@ func decodeConfig(d *decoder) (configMsg, error) {
 	if err := d.plausible("config.adjacency", uint64(m.cfg.Hi-m.cfg.Lo), 1); err != nil {
 		return m, err
 	}
-	m.adj = make([][]int, m.cfg.Hi-m.cfg.Lo)
-	for i := range m.adj {
+	m.rows = graph.Rows{Lo: m.cfg.Lo, Off: make([]int, 1, m.cfg.Hi-m.cfg.Lo+1)}
+	for v := m.cfg.Lo; v < m.cfg.Hi; v++ {
 		deg, err := d.count("config.degree", 1)
 		if err != nil {
 			return m, err
 		}
-		nbrs := make([]int, deg)
 		prev := 0
-		for j := range nbrs {
+		for j := range deg {
 			delta, err := d.u64("config.neighbor")
 			if err != nil {
 				return m, err
@@ -349,10 +350,10 @@ func decodeConfig(d *decoder) (configMsg, error) {
 			if w < 0 || w >= m.cfg.N {
 				return m, fmt.Errorf("distrib: config adjacency neighbor %d out of range [0, %d)", w, m.cfg.N)
 			}
-			nbrs[j] = w
+			m.rows.Adj = append(m.rows.Adj, w)
 			prev = w
 		}
-		m.adj[i] = nbrs
+		m.rows.Off = append(m.rows.Off, len(m.rows.Adj))
 	}
 	return m, d.done()
 }
@@ -464,14 +465,6 @@ func grown[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// decodeRound parses an fkRound body for the shard cfg describes into
-// freshly allocated slices. Connections that decode many frames should use
-// decodeScratch.round.
-func decodeRound(d *decoder, cfg congest.ShardConfig) (congest.RoundInput, error) {
-	var sc decodeScratch
-	return sc.round(d, cfg)
 }
 
 // round parses an fkRound body for the shard cfg describes, reusing the
@@ -641,13 +634,6 @@ func encodeSweep(e *encoder, out congest.RoundOutput) {
 	e.str(out.Err)
 }
 
-// decodeSweep parses an fkSweep body into freshly allocated slices.
-// Connections that decode many frames should use decodeScratch.sweep.
-func decodeSweep(d *decoder) (congest.RoundOutput, error) {
-	var sc decodeScratch
-	return sc.sweep(d)
-}
-
 // sweep parses an fkSweep body, reusing the scratch buffers.
 func (sc *decodeScratch) sweep(d *decoder) (congest.RoundOutput, error) {
 	var out congest.RoundOutput
@@ -760,12 +746,6 @@ func encodeOutputs(e *encoder, vals []uint64) {
 	for _, x := range vals {
 		e.fix64(x)
 	}
-}
-
-// decodeOutputs parses an fkOutputs body into a fresh slice.
-func decodeOutputs(d *decoder) ([]uint64, error) {
-	var sc decodeScratch
-	return sc.outputs(d)
 }
 
 // outputs parses an fkOutputs body, reusing the scratch buffer.

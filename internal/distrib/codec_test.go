@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/faultsim"
+	"repro/internal/graph"
 	"repro/internal/mis/proto"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -39,7 +40,7 @@ func boundaryWords() []uint64 {
 
 // sampleShard is the shard the sample frames describe: the config sample
 // configures it, and decodeAs decodes every round frame for it.
-var sampleShard = congest.ShardConfig{Index: 1, NumShards: 2, Lo: 2, Hi: 4, N: 8, Seed: 99}
+var sampleShard = congest.ShardConfig{Index: 1, Lo: 2, Hi: 4, N: 8, Seed: 99}
 
 // decoded is what decodeAs reports of an accepted frame: the wire payloads
 // a round frame's records and late messages or a sweep frame's packets
@@ -62,7 +63,7 @@ func decodeAs(payload []byte) (got decoded, err error) {
 	case fkConfig:
 		_, err = decodeConfig(dec)
 	case fkRound:
-		got.round, err = decodeRound(dec, sampleShard)
+		got.round, err = new(decodeScratch).round(dec, sampleShard)
 		for _, p := range got.round.Records {
 			got.wires = append(got.wires, p.Wire)
 		}
@@ -71,14 +72,14 @@ func decodeAs(payload []byte) (got decoded, err error) {
 		}
 	case fkSweep:
 		var out congest.RoundOutput
-		out, err = decodeSweep(dec)
+		out, err = new(decodeScratch).sweep(dec)
 		for _, p := range out.Packets {
 			got.wires = append(got.wires, p.Wire)
 		}
 	case fkHello, fkFinish:
 		err = dec.done()
 	case fkOutputs:
-		_, err = decodeOutputs(dec)
+		_, err = new(decodeScratch).outputs(dec)
 	case fkError:
 		_, err = decodeError(dec)
 	default:
@@ -126,7 +127,7 @@ func TestRoundTripAllWireKinds(t *testing.T) {
 	if kind != fkRound {
 		t.Fatalf("payload kind = %s, want round", kind)
 	}
-	got, err := decodeRound(dec, cfg)
+	got, err := new(decodeScratch).round(dec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestSweepRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeSweep(dec)
+	got, err := new(decodeScratch).sweep(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +180,11 @@ func TestSweepRoundTrip(t *testing.T) {
 func TestConfigRoundTrip(t *testing.T) {
 	m := configMsg{
 		cfg: congest.ShardConfig{
-			Index: 2, NumShards: 4, Lo: 10, Hi: 14, N: 1 << 20,
+			Index: 2, Lo: 10, Hi: 14, N: 1 << 20,
 			Seed: math.MaxUint64, Traced: true,
 		},
 		prog: Program{Algorithm: "colevishkin", Args: []uint64{0, 1, math.MaxUint64, 42}},
-		adj:  [][]int{{0, 1, 1<<20 - 1}, {}, {13}, {3, 7, 11, 12}},
+		rows: graph.Rows{Lo: 10, Off: []int{0, 3, 3, 4, 8}, Adj: []int{0, 1, 1<<20 - 1, 13, 3, 7, 11, 12}},
 	}
 	var e encoder
 	encodeConfig(&e, m)
@@ -195,14 +196,10 @@ func TestConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The decoder canonicalizes an empty adjacency row to an empty slice.
-	if len(m.adj[1]) == 0 && len(got.adj[1]) == 0 {
-		got.adj[1] = m.adj[1]
-	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("config did not survive the round trip:\n got %+v\nwant %+v", got, m)
 	}
-	m.adj = nil
+	m.rows = graph.Rows{}
 	encodeConfig(&e, m)
 	_, dec, _ = payloadKind(e.buf)
 	if got, err = decodeConfig(dec); err != nil || !reflect.DeepEqual(got, m) {
@@ -221,7 +218,7 @@ func TestSmallFramesRoundTrip(t *testing.T) {
 	vals := []uint64{0, 1, math.MaxUint64}
 	encodeOutputs(&e, vals)
 	_, dec, _ = payloadKind(e.buf)
-	if got, err := decodeOutputs(dec); err != nil || !reflect.DeepEqual(got, vals) {
+	if got, err := new(decodeScratch).outputs(dec); err != nil || !reflect.DeepEqual(got, vals) {
 		t.Fatalf("outputs round trip: %v, %v", got, err)
 	}
 	encodeError(&e, "boom")
@@ -270,7 +267,7 @@ func samplePayloads() map[string][]byte {
 	encodeConfig(&e, configMsg{
 		cfg:  sampleShard,
 		prog: Program{Algorithm: "metivier", Args: []uint64{7}},
-		adj:  [][]int{{0, 3}, {1}},
+		rows: graph.Rows{Lo: 2, Off: []int{0, 2, 3}, Adj: []int{0, 3, 1}},
 	})
 	out["config"] = append([]byte(nil), e.buf...)
 	encodeHello(&e)
@@ -359,9 +356,9 @@ func TestTrailingBytesRejected(t *testing.T) {
 func oversizedConfig() []byte {
 	var e encoder
 	encodeConfig(&e, configMsg{
-		cfg:  congest.ShardConfig{NumShards: 1, Hi: math.MaxInt32, N: math.MaxInt32},
+		cfg:  congest.ShardConfig{Hi: math.MaxInt32, N: math.MaxInt32},
 		prog: Program{Algorithm: "metivier"},
-		adj:  [][]int{},
+		rows: graph.Rows{Off: []int{0}},
 	})
 	return e.buf
 }
@@ -375,7 +372,7 @@ func TestCorruptCountsRejected(t *testing.T) {
 	e.u64(0)       // round
 	e.u64(1 << 40) // absurd fate count
 	_, dec, _ := payloadKind(e.buf)
-	if _, err := decodeRound(dec, sampleShard); err == nil || !strings.Contains(err.Error(), "implausible count") {
+	if _, err := new(decodeScratch).round(dec, sampleShard); err == nil || !strings.Contains(err.Error(), "implausible count") {
 		t.Fatalf("absurd fate count not rejected: %v", err)
 	}
 	e.reset(fkRound)
@@ -383,13 +380,13 @@ func TestCorruptCountsRejected(t *testing.T) {
 	e.u64(0)       // fates
 	e.u64(1 << 40) // absurd record count
 	_, dec, _ = payloadKind(e.buf)
-	if _, err := decodeRound(dec, sampleShard); err == nil || !strings.Contains(err.Error(), "implausible count") {
+	if _, err := new(decodeScratch).round(dec, sampleShard); err == nil || !strings.Contains(err.Error(), "implausible count") {
 		t.Fatalf("absurd record count not rejected: %v", err)
 	}
 	e.reset(fkOutputs)
 	e.u64(math.MaxUint64 / 2)
 	_, dec, _ = payloadKind(e.buf)
-	if _, err := decodeOutputs(dec); err == nil || !strings.Contains(err.Error(), "implausible count") {
+	if _, err := new(decodeScratch).outputs(dec); err == nil || !strings.Contains(err.Error(), "implausible count") {
 		t.Fatalf("absurd outputs count not rejected: %v", err)
 	}
 	e.reset(fkError)
@@ -441,7 +438,7 @@ func TestSweepAddressingRejected(t *testing.T) {
 		e.fix64(0)
 		e.str("")
 		_, dec, _ := payloadKind(e.buf)
-		out, err := decodeSweep(dec)
+		out, err := new(decodeScratch).sweep(dec)
 		if c.accepted {
 			if err != nil || len(out.Packets) != 1 || int64(out.Packets[0].To) != c.to {
 				t.Fatalf("%s: decoded %+v, %v; want one packet to %d", c.name, out.Packets, err, c.to)
@@ -527,7 +524,7 @@ func TestRoundMessageBitsBound(t *testing.T) {
 			late:    [][3]uint64{{2, 4, c.lat}},
 		}
 		_, dec, _ := payloadKind(f.encode())
-		in, err := decodeRound(dec, sampleShard)
+		in, err := new(decodeScratch).round(dec, sampleShard)
 		if c.field == "" {
 			if err != nil || len(in.Records) != 1 || uint64(in.Records[0].Wire.Bits) != c.rec ||
 				len(in.Late) != 1 || uint64(in.Late[0].Wire.Bits) != c.lat ||
@@ -576,7 +573,7 @@ func TestRoundPullRulesRejected(t *testing.T) {
 	for _, c := range cases {
 		c.f.fate = byte(faultsim.VertexDown)
 		_, dec, _ := payloadKind(c.f.encode())
-		_, err := decodeRound(dec, sampleShard)
+		_, err := new(decodeScratch).round(dec, sampleShard)
 		if c.field == "" {
 			if err != nil {
 				t.Fatalf("%s: rejected: %v", c.name, err)
@@ -594,7 +591,7 @@ func TestRoundPullRulesRejected(t *testing.T) {
 func TestNonAscendingAdjacencyRejected(t *testing.T) {
 	var e encoder
 	e.reset(fkConfig)
-	for _, x := range []uint64{0, 1, 0, 2, 8} { // index, shards, lo, hi, n
+	for _, x := range []uint64{0, 0, 2, 8} { // index, lo, hi, n
 		e.u64(x)
 	}
 	e.fix64(7) // seed
@@ -666,7 +663,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 			t.Fatalf("frame %d: scratch decode: %v", i, err)
 		}
 		_, dec, _ = payloadKind(e.buf)
-		fresh, err := decodeRound(dec, cfg)
+		fresh, err := new(decodeScratch).round(dec, cfg)
 		if err != nil {
 			t.Fatalf("frame %d: fresh decode: %v", i, err)
 		}
@@ -704,7 +701,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 			t.Fatalf("sweep %d: %v", i, err)
 		}
 		_, dec, _ = payloadKind(e.buf)
-		fresh, _ := decodeSweep(dec)
+		fresh, _ := new(decodeScratch).sweep(dec)
 		normSweep(&got)
 		normSweep(&fresh)
 		if !reflect.DeepEqual(got, fresh) {

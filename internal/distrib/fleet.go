@@ -41,15 +41,12 @@ func handshake(fc *frameConn, timeout time.Duration, g *graph.Graph, prog Progra
 			err = derr
 		}
 	}()
-	var adj [][]int
+	m := configMsg{cfg: cfg, prog: prog}
 	if g != nil {
-		adj = make([][]int, cfg.Hi-cfg.Lo)
-		for v := cfg.Lo; v < cfg.Hi; v++ {
-			adj[v-cfg.Lo] = g.Neighbors(v)
-		}
+		m.rows = g.Rows(cfg.Lo, cfg.Hi)
 	}
 	var enc encoder
-	encodeConfig(&enc, configMsg{cfg: cfg, prog: prog, adj: adj})
+	encodeConfig(&enc, m)
 	if err := fc.writeFrame(enc.buf); err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ func TestHandshakeStalledWorker(t *testing.T) {
 	}()
 
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1}})
-	cfg := congest.ShardConfig{NumShards: 1, Hi: 2, N: 2, Seed: 1}
+	cfg := congest.ShardConfig{Hi: 2, N: 2, Seed: 1}
 	done := make(chan error, 1)
 	go func() {
 		done <- handshake(newFrameConn(coord), 50*time.Millisecond, g, Program{Algorithm: "metivier"}, cfg)
@@ -53,7 +53,7 @@ func TestHandshakeStalledWorker(t *testing.T) {
 func TestWorkerKeepsRowsAcrossRuns(t *testing.T) {
 	g := graph.MustNew(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	prog := Program{Algorithm: "metivier"}
-	cfg := congest.ShardConfig{Index: 1, NumShards: 2, Lo: 2, Hi: 4, N: 4, Seed: 1}
+	cfg := congest.ShardConfig{Index: 1, Lo: 2, Hi: 4, N: 4, Seed: 1}
 	// serve starts a worker on a fresh pipe and returns the coordinator's
 	// end and the worker's exit error.
 	serve := func() (*frameConn, chan error) {

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"repro/internal/congest"
+	"repro/internal/graph"
 )
 
 // workerSocketEnv is the self-exec hook: when set, the process is a
@@ -63,8 +64,8 @@ func serveConn(c net.Conn) error {
 	fc := newFrameConn(c)
 	var enc encoder
 	var sc decodeScratch
-	var adj [][]int              // the kept rows, adj[v-rows.Lo] for v in [rows.Lo, rows.Hi)
-	var rows congest.ShardConfig // the config the kept rows came with
+	var rows graph.Rows             // the kept rows
+	var rowsCfg congest.ShardConfig // the config the kept rows came with
 
 	fail := func(err error) error {
 		encodeError(&enc, err.Error())
@@ -94,21 +95,19 @@ func serveConn(c net.Conn) error {
 			return fail(err)
 		}
 		switch {
-		case cm.adj != nil:
-			adj, rows = cm.adj, cm.cfg
-		case adj == nil:
+		case cm.rows.Off != nil:
+			rows, rowsCfg = cm.rows, cm.cfg
+		case rows.Off == nil:
 			return fail(errors.New("distrib: worker got a config without rows and holds none"))
-		case cm.cfg.N != rows.N || cm.cfg.Lo != rows.Lo || cm.cfg.Hi != rows.Hi:
+		case cm.cfg.N != rowsCfg.N || cm.cfg.Lo != rowsCfg.Lo || cm.cfg.Hi != rowsCfg.Hi:
 			return fail(fmt.Errorf("distrib: worker got a config without rows for n=%d [%d, %d); its rows are for n=%d [%d, %d)",
-				cm.cfg.N, cm.cfg.Lo, cm.cfg.Hi, rows.N, rows.Lo, rows.Hi))
+				cm.cfg.N, cm.cfg.Lo, cm.cfg.Hi, rowsCfg.N, rowsCfg.Lo, rowsCfg.Hi))
 		}
 		factory, err := Factory(cm.prog, cm.cfg.N)
 		if err != nil {
 			return fail(err)
 		}
-		kept, lo := adj, rows.Lo
-		neighbors := func(v int) []int { return kept[v-lo] }
-		worker, err := congest.NewShardWorker(cm.cfg, neighbors, factory)
+		worker, err := congest.NewShardWorker(cm.cfg, rows, factory)
 		if err != nil {
 			return fail(err)
 		}

@@ -27,9 +27,10 @@
 // Determinism contract: a Plan must be a pure function of its inputs —
 // Message may consume draws from the supplied RNG (the engine hands every
 // call the same coordinator-owned fault stream, in the same global order,
-// under every driver), and Vertex must use no randomness at all, because
-// the engine calls it from shard workers concurrently. Plans therefore
-// must not carry mutable state.
+// under every driver), and Vertex must use no randomness at all: the
+// engine calls it on the coordinator, once per live vertex a round before
+// the sweep and again as it delivers, and the sweep only reads its
+// verdicts. Plans therefore must not carry mutable state.
 package faultsim
 
 import (
@@ -90,8 +91,9 @@ type Plan interface {
 	Message(round, from, to int, r *rng.RNG) Fate
 	// Vertex reports v's fate in round `round`. Vertex fates apply to
 	// rounds >= 1: the engine always executes Init (round 0) so every
-	// node's state exists before the faulty network does. Vertex may be
-	// called concurrently and must not consume randomness.
+	// node's state exists before the faulty network does. Vertex is
+	// called on the coordinator, possibly several times for one (round,
+	// v), so it must be pure and must not consume randomness.
 	Vertex(round, v int) VertexFate
 }
 

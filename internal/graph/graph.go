@@ -121,6 +121,26 @@ func (g *Graph) Degree(v int) int { return g.offsets[v+1] - g.offsets[v] }
 // aliases internal storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int { return g.adj[g.offsets[v]:g.offsets[v+1]] }
 
+// Rows is the CSR of a contiguous vertex range [Lo, Lo+len(Off)-1):
+// vertex v's sorted adjacency is Adj[Off[v-Lo]:Off[v-Lo+1]]. A view from
+// Graph.Rows keeps the graph's global offsets into its whole adjacency;
+// rows decoded on their own may start at any offset.
+type Rows struct {
+	Lo  int
+	Off []int
+	Adj []int
+}
+
+// Neighbors returns the sorted adjacency of v, a vertex of the range.
+// The slice aliases the rows' storage and must not be modified.
+func (r Rows) Neighbors(v int) []int {
+	i := v - r.Lo
+	return r.Adj[r.Off[i]:r.Off[i+1]]
+}
+
+// Rows returns the rows of [lo, hi) as a view of the graph's own storage.
+func (g *Graph) Rows(lo, hi int) Rows { return Rows{Lo: lo, Off: g.offsets[lo : hi+1], Adj: g.adj} }
+
 // Offset returns where v's row starts in the flattened adjacency: rows are
 // stored in vertex order, Neighbors(v)[i] is entry Offset(v)+i, and
 // Offset(N()) is 2·M(). Per-endpoint data kept in a 2m-entry slice aligned
