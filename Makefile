@@ -33,11 +33,16 @@ misvet:
 # Engine safety net: vet plus race-detector coverage of the concurrent
 # code — the CONGEST drivers (sharded worker pool, distributed
 # coordinator), the multi-process fleet transport (frame codec, worker
-# protocol, crash recovery), and Algorithm 1, whose run-wide node, flag
-# and scale-record slices pool shard workers write concurrently, each at
-# its own vertices' entries.
+# protocol, crash recovery), Algorithm 1, whose run-wide node and
+# scale-record slices pool shard workers write concurrently, each at its
+# own vertices' entries, and the programs that keep per-neighbour state
+# in the engine's marks (matching, forest and the MIS programs), whose
+# pool tests write each shard's marks from that shard's goroutine.
+RACE_PKGS = ./internal/congest/... ./internal/distrib/... ./internal/core/... \
+	./internal/matching/... ./internal/forest/... ./internal/mis/...
+
 race:
-	go vet ./internal/congest/... ./internal/distrib/... ./internal/core/... && go test -race ./internal/congest/... ./internal/distrib/... ./internal/core/...
+	go vet $(RACE_PKGS) && go test -race $(RACE_PKGS)
 
 # Coverage gates: the engine, the fault-injection subsystem, and the
 # execution-trace subsystem are the load-bearing packages; their statement
@@ -79,15 +84,21 @@ cover:
 # most 216, coordinator and workers together, because the coordinator
 # keeps no outbox or inbox copy — it ships each round's send records once
 # and the workers pull — and a worker ships its outbox as is; every program factory
-# (the distrib registry's and matching.New) must build 2^14 nodes in at
-# most 64 allocations, because it carves them from a slab; and a whole
-# Algorithm 1 run (RunAlg1:
-# nodes, Run, outputs) must make at most 64 heap objects plus one per
-# returned ScaleRecord at n = 2^10 and 2^14, sequentially and on two pool
-# shards, because its nodes, active-neighbour flags and records live in
-# run-wide slices. Fast (< 1s); runs in ci.
+# (the distrib registry's, matching.New and forest.New) must build 2^14
+# nodes in at most 64 allocations, because it carves them from a slab; a
+# whole run of each program that tracks its active neighbours (luby-b,
+# ghaffari, localmin, ftmetivier, matching; factory, NewRunner and Run)
+# must make at most 64 allocations at n = 2^10 and 2^14, sequentially
+# and on two pool shards — forest one more per returned parent entry —
+# because their per-neighbour state lives in the engine's marks, one
+# allocation per shard, not in per-vertex slices or maps; and a whole
+# Algorithm 1 run (RunAlg1: nodes, Run, outputs) must make at most 64
+# heap objects plus one per returned ScaleRecord at n = 2^10 and 2^14,
+# sequentially and on two pool shards, because its nodes and records live
+# in run-wide slices and its active-neighbour flags in the marks. Fast
+# (< 1s); runs in ci.
 alloc-gate:
-	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex)' -count=1 ./internal/congest/
+	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex|TestProgramRunAllocs)' -count=1 ./internal/congest/
 	go test -run '^TestFactoryAllocs$$' -count=1 ./internal/distrib/
 	go test -run '^TestAlg1RunAllocs$$' -count=1 ./internal/core/
 

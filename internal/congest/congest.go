@@ -125,6 +125,37 @@ func (c *Context) Degree() int { return len(c.neighbors) }
 // so the pointer stays valid for the whole run.
 func (c *Context) RNG() *rng.RNG { return c.rng }
 
+// Marks returns this vertex's marks: one byte per neighbor slot, aligned
+// with Neighbors() (Marks()[i] belongs to Neighbors()[i]), zero before
+// Init and kept for the whole run. The engine gives them no meaning: they
+// are where a program keeps per-neighbor state without a per-vertex
+// allocation (mis/base.ActiveSet keeps its removed flags there). The
+// shard that sweeps the vertex holds them, so a distributed worker has
+// them for its own rows, and allocates them the first time one of its
+// vertices asks, so a program that never asks pays nothing. The slice is
+// capped at the vertex's row.
+//
+//congest:hotpath
+func (c *Context) Marks() []uint8 {
+	sh := c.shard
+	off := sh.rows.Off
+	if sh.marks == nil {
+		sh.allocMarks()
+	}
+	i := c.id - sh.rows.Lo
+	lo, hi := off[i]-off[0], off[i+1]-off[0]
+	return sh.marks[lo:hi:hi]
+}
+
+// allocMarks gives the shard its marks: one zero byte per adjacency slot
+// of its rows.
+//
+//congest:coldpath
+func (sh *shard) allocMarks() {
+	off := sh.rows.Off
+	sh.marks = make([]uint8, off[len(off)-1]-off[0])
+}
+
 // Send queues a message to neighbor `to` for delivery next round. Sending
 // to a non-neighbor is a programming error and poisons the run with an
 // error (the model has no routing). Send pays a binary search over the
@@ -421,6 +452,7 @@ type shard struct {
 	fates     []VertexFate  // the round's non-Up vertex fates in the range, ascending (see scanFates)
 	out       []Packet      // records sent during the sweep (see sizeOutboxes)
 	inbox     []Message     // inbox scratch both pulls build in, at full length: at least the range's widest row
+	marks     []uint8       // the rows' per-neighbor-slot program marks, allocated on first use (Context.Marks)
 	events    []trace.Event // program/halt events buffered during the sweep
 	halted    []int32       // the round's halts, listed only in a distributed worker (listHalts)
 	err       error         // first model violation or panic by a node of this shard

@@ -3,10 +3,14 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/faultsim"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -203,6 +207,98 @@ func TestNodePanicIsOneError(t *testing.T) {
 	}
 	if fleet.calls != 3 {
 		t.Fatalf("fleet saw %d Shard calls for 3 shards", fleet.calls)
+	}
+}
+
+// markKeeper checks the marks contract. At Init its marks must read zero
+// and be Degree() long. Every round it folds each message's byte into the
+// mark of the sender's slot, so its marks carry state from round to
+// round, checks them against a private copy kept the same way, and folds
+// them into a digest it exports through Porter. Vertex v halts in round
+// 3 + v%5, so later rounds sweep partly halted shards. Any mismatch
+// panics, which fails the run.
+type markKeeper struct {
+	own    []uint8
+	digest uint64
+}
+
+func markWire(ctx *Context) Wire {
+	w := rawWire(8)
+	w.A = ctx.RNG().Uint64() & 0xff
+	return w
+}
+
+func (m *markKeeper) Init(ctx *Context) {
+	marks := ctx.Marks()
+	if len(marks) != ctx.Degree() || slices.ContainsFunc(marks, func(b uint8) bool { return b != 0 }) {
+		panic(fmt.Sprintf("Init: marks %v for degree %d, want all zero", marks, ctx.Degree()))
+	}
+	m.own = make([]uint8, len(marks))
+	ctx.Broadcast(markWire(ctx))
+}
+
+func (m *markKeeper) Round(ctx *Context, inbox []Message) {
+	marks := ctx.Marks()
+	for _, msg := range inbox {
+		i := sort.SearchInts(ctx.Neighbors(), msg.From)
+		marks[i] = marks[i]*31 + uint8(msg.Wire.A)
+		m.own[i] = m.own[i]*31 + uint8(msg.Wire.A)
+	}
+	if !slices.Equal(marks, m.own) {
+		panic(fmt.Sprintf("marks %v, want %v", marks, m.own))
+	}
+	for _, b := range marks {
+		m.digest = (m.digest ^ uint64(b)) * 1099511628211
+	}
+	if ctx.Round() >= 3+ctx.ID()%5 {
+		ctx.Halt()
+		return
+	}
+	ctx.Broadcast(markWire(ctx))
+}
+
+func (m *markKeeper) ExportState() uint64  { return m.digest }
+func (m *markKeeper) ImportState(x uint64) { m.digest = x }
+
+// TestMarksContract runs markKeeper on a union of two trees plus an
+// isolated vertex under the sequential driver, pools of 1, 2 and n
+// workers and the distributed coordinator on three in-process workers,
+// whose marks cover only their own rows: no vertex may find its marks
+// broken, and every driver must give the same Result and per-vertex
+// digests.
+func TestMarksContract(t *testing.T) {
+	trees := gen.UnionOfTrees(300, 2, rng.New(5))
+	g := graph.MustNew(301, trees.Edges()) // vertex 300 is isolated
+	factory := func(int) Node { return &markKeeper{} }
+	var ref Result
+	var refDigests []uint64
+	for i, d := range []struct {
+		name string
+		opts Options
+	}{
+		{"sequential", Options{}},
+		{"pool-1", Options{Driver: DriverPool, Workers: 1}},
+		{"pool-2", Options{Driver: DriverPool, Workers: 2}},
+		{"pool-n", Options{Driver: DriverPool, Workers: 1 << 30}},
+		{"distributed", Options{Driver: DriverDistributed, Fleet: &localFleet{g: g, shards: 3, factory: factory}}},
+	} {
+		d.opts.Seed = 3
+		r := NewRunner(g, factory, d.opts)
+		res, err := r.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		digests := make([]uint64, g.N())
+		for v := range digests {
+			digests[v] = r.Node(v).(Porter).ExportState()
+		}
+		if i == 0 {
+			ref, refDigests = res, digests
+			continue
+		}
+		if res != ref || !slices.Equal(digests, refDigests) {
+			t.Fatalf("%s: Result %+v and digests differ from the sequential run's %+v", d.name, res, ref)
+		}
 	}
 }
 

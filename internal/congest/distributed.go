@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/faultsim"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -74,7 +75,7 @@ type ShardConfig struct {
 // drawn (purely) on the coordinator by scanFates, read by the sweep and
 // shipped to the owning worker.
 // Fate uses the faultsim.VertexFate values 1 (down) and 2 (gone); the
-// round-frame decoder rejects any other.
+// round-frame decoder and ShardWorker.check reject any other.
 type VertexFate struct {
 	V    int32
 	Fate int32
@@ -689,8 +690,9 @@ func (w *ShardWorker) Sweep(in RoundInput) (RoundOutput, error) {
 	return out, nil
 }
 
-// check validates what the sweep relies on: vertex fates for vertices in
-// the shard, strictly ascending by vertex; records from real senders in
+// check validates what the sweep relies on: vertex fates that are down or
+// gone — the sweep skips any other fate as down — for vertices in the
+// shard, strictly ascending by vertex; records from real senders in
 // non-decreasing sender order, addressed to the broadcast marker or a real
 // vertex; withheld pairs naming a record, for a recipient in the shard,
 // strictly ascending by (recipient, record); late messages for recipients
@@ -703,6 +705,8 @@ func (w *ShardWorker) check(in RoundInput) error {
 	}
 	for i, f := range in.Fates {
 		switch {
+		case f.Fate != int32(faultsim.VertexDown) && f.Fate != int32(faultsim.VertexGone):
+			return bad("Fates", i, fmt.Sprintf("fate %d is neither down nor gone", f.Fate))
 		case int(f.V) < lo || int(f.V) >= hi:
 			return bad("Fates", i, fmt.Sprintf("vertex %d outside the shard [%d, %d)", f.V, lo, hi))
 		case i > 0 && f.V <= in.Fates[i-1].V:

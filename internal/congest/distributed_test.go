@@ -96,6 +96,8 @@ func TestShardWorkerRejectsMalformedInput(t *testing.T) {
 		{"fate for a foreign vertex", RoundInput{Fates: []VertexFate{{V: 4, Fate: 1}}}, "Fates[0]"},
 		{"fates descending", RoundInput{Fates: []VertexFate{{V: 3, Fate: 1}, {V: 2, Fate: 1}}}, "Fates[1]"},
 		{"fate repeated", RoundInput{Fates: []VertexFate{{V: 2, Fate: 1}, {V: 2, Fate: 2}}}, "Fates[1]"},
+		{"fate up", RoundInput{Fates: []VertexFate{{V: 2, Fate: 1}, {V: 3, Fate: 0}}}, "Fates[1]"},
+		{"fate out of range", RoundInput{Fates: []VertexFate{{V: 2, Fate: 7}}}, "Fates[0]"},
 		{"senders descending", RoundInput{Records: []Packet{recs[2], recs[0]}}, "Records[1]"},
 		{"sender outside the graph", RoundInput{Records: []Packet{{To: BroadcastTo, From: 8, Wire: wire}}}, "Records[0]"},
 		{"recipient below the marker", RoundInput{Records: []Packet{{To: BroadcastTo - 1, From: 1, Wire: wire}}}, "Records[0]"},

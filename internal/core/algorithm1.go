@@ -51,15 +51,15 @@ func (o *Alg1Output) CountStatus(s base.Status) int {
 }
 
 // alg1Run is one Algorithm 1 run's state. Every vertex's node lives in one
-// slab, the active-neighbour flags in one run-wide tracker and the scale
-// records in one per-vertex table that becomes Alg1Output.Traces as is,
-// so the only per-vertex allocations left are the backing arrays of the
-// records a run returns. A node reaches all of it through its one
-// pointer; shard workers write only their own vertices' entries.
+// slab and the scale records in one per-vertex table that becomes
+// Alg1Output.Traces as is; the active-neighbour flags are the engine's
+// marks (congest.Context.Marks). So the only per-vertex allocations left
+// are the backing arrays of the records a run returns. A node reaches the
+// run through its one pointer; shard workers write only their own
+// vertices' entries.
 type alg1Run struct {
 	params *Params
 	nodes  []node
-	active *base.ActiveNeighbors
 	traces [][]ScaleRecord // traces[v]: v's records, appended at each scale's bad test
 }
 
@@ -67,7 +67,6 @@ func newAlg1Run(g *graph.Graph, params *Params) *alg1Run {
 	return &alg1Run{
 		params: params,
 		nodes:  make([]node, g.N()),
-		active: base.NewActiveNeighbors(g),
 		traces: make([][]ScaleRecord, g.N()),
 	}
 }
@@ -93,12 +92,15 @@ func (run *alg1Run) newNode(v int) congest.Node {
 //	  slot 3Λ+1:  count high-degree active neighbors; nodes over the
 //	              Invariant bound turn bad, announce removal and halt
 //
-// Its deg_IB and scale records live in the run, indexed by ctx.ID().
+// It keeps Γ_IB and deg_IB in its active set, whose removal count fits in
+// the node's padding; its scale records live in the run, indexed by
+// ctx.ID().
 type node struct {
 	run      *alg1Run
 	priority uint64
 	status   base.Status
 	compete  bool
+	active   base.ActiveSet
 }
 
 // Status implements base.Membership.
@@ -139,7 +141,7 @@ func (nd *node) Init(ctx *congest.Context) {
 // startIteration is phase 0: apply the ρₖ opt-out and broadcast a priority.
 func (nd *node) startIteration(ctx *congest.Context, scale int) {
 	p := nd.run.params
-	nd.compete = !p.RhoOptOut || nd.run.active.Count(ctx.ID()) <= p.Rho(scale)
+	nd.compete = !p.RhoOptOut || nd.active.Count(ctx) <= p.Rho(scale)
 	if nd.compete {
 		nd.priority = ctx.RNG().Uint64()
 	} else {
@@ -148,11 +150,12 @@ func (nd *node) startIteration(ctx *congest.Context, scale int) {
 	ctx.Broadcast(proto.Priority{Value: nd.priority, Competitive: nd.compete}.Wire())
 }
 
-// processRemovals shrinks v's active set from removal announcements.
-func (nd *node) processRemovals(v int, inbox []congest.Message) {
+// processRemovals shrinks the node's active set from removal
+// announcements.
+func (nd *node) processRemovals(ctx *congest.Context, inbox []congest.Message) {
 	for _, m := range inbox {
 		if f, ok := proto.AsFlag(m.Wire); ok && f.Kind == proto.KindRemoved {
-			nd.run.active.Remove(v, m.From)
+			nd.active.Remove(ctx, m.From)
 		}
 	}
 }
@@ -168,7 +171,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 	case inScale < 3*p.Iterations:
 		switch inScale % 3 {
 		case 0: // fresh iteration
-			nd.processRemovals(v, inbox)
+			nd.processRemovals(ctx, inbox)
 			nd.startIteration(ctx, scale)
 		case 1: // priorities arrived
 			if nd.wins(v, inbox) {
@@ -187,13 +190,13 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 			}
 		}
 	case inScale == 3*p.Iterations: // degree exchange
-		nd.processRemovals(v, inbox)
-		ctx.Broadcast(proto.Degree{Value: int32(run.active.Count(v))}.Wire())
+		nd.processRemovals(ctx, inbox)
+		ctx.Broadcast(proto.Degree{Value: int32(nd.active.Count(ctx))}.Wire())
 	default: // bad test (inScale == 3Λ+1)
 		high := 0
 		threshold := p.HighDeg(scale)
 		for _, m := range inbox {
-			if d, ok := proto.AsDegree(m.Wire); ok && run.active.Contains(v, m.From) {
+			if d, ok := proto.AsDegree(m.Wire); ok && nd.active.Contains(ctx, m.From) {
 				if int(d.Value) > threshold {
 					high++
 				}
@@ -201,7 +204,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 		}
 		run.traces[v] = append(run.traces[v], ScaleRecord{
 			Scale:       scale,
-			DegIB:       run.active.Count(v),
+			DegIB:       nd.active.Count(ctx),
 			HighDegNbrs: high,
 			Bound:       p.BadLimit(scale),
 		})

@@ -38,10 +38,10 @@ func alg1Mallocs(t *testing.T, n int, opts congest.Options) (objects uint64, rec
 }
 
 // TestAlg1RunAllocs gates a whole Algorithm 1 run's heap objects: every
-// vertex's node, active-neighbour flags and scale records live in
-// run-wide slices, so a run makes a fixed number of objects plus its
-// returned records' backing arrays — at most one per ScaleRecord — and
-// nothing per vertex.
+// vertex's node and scale records live in run-wide slices and its
+// active-neighbour flags in the engine's marks, one allocation per shard,
+// so a run makes a fixed number of objects plus its returned records'
+// backing arrays — at most one per ScaleRecord — and nothing per vertex.
 func TestAlg1RunAllocs(t *testing.T) {
 	const budget = 64 // objects per run beyond one per returned ScaleRecord
 	configs := []struct {
@@ -65,8 +65,9 @@ func TestAlg1RunAllocs(t *testing.T) {
 
 // TestNodeSize pins Algorithm 1's node at 32 bytes with one pointer, the
 // run, on 64-bit platforms: every run holds one per vertex in its slab,
-// so per-vertex state that is not the node's own status, priority and
-// opt-out flag belongs in the run's pointer-free slices.
+// so per-vertex state that is not the node's own status, priority,
+// opt-out flag and 4-byte active-neighbour count, which fills the padding,
+// belongs in the run's pointer-free slices or the engine's marks.
 func TestNodeSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the 32-byte layout is for 64-bit platforms")

@@ -343,42 +343,52 @@ func (k *killerSink) Emit(e trace.Event) {
 // shard worker SIGKILLed at a pinned round mid-run is respawned and
 // fast-forwarded from the replay log, and the run ends exactly where an
 // undisturbed one does. The golden faulted run must still converge to the
-// pinned golden fingerprint; a reliable Métivier run, whose logged inputs
-// share each round's send records, must still match the sequential
-// reference's Result and statuses.
+// pinned golden fingerprint. Two reliable runs must still match the
+// sequential reference's Result and statuses: Métivier on four workers,
+// whose logged inputs share each round's send records, and Luby B on two,
+// whose respawned worker must rebuild its active-neighbour marks
+// (congest.Context.Marks) from the replay, since its round-7 conflict
+// test reads removals processed in rounds 3 and 6.
 func TestDistributedCrashRecovery(t *testing.T) {
 	n := 256
 	g := gen.UnionOfTrees(n, 2, rng.New(77))
 
 	plan := goldenFaultedPlan()
 	st, res := runKilled(t, g, distrib.Program{Algorithm: "ftmetivier"},
-		congest.Options{Seed: 1234, Faults: plan, MaxRounds: 400}, 2, 57)
+		congest.Options{Seed: 1234, Faults: plan, MaxRounds: 400}, 4, 2, 57)
 	checkGolden(t, "recovered", g, st, res, plan)
 
-	prog := distrib.Program{Algorithm: "metivier"}
-	opts := congest.Options{Seed: 1234}
-	st, res = runKilled(t, g, prog, opts, 1, 4)
-	seqSt, seqRes, err := runSequential(t, g, prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != seqRes {
-		t.Fatalf("recovered reliable run: Result %+v != sequential %+v", res, seqRes)
-	}
-	for v := range seqSt {
-		if seqSt[v] != st[v] {
-			t.Fatalf("recovered reliable run: node %d status %v sequential, %v distributed", v, seqSt[v], st[v])
+	for _, c := range []struct {
+		prog                         distrib.Program
+		shards, killShard, killRound int
+	}{
+		{distrib.Program{Algorithm: "metivier"}, 4, 1, 4},
+		{distrib.Program{Algorithm: "luby-b"}, 2, 1, 7},
+	} {
+		opts := congest.Options{Seed: 1234}
+		st, res := runKilled(t, g, c.prog, opts, c.shards, c.killShard, int32(c.killRound))
+		seqSt, seqRes, err := runSequential(t, g, c.prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != seqRes {
+			t.Fatalf("recovered reliable %s run: Result %+v != sequential %+v", c.prog.Algorithm, res, seqRes)
+		}
+		for v := range seqSt {
+			if seqSt[v] != st[v] {
+				t.Fatalf("recovered reliable %s run: node %d status %v sequential, %v distributed", c.prog.Algorithm, v, seqSt[v], st[v])
+			}
 		}
 	}
 }
 
-// runKilled runs prog on a fresh four-shard ExecFleet, SIGKILLs shard
-// killShard's worker when round killRound starts, and requires the run to
-// succeed through at least one respawn. It returns the statuses and the
-// Result.
-func runKilled(t *testing.T, g *graph.Graph, prog distrib.Program, opts congest.Options, killShard int, killRound int32) ([]base.Status, congest.Result) {
+// runKilled runs prog on a fresh ExecFleet of the given size, SIGKILLs
+// shard killShard's worker when round killRound starts, and requires the
+// run to succeed through at least one respawn. It returns the statuses and
+// the Result.
+func runKilled(t *testing.T, g *graph.Graph, prog distrib.Program, opts congest.Options, shards, killShard int, killRound int32) ([]base.Status, congest.Result) {
 	t.Helper()
-	fleet, err := distrib.NewExecFleet(g, prog, 4)
+	fleet, err := distrib.NewExecFleet(g, prog, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

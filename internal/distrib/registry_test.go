@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/distrib"
+	"repro/internal/forest"
 	"repro/internal/matching"
 )
 
@@ -14,8 +15,7 @@ import (
 // carves its nodes from its own slab (mis/base.Slab), so building 2^14
 // nodes, the factory itself included, takes at most 64 heap allocations
 // where one object per node would take 16,384. It covers every factory in
-// the registry plus matching.New. forest.New is exempt while each of its
-// nodes still makes its own neighbour-level map.
+// the registry plus matching.New and forest.New.
 func TestFactoryAllocs(t *testing.T) {
 	const (
 		n      = 1 << 14
@@ -27,6 +27,7 @@ func TestFactoryAllocs(t *testing.T) {
 	}
 	builds := map[string]func() (func(int) congest.Node, error){
 		"matching": func() (func(int) congest.Node, error) { return matching.New(), nil },
+		"forest":   func() (func(int) congest.Node, error) { return forest.New(2, n), nil },
 	}
 	for _, name := range distrib.Algorithms() {
 		prog := distrib.Program{Algorithm: name}
@@ -35,7 +36,7 @@ func TestFactoryAllocs(t *testing.T) {
 		}
 		builds[name] = func() (func(int) congest.Node, error) { return distrib.Factory(prog, n) }
 	}
-	for _, name := range append(distrib.Algorithms(), "matching") {
+	for _, name := range append(distrib.Algorithms(), "matching", "forest") {
 		allocs := factoryMallocs(t, n, builds[name])
 		t.Logf("%s: %d allocations for %d nodes", name, allocs, n)
 		if allocs > budget {

@@ -2,6 +2,7 @@ package dynmis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -26,17 +27,21 @@ type DGraph struct {
 }
 
 // NewDGraph builds a dynamic graph seeded with a snapshot of g (every
-// vertex of g alive, IDs preserved).
+// vertex of g alive, IDs preserved). Every row is carved from one copy of
+// g's adjacency and capped at its own length, so an InsertEdge
+// reallocates only the row it grows.
 func NewDGraph(g *graph.Graph) *DGraph {
+	rows := g.Rows(0, g.N())
+	adj := slices.Clone(rows.Adj)
 	d := &DGraph{
 		adj:    make([][]int, g.N()),
 		dead:   make([]bool, g.N()),
 		nAlive: g.N(),
 		m:      g.M(),
 	}
-	for v := 0; v < g.N(); v++ {
-		if ns := g.Neighbors(v); len(ns) > 0 {
-			d.adj[v] = append([]int(nil), ns...)
+	for v := range d.adj {
+		if lo, hi := rows.Off[v], rows.Off[v+1]; hi > lo {
+			d.adj[v] = adj[lo:hi:hi]
 		}
 	}
 	return d

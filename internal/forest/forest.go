@@ -87,10 +87,13 @@ func (d *Decomposition) Validate(g *graph.Graph, alpha int) error {
 //	round L+1: orient edges by (level, ID); assign forest indices to
 //	  out-edges; tell each parent the index (so both endpoints know).
 //	round L+2: collect incoming forest-index messages; halt.
+//
+// A peeled neighbor's level lives in its mark (congest.Context.Marks),
+// above the active set's base.Removed bit, as level<<1 | Removed: levels
+// are at most phases(n)+1, which is 33 for any n below 2³¹.
 type node struct {
 	alpha     int
 	threshold int
-	levels    map[int]int // neighbor -> level (0 = still active)
 	level     int
 	active    base.ActiveSet
 	numPhases int
@@ -115,23 +118,19 @@ func New(alpha, n int) func(v int) congest.Node {
 		return slab.New(node{
 			alpha:     alpha,
 			threshold: (2 + Epsilon) * alpha,
-			levels:    make(map[int]int),
 			numPhases: phases(n),
 		})
 	}
 }
 
-func (nd *node) Init(ctx *congest.Context) {
-	nd.active = base.NewActiveSet(ctx.Neighbors())
-	nd.maybePeel(ctx, 1)
-}
+func (nd *node) Init(ctx *congest.Context) { nd.maybePeel(ctx, 1) }
 
 // maybePeel adopts the given level if the remaining degree allows it.
 func (nd *node) maybePeel(ctx *congest.Context, level int) {
 	if nd.level != 0 {
 		return
 	}
-	if nd.active.Count() <= nd.threshold {
+	if nd.active.Count(ctx) <= nd.threshold {
 		nd.level = level
 		ctx.Broadcast(proto.Level{Value: int32(level)}.Wire())
 	}
@@ -142,8 +141,10 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 		switch m.Wire.Kind {
 		case proto.WireLevel:
 			p, _ := proto.AsLevel(m.Wire)
-			nd.levels[m.From] = int(p.Value)
-			nd.active.Remove(m.From)
+			nd.active.Remove(ctx, m.From)
+			if i := base.Slot(ctx.Neighbors(), m.From); i >= 0 {
+				ctx.Marks()[i] |= uint8(p.Value) << 1
+			}
 		case proto.WireForestEdge:
 			// A child tells us which forest the connecting edge is in;
 			// nothing to record on the parent side (the child owns the
@@ -171,12 +172,12 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 // orient directs each incident edge by (level, ID) and assigns forest
 // indices to out-edges.
 func (nd *node) orient(ctx *congest.Context) {
-	id := ctx.ID()
+	id, marks := ctx.ID(), ctx.Marks()
 	for slot, w := range ctx.Neighbors() {
-		wl, ok := nd.levels[w]
-		if !ok {
+		wl := int(marks[slot] >> 1)
+		if marks[slot]&base.Removed == 0 {
 			// Neighbor peeled in the same round we did and its
-			// announcement arrived; missing entries can only be same-round
+			// announcement arrived; missing levels can only be same-round
 			// peers whose message is in this round's inbox — handled in
 			// Round before orient. Defensively treat as same level.
 			wl = nd.level

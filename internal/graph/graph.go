@@ -141,12 +141,6 @@ func (r Rows) Neighbors(v int) []int {
 // Rows returns the rows of [lo, hi) as a view of the graph's own storage.
 func (g *Graph) Rows(lo, hi int) Rows { return Rows{Lo: lo, Off: g.offsets[lo : hi+1], Adj: g.adj} }
 
-// Offset returns where v's row starts in the flattened adjacency: rows are
-// stored in vertex order, Neighbors(v)[i] is entry Offset(v)+i, and
-// Offset(N()) is 2·M(). Per-endpoint data kept in a 2m-entry slice aligned
-// with the adjacency is indexed through it.
-func (g *Graph) Offset(v int) int { return g.offsets[v] }
-
 // HasEdge reports whether {u, v} is an edge (binary search).
 func (g *Graph) HasEdge(u, v int) bool {
 	row := g.Neighbors(u)

@@ -315,15 +315,18 @@ func TestDegreeSumEqualsTwiceM(t *testing.T) {
 }
 
 func TestOffsetTilesAdjacency(t *testing.T) {
-	// Rows follow one another in vertex order: each starts where the
-	// previous one ends, and the last ends at 2m.
+	// The rows' offsets follow one another in vertex order: each row
+	// starts where the previous one ends, the first at 0 and the last
+	// ending at 2m, and spans its vertex's degree. Sizing per-slot data
+	// over a range of rows (congest's marks) relies on it.
 	g := randomGraph(rng.New(41), 40, 0.15)
-	if g.Offset(0) != 0 || g.Offset(g.N()) != 2*g.M() {
-		t.Fatalf("Offset(0) = %d, Offset(n) = %d, 2m = %d", g.Offset(0), g.Offset(g.N()), 2*g.M())
+	off := g.Rows(0, g.N()).Off
+	if off[0] != 0 || off[g.N()] != 2*g.M() {
+		t.Fatalf("Off[0] = %d, Off[n] = %d, 2m = %d", off[0], off[g.N()], 2*g.M())
 	}
 	for v := 0; v < g.N(); v++ {
-		if g.Offset(v+1)-g.Offset(v) != g.Degree(v) {
-			t.Fatalf("row %d spans %d entries, degree %d", v, g.Offset(v+1)-g.Offset(v), g.Degree(v))
+		if off[v+1]-off[v] != g.Degree(v) {
+			t.Fatalf("row %d spans %d entries, degree %d", v, off[v+1]-off[v], g.Degree(v))
 		}
 	}
 }

@@ -109,14 +109,11 @@ func Size(partners []int) int {
 	return n / 2
 }
 
-func (nd *node) Init(ctx *congest.Context) {
-	nd.active = base.NewActiveSet(ctx.Neighbors())
-	nd.startIteration(ctx)
-}
+func (nd *node) Init(ctx *congest.Context) { nd.startIteration(ctx) }
 
 // startIteration is phase 0's work after removal processing.
 func (nd *node) startIteration(ctx *congest.Context) {
-	if nd.active.Count() == 0 {
+	if nd.active.Count(ctx) == 0 {
 		ctx.Halt() // every incident edge is covered by a matched neighbor
 		return
 	}
@@ -126,12 +123,11 @@ func (nd *node) startIteration(ctx *congest.Context) {
 	if !nd.sender {
 		return
 	}
-	// Propose to a uniformly random active neighbor. The active set aliases
-	// ctx.Neighbors(), so the set slot doubles as the SendSlot address.
-	idx := ctx.RNG().Intn(nd.active.Count())
+	// Propose to a uniformly random active neighbor, addressed by its slot.
+	idx := ctx.RNG().Intn(nd.active.Count(ctx))
 	i := 0
 	slot := -1
-	nd.active.EachSlot(func(s, id int) {
+	nd.active.Each(ctx, func(s, id int) {
 		if i == idx {
 			nd.proposal = id
 			slot = s
@@ -172,7 +168,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 	case 0: // matched announcements; next iteration
 		for _, m := range inbox {
 			if f, ok := proto.AsFlag(m.Wire); ok && f.Kind == proto.KindMatched {
-				nd.active.Remove(m.From)
+				nd.active.Remove(ctx, m.From)
 			}
 		}
 		nd.startIteration(ctx)

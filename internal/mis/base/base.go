@@ -1,7 +1,7 @@
 // Package base holds the small pieces shared by every MIS node program:
 // the node-status vocabulary, the slab program factories carve their
-// nodes from, the active-neighbor trackers (per vertex and run-wide), and
-// helpers for reading results out of a finished CONGEST run.
+// nodes from, the active-neighbor tracker, and helpers for reading results
+// out of a finished CONGEST run.
 package base
 
 import (
@@ -107,113 +107,56 @@ func (s *Slab[T]) New(v T) *T {
 	return p
 }
 
-// ActiveSet tracks which neighbors of a node are still active. MIS node
-// programs use it to maintain deg_IB(v) (the paper's notation for a node's
-// degree restricted to active nodes) as neighbors announce removal. A node
-// holds it by value, so its only allocation is the removed flags.
-type ActiveSet struct {
-	ids     []int  // sorted neighbor IDs
-	removed []bool // removed[i]: ids[i] announced removal
-	count   int
-}
+// Removed is the mark bit (congest.Context.Marks) an ActiveSet sets on a
+// neighbor's slot when the neighbor announces removal. A program that
+// keeps an ActiveSet may use the mark's other seven bits.
+const Removed uint8 = 1
 
-// NewActiveSet starts with every listed neighbor active. The ids slice must
-// be sorted (graph adjacency lists are); it is not copied.
-func NewActiveSet(ids []int) ActiveSet {
-	return ActiveSet{
-		ids:     ids,
-		removed: make([]bool, len(ids)),
-		count:   len(ids),
-	}
+// ActiveSet tracks which neighbors of a node are still active. MIS node
+// programs use it to maintain Γ_IB(v) and deg_IB(v) (the paper's notation
+// for a node's neighbors and degree restricted to active nodes) as
+// neighbors announce removal. The removed flags are the Removed bit of
+// the vertex's engine-owned marks, so the set holds only its removal
+// count: a node keeps it by value, and its zero value has every neighbor
+// active. Every method takes the Context of the node's own call.
+type ActiveSet struct {
+	removed int32
 }
 
 // Count returns the number of active neighbors (deg_IB).
-func (s *ActiveSet) Count() int { return s.count }
+func (s *ActiveSet) Count(ctx *congest.Context) int { return ctx.Degree() - int(s.removed) }
 
 // Contains reports whether neighbor id is still active.
-func (s *ActiveSet) Contains(id int) bool {
-	i := slotOf(s.ids, id)
-	return i >= 0 && !s.removed[i]
+func (s *ActiveSet) Contains(ctx *congest.Context, id int) bool {
+	i := Slot(ctx.Neighbors(), id)
+	return i >= 0 && ctx.Marks()[i]&Removed == 0
 }
 
 // Remove marks neighbor id inactive. Removing an unknown or already
 // inactive neighbor is a no-op (duplicate announcements are harmless).
-func (s *ActiveSet) Remove(id int) {
-	i := slotOf(s.ids, id)
-	if i >= 0 && !s.removed[i] {
-		s.removed[i] = true
-		s.count--
-	}
-}
-
-// Each calls f for every active neighbor in increasing ID order.
-func (s *ActiveSet) Each(f func(id int)) {
-	for i, id := range s.ids {
-		if !s.removed[i] {
-			f(id)
+func (s *ActiveSet) Remove(ctx *congest.Context, id int) {
+	if i := Slot(ctx.Neighbors(), id); i >= 0 {
+		if m := &ctx.Marks()[i]; *m&Removed == 0 {
+			*m |= Removed
+			s.removed++
 		}
 	}
 }
 
-// EachSlot calls f for every active neighbor in increasing ID order,
-// passing the neighbor's slot in the ids list alongside its ID. When the
-// set was built from congest.Context.Neighbors (the universal pattern in
-// this repo), slot is exactly the argument Context.SendSlot expects, so
-// programs can address messages without any neighbor search.
-func (s *ActiveSet) EachSlot(f func(slot, id int)) {
-	for i, id := range s.ids {
-		if !s.removed[i] {
+// Each calls f for every active neighbor in increasing ID order, with the
+// neighbor's slot in Neighbors(), which is the address Context.SendSlot
+// takes, so a program can message it without a neighbor search.
+func (s *ActiveSet) Each(ctx *congest.Context, f func(slot, id int)) {
+	marks := ctx.Marks()
+	for i, id := range ctx.Neighbors() {
+		if marks[i]&Removed == 0 {
 			f(i, id)
 		}
 	}
 }
 
-// ActiveNeighbors is an ActiveSet for every vertex of a graph at once, in
-// two pointer-free slices: one removed flag per adjacency entry, aligned
-// with the graph's CSR (v's flags start at g.Offset(v), in Neighbors(v)
-// order), and deg_IB per vertex. A program that keeps one per run makes
-// three allocations where per-vertex ActiveSets make 2n. Every call names
-// the vertex whose row it reads or writes, so shard workers may update
-// their own vertices concurrently.
-type ActiveNeighbors struct {
-	g       *graph.Graph
-	removed []bool  // removed[g.Offset(v)+i]: Neighbors(v)[i] announced removal
-	count   []int32 // count[v] is deg_IB(v)
-}
-
-// NewActiveNeighbors starts with every vertex's every neighbor active.
-func NewActiveNeighbors(g *graph.Graph) *ActiveNeighbors {
-	count := make([]int32, g.N())
-	for v := range count {
-		count[v] = int32(g.Degree(v))
-	}
-	return &ActiveNeighbors{g: g, removed: make([]bool, 2*g.M()), count: count}
-}
-
-// Count returns v's number of active neighbors (deg_IB(v)).
-func (a *ActiveNeighbors) Count(v int) int { return int(a.count[v]) }
-
-// Contains reports whether neighbor id of v is still active.
-func (a *ActiveNeighbors) Contains(v, id int) bool {
-	i := slotOf(a.g.Neighbors(v), id)
-	return i >= 0 && !a.removed[a.g.Offset(v)+i]
-}
-
-// Remove marks neighbor id of v inactive. As with ActiveSet.Remove, an
-// unknown or already inactive neighbor is a no-op.
-func (a *ActiveNeighbors) Remove(v, id int) {
-	i := slotOf(a.g.Neighbors(v), id)
-	if i < 0 {
-		return
-	}
-	if f := &a.removed[a.g.Offset(v)+i]; !*f {
-		*f = true
-		a.count[v]--
-	}
-}
-
-// slotOf returns id's index in the sorted row, or -1 if it is absent.
-func slotOf(row []int, id int) int {
+// Slot returns id's index in the sorted row, or -1 if it is absent.
+func Slot(row []int, id int) int {
 	i := sort.SearchInts(row, id)
 	if i < len(row) && row[i] == id {
 		return i

@@ -1,9 +1,12 @@
 package base
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -32,85 +35,169 @@ func TestSlabHandsOutFreshNodes(t *testing.T) {
 	}
 }
 
+// atVertex runs one round on g in which vertex v calls f with its
+// Context, then every vertex halts. f reports through t.Errorf.
+func atVertex(t *testing.T, g *graph.Graph, v int, f func(ctx *congest.Context)) {
+	t.Helper()
+	called := false
+	factory := func(u int) congest.Node {
+		if u != v {
+			return &once{}
+		}
+		return &once{f: func(ctx *congest.Context) { called = true; f(ctx) }}
+	}
+	if _, err := congest.NewRunner(g, factory, congest.Options{Seed: 1}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !called {
+		t.Fatalf("vertex %d never ran", v)
+	}
+}
+
+// once calls f, if any, in round 1 and halts.
+type once struct{ f func(*congest.Context) }
+
+func (o *once) Init(*congest.Context) {}
+
+func (o *once) Round(ctx *congest.Context, _ []congest.Message) {
+	if o.f != nil {
+		o.f(ctx)
+	}
+	ctx.Halt()
+}
+
 func TestActiveSetBasics(t *testing.T) {
-	s := NewActiveSet([]int{2, 5, 9})
-	if s.Count() != 3 {
-		t.Fatalf("count = %d", s.Count())
-	}
-	if !s.Contains(5) || s.Contains(4) {
-		t.Fatal("Contains wrong")
-	}
-	s.Remove(5)
-	if s.Count() != 2 || s.Contains(5) {
-		t.Fatal("Remove failed")
-	}
-	// Removing again, or removing a stranger, is a no-op.
-	s.Remove(5)
-	s.Remove(100)
-	if s.Count() != 2 {
-		t.Fatalf("count after no-op removals = %d", s.Count())
-	}
+	// Vertex 0's neighbors are 2, 5 and 9; 4 is a vertex but no neighbor,
+	// 100 no vertex at all.
+	g := graph.MustNew(10, []graph.Edge{{U: 0, V: 2}, {U: 0, V: 5}, {U: 0, V: 9}})
+	atVertex(t, g, 0, func(ctx *congest.Context) {
+		var s ActiveSet
+		if s.Count(ctx) != 3 {
+			t.Errorf("count = %d", s.Count(ctx))
+			return
+		}
+		if !s.Contains(ctx, 5) || s.Contains(ctx, 4) {
+			t.Error("Contains wrong")
+			return
+		}
+		s.Remove(ctx, 5)
+		if s.Count(ctx) != 2 || s.Contains(ctx, 5) {
+			t.Error("Remove failed")
+			return
+		}
+		// Removing again, or removing a stranger, is a no-op.
+		s.Remove(ctx, 5)
+		s.Remove(ctx, 4)
+		s.Remove(ctx, 100)
+		if s.Count(ctx) != 2 {
+			t.Errorf("count after no-op removals = %d", s.Count(ctx))
+		}
+	})
 }
 
 func TestActiveSetEachOrdered(t *testing.T) {
-	s := NewActiveSet([]int{1, 3, 5, 7})
-	s.Remove(3)
-	var got []int
-	s.Each(func(id int) { got = append(got, id) })
-	want := []int{1, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
+	g := graph.MustNew(8, []graph.Edge{{U: 0, V: 7}, {U: 0, V: 3}, {U: 0, V: 5}, {U: 0, V: 1}})
+	atVertex(t, g, 0, func(ctx *congest.Context) {
+		var s ActiveSet
+		s.Remove(ctx, 3)
+		var got [][2]int
+		s.Each(ctx, func(slot, id int) { got = append(got, [2]int{slot, id}) })
+		if want := [][2]int{{0, 1}, {2, 5}, {3, 7}}; !slices.Equal(got, want) {
+			t.Errorf("Each visits (slot, ID) %v, want %v", got, want)
 		}
-	}
+	})
 }
 
 func TestActiveSetEmpty(t *testing.T) {
-	s := NewActiveSet(nil)
-	if s.Count() != 0 {
-		t.Fatal("empty set has members")
-	}
-	s.Each(func(int) { t.Fatal("Each on empty set called f") })
+	g := graph.MustNew(2, nil)
+	atVertex(t, g, 0, func(ctx *congest.Context) {
+		var s ActiveSet
+		s.Remove(ctx, 1)
+		if s.Count(ctx) != 0 || s.Contains(ctx, 1) {
+			t.Error("empty set has members")
+		}
+		s.Each(ctx, func(int, int) { t.Error("Each on empty set called f") })
+	})
 }
 
+// probe checks an ActiveSet against its own map of removed neighbors.
+// Every round it removes three IDs drawn from its stream — a neighbor
+// half the time, so repeats come up, and otherwise any ID in [-1, n], so
+// strangers do — then checks Count, Contains for every ID in [-1, n] and
+// Each's (slot, ID) sequence against the map, and panics, which fails the
+// run, on any difference.
+type probe struct {
+	set     ActiveSet
+	removed map[int]bool
+}
+
+func (p *probe) Init(ctx *congest.Context) {
+	p.removed = make(map[int]bool)
+	p.check(ctx)
+}
+
+func (p *probe) Round(ctx *congest.Context, _ []congest.Message) {
+	row, r := ctx.Neighbors(), ctx.RNG()
+	for k := 0; k < 3; k++ {
+		id := r.Intn(ctx.N()+2) - 1
+		if len(row) > 0 && r.Bool(0.5) {
+			id = row[r.Intn(len(row))]
+		}
+		p.set.Remove(ctx, id)
+		if slices.Contains(row, id) {
+			p.removed[id] = true
+		}
+	}
+	p.check(ctx)
+	if ctx.Round() == 30 {
+		ctx.Halt()
+	}
+}
+
+func (p *probe) check(ctx *congest.Context) {
+	row := ctx.Neighbors()
+	if got, want := p.set.Count(ctx), len(row)-len(p.removed); got != want {
+		panic(fmt.Sprintf("Count = %d, want %d", got, want))
+	}
+	for id := -1; id <= ctx.N(); id++ {
+		if got, want := p.set.Contains(ctx, id), slices.Contains(row, id) && !p.removed[id]; got != want {
+			panic(fmt.Sprintf("Contains(%d) = %v, want %v", id, got, want))
+		}
+	}
+	var got, want [][2]int
+	p.set.Each(ctx, func(slot, id int) { got = append(got, [2]int{slot, id}) })
+	for slot, id := range row {
+		if !p.removed[id] {
+			want = append(want, [2]int{slot, id})
+		}
+	}
+	if !slices.Equal(got, want) {
+		panic(fmt.Sprintf("Each visits %v, want %v", got, want))
+	}
+}
+
+// TestActiveNeighborsMatchesActiveSets runs probe on a random graph with
+// an isolated vertex, sequentially and on three pool shards: no vertex's
+// ActiveSet may disagree with its map of active neighbors in any round.
 func TestActiveNeighborsMatchesActiveSets(t *testing.T) {
-	// The run-wide tracker must agree with one ActiveSet per vertex under
-	// any removal sequence, repeats and non-neighbors included.
 	const n = 40
 	r := rng.New(7)
 	var edges []graph.Edge
-	for u := 0; u < n; u++ {
-		for w := u + 1; w < n; w++ {
+	for u := 0; u < n-1; u++ { // vertex n-1 stays isolated
+		for w := u + 1; w < n-1; w++ {
 			if r.Intn(5) == 0 {
 				edges = append(edges, graph.Edge{U: u, V: w})
 			}
 		}
 	}
 	g := graph.MustNew(n, edges)
-	a := NewActiveNeighbors(g)
-	sets := make([]ActiveSet, n)
-	for v := range sets {
-		sets[v] = NewActiveSet(g.Neighbors(v))
-	}
-	for step := 0; step <= 1500; step++ {
-		if step%100 == 0 {
-			for v := 0; v < n; v++ {
-				if a.Count(v) != sets[v].Count() {
-					t.Fatalf("step %d: Count(%d) = %d, ActiveSet says %d", step, v, a.Count(v), sets[v].Count())
-				}
-				for id := -1; id <= n; id++ {
-					if a.Contains(v, id) != sets[v].Contains(id) {
-						t.Fatalf("step %d: Contains(%d, %d) = %v", step, v, id, a.Contains(v, id))
-					}
-				}
-			}
+	for _, opts := range []congest.Options{
+		{Seed: 1},
+		{Seed: 1, Driver: congest.DriverPool, Workers: 3},
+	} {
+		if _, err := congest.NewRunner(g, func(int) congest.Node { return &probe{} }, opts).Run(); err != nil {
+			t.Fatalf("%v driver: %v", opts.Driver, err)
 		}
-		v, id := r.Intn(n), r.Intn(n)
-		a.Remove(v, id)
-		sets[v].Remove(id)
 	}
 }
 

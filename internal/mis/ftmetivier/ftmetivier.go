@@ -52,16 +52,25 @@ import (
 // drain once a crash window closes.
 const DefaultMaxIters = 64
 
-// node is the per-vertex state machine.
+// node is the per-vertex state machine. It keeps the current epoch's
+// received priorities in its marks (congest.Context.Marks), beside the
+// active view's base.Removed bit: heard on a neighbor's slot says its
+// priority arrived, beats that the priority beats this node's own, ties
+// broken by ID. The node's priority is fixed for the epoch, so the
+// comparison can be made on arrival.
 type node struct {
 	status   base.Status
 	priority uint64
 	epoch    int32
 	active   base.ActiveSet
-	// got holds the priorities received for the current epoch.
-	got      map[int]uint64
 	maxIters int
 }
+
+// The mark bits a current-epoch priority sets; startEpoch clears them.
+const (
+	heard uint8 = 1 << 1
+	beats uint8 = 1 << 2
+)
 
 // Status implements base.Membership.
 func (nd *node) Status() base.Status { return nd.status }
@@ -97,18 +106,31 @@ func RunBudget(g *graph.Graph, maxIters int, opts congest.Options) ([]base.Statu
 	return base.Statuses(r, g.N()), res, nil
 }
 
-func (nd *node) Init(ctx *congest.Context) {
-	nd.active = base.NewActiveSet(ctx.Neighbors())
-	nd.got = make(map[int]uint64)
-	nd.startEpoch(ctx, 0)
-}
+func (nd *node) Init(ctx *congest.Context) { nd.startEpoch(ctx, 0) }
 
-// startEpoch draws and broadcasts a fresh tagged priority.
+// startEpoch forgets the last epoch's priorities and draws and broadcasts
+// a fresh tagged one.
 func (nd *node) startEpoch(ctx *congest.Context, epoch int32) {
 	nd.epoch = epoch
 	nd.priority = ctx.RNG().Uint64()
-	clear(nd.got)
+	marks := ctx.Marks()
+	for i := range marks {
+		marks[i] &^= heard | beats
+	}
 	ctx.Broadcast(proto.EpochPriority{Value: nd.priority, Epoch: epoch}.Wire())
+}
+
+// hear records neighbor w's current-epoch priority p on w's slot.
+func (nd *node) hear(ctx *congest.Context, w int, p uint64) {
+	i := base.Slot(ctx.Neighbors(), w)
+	if i < 0 {
+		return
+	}
+	mark := heard
+	if p > nd.priority || (p == nd.priority && w > ctx.ID()) {
+		mark |= beats
+	}
+	ctx.Marks()[i] |= mark
 }
 
 // Round follows Métivier's three-round cadence (priorities, joins,
@@ -120,7 +142,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 		switch m.Wire.Kind {
 		case proto.WireEpochPriority:
 			if p, _ := proto.AsEpochPriority(m.Wire); p.Epoch == nd.epoch {
-				nd.got[m.From] = p.Value
+				nd.hear(ctx, m.From, p.Value)
 			}
 		case proto.WireFlag:
 			p, _ := proto.AsFlag(m.Wire)
@@ -134,13 +156,13 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 				ctx.Halt()
 				return
 			case proto.KindRemoved:
-				nd.active.Remove(m.From)
+				nd.active.Remove(ctx, m.From)
 			}
 		}
 	}
 	switch ctx.Round() % 3 {
 	case 1: // evaluation phase: do I hold positive evidence of winning?
-		if nd.wins(ctx.ID()) {
+		if nd.wins(ctx) {
 			nd.status = base.StatusInMIS
 			ctx.Emit(int32(proto.KindJoined), int64(nd.epoch))
 			ctx.Broadcast(proto.Flag{Kind: proto.KindJoined}.Wire())
@@ -157,20 +179,16 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 }
 
 // wins reports whether this node received a current-epoch priority from
-// every neighbor in its active view and beat them all (ties by ID). A
-// node whose active view is empty wins trivially.
-func (nd *node) wins(id int) bool {
-	ok := true
-	nd.active.Each(func(w int) {
-		if !ok {
-			return
+// every neighbor in its active view and beat them all (ties by ID): every
+// mark without base.Removed is heard and not beaten. A node whose active
+// view is empty wins trivially.
+func (nd *node) wins(ctx *congest.Context) bool {
+	for _, m := range ctx.Marks() {
+		if m&base.Removed == 0 && m&(heard|beats) != heard {
+			return false
 		}
-		p, heard := nd.got[w]
-		if !heard || p > nd.priority || (p == nd.priority && w > id) {
-			ok = false
-		}
-	})
-	return ok
+	}
+	return true
 }
 
 // ExportState packs the node's observable output (its status) for the

@@ -61,14 +61,11 @@ func Run(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, e
 	return base.Statuses(r, g.N()), res, nil
 }
 
-func (nd *node) Init(ctx *congest.Context) {
-	nd.active = base.NewActiveSet(ctx.Neighbors())
-	nd.start(ctx)
-}
+func (nd *node) Init(ctx *congest.Context) { nd.start(ctx) }
 
 // start is phase 0: broadcast the current desire level.
 func (nd *node) start(ctx *congest.Context) {
-	if nd.active.Count() == 0 {
+	if nd.active.Count(ctx) == 0 {
 		nd.status = base.StatusInMIS
 		ctx.Halt()
 		return
@@ -127,7 +124,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 	case 0: // removals arrived: next iteration
 		for _, m := range inbox {
 			if f, ok := proto.AsFlag(m.Wire); ok && f.Kind == proto.KindRemoved {
-				nd.active.Remove(m.From)
+				nd.active.Remove(ctx, m.From)
 			}
 		}
 		nd.start(ctx)

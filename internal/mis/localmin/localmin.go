@@ -42,17 +42,14 @@ func Run(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, e
 	return base.Statuses(r, g.N()), res, nil
 }
 
-func (nd *node) Init(ctx *congest.Context) {
-	nd.active = base.NewActiveSet(ctx.Neighbors())
-	nd.tryJoin(ctx)
-}
+func (nd *node) Init(ctx *congest.Context) { nd.tryJoin(ctx) }
 
 // tryJoin joins the MIS when this node's ID is the minimum among its
 // still-undecided neighborhood. IDs are known to neighbors a priori in
 // CONGEST, so no priority exchange is needed — only removal announcements.
 func (nd *node) tryJoin(ctx *congest.Context) {
 	min := true
-	nd.active.Each(func(id int) {
+	nd.active.Each(ctx, func(_, id int) {
 		if id < ctx.ID() {
 			min = false
 		}
@@ -78,7 +75,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 	case 0: // removal announcements; next iteration
 		for _, m := range inbox {
 			if f, ok := proto.AsFlag(m.Wire); ok && f.Kind == proto.KindRemoved {
-				nd.active.Remove(m.From)
+				nd.active.Remove(ctx, m.From)
 			}
 		}
 		nd.tryJoin(ctx)

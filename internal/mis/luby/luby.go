@@ -134,15 +134,12 @@ func RunB(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, 
 	return base.Statuses(r, g.N()), res, nil
 }
 
-func (nd *nodeB) Init(ctx *congest.Context) {
-	nd.active = base.NewActiveSet(ctx.Neighbors())
-	nd.start(ctx)
-}
+func (nd *nodeB) Init(ctx *congest.Context) { nd.start(ctx) }
 
 // start is phase 0: decide whether to mark, and announce marks (with the
 // degree needed for conflict resolution).
 func (nd *nodeB) start(ctx *congest.Context) {
-	nd.myDeg = nd.active.Count()
+	nd.myDeg = nd.active.Count(ctx)
 	if nd.myDeg == 0 {
 		nd.status = base.StatusInMIS
 		ctx.Halt()
@@ -162,7 +159,7 @@ func (nd *nodeB) Round(ctx *congest.Context, inbox []congest.Message) {
 		}
 		for _, m := range inbox {
 			d, ok := proto.AsDegree(m.Wire)
-			if !ok || !nd.active.Contains(m.From) {
+			if !ok || !nd.active.Contains(ctx, m.From) {
 				continue
 			}
 			// The lower-degree endpoint unmarks; ties break toward the
@@ -189,7 +186,7 @@ func (nd *nodeB) Round(ctx *congest.Context, inbox []congest.Message) {
 	case 0: // removals arrived; next iteration
 		for _, m := range inbox {
 			if f, ok := proto.AsFlag(m.Wire); ok && f.Kind == proto.KindRemoved {
-				nd.active.Remove(m.From)
+				nd.active.Remove(ctx, m.From)
 			}
 		}
 		nd.start(ctx)
