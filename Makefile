@@ -83,7 +83,9 @@ cover:
 # no inbox arena, and a distributed run under drops on two in-process workers at
 # most 216, coordinator and workers together, because the coordinator
 # keeps no outbox or inbox copy — it ships each round's send records once
-# and the workers pull — and a worker ships its outbox as is; every program factory
+# and the workers pull — and a worker ships its outbox as is; a
+# distributed Runner must be built in at most 2 allocations with a nil
+# factory, because it holds n output words and no nodes; every program factory
 # (the distrib registry's, matching.New and forest.New) must build 2^14
 # nodes in at most 64 allocations, because it carves them from a slab; a
 # whole run of each program that tracks its active neighbours (luby-b,
@@ -98,7 +100,7 @@ cover:
 # in run-wide slices and its active-neighbour flags in the marks. Fast
 # (< 1s); runs in ci.
 alloc-gate:
-	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex|TestProgramRunAllocs)' -count=1 ./internal/congest/
+	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex|TestDistributedRunnerBuildsNoNodes|TestProgramRunAllocs)' -count=1 ./internal/congest/
 	go test -run '^TestFactoryAllocs$$' -count=1 ./internal/distrib/
 	go test -run '^TestAlg1RunAllocs$$' -count=1 ./internal/core/
 

@@ -3,18 +3,18 @@
 // Usage:
 //
 //	bench [-quick] [-seeds N] [-seed S] [-only E1,E4,A2] [-parallel] [-workers W] [-format table|csv]
-//	bench [-trace run.jsonl] [-trace-format jsonl|chrome] ...
+//	bench [-trace run.jsonl] ...
 //	bench [-cpuprofile cpu.pprof] [-memprofile mem.pprof] ...
 //	bench -list
 //
 // Each experiment prints its table and notes; the process exits 1 if any
-// driver fails, and 2 on a usage error (an unknown flag, -only ID, -format
-// or -trace-format), before any experiment runs. With -parallel the runs
-// use the sharded worker-pool engine (-workers sets its shard count). With
-// -trace every engine run the selected experiments spawn streams its
-// execution-trace events to one file — JSONL (replayable with
-// cmd/traceview) or the Chrome trace-event format (loadable in
-// chrome://tracing).
+// driver fails, and 2 on a usage error (an unknown flag, -only ID or
+// -format), before any experiment runs. With -parallel the runs use the
+// sharded worker-pool engine (-workers sets its shard count). With -trace
+// every engine run the selected experiments spawn streams its
+// execution-trace events to one JSONL file, which cmd/traceview
+// summarizes, diffs, serves or converts to the Chrome trace-event format
+// (`traceview chrome run.jsonl`, loadable in chrome://tracing).
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // experiments the invocation ran; inspect them with `go tool pprof`. The
@@ -50,18 +50,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		quick       = fs.Bool("quick", false, "use test-sized sweeps")
-		seeds       = fs.Int("seeds", 0, "replications per point (0 = config default)")
-		seed        = fs.Uint64("seed", 1, "root seed")
-		only        = fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
-		parallel    = fs.Bool("parallel", false, "use the sharded worker-pool engine")
-		workers     = fs.Int("workers", 0, "worker-pool shard count (0 = GOMAXPROCS)")
-		format      = fs.String("format", "table", "output format: table|csv")
-		list        = fs.Bool("list", false, "list experiment IDs and exit")
-		tracePath   = fs.String("trace", "", "stream every run's execution-trace events to this file")
-		traceFormat = fs.String("trace-format", "jsonl", "trace file format: jsonl|chrome")
-		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile of the invocation to this file (go tool pprof)")
-		memprofile  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
+		quick      = fs.Bool("quick", false, "use test-sized sweeps")
+		seeds      = fs.Int("seeds", 0, "replications per point (0 = config default)")
+		seed       = fs.Uint64("seed", 1, "root seed")
+		only       = fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
+		parallel   = fs.Bool("parallel", false, "use the sharded worker-pool engine")
+		workers    = fs.Int("workers", 0, "worker-pool shard count (0 = GOMAXPROCS)")
+		format     = fs.String("format", "table", "output format: table|csv")
+		list       = fs.Bool("list", false, "list experiment IDs and exit")
+		tracePath  = fs.String("trace", "", "stream every run's execution-trace events to this JSONL file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the invocation to this file (go tool pprof)")
+		memprofile = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
 	drivers := exp.All()
 	fs.Usage = func() {
@@ -84,9 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *format != "table" && *format != "csv" {
 		return usageErr("unknown -format %q; valid formats: table, csv", *format)
-	}
-	if *traceFormat != "jsonl" && *traceFormat != "chrome" {
-		return usageErr("unknown -trace-format %q; valid formats: jsonl, chrome", *traceFormat)
 	}
 	var ids []string
 	for _, d := range drivers {
@@ -160,23 +156,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		if *traceFormat == "chrome" {
-			sink := trace.NewChromeSink(f)
-			defer func() {
-				if err := sink.Close(); err != nil {
-					fmt.Fprintf(stderr, "trace: %v\n", err)
-				}
-			}()
-			cfg.Events = sink
-		} else {
-			sink := trace.NewJSONLSink(f)
-			defer func() {
-				if err := sink.Flush(); err != nil {
-					fmt.Fprintf(stderr, "trace: %v\n", err)
-				}
-			}()
-			cfg.Events = sink
-		}
+		sink := trace.NewJSONLSink(f)
+		defer func() {
+			if err := sink.Flush(); err != nil {
+				fmt.Fprintf(stderr, "trace: %v\n", err)
+			}
+		}()
+		cfg.Events = sink
 	}
 
 	failed := 0

@@ -41,7 +41,6 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-quick", "-only", "E19"}, []string{`unknown experiment "E19"`, "valid IDs: E1, E2", "A5"}},
 		{[]string{"-quick", "-only", "E14,nonesuch"}, []string{`"NONESUCH"`}},
 		{[]string{"-quick", "-format", "json"}, []string{`unknown -format "json"`, "table, csv"}},
-		{[]string{"-quick", "-trace-format", "xml"}, []string{`unknown -trace-format "xml"`, "jsonl, chrome"}},
 		{[]string{"-nonesuch"}, []string{"flag provided but not defined"}},
 	} {
 		var out, errOut strings.Builder

@@ -323,3 +323,35 @@ func TestRunBytesPerVertex(t *testing.T) {
 		}
 	}
 }
+
+// TestDistributedRunnerBuildsNoNodes builds a DriverDistributed Runner
+// with a nil factory: a distributed run's nodes live in its workers, so
+// NewRunner must call no factory and allocate only the Runner and its n
+// output words. Run on two in-process workers, its Export words must equal
+// the sequential run's.
+func TestDistributedRunnerBuildsNoNodes(t *testing.T) {
+	const n = 1 << 10
+	g := gen.UnionOfTrees(n, 2, rng.New(3))
+	opts := Options{Seed: 1, Driver: DriverDistributed, Fleet: &localFleet{g: g, shards: 2, factory: priorityFactory()}}
+	if allocs := testing.AllocsPerRun(10, func() { NewRunner(g, nil, opts) }); allocs > 2 {
+		t.Fatalf("NewRunner under DriverDistributed made %.0f allocations, want at most 2: the Runner and its output words", allocs)
+	}
+	seq := NewRunner(g, priorityFactory(), Options{Seed: 1})
+	seqRes, err := seq.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(g, nil, opts)
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != seqRes {
+		t.Fatalf("distributed %+v != sequential %+v", res, seqRes)
+	}
+	for v := 0; v < n; v++ {
+		if got, want := r.Export(v), seq.Export(v); got != want {
+			t.Fatalf("vertex %d: distributed exported %d, sequential %d", v, got, want)
+		}
+	}
+}

@@ -94,7 +94,7 @@ func TestBroadcastMatchesSendSlotLoop(t *testing.T) {
 			o.err = err.Error()
 		}
 		for v := range o.states {
-			o.states[v] = r.Node(v).(Porter).ExportState()
+			o.states[v] = r.Export(v)
 		}
 		return o, sink
 	}
@@ -175,8 +175,6 @@ func (m *mixedSender) ExportState() uint64 {
 	return 0
 }
 
-func (m *mixedSender) ImportState(x uint64) { m.ok = x == 1 }
-
 // TestMixedSendOrder interleaves per-message and Broadcast records from
 // one sender in one round: every receiver's inbox must hold each sender's
 // messages in call order, under every driver, with identical counters.
@@ -204,7 +202,7 @@ func TestMixedSendOrder(t *testing.T) {
 			t.Fatalf("%s: %d rounds took the broadcast pull", d.name, sink.pulls)
 		}
 		for v := 0; v < g.N(); v++ {
-			if r.Node(v).(Porter).ExportState() != 1 {
+			if r.Export(v) != 1 {
 				t.Fatalf("%s: vertex %d inbox is not its neighbors' calls in (sender, call) order", d.name, v)
 			}
 		}

@@ -39,6 +39,11 @@
 //     plan, and message fates during delivery, in that same global sender
 //     order, from a dedicated fault stream.
 //
+// A run's output is one word per vertex, its node's Porter.ExportState,
+// which Runner.Export reads under every driver: in process from the node,
+// and in a distributed run from the words the workers ship back, since
+// the coordinator builds no nodes.
+//
 // Fault injection is delegated to internal/faultsim: Options.Faults
 // accepts any faultsim.Plan (message drops, link bursts, partitions,
 // vertex crashes and restarts, delivery delays). A run is watched through
@@ -385,10 +390,11 @@ var ErrMaxRounds = errors.New("congest: max rounds exceeded before all nodes hal
 // Runner executes a program over a graph. Construct with NewRunner; a
 // Runner is single-use (Run may be called once).
 type Runner struct {
-	g     *graph.Graph
-	nodes []Node // indexed by vertex ID
-	opts  Options
-	ran   bool
+	g       *graph.Graph
+	nodes   []Node   // indexed by vertex ID; in-process drivers only
+	outputs []uint64 // DriverDistributed: vertex v's shipped output word
+	opts    Options
+	ran     bool
 }
 
 // NewRunner builds a runner for the given graph. factory(v) must return the
@@ -396,12 +402,19 @@ type Runner struct {
 // goroutine, in ascending ID order, so a factory may hold unsynchronized
 // state — every program factory in this repository carves its nodes from
 // its own slab (mis/base.Slab) — and one factory may serve several Runners
-// built one after another.
+// built one after another. Under DriverDistributed the nodes live in the
+// shard workers, which build them from the fleet's own factory: NewRunner
+// calls no factory, which may be nil, and allocates only the n output
+// words the workers ship back.
 func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
 	r := &Runner{g: g, opts: opts}
+	if opts.Driver == DriverDistributed {
+		r.outputs = make([]uint64, g.N())
+		return r
+	}
 	r.nodes = make([]Node, g.N())
 	for v := 0; v < g.N(); v++ {
 		r.nodes[v] = factory(v)
@@ -409,8 +422,25 @@ func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
 	return r
 }
 
-// Node returns vertex v's state machine, for reading outputs after Run.
+// Node returns vertex v's state machine, for reading an in-process run's
+// program-specific outputs after Run. A distributed run has no nodes on
+// the coordinator, so Node panics there; read its outputs with Export.
 func (r *Runner) Node(v int) Node { return r.nodes[v] }
+
+// Export returns vertex v's output word after Run, its node's
+// Porter.ExportState: in process it asks the node, and in a distributed
+// run it returns the word v's worker shipped back. It panics if the node
+// does not implement Porter (a wiring bug).
+func (r *Runner) Export(v int) uint64 {
+	if r.opts.Driver == DriverDistributed {
+		return r.outputs[v]
+	}
+	p, ok := r.nodes[v].(Porter)
+	if !ok {
+		panic(fmt.Sprintf("congest: node %d (%T) does not implement Porter", v, r.nodes[v]))
+	}
+	return p.ExportState()
+}
 
 // Run executes the program to completion and returns run statistics. It
 // returns ErrMaxRounds if any node is still live at the round limit, or the

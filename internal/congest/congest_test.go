@@ -117,7 +117,6 @@ func (oversize) Init(ctx *Context) {
 }
 func (oversize) Round(*Context, []Message) {}
 func (oversize) ExportState() uint64       { return 0 }
-func (oversize) ImportState(uint64)        {}
 
 // TestMessageBitLimit sends one message of MaxWireBits+1 bits under the
 // sequential driver, a two-shard pool and the distributed coordinator on
@@ -156,7 +155,6 @@ func (panicky) Round(ctx *Context, _ []Message) {
 	ctx.Broadcast(rawWire(8))
 }
 func (panicky) ExportState() uint64 { return 0 }
-func (panicky) ImportState(uint64)  {}
 
 // countingFleet is a localFleet that counts its Shard calls.
 type countingFleet struct {
@@ -257,8 +255,7 @@ func (m *markKeeper) Round(ctx *Context, inbox []Message) {
 	ctx.Broadcast(markWire(ctx))
 }
 
-func (m *markKeeper) ExportState() uint64  { return m.digest }
-func (m *markKeeper) ImportState(x uint64) { m.digest = x }
+func (m *markKeeper) ExportState() uint64 { return m.digest }
 
 // TestMarksContract runs markKeeper on a union of two trees plus an
 // isolated vertex under the sequential driver, pools of 1, 2 and n
@@ -290,7 +287,7 @@ func TestMarksContract(t *testing.T) {
 		}
 		digests := make([]uint64, g.N())
 		for v := range digests {
-			digests[v] = r.Node(v).(Porter).ExportState()
+			digests[v] = r.Export(v)
 		}
 		if i == 0 {
 			ref, refDigests = res, digests

@@ -114,7 +114,7 @@ type doubleSend struct {
 	priority uint64
 }
 
-func (nd *doubleSend) Status() base.Status { return nd.status }
+func (nd *doubleSend) ExportState() uint64 { return uint64(nd.status) }
 
 func (nd *doubleSend) send(ctx *congest.Context, w congest.Wire) {
 	ctx.Broadcast(w)

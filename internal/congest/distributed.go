@@ -189,16 +189,14 @@ type Fleet interface {
 	Shard(cfg ShardConfig) (ShardConn, error)
 }
 
-// Porter is the node-state transfer contract distributed runs require:
-// a worker exports each vertex's terminal state as one 64-bit word and
-// the coordinator imports it into its mirror node, so output readers
-// (base.Statuses, experiment harnesses) work unchanged. Every MIS node
-// type in this repository packs its status losslessly into the word.
+// Porter is a node's output contract: one 64-bit word, the node's whole
+// output once the run ends. Every driver reads it through Runner.Export,
+// and a distributed run requires it, since the word is all that crosses
+// back from a worker. Every MIS node type in this repository exports its
+// status (base.Statuses reads it back).
 type Porter interface {
-	// ExportState packs the node's observable output state.
+	// ExportState packs the node's output.
 	ExportState() uint64
-	// ImportState restores state packed by ExportState.
-	ImportState(uint64)
 }
 
 // replay-divergence sentinel: a respawned worker's replayed output did not
@@ -240,11 +238,6 @@ func (r *Runner) runDistributed() (Result, error) {
 	fleet := r.opts.Fleet
 	if fleet == nil {
 		return Result{}, errors.New("congest: DriverDistributed requires Options.Fleet")
-	}
-	for v, nd := range r.nodes {
-		if _, ok := nd.(Porter); !ok {
-			return Result{}, fmt.Errorf("congest: distributed runs need every node to implement Porter; vertex %d (%T) does not", v, nd)
-		}
 	}
 	st := r.newExecState(fleet.NumShards())
 	d := &distRun{r: r, st: st, fleet: fleet}
@@ -515,10 +508,10 @@ func (d *distRun) afterRound(int) {
 	d.adv = d.adv[:0]
 }
 
-// collectOutputs ends the run on every worker and imports the exported
-// per-vertex state into the coordinator's mirror nodes, so output readers
-// see exactly what an in-process run leaves behind. When the run already
-// failed, transport errors here are ignored (a lost shard cannot export).
+// collectOutputs ends the run on every worker and copies each vertex's
+// exported word into the Runner's outputs, which Export reads. When the
+// run already failed, transport errors here are ignored (a lost shard
+// cannot export).
 func (d *distRun) collectOutputs(runFailed bool) error {
 	for s, sh := range d.st.shards {
 		conn := d.conns[s]
@@ -538,9 +531,7 @@ func (d *distRun) collectOutputs(runFailed bool) error {
 			}
 			return fmt.Errorf("congest: distributed shard %d exported %d states for %d vertices", s, len(vals), sh.hi-sh.lo)
 		}
-		for i, x := range vals {
-			d.r.nodes[sh.lo+i].(Porter).ImportState(x)
-		}
+		copy(d.r.outputs[sh.lo:], vals)
 	}
 	return nil
 }
@@ -609,19 +600,20 @@ type ShardWorker struct {
 }
 
 // NewShardWorker builds the sweep engine for cfg. rows must be the CSR
-// rows of [cfg.Lo, cfg.Hi), which the worker keeps and sweeps. factory must
-// return the same state machine the coordinator's mirror uses.
-// NewShardWorker calls it for each owned vertex, from one goroutine, in
-// ascending ID order, as NewRunner does, so a factory may carve its nodes
-// from its own slab. A fleet that shares one factory between its shards
-// must therefore open them one after another — the coordinator asks for
-// them in turn. Every node must implement Porter. The worker's outbox,
-// which Sweep returns as its packets, reserves one send call per owned
-// vertex, what a broadcast-only program makes in a round; a round with
-// more calls grows it. Its inbox scratch starts as long as the range's
-// widest row, one message per neighbor, and grows when late messages or
-// several calls by one sender need more. It indexes every shard's records,
-// so its Broadcast index reserves one entry per vertex of the graph.
+// rows of [cfg.Lo, cfg.Hi), which the worker keeps and sweeps. factory(v)
+// returns vertex v's state machine. NewShardWorker calls it for each owned
+// vertex, from one goroutine, in ascending ID order, as NewRunner does, so
+// a factory may carve its nodes from its own slab. A fleet that shares one
+// factory between its shards must therefore open them one after another —
+// the coordinator asks for them in turn. Every node must implement Porter,
+// whose word Outputs ships back; a node that does not fails the shard. The
+// worker's outbox, which Sweep returns as its packets, reserves one send
+// call per owned vertex, what a broadcast-only program makes in a round; a
+// round with more calls grows it. Its inbox scratch starts as long as the
+// range's widest row, one message per neighbor, and grows when late
+// messages or several calls by one sender need more. It indexes every
+// shard's records, so its Broadcast index reserves one entry per vertex of
+// the graph.
 func NewShardWorker(cfg ShardConfig, rows graph.Rows, factory func(v int) Node) (*ShardWorker, error) {
 	if cfg.Lo < 0 || cfg.Hi < cfg.Lo || cfg.Hi > cfg.N {
 		return nil, fmt.Errorf("congest: shard range [%d, %d) invalid for n=%d", cfg.Lo, cfg.Hi, cfg.N)

@@ -60,6 +60,19 @@ func TestDistributedRejectsSenderDisorder(t *testing.T) {
 	}
 }
 
+// TestDistributedRejectsNonPorter runs a program whose nodes have no
+// output word (no ExportState) on two in-process workers. The word is all
+// a worker ships back, so NewShardWorker refuses the nodes, and the run
+// must fail with an error naming the shard and the node type.
+func TestDistributedRejectsNonPorter(t *testing.T) {
+	g := ringGraph(8)
+	r := NewRunner(g, nil, Options{Driver: DriverDistributed, Fleet: &localFleet{g: g, shards: 2, factory: haltFactory}})
+	_, err := r.Run()
+	if err == nil || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "congest.haltNow") {
+		t.Fatalf("run of a non-Porter program returned %v, want an error naming shard 0 and the node type", err)
+	}
+}
+
 // TestShardWorkerRejectsMalformedInput builds a worker owning [2, 4) of an
 // 8-vertex path, which must refuse rows that do not cover its range, and
 // sweeps its round 1 with inputs that each break one rule its sweep

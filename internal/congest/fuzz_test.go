@@ -249,7 +249,7 @@ func (in fuzzInput) run(opts Options) fuzzOutcome {
 		o.err = err.Error()
 	}
 	for v := range o.digests {
-		o.digests[v] = r.Node(v).(Porter).ExportState()
+		o.digests[v] = r.Export(v)
 	}
 	return o
 }
@@ -338,5 +338,4 @@ func (s *scriptNode) step(ctx *Context) {
 	}
 }
 
-func (s *scriptNode) ExportState() uint64  { return s.digest }
-func (s *scriptNode) ImportState(x uint64) { s.digest = x }
+func (s *scriptNode) ExportState() uint64 { return s.digest }

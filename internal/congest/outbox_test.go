@@ -150,8 +150,6 @@ func (p *priorityMIS) ExportState() uint64 {
 	return 0
 }
 
-func (p *priorityMIS) ImportState(x uint64) { p.inMIS = x == 1 }
-
 // runShards runs priorityMIS, configured as node, on g and returns the
 // run's shards, collected from the nodes in ascending vertex order, so in
 // shard order.
@@ -313,7 +311,7 @@ func TestShardWorkerCapsStableAcrossSweeps(t *testing.T) {
 		}
 		out := make([]uint64, g.N())
 		for v := range out {
-			out[v] = r.Node(v).(Porter).ExportState()
+			out[v] = r.Export(v)
 		}
 		return res, out, fleet
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/congest"
@@ -103,11 +104,15 @@ type node struct {
 	active   base.ActiveSet
 }
 
-// Status implements base.Membership.
-func (nd *node) Status() base.Status { return nd.status }
+// ExportState is the node's output, its status (congest.Porter).
+func (nd *node) ExportState() uint64 { return uint64(nd.status) }
 
-// RunAlg1 executes BoundedArbIndependentSet on g.
+// RunAlg1 executes BoundedArbIndependentSet on g. It reads each node's
+// scale records after the run, so it refuses the distributed driver.
 func RunAlg1(g *graph.Graph, params *Params, opts congest.Options) (*Alg1Output, error) {
+	if opts.Driver == congest.DriverDistributed {
+		return nil, errors.New("core: RunAlg1 reads each node's scale records in process; the distributed driver returns one output word per vertex")
+	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}

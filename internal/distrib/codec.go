@@ -2,8 +2,8 @@
 // driver (congest.DriverDistributed): a length-prefixed binary frame
 // codec, the self-exec fleet that spawns shard worker processes and
 // talks to each over a private unix socket, the worker serve loop, and
-// the algorithm registry that lets a worker process construct the same
-// node state machines the coordinator mirrors.
+// the algorithm registry from which a worker process constructs its
+// shard's node state machines.
 //
 // Determinism contract. Nothing in this package draws randomness or
 // makes a scheduling decision that the run can observe: the coordinator

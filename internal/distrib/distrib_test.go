@@ -8,15 +8,20 @@ package distrib_test
 
 import (
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 
 	"repro/internal/congest"
+	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/faultsim"
+	"repro/internal/forest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/mis/base"
+	"repro/internal/mis/colevishkin"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -573,5 +578,42 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := distrib.NewExecFleet(g, distrib.Program{Algorithm: "metivier"}, 0); err == nil {
 		t.Fatal("zero-shard fleet must fail")
+	}
+}
+
+// TestInProcessReadersRefuseDistributed runs the readers that take
+// program-specific state off each node after a run — colevishkin.Colors,
+// matching.Run, forest.Decompose and core.RunAlg1 — on the distributed
+// driver, whose coordinator keeps one output word per vertex and no
+// nodes: each must return an error naming the driver, never panic or hand
+// back a wrong answer. The Colors row runs on a working colevishkin fleet.
+func TestInProcessReadersRefuseDistributed(t *testing.T) {
+	g := gen.RandomTree(64, rng.New(5))
+	parent := bfsParents(g)
+	fleet, err := distrib.NewExecFleet(g, distrib.Program{Algorithm: "colevishkin", Args: distrib.ColeVishkinArgs(parent)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	opts := congest.Options{Seed: 1, Driver: congest.DriverDistributed, Fleet: fleet}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"colevishkin.Colors", func() error { _, _, err := colevishkin.Colors(g, parent, opts); return err }},
+		{"matching.Run", func() error { _, _, err := matching.Run(g, opts); return err }},
+		{"forest.Decompose", func() error { _, _, err := forest.Decompose(g, 2, opts); return err }},
+		{"core.RunAlg1", func() error { _, err := core.RunAlg1(g, core.PracticalParams(1, g.MaxDegree()), opts); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if err := c.run(); err == nil || !strings.Contains(err.Error(), "distributed") {
+				t.Fatalf("returned %v, want an error naming the distributed driver", err)
+			}
+		})
 	}
 }

@@ -16,9 +16,10 @@ import (
 
 // Program names the node program a distributed run executes, in a form
 // that crosses process boundaries: an algorithm name from the registry
-// below plus its numeric arguments. The coordinator and every worker
-// construct the factory independently from the same Program, so both
-// sides run identical state machines.
+// below plus its numeric arguments. Every worker constructs its factory
+// from the Program the fleet sends it, so all shards run the same state
+// machines, and an in-process run built from the same Program is the
+// distributed run's sequential reference.
 type Program struct {
 	// Algorithm is a registry name (see Algorithms).
 	Algorithm string
@@ -88,8 +89,8 @@ func Algorithms() []string {
 	return names
 }
 
-// Factory resolves a Program to the node factory both the coordinator's
-// mirror and the shard workers construct.
+// Factory resolves a Program to the node factory the shard workers
+// construct; an in-process run of the same Program uses it too.
 func Factory(prog Program, n int) (func(v int) congest.Node, error) {
 	ctor, ok := factories[prog.Algorithm]
 	if !ok {

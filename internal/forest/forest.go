@@ -11,6 +11,7 @@
 package forest
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -193,8 +194,12 @@ func (nd *node) orient(ctx *congest.Context) {
 }
 
 // Decompose runs the H-partition program on g with arboricity bound alpha
-// and returns the decomposition plus run statistics.
+// and returns the decomposition plus run statistics. It reads each node's
+// level and parents after the run, so it refuses the distributed driver.
 func Decompose(g *graph.Graph, alpha int, opts congest.Options) (*Decomposition, congest.Result, error) {
+	if opts.Driver == congest.DriverDistributed {
+		return nil, congest.Result{}, errors.New("forest: Decompose reads each node's level and parents in process; the distributed driver returns one output word per vertex")
+	}
 	if alpha < 1 {
 		return nil, congest.Result{}, fmt.Errorf("forest: alpha must be >= 1, got %d", alpha)
 	}

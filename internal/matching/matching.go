@@ -18,6 +18,7 @@
 package matching
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/congest"
@@ -52,8 +53,12 @@ func New() func(v int) congest.Node {
 }
 
 // Run computes a maximal matching of g: result[v] is v's partner or
-// Unmatched. The matching is verified before return.
+// Unmatched. The matching is verified before return. Run reads each
+// node's partner after the run, so it refuses the distributed driver.
 func Run(g *graph.Graph, opts congest.Options) ([]int, congest.Result, error) {
+	if opts.Driver == congest.DriverDistributed {
+		return nil, congest.Result{}, errors.New("matching: Run reads each node's partner in process; the distributed driver returns one output word per vertex")
+	}
 	r := congest.NewRunner(g, New(), opts)
 	res, err := r.Run()
 	if err != nil {

@@ -45,21 +45,14 @@ func (s Status) String() string {
 	}
 }
 
-// Membership is implemented by node programs whose output is a Status.
-type Membership interface {
-	Status() Status
-}
-
-// Statuses reads the final status of every node from a finished runner.
-// It panics if a node program does not implement Membership (a wiring bug).
+// Statuses reads the final status of every node from a finished runner:
+// each MIS program's output word (congest.Runner.Export) is its status. It
+// panics if a node program does not implement congest.Porter (a wiring
+// bug).
 func Statuses(r *congest.Runner, n int) []Status {
 	out := make([]Status, n)
-	for v := 0; v < n; v++ {
-		m, ok := r.Node(v).(Membership)
-		if !ok {
-			panic(fmt.Sprintf("base: node %d (%T) does not implement Membership", v, r.Node(v)))
-		}
-		out[v] = m.Status()
+	for v := range out {
+		out[v] = Status(r.Export(v))
 	}
 	return out
 }
@@ -79,12 +72,12 @@ func MISSet(statuses []Status) []bool {
 // slabFirstChunk nodes and double up to slabMaxChunk: a factory serving a
 // Runner over a handful of vertices (a dynamic-MIS repair region) carves
 // one small chunk, one serving 2^17 vertices 135 chunks. A Slab never
-// reuses a node, so one factory may serve several Runners (a fleet's
-// mirror runs, say) without two of them sharing one; a chunk stays live
-// while any of its nodes is. The zero value is ready to use. A Slab is not
-// safe for concurrent use, which the engine's factory contract allows:
-// congest.NewRunner and congest.NewShardWorker call a factory from one
-// goroutine.
+// reuses a node, so one factory may serve several Runners or shard
+// workers (an in-process fleet's, say) without two of them sharing one; a
+// chunk stays live while any of its nodes is. The zero value is ready to
+// use. A Slab is not safe for concurrent use, which the engine's factory
+// contract allows: congest.NewRunner and congest.NewShardWorker call a
+// factory from one goroutine.
 type Slab[T any] struct {
 	free []T // the current chunk's nodes not yet handed out
 	size int // the current chunk's length

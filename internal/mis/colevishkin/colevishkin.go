@@ -15,6 +15,7 @@
 package colevishkin
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -53,8 +54,8 @@ type node struct {
 	total    int // T, cached
 }
 
-// Status implements base.Membership.
-func (nd *node) Status() base.Status { return nd.status }
+// ExportState is the node's output, its status (congest.Porter).
+func (nd *node) ExportState() uint64 { return uint64(nd.status) }
 
 // Color returns the node's final color; exported for the coloring tests.
 func (nd *node) Color() uint64 { return nd.color }
@@ -92,8 +93,13 @@ func Run(g *graph.Graph, parent []int, opts congest.Options) ([]base.Status, con
 
 // Colors runs only through the coloring stages and returns the 3-coloring
 // (values 0..2). Used by the forest-decomposition finisher, which sweeps
-// several forests' colorings jointly, and by the coloring experiments.
+// several forests' colorings jointly, and by the coloring experiments. It
+// reads each node's colour after the run, so it refuses the distributed
+// driver.
 func Colors(g *graph.Graph, parent []int, opts congest.Options) ([]uint64, congest.Result, error) {
+	if opts.Driver == congest.DriverDistributed {
+		return nil, congest.Result{}, errors.New("colevishkin: Colors reads each node's colour in process; the distributed driver returns one output word per vertex")
+	}
 	if err := validate(g, parent); err != nil {
 		return nil, congest.Result{}, err
 	}
@@ -256,10 +262,3 @@ func (nd *node) absorbJoins(ctx *congest.Context, inbox []congest.Message, last 
 		ctx.Halt()
 	}
 }
-
-// ExportState packs the node's observable output (its status) for the
-// distributed driver's cross-process state transfer (congest.Porter).
-func (nd *node) ExportState() uint64 { return uint64(nd.status) }
-
-// ImportState restores a status packed by ExportState.
-func (nd *node) ImportState(x uint64) { nd.status = base.Status(x) }

@@ -52,8 +52,8 @@ type node struct {
 	budget   int // iterations remaining after the current one
 }
 
-// Status implements base.Membership.
-func (nd *node) Status() base.Status { return nd.status }
+// ExportState is the node's output, its status (congest.Porter).
+func (nd *node) ExportState() uint64 { return uint64(nd.status) }
 
 // New returns a factory running exactly iters priority iterations.
 func New(iters int) func(v int) congest.Node {
@@ -140,10 +140,3 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 		nd.start(ctx)
 	}
 }
-
-// ExportState packs the node's observable output (its status) for the
-// distributed driver's cross-process state transfer (congest.Porter).
-func (nd *node) ExportState() uint64 { return uint64(nd.status) }
-
-// ImportState restores a status packed by ExportState.
-func (nd *node) ImportState(x uint64) { nd.status = base.Status(x) }

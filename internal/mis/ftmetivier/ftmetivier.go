@@ -72,8 +72,8 @@ const (
 	beats uint8 = 1 << 2
 )
 
-// Status implements base.Membership.
-func (nd *node) Status() base.Status { return nd.status }
+// ExportState is the node's output, its status (congest.Porter).
+func (nd *node) ExportState() uint64 { return uint64(nd.status) }
 
 // New returns a factory for fault-tolerant Métivier nodes with the given
 // iteration budget (<= 0 means DefaultMaxIters), for use with
@@ -190,10 +190,3 @@ func (nd *node) wins(ctx *congest.Context) bool {
 	}
 	return true
 }
-
-// ExportState packs the node's observable output (its status) for the
-// distributed driver's cross-process state transfer (congest.Porter).
-func (nd *node) ExportState() uint64 { return uint64(nd.status) }
-
-// ImportState restores a status packed by ExportState.
-func (nd *node) ImportState(x uint64) { nd.status = base.Status(x) }

@@ -21,8 +21,8 @@ type node struct {
 	active base.ActiveSet
 }
 
-// Status implements base.Membership.
-func (nd *node) Status() base.Status { return nd.status }
+// ExportState is the node's output, its status (congest.Porter).
+func (nd *node) ExportState() uint64 { return uint64(nd.status) }
 
 // New returns a factory for local-min MIS nodes.
 func New() func(v int) congest.Node {
@@ -81,10 +81,3 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 		nd.tryJoin(ctx)
 	}
 }
-
-// ExportState packs the node's observable output (its status) for the
-// distributed driver's cross-process state transfer (congest.Porter).
-func (nd *node) ExportState() uint64 { return uint64(nd.status) }
-
-// ImportState restores a status packed by ExportState.
-func (nd *node) ImportState(x uint64) { nd.status = base.Status(x) }

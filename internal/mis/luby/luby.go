@@ -30,8 +30,8 @@ type nodeA struct {
 	rangeMax uint64
 }
 
-// Status implements base.Membership.
-func (nd *nodeA) Status() base.Status { return nd.status }
+// ExportState is the node's output, its status (congest.Porter).
+func (nd *nodeA) ExportState() uint64 { return uint64(nd.status) }
 
 // NewA returns a factory for Algorithm A on an n-vertex graph (priorities
 // drawn from {0..n⁴-1}; collisions are real and broken by ID, exactly the
@@ -113,8 +113,8 @@ type nodeB struct {
 	myDeg  int
 }
 
-// Status implements base.Membership.
-func (nd *nodeB) Status() base.Status { return nd.status }
+// ExportState is the node's output, its status (congest.Porter).
+func (nd *nodeB) ExportState() uint64 { return uint64(nd.status) }
 
 // NewB returns a factory for Algorithm B.
 func NewB() func(v int) congest.Node {
@@ -192,17 +192,3 @@ func (nd *nodeB) Round(ctx *congest.Context, inbox []congest.Message) {
 		nd.start(ctx)
 	}
 }
-
-// ExportState packs the node's observable output (its status) for the
-// distributed driver's cross-process state transfer (congest.Porter).
-func (nd *nodeA) ExportState() uint64 { return uint64(nd.status) }
-
-// ImportState restores a status packed by ExportState.
-func (nd *nodeA) ImportState(x uint64) { nd.status = base.Status(x) }
-
-// ExportState packs the node's observable output (its status) for the
-// distributed driver's cross-process state transfer (congest.Porter).
-func (nd *nodeB) ExportState() uint64 { return uint64(nd.status) }
-
-// ImportState restores a status packed by ExportState.
-func (nd *nodeB) ImportState(x uint64) { nd.status = base.Status(x) }

@@ -29,8 +29,8 @@ type node struct {
 	priority uint64
 }
 
-// Status implements base.Membership.
-func (nd *node) Status() base.Status { return nd.status }
+// ExportState is the node's output, its status (congest.Porter).
+func (nd *node) ExportState() uint64 { return uint64(nd.status) }
 
 // New returns a factory for Métivier MIS nodes, for use with
 // congest.NewRunner.
@@ -100,10 +100,3 @@ func (nd *node) winsAgainst(id int, inbox []congest.Message) bool {
 	}
 	return true
 }
-
-// ExportState packs the node's observable output (its status) for the
-// distributed driver's cross-process state transfer (congest.Porter).
-func (nd *node) ExportState() uint64 { return uint64(nd.status) }
-
-// ImportState restores a status packed by ExportState.
-func (nd *node) ImportState(x uint64) { nd.status = base.Status(x) }

@@ -35,118 +35,47 @@ func (d *Divergence) String() string {
 		d.Round, d.Index, fmtEv(d.A), fmtEv(d.B))
 }
 
-// roundIndex groups a trace's deterministic events by round: offsets[r]
-// is the start of round r's events in det, and hashes[r] is the running
-// fingerprint of everything up to and including round r (a prefix hash,
-// so a single corrupted event poisons every later entry and binary search
-// lands exactly on the first bad round).
-type roundIndex struct {
-	det     []Event
-	offsets []int
-	hashes  []uint64
-}
-
-// indexRounds builds the per-round index. Rounds are assumed
-// nondecreasing, which the engine guarantees.
-func indexRounds(events []Event) roundIndex {
-	det := Deterministic(events)
-	idx := roundIndex{det: det}
-	h := uint64(fnvOffset)
-	cur := int32(-1)
-	for i, e := range det {
-		for cur < e.Round { // open rounds (handles empty rounds defensively)
-			if cur >= 0 {
-				idx.hashes = append(idx.hashes, h)
-			}
-			cur++
-			idx.offsets = append(idx.offsets, i)
-		}
-		h = fpFold(h, e)
-	}
-	if cur >= 0 {
-		idx.hashes = append(idx.hashes, h)
-	}
-	return idx
-}
-
-// rounds returns the number of rounds the index covers.
-func (ri roundIndex) rounds() int { return len(ri.offsets) }
-
-// round returns round r's deterministic events.
-func (ri roundIndex) round(r int) []Event {
-	lo := ri.offsets[r]
-	hi := len(ri.det)
-	if r+1 < len(ri.offsets) {
-		hi = ri.offsets[r+1]
-	}
-	return ri.det[lo:hi]
-}
-
 // Bisect locates the first divergent deterministic event between two
-// traces. It binary-searches the per-round prefix fingerprints to find
-// the first round whose history differs, then scans that round event by
-// event. Advisory events (timings, frames, respawns) are ignored, so
-// traces from different drivers compare cleanly. It returns nil when the
+// traces: it walks both deterministic streams in step to the first
+// position where they differ. When the two events there belong to
+// different rounds, the lower round's event is the divergence and the
+// other trace's is reported missing, as it is when a trace ends early.
+// Advisory events (timings, frames, respawns) are ignored, so traces from
+// different drivers compare cleanly. It returns nil when the
 // deterministic streams are identical.
 func Bisect(a, b []Event) *Divergence {
-	ia, ib := indexRounds(a), indexRounds(b)
-	common := ia.rounds()
-	if ib.rounds() < common {
-		common = ib.rounds()
+	da, db := Deterministic(a), Deterministic(b)
+	i := 0
+	for i < len(da) && i < len(db) && da[i] == db[i] {
+		i++
 	}
-	// Binary search for the first round r (within the common prefix) with
-	// differing prefix hashes. Invariant: rounds < lo agree, rounds >= hi
-	// are unknown-or-differing.
-	lo, hi := 0, common
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ia.hashes[mid] == ib.hashes[mid] {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	var ea, eb *Event
+	if i < len(da) {
+		ea = &da[i]
 	}
-	if lo == common {
-		// The common prefix agrees; any divergence is a trace ending early.
-		if ia.rounds() == ib.rounds() {
-			return nil
-		}
-		longer, missingB := ia, true
-		if ib.rounds() > ia.rounds() {
-			longer, missingB = ib, false
-		}
-		ev := longer.round(common)[0]
-		d := &Divergence{Round: int(ev.Round)}
-		if missingB {
-			d.A = &ev
-		} else {
-			d.B = &ev
-		}
-		return d
+	if i < len(db) {
+		eb = &db[i]
 	}
-	// Round lo is the first divergent round; pinpoint the event.
-	ra, rb := ia.round(lo), ib.round(lo)
-	for i := 0; i < len(ra) || i < len(rb); i++ {
-		var ea, eb *Event
-		if i < len(ra) {
-			ea = &ra[i]
-		}
-		if i < len(rb) {
-			eb = &rb[i]
-		}
-		if ea == nil || eb == nil || *ea != *eb {
-			round := lo
-			if ea != nil {
-				round = int(ea.Round)
-			} else if eb != nil {
-				round = int(eb.Round)
-			}
-			return &Divergence{Round: round, Index: i, A: ea, B: eb}
-		}
+	switch {
+	case ea == nil && eb == nil:
+		return nil
+	case ea != nil && eb != nil && ea.Round < eb.Round:
+		eb = nil
+	case ea != nil && eb != nil && eb.Round < ea.Round:
+		ea = nil
 	}
-	// Prefix hashes differed but the events agree — impossible unless the
-	// index is corrupt; report the round boundary rather than lying.
-	return &Divergence{Round: lo}
+	d := &Divergence{A: ea, B: eb}
+	if ea != nil {
+		d.Round = int(ea.Round)
+	} else {
+		d.Round = int(eb.Round)
+	}
+	// The streams agree before i, so da's events of the divergent round
+	// there are its index.
+	for j := i - 1; j >= 0 && int(da[j].Round) == d.Round; j-- {
+		d.Index++
+	}
+	return d
 }
 
 // Replay re-executes a program and diffs its deterministic event stream

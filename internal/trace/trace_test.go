@@ -517,6 +517,27 @@ func TestBisectExtraEventInRound(t *testing.T) {
 	}
 }
 
+// TestBisectExtraEventEndsRound appends an event to the end of round 3:
+// at the first differing position one trace starts round 4 while the
+// other still holds round 3's extra event, so the lower round's event is
+// blamed and round 4's start is not.
+func TestBisectExtraEventEndsRound(t *testing.T) {
+	a := sampleTrace(5)
+	var b []Event
+	for _, e := range a {
+		b = append(b, e)
+		if e.Type == EvRoundEnd && e.Round == 3 {
+			b = append(b, Event{Type: EvHalt, Round: 3, V: 42})
+		}
+	}
+	if got, want := Bisect(a, b).String(), "first divergence at round 3, event 4: <missing> vs halt r=3 v=42"; got != want {
+		t.Fatalf("extra event reported as %q, want %q", got, want)
+	}
+	if got, want := Bisect(b, a).String(), "first divergence at round 3, event 4: halt r=3 v=42 vs <missing>"; got != want {
+		t.Fatalf("reverse extra event reported as %q, want %q", got, want)
+	}
+}
+
 func TestReplayMatchesAndDiverges(t *testing.T) {
 	ref := sampleTrace(8)
 	replayFrom := func(events []Event) func(Sink) error {
