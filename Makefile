@@ -89,11 +89,11 @@ cover:
 # (the distrib registry's, matching.New and forest.New) must build 2^14
 # nodes in at most 64 allocations, because it carves them from a slab; a
 # whole run of each program that tracks its active neighbours (luby-b,
-# ghaffari, localmin, ftmetivier, matching; factory, NewRunner and Run)
-# must make at most 64 allocations at n = 2^10 and 2^14, sequentially
-# and on two pool shards — forest one more per returned parent entry —
-# because their per-neighbour state lives in the engine's marks, one
-# allocation per shard, not in per-vertex slices or maps; and a whole
+# ghaffari, localmin, ftmetivier, matching, forest; factory, NewRunner
+# and Run) must make at most 64 allocations at n = 2^10 and 2^14,
+# sequentially and on two pool shards, because their per-neighbour state
+# lives in the engine's marks, one allocation per shard, not in
+# per-vertex slices or maps; and a whole
 # Algorithm 1 run (RunAlg1: nodes, Run, outputs) must make at most 64
 # heap objects plus one per returned ScaleRecord at n = 2^10 and 2^14,
 # sequentially and on two pool shards, because its nodes and records live

@@ -27,7 +27,7 @@ func run() error {
 		g := repro.RandomTree(n, uint64(n))
 
 		// Oriented case: root at vertex 0, BFS parents.
-		parent := bfsParents(g, 0)
+		parent := g.BFSForest()
 		cvSet, cvRes, err := repro.ColeVishkin(g, parent, repro.Options{Seed: 1})
 		if err != nil {
 			return err
@@ -52,25 +52,4 @@ func run() error {
 	fmt.Println("\nCole-Vishkin's rounds are flat (log* n); the randomized side grows with log n.")
 	fmt.Println("The reproduced paper extends the unoriented-tree machinery to arboricity-α graphs.")
 	return nil
-}
-
-// bfsParents roots the tree at src.
-func bfsParents(g *repro.Graph, src int) []int {
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[src] = -1
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(v) {
-			if parent[w] == -2 {
-				parent[w] = v
-				queue = append(queue, w)
-			}
-		}
-	}
-	return parent
 }

@@ -61,32 +61,6 @@ type statusProgram struct {
 	run  func(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error)
 }
 
-// bfsParents builds the rooted-forest parent map Cole-Vishkin needs.
-func bfsParents(g *graph.Graph) []int {
-	parent := make([]int, g.N())
-	for v := range parent {
-		parent[v] = -2
-	}
-	for s := 0; s < g.N(); s++ {
-		if parent[s] != -2 {
-			continue
-		}
-		parent[s] = -1
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(v) {
-				if parent[w] == -2 {
-					parent[w] = v
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return parent
-}
-
 func statusPrograms() []statusProgram {
 	return []statusProgram{
 		{"metivier", metivier.Run},
@@ -98,7 +72,7 @@ func statusPrograms() []statusProgram {
 			return degreduce.Run(g, 4, opts)
 		}},
 		{"colevishkin", func(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error) {
-			return colevishkin.Run(g, bfsParents(g), opts)
+			return colevishkin.Run(g, g.BFSForest(), opts)
 		}},
 		{"doublesend", runDoubleSend},
 	}
@@ -177,7 +151,7 @@ func distProgram(label string, g *graph.Graph) (prog distrib.Program, ok bool) {
 	case "degreduce":
 		return distrib.Program{Algorithm: "degreduce", Args: []uint64{4}}, true
 	case "colevishkin":
-		return distrib.Program{Algorithm: "colevishkin", Args: distrib.ColeVishkinArgs(bfsParents(g))}, true
+		return distrib.Program{Algorithm: "colevishkin", Args: distrib.ColeVishkinArgs(g.BFSForest())}, true
 	case "doublesend":
 		return distrib.Program{}, false
 	default:

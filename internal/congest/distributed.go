@@ -536,50 +536,29 @@ func (d *distRun) collectOutputs(runFailed bool) error {
 	return nil
 }
 
-// digest constants: the FNV-1a offset basis seeds the accumulator and the
-// Murmur3 finalizer multiplier mixes each word (the same recipe as the
-// trace fingerprint, applied to round outputs).
-const (
-	digestOffset = 0xcbf29ce484222325
-	digestMix    = 0xff51afd7ed558ccd
-)
-
-// digestFold mixes one word into a round-output digest accumulator.
-func digestFold(h, x uint64) uint64 {
-	h ^= x
-	h *= digestMix
-	h ^= h >> 33
-	return h
-}
-
 // outputDigest summarizes the deterministic content of a round output for
 // replay verification. The advisory transport fields are excluded: they
 // legitimately differ between the original exchange and a replay.
 func outputDigest(out RoundOutput) uint64 {
-	h := uint64(digestOffset)
-	h = digestFold(h, uint64(len(out.Packets)))
+	h := trace.Fold(trace.FoldSeed, uint64(len(out.Packets)))
 	for _, p := range out.Packets {
-		h = digestFold(h, uint64(uint32(p.To))<<32|uint64(uint32(p.From)))
-		h = digestFold(h, uint64(p.Wire.Kind)<<16|uint64(p.Wire.Bits))
-		h = digestFold(h, p.Wire.A)
-		h = digestFold(h, p.Wire.B)
+		h = trace.Fold(h, uint64(uint32(p.To))<<32|uint64(uint32(p.From)))
+		h = trace.Fold(h, uint64(p.Wire.Kind)<<16|uint64(p.Wire.Bits))
+		h = trace.Fold(h, p.Wire.A)
+		h = trace.Fold(h, p.Wire.B)
 	}
-	h = digestFold(h, uint64(len(out.Events)))
+	h = trace.Fold(h, uint64(len(out.Events)))
 	for _, e := range out.Events {
-		h = digestFold(h, uint64(e.Type)<<32|uint64(uint32(e.Round)))
-		h = digestFold(h, uint64(uint32(e.V))<<32|uint64(uint32(e.W)))
-		h = digestFold(h, uint64(e.X))
-		h = digestFold(h, uint64(e.Y))
-		h = digestFold(h, uint64(e.Z))
+		h = trace.FoldEvent(h, e)
 	}
-	h = digestFold(h, uint64(len(out.Halted)))
+	h = trace.Fold(h, uint64(len(out.Halted)))
 	for _, v := range out.Halted {
-		h = digestFold(h, uint64(uint32(v)))
+		h = trace.Fold(h, uint64(uint32(v)))
 	}
-	h = digestFold(h, out.Draws)
-	h = digestFold(h, uint64(len(out.Err)))
+	h = trace.Fold(h, out.Draws)
+	h = trace.Fold(h, uint64(len(out.Err)))
 	for i := 0; i < len(out.Err); i++ {
-		h = digestFold(h, uint64(out.Err[i]))
+		h = trace.Fold(h, uint64(out.Err[i]))
 	}
 	return h
 }

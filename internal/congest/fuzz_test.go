@@ -281,12 +281,12 @@ const (
 func (s *scriptNode) Init(ctx *Context) { s.step(ctx) }
 
 func (s *scriptNode) Round(ctx *Context, inbox []Message) {
-	h := digestFold(s.digest, uint64(ctx.Round())<<32|uint64(len(inbox)))
+	h := trace.Fold(s.digest, uint64(ctx.Round())<<32|uint64(len(inbox)))
 	for _, m := range inbox {
-		h = digestFold(h, uint64(m.From))
-		h = digestFold(h, uint64(m.Wire.Kind)<<16|uint64(m.Wire.Bits))
-		h = digestFold(h, m.Wire.A)
-		h = digestFold(h, m.Wire.B)
+		h = trace.Fold(h, uint64(m.From))
+		h = trace.Fold(h, uint64(m.Wire.Kind)<<16|uint64(m.Wire.Bits))
+		h = trace.Fold(h, m.Wire.A)
+		h = trace.Fold(h, m.Wire.B)
 	}
 	s.digest = h
 	s.step(ctx)

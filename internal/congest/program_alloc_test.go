@@ -21,24 +21,21 @@ import (
 // marks (congest.Context.Marks), so a whole run — factory, NewRunner and
 // Run — makes a fixed number of heap allocations and none per vertex.
 // Each program runs on a union of two trees at n = 2^10 and 2^14,
-// sequentially and on two pool shards, within 64 allocations; forest may
-// add one per parent entry its nodes return, m in all (every edge is one
-// endpoint's out-edge), as TestAlg1RunAllocs allows one per record. It is
-// an external test package because internal/congest's own tests cannot
+// sequentially and on two pool shards, within 64 allocations. It is an
+// external test package because internal/congest's own tests cannot
 // import the programs.
 func TestProgramRunAllocs(t *testing.T) {
 	const budget = 64
 	programs := []struct {
 		name    string
 		factory func(n int) func(int) congest.Node
-		perEdge bool // one more allocation allowed per edge
 	}{
-		{"luby-b", func(int) func(int) congest.Node { return luby.NewB() }, false},
-		{"ghaffari", func(int) func(int) congest.Node { return ghaffari.New() }, false},
-		{"localmin", func(int) func(int) congest.Node { return localmin.New() }, false},
-		{"ftmetivier", func(int) func(int) congest.Node { return ftmetivier.New(0) }, false},
-		{"matching", func(int) func(int) congest.Node { return matching.New() }, false},
-		{"forest", func(n int) func(int) congest.Node { return forest.New(2, n) }, true},
+		{"luby-b", func(int) func(int) congest.Node { return luby.NewB() }},
+		{"ghaffari", func(int) func(int) congest.Node { return ghaffari.New() }},
+		{"localmin", func(int) func(int) congest.Node { return localmin.New() }},
+		{"ftmetivier", func(int) func(int) congest.Node { return ftmetivier.New(0) }},
+		{"matching", func(int) func(int) congest.Node { return matching.New() }},
+		{"forest", func(n int) func(int) congest.Node { return forest.New(2, n) }},
 	}
 	drivers := []struct {
 		name string
@@ -50,10 +47,6 @@ func TestProgramRunAllocs(t *testing.T) {
 	for _, n := range []int{1 << 10, 1 << 14} {
 		g := gen.UnionOfTrees(n, 2, rng.New(3))
 		for _, p := range programs {
-			limit := uint64(budget)
-			if p.perEdge {
-				limit += uint64(g.M())
-			}
 			for _, d := range drivers {
 				best := ^uint64(0)
 				var ms runtime.MemStats
@@ -69,8 +62,8 @@ func TestProgramRunAllocs(t *testing.T) {
 					best = min(best, ms.Mallocs-before)
 				}
 				t.Logf("%s n=%d %s: %d allocations", p.name, n, d.name, best)
-				if best > limit {
-					t.Errorf("%s n=%d %s: a run makes %d allocations, budget %d", p.name, n, d.name, best, limit)
+				if best > budget {
+					t.Errorf("%s n=%d %s: a run makes %d allocations, budget %d", p.name, n, d.name, best, budget)
 				}
 			}
 		}

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/mis/base"
 	"repro/internal/mis/ghaffari"
+	"repro/internal/shatter"
 )
 
 // Stage identifies one run of the ArbMIS pipeline with its cost.
@@ -125,10 +125,11 @@ func arbMIS(g *graph.Graph, params *Params, opts congest.Options, badFinisher st
 	}
 
 	// Shattering statistics on the full bad set (Lemma 3.7).
-	o.BadComponentSizes, err = componentSizes(g, bad)
+	st, err := shatter.Analyze(g, bad)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: bad-set components: %w", err)
 	}
+	o.BadComponentSizes = st.Sizes
 
 	// Split the deferred set by active degree within it.
 	vlo, vhi, err := splitDeferred(g, deferred, params)
@@ -247,20 +248,4 @@ func excludeDominated(g *graph.Graph, vertices []int, mis []bool) []int {
 		}
 	}
 	return keep
-}
-
-// componentSizes returns the connected-component sizes of G[vertices],
-// sorted descending.
-func componentSizes(g *graph.Graph, vertices []int) ([]int, error) {
-	if len(vertices) == 0 {
-		return nil, nil
-	}
-	sub, _, err := g.InducedSubgraph(vertices)
-	if err != nil {
-		return nil, fmt.Errorf("core: bad-set components: %w", err)
-	}
-	comp, count := sub.Components()
-	sizes := graph.ComponentSizes(comp, count)
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes, nil
 }

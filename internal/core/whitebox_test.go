@@ -115,7 +115,11 @@ func TestArbMISRelabelInvariance(t *testing.T) {
 	// of the relabeled graph.
 	g := gen.UnionOfTrees(200, 2, rng.New(91))
 	perm := rng.New(92).Perm(g.N())
-	h, err := graph.Relabel(g, perm)
+	edges := g.Edges()
+	for i, e := range edges {
+		edges[i] = graph.Edge{U: perm[e.U], V: perm[e.V]}
+	}
+	h, err := graph.New(g.N(), edges)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,33 +34,6 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// bfsParents builds the rooted-forest parent map Cole-Vishkin needs
-// (mirrors the congest cross-driver suite).
-func bfsParents(g *graph.Graph) []int {
-	parent := make([]int, g.N())
-	for v := range parent {
-		parent[v] = -2
-	}
-	for s := 0; s < g.N(); s++ {
-		if parent[s] != -2 {
-			continue
-		}
-		parent[s] = -1
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(v) {
-				if parent[w] == -2 {
-					parent[w] = v
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return parent
-}
-
 // runSequential executes prog under the sequential driver with the same
 // factory a worker constructs, as the reference for every comparison.
 func runSequential(t *testing.T, g *graph.Graph, prog distrib.Program, opts congest.Options) ([]base.Status, congest.Result, error) {
@@ -88,12 +61,8 @@ func runFleet(t *testing.T, g *graph.Graph, prog distrib.Program, shards int, op
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	factory, err := distrib.Factory(prog, g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts.Driver, opts.Fleet = congest.DriverDistributed, fleet
-	r := congest.NewRunner(g, factory, opts)
+	r := congest.NewRunner(g, nil, opts)
 	res, err := r.Run()
 	return res, r, err
 }
@@ -139,7 +108,7 @@ func TestDistributedMatchesSequentialClean(t *testing.T) {
 		g := union
 		if name == "colevishkin" {
 			g = forest
-			prog.Args = distrib.ColeVishkinArgs(bfsParents(forest))
+			prog.Args = distrib.ColeVishkinArgs(forest.BFSForest())
 		}
 		compareRuns(t, name, g, prog, 3, congest.Options{Seed: 77})
 	}
@@ -398,13 +367,9 @@ func runKilled(t *testing.T, g *graph.Graph, prog distrib.Program, opts congest.
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	factory, err := distrib.Factory(prog, g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
 	killer := &killerSink{inner: trace.NewRecorder(0), killAt: killRound, pid: func() int { return fleet.Pid(killShard) }}
 	opts.Driver, opts.Fleet, opts.Events = congest.DriverDistributed, fleet, killer
-	r := congest.NewRunner(g, factory, opts)
+	r := congest.NewRunner(g, nil, opts)
 	res, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +406,7 @@ func TestFleetReuse(t *testing.T) {
 	// Run 1 (clean, traced): pins the deterministic event fingerprint
 	// against a traced sequential run of the same options.
 	distRec := trace.NewRecorder(0)
-	r1 := congest.NewRunner(g, factory, congest.Options{
+	r1 := congest.NewRunner(g, nil, congest.Options{
 		Seed: 42, Events: distRec, Driver: congest.DriverDistributed, Fleet: fleet,
 	})
 	res1, err := r1.Run()
@@ -470,7 +435,7 @@ func TestFleetReuse(t *testing.T) {
 	// Run 2 (faulted): the same processes must reproduce the pinned
 	// golden faulted execution after in-place reconfiguration.
 	plan := goldenFaultedPlan()
-	r2 := congest.NewRunner(g, factory, congest.Options{
+	r2 := congest.NewRunner(g, nil, congest.Options{
 		Seed: 1234, Faults: plan, MaxRounds: 400,
 		Driver: congest.DriverDistributed, Fleet: fleet,
 	})
@@ -482,7 +447,7 @@ func TestFleetReuse(t *testing.T) {
 
 	// Run 3 (new seed): reuse once more; the statuses must match the
 	// sequential run of that seed.
-	r3 := congest.NewRunner(g, factory, congest.Options{
+	r3 := congest.NewRunner(g, nil, congest.Options{
 		Seed: 4242, Driver: congest.DriverDistributed, Fleet: fleet,
 	})
 	res3, err := r3.Run()
@@ -559,11 +524,7 @@ func TestFrameEventsEmitted(t *testing.T) {
 // as errors, never panics.
 func TestRunValidation(t *testing.T) {
 	g := gen.UnionOfTrees(16, 2, rng.New(1))
-	factory, err := distrib.Factory(distrib.Program{Algorithm: "metivier"}, g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := congest.NewRunner(g, factory, congest.Options{Driver: congest.DriverDistributed})
+	r := congest.NewRunner(g, nil, congest.Options{Driver: congest.DriverDistributed})
 	if _, err := r.Run(); err == nil {
 		t.Fatal("DriverDistributed without a fleet must fail")
 	}
@@ -589,7 +550,7 @@ func TestRunValidation(t *testing.T) {
 // back a wrong answer. The Colors row runs on a working colevishkin fleet.
 func TestInProcessReadersRefuseDistributed(t *testing.T) {
 	g := gen.RandomTree(64, rng.New(5))
-	parent := bfsParents(g)
+	parent := g.BFSForest()
 	fleet, err := distrib.NewExecFleet(g, distrib.Program{Algorithm: "colevishkin", Args: distrib.ColeVishkinArgs(parent)}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		opts:  opts,
 		d:     NewDGraph(g),
 		inMIS: make([]bool, n),
-		fp:    streamFPOffset,
+		fp:    trace.FoldSeed,
 		mark:  make([]int64, n),
 		local: make([]int32, n),
 	}
@@ -254,35 +254,17 @@ func (e *Engine) runBatch(rep *BatchReport, affected []int) error {
 	return nil
 }
 
-// streamFPOffset seeds the stream fingerprint (FNV-1a offset basis);
-// streamFPMix is the Murmur3 finalizer multiplier — the same scheme the
-// trace recorder uses, applied one level up, to whole batches.
-const (
-	streamFPOffset = 0xcbf29ce484222325
-	streamFPMix    = 0xff51afd7ed558ccd
-)
-
 // foldReport folds one batch's deterministic facts into the stream
 // fingerprint: the batch shape, the region decomposition, and the repair
 // run's own trace fingerprint. Two engines agree on the stream fingerprint
 // iff they agreed on every batch — the cross-driver golden tests pin it.
 func foldReport(h uint64, rep *BatchReport) uint64 {
-	h = streamFPMix64(h, uint64(rep.Batch)<<32|uint64(uint32(rep.Updates)))
-	h = streamFPMix64(h, uint64(rep.Seeds)<<32|uint64(uint32(rep.Region)))
-	h = streamFPMix64(h, uint64(rep.Frozen)<<32|uint64(uint32(rep.Free)))
-	h = streamFPMix64(h, uint64(rep.Rounds))
-	h = streamFPMix64(h, uint64(rep.Messages))
-	h = streamFPMix64(h, rep.RepairFingerprint)
-	return h
-}
-
-// streamFPMix64 mixes one word: xor, multiply, xorshift (the Murmur3
-// finalizer step).
-func streamFPMix64(h, x uint64) uint64 {
-	h ^= x
-	h *= streamFPMix
-	h ^= h >> 33
-	return h
+	h = trace.Fold(h, uint64(rep.Batch)<<32|uint64(uint32(rep.Updates)))
+	h = trace.Fold(h, uint64(rep.Seeds)<<32|uint64(uint32(rep.Region)))
+	h = trace.Fold(h, uint64(rep.Frozen)<<32|uint64(uint32(rep.Free)))
+	h = trace.Fold(h, uint64(rep.Rounds))
+	h = trace.Fold(h, uint64(rep.Messages))
+	return trace.Fold(h, rep.RepairFingerprint)
 }
 
 // Err returns the engine's sticky error (nil while healthy).

@@ -16,33 +16,6 @@ import (
 	"repro/internal/stats"
 )
 
-// rootedParents builds a BFS parent map for a forest (used by the
-// Cole-Vishkin drivers).
-func rootedParents(g *graph.Graph) []int {
-	parent := make([]int, g.N())
-	for v := range parent {
-		parent[v] = -2
-	}
-	for s := 0; s < g.N(); s++ {
-		if parent[s] != -2 {
-			continue
-		}
-		parent[s] = -1
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(v) {
-				if parent[w] == -2 {
-					parent[w] = v
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return parent
-}
-
 // E9MessageSize verifies CONGEST compliance: the largest single message of
 // every algorithm stays within a small constant number of O(log n)-bit
 // words, across a factor-256 range of n.
@@ -76,7 +49,7 @@ func E9MessageSize(c Config) (*Report, error) {
 			return nil, err
 		}
 		tree := gen.RandomTree(n, c.graphRNG(label, 1))
-		_, cvRes, err := colevishkin.Run(tree, rootedParents(tree), opts)
+		_, cvRes, err := colevishkin.Run(tree, tree.BFSForest(), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +90,7 @@ func E10ColeVishkin(c Config) (*Report, error) {
 		var rounds stats.Summary
 		for i := 0; i < c.seeds(); i++ {
 			g := gen.RandomTree(n, c.graphRNG(label, i))
-			_, res, err := colevishkin.Run(g, rootedParents(g), c.opts(label, i))
+			_, res, err := colevishkin.Run(g, g.BFSForest(), c.opts(label, i))
 			if err != nil {
 				return nil, err
 			}

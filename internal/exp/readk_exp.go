@@ -100,7 +100,7 @@ func E6ConjunctionBound(c Config) (*Report, error) {
 	return rep, nil
 }
 
-// E7TailBound validates Theorem 1.2 in both forms on the parity family,
+// E7TailBound validates Theorem 1.2's form (2) on the parity family,
 // and quantifies the paper's remark that the bound beats the Azuma bound
 // obtained from Y being k-Lipschitz in the base variables.
 func E7TailBound(c Config) (*Report, error) {

@@ -35,7 +35,6 @@ package faultsim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -353,15 +352,4 @@ func SpreadCrashes(n, count, firstRound, stride int) map[int]int {
 		crashes[v] = firstRound + i%stride
 	}
 	return crashes
-}
-
-// Victims returns the sorted vertex IDs a crash schedule touches — handy
-// for reporting which nodes an experiment killed.
-func Victims(crashes map[int]int) []int {
-	vs := make([]int, 0, len(crashes))
-	for v := range crashes {
-		vs = append(vs, v)
-	}
-	sort.Ints(vs)
-	return vs
 }

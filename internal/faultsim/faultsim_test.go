@@ -215,12 +215,6 @@ func TestSpreadCrashes(t *testing.T) {
 			t.Fatalf("victim %d crashes at round %d, want [2,6)", v, r)
 		}
 	}
-	vs := Victims(crashes)
-	for i := 1; i < len(vs); i++ {
-		if vs[i-1] >= vs[i] {
-			t.Fatal("Victims not sorted ascending")
-		}
-	}
 	if len(SpreadCrashes(10, 0, 1, 1)) != 0 || len(SpreadCrashes(0, 5, 1, 1)) != 0 {
 		t.Fatal("degenerate schedules must be empty")
 	}

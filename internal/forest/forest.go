@@ -91,15 +91,15 @@ func (d *Decomposition) Validate(g *graph.Graph, alpha int) error {
 //
 // A peeled neighbor's level lives in its mark (congest.Context.Marks),
 // above the active set's base.Removed bit, as level<<1 | Removed: levels
-// are at most phases(n)+1, which is 33 for any n below 2³¹.
+// are at most phases(n)+1, which is 33 for any n below 2³¹. A node's
+// output word is its level; Decompose derives the parents from the levels.
 type node struct {
-	alpha     int
 	threshold int
 	level     int
 	active    base.ActiveSet
 	numPhases int
-	// parents[i] is this node's parent in forest i (local view).
-	parents []int
+	// out counts the out-edges orient has assigned a forest index.
+	out int32
 }
 
 // phases returns L: with threshold (2+ε)α ≥ 4α, at least half the
@@ -117,7 +117,6 @@ func New(alpha, n int) func(v int) congest.Node {
 	var slab base.Slab[node]
 	return func(int) congest.Node {
 		return slab.New(node{
-			alpha:     alpha,
 			threshold: (2 + Epsilon) * alpha,
 			numPhases: phases(n),
 		})
@@ -125,6 +124,9 @@ func New(alpha, n int) func(v int) congest.Node {
 }
 
 func (nd *node) Init(ctx *congest.Context) { nd.maybePeel(ctx, 1) }
+
+// ExportState implements congest.Porter: a node's output is its level.
+func (nd *node) ExportState() uint64 { return uint64(nd.level) }
 
 // maybePeel adopts the given level if the remaining degree allows it.
 func (nd *node) maybePeel(ctx *congest.Context, level int) {
@@ -183,22 +185,28 @@ func (nd *node) orient(ctx *congest.Context) {
 			// Round before orient. Defensively treat as same level.
 			wl = nd.level
 		}
-		// Out-edge: toward strictly higher level, or same level with
-		// higher ID.
-		if wl > nd.level || (wl == nd.level && w > id) {
-			idx := len(nd.parents)
-			nd.parents = append(nd.parents, w)
-			ctx.SendSlot(slot, proto.ForestEdge{Forest: int32(idx)}.Wire())
+		if outEdge(nd.level, wl, id, w) {
+			ctx.SendSlot(slot, proto.ForestEdge{Forest: nd.out}.Wire())
+			nd.out++
 		}
 	}
 }
 
+// outEdge reports whether the edge from v at level lv to w at level lw is
+// one of v's out-edges: toward a strictly higher level, or the same level
+// and a higher ID.
+func outEdge(lv, lw, v, w int) bool { return lw > lv || (lw == lv && w > v) }
+
 // Decompose runs the H-partition program on g with arboricity bound alpha
-// and returns the decomposition plus run statistics. It reads each node's
-// level and parents after the run, so it refuses the distributed driver.
+// and returns the decomposition plus run statistics. The nodes export
+// their levels, and v's parent in forest f is v's f-th out-edge in row
+// order under orient's rule. Every Level broadcast arrives before orient
+// runs, the last being the fallback level sent in round L and read at the
+// top of round L+1, so these are the parents every node chose. That needs
+// reliable links; no caller runs forest under a fault plan.
 func Decompose(g *graph.Graph, alpha int, opts congest.Options) (*Decomposition, congest.Result, error) {
 	if opts.Driver == congest.DriverDistributed {
-		return nil, congest.Result{}, errors.New("forest: Decompose reads each node's level and parents in process; the distributed driver returns one output word per vertex")
+		return nil, congest.Result{}, errors.New("forest: Decompose does not run on the distributed driver: a fleet runs the program it was built with, and forest is not in the distrib registry")
 	}
 	if alpha < 1 {
 		return nil, congest.Result{}, fmt.Errorf("forest: alpha must be >= 1, got %d", alpha)
@@ -209,30 +217,25 @@ func Decompose(g *graph.Graph, alpha int, opts congest.Options) (*Decomposition,
 		return nil, res, err
 	}
 	d := &Decomposition{Levels: make([]int, g.N())}
-	maxOut := 0
-	maxLevel := 0
-	for v := 0; v < g.N(); v++ {
-		nd := r.Node(v).(*node)
-		d.Levels[v] = nd.level
-		if len(nd.parents) > maxOut {
-			maxOut = len(nd.parents)
-		}
-		if nd.level > maxLevel {
-			maxLevel = nd.level
-		}
+	for v := range d.Levels {
+		d.Levels[v] = int(r.Export(v))
+		d.NumLevels = max(d.NumLevels, d.Levels[v])
 	}
-	d.NumLevels = maxLevel
-	d.Parent = make([][]int, maxOut)
-	for f := range d.Parent {
-		d.Parent[f] = make([]int, g.N())
-		for v := range d.Parent[f] {
-			d.Parent[f][v] = -1
-		}
-	}
-	for v := 0; v < g.N(); v++ {
-		nd := r.Node(v).(*node)
-		for f, p := range nd.parents {
-			d.Parent[f][v] = p
+	for v, lv := range d.Levels {
+		f := 0
+		for _, w := range g.Neighbors(v) {
+			if !outEdge(lv, d.Levels[w], v, w) {
+				continue
+			}
+			if f == len(d.Parent) {
+				row := make([]int, g.N())
+				for i := range row {
+					row[i] = -1
+				}
+				d.Parent = append(d.Parent, row)
+			}
+			d.Parent[f][v] = w
+			f++
 		}
 	}
 	return d, res, nil

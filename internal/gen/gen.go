@@ -173,26 +173,6 @@ func Grid(rows, cols int) *graph.Graph {
 	return graph.MustNew(n, edges)
 }
 
-// Torus returns the rows×cols torus (4-regular for rows,cols >= 3,
-// arboricity at most 3).
-func Torus(rows, cols int) *graph.Graph {
-	if rows < 3 || cols < 3 {
-		panic("gen: torus needs rows, cols >= 3")
-	}
-	n := rows * cols
-	var edges []graph.Edge
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			edges = append(edges,
-				graph.Edge{U: id(r, c), V: id(r, (c+1)%cols)},
-				graph.Edge{U: id(r, c), V: id((r+1)%rows, c)},
-			)
-		}
-	}
-	return graph.MustNew(n, edges)
-}
-
 // KTree returns a random k-tree on n >= k+1 vertices: start from K_{k+1}
 // and repeatedly attach a new vertex to a random existing k-clique.
 // k-trees have treewidth exactly k and arboricity at most k (they are
@@ -390,79 +370,9 @@ func RandomForest(n, trees int, r *rng.RNG) *graph.Graph {
 	return graph.MustNew(n, edges)
 }
 
-// Hypercube returns the d-dimensional hypercube graph on 2^d vertices
-// (d-regular, arboricity ⌈d/2⌉ + small).
-func Hypercube(d int) *graph.Graph {
-	if d < 0 || d > 24 {
-		panic("gen: hypercube dimension out of range")
-	}
-	n := 1 << d
-	var edges []graph.Edge
-	for v := 0; v < n; v++ {
-		for b := 0; b < d; b++ {
-			w := v ^ (1 << b)
-			if v < w {
-				edges = append(edges, graph.Edge{U: v, V: w})
-			}
-		}
-	}
-	return graph.MustNew(n, edges)
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// RandomRegular returns a random d-regular graph on n vertices via the
-// configuration model with retries: d half-edges per vertex are paired
-// uniformly; pairings with self-loops or duplicate edges are rejected and
-// retried (fast for the small d used here). n·d must be even and d < n.
-// Random regular graphs are expanders whp — the opposite extreme from the
-// bounded-arboricity families, useful as a dense control in experiments.
-func RandomRegular(n, d int, r *rng.RNG) *graph.Graph {
-	if d < 0 || d >= n || (n*d)%2 != 0 {
-		panic(fmt.Sprintf("gen: RandomRegular requires 0 <= d < n and even n·d, got n=%d d=%d", n, d))
-	}
-	if d == 0 {
-		return graph.MustNew(n, nil)
-	}
-	stubs := make([]int, 0, n*d)
-	for attempt := 0; ; attempt++ {
-		stubs = stubs[:0]
-		for v := 0; v < n; v++ {
-			for i := 0; i < d; i++ {
-				stubs = append(stubs, v)
-			}
-		}
-		r.Shuffle(stubs)
-		edges := make([]graph.Edge, 0, len(stubs)/2)
-		ok := true
-		seen := make(map[[2]int]bool, len(stubs)/2)
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v {
-				ok = false
-				break
-			}
-			if u > v {
-				u, v = v, u
-			}
-			key := [2]int{u, v}
-			if seen[key] {
-				ok = false
-				break
-			}
-			seen[key] = true
-			edges = append(edges, graph.Edge{U: u, V: v})
-		}
-		if ok {
-			return graph.MustNew(n, edges)
-		}
-		if attempt > 1000*n {
-			panic("gen: RandomRegular failed to converge (d too large for rejection sampling)")
-		}
-	}
 }

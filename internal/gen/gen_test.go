@@ -193,18 +193,6 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestTorus(t *testing.T) {
-	g := Torus(4, 4)
-	if g.N() != 16 || g.M() != 32 {
-		t.Fatalf("torus n=%d m=%d", g.N(), g.M())
-	}
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) != 4 {
-			t.Fatalf("torus not 4-regular at %d", v)
-		}
-	}
-}
-
 func TestKTree(t *testing.T) {
 	r := rng.New(7)
 	for _, k := range []int{1, 2, 3} {
@@ -324,25 +312,6 @@ func TestRandomForestMoreTreesThanVertices(t *testing.T) {
 	}
 }
 
-func TestHypercube(t *testing.T) {
-	g := Hypercube(4)
-	if g.N() != 16 || g.M() != 32 {
-		t.Fatalf("hypercube n=%d m=%d", g.N(), g.M())
-	}
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) != 4 {
-			t.Fatal("hypercube not regular")
-		}
-	}
-}
-
-func TestHypercubeZeroDim(t *testing.T) {
-	g := Hypercube(0)
-	if g.N() != 1 || g.M() != 0 {
-		t.Fatal("0-cube wrong")
-	}
-}
-
 func TestGeneratorsDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -367,44 +336,5 @@ func TestGeneratorsDeterministic(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestRandomRegular(t *testing.T) {
-	r := rng.New(77)
-	for _, c := range []struct{ n, d int }{{20, 3}, {50, 4}, {100, 2}, {10, 0}} {
-		g := RandomRegular(c.n, c.d, r.Split(uint64(c.n*100+c.d)))
-		if g.N() != c.n {
-			t.Fatalf("n=%d", g.N())
-		}
-		for v := 0; v < g.N(); v++ {
-			if g.Degree(v) != c.d {
-				t.Fatalf("(%d,%d): degree(%d) = %d", c.n, c.d, v, g.Degree(v))
-			}
-		}
-	}
-}
-
-func TestRandomRegularPanics(t *testing.T) {
-	for _, c := range []struct{ n, d int }{{5, 3}, {4, 4}, {3, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("(%d,%d) did not panic", c.n, c.d)
-				}
-			}()
-			RandomRegular(c.n, c.d, rng.New(1))
-		}()
-	}
-}
-
-func TestRandomRegularDeterministic(t *testing.T) {
-	a := RandomRegular(40, 3, rng.New(5))
-	b := RandomRegular(40, 3, rng.New(5))
-	ea, eb := a.Edges(), b.Edges()
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatal("same seed, different graphs")
-		}
 	}
 }

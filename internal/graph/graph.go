@@ -159,14 +159,6 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// AvgDegree returns 2m/n, or 0 for an empty graph.
-func (g *Graph) AvgDegree() float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return 2 * float64(g.M()) / float64(g.N())
-}
-
 // Edges returns the edge list with U < V in each edge, sorted.
 func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.M())
@@ -271,6 +263,35 @@ func (g *Graph) BFS(src int) []int {
 		}
 	}
 	return dist
+}
+
+// BFSForest returns a breadth-first spanning forest as a parent array:
+// each component's lowest vertex is its root (parent -1), and a vertex's
+// neighbours are visited in row order. It is the rooted forest
+// Cole–Vishkin takes.
+func (g *Graph) BFSForest() []int {
+	parent := make([]int, g.N())
+	for v := range parent {
+		parent[v] = -2 // unvisited
+	}
+	queue := make([]int, 0, g.N()) // every vertex is queued once
+	for s := range parent {
+		if parent[s] != -2 {
+			continue
+		}
+		parent[s] = -1
+		queue = append(queue, s)
+		for head := len(queue) - 1; head < len(queue); head++ {
+			v := queue[head]
+			for _, w := range g.Neighbors(v) {
+				if parent[w] == -2 {
+					parent[w] = v
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return parent
 }
 
 // IsForest reports whether the graph is acyclic (m = n - #components).

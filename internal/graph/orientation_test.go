@@ -158,48 +158,3 @@ func TestArboricityBoundsOrdering(t *testing.T) {
 		}
 	}
 }
-
-func TestForestPartition(t *testing.T) {
-	r := rng.New(7)
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(r, 40, 0.15)
-		o, _ := g.OrientByDegeneracy()
-		forests := o.ForestPartition()
-		if len(forests) != o.MaxOutDegree() {
-			t.Fatalf("got %d forests, want %d", len(forests), o.MaxOutDegree())
-		}
-		// Every edge appears in exactly one forest.
-		covered := 0
-		for _, parent := range forests {
-			var edges []Edge
-			for v, p := range parent {
-				if p >= 0 {
-					if !g.HasEdge(v, p) {
-						t.Fatalf("forest edge (%d,%d) not in graph", v, p)
-					}
-					edges = append(edges, Edge{U: v, V: p})
-					covered++
-				}
-			}
-			// Each forest must be acyclic.
-			fg := MustNew(g.N(), edges)
-			if !fg.IsForest() {
-				t.Fatal("forest partition produced a cyclic part")
-			}
-		}
-		if covered != g.M() {
-			t.Fatalf("forests cover %d edges, graph has %d", covered, g.M())
-		}
-	}
-}
-
-func TestForestPartitionParentUnique(t *testing.T) {
-	r := rng.New(8)
-	g := randomGraph(r, 30, 0.2)
-	o, _ := g.OrientByDegeneracy()
-	for f, parent := range o.ForestPartition() {
-		if len(parent) != g.N() {
-			t.Fatalf("forest %d has %d entries", f, len(parent))
-		}
-	}
-}

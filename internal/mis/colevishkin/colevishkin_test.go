@@ -10,33 +10,6 @@ import (
 	"repro/internal/rng"
 )
 
-// rootedParents builds a parent map for a forest by BFS from the smallest
-// vertex of each component.
-func rootedParents(g *graph.Graph) []int {
-	parent := make([]int, g.N())
-	for v := range parent {
-		parent[v] = -2 // unvisited
-	}
-	for s := 0; s < g.N(); s++ {
-		if parent[s] != -2 {
-			continue
-		}
-		parent[s] = -1
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(v) {
-				if parent[w] == -2 {
-					parent[w] = v
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return parent
-}
-
 func forests(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	r := rng.New(77)
@@ -56,7 +29,7 @@ func forests(t *testing.T) map[string]*graph.Graph {
 func TestProducesMISOnForests(t *testing.T) {
 	for name, g := range forests(t) {
 		t.Run(name, func(t *testing.T) {
-			statuses, _, err := Run(g, rootedParents(g), congest.Options{Seed: 1})
+			statuses, _, err := Run(g, g.BFSForest(), congest.Options{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +43,7 @@ func TestProducesMISOnForests(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	// Cole-Vishkin uses no randomness: any two runs agree exactly.
 	g := gen.RandomTree(200, rng.New(3))
-	p := rootedParents(g)
+	p := g.BFSForest()
 	a, _, err := Run(g, p, congest.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +62,7 @@ func TestDeterministic(t *testing.T) {
 func TestColorsAreProper3Coloring(t *testing.T) {
 	for name, g := range forests(t) {
 		t.Run(name, func(t *testing.T) {
-			colors, _, err := Colors(g, rootedParents(g), congest.Options{Seed: 1})
+			colors, _, err := Colors(g, g.BFSForest(), congest.Options{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +87,7 @@ func TestRoundsAreLogStar(t *testing.T) {
 	prev := 0
 	for _, n := range []int{10, 100, 1000, 10000, 100000} {
 		g := gen.Path(n)
-		_, res, err := Run(g, rootedParents(g), congest.Options{Seed: 1})
+		_, res, err := Run(g, g.BFSForest(), congest.Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +142,7 @@ func TestValidateRejectsBadParentMap(t *testing.T) {
 
 func TestParallelDriverIdentical(t *testing.T) {
 	g := gen.RandomTree(300, rng.New(4))
-	p := rootedParents(g)
+	p := g.BFSForest()
 	seq, seqRes, err := Run(g, p, congest.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +163,7 @@ func TestParallelDriverIdentical(t *testing.T) {
 
 func TestMessageBitsBounded(t *testing.T) {
 	g := gen.RandomTree(1000, rng.New(5))
-	_, res, err := Run(g, rootedParents(g), congest.Options{Seed: 1})
+	_, res, err := Run(g, g.BFSForest(), congest.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +176,7 @@ func TestDeepPathColoringEveryN(t *testing.T) {
 	// Paths of many lengths, catching off-by-one issues in the schedule.
 	for n := 1; n <= 64; n++ {
 		g := gen.Path(n)
-		statuses, _, err := Run(g, rootedParents(g), congest.Options{Seed: 1})
+		statuses, _, err := Run(g, g.BFSForest(), congest.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

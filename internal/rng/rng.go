@@ -121,25 +121,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes xs in place (Fisher-Yates).
-func (r *RNG) Shuffle(xs []int) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
-// ExpRounds returns a geometric sample: the number of independent trials
-// with success probability p needed to see the first success, at least 1.
-// Used by tests to exercise tail behaviour. p must be in (0, 1].
-func (r *RNG) ExpRounds(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: ExpRounds requires p in (0,1]")
-	}
-	n := 1
-	for !r.Bool(p) {
-		n++
-	}
-	return n
-}

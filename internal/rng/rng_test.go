@@ -159,37 +159,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(8)
-	xs := []int{1, 2, 2, 3, 5, 8, 13}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(xs)
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d -> %d", sum, got)
-	}
-}
-
-func TestExpRoundsMean(t *testing.T) {
-	r := New(15)
-	const n = 50000
-	p := 0.25
-	total := 0
-	for i := 0; i < n; i++ {
-		total += r.ExpRounds(p)
-	}
-	mean := float64(total) / n
-	if math.Abs(mean-1/p) > 0.1 {
-		t.Fatalf("geometric mean %v, want ~%v", mean, 1/p)
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var r RNG
 	if r.Uint64() == r.Uint64() {

@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the
-// experiment harness: streaming summaries, quantiles, histograms, simple
-// regression for scaling exponents, and fixed-width table rendering.
+// experiment harness: streaming summaries, simple regression for scaling
+// exponents, and fixed-width table rendering.
 //
 // The package is deliberately self-contained (stdlib only) and allocation
 // conscious: experiment sweeps record millions of samples.
@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -39,17 +38,6 @@ func (s *Summary) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// AddN records n copies of x in constant time, by merging the closed-form
-// summary of n identical samples (mean x, zero second moment) via the
-// Chan et al. parallel-merge update that Merge implements.
-func (s *Summary) AddN(x float64, n int) {
-	if n <= 0 {
-		return
-	}
-	batch := Summary{n: n, mean: x, min: x, max: x}
-	s.Merge(&batch)
 }
 
 // N returns the number of samples recorded.
@@ -105,120 +93,6 @@ func (s *Summary) String() string {
 		return "(empty)"
 	}
 	return fmt.Sprintf("%.3f ± %.3f (%.3f..%.3f, n=%d)", s.Mean(), s.CI95(), s.Min(), s.Max(), s.n)
-}
-
-// Merge folds other into s, as if every sample of other had been Added to s.
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	nA, nB := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	total := nA + nB
-	s.mean += delta * nB / total
-	s.m2 += other.m2 + delta*delta*nA*nB/total
-	s.n += other.n
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It does not modify xs. Returns NaN
-// for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs, or NaN for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// MaxInt returns the maximum of xs, or 0 for an empty slice.
-func MaxInt(xs []int) int {
-	m := 0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi]. Samples
-// outside the range are clamped into the first/last bin so totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi].
-// It panics if bins <= 0 or hi <= lo (caller bug, not data-dependent).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }
 
 // FitResult holds the slope/intercept of a least-squares line y = a + b*x
@@ -364,9 +238,6 @@ func FormatFloat(v float64) string {
 		return fmt.Sprintf("%.3f", v)
 	}
 }
-
-// Log2 returns log base 2 of x.
-func Log2(x float64) float64 { return math.Log2(x) }
 
 // LogStar returns the iterated logarithm (base 2) of x: the number of times
 // log2 must be applied before the result is <= 1. LogStar(x) = 0 for x <= 1.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -51,191 +50,6 @@ func TestSummarySingleSample(t *testing.T) {
 	if !math.IsNaN(s.Var()) {
 		t.Fatal("variance of one sample should be NaN")
 	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	r := rng.New(1)
-	if err := quick.Check(func(seed uint64) bool {
-		rr := r.Split(seed)
-		nA, nB := 1+rr.Intn(50), 1+rr.Intn(50)
-		var a, b, all Summary
-		for i := 0; i < nA; i++ {
-			x := rr.Float64() * 100
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < nB; i++ {
-			x := rr.Float64() * 100
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(&b)
-		return a.N() == all.N() &&
-			almostEqual(a.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(a.Var(), all.Var(), 1e-6) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummaryMergeIntoEmpty(t *testing.T) {
-	var a, b Summary
-	b.Add(3)
-	b.Add(5)
-	a.Merge(&b)
-	if a.N() != 2 || a.Mean() != 4 {
-		t.Fatalf("merge into empty: n=%d mean=%v", a.N(), a.Mean())
-	}
-	var c Summary
-	a.Merge(&c) // merging empty is a no-op
-	if a.N() != 2 {
-		t.Fatal("merging empty changed summary")
-	}
-}
-
-func TestAddN(t *testing.T) {
-	var s Summary
-	s.AddN(2.5, 4)
-	if s.N() != 4 || s.Mean() != 2.5 {
-		t.Fatalf("AddN: n=%d mean=%v", s.N(), s.Mean())
-	}
-	s.AddN(3.0, 0)
-	s.AddN(3.0, -2)
-	if s.N() != 4 {
-		t.Fatalf("AddN with n<=0 changed the summary: n=%d", s.N())
-	}
-}
-
-// TestAddNMatchesRepeatedAdd pins the batched Welford update to the
-// reference semantics: AddN(x, n) must agree with n repeated Adds to float
-// tolerance in every statistic, including when interleaved with other
-// samples.
-func TestAddNMatchesRepeatedAdd(t *testing.T) {
-	close := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return math.IsNaN(a) == math.IsNaN(b)
-		}
-		scale := math.Max(math.Abs(a), math.Abs(b))
-		return math.Abs(a-b) <= 1e-9*math.Max(scale, 1)
-	}
-	steps := []struct {
-		x float64
-		n int
-	}{
-		{2.5, 1000}, {-7.25, 1}, {0.125, 313}, {1e6, 7}, {-3.5, 42},
-	}
-	var batched, repeated Summary
-	for _, st := range steps {
-		batched.AddN(st.x, st.n)
-		for i := 0; i < st.n; i++ {
-			repeated.Add(st.x)
-		}
-		if batched.N() != repeated.N() {
-			t.Fatalf("N: %d vs %d", batched.N(), repeated.N())
-		}
-		checks := []struct {
-			name string
-			a, b float64
-		}{
-			{"mean", batched.Mean(), repeated.Mean()},
-			{"var", batched.Var(), repeated.Var()},
-			{"min", batched.Min(), repeated.Min()},
-			{"max", batched.Max(), repeated.Max()},
-		}
-		for _, c := range checks {
-			if !close(c.a, c.b) {
-				t.Fatalf("after AddN(%v, %d): %s = %v, repeated Add gives %v",
-					st.x, st.n, c.name, c.a, c.b)
-			}
-		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// xs must not be modified.
-	if xs[0] != 5 {
-		t.Fatal("Quantile modified its input")
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("Quantile of empty should be NaN")
-	}
-}
-
-func TestQuantileInterpolates(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Quantile(xs, 0.5); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("median of {0,10} = %v", got)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Fatalf("Mean = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("Mean(nil) should be NaN")
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	if got := MaxInt([]int{3, 9, 2}); got != 9 {
-		t.Fatalf("MaxInt = %d", got)
-	}
-	if got := MaxInt(nil); got != 0 {
-		t.Fatalf("MaxInt(nil) = %d", got)
-	}
-	if got := MaxInt([]int{-5, -2}); got != -2 {
-		t.Fatalf("MaxInt negatives = %d", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1, 3, 5, 7, 9, 9.99} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	want := []int{2, 1, 1, 1, 2}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bin %d: got %d want %d (all %v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-}
-
-func TestHistogramClamps(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	h.Add(-100)
-	h.Add(100)
-	if h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-	if !almostEqual(h.Fraction(0), 0.5, 1e-12) {
-		t.Fatalf("Fraction = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 0, 5)
 }
 
 func TestLinearFitExact(t *testing.T) {

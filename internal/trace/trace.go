@@ -260,14 +260,14 @@ func NewRecorder(ringSize int, sinks ...Sink) *Recorder {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Recorder{ring: make([]Event, ringSize), fp: fnvOffset, sinks: sinks}
+	return &Recorder{ring: make([]Event, ringSize), fp: FoldSeed, sinks: sinks}
 }
 
 // Emit records one event: ring store, fingerprint fold, sink fan-out.
 func (r *Recorder) Emit(e Event) {
 	r.total++
 	if e.Type.Deterministic() {
-		r.fp = fpFold(r.fp, e)
+		r.fp = FoldEvent(r.fp, e)
 		r.fpN++
 	}
 	r.ring[r.next] = e
@@ -297,7 +297,7 @@ func (r *Recorder) Events() []Event {
 // that have been evicted from the ring.
 func (r *Recorder) Total() uint64 { return r.total }
 
-// Fingerprint returns the running FNV-1a hash over every deterministic
+// Fingerprint returns the running FoldEvent hash over every deterministic
 // event emitted so far (evicted ones included). Two runs with equal
 // fingerprints executed the same deterministic event stream; the value is
 // what the golden trace tests pin and what the cross-driver matrix
@@ -308,45 +308,43 @@ func (r *Recorder) Fingerprint() uint64 { return r.fp }
 // fingerprint covers.
 func (r *Recorder) DeterministicCount() uint64 { return r.fpN }
 
-// fnvOffset seeds the fingerprint accumulator (the FNV-1a offset basis,
-// kept for its pedigree as a non-trivial seed); fpMix is the Murmur3
-// finalizer multiplier.
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fpMix     = 0xff51afd7ed558ccd
-)
+// FoldSeed seeds a fingerprint accumulator: the FNV-1a offset basis, kept
+// for its pedigree as a non-trivial seed. Every fingerprint in the module
+// starts from it and mixes words with Fold: the trace fingerprint, the
+// distributed driver's round-output digests and the dynmis stream
+// fingerprint.
+const FoldSeed uint64 = 0xcbf29ce484222325
 
-// fpFold folds one event into the fingerprint accumulator, hashing every
-// field in a fixed word layout. Type and Round share a word (both are
-// small), so an event costs five word mixes — the fold is on the hot path
-// of every traced run, which rules out byte-at-a-time hashing.
-func fpFold(h uint64, e Event) uint64 {
-	h = fpU64(h, uint64(e.Type)<<32|uint64(uint32(e.Round)))
-	h = fpU64(h, uint64(uint32(e.V))<<32|uint64(uint32(e.W)))
-	h = fpU64(h, uint64(e.X))
-	h = fpU64(h, uint64(e.Y))
-	h = fpU64(h, uint64(e.Z))
+// Fold mixes one word into a fingerprint accumulator: xor, multiply by the
+// Murmur3 finalizer constant, xorshift — the Murmur3 finalizer step,
+// chosen for avalanche quality at three operations per word.
+func Fold(h, x uint64) uint64 {
+	h ^= x
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
 	return h
 }
 
-// fpU64 mixes one word into the accumulator: xor, multiply, xorshift —
-// the Murmur3 finalizer step, chosen for avalanche quality at three
-// operations per word.
-func fpU64(h, x uint64) uint64 {
-	h ^= x
-	h *= fpMix
-	h ^= h >> 33
-	return h
+// FoldEvent folds one event into a fingerprint accumulator, hashing every
+// field in a fixed word layout. Type and Round share a word (both are
+// small), so an event costs five word mixes — the fold is on the hot path
+// of every traced run, which rules out byte-at-a-time hashing.
+func FoldEvent(h uint64, e Event) uint64 {
+	h = Fold(h, uint64(e.Type)<<32|uint64(uint32(e.Round)))
+	h = Fold(h, uint64(uint32(e.V))<<32|uint64(uint32(e.W)))
+	h = Fold(h, uint64(e.X))
+	h = Fold(h, uint64(e.Y))
+	return Fold(h, uint64(e.Z))
 }
 
 // Fingerprint hashes a recorded event slice the same way a Recorder does
 // on the fly, skipping advisory events. Fingerprint(rec.Events()) equals
 // rec.Fingerprint() whenever the ring did not overflow.
 func Fingerprint(events []Event) uint64 {
-	h := uint64(fnvOffset)
+	h := FoldSeed
 	for _, e := range events {
 		if e.Type.Deterministic() {
-			h = fpFold(h, e)
+			h = FoldEvent(h, e)
 		}
 	}
 	return h

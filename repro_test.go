@@ -64,24 +64,7 @@ func TestBaselinesProduceValidMIS(t *testing.T) {
 
 func TestColeVishkinViaPublicAPI(t *testing.T) {
 	g := RandomTree(200, 13)
-	// BFS parents from vertex 0 (tree is connected).
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[0] = -1
-	queue := []int{0}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(v) {
-			if parent[w] == -2 {
-				parent[w] = v
-				queue = append(queue, w)
-			}
-		}
-	}
-	set, _, err := ColeVishkin(g, parent, Options{Seed: 1})
+	set, _, err := ColeVishkin(g, g.BFSForest(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
