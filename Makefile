@@ -97,12 +97,17 @@ cover:
 # Algorithm 1 run (RunAlg1: nodes, Run, outputs) must make at most 64
 # heap objects plus one per returned ScaleRecord at n = 2^10 and 2^14,
 # sequentially and on two pool shards, because its nodes and records live
-# in run-wide slices and its active-neighbour flags in the marks. Fast
-# (< 1s); runs in ci.
+# in run-wide slices and its active-neighbour flags in the marks; and a
+# 2^14-vertex graph must keep 4 bytes per CSR offset and adjacency entry,
+# with New allocating no more than that plus one n-entry int32 scratch,
+# because vertex IDs fit an int32 and New counts degrees and fills rows
+# through the same array and copies the adjacency only to drop
+# duplicates. Fast (< 1s); runs in ci.
 alloc-gate:
 	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex|TestDistributedRunnerBuildsNoNodes|TestProgramRunAllocs)' -count=1 ./internal/congest/
 	go test -run '^TestFactoryAllocs$$' -count=1 ./internal/distrib/
 	go test -run '^TestAlg1RunAllocs$$' -count=1 ./internal/core/
+	go test -run '^TestGraphBytes$$' -count=1 ./internal/graph/
 
 # Fuzz smoke: a 10s slice of native fuzzing over each decoder of bytes
 # from outside the program — the distrib frame decoders (what the

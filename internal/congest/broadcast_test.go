@@ -149,18 +149,20 @@ func (m *mixedSender) Init(ctx *Context) {
 	nb := ctx.Neighbors()
 	ctx.SendSlot(0, mixedWire(1))
 	ctx.Broadcast(mixedWire(2))
-	ctx.Send(nb[len(nb)-1], mixedWire(3))
+	ctx.Send(int(nb[len(nb)-1]), mixedWire(3))
 }
 
 func (m *mixedSender) Round(ctx *Context, inbox []Message) {
 	var want []Message
-	for _, u := range ctx.Neighbors() {
+	id := int32(ctx.ID())
+	for _, x := range ctx.Neighbors() {
+		u := int(x)
 		nu := m.g.Neighbors(u)
-		if nu[0] == ctx.ID() {
+		if nu[0] == id {
 			want = append(want, Message{From: u, Wire: mixedWire(1)})
 		}
 		want = append(want, Message{From: u, Wire: mixedWire(2)})
-		if nu[len(nu)-1] == ctx.ID() {
+		if nu[len(nu)-1] == id {
 			want = append(want, Message{From: u, Wire: mixedWire(3)})
 		}
 	}

@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/faultsim"
 	"repro/internal/graph"
@@ -95,7 +94,7 @@ type Node interface {
 // sweep runs.
 type Context struct {
 	id        int
-	neighbors []int    // the vertex's CSR row: neighbor IDs, ascending
+	neighbors []int32  // the vertex's CSR row: neighbor IDs, ascending, in the graph's 4-byte words
 	rng       *rng.RNG // the vertex's entry in the run-wide stream table
 	shard     *shard
 }
@@ -117,9 +116,10 @@ func (c *Context) N() int { return c.shard.n }
 // returns 0.
 func (c *Context) Round() int { return c.shard.round }
 
-// Neighbors returns the sorted neighbor IDs. The slice aliases graph
+// Neighbors returns the sorted neighbor IDs, the vertex's CSR row in the
+// graph's 4-byte words (every ID fits an int32). The slice aliases graph
 // storage and must not be modified.
-func (c *Context) Neighbors() []int { return c.neighbors }
+func (c *Context) Neighbors() []int32 { return c.neighbors }
 
 // Degree returns the vertex degree.
 func (c *Context) Degree() int { return len(c.neighbors) }
@@ -162,17 +162,18 @@ func (sh *shard) allocMarks() {
 }
 
 // Send queues a message to neighbor `to` for delivery next round. Sending
-// to a non-neighbor is a programming error and poisons the run with an
-// error (the model has no routing). Send pays a binary search over the
-// neighbor list to validate `to`; hot paths that already know the
-// neighbor's position should use SendSlot instead.
+// to a non-neighbor — an ID outside int32 included, which is never
+// narrowed onto a neighbor — is a programming error and poisons the run
+// with an error (the model has no routing). Send pays a binary search
+// over the neighbor list to validate `to`; hot paths that already know
+// the neighbor's position should use SendSlot instead.
 func (c *Context) Send(to int, w Wire) {
-	i := sort.SearchInts(c.neighbors, to)
-	if i >= len(c.neighbors) || c.neighbors[i] != to {
+	i := graph.Slot(c.neighbors, to)
+	if i < 0 {
 		c.fail(fmt.Errorf("congest: node %d sent to non-neighbor %d", c.id, to))
 		return
 	}
-	c.enqueue(to, w)
+	c.enqueue(c.neighbors[i], w)
 }
 
 // SendSlot queues a message to the i'th neighbor (Neighbors()[i]) for
@@ -226,7 +227,7 @@ func (c *Context) fail(err error) {
 // are swept in ID order the outbox stays in (sender ID, send call) order.
 //
 //congest:hotpath
-func (c *Context) enqueue(to int, w Wire) {
+func (c *Context) enqueue(to int32, w Wire) {
 	if w.Bits > MaxWireBits {
 		//congest:coldpath oversized messages poison the run; the error path may allocate
 		c.fail(fmt.Errorf("congest: node %d message of %d bits exceeds the %d-bit CONGEST budget",
@@ -237,7 +238,7 @@ func (c *Context) enqueue(to int, w Wire) {
 	if len(sh.out) == cap(sh.out) {
 		sh.growOutbox()
 	}
-	sh.out = append(sh.out, Packet{To: int32(to), From: int32(c.id), Wire: w})
+	sh.out = append(sh.out, Packet{To: to, From: int32(c.id), Wire: w})
 }
 
 // growOutbox replaces a full shard outbox with a larger copy. The first
@@ -249,7 +250,7 @@ func (c *Context) enqueue(to int, w Wire) {
 //congest:coldpath
 func (sh *shard) growOutbox() {
 	off := sh.rows.Off
-	out := make([]Packet, len(sh.out), max(off[len(off)-1]-off[0], 2*cap(sh.out)))
+	out := make([]Packet, len(sh.out), max(int(off[len(off)-1]-off[0]), 2*cap(sh.out)))
 	copy(out, sh.out)
 	sh.out = out
 }
@@ -620,9 +621,6 @@ func (r *Runner) newExecState(numShards int) *execState {
 			st.withheld = make([]Withheld, 0, n/8)
 		}
 		st.rngs = make([]rng.RNG, n)
-		for v := range st.rngs {
-			st.rngs[v] = *root.Split(uint64(v))
-		}
 	}
 	for s := range st.shards {
 		lo, hi := s*n/numShards, (s+1)*n/numShards
@@ -636,6 +634,14 @@ func (r *Runner) newExecState(numShards int) *execState {
 	if !st.remote {
 		st.outbox = make([]Packet, n)
 		st.sizeOutboxes()
+		// The stream table is filled last. Its loop is the set-up's
+		// longest, and a GC cycle that stops the goroutine inside it
+		// scans this frame conservatively: a local not yet written by
+		// this run could still point at the previous run's shards and
+		// keep all of that run's tables alive for another cycle.
+		for v := range st.rngs {
+			st.rngs[v] = *root.Split(uint64(v))
+		}
 	}
 	return st
 }
@@ -673,7 +679,7 @@ func (st *execState) sizeOutboxes() {
 // widestRow returns the largest degree among the vertices rows covers.
 func widestRow(rows graph.Rows) (widest int) {
 	for i := 1; i < len(rows.Off); i++ {
-		widest = max(widest, rows.Off[i]-rows.Off[i-1])
+		widest = max(widest, int(rows.Off[i]-rows.Off[i-1]))
 	}
 	return widest
 }
@@ -769,11 +775,11 @@ func (sh *shard) recoverPanic(round int) {
 // is why the scratch stays at full length.
 //
 //congest:hotpath
-func (sh *shard) pullInbox(row []int) []Message {
+func (sh *shard) pullInbox(row []int32) []Message {
 	buf, senders, wires, k := sh.inbox, sh.senders, sh.wires, 0
 	for _, u := range row {
-		if senders[u>>6]&(1<<(uint(u)&63)) != 0 {
-			buf[k] = Message{From: u, Wire: wires[u]}
+		if senders[u>>6]&(1<<(uint32(u)&63)) != 0 {
+			buf[k] = Message{From: int(u), Wire: wires[u]}
 			k++
 		}
 	}
@@ -794,7 +800,7 @@ func (sh *shard) pullInbox(row []int) []Message {
 // inbox here, under every driver.
 //
 //congest:hotpath
-func (sh *shard) pull(v int, row []int) []Message {
+func (sh *shard) pull(v int, row []int32) []Message {
 	buf := sh.inbox[:0]
 	to := int32(v)
 	late, direct, bcast, recs := sh.late, sh.direct, sh.bcast, sh.recs
@@ -816,7 +822,7 @@ func (sh *shard) pull(v int, row []int) []Message {
 			if f == 0 {
 				continue
 			}
-			for j := int(f) - 1; j < len(bcast) && int(recs[bcast[j]].From) == u; j++ {
+			for j := int(f) - 1; j < len(bcast) && recs[bcast[j]].From == u; j++ {
 				b := bcast[j]
 				for ; d < len(direct) && direct[d] < key|uint64(b); d++ {
 					buf = sh.take(buf, to, int32(uint32(direct[d])))
@@ -1083,7 +1089,7 @@ func (st *execState) deliverRecords(round int) {
 			continue
 		}
 		for _, q := range st.g.Neighbors(int(p.From)) {
-			p.To = int32(q)
+			p.To = q
 			st.walkFate(p, i, round)
 		}
 	}

@@ -3,8 +3,8 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -104,6 +104,47 @@ func TestSendToNonNeighborFails(t *testing.T) {
 	}, Options{Seed: 1})
 	if _, err := r.Run(); err == nil {
 		t.Fatal("non-neighbor send not detected")
+	}
+}
+
+// wideSender has vertex 0 Send to one ID and halts every vertex. It
+// implements Porter so the distributed driver can run it.
+type wideSender struct{ to int }
+
+func (s wideSender) Init(ctx *Context) {
+	if ctx.ID() == 0 {
+		ctx.Send(s.to, rawWire(1))
+	}
+	ctx.Halt()
+}
+func (wideSender) Round(*Context, []Message) {}
+func (wideSender) ExportState() uint64       { return 0 }
+
+// TestSendWideIDRejected has vertex 0 of the path 0-1-2 Send to IDs
+// outside int32 whose low 32 bits are its neighbor 1. Send must not narrow
+// one onto the neighbor's int32 row entry: the sequential driver, a
+// two-shard pool and the distributed coordinator on in-process workers
+// must each fail the run with the non-neighbor error, the distributed one
+// from the worker's RoundOutput.Err.
+func TestSendWideIDRejected(t *testing.T) {
+	g := graph.MustNew(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	for _, to := range []int{1<<32 | 1, -1<<32 | 1, math.MinInt64 | 1} {
+		factory := func(int) Node { return wideSender{to: to} }
+		want := fmt.Sprintf("congest: node 0 sent to non-neighbor %d", to)
+		for _, d := range []struct {
+			name string
+			opts Options
+		}{
+			{"sequential", Options{}},
+			{"pool-2", Options{Driver: DriverPool, Workers: 2}},
+			{"distributed", Options{Driver: DriverDistributed, Fleet: &localFleet{g: g, shards: 2, factory: factory}}},
+		} {
+			d.opts.Seed = 1
+			_, err := NewRunner(g, factory, d.opts).Run()
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: Send(%#x): error %v, want %q", d.name, to, err, want)
+			}
+		}
 	}
 }
 
@@ -238,7 +279,7 @@ func (m *markKeeper) Init(ctx *Context) {
 func (m *markKeeper) Round(ctx *Context, inbox []Message) {
 	marks := ctx.Marks()
 	for _, msg := range inbox {
-		i := sort.SearchInts(ctx.Neighbors(), msg.From)
+		i, _ := slices.BinarySearch(ctx.Neighbors(), int32(msg.From))
 		marks[i] = marks[i]*31 + uint8(msg.Wire.A)
 		m.own[i] = m.own[i]*31 + uint8(msg.Wire.A)
 	}

@@ -246,7 +246,7 @@ func faultPlans(g *graph.Graph) []struct {
 	var pairs [][2]int
 	for v := 0; v < n && len(pairs) < 24; v += 7 {
 		for _, w := range g.Neighbors(v) {
-			pairs = append(pairs, [2]int{v, w})
+			pairs = append(pairs, [2]int{v, int(w)})
 		}
 	}
 	side := make([]bool, n)

@@ -325,7 +325,7 @@ func (s *scriptNode) step(ctx *Context) {
 		case b>>3 == 31:
 			ctx.Send(ctx.ID(), w)
 		case len(nb) > 0:
-			ctx.Send(nb[slot], w)
+			ctx.Send(int(nb[slot]), w)
 		}
 	case opBroadcastSlot:
 		ctx.Broadcast(w)

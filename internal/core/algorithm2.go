@@ -219,7 +219,7 @@ func splitDeferred(g *graph.Graph, deferred []int, params *Params) (vlo, vhi []i
 	for _, v := range deferred {
 		deg := 0
 		for _, w := range g.Neighbors(v) {
-			if inDeferred[w] {
+			if inDeferred[int(w)] {
 				deg++
 			}
 		}

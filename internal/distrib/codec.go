@@ -251,7 +251,7 @@ func encodeConfig(e *encoder, m configMsg) {
 	for i := 1; i < len(off); i++ {
 		nbrs := m.rows.Adj[off[i-1]:off[i]]
 		e.u64(uint64(len(nbrs)))
-		prev := 0
+		var prev int32
 		for i, w := range nbrs {
 			if i == 0 {
 				e.u64(uint64(w))
@@ -264,8 +264,10 @@ func encodeConfig(e *encoder, m configMsg) {
 }
 
 // decodeConfig parses an fkConfig body into one Rows for the shard's
-// range, its offsets and its adjacency each one growing slice; the rows'
-// Off is nil for a config without rows.
+// range, its offsets and its adjacency each one growing int32 slice; the
+// rows' Off is nil for a config without rows. Every neighbor is below
+// n ≤ math.MaxInt32, and the adjacency holds at most one entry per frame
+// byte (maxFrameLen), so neither narrows with loss.
 func decodeConfig(d *decoder) (configMsg, error) {
 	var m configMsg
 	fields := []struct {
@@ -328,7 +330,7 @@ func decodeConfig(d *decoder) (configMsg, error) {
 	if err := d.plausible("config.adjacency", uint64(m.cfg.Hi-m.cfg.Lo), 1); err != nil {
 		return m, err
 	}
-	m.rows = graph.Rows{Lo: m.cfg.Lo, Off: make([]int, 1, m.cfg.Hi-m.cfg.Lo+1)}
+	m.rows = graph.Rows{Lo: m.cfg.Lo, Off: make([]int32, 1, m.cfg.Hi-m.cfg.Lo+1)}
 	for v := m.cfg.Lo; v < m.cfg.Hi; v++ {
 		deg, err := d.count("config.degree", 1)
 		if err != nil {
@@ -340,20 +342,25 @@ func decodeConfig(d *decoder) (configMsg, error) {
 			if err != nil {
 				return m, err
 			}
+			if j > 0 && delta == 0 {
+				return m, d.errAt("config.neighbor", "non-ascending adjacency")
+			}
+			// A delta of n or more overshoots every neighbor, and below
+			// that prev + delta cannot wrap around onto a lower ID.
+			if delta >= uint64(m.cfg.N) {
+				return m, d.errAt("config.neighbor", fmt.Sprintf("delta %d not below n=%d", delta, m.cfg.N))
+			}
 			w := int(delta)
 			if j > 0 {
-				if delta == 0 {
-					return m, d.errAt("config.neighbor", "non-ascending adjacency")
-				}
-				w = prev + int(delta)
+				w += prev
 			}
-			if w < 0 || w >= m.cfg.N {
+			if w >= m.cfg.N {
 				return m, fmt.Errorf("distrib: config adjacency neighbor %d out of range [0, %d)", w, m.cfg.N)
 			}
-			m.rows.Adj = append(m.rows.Adj, w)
+			m.rows.Adj = append(m.rows.Adj, int32(w))
 			prev = w
 		}
-		m.rows.Off = append(m.rows.Off, len(m.rows.Adj))
+		m.rows.Off = append(m.rows.Off, int32(len(m.rows.Adj)))
 	}
 	return m, d.done()
 }

@@ -184,7 +184,7 @@ func TestConfigRoundTrip(t *testing.T) {
 			Seed: math.MaxUint64, Traced: true,
 		},
 		prog: Program{Algorithm: "colevishkin", Args: []uint64{0, 1, math.MaxUint64, 42}},
-		rows: graph.Rows{Lo: 10, Off: []int{0, 3, 3, 4, 8}, Adj: []int{0, 1, 1<<20 - 1, 13, 3, 7, 11, 12}},
+		rows: graph.Rows{Lo: 10, Off: []int32{0, 3, 3, 4, 8}, Adj: []int32{0, 1, 1<<20 - 1, 13, 3, 7, 11, 12}},
 	}
 	var e encoder
 	encodeConfig(&e, m)
@@ -267,7 +267,7 @@ func samplePayloads() map[string][]byte {
 	encodeConfig(&e, configMsg{
 		cfg:  sampleShard,
 		prog: Program{Algorithm: "metivier", Args: []uint64{7}},
-		rows: graph.Rows{Lo: 2, Off: []int{0, 2, 3}, Adj: []int{0, 3, 1}},
+		rows: graph.Rows{Lo: 2, Off: []int32{0, 2, 3}, Adj: []int32{0, 3, 1}},
 	})
 	out["config"] = append([]byte(nil), e.buf...)
 	encodeHello(&e)
@@ -358,7 +358,7 @@ func oversizedConfig() []byte {
 	encodeConfig(&e, configMsg{
 		cfg:  congest.ShardConfig{Hi: math.MaxInt32, N: math.MaxInt32},
 		prog: Program{Algorithm: "metivier"},
-		rows: graph.Rows{Off: []int{0}},
+		rows: graph.Rows{Off: []int32{0}},
 	})
 	return e.buf
 }
@@ -587,26 +587,35 @@ func TestRoundPullRulesRejected(t *testing.T) {
 }
 
 // TestNonAscendingAdjacencyRejected corrupts a config's delta-coded
-// adjacency with a zero delta (a duplicate neighbor).
+// adjacency with a zero delta (a duplicate neighbor) and with a delta of
+// 2^64-1, which an int sum would wrap to the neighbor before.
 func TestNonAscendingAdjacencyRejected(t *testing.T) {
-	var e encoder
-	e.reset(fkConfig)
-	for _, x := range []uint64{0, 0, 2, 8} { // index, lo, hi, n
-		e.u64(x)
-	}
-	e.fix64(7) // seed
-	e.u8(0)    // traced
-	e.str("metivier")
-	e.u64(0) // args
-	e.u8(1)  // rows follow
-	e.u64(3) // degree of vertex 0
-	e.u64(4)
-	e.u64(0) // zero delta: duplicate neighbor
-	e.u64(1)
-	// vertex 1 row omitted: the zero delta must fail first.
-	_, dec, _ := payloadKind(e.buf)
-	if _, err := decodeConfig(dec); err == nil || !strings.Contains(err.Error(), "non-ascending adjacency") {
-		t.Fatalf("duplicate adjacency not rejected: %v", err)
+	for _, c := range []struct {
+		delta uint64
+		want  string
+	}{
+		{0, "non-ascending adjacency"},
+		{math.MaxUint64, "not below n=8"},
+	} {
+		var e encoder
+		e.reset(fkConfig)
+		for _, x := range []uint64{0, 0, 2, 8} { // index, lo, hi, n
+			e.u64(x)
+		}
+		e.fix64(7) // seed
+		e.u8(0)    // traced
+		e.str("metivier")
+		e.u64(0) // args
+		e.u8(1)  // rows follow
+		e.u64(3) // degree of vertex 0
+		e.u64(4)
+		e.u64(c.delta)
+		e.u64(1)
+		// vertex 1 row omitted: the corrupt delta must fail first.
+		_, dec, _ := payloadKind(e.buf)
+		if _, err := decodeConfig(dec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("delta %#x: adjacency not rejected with %q: %v", c.delta, c.want, err)
+		}
 	}
 }
 

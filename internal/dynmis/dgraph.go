@@ -3,7 +3,6 @@ package dynmis
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -18,10 +17,11 @@ import (
 // the same thing on every run — and makes the ID space a deterministic
 // function of the update stream alone. Adjacency lists are kept sorted, so
 // neighbor iteration order is ID order everywhere, the same invariant the
-// immutable graph.Graph core guarantees.
+// immutable graph.Graph core guarantees, and hold IDs in the same 4-byte
+// words as its CSR rows.
 type DGraph struct {
-	adj    [][]int // sorted adjacency per ID; nil for isolated and dead IDs
-	dead   []bool  // retired IDs (RemoveNode)
+	adj    [][]int32 // sorted adjacency per ID; nil for isolated and dead IDs
+	dead   []bool    // retired IDs (RemoveNode)
 	nAlive int
 	m      int
 }
@@ -34,7 +34,7 @@ func NewDGraph(g *graph.Graph) *DGraph {
 	rows := g.Rows(0, g.N())
 	adj := slices.Clone(rows.Adj)
 	d := &DGraph{
-		adj:    make([][]int, g.N()),
+		adj:    make([][]int32, g.N()),
 		dead:   make([]bool, g.N()),
 		nAlive: g.N(),
 		m:      g.M(),
@@ -62,19 +62,15 @@ func (d *DGraph) Alive(v int) bool { return v >= 0 && v < len(d.adj) && !d.dead[
 
 // Neighbors returns v's sorted adjacency list. The slice aliases internal
 // storage, is invalidated by the next mutation, and must not be modified.
-func (d *DGraph) Neighbors(v int) []int { return d.adj[v] }
+func (d *DGraph) Neighbors(v int) []int32 { return d.adj[v] }
 
 // Degree returns v's degree.
 func (d *DGraph) Degree(v int) int { return len(d.adj[v]) }
 
-// HasEdge reports whether {u, v} is an edge (binary search).
+// HasEdge reports whether {u, v} is an edge (binary search). An
+// out-of-range u, or a v outside int32, is no edge.
 func (d *DGraph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(d.adj) {
-		return false
-	}
-	row := d.adj[u]
-	i := sort.SearchInts(row, v)
-	return i < len(row) && row[i] == v
+	return u >= 0 && u < len(d.adj) && graph.Slot(d.adj[u], v) >= 0
 }
 
 // checkEndpoint validates one edge endpoint.
@@ -103,8 +99,8 @@ func (d *DGraph) InsertEdge(u, v int) error {
 	if d.HasEdge(u, v) {
 		return fmt.Errorf("edge (%d,%d) already exists", u, v)
 	}
-	d.adj[u] = insertSorted(d.adj[u], v)
-	d.adj[v] = insertSorted(d.adj[v], u)
+	d.adj[u] = insertSorted(d.adj[u], int32(v))
+	d.adj[v] = insertSorted(d.adj[v], int32(u))
 	d.m++
 	return nil
 }
@@ -120,8 +116,8 @@ func (d *DGraph) RemoveEdge(u, v int) error {
 	if !d.HasEdge(u, v) {
 		return fmt.Errorf("edge (%d,%d) does not exist", u, v)
 	}
-	d.adj[u] = removeSorted(d.adj[u], v)
-	d.adj[v] = removeSorted(d.adj[v], u)
+	d.adj[u] = removeSorted(d.adj[u], int32(v))
+	d.adj[v] = removeSorted(d.adj[v], int32(u))
 	d.m--
 	return nil
 }
@@ -139,13 +135,13 @@ func (d *DGraph) InsertNode() int {
 // RemoveNode retires vertex v, deleting every incident edge, and returns
 // v's former neighbors (sorted). The returned slice is v's old adjacency
 // storage, owned by the caller from here on.
-func (d *DGraph) RemoveNode(v int) ([]int, error) {
+func (d *DGraph) RemoveNode(v int) ([]int32, error) {
 	if err := d.checkEndpoint(v); err != nil {
 		return nil, err
 	}
 	former := d.adj[v]
 	for _, w := range former {
-		d.adj[w] = removeSorted(d.adj[w], v)
+		d.adj[w] = removeSorted(d.adj[w], int32(v))
 	}
 	d.m -= len(former)
 	d.adj[v] = nil
@@ -180,8 +176,8 @@ func (d *DGraph) Snapshot() (*graph.Graph, []int) {
 }
 
 // insertSorted inserts x into sorted row, preserving order.
-func insertSorted(row []int, x int) []int {
-	i := sort.SearchInts(row, x)
+func insertSorted(row []int32, x int32) []int32 {
+	i, _ := slices.BinarySearch(row, x)
 	row = append(row, 0)
 	copy(row[i+1:], row[i:])
 	row[i] = x
@@ -189,8 +185,8 @@ func insertSorted(row []int, x int) []int {
 }
 
 // removeSorted deletes x from sorted row; the caller guarantees presence.
-func removeSorted(row []int, x int) []int {
-	i := sort.SearchInts(row, x)
+func removeSorted(row []int32, x int32) []int32 {
+	i, _ := slices.BinarySearch(row, x)
 	copy(row[i:], row[i+1:])
 	return row[:len(row)-1]
 }

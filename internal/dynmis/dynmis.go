@@ -179,13 +179,15 @@ func (e *Engine) Apply(b Batch) (BatchReport, error) {
 			e.local = append(e.local, 0)
 			affected = append(affected, id)
 		case OpRemoveNode:
-			var former []int
+			var former []int32
 			former, err = e.d.RemoveNode(u.U)
 			if err != nil {
 				break
 			}
 			e.inMIS[u.U] = false
-			affected = append(affected, former...)
+			for _, w := range former {
+				affected = append(affected, int(w))
+			}
 		default:
 			err = fmt.Errorf("invalid op %v", u.Op)
 		}

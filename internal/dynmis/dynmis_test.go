@@ -1,6 +1,7 @@
 package dynmis_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -232,6 +233,12 @@ func TestDGraphBasics(t *testing.T) {
 	}
 	if !d.HasEdge(1, 2) || d.HasEdge(0, 2) || d.HasEdge(-1, 0) {
 		t.Fatal("HasEdge wrong")
+	}
+	// IDs outside int32 whose low 32 bits are 0's neighbor 1 are no edge.
+	for _, v := range []int{1<<32 | 1, -1<<32 | 1, math.MinInt64 | 1} {
+		if d.HasEdge(0, v) {
+			t.Fatalf("HasEdge(0, %#x) = true", v)
+		}
 	}
 	if err := d.InsertEdge(0, 2); err != nil {
 		t.Fatal(err)

@@ -90,11 +90,11 @@ func (e *Engine) growRegion(seeds []int) []int {
 	}
 	for i := 0; i < len(region); i++ {
 		for _, w := range e.d.adj[region[i]] {
-			if e.mark[w] == e.epoch || e.stableFrontier(w) {
+			if e.mark[w] == e.epoch || e.stableFrontier(int(w)) {
 				continue
 			}
 			e.mark[w] = e.epoch
-			region = append(region, w)
+			region = append(region, int(w))
 		}
 	}
 	// BFS discovery order depends on seed order; canonicalize so every

@@ -77,8 +77,8 @@ func UpdateStream(g *graph.Graph, cfg StreamConfig, r *rng.RNG) ([]Batch, error)
 	for v := 0; v < g.N(); v++ {
 		s.pos[v] = len(s.alive)
 		s.alive = append(s.alive, v)
-		for _, w := range g.Neighbors(v) {
-			if v < w {
+		for _, x := range g.Neighbors(v) {
+			if w := int(x); v < w {
 				s.edgeIdx[edgeKey(v, w)] = len(s.edges)
 				s.edges = append(s.edges, [2]int{v, w})
 			}
@@ -216,7 +216,7 @@ func (s *streamState) edgeRemove(b Batch, r *rng.RNG, locality float64) Batch {
 			if c < 0 || s.d.Degree(c) == 0 {
 				continue
 			}
-			u, v = c, s.d.Neighbors(c)[r.Intn(s.d.Degree(c))]
+			u, v = c, int(s.d.Neighbors(c)[r.Intn(s.d.Degree(c))])
 			picked = true
 			break
 		}
@@ -282,8 +282,8 @@ func (s *streamState) nodeRemove(b Batch, r *rng.RNG, locality float64) Batch {
 		panic(fmt.Sprintf("dynmis: stream mirror remove node %d: %v", v, err))
 	}
 	for _, w := range former {
-		s.dropEdge(v, w)
-		s.touch(w)
+		s.dropEdge(v, int(w))
+		s.touch(int(w))
 	}
 	i, last := s.pos[v], len(s.alive)-1
 	if i != last {

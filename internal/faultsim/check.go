@@ -79,8 +79,8 @@ func Check(g *graph.Graph, inMIS, crashed []bool) (*Report, error) {
 		}
 		rep.InMIS++
 		for _, w := range g.Neighbors(v) {
-			if w > v && inMIS[w] {
-				rep.Violations = append(rep.Violations, Link{From: v, To: w})
+			if int(w) > v && inMIS[w] {
+				rep.Violations = append(rep.Violations, Link{From: v, To: int(w)})
 			}
 		}
 	}

@@ -145,7 +145,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 		case proto.WireLevel:
 			p, _ := proto.AsLevel(m.Wire)
 			nd.active.Remove(ctx, m.From)
-			if i := base.Slot(ctx.Neighbors(), m.From); i >= 0 {
+			if i := graph.Slot(ctx.Neighbors(), m.From); i >= 0 {
 				ctx.Marks()[i] |= uint8(p.Value) << 1
 			}
 		case proto.WireForestEdge:
@@ -185,7 +185,7 @@ func (nd *node) orient(ctx *congest.Context) {
 			// Round before orient. Defensively treat as same level.
 			wl = nd.level
 		}
-		if outEdge(nd.level, wl, id, w) {
+		if outEdge(nd.level, wl, id, int(w)) {
 			ctx.SendSlot(slot, proto.ForestEdge{Forest: nd.out}.Wire())
 			nd.out++
 		}
@@ -223,7 +223,8 @@ func Decompose(g *graph.Graph, alpha int, opts congest.Options) (*Decomposition,
 	}
 	for v, lv := range d.Levels {
 		f := 0
-		for _, w := range g.Neighbors(v) {
+		for _, x := range g.Neighbors(v) {
+			w := int(x)
 			if !outEdge(lv, d.Levels[w], v, w) {
 				continue
 			}

@@ -11,7 +11,7 @@ package gen
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -315,27 +315,26 @@ func PreferentialAttachment(n, m int, r *rng.RNG) *graph.Graph {
 	if m < 1 || n < m+1 {
 		panic(fmt.Sprintf("gen: PreferentialAttachment requires 1 <= m < n, got n=%d m=%d", n, m))
 	}
-	var edges []graph.Edge
+	// The seed star's m edges, then m for each later vertex.
+	edges := make([]graph.Edge, 0, m*(n-m))
 	// endpoints doubles as the degree-proportional sampling urn.
-	var endpoints []int
+	endpoints := make([]int, 0, 2*cap(edges))
 	// Seed: star on m+1 vertices.
 	for i := 0; i < m; i++ {
 		edges = append(edges, graph.Edge{U: i, V: m})
 		endpoints = append(endpoints, i, m)
 	}
+	targets := make([]int, 0, m)
 	for v := m + 1; v < n; v++ {
-		chosen := map[int]bool{}
-		for len(chosen) < m {
-			u := endpoints[r.Intn(len(endpoints))]
-			if u != v {
-				chosen[u] = true
+		// Draw until m distinct targets. The urn holds only vertices below
+		// v, so v never draws itself.
+		targets = targets[:0]
+		for len(targets) < m {
+			if u := endpoints[r.Intn(len(endpoints))]; !slices.Contains(targets, u) {
+				targets = append(targets, u)
 			}
 		}
-		targets := make([]int, 0, m)
-		for u := range chosen {
-			targets = append(targets, u)
-		}
-		sort.Ints(targets) // determinism: map iteration order is random
+		slices.Sort(targets)
 		for _, u := range targets {
 			edges = append(edges, graph.Edge{U: v, V: u})
 			endpoints = append(endpoints, v, u)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 func TestPath(t *testing.T) {
@@ -336,5 +337,32 @@ func TestGeneratorsDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPreferentialAttachmentGolden pins the edge lists PreferentialAttachment
+// draws, as a fold of every (U, V) in Edges() order, at the perfbench
+// metivier-pool size and at small and degenerate (n, m) over seeds 0–3: a
+// rewrite of the generator must draw the same endpoints in the same order.
+func TestPreferentialAttachmentGolden(t *testing.T) {
+	for _, c := range []struct {
+		n, m int
+		fp   [4]uint64
+	}{
+		{1 << 17, 4, [4]uint64{0xc7f4f0d343aa8b0b, 0x57318e1ce8ce4f2e, 0x3eaee48f343663db, 0x9265f294cf3b5dc4}},
+		{1000, 1, [4]uint64{0xb390b23609b0d2bf, 0x32b8e0302cf85a24, 0xc3fc4071bedbd584, 0x6f5c15484396ba3c}},
+		{500, 7, [4]uint64{0x120c707a511d83e7, 0xa4a5de53852d023c, 0x2a0e9ca8c9d51b29, 0x6ec417b6e6122cef}},
+		{6, 5, [4]uint64{0x69e347ca1fc3d252, 0x69e347ca1fc3d252, 0x69e347ca1fc3d252, 0x69e347ca1fc3d252}},
+	} {
+		for seed := range c.fp {
+			g := PreferentialAttachment(c.n, c.m, rng.New(uint64(seed)))
+			h := trace.FoldSeed
+			for _, e := range g.Edges() {
+				h = trace.Fold(h, uint64(e.U)<<32|uint64(e.V))
+			}
+			if h != c.fp[seed] {
+				t.Errorf("PreferentialAttachment(%d, %d, seed %d) fingerprint %#x, want %#x", c.n, c.m, seed, h, c.fp[seed])
+			}
+		}
 	}
 }

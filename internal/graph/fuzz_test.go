@@ -39,7 +39,8 @@ func FuzzReadEdgeList(f *testing.F) {
 		sum := 0
 		for v := 0; v < g.N(); v++ {
 			sum += g.Degree(v)
-			for _, w := range g.Neighbors(v) {
+			for _, x := range g.Neighbors(v) {
+				w := int(x)
 				if w < 0 || w >= g.N() || w == v {
 					t.Fatalf("invalid neighbor %d of %d", w, v)
 				}

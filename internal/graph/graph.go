@@ -14,14 +14,18 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Graph is an immutable simple undirected graph in CSR (compressed sparse
-// row) form. Vertices are 0..N()-1. Construct with New or MustNew.
+// row) form. Vertices are 0..N()-1. Construct with New or MustNew. Vertex
+// IDs fit an int32 (New rejects larger n), so the CSR holds them in 4-byte
+// words, as does every row the engine sweeps; the edge APIs (Edge, New,
+// Edges) keep int.
 type Graph struct {
-	offsets []int // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
-	adj     []int // flattened sorted adjacency lists
+	offsets []int32 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
+	adj     []int32 // flattened sorted adjacency lists
 }
 
 // Edge is an undirected edge between U and V.
@@ -35,7 +39,8 @@ var ErrBadEdge = errors.New("graph: edge endpoint out of range or self-loop")
 // New builds a graph on n vertices from an edge list. Duplicate edges are
 // merged; self-loops and out-of-range endpoints are rejected. n may not
 // exceed math.MaxInt32, since the CONGEST engine carries vertex IDs in
-// int32 fields; a larger n is rejected before anything is allocated.
+// int32 fields, nor may the edge list's degree sum, since the CSR offsets
+// are int32; either is rejected before anything is allocated.
 func New(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -43,7 +48,11 @@ func New(n int, edges []Edge) (*Graph, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: vertex count %d above %d: vertex IDs must fit an int32", n, math.MaxInt32)
 	}
-	deg := make([]int, n)
+	if err := checkDegreeSum(2 * len(edges)); err != nil {
+		return nil, err
+	}
+	// cur counts each vertex's degree, then serves as its fill cursor.
+	cur := make([]int32, n)
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("%w: (%d,%d) with n=%d", ErrBadEdge, e.U, e.V, n)
@@ -51,25 +60,34 @@ func New(n int, edges []Edge) (*Graph, error) {
 		if e.U == e.V {
 			return nil, fmt.Errorf("%w: self-loop at %d", ErrBadEdge, e.U)
 		}
-		deg[e.U]++
-		deg[e.V]++
+		cur[e.U]++
+		cur[e.V]++
 	}
-	offsets := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
+	offsets := make([]int32, n+1)
+	for v, d := range cur {
+		offsets[v+1] = offsets[v] + d
 	}
-	adj := make([]int, offsets[n])
-	fill := make([]int, n)
-	copy(fill, offsets[:n])
+	adj := make([]int32, offsets[n])
+	copy(cur, offsets[:n])
 	for _, e := range edges {
-		adj[fill[e.U]] = e.V
-		fill[e.U]++
-		adj[fill[e.V]] = e.U
-		fill[e.V]++
+		adj[cur[e.U]] = int32(e.V)
+		cur[e.U]++
+		adj[cur[e.V]] = int32(e.U)
+		cur[e.V]++
 	}
 	g := &Graph{offsets: offsets, adj: adj}
 	g.sortAndDedupe()
 	return g, nil
+}
+
+// checkDegreeSum rejects an edge list whose degree sum, the CSR's
+// adjacency length before duplicates merge, does not fit the int32
+// offsets.
+func checkDegreeSum(sum int) error {
+	if sum > math.MaxInt32 {
+		return fmt.Errorf("graph: degree sum %d above %d: CSR offsets must fit an int32", sum, math.MaxInt32)
+	}
+	return nil
 }
 
 // MustNew is New but panics on error; for tests and generators whose edge
@@ -82,30 +100,26 @@ func MustNew(n int, edges []Edge) *Graph {
 	return g
 }
 
-// sortAndDedupe sorts each adjacency list and removes duplicates, rebuilding
-// the CSR arrays compactly.
+// sortAndDedupe sorts each adjacency list and removes duplicates,
+// compacting the CSR in place: every row moves down over the duplicates
+// dropped before it, so writes trail reads. Only when a duplicate was
+// dropped does it copy the adjacency into a right-sized slice, to release
+// the slack.
 func (g *Graph) sortAndDedupe() {
 	n := g.N()
-	newAdj := g.adj[:0]
-	newOffsets := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
+	var k int32
+	for v, lo := 0, int32(0); v < n; v++ {
+		hi := g.offsets[v+1]
 		row := g.adj[lo:hi]
-		sort.Ints(row)
-		start := len(newAdj)
-		for i, w := range row {
-			if i > 0 && w == row[i-1] {
-				continue
-			}
-			newAdj = append(newAdj, w)
-		}
-		newOffsets[v] = start
+		slices.Sort(row)
+		g.offsets[v] = k
+		k += int32(copy(g.adj[k:], slices.Compact(row)))
+		lo = hi
 	}
-	newOffsets[n] = len(newAdj)
-	// newAdj aliases g.adj's storage (writes always trail reads), so copy
-	// into a right-sized slice to release the slack.
-	g.adj = append([]int(nil), newAdj...)
-	g.offsets = newOffsets
+	g.offsets[n] = k
+	if int(k) < len(g.adj) {
+		g.adj = slices.Clone(g.adj[:k])
+	}
 }
 
 // N returns the number of vertices.
@@ -115,25 +129,26 @@ func (g *Graph) N() int { return len(g.offsets) - 1 }
 func (g *Graph) M() int { return len(g.adj) / 2 }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return g.offsets[v+1] - g.offsets[v] }
+func (g *Graph) Degree(v int) int { return int(g.offsets[v+1] - g.offsets[v]) }
 
 // Neighbors returns the sorted adjacency list of v. The returned slice
 // aliases internal storage and must not be modified.
-func (g *Graph) Neighbors(v int) []int { return g.adj[g.offsets[v]:g.offsets[v+1]] }
+func (g *Graph) Neighbors(v int) []int32 { return g.adj[g.offsets[v]:g.offsets[v+1]] }
 
-// Rows is the CSR of a contiguous vertex range [Lo, Lo+len(Off)-1):
-// vertex v's sorted adjacency is Adj[Off[v-Lo]:Off[v-Lo+1]]. A view from
-// Graph.Rows keeps the graph's global offsets into its whole adjacency;
-// rows decoded on their own may start at any offset.
+// Rows is the CSR of a contiguous vertex range [Lo, Lo+len(Off)-1), in the
+// graph's 4-byte words: vertex v's sorted adjacency is
+// Adj[Off[v-Lo]:Off[v-Lo+1]]. A view from Graph.Rows keeps the graph's
+// global offsets into its whole adjacency; rows decoded on their own may
+// start at any offset.
 type Rows struct {
 	Lo  int
-	Off []int
-	Adj []int
+	Off []int32
+	Adj []int32
 }
 
 // Neighbors returns the sorted adjacency of v, a vertex of the range.
 // The slice aliases the rows' storage and must not be modified.
-func (r Rows) Neighbors(v int) []int {
+func (r Rows) Neighbors(v int) []int32 {
 	i := v - r.Lo
 	return r.Adj[r.Off[i]:r.Off[i+1]]
 }
@@ -141,12 +156,23 @@ func (r Rows) Neighbors(v int) []int {
 // Rows returns the rows of [lo, hi) as a view of the graph's own storage.
 func (g *Graph) Rows(lo, hi int) Rows { return Rows{Lo: lo, Off: g.offsets[lo : hi+1], Adj: g.adj} }
 
-// HasEdge reports whether {u, v} is an edge (binary search).
-func (g *Graph) HasEdge(u, v int) bool {
-	row := g.Neighbors(u)
-	i := sort.SearchInts(row, v)
-	return i < len(row) && row[i] == v
+// Slot returns v's index in the sorted row, or -1 if v is absent. An ID
+// outside [0, math.MaxInt32] is absent: it is rejected before it is
+// narrowed to the row's int32 words, where it would wrap onto another ID.
+func Slot(row []int32, v int) int {
+	if v < 0 || v > math.MaxInt32 {
+		return -1
+	}
+	x := int32(v)
+	i := sort.Search(len(row), func(i int) bool { return row[i] >= x })
+	if i < len(row) && row[i] == x {
+		return i
+	}
+	return -1
 }
+
+// HasEdge reports whether {u, v} is an edge (binary search).
+func (g *Graph) HasEdge(u, v int) bool { return Slot(g.Neighbors(u), v) >= 0 }
 
 // MaxDegree returns the maximum degree Δ, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
@@ -164,8 +190,8 @@ func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.M())
 	for v := 0; v < g.N(); v++ {
 		for _, w := range g.Neighbors(v) {
-			if v < w {
-				edges = append(edges, Edge{U: v, V: w})
+			if v < int(w) {
+				edges = append(edges, Edge{U: v, V: int(w)})
 			}
 		}
 	}
@@ -191,7 +217,7 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int, error) {
 	var edges []Edge
 	for i, v := range orig {
 		for _, w := range g.Neighbors(v) {
-			if j, ok := index[w]; ok && i < j {
+			if j, ok := index[int(w)]; ok && i < j {
 				edges = append(edges, Edge{U: i, V: j})
 			}
 		}
@@ -224,7 +250,7 @@ func (g *Graph) Components() ([]int, int) {
 			for _, w := range g.Neighbors(v) {
 				if comp[w] < 0 {
 					comp[w] = next
-					queue = append(queue, w)
+					queue = append(queue, int(w))
 				}
 			}
 		}
@@ -258,7 +284,7 @@ func (g *Graph) BFS(src int) []int {
 		for _, w := range g.Neighbors(v) {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -286,7 +312,7 @@ func (g *Graph) BFSForest() []int {
 			for _, w := range g.Neighbors(v) {
 				if parent[w] == -2 {
 					parent[w] = v
-					queue = append(queue, w)
+					queue = append(queue, int(w))
 				}
 			}
 		}

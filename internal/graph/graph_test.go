@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -104,6 +107,77 @@ func TestNewRejectsNAboveInt32(t *testing.T) {
 	}
 }
 
+// TestDegreeSumBound checks New's degree-sum bound at its boundary through
+// checkDegreeSum, so that no test allocates the gigabytes an edge list
+// that long would take: the CSR offsets are int32, so a degree sum of
+// math.MaxInt32 fits and one more is rejected with an error naming it.
+func TestDegreeSumBound(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int is 32 bits: no degree sum exceeds math.MaxInt32")
+	}
+	if err := checkDegreeSum(math.MaxInt32); err != nil {
+		t.Fatalf("degree sum %d rejected: %v", math.MaxInt32, err)
+	}
+	over := int(int64(math.MaxInt32) + 1)
+	if err := checkDegreeSum(over); err == nil || !strings.Contains(err.Error(), strconv.Itoa(over)) {
+		t.Fatalf("degree sum %d returned %v, want an error naming it", over, err)
+	}
+}
+
+// TestWideIDsMiss looks up IDs outside int32 whose low 32 bits are a real
+// neighbor, 1, of vertex 0: Slot and HasEdge must miss each of them, not
+// narrow it onto the neighbor.
+func TestWideIDsMiss(t *testing.T) {
+	g := path(3)
+	if Slot(g.Neighbors(0), 1) != 0 || !g.HasEdge(0, 1) {
+		t.Fatal("neighbor 1 of vertex 0 not found")
+	}
+	for _, v := range []int{1<<32 | 1, -1<<32 | 1, math.MinInt64 | 1} {
+		if i := Slot(g.Neighbors(0), v); i != -1 {
+			t.Errorf("Slot(row of 0, %#x) = %d, want -1", v, i)
+		}
+		if g.HasEdge(0, v) {
+			t.Errorf("HasEdge(0, %#x) = true", v)
+		}
+	}
+}
+
+// TestGraphBytes is the CSR memory gate: a 2^14-vertex graph of degree 8
+// must keep 4 bytes per offset and per adjacency entry, with no slack, and
+// New may allocate no more than that plus its n-entry int32 degree and
+// cursor scratch — a duplicate-free edge list needs no compacting copy.
+func TestGraphBytes(t *testing.T) {
+	const n, k = 1 << 14, 4
+	edges := make([]Edge, 0, k*n)
+	for v := 0; v < n; v++ {
+		for d := 1; d <= k; d++ {
+			edges = append(edges, Edge{U: v, V: (v + d) % n})
+		}
+	}
+	csr := 4 * (n + 1 + 2*len(edges))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	var g *Graph
+	newBytes := ^uint64(0)
+	for rep := 0; rep < 3; rep++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		g = MustNew(n, edges)
+		runtime.ReadMemStats(&ms)
+		newBytes = min(newBytes, ms.TotalAlloc-before)
+	}
+	kept := cap(g.offsets)*int(unsafe.Sizeof(g.offsets[0])) + cap(g.adj)*int(unsafe.Sizeof(g.adj[0]))
+	t.Logf("CSR keeps %d bytes (%.1f B/vertex); New allocates %d (%.1f B/vertex)",
+		kept, float64(kept)/n, newBytes, float64(newBytes)/n)
+	if kept != csr {
+		t.Errorf("CSR keeps %d bytes, want %d: 4 per offset and per adjacency entry", kept, csr)
+	}
+	// One page of size-class rounding per allocation.
+	if budget := uint64(csr + 4*n + 3*8192); newBytes > budget {
+		t.Errorf("New allocates %d bytes, budget %d: the CSR and one n-entry int32 scratch", newBytes, budget)
+	}
+}
+
 func TestNewDedupesParallelEdges(t *testing.T) {
 	g := MustNew(2, []Edge{{0, 1}, {1, 0}, {0, 1}})
 	if g.M() != 1 {
@@ -127,7 +201,7 @@ func TestEmptyGraph(t *testing.T) {
 func TestNeighborsSorted(t *testing.T) {
 	g := MustNew(5, []Edge{{0, 4}, {0, 2}, {0, 1}, {0, 3}})
 	nb := g.Neighbors(0)
-	want := []int{1, 2, 3, 4}
+	want := []int32{1, 2, 3, 4}
 	for i, w := range want {
 		if nb[i] != w {
 			t.Fatalf("neighbors(0) = %v", nb)
@@ -332,11 +406,11 @@ func TestOffsetTilesAdjacency(t *testing.T) {
 	// over a range of rows (congest's marks) relies on it.
 	g := randomGraph(rng.New(41), 40, 0.15)
 	off := g.Rows(0, g.N()).Off
-	if off[0] != 0 || off[g.N()] != 2*g.M() {
+	if off[0] != 0 || int(off[g.N()]) != 2*g.M() {
 		t.Fatalf("Off[0] = %d, Off[n] = %d, 2m = %d", off[0], off[g.N()], 2*g.M())
 	}
 	for v := 0; v < g.N(); v++ {
-		if off[v+1]-off[v] != g.Degree(v) {
+		if int(off[v+1]-off[v]) != g.Degree(v) {
 			t.Fatalf("row %d spans %d entries, degree %d", v, off[v+1]-off[v], g.Degree(v))
 		}
 	}

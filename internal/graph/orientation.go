@@ -88,7 +88,8 @@ func (g *Graph) OrientByOrder(position []int) (*Orientation, error) {
 		in:  make([][]int, g.N()),
 	}
 	for v := 0; v < g.N(); v++ {
-		for _, w := range g.Neighbors(v) {
+		for _, x := range g.Neighbors(v) {
+			w := int(x)
 			// Edges go from lower rank to higher rank; ties are impossible
 			// in a permutation but broken by ID defensively.
 			if position[v] < position[w] || (position[v] == position[w] && v < w) {
@@ -146,7 +147,7 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 		for _, w := range g.Neighbors(v) {
 			if !removed[w] {
 				deg[w]--
-				buckets[deg[w]] = append(buckets[deg[w]], w)
+				buckets[deg[w]] = append(buckets[deg[w]], int(w))
 			}
 		}
 	}

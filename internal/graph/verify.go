@@ -12,8 +12,8 @@ func (g *Graph) IsIndependent(inSet []bool) (ok bool, bad Edge) {
 			continue
 		}
 		for _, w := range g.Neighbors(v) {
-			if w > v && inSet[w] {
-				return false, Edge{U: v, V: w}
+			if int(w) > v && inSet[w] {
+				return false, Edge{U: v, V: int(w)}
 			}
 		}
 	}

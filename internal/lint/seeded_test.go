@@ -78,8 +78,8 @@ func TestSeededViolations(t *testing.T) {
 	// Seed A: allocate in pullInbox, a //congest:hotpath function every
 	// pull round runs once per live vertex.
 	mutate(t, filepath.Join(root, "internal/congest/congest.go"),
-		"func (sh *shard) pullInbox(row []int) []Message {",
-		"func (sh *shard) pullInbox(row []int) []Message {\n\t_ = make([]int, len(row))")
+		"func (sh *shard) pullInbox(row []int32) []Message {",
+		"func (sh *shard) pullInbox(row []int32) []Message {\n\t_ = make([]int, len(row))")
 
 	// Seed B: draw from the coordinator-owned fault stream inside a pool
 	// worker goroutine — randomness consumed in scheduling order.

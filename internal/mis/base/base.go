@@ -6,7 +6,6 @@ package base
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -121,14 +120,14 @@ func (s *ActiveSet) Count(ctx *congest.Context) int { return ctx.Degree() - int(
 
 // Contains reports whether neighbor id is still active.
 func (s *ActiveSet) Contains(ctx *congest.Context, id int) bool {
-	i := Slot(ctx.Neighbors(), id)
+	i := graph.Slot(ctx.Neighbors(), id)
 	return i >= 0 && ctx.Marks()[i]&Removed == 0
 }
 
 // Remove marks neighbor id inactive. Removing an unknown or already
 // inactive neighbor is a no-op (duplicate announcements are harmless).
 func (s *ActiveSet) Remove(ctx *congest.Context, id int) {
-	if i := Slot(ctx.Neighbors(), id); i >= 0 {
+	if i := graph.Slot(ctx.Neighbors(), id); i >= 0 {
 		if m := &ctx.Marks()[i]; *m&Removed == 0 {
 			*m |= Removed
 			s.removed++
@@ -143,18 +142,9 @@ func (s *ActiveSet) Each(ctx *congest.Context, f func(slot, id int)) {
 	marks := ctx.Marks()
 	for i, id := range ctx.Neighbors() {
 		if marks[i]&Removed == 0 {
-			f(i, id)
+			f(i, int(id))
 		}
 	}
-}
-
-// Slot returns id's index in the sorted row, or -1 if it is absent.
-func Slot(row []int, id int) int {
-	i := sort.SearchInts(row, id)
-	if i < len(row) && row[i] == id {
-		return i
-	}
-	return -1
 }
 
 // VerifyStatuses checks that statuses encode a complete, consistent MIS

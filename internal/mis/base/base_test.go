@@ -141,10 +141,10 @@ func (p *probe) Round(ctx *congest.Context, _ []congest.Message) {
 	for k := 0; k < 3; k++ {
 		id := r.Intn(ctx.N()+2) - 1
 		if len(row) > 0 && r.Bool(0.5) {
-			id = row[r.Intn(len(row))]
+			id = int(row[r.Intn(len(row))])
 		}
 		p.set.Remove(ctx, id)
-		if slices.Contains(row, id) {
+		if slices.Contains(row, int32(id)) {
 			p.removed[id] = true
 		}
 	}
@@ -160,15 +160,15 @@ func (p *probe) check(ctx *congest.Context) {
 		panic(fmt.Sprintf("Count = %d, want %d", got, want))
 	}
 	for id := -1; id <= ctx.N(); id++ {
-		if got, want := p.set.Contains(ctx, id), slices.Contains(row, id) && !p.removed[id]; got != want {
+		if got, want := p.set.Contains(ctx, id), slices.Contains(row, int32(id)) && !p.removed[id]; got != want {
 			panic(fmt.Sprintf("Contains(%d) = %v, want %v", id, got, want))
 		}
 	}
 	var got, want [][2]int
 	p.set.Each(ctx, func(slot, id int) { got = append(got, [2]int{slot, id}) })
 	for slot, id := range row {
-		if !p.removed[id] {
-			want = append(want, [2]int{slot, id})
+		if !p.removed[int(id)] {
+			want = append(want, [2]int{slot, int(id)})
 		}
 	}
 	if !slices.Equal(got, want) {

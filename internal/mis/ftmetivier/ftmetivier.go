@@ -122,7 +122,7 @@ func (nd *node) startEpoch(ctx *congest.Context, epoch int32) {
 
 // hear records neighbor w's current-epoch priority p on w's slot.
 func (nd *node) hear(ctx *congest.Context, w int, p uint64) {
-	i := base.Slot(ctx.Neighbors(), w)
+	i := graph.Slot(ctx.Neighbors(), w)
 	if i < 0 {
 		return
 	}

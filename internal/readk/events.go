@@ -150,7 +150,7 @@ func requireIndependent(g *graph.Graph, m []int) error {
 	}
 	for _, v := range m {
 		for _, w := range g.Neighbors(v) {
-			if in[w] {
+			if in[int(w)] {
 				return fmt.Errorf("readk: event-1 set must be independent; edge (%d,%d)", v, w)
 			}
 		}
@@ -185,8 +185,8 @@ func IndependentSubset(g *graph.Graph, m []int) []int {
 		}
 		ind = append(ind, v)
 		for _, w := range g.Neighbors(v) {
-			if in[w] {
-				blocked[w] = true
+			if in[int(w)] {
+				blocked[int(w)] = true
 			}
 		}
 	}

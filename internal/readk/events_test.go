@@ -242,7 +242,7 @@ func TestIndependentSubset(t *testing.T) {
 	}
 	for _, v := range ind {
 		for _, w := range g.Neighbors(v) {
-			if in[w] {
+			if in[int(w)] {
 				t.Fatalf("edge (%d,%d) inside subset", v, w)
 			}
 		}
