@@ -102,12 +102,20 @@ cover:
 # with New allocating no more than that plus one n-entry int32 scratch,
 # because vertex IDs fit an int32 and New counts degrees and fills rows
 # through the same array and copies the adjacency only to drop
-# duplicates. Fast (< 1s); runs in ci.
+# duplicates; a worker must decode its shard's rows (one shard of two of
+# a 2^14-vertex union of two trees) in at most 1.1 times the rows it
+# keeps plus 4 KB, because the config frame declares the adjacency length
+# and the decoder makes each slice once; and a dynamic-MIS Apply must
+# allocate at most 8 KB on average over a 256-batch stream of 16 updates
+# on a 2^12-vertex random tree, sequentially and on two pool shards,
+# because a repair folds its trace fingerprint in an engine-owned sink
+# and allocates no event ring. Fast (< 1s); runs in ci.
 alloc-gate:
 	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex|TestDistributedRunnerBuildsNoNodes|TestProgramRunAllocs)' -count=1 ./internal/congest/
-	go test -run '^TestFactoryAllocs$$' -count=1 ./internal/distrib/
+	go test -run '^(TestFactoryAllocs|TestDecodeConfigBytes)$$' -count=1 ./internal/distrib/
 	go test -run '^TestAlg1RunAllocs$$' -count=1 ./internal/core/
 	go test -run '^TestGraphBytes$$' -count=1 ./internal/graph/
+	go test -run '^TestApplyBytes$$' -count=1 ./internal/dynmis/
 
 # Fuzz smoke: a 10s slice of native fuzzing over each decoder of bytes
 # from outside the program — the distrib frame decoders (what the

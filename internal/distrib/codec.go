@@ -222,8 +222,9 @@ type configMsg struct {
 }
 
 // encodeConfig serializes a configMsg. A flag byte says whether rows
-// follow. Adjacency lists are sorted ascending, so neighbors encode as a
-// first absolute ID plus deltas.
+// follow; the shard's adjacency length comes ahead of them, so the worker
+// sizes its adjacency once. Adjacency lists are sorted ascending, so
+// neighbors encode as a first absolute ID plus deltas.
 func encodeConfig(e *encoder, m configMsg) {
 	e.reset(fkConfig)
 	c := m.cfg
@@ -248,6 +249,7 @@ func encodeConfig(e *encoder, m configMsg) {
 	}
 	e.u8(1)
 	off := m.rows.Off
+	e.u64(uint64(off[len(off)-1] - off[0]))
 	for i := 1; i < len(off); i++ {
 		nbrs := m.rows.Adj[off[i-1]:off[i]]
 		e.u64(uint64(len(nbrs)))
@@ -264,10 +266,11 @@ func encodeConfig(e *encoder, m configMsg) {
 }
 
 // decodeConfig parses an fkConfig body into one Rows for the shard's
-// range, its offsets and its adjacency each one growing int32 slice; the
-// rows' Off is nil for a config without rows. Every neighbor is below
-// n ≤ math.MaxInt32, and the adjacency holds at most one entry per frame
-// byte (maxFrameLen), so neither narrows with loss.
+// range, its offsets and its adjacency each one int32 slice made at the
+// length the frame declares, and rejects rows that hold another number of
+// neighbors; the rows' Off is nil for a config without rows. Every
+// neighbor is below n ≤ math.MaxInt32, and the adjacency holds at most one
+// entry per frame byte (maxFrameLen), so neither narrows with loss.
 func decodeConfig(d *decoder) (configMsg, error) {
 	var m configMsg
 	fields := []struct {
@@ -326,15 +329,23 @@ func decodeConfig(d *decoder) (configMsg, error) {
 	default:
 		return m, d.errAt("config.rows", fmt.Sprintf("flag %d is neither 0 nor 1", rows))
 	}
-	// One adjacency row per owned vertex, each at least its degree byte.
-	if err := d.plausible("config.adjacency", uint64(m.cfg.Hi-m.cfg.Lo), 1); err != nil {
+	// One neighbor per adjacency entry and one row per owned vertex, each
+	// at least one byte.
+	nAdj, err := d.count("config.adjacency", 1)
+	if err != nil {
 		return m, err
 	}
-	m.rows = graph.Rows{Lo: m.cfg.Lo, Off: make([]int32, 1, m.cfg.Hi-m.cfg.Lo+1)}
+	if err := d.plausible("config.rows", uint64(m.cfg.Hi-m.cfg.Lo), 1); err != nil {
+		return m, err
+	}
+	m.rows = graph.Rows{Lo: m.cfg.Lo, Off: make([]int32, 1, m.cfg.Hi-m.cfg.Lo+1), Adj: make([]int32, 0, nAdj)}
 	for v := m.cfg.Lo; v < m.cfg.Hi; v++ {
 		deg, err := d.count("config.degree", 1)
 		if err != nil {
 			return m, err
+		}
+		if deg > nAdj-len(m.rows.Adj) {
+			return m, d.errAt("config.adjacency", fmt.Sprintf("rows hold more than the %d neighbors declared", nAdj))
 		}
 		prev := 0
 		for j := range deg {
@@ -361,6 +372,9 @@ func decodeConfig(d *decoder) (configMsg, error) {
 			prev = w
 		}
 		m.rows.Off = append(m.rows.Off, int32(len(m.rows.Adj)))
+	}
+	if len(m.rows.Adj) != nAdj {
+		return m, d.errAt("config.adjacency", fmt.Sprintf("rows hold %d of the %d neighbors declared", len(m.rows.Adj), nAdj))
 	}
 	return m, d.done()
 }

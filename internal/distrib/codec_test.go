@@ -10,11 +10,14 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"repro/internal/congest"
 	"repro/internal/faultsim"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mis/proto"
 	"repro/internal/rng"
@@ -204,6 +207,41 @@ func TestConfigRoundTrip(t *testing.T) {
 	_, dec, _ = payloadKind(e.buf)
 	if got, err = decodeConfig(dec); err != nil || !reflect.DeepEqual(got, m) {
 		t.Fatalf("config without rows did not survive the round trip: got %+v, %v; want %+v", got, err, m)
+	}
+}
+
+// TestDecodeConfigBytes bounds what a worker allocates to decode its
+// shard's rows, one shard of two of a 2^14-vertex union of two trees, at
+// 1.1× the rows it keeps (4 bytes per offset and per adjacency entry) plus
+// a constant for the program spec: the frame declares the adjacency
+// length, so the decoder makes each slice once instead of growing it.
+func TestDecodeConfigBytes(t *testing.T) {
+	const n = 1 << 14
+	g := gen.UnionOfTrees(n, 2, rng.New(3))
+	rows := g.Rows(0, n/2)
+	var e encoder
+	encodeConfig(&e, configMsg{cfg: congest.ShardConfig{Hi: n / 2, N: n, Seed: 1}, prog: Program{Algorithm: "metivier"}, rows: rows})
+	exact := 4 * (len(rows.Off) + int(rows.Off[len(rows.Off)-1]-rows.Off[0]))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	best := ^uint64(0)
+	for rep := 0; rep < 3; rep++ {
+		_, dec, _ := payloadKind(e.buf)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		m, err := decodeConfig(dec)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := 4 * (len(m.rows.Off) + len(m.rows.Adj)); got != exact {
+			t.Fatalf("decoded rows hold %d bytes, want %d", got, exact)
+		}
+		best = min(best, ms.TotalAlloc-before)
+	}
+	t.Logf("decoding %d bytes of rows allocates %d (%.2f×)", exact, best, float64(best)/float64(exact))
+	if budget := uint64(1.1*float64(exact)) + 4096; best > budget {
+		t.Errorf("decodeConfig allocates %d bytes for %d bytes of rows, budget %d", best, exact, budget)
 	}
 }
 
@@ -586,6 +624,22 @@ func TestRoundPullRulesRejected(t *testing.T) {
 	}
 }
 
+// rowsConfig starts a hand-built config frame for shard [0, 2) of n = 8
+// whose rows follow and declares their adjacency length; the caller
+// writes the rows.
+func rowsConfig(e *encoder, adjacency uint64) {
+	e.reset(fkConfig)
+	for _, x := range []uint64{0, 0, 2, 8} { // index, lo, hi, n
+		e.u64(x)
+	}
+	e.fix64(7) // seed
+	e.u8(0)    // traced
+	e.str("metivier")
+	e.u64(0) // args
+	e.u8(1)  // rows follow
+	e.u64(adjacency)
+}
+
 // TestNonAscendingAdjacencyRejected corrupts a config's delta-coded
 // adjacency with a zero delta (a duplicate neighbor) and with a delta of
 // 2^64-1, which an int sum would wrap to the neighbor before.
@@ -598,15 +652,7 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 		{math.MaxUint64, "not below n=8"},
 	} {
 		var e encoder
-		e.reset(fkConfig)
-		for _, x := range []uint64{0, 0, 2, 8} { // index, lo, hi, n
-			e.u64(x)
-		}
-		e.fix64(7) // seed
-		e.u8(0)    // traced
-		e.str("metivier")
-		e.u64(0) // args
-		e.u8(1)  // rows follow
+		rowsConfig(&e, 3)
 		e.u64(3) // degree of vertex 0
 		e.u64(4)
 		e.u64(c.delta)
@@ -615,6 +661,29 @@ func TestNonAscendingAdjacencyRejected(t *testing.T) {
 		_, dec, _ := payloadKind(e.buf)
 		if _, err := decodeConfig(dec); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("delta %#x: adjacency not rejected with %q: %v", c.delta, c.want, err)
+		}
+	}
+}
+
+// TestAdjacencyLengthMismatchRejected declares one neighbor fewer and one
+// more than the config's rows hold (vertex 0: 1 and 3; vertex 1: 0): the
+// decoder must reject both, naming config.adjacency.
+func TestAdjacencyLengthMismatchRejected(t *testing.T) {
+	for _, c := range []struct {
+		declared uint64
+		want     string
+	}{
+		{2, "rows hold more than the 2 neighbors declared reading config.adjacency"},
+		{4, "rows hold 3 of the 4 neighbors declared reading config.adjacency"},
+	} {
+		var e encoder
+		rowsConfig(&e, c.declared)
+		for _, x := range []uint64{2, 1, 2, 1, 0} { // degree, first, delta; degree, first
+			e.u64(x)
+		}
+		_, dec, _ := payloadKind(e.buf)
+		if _, err := decodeConfig(dec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("declared %d: rows not rejected with %q: %v", c.declared, c.want, err)
 		}
 	}
 }

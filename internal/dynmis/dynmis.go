@@ -103,8 +103,9 @@ type Engine struct {
 
 	// Per-batch scratch, epoch-stamped so Apply never pays O(n) resets.
 	epoch    int64
-	mark     []int64 // vertex -> epoch when it last entered a region
-	local    []int32 // region vertex -> repair-subgraph ID (-1 = frozen)
+	mark     []int64  // vertex -> epoch when it last entered a region
+	local    []int32  // region vertex -> repair-subgraph ID (-1 = frozen)
+	fold     foldSink // the repair run's trace fingerprint
 	region   []int
 	seeds    []int
 	free     []int
@@ -161,36 +162,7 @@ func (e *Engine) Apply(b Batch) (BatchReport, error) {
 	affected := e.affected[:0]
 	for i, u := range b {
 		var err error
-		switch u.Op {
-		case OpInsertEdge:
-			err = e.d.InsertEdge(u.U, u.V)
-			affected = append(affected, u.U, u.V)
-		case OpRemoveEdge:
-			err = e.d.RemoveEdge(u.U, u.V)
-			affected = append(affected, u.U, u.V)
-		case OpInsertNode:
-			id := e.d.InsertNode()
-			if u.U >= 0 && u.U != id {
-				err = fmt.Errorf("expected node ID %d, allocated %d", u.U, id)
-				break
-			}
-			e.inMIS = append(e.inMIS, false)
-			e.mark = append(e.mark, 0)
-			e.local = append(e.local, 0)
-			affected = append(affected, id)
-		case OpRemoveNode:
-			var former []int32
-			former, err = e.d.RemoveNode(u.U)
-			if err != nil {
-				break
-			}
-			e.inMIS[u.U] = false
-			for _, w := range former {
-				affected = append(affected, int(w))
-			}
-		default:
-			err = fmt.Errorf("invalid op %v", u.Op)
-		}
+		affected, err = e.update(u, affected)
 		if err != nil {
 			e.affected = affected
 			e.err = fmt.Errorf("dynmis: batch %d update %d (%v): %w", rep.Batch, i, u, err)
@@ -217,6 +189,43 @@ func (e *Engine) Apply(b Batch) (BatchReport, error) {
 		return BatchReport{}, err
 	}
 	return rep, nil
+}
+
+// update applies one update to the graph and appends the vertices it
+// touched to affected. An ID the constructors could not hold in int32 is
+// refused before any mutation.
+func (e *Engine) update(u Update, affected []int) ([]int, error) {
+	if u.U == wideID || (u.V == wideID && (u.Op == OpInsertEdge || u.Op == OpRemoveEdge)) {
+		return affected, fmt.Errorf("vertex ID outside int32 (held as %d)", wideID)
+	}
+	x, y := int(u.U), int(u.V)
+	switch u.Op {
+	case OpInsertEdge:
+		return append(affected, x, y), e.d.InsertEdge(x, y)
+	case OpRemoveEdge:
+		return append(affected, x, y), e.d.RemoveEdge(x, y)
+	case OpInsertNode:
+		if x != -1 && x != e.d.NumIDs() {
+			return affected, fmt.Errorf("expected node ID %d, next is %d", x, e.d.NumIDs())
+		}
+		id := e.d.InsertNode()
+		e.inMIS = append(e.inMIS, false)
+		e.mark = append(e.mark, 0)
+		e.local = append(e.local, 0)
+		return append(affected, id), nil
+	case OpRemoveNode:
+		former, err := e.d.RemoveNode(x)
+		if err != nil {
+			return affected, err
+		}
+		e.inMIS[x] = false
+		for _, w := range former {
+			affected = append(affected, int(w))
+		}
+		return affected, nil
+	default:
+		return affected, fmt.Errorf("invalid op %v", u.Op)
+	}
 }
 
 // runBatch does the shared post-mutation half of New and Apply: seed

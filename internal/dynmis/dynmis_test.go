@@ -199,6 +199,40 @@ func TestInvalidUpdatesPoison(t *testing.T) {
 	}
 }
 
+// TestApplyRejectsWideIDs: an update ID outside int32 whose low 32 bits
+// name a vertex the update would accept must fail its batch, not be
+// narrowed onto that vertex, and the graph must be left untouched. The
+// insert-node sentinel for "any ID" is exactly -1, so -2 fails too.
+func TestApplyRejectsWideIDs(t *testing.T) {
+	cases := []struct {
+		name string
+		u    dynmis.Update
+		want string
+	}{
+		{"insert-edge", dynmis.InsertEdge(0, 1<<32|2), "outside int32"},
+		{"insert-edge negative", dynmis.InsertEdge(-1<<32|2, 0), "outside int32"},
+		{"remove-edge", dynmis.RemoveEdge(0, 1<<32|1), "outside int32"},
+		{"remove-edge negative", dynmis.RemoveEdge(math.MinInt64|1, 0), "outside int32"},
+		{"insert-node", dynmis.InsertNode(1<<32 | 4), "outside int32"},
+		{"insert-node negative", dynmis.InsertNode(-1<<32 | 4), "outside int32"},
+		{"insert-node -2", dynmis.InsertNode(-2), "expected node ID -2"},
+		{"remove-node", dynmis.RemoveNode(1<<32 | 3), "outside int32"},
+		{"remove-node negative", dynmis.RemoveNode(-1<<32 | 3), "outside int32"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustEngine(t, path(4), dynmis.Options{Seed: 8})
+			_, err := e.Apply(dynmis.Batch{tc.u})
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "batch 1 update 0") {
+				t.Fatalf("Apply(%v) = %v, want a batch 1 update 0 error naming %q", tc.u, err, tc.want)
+			}
+			if d := e.Graph(); d.NumIDs() != 4 || d.AliveCount() != 4 || d.M() != 3 {
+				t.Fatalf("refused update changed the graph: ids=%d alive=%d m=%d", d.NumIDs(), d.AliveCount(), d.M())
+			}
+		})
+	}
+}
+
 func TestNilGraph(t *testing.T) {
 	if _, err := dynmis.New(nil, dynmis.Options{}); err == nil {
 		t.Fatal("nil graph accepted")

@@ -83,13 +83,13 @@ func (e *Engine) repair(region []int, rep *BatchReport) error {
 		return fmt.Errorf("dynmis: build repair subgraph: %w", err)
 	}
 
-	rec := trace.NewRecorder(repairRingSize)
+	e.fold = foldSink{fp: trace.FoldSeed}
 	opts := congest.Options{
 		Seed:      repairSeed(e.opts.Seed, rep.Batch),
 		Driver:    e.opts.Driver,
 		Workers:   e.opts.Workers,
 		MaxRounds: e.opts.MaxRounds,
-		Events:    rec,
+		Events:    &e.fold,
 	}
 	statuses, res, err := metivier.Run(sub, opts)
 	if err != nil {
@@ -108,11 +108,19 @@ func (e *Engine) repair(region []int, rep *BatchReport) error {
 	rep.Frozen = len(region) - len(free)
 	rep.Rounds = res.Rounds
 	rep.Messages = res.Messages
-	rep.RepairFingerprint = rec.Fingerprint()
+	rep.RepairFingerprint = e.fold.fp
 	return nil
 }
 
-// repairRingSize bounds the per-repair trace ring. The running fingerprint
-// covers the whole event stream regardless of ring capacity, and repair
-// regions are small, so a modest ring keeps per-batch allocation flat.
-const repairRingSize = 1 << 10
+// foldSink is a repair run's trace sink: the running fingerprint a
+// trace.Recorder would report, the FoldEvent hash over every deterministic
+// event, with no ring behind it, since a repair keeps nothing but that
+// hash. The engine owns one and reseeds it before each repair.
+type foldSink struct{ fp uint64 }
+
+// Emit folds one deterministic event and skips advisory ones.
+func (s *foldSink) Emit(ev trace.Event) {
+	if ev.Type.Deterministic() {
+		s.fp = trace.FoldEvent(s.fp, ev)
+	}
+}
