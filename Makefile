@@ -37,9 +37,13 @@ misvet:
 # scale-record slices pool shard workers write concurrently, each at its
 # own vertices' entries, and the programs that keep per-neighbour state
 # in the engine's marks (matching, forest and the MIS programs), whose
-# pool tests write each shard's marks from that shard's goroutine.
+# pool tests write each shard's marks from that shard's goroutine, and
+# the dynamic-MIS engine, whose repairs run on the pool driver
+# (TestGoldenStreamFingerprint, TestApplyBytes) with the engine's own
+# trace.Recorder as the run's sink.
 RACE_PKGS = ./internal/congest/... ./internal/distrib/... ./internal/core/... \
-	./internal/matching/... ./internal/forest/... ./internal/mis/...
+	./internal/matching/... ./internal/forest/... ./internal/mis/... \
+	./internal/dynmis/...
 
 race:
 	go vet $(RACE_PKGS) && go test -race $(RACE_PKGS)
@@ -108,8 +112,8 @@ cover:
 # and the decoder makes each slice once; and a dynamic-MIS Apply must
 # allocate at most 8 KB on average over a 256-batch stream of 16 updates
 # on a 2^12-vertex random tree, sequentially and on two pool shards,
-# because a repair folds its trace fingerprint in an engine-owned sink
-# and allocates no event ring. Fast (< 1s); runs in ci.
+# because a repair folds its trace fingerprint in an engine-owned
+# trace.Recorder, which stores no events. Fast (< 1s); runs in ci.
 alloc-gate:
 	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex|TestDistributedRunnerBuildsNoNodes|TestProgramRunAllocs)' -count=1 ./internal/congest/
 	go test -run '^(TestFactoryAllocs|TestDecodeConfigBytes)$$' -count=1 ./internal/distrib/

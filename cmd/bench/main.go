@@ -13,7 +13,7 @@
 // sharded worker-pool engine (-workers sets its shard count). With -trace
 // every engine run the selected experiments spawn streams its
 // execution-trace events to one JSONL file, which cmd/traceview
-// summarizes, diffs, serves or converts to the Chrome trace-event format
+// summarizes, diffs or converts to the Chrome trace-event format
 // (`traceview chrome run.jsonl`, loadable in chrome://tracing).
 //
 // -cpuprofile and -memprofile write pprof profiles covering the

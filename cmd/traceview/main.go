@@ -1,34 +1,32 @@
-// Command traceview inspects, converts, diffs, and serves recorded
-// execution traces (the JSONL files cmd/bench -trace writes).
+// Command traceview inspects, converts and diffs recorded execution
+// traces (the JSONL files cmd/bench -trace writes).
 //
 // Usage:
 //
 //	traceview summary run.jsonl
 //	traceview diff a.jsonl b.jsonl
 //	traceview chrome run.jsonl > run.chrome.json
-//	traceview serve -addr :9464 run.jsonl
 //
-// summary prints the trace's shape: rounds, event counts per type, message
-// totals, and the deterministic fingerprint (the value the golden tests
-// pin).
+// summary prints the trace's shape: runs, rounds, the deepest round any
+// run started, message and node totals, the deterministic fingerprint
+// (the value the golden tests pin) and event counts per type. A file may
+// hold many runs (cmd/bench -trace writes every run of the chosen
+// experiments into one): a run starts at each round-0 round-start event,
+// and rounds sums the runs' rounds with Init (round 0) not counted, so it
+// equals the sum of their congest.Result.Rounds.
 //
 // diff bisects two traces to their first divergent deterministic event and
-// exits non-zero if they diverge; advisory events (driver timings,
-// transport frames, respawns) are ignored, so traces recorded under
-// different engine drivers compare clean.
+// exits 1 if they diverge; advisory events (driver timings, transport
+// frames, respawns) are ignored, so traces recorded under different engine
+// drivers compare clean.
 //
 // chrome converts a JSONL trace to the Chrome trace-event format on
 // stdout, loadable in chrome://tracing or https://ui.perfetto.dev.
-//
-// serve folds the trace into Prometheus metrics and serves them at
-// /metrics in the text exposition format, so a recorded run can be
-// inspected with a stock Prometheus/Grafana stack.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
 	"sort"
 
@@ -36,50 +34,59 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() int {
-	fmt.Fprintf(os.Stderr, `Usage:
+const usage = `Usage:
   traceview summary run.jsonl
   traceview diff a.jsonl b.jsonl
   traceview chrome run.jsonl > run.chrome.json
-  traceview serve [-addr :9464] run.jsonl
-`)
-	return 2
-}
+`
 
-func run(args []string) int {
-	if len(args) < 1 {
-		return usage()
+// run executes one traceview command and returns its exit code: 0 on
+// success, 1 on a divergence or an unreadable trace, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	files := map[string]int{"summary": 1, "diff": 2, "chrome": 1}
+	if n, ok := files[args[0]]; !ok || len(args)-1 != n {
+		if !ok {
+			fmt.Fprintf(stderr, "traceview: unknown command %q\n", args[0])
+		}
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	traces := make([][]trace.Event, len(args)-1)
+	for i, path := range args[1:] {
+		events, err := load(path)
+		if err != nil {
+			fmt.Fprintf(stderr, "traceview: %v\n", err)
+			return 1
+		}
+		traces[i] = events
 	}
 	switch args[0] {
 	case "summary":
-		if len(args) != 2 {
-			return usage()
-		}
-		return summary(args[1])
+		summary(stdout, args[1], traces[0])
 	case "diff":
-		if len(args) != 3 {
-			return usage()
+		if d := trace.Bisect(traces[0], traces[1]); d != nil {
+			fmt.Fprintf(stdout, "%s\n", d)
+			return 1
 		}
-		return diff(args[1], args[2])
+		fmt.Fprintf(stdout, "traces identical: fingerprint %#x\n", trace.Fingerprint(traces[0]))
 	case "chrome":
-		if len(args) != 2 {
-			return usage()
+		sink := trace.NewChromeSink(stdout)
+		for _, e := range traces[0] {
+			sink.Emit(e)
 		}
-		return chrome(args[1])
-	case "serve":
-		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-		addr := fs.String("addr", ":9464", "listen address for /metrics")
-		if err := fs.Parse(args[1:]); err != nil || fs.NArg() != 1 {
-			return usage()
+		if err := sink.Close(); err != nil {
+			fmt.Fprintf(stderr, "traceview: %v\n", err)
+			return 1
 		}
-		return serve(*addr, fs.Arg(0))
-	default:
-		fmt.Fprintf(os.Stderr, "traceview: unknown command %q\n", args[0])
-		return usage()
 	}
+	return 0
 }
 
 // load reads one JSONL trace file.
@@ -93,22 +100,26 @@ func load(path string) ([]trace.Event, error) {
 }
 
 // summary prints the trace's aggregate shape.
-func summary(path string) int {
-	events, err := load(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		return 1
-	}
+func summary(w io.Writer, path string, events []trace.Event) {
 	byType := map[trace.Type]int{}
-	var rounds int32 = -1
+	var runs, rounds, det int
+	var deepest int32
 	var sent, delivered, dropped, delayed, halts, draws int64
 	for _, e := range events {
 		byType[e.Type]++
-		if e.Round > rounds {
-			rounds = e.Round
+		if e.Type.Deterministic() {
+			det++
 		}
 		switch e.Type {
+		case trace.EvRoundStart:
+			if e.Round == 0 {
+				runs++
+			}
+			deepest = max(deepest, e.Round)
 		case trace.EvRoundEnd:
+			if e.Round > 0 {
+				rounds++
+			}
 			sent += e.X
 			delivered += e.Y
 			dropped += e.Z
@@ -120,77 +131,17 @@ func summary(path string) int {
 			draws += e.X
 		}
 	}
-	fmt.Printf("%s: %d events, %d rounds (round 0 = Init)\n", path, len(events), rounds+1)
-	fmt.Printf("  messages: sent=%d delivered=%d dropped=%d delayed=%d\n", sent, delivered, dropped, delayed)
-	fmt.Printf("  nodes:    halts=%d rng-draws=%d\n", halts, draws)
-	det := trace.Deterministic(events)
-	fmt.Printf("  fingerprint %#x over %d deterministic events\n", trace.Fingerprint(events), len(det))
+	fmt.Fprintf(w, "%s: %d events in %d runs\n", path, len(events), runs)
+	fmt.Fprintf(w, "  rounds:   total=%d deepest=%d (Init, round 0, not counted)\n", rounds, deepest)
+	fmt.Fprintf(w, "  messages: sent=%d delivered=%d dropped=%d delayed=%d\n", sent, delivered, dropped, delayed)
+	fmt.Fprintf(w, "  nodes:    halts=%d rng-draws=%d\n", halts, draws)
+	fmt.Fprintf(w, "  fingerprint %#x over %d deterministic events\n", trace.Fingerprint(events), det)
 	types := make([]trace.Type, 0, len(byType))
 	for t := range byType {
 		types = append(types, t)
 	}
 	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
 	for _, t := range types {
-		fmt.Printf("  %-12s %d\n", t.String(), byType[t])
+		fmt.Fprintf(w, "  %-12s %d\n", t.String(), byType[t])
 	}
-	return 0
-}
-
-// diff bisects two traces and reports the first divergence.
-func diff(pathA, pathB string) int {
-	a, err := load(pathA)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		return 1
-	}
-	b, err := load(pathB)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		return 1
-	}
-	if d := trace.Bisect(a, b); d != nil {
-		fmt.Printf("%s\n", d)
-		return 1
-	}
-	fmt.Printf("traces identical: fingerprint %#x\n", trace.Fingerprint(a))
-	return 0
-}
-
-// chrome converts a JSONL trace to the Chrome trace-event format.
-func chrome(path string) int {
-	events, err := load(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		return 1
-	}
-	sink := trace.NewChromeSink(os.Stdout)
-	for _, e := range events {
-		sink.Emit(e)
-	}
-	if err := sink.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// serve exposes the trace as Prometheus metrics.
-func serve(addr, path string) int {
-	events, err := load(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		return 1
-	}
-	m := trace.NewMetrics()
-	for _, e := range events {
-		m.Emit(e)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", m.Registry().Handler())
-	fmt.Printf("serving %s at http://%s/metrics\n", path, addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		return 1
-	}
-	return 0
 }

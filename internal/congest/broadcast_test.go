@@ -84,7 +84,7 @@ func TestBroadcastMatchesSendSlotLoop(t *testing.T) {
 		opts.Seed = 6
 		opts.Faults = plan
 		opts.MaxRounds = 500
-		sink := &pullSink{rec: trace.NewRecorder(0)}
+		sink := &pullSink{rec: trace.NewRecorder()}
 		opts.Events = sink
 		opts.EventTiming = opts.Driver == DriverPool
 		r := NewRunner(g, factory, opts)
@@ -192,7 +192,7 @@ func TestMixedSendOrder(t *testing.T) {
 		if opts.Driver == DriverDistributed {
 			opts.Fleet = &localFleet{g: g, shards: 3, factory: factory}
 		}
-		sink := &pullSink{rec: trace.NewRecorder(0)}
+		sink := &pullSink{rec: trace.NewRecorder()}
 		opts.Events = sink
 		opts.EventTiming = opts.Driver == DriverPool
 		r := NewRunner(g, factory, opts)

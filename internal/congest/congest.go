@@ -338,9 +338,10 @@ type Options struct {
 	// draw totals. Emission happens on the coordinator in an order that is
 	// deterministic across drivers; tracing is purely observational and a
 	// traced run is bit-identical to an untraced one. Attach a
-	// trace.Recorder here to capture, export, or fingerprint a run; a
-	// sink that reads trace.EvRoundEnd (Round, V = nodes still live,
-	// X = messages sent) sees the run round by round.
+	// trace.Recorder here to fingerprint a run, a trace.MemorySink to
+	// capture it, or a trace.JSONLSink to write it to a file; a sink that
+	// reads trace.EvRoundEnd (Round, V = nodes still live, X = messages
+	// sent) sees the run round by round.
 	Events trace.Sink
 	// EventTiming, when set alongside Events, adds the pool driver's
 	// wall-clock shard-sweep and merge timing events (trace.EvShardBusy,

@@ -408,7 +408,7 @@ func TestGoldenMulticoreFingerprint(t *testing.T) {
 		set  func(*congest.Options)
 	}{"distributed", func(o *congest.Options) { o.Driver = congest.DriverDistributed; o.Fleet = fleet }})
 	for _, d := range drivers {
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		opts := congest.Options{Seed: 424242, Events: rec}
 		d.set(&opts)
 		st, res, err := metivier.Run(g, opts)

@@ -236,7 +236,7 @@ func (in fuzzInput) run(opts Options) fuzzOutcome {
 	if opts.Driver == DriverDistributed {
 		opts.Fleet = &localFleet{g: in.g, shards: 3, factory: factory}
 	}
-	rec := trace.NewRecorder(1)
+	rec := trace.NewRecorder()
 	opts.Seed = 5
 	opts.Faults = in.plan()
 	opts.MaxRounds = in.maxRounds

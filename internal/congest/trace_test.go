@@ -126,7 +126,7 @@ func TestGoldenTraceFingerprint(t *testing.T) {
 	for _, d := range driverMatrix {
 		opts := congest.Options{Seed: 77}
 		d.set(&opts)
-		rec := trace.NewRecorder(0)
+		rec := trace.NewRecorder()
 		opts.Events = rec
 		if _, _, err := metivier.Run(g, opts); err != nil {
 			t.Fatalf("%s: %v", d.name, err)

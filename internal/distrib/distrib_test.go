@@ -257,7 +257,7 @@ func TestDistributedTraceFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqRec := trace.NewRecorder(0)
+			seqRec := trace.NewRecorder()
 			opts := tc.opts
 			opts.Events = seqRec
 			seqRes, err := congest.NewRunner(tc.g, factory, opts).Run()
@@ -268,7 +268,7 @@ func TestDistributedTraceFingerprint(t *testing.T) {
 				t.Fatalf("sequential fingerprint %#x, want %#x", seqRec.Fingerprint(), tc.want)
 			}
 			for _, shards := range tc.shards {
-				distRec := trace.NewRecorder(0)
+				distRec := trace.NewRecorder()
 				opts.Events = distRec
 				distRes, _, err := runFleet(t, tc.g, prog, shards, opts)
 				if err != nil {
@@ -293,7 +293,6 @@ func TestDistributedTraceFingerprint(t *testing.T) {
 // killerSink is a trace sink that SIGKILLs a worker process when a pinned
 // round starts, and counts the respawn events recovery emits.
 type killerSink struct {
-	inner    trace.Sink
 	killAt   int32
 	pid      func() int
 	fired    bool
@@ -301,7 +300,6 @@ type killerSink struct {
 }
 
 func (k *killerSink) Emit(e trace.Event) {
-	k.inner.Emit(e)
 	switch {
 	case e.Type == trace.EvRoundStart && e.Round == k.killAt && !k.fired:
 		k.fired = true
@@ -367,7 +365,7 @@ func runKilled(t *testing.T, g *graph.Graph, prog distrib.Program, opts congest.
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	killer := &killerSink{inner: trace.NewRecorder(0), killAt: killRound, pid: func() int { return fleet.Pid(killShard) }}
+	killer := &killerSink{killAt: killRound, pid: func() int { return fleet.Pid(killShard) }}
 	opts.Driver, opts.Fleet, opts.Events = congest.DriverDistributed, fleet, killer
 	r := congest.NewRunner(g, nil, opts)
 	res, err := r.Run()
@@ -405,7 +403,7 @@ func TestFleetReuse(t *testing.T) {
 
 	// Run 1 (clean, traced): pins the deterministic event fingerprint
 	// against a traced sequential run of the same options.
-	distRec := trace.NewRecorder(0)
+	distRec := trace.NewRecorder()
 	r1 := congest.NewRunner(g, nil, congest.Options{
 		Seed: 42, Events: distRec, Driver: congest.DriverDistributed, Fleet: fleet,
 	})
@@ -413,7 +411,7 @@ func TestFleetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqRec := trace.NewRecorder(0)
+	seqRec := trace.NewRecorder()
 	seqRunner := congest.NewRunner(g, factory, congest.Options{Seed: 42, Events: seqRec})
 	seqRes, err := seqRunner.Run()
 	if err != nil {
@@ -483,14 +481,14 @@ func TestFrameEventsEmitted(t *testing.T) {
 	n := 48
 	g := gen.UnionOfTrees(n, 2, rng.New(2))
 	prog := distrib.Program{Algorithm: "metivier"}
-	rec := trace.NewRecorder(0)
-	_, _, err := runFleet(t, g, prog, 2, congest.Options{Seed: 5, Events: rec, EventTiming: true})
+	var timed trace.MemorySink
+	_, _, err := runFleet(t, g, prog, 2, congest.Options{Seed: 5, Events: &timed, EventTiming: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := 0
 	var bytesOut int64
-	for _, e := range rec.Events() {
+	for _, e := range timed.Events {
 		if e.Type == trace.EvFrame {
 			frames++
 			bytesOut += e.X
@@ -508,14 +506,14 @@ func TestFrameEventsEmitted(t *testing.T) {
 
 	// The same run untimed must fingerprint identically: EvFrame is
 	// advisory and cannot leak into the deterministic stream.
-	rec2 := trace.NewRecorder(0)
+	rec2 := trace.NewRecorder()
 	_, _, err = runFleet(t, g, prog, 2, congest.Options{Seed: 5, Events: rec2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Fingerprint() != rec2.Fingerprint() {
+	if fp := trace.Fingerprint(timed.Events); fp != rec2.Fingerprint() {
 		t.Fatalf("EventTiming changed the deterministic fingerprint: %#x vs %#x",
-			rec.Fingerprint(), rec2.Fingerprint())
+			fp, rec2.Fingerprint())
 	}
 }
 

@@ -103,9 +103,9 @@ type Engine struct {
 
 	// Per-batch scratch, epoch-stamped so Apply never pays O(n) resets.
 	epoch    int64
-	mark     []int64  // vertex -> epoch when it last entered a region
-	local    []int32  // region vertex -> repair-subgraph ID (-1 = frozen)
-	fold     foldSink // the repair run's trace fingerprint
+	mark     []int64        // vertex -> epoch when it last entered a region
+	local    []int32        // region vertex -> repair-subgraph ID (-1 = frozen)
+	rec      trace.Recorder // the repair run's trace fingerprint
 	region   []int
 	seeds    []int
 	free     []int

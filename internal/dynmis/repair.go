@@ -83,13 +83,13 @@ func (e *Engine) repair(region []int, rep *BatchReport) error {
 		return fmt.Errorf("dynmis: build repair subgraph: %w", err)
 	}
 
-	e.fold = foldSink{fp: trace.FoldSeed}
+	e.rec = *trace.NewRecorder()
 	opts := congest.Options{
 		Seed:      repairSeed(e.opts.Seed, rep.Batch),
 		Driver:    e.opts.Driver,
 		Workers:   e.opts.Workers,
 		MaxRounds: e.opts.MaxRounds,
-		Events:    &e.fold,
+		Events:    &e.rec,
 	}
 	statuses, res, err := metivier.Run(sub, opts)
 	if err != nil {
@@ -108,19 +108,6 @@ func (e *Engine) repair(region []int, rep *BatchReport) error {
 	rep.Frozen = len(region) - len(free)
 	rep.Rounds = res.Rounds
 	rep.Messages = res.Messages
-	rep.RepairFingerprint = e.fold.fp
+	rep.RepairFingerprint = e.rec.Fingerprint()
 	return nil
-}
-
-// foldSink is a repair run's trace sink: the running fingerprint a
-// trace.Recorder would report, the FoldEvent hash over every deterministic
-// event, with no ring behind it, since a repair keeps nothing but that
-// hash. The engine owns one and reseeds it before each repair.
-type foldSink struct{ fp uint64 }
-
-// Emit folds one deterministic event and skips advisory ones.
-func (s *foldSink) Emit(ev trace.Event) {
-	if ev.Type.Deterministic() {
-		s.fp = trace.FoldEvent(s.fp, ev)
-	}
 }

@@ -13,11 +13,12 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRepairFingerprintMatchesRecorder checks the engine's ring-free
-// repair fingerprint against a trace.Recorder on the same run. The
+// TestRepairFingerprintMatchesRecorder checks the engine's repair
+// fingerprint, folded on the fly by its trace.Recorder, against the
+// offline trace.Fingerprint of the same run's captured events. The
 // bootstrap is batch 0, whose region is the whole graph with nothing
 // frozen, so its repair subgraph is g itself: its EvRepair event's Y must
-// equal the Recorder fingerprint of Métivier on g under batch 0's seed.
+// equal the fingerprint of Métivier's events on g under batch 0's seed.
 func TestRepairFingerprintMatchesRecorder(t *testing.T) {
 	const n, seed = 1 << 12, 77
 	for _, c := range []struct {
@@ -47,17 +48,17 @@ func TestRepairFingerprintMatchesRecorder(t *testing.T) {
 				if int(boot.V) != n || int(boot.W) != n {
 					t.Fatalf("bootstrap region %d with %d free, want the whole graph (%d)", boot.V, boot.W, n)
 				}
-				rec := trace.NewRecorder(0)
+				var run trace.MemorySink
 				if _, _, err := metivier.Run(c.g, congest.Options{
 					Seed:    rng.New(seed).Split(0).Uint64(),
 					Driver:  d.driver,
 					Workers: d.workers,
-					Events:  rec,
+					Events:  &run,
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if got, want := uint64(boot.Y), rec.Fingerprint(); got != want {
-					t.Fatalf("bootstrap repair fingerprint %#016x, Recorder %#016x", got, want)
+				if got, want := uint64(boot.Y), trace.Fingerprint(run.Events); got != want {
+					t.Fatalf("bootstrap repair fingerprint %#016x, captured run %#016x", got, want)
 				}
 			})
 		}

@@ -37,7 +37,7 @@ type Config struct {
 	Workers int
 	// Events, when non-nil, receives the execution-trace event stream of
 	// every run the config spawns (cmd/bench -trace streams them all to
-	// one JSONL or Chrome file).
+	// one JSONL file).
 	Events trace.Sink
 }
 

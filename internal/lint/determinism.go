@@ -13,9 +13,10 @@ import (
 // the seed alone; each of these constructs injects state the seed does
 // not control.
 //
-// Escapes: the pool driver's wall-clock shard timings and the Prometheus
-// metric plumbing are documented as advisory-only and carry
-// //lint:advisory directives at their use sites (see directives.go).
+// Escapes: the pool driver's wall-clock shard timings and the distributed
+// fleet's transport timing and deadlines are documented as advisory-only
+// and carry //lint:advisory directives at their use sites (see
+// directives.go).
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid time.Now/math/rand/sync-atomic/goroutines in deterministic packages",

@@ -13,7 +13,7 @@ const (
 	// DirAdvisory suppresses findings: on the finding's line or the line
 	// above it, or in the enclosing function's doc comment, it marks code
 	// whose nondeterminism is documented as advisory-only (wall-clock
-	// driver timings, Prometheus metrics). Suppressed findings are counted
+	// driver timings, transport deadlines). Suppressed findings are counted
 	// and reported in misvet's summary so escapes stay visible.
 	DirAdvisory = "//lint:advisory"
 	// DirHotpath marks a function (doc comment) as part of the

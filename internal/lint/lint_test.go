@@ -6,9 +6,9 @@ import "testing"
 // must stay free of findings. This pins the fixes the analyzers forced
 // (ftmetivier's map-clearing delete-loop is now clear()) and the advisory
 // contract for the code that legitimately escapes (the pool driver's
-// wall-clock timings, the Prometheus metric plumbing) — if an escape
-// annotation is deleted, or a new violation lands, this test fails with
-// the same file:line diagnostic misvet prints.
+// wall-clock timings, the distributed fleet's transport timing) — if an
+// escape annotation is deleted, or a new violation lands, this test fails
+// with the same file:line diagnostic misvet prints.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -22,7 +22,7 @@ func TestModuleClean(t *testing.T) {
 		t.Errorf("unexpected finding: %s", d)
 	}
 	if suppressed == 0 {
-		t.Error("no advisory-suppressed findings; the driver-timing and metrics escapes should be exercised")
+		t.Error("no advisory-suppressed findings; the driver-timing and transport escapes should be exercised")
 	}
 	if m.Path != "repro" {
 		t.Errorf("module path = %q, want %q", m.Path, "repro")

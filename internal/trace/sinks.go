@@ -135,7 +135,6 @@ type ChromeSink struct {
 	roundStart float64
 	shards     []chromeShard
 	mergeNS    int64
-	dropped    int64
 	delayed    int64
 }
 
@@ -176,13 +175,11 @@ func (s *ChromeSink) Emit(e Event) {
 	case EvRoundStart:
 		s.roundStart = s.ts
 		s.shards = s.shards[:0]
-		s.mergeNS, s.dropped, s.delayed = 0, 0, 0
+		s.mergeNS, s.delayed = 0, 0
 	case EvShardBusy:
 		s.shards = append(s.shards, chromeShard{shard: e.V, busy: e.X, live: e.Y})
 	case EvMerge:
 		s.mergeNS = e.X
-	case EvDrop:
-		s.dropped++
 	case EvDelay:
 		s.delayed++
 	case EvRoundEnd:
@@ -223,7 +220,7 @@ func (s *ChromeSink) endRound(e Event) {
 	// (an adapter-only trace) never re-flushes a stale shard slice.
 	s.roundStart = s.ts
 	s.shards = s.shards[:0]
-	s.mergeNS, s.dropped, s.delayed = 0, 0, 0
+	s.mergeNS, s.delayed = 0, 0
 }
 
 // Close writes the metadata records and terminates the JSON document.

@@ -2,9 +2,8 @@
 // CONGEST engine: every run can record a typed, structured event stream —
 // round boundaries, per-round counters, fault fates, node state
 // transitions, RNG draw totals, and (optionally) driver timing — and that
-// stream becomes a first-class artifact that can be stored, diffed,
-// replayed, exported to chrome://tracing, or scraped as Prometheus
-// metrics.
+// stream becomes an artifact that can be fingerprinted, stored as JSONL,
+// diffed, replayed, or exported to chrome://tracing.
 //
 // The package is deliberately engine-agnostic: it defines the Event
 // vocabulary and the Sink interface, and internal/congest emits into it.
@@ -28,11 +27,10 @@
 // EvMerge (with congest.Options.EventTiming) sees the pool driver's
 // per-shard and merge timing.
 //
-// A Recorder is the standard capture point: it keeps the most recent
-// events in a bounded ring buffer, maintains a running fingerprint of the
-// deterministic stream in O(1) space, and forwards every event to any
-// number of attached sinks (JSONL file, Chrome trace-event export,
-// in-memory capture, Prometheus registry).
+// Each job has one sink: a Recorder folds the running fingerprint of the
+// deterministic stream in O(1) space and keeps no events, a MemorySink
+// captures the whole stream, a JSONLSink writes it to a file, and a
+// ChromeSink converts it to the Chrome trace-event format.
 package trace
 
 import "fmt"
@@ -229,79 +227,37 @@ func (e Event) String() string {
 // Sink consumes a trace event stream. The engine calls Emit on the
 // coordinator goroutine only, in a deterministic order for deterministic
 // events; a Sink therefore does not need to be safe for concurrent Emit
-// calls (a sink that is also read concurrently, like the Prometheus
-// registry, synchronizes internally).
+// calls.
 type Sink interface {
 	Emit(Event)
 }
 
-// DefaultRingSize is the Recorder's default bounded-buffer capacity:
-// enough for the full event stream of the repo's standard test workloads
-// while bounding memory for production-scale runs.
-const DefaultRingSize = 1 << 16
-
-// Recorder is the standard capture point for a traced run: a bounded ring
-// buffer of the most recent events, a running fingerprint over the
-// deterministic stream, and fan-out to attached sinks. The zero value is
-// not usable; construct with NewRecorder.
+// Recorder is the running fingerprint of a traced run: it folds every
+// deterministic event into a FoldEvent hash and counts them, and keeps no
+// events (capture those with a MemorySink). The zero value is not usable;
+// construct with NewRecorder.
 type Recorder struct {
-	ring    []Event
-	next    int
-	wrapped bool
-	total   uint64
-	fp      uint64
-	fpN     uint64
-	sinks   []Sink
+	fp  uint64
+	fpN uint64
 }
 
-// NewRecorder builds a recorder with the given ring capacity (<= 0 means
-// DefaultRingSize) that forwards every event to the attached sinks.
-func NewRecorder(ringSize int, sinks ...Sink) *Recorder {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	return &Recorder{ring: make([]Event, ringSize), fp: FoldSeed, sinks: sinks}
+// NewRecorder returns a recorder that has seen no events.
+func NewRecorder() *Recorder {
+	return &Recorder{fp: FoldSeed}
 }
 
-// Emit records one event: ring store, fingerprint fold, sink fan-out.
+// Emit folds one deterministic event and skips advisory ones.
 func (r *Recorder) Emit(e Event) {
-	r.total++
 	if e.Type.Deterministic() {
 		r.fp = FoldEvent(r.fp, e)
 		r.fpN++
 	}
-	r.ring[r.next] = e
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.wrapped = true
-	}
-	for _, s := range r.sinks {
-		s.Emit(e)
-	}
 }
 
-// Events returns the buffered events in emission order. When the run
-// outgrew the ring, only the most recent capacity-many events remain (the
-// running fingerprint still covers the whole stream).
-func (r *Recorder) Events() []Event {
-	if !r.wrapped {
-		return append([]Event(nil), r.ring[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	return append(out, r.ring[:r.next]...)
-}
-
-// Total returns the number of events emitted over the run, including any
-// that have been evicted from the ring.
-func (r *Recorder) Total() uint64 { return r.total }
-
-// Fingerprint returns the running FoldEvent hash over every deterministic
-// event emitted so far (evicted ones included). Two runs with equal
-// fingerprints executed the same deterministic event stream; the value is
-// what the golden trace tests pin and what the cross-driver matrix
-// compares.
+// Fingerprint returns the FoldEvent hash over every deterministic event
+// emitted so far. Two runs with equal fingerprints executed the same
+// deterministic event stream; the value is what the golden trace tests
+// pin and what the cross-driver matrix compares.
 func (r *Recorder) Fingerprint() uint64 { return r.fp }
 
 // DeterministicCount returns how many deterministic events the
@@ -338,8 +294,9 @@ func FoldEvent(h uint64, e Event) uint64 {
 }
 
 // Fingerprint hashes a recorded event slice the same way a Recorder does
-// on the fly, skipping advisory events. Fingerprint(rec.Events()) equals
-// rec.Fingerprint() whenever the ring did not overflow.
+// on the fly, skipping advisory events: a Recorder and a MemorySink
+// attached to the same run give rec.Fingerprint() ==
+// Fingerprint(mem.Events).
 func Fingerprint(events []Event) uint64 {
 	h := FoldSeed
 	for _, e := range events {

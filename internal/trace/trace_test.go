@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // allTypes is every defined event kind, for exhaustive table checks.
+// TestTypeNamesRoundTrip fails when typeNames names a kind missing here.
 var allTypes = []Type{
 	EvRoundStart, EvVertexFate, EvNodeState, EvHalt, EvDrop, EvDelay,
 	EvRNG, EvRoundEnd, EvShardBusy, EvMerge, EvRebalance,
-	EvRepair,
+	EvRepair, EvFrame, EvRespawn,
 }
 
 func TestTypeNamesRoundTrip(t *testing.T) {
@@ -26,6 +27,11 @@ func TestTypeNamesRoundTrip(t *testing.T) {
 			t.Fatalf("TypeFromString(%q) = %d, want %d", name, got, ty)
 		}
 	}
+	for ty, name := range typeNames {
+		if name != "" && !slices.Contains(allTypes, Type(ty)) {
+			t.Fatalf("typeNames names %q (type %d), which allTypes lacks", name, ty)
+		}
+	}
 	if got := TypeFromString("no-such-event"); got != 0 {
 		t.Fatalf("unknown name decoded to %d", got)
 	}
@@ -35,7 +41,7 @@ func TestTypeNamesRoundTrip(t *testing.T) {
 }
 
 func TestDeterministicClassification(t *testing.T) {
-	advisory := map[Type]bool{EvShardBusy: true, EvMerge: true, EvRebalance: true}
+	advisory := map[Type]bool{EvShardBusy: true, EvMerge: true, EvRebalance: true, EvFrame: true, EvRespawn: true}
 	for _, ty := range allTypes {
 		if ty.Deterministic() == advisory[ty] {
 			t.Fatalf("type %v: Deterministic() = %v", ty, ty.Deterministic())
@@ -60,26 +66,16 @@ func sampleTrace(rounds int) []Event {
 	return ev
 }
 
-func TestRecorderRingWrap(t *testing.T) {
-	events := sampleTrace(20)
-	rec := NewRecorder(8)
+// checkRecorder feeds events to a fresh Recorder and requires its
+// running fingerprint and count to equal the offline hash and the
+// deterministic length of the same stream, advisory events included in
+// the input and excluded from both.
+func checkRecorder(t *testing.T, events []Event) {
+	t.Helper()
+	rec := NewRecorder()
 	for _, e := range events {
 		rec.Emit(e)
 	}
-	if rec.Total() != uint64(len(events)) {
-		t.Fatalf("Total = %d, want %d", rec.Total(), len(events))
-	}
-	got := rec.Events()
-	if len(got) != 8 {
-		t.Fatalf("ring kept %d events, want 8", len(got))
-	}
-	for i, e := range got {
-		if e != events[len(events)-8+i] {
-			t.Fatalf("ring[%d] = %v, want %v", i, e, events[len(events)-8+i])
-		}
-	}
-	// The running fingerprint covers the whole stream, evicted events
-	// included, and matches the offline hash of the same stream.
 	if rec.Fingerprint() != Fingerprint(events) {
 		t.Fatalf("running fingerprint %#x != offline %#x", rec.Fingerprint(), Fingerprint(events))
 	}
@@ -88,31 +84,26 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
-func TestRecorderNoWrap(t *testing.T) {
-	events := sampleTrace(3)
-	rec := NewRecorder(0) // default size, no wrap
-	for _, e := range events {
-		rec.Emit(e)
+// TestRecorderRingWrap checks that the running fingerprint covers a
+// stream longer than the 64K-event ring a Recorder once kept: it holds
+// no events, so none are evicted and none are missed.
+func TestRecorderRingWrap(t *testing.T) {
+	events := sampleTrace(11000)
+	if len(events) <= 1<<16 {
+		t.Fatalf("stream of %d events is no longer than 64K", len(events))
 	}
-	got := rec.Events()
-	if len(got) != len(events) {
-		t.Fatalf("kept %d events, want %d", len(got), len(events))
-	}
-	if Fingerprint(got) != rec.Fingerprint() {
-		t.Fatal("Fingerprint(Events()) disagrees with running fingerprint")
-	}
+	checkRecorder(t, events)
 }
 
-func TestRecorderFanOut(t *testing.T) {
-	mem := &MemorySink{}
-	rec := NewRecorder(4, mem)
-	events := sampleTrace(2)
-	for _, e := range events {
-		rec.Emit(e)
+// TestRecorderNoWrap checks a fresh Recorder and a short stream.
+func TestRecorderNoWrap(t *testing.T) {
+	rec := NewRecorder()
+	if rec.Fingerprint() != Fingerprint(nil) || rec.DeterministicCount() != 0 {
+		t.Fatalf("fresh recorder: fingerprint %#x over %d events, want %#x over 0",
+			rec.Fingerprint(), rec.DeterministicCount(), Fingerprint(nil))
 	}
-	if len(mem.Events) != len(events) {
-		t.Fatalf("sink saw %d events, want %d (fan-out must not be ring-bounded)", len(mem.Events), len(events))
-	}
+	checkRecorder(t, sampleTrace(3))
+	checkRecorder(t, sampleTrace(20))
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
@@ -302,135 +293,6 @@ func TestChromeSinkProducesValidJSON(t *testing.T) {
 	}
 	if counters == 0 || meta != 2 {
 		t.Fatalf("chrome trace counters=%d meta=%d", counters, meta)
-	}
-}
-
-func TestRegistryRendersPrometheusText(t *testing.T) {
-	m := NewMetrics()
-	for _, e := range sampleTrace(4) {
-		m.Emit(e)
-	}
-	m.Emit(Event{Type: EvHalt, Round: 2, V: 3})
-	m.Emit(Event{Type: EvDelay, Round: 2, V: 1, W: 2, X: 1})
-
-	var buf bytes.Buffer
-	m.Registry().WriteText(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE congest_rounds_total counter",
-		"congest_rounds_total 5",
-		"congest_node_halts_total 1",
-		"congest_messages_delayed_total 1",
-		"# TYPE congest_live_nodes gauge",
-		"congest_live_nodes 96",
-		"# TYPE congest_round_messages histogram",
-		`congest_round_messages_bucket{le="+Inf"} 5`,
-		"congest_round_messages_count 5",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-
-	// RNG draws: sampleTrace emits X=10r for r=0..4 → 100 total.
-	if !strings.Contains(out, "congest_rng_draws_total 100") {
-		t.Fatalf("rng counter wrong:\n%s", out)
-	}
-}
-
-// TestMetricsFoldTransportEvents feeds the Metrics sink the distributed
-// driver's advisory transport events: two EvFrame records and one
-// EvRespawn must render as the frame byte counters, a round-trip
-// histogram of two samples, and one respawn.
-func TestMetricsFoldTransportEvents(t *testing.T) {
-	m := NewMetrics()
-	m.Emit(Event{Type: EvFrame, Round: 1, V: 0, X: 1000, Y: 200, Z: 1_953_125}) // 2^-9 s
-	m.Emit(Event{Type: EvFrame, Round: 1, V: 1, X: 24, Y: 3, Z: 500_000_000})   // 0.5 s
-	m.Emit(Event{Type: EvRespawn, Round: 4, V: 1, X: 3})
-
-	var buf bytes.Buffer
-	m.Registry().WriteText(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE congest_frame_bytes_out_total counter",
-		"congest_frame_bytes_out_total 1024",
-		"# TYPE congest_frame_bytes_in_total counter",
-		"congest_frame_bytes_in_total 203",
-		"# TYPE congest_respawns_total counter",
-		"congest_respawns_total 1",
-		"# TYPE congest_frame_rtt_seconds histogram",
-		`congest_frame_rtt_seconds_bucket{le="0.001"} 0`,
-		`congest_frame_rtt_seconds_bucket{le="0.01"} 1`,
-		`congest_frame_rtt_seconds_bucket{le="0.1"} 1`,
-		`congest_frame_rtt_seconds_bucket{le="1"} 2`,
-		`congest_frame_rtt_seconds_bucket{le="+Inf"} 2`,
-		"congest_frame_rtt_seconds_sum 0.501953125",
-		"congest_frame_rtt_seconds_count 2",
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRegistryHandler(t *testing.T) {
-	m := NewMetrics()
-	m.Rounds.Inc()
-	srv := httptest.NewServer(m.Registry().Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("content type %q", ct)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "congest_rounds_total 1") {
-		t.Fatalf("scrape missing counter:\n%s", body)
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate metric registration did not panic")
-		}
-	}()
-	r := NewRegistry()
-	r.Counter("x_total", "x")
-	r.Counter("x_total", "x again")
-}
-
-func TestCounterIgnoresNegative(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Add(-3)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "latency", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50)
-	var buf bytes.Buffer
-	r.WriteText(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		`lat_seconds_bucket{le="1"} 1`,
-		`lat_seconds_bucket{le="10"} 2`,
-		`lat_seconds_bucket{le="+Inf"} 3`,
-		"lat_seconds_sum 55.5",
-		"lat_seconds_count 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("histogram exposition missing %q:\n%s", want, out)
-		}
 	}
 }
 
