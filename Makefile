@@ -1,7 +1,7 @@
 # Developer entry points. The repo is plain `go build`-able; these targets
 # just name the workflows CI and PRs rely on.
 
-.PHONY: build test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test ci bench
+.PHONY: build test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test examples ci bench
 
 build:
 	go build ./...
@@ -33,12 +33,10 @@ misvet:
 # Engine safety net: vet plus race-detector coverage of the concurrent
 # code — the CONGEST drivers (sharded worker pool, distributed
 # coordinator), the multi-process fleet transport (frame codec, worker
-# protocol, crash recovery), Algorithm 1, whose run-wide node and
-# scale-record slices pool shard workers write concurrently, each at its
-# own vertices' entries, and the programs that keep per-neighbour state
-# in the engine's marks (matching, forest and the MIS programs), whose
-# pool tests write each shard's marks from that shard's goroutine, and
-# the dynamic-MIS engine, whose repairs run on the pool driver
+# protocol, crash recovery), the programs that keep per-neighbour state
+# in the engine's marks (Algorithm 1, matching, forest and the MIS
+# programs), whose pool tests write each shard's marks from that shard's
+# goroutine, and the dynamic-MIS engine, whose repairs run on the pool driver
 # (TestGoldenStreamFingerprint, TestApplyBytes) with the engine's own
 # trace.Recorder as the run's sink.
 RACE_PKGS = ./internal/congest/... ./internal/distrib/... ./internal/core/... \
@@ -98,10 +96,11 @@ cover:
 # sequentially and on two pool shards, because their per-neighbour state
 # lives in the engine's marks, one allocation per shard, not in
 # per-vertex slices or maps; and a whole
-# Algorithm 1 run (RunAlg1: nodes, Run, outputs) must make at most 64
-# heap objects plus one per returned ScaleRecord at n = 2^10 and 2^14,
-# sequentially and on two pool shards, because its nodes and records live
-# in run-wide slices and its active-neighbour flags in the marks; and a
+# Algorithm 1 run (RunAlg1: nodes, Run, statuses) must make at most 64
+# heap objects at n = 2^10 and 2^14, sequentially and on two pool shards,
+# because its nodes come from a slab, its active-neighbour flags live in
+# the marks and its scale records ride the event bus, which an untraced
+# run leaves off; and a
 # 2^14-vertex graph must keep 4 bytes per CSR offset and adjacency entry,
 # with New allocating no more than that plus one n-entry int32 scratch,
 # because vertex IDs fit an int32 and New counts degrees and fills rows
@@ -150,14 +149,24 @@ fuzz-smoke:
 perfbench-test:
 	cd perfbench && go test ./...
 
+# Example programs: runs every examples/* main and fails on a non-zero
+# exit. No test drives them, and examples/shattering is the one reader of
+# Algorithm 1's scale records through the public API. Fast (< 1s on a
+# warm build cache); runs in ci.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		go run ./$$d >/dev/null || exit 1; \
+	done
+
 # Full pre-merge gate: build (cmd/traceview included via ./...) + tests,
 # repo-wide vet, the gofmt gate, the misvet analyzer suite, race-detector
-# pass, coverage floors, allocation gates, decoder fuzz smoke and the
-# benchmark's own suite. Cross-driver identity (sequential, pool and
+# pass, coverage floors, allocation gates, decoder fuzz smoke, the
+# benchmark's own suite and the example programs. Cross-driver identity (sequential, pool and
 # multi-process fleets, clean and faulted, static and dynamic graphs) is
 # pinned by tests under `go test ./...`; the benchmark itself is
 # perfbench (BENCHMARK.json).
-ci: test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test
+ci: test vet fmt misvet race cover alloc-gate fuzz-smoke perfbench-test examples
 
 # Engine driver micro-benchmarks (ns/round per driver at n = 2^11, 2^14).
 bench:

@@ -119,8 +119,33 @@ func TestCommands(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("chrome exit %d: %s", code, errOut)
 	}
-	if !json.Valid([]byte(out)) {
-		t.Errorf("chrome output is not JSON:\n%.500s", out)
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("chrome output is not JSON: %v\n%.500s", err, out)
+	}
+	// Each run is its own process, named for its place in the file, and
+	// holds its own round slices.
+	names, slices := map[int]any{}, map[int]int{}
+	for _, te := range doc.TraceEvents {
+		switch {
+		case te.Ph == "M" && te.Name == "process_name":
+			names[te.Pid] = te.Args["name"]
+		case te.Ph == "X" && strings.HasPrefix(te.Name, "round "):
+			slices[te.Pid]++
+		}
+	}
+	if want := map[int]any{1: "run 1", 2: "run 2"}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Errorf("chrome names processes %v, want %v", names, want)
+	}
+	if len(slices) != 2 || slices[1] == 0 || slices[2] == 0 {
+		t.Errorf("chrome puts round slices in processes %v, want runs 1 and 2", slices)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/mis/base"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -37,7 +39,9 @@ func run() error {
 	}
 	fmt.Printf("params: Θ=%d scales, Λ=%d iteration/scale (stressed)\n\n", params.NumScales, params.Iterations)
 
-	out, err := repro.ComputeMISWithParams(g, params, repro.Options{Seed: 5})
+	// Algorithm 1's scale records ride the run's event stream.
+	var events trace.MemorySink
+	out, err := repro.ComputeMISWithParams(g, params, repro.Options{Seed: 5, Events: &events})
 	if err != nil {
 		return err
 	}
@@ -45,17 +49,18 @@ func run() error {
 	// Phase 1: the shattering stage.
 	alg1 := out.Alg1
 	fmt.Printf("phase 1 (BoundedArbIndependentSet): %d rounds\n", out.Stages[0].Result.Rounds)
-	fmt.Printf("  joined I:  %5d\n", alg1.CountStatus(base.StatusInMIS))
-	fmt.Printf("  dominated: %5d\n", alg1.CountStatus(base.StatusDominated))
-	fmt.Printf("  bad (B):   %5d\n", alg1.CountStatus(base.StatusBad))
-	fmt.Printf("  deferred:  %5d\n\n", alg1.CountStatus(base.StatusActive))
+	fmt.Printf("  joined I:  %5d\n", base.Count(alg1, base.StatusInMIS))
+	fmt.Printf("  dominated: %5d\n", base.Count(alg1, base.StatusDominated))
+	fmt.Printf("  bad (B):   %5d\n", base.Count(alg1, base.StatusBad))
+	fmt.Printf("  deferred:  %5d\n\n", base.Count(alg1, base.StatusActive))
 
 	// The Invariant, per scale: worst surviving high-degree-neighbor count.
 	fmt.Println("Invariant per scale (max high-degree neighbors among survivors vs bound):")
+	records := core.ScaleRecords(events.Events, params, n)
 	for k := 1; k <= params.NumScales; k++ {
 		worst, bound, seen := 0, 0, false
-		for v, tr := range alg1.Traces {
-			if alg1.Statuses[v] == base.StatusBad && len(tr) == k {
+		for v, tr := range records {
+			if alg1[v] == base.StatusBad && len(tr) == k {
 				continue // expelled at this scale
 			}
 			for _, rec := range tr {

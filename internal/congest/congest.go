@@ -262,7 +262,8 @@ func (c *Context) Halt() { c.shard.halting = true }
 // Emit records a program-defined node-state transition on the run's
 // execution trace (a trace.EvNodeState event with this vertex, the given
 // code, and the given value — by convention code is a mis/proto
-// announcement kind). It is a no-op when no trace sink is attached, so
+// announcement kind, or a code of the program's own above them). It is a
+// no-op when no trace sink is attached, so
 // programs can instrument transitions unconditionally. Emission order is
 // deterministic across drivers: events ride the same shard-ordered merge
 // as messages.

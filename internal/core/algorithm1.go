@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mis/base"
 	"repro/internal/mis/proto"
+	"repro/internal/trace"
 )
 
 // ScaleRecord is one node's instrumentation snapshot at the end of a scale,
@@ -25,58 +26,41 @@ type ScaleRecord struct {
 	Bound int
 }
 
-// Alg1Output is the result of one BoundedArbIndependentSet run.
-type Alg1Output struct {
-	// Statuses holds, per node: StatusInMIS (joined I), StatusDominated
-	// (neighbor joined I), StatusBad (placed in B), or StatusActive (still
-	// in V_IB when the scales ran out — the deferred set the finishing
-	// stages handle).
-	Statuses []base.Status
-	// Traces[v] holds v's per-scale records for the scales it survived.
-	Traces [][]ScaleRecord
-	// Result carries engine round/message accounting.
-	Result congest.Result
-	// Params echoes the parameters the run used.
-	Params *Params
-}
+// scaleCode is the node-state event code (congest.Context.Emit) a node
+// records each scale's bad test under, with value deg_IB<<32 | the
+// high-degree-neighbour count. It lies above every mis/proto announcement
+// kind, the codes other programs emit.
+const scaleCode = 1 << 8
 
-// CountStatus tallies how many nodes finished with status s.
-func (o *Alg1Output) CountStatus(s base.Status) int {
-	n := 0
-	for _, got := range o.Statuses {
-		if got == s {
-			n++
+// ScaleRecords rebuilds each vertex's scale records, in scale order, from
+// the event stream of one Algorithm 1 run on an n-vertex graph under
+// params (capture it with a trace sink in congest.Options.Events). The
+// scale and the bound follow from the event's round; events of any other
+// kind or code are skipped, so the stream may hold other programs' runs.
+func ScaleRecords(events []trace.Event, params *Params, n int) [][]ScaleRecord {
+	records := make([][]ScaleRecord, n)
+	for _, e := range events {
+		if e.Type != trace.EvNodeState || e.X != scaleCode {
+			continue
 		}
+		scale := params.scaleOf(int(e.Round))
+		records[e.V] = append(records[e.V], ScaleRecord{
+			Scale:       scale,
+			DegIB:       int(e.Y >> 32),
+			HighDegNbrs: int(uint32(e.Y)),
+			Bound:       params.BadLimit(scale),
+		})
 	}
-	return n
+	return records
 }
 
-// alg1Run is one Algorithm 1 run's state. Every vertex's node lives in one
-// slab and the scale records in one per-vertex table that becomes
-// Alg1Output.Traces as is; the active-neighbour flags are the engine's
-// marks (congest.Context.Marks). So the only per-vertex allocations left
-// are the backing arrays of the records a run returns. A node reaches the
-// run through its one pointer; shard workers write only their own
-// vertices' entries.
-type alg1Run struct {
-	params *Params
-	nodes  []node
-	traces [][]ScaleRecord // traces[v]: v's records, appended at each scale's bad test
-}
-
-func newAlg1Run(g *graph.Graph, params *Params) *alg1Run {
-	return &alg1Run{
-		params: params,
-		nodes:  make([]node, g.N()),
-		traces: make([][]ScaleRecord, g.N()),
+// New returns a factory for Algorithm 1 nodes under params, for use with
+// congest.NewRunner.
+func New(params *Params) func(v int) congest.Node {
+	var slab base.Slab[node]
+	return func(int) congest.Node {
+		return slab.New(node{params: params, status: base.StatusActive})
 	}
-}
-
-// newNode is the node factory: it hands out vertex v's node from the slab.
-func (run *alg1Run) newNode(v int) congest.Node {
-	nd := &run.nodes[v]
-	*nd = node{run: run, status: base.StatusActive}
-	return nd
 }
 
 // node is the per-vertex state machine of Algorithm 1. The whole schedule
@@ -90,14 +74,14 @@ func (run *alg1Run) newNode(v int) congest.Node {
 //	    phase 1: compare priorities; local maxima join I and halt
 //	    phase 2: neighbors of joiners announce removal and halt
 //	  slot 3Λ:    process removals, broadcast current active degree
-//	  slot 3Λ+1:  count high-degree active neighbors; nodes over the
-//	              Invariant bound turn bad, announce removal and halt
+//	  slot 3Λ+1:  count high-degree active neighbors and emit the scale
+//	              record; nodes over the Invariant bound turn bad,
+//	              announce removal and halt
 //
 // It keeps Γ_IB and deg_IB in its active set, whose removal count fits in
-// the node's padding; its scale records live in the run, indexed by
-// ctx.ID().
+// the node's padding.
 type node struct {
-	run      *alg1Run
+	params   *Params
 	priority uint64
 	status   base.Status
 	compete  bool
@@ -107,34 +91,27 @@ type node struct {
 // ExportState is the node's output, its status (congest.Porter).
 func (nd *node) ExportState() uint64 { return uint64(nd.status) }
 
-// RunAlg1 executes BoundedArbIndependentSet on g. It reads each node's
-// scale records after the run, so it refuses the distributed driver.
-func RunAlg1(g *graph.Graph, params *Params, opts congest.Options) (*Alg1Output, error) {
+// RunAlg1 executes BoundedArbIndependentSet on g and returns each node's
+// status — StatusInMIS (joined I), StatusDominated (a neighbor joined I),
+// StatusBad (placed in B) or StatusActive (still in V_IB when the scales
+// ran out: the deferred set the finishing stages handle) — with the run's
+// statistics. Each node's scale records ride opts.Events; ScaleRecords
+// rebuilds them.
+func RunAlg1(g *graph.Graph, params *Params, opts congest.Options) ([]base.Status, congest.Result, error) {
 	if opts.Driver == congest.DriverDistributed {
-		return nil, errors.New("core: RunAlg1 reads each node's scale records in process; the distributed driver returns one output word per vertex")
+		return nil, congest.Result{}, errors.New("core: RunAlg1 cannot use the distributed driver: the distrib registry has no Algorithm 1 program")
 	}
 	if err := params.Validate(); err != nil {
-		return nil, err
+		return nil, congest.Result{}, err
 	}
 	if params.Delta < g.MaxDegree() {
-		return nil, fmt.Errorf("core: params built for Δ=%d but graph has Δ=%d", params.Delta, g.MaxDegree())
+		return nil, congest.Result{}, fmt.Errorf("core: params built for Δ=%d but graph has Δ=%d", params.Delta, g.MaxDegree())
 	}
-	run := newAlg1Run(g, params)
-	r := congest.NewRunner(g, run.newNode, opts)
-	res, err := r.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &Alg1Output{
-		Statuses: base.Statuses(r, g.N()),
-		Traces:   run.traces,
-		Result:   res,
-		Params:   params,
-	}, nil
+	return base.Run(g, New(params), opts)
 }
 
 func (nd *node) Init(ctx *congest.Context) {
-	if nd.run.params.TotalRounds() == 0 {
+	if nd.params.TotalRounds() == 0 {
 		// Θ = 0: the scale loop is empty (paper constants at small Δ);
 		// every node stays in V_IB for the finishing stages.
 		ctx.Halt()
@@ -145,7 +122,7 @@ func (nd *node) Init(ctx *congest.Context) {
 
 // startIteration is phase 0: apply the ρₖ opt-out and broadcast a priority.
 func (nd *node) startIteration(ctx *congest.Context, scale int) {
-	p := nd.run.params
+	p := nd.params
 	nd.compete = !p.RhoOptOut || nd.active.Count(ctx) <= p.Rho(scale)
 	if nd.compete {
 		nd.priority = ctx.RNG().Uint64()
@@ -166,8 +143,7 @@ func (nd *node) processRemovals(ctx *congest.Context, inbox []congest.Message) {
 }
 
 func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
-	slot, v := ctx.Round(), ctx.ID()
-	run, p := nd.run, nd.run.params
+	slot, p := ctx.Round(), nd.params
 	inScale := slot % p.RoundsPerScale()
 	scale := p.scaleOf(slot)
 	last := slot == p.TotalRounds()-1
@@ -179,7 +155,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 			nd.processRemovals(ctx, inbox)
 			nd.startIteration(ctx, scale)
 		case 1: // priorities arrived
-			if nd.wins(v, inbox) {
+			if nd.wins(ctx.ID(), inbox) {
 				nd.status = base.StatusInMIS
 				ctx.Broadcast(proto.Flag{Kind: proto.KindJoined}.Wire())
 				ctx.Halt()
@@ -207,12 +183,7 @@ func (nd *node) Round(ctx *congest.Context, inbox []congest.Message) {
 				}
 			}
 		}
-		run.traces[v] = append(run.traces[v], ScaleRecord{
-			Scale:       scale,
-			DegIB:       nd.active.Count(ctx),
-			HighDegNbrs: high,
-			Bound:       p.BadLimit(scale),
-		})
+		ctx.Emit(scaleCode, int64(nd.active.Count(ctx))<<32|int64(high))
 		if high > p.BadLimit(scale) {
 			nd.status = base.StatusBad
 			ctx.Broadcast(proto.Flag{Kind: proto.KindRemoved}.Wire())

@@ -25,8 +25,9 @@ type Outcome struct {
 	// MIS marks the final maximal independent set; it is verified against
 	// the input graph before ArbMIS returns.
 	MIS []bool
-	// Alg1 is the instrumented output of the shattering stage.
-	Alg1 *Alg1Output
+	// Alg1 holds each node's status after the shattering stage
+	// (Algorithm 1; see RunAlg1).
+	Alg1 []base.Status
 	// Stages lists every pipeline stage in execution order.
 	Stages []Stage
 	// BadComponentSizes are the connected-component sizes of G[B]
@@ -99,21 +100,21 @@ func ArbMIS(g *graph.Graph, params *Params, opts congest.Options) (*Outcome, err
 type stageFn func(sub *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error)
 
 func arbMIS(g *graph.Graph, params *Params, opts congest.Options, badFinisher stageFn) (*Outcome, error) {
-	out1, err := RunAlg1(g, params, opts)
+	statuses, res, err := RunAlg1(g, params, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: algorithm 1: %w", err)
 	}
 	o := &Outcome{
 		MIS:  make([]bool, g.N()),
-		Alg1: out1,
+		Alg1: statuses,
 		Stages: []Stage{{
 			Name:   "alg1",
 			Nodes:  g.N(),
-			Result: out1.Result,
+			Result: res,
 		}},
 	}
 	var deferred, bad []int
-	for v, s := range out1.Statuses {
+	for v, s := range statuses {
 		switch s {
 		case base.StatusInMIS:
 			o.MIS[v] = true

@@ -3,13 +3,16 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"repro/internal/congest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mis/base"
+	"repro/internal/mis/metivier"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 func TestPaperParamsFormulas(t *testing.T) {
@@ -85,11 +88,11 @@ func TestParamsValidateRejects(t *testing.T) {
 func TestRunAlg1AllNodesClassified(t *testing.T) {
 	g := gen.UnionOfTrees(300, 2, rng.New(1))
 	params := PracticalParams(2, g.MaxDegree())
-	out, err := RunAlg1(g, params, congest.Options{Seed: 3})
+	statuses, _, err := RunAlg1(g, params, congest.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, s := range out.Statuses {
+	for v, s := range statuses {
 		switch s {
 		case base.StatusInMIS, base.StatusDominated, base.StatusBad, base.StatusActive:
 		default:
@@ -97,17 +100,17 @@ func TestRunAlg1AllNodesClassified(t *testing.T) {
 		}
 	}
 	// The independent set I must be independent.
-	if ok, bad := g.IsIndependent(base.MISSet(out.Statuses)); !ok {
+	if ok, bad := g.IsIndependent(base.MISSet(statuses)); !ok {
 		t.Fatalf("I not independent: edge %v", bad)
 	}
 	// Every dominated node has an I neighbor.
-	for v, s := range out.Statuses {
+	for v, s := range statuses {
 		if s != base.StatusDominated {
 			continue
 		}
 		found := false
 		for _, w := range g.Neighbors(v) {
-			if out.Statuses[w] == base.StatusInMIS {
+			if statuses[w] == base.StatusInMIS {
 				found = true
 			}
 		}
@@ -120,24 +123,21 @@ func TestRunAlg1AllNodesClassified(t *testing.T) {
 func TestRunAlg1ScheduleLength(t *testing.T) {
 	g := gen.UnionOfTrees(200, 2, rng.New(2))
 	params := PracticalParams(2, g.MaxDegree())
-	out, err := RunAlg1(g, params, congest.Options{Seed: 1})
+	_, res, err := RunAlg1(g, params, congest.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.Rounds > params.TotalRounds() {
-		t.Fatalf("rounds %d exceed schedule %d", out.Result.Rounds, params.TotalRounds())
+	if res.Rounds > params.TotalRounds() {
+		t.Fatalf("rounds %d exceed schedule %d", res.Rounds, params.TotalRounds())
 	}
 }
 
 func TestRunAlg1TracesRespectSchedule(t *testing.T) {
 	g := gen.UnionOfTrees(250, 3, rng.New(3))
 	params := PracticalParams(3, g.MaxDegree())
-	out, err := RunAlg1(g, params, congest.Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, records, _ := tracedAlg1(t, g, params, congest.Options{Seed: 2})
 	sawTrace := false
-	for v, tr := range out.Traces {
+	for v, tr := range records {
 		for i, rec := range tr {
 			sawTrace = true
 			if rec.Scale != i+1 {
@@ -156,6 +156,40 @@ func TestRunAlg1TracesRespectSchedule(t *testing.T) {
 	}
 }
 
+func TestScaleRecordsSkipOtherPrograms(t *testing.T) {
+	// One stream holds a Métivier run, whose KindJoined/KindRemoved
+	// node-state events share the stream's vertices and rounds, then an
+	// Algorithm 1 run: only the Algorithm 1 events are scale records.
+	g := gen.UnionOfTrees(250, 3, rng.New(6))
+	params := PracticalParams(3, g.MaxDegree())
+	var both, alone trace.MemorySink
+	if _, _, err := metivier.Run(g, congest.Options{Seed: 1, Events: &both}); err != nil {
+		t.Fatal(err)
+	}
+	states := 0
+	for _, e := range both.Events {
+		if e.Type == trace.EvNodeState {
+			states++
+		}
+	}
+	if states == 0 {
+		t.Fatal("the Métivier run emitted no node-state events")
+	}
+	for _, sink := range []*trace.MemorySink{&both, &alone} {
+		if _, _, err := RunAlg1(g, params, congest.Options{Seed: 2, Events: sink}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := ScaleRecords(alone.Events, params, g.N())
+	if countRecords(want) == 0 {
+		t.Fatal("the Algorithm 1 run emitted no scale records")
+	}
+	if got := ScaleRecords(both.Events, params, g.N()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("with %d Métivier node-state events before it, the stream decodes to %d records, want %d",
+			states, countRecords(got), countRecords(want))
+	}
+}
+
 func TestRunAlg1SurvivorsSatisfyInvariant(t *testing.T) {
 	// Nodes still active at a scale's end either satisfied the Invariant
 	// or were moved to B: survivors' final trace entries must be within
@@ -163,15 +197,12 @@ func TestRunAlg1SurvivorsSatisfyInvariant(t *testing.T) {
 	// mechanism.)
 	g := gen.UnionOfTrees(400, 2, rng.New(4))
 	params := PracticalParams(2, g.MaxDegree())
-	out, err := RunAlg1(g, params, congest.Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, s := range out.Statuses {
+	statuses, records, _ := tracedAlg1(t, g, params, congest.Options{Seed: 5})
+	for v, s := range statuses {
 		if s != base.StatusActive {
 			continue
 		}
-		tr := out.Traces[v]
+		tr := records[v]
 		if len(tr) != params.NumScales {
 			t.Fatalf("survivor %d has %d trace entries, want %d", v, len(tr), params.NumScales)
 		}
@@ -183,11 +214,11 @@ func TestRunAlg1SurvivorsSatisfyInvariant(t *testing.T) {
 		}
 	}
 	// Bad nodes must have violated the bound at their last scale.
-	for v, s := range out.Statuses {
+	for v, s := range statuses {
 		if s != base.StatusBad {
 			continue
 		}
-		tr := out.Traces[v]
+		tr := records[v]
 		if len(tr) == 0 {
 			t.Fatalf("bad node %d has no trace", v)
 		}
@@ -201,7 +232,7 @@ func TestRunAlg1SurvivorsSatisfyInvariant(t *testing.T) {
 func TestRunAlg1RejectsWrongDelta(t *testing.T) {
 	g := gen.Star(50)
 	params := PracticalParams(1, 3) // graph has Δ=49
-	if _, err := RunAlg1(g, params, congest.Options{Seed: 1}); err == nil {
+	if _, _, err := RunAlg1(g, params, congest.Options{Seed: 1}); err == nil {
 		t.Fatal("accepted params built for smaller Δ")
 	}
 }
@@ -209,14 +240,14 @@ func TestRunAlg1RejectsWrongDelta(t *testing.T) {
 func TestRunAlg1ThetaZeroNoop(t *testing.T) {
 	g := gen.UnionOfTrees(100, 2, rng.New(5))
 	params := PaperParams(2, g.MaxDegree(), 1) // Θ=0 at this scale
-	out, err := RunAlg1(g, params, congest.Options{Seed: 1})
+	statuses, res, err := RunAlg1(g, params, congest.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.Rounds != 0 {
-		t.Fatalf("no-op ran %d rounds", out.Result.Rounds)
+	if res.Rounds != 0 {
+		t.Fatalf("no-op ran %d rounds", res.Rounds)
 	}
-	for v, s := range out.Statuses {
+	for v, s := range statuses {
 		if s != base.StatusActive {
 			t.Fatalf("node %d status %v after no-op", v, s)
 		}
@@ -352,8 +383,7 @@ func TestArbMISParallelDriver(t *testing.T) {
 	// the engine counters — is pinned on a 2^12-vertex union of 3 trees
 	// for two seeds, plus a one-iteration run whose last-scale bad limit
 	// of −1 turns every scale-2 survivor bad. Every driver shape must
-	// reproduce the pins: the run-wide node, flag and record slices are
-	// written by shard workers, each at its own vertices' entries.
+	// reproduce the pins, with the records rebuilt from the run's events.
 	g = gen.UnionOfTrees(1<<12, 3, rng.New(12))
 	params = PracticalParams(3, g.MaxDegree())
 	forced := PracticalParams(3, g.MaxDegree())
@@ -381,33 +411,44 @@ func TestArbMISParallelDriver(t *testing.T) {
 		for _, d := range drivers {
 			opts := d.opts
 			opts.Seed = pin.seed
-			out, err := RunAlg1(g, pin.params, opts)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", pin.seed, d.name, err)
-			}
-			if got := alg1Fingerprint(out); got != pin.want {
+			statuses, records, res := tracedAlg1(t, g, pin.params, opts)
+			if got := alg1Fingerprint(statuses, records, res); got != pin.want {
 				t.Errorf("seed %d %s: fingerprint %#x, want %#x (%d rounds, %d bad, %d records)",
-					pin.seed, d.name, got, pin.want, out.Result.Rounds,
-					out.CountStatus(base.StatusBad), countRecords(out))
+					pin.seed, d.name, got, pin.want, res.Rounds,
+					base.Count(statuses, base.StatusBad), countRecords(records))
 			}
 		}
 	}
 }
 
-// alg1Fingerprint hashes everything RunAlg1 returns about a run: every
+// tracedAlg1 runs Algorithm 1 with its events captured and returns the
+// statuses, the scale records ScaleRecords rebuilds from the events and
+// the Result.
+func tracedAlg1(t *testing.T, g *graph.Graph, params *Params, opts congest.Options) ([]base.Status, [][]ScaleRecord, congest.Result) {
+	t.Helper()
+	var mem trace.MemorySink
+	opts.Events = &mem
+	statuses, res, err := RunAlg1(g, params, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return statuses, ScaleRecords(mem.Events, params, g.N()), res
+}
+
+// alg1Fingerprint hashes everything an Algorithm 1 run yields: every
 // status, each vertex's scale records (count first, so records cannot
 // shift between vertices unnoticed) and every Result counter.
-func alg1Fingerprint(out *Alg1Output) uint64 {
+func alg1Fingerprint(statuses []base.Status, records [][]ScaleRecord, r congest.Result) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	word := func(x int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(x))
 		h.Write(buf[:])
 	}
-	for _, s := range out.Statuses {
+	for _, s := range statuses {
 		word(int64(s))
 	}
-	for _, tr := range out.Traces {
+	for _, tr := range records {
 		word(int64(len(tr)))
 		for _, rec := range tr {
 			word(int64(rec.Scale))
@@ -416,17 +457,16 @@ func alg1Fingerprint(out *Alg1Output) uint64 {
 			word(int64(rec.Bound))
 		}
 	}
-	r := out.Result
 	for _, x := range []int64{int64(r.Rounds), r.Messages, r.TotalBits, int64(r.MaxMessageBits), r.Dropped, r.Delayed} {
 		word(x)
 	}
 	return h.Sum64()
 }
 
-// countRecords is the number of ScaleRecords a run returned.
-func countRecords(out *Alg1Output) int {
+// countRecords is the number of scale records across vertices.
+func countRecords(records [][]ScaleRecord) int {
 	n := 0
-	for _, tr := range out.Traces {
+	for _, tr := range records {
 		n += len(tr)
 	}
 	return n
@@ -460,22 +500,13 @@ func TestBadComponentSizesSorted(t *testing.T) {
 			t.Fatal("component sizes not sorted descending")
 		}
 	}
-	badCount := out.Alg1.CountStatus(base.StatusBad)
+	badCount := base.Count(out.Alg1, base.StatusBad)
 	sum := 0
 	for _, s := range sizes {
 		sum += s
 	}
 	if sum != badCount {
 		t.Fatalf("component sizes sum to %d, |B| = %d", sum, badCount)
-	}
-}
-
-func TestCountStatus(t *testing.T) {
-	out := &Alg1Output{Statuses: []base.Status{
-		base.StatusInMIS, base.StatusBad, base.StatusInMIS, base.StatusActive,
-	}}
-	if out.CountStatus(base.StatusInMIS) != 2 || out.CountStatus(base.StatusBad) != 1 {
-		t.Fatal("CountStatus wrong")
 	}
 }
 
@@ -493,7 +524,7 @@ func TestArbMISForcedBadSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Alg1.CountStatus(base.StatusBad) == 0 {
+	if base.Count(out.Alg1, base.StatusBad) == 0 {
 		t.Fatal("forcing produced no bad nodes")
 	}
 	if len(out.BadComponentSizes) == 0 {

@@ -23,7 +23,7 @@ func TestArbMISWithFinisherForestCV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Alg1.CountStatus(base.StatusBad) == 0 {
+	if base.Count(out.Alg1, base.StatusBad) == 0 {
 		t.Fatal("forcing produced no bad nodes")
 	}
 	if err := g.VerifyMIS(out.MIS); err != nil {

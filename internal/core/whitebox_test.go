@@ -76,11 +76,11 @@ func TestRhoOptOutOnStar(t *testing.T) {
 	}
 	hubJoined := 0
 	for seed := uint64(0); seed < 20; seed++ {
-		out, err := RunAlg1(g, params, congest.Options{Seed: seed})
+		statuses, _, err := RunAlg1(g, params, congest.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Statuses[0] == base.StatusInMIS {
+		if statuses[0] == base.StatusInMIS {
 			hubJoined++
 		}
 	}

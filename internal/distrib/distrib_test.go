@@ -562,7 +562,7 @@ func TestInProcessReadersRefuseDistributed(t *testing.T) {
 		{"colevishkin.Colors", func() error { _, _, err := colevishkin.Colors(g, parent, opts); return err }},
 		{"matching.Run", func() error { _, _, err := matching.Run(g, opts); return err }},
 		{"forest.Decompose", func() error { _, _, err := forest.Decompose(g, 2, opts); return err }},
-		{"core.RunAlg1", func() error { _, err := core.RunAlg1(g, core.PracticalParams(1, g.MaxDegree()), opts); return err }},
+		{"core.RunAlg1", func() error { _, _, err := core.RunAlg1(g, core.PracticalParams(1, g.MaxDegree()), opts); return err }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {

@@ -35,14 +35,14 @@ func A1RhoOptOut(c Config) (*Report, error) {
 			g := gen.PreferentialAttachment(n, 3, c.graphRNG(graphLabel, i))
 			params := stressParams(3, g.MaxDegree())
 			params.RhoOptOut = optout
-			out, err := core.RunAlg1(g, params, c.opts(runLabel, i))
+			statuses, res, err := core.RunAlg1(g, params, c.opts(runLabel, i))
 			if err != nil {
 				return nil, fmt.Errorf("A1: %w", err)
 			}
-			rounds.Add(float64(out.Result.Rounds))
-			inMIS.Add(float64(out.CountStatus(base.StatusInMIS)) / float64(n))
-			bad.Add(float64(out.CountStatus(base.StatusBad)) / float64(n))
-			deferred.Add(float64(out.CountStatus(base.StatusActive)) / float64(n))
+			rounds.Add(float64(res.Rounds))
+			inMIS.Add(float64(base.Count(statuses, base.StatusInMIS)) / float64(n))
+			bad.Add(float64(base.Count(statuses, base.StatusBad)) / float64(n))
+			deferred.Add(float64(base.Count(statuses, base.StatusActive)) / float64(n))
 			if i == 0 {
 				o, _ := g.OrientByDegeneracy()
 				all := make([]int, g.N())
@@ -105,7 +105,7 @@ func A2ParamProfiles(c Config) (*Report, error) {
 			}
 			alg1 := out.Stages[0].Result.Rounds
 			alg1R.Add(float64(alg1))
-			done := out.Alg1.CountStatus(base.StatusInMIS) + out.Alg1.CountStatus(base.StatusDominated)
+			done := base.Count(out.Alg1, base.StatusInMIS) + base.Count(out.Alg1, base.StatusDominated)
 			resolved.Add(float64(done) / float64(n))
 			finR.Add(float64(out.TotalRounds() - alg1))
 			totR.Add(float64(out.TotalRounds()))
@@ -142,10 +142,10 @@ func A3ScaleSensitivity(c Config) (*Report, error) {
 				return nil, fmt.Errorf("A3: lambda=%d: %w", lambda, err)
 			}
 			alg1R.Add(float64(out.Stages[0].Result.Rounds))
-			done := out.Alg1.CountStatus(base.StatusInMIS) + out.Alg1.CountStatus(base.StatusDominated)
+			done := base.Count(out.Alg1, base.StatusInMIS) + base.Count(out.Alg1, base.StatusDominated)
 			resolved.Add(float64(done) / float64(n))
-			deferred.Add(float64(out.Alg1.CountStatus(base.StatusActive)) / float64(n))
-			bad.Add(float64(out.Alg1.CountStatus(base.StatusBad)) / float64(n))
+			deferred.Add(float64(base.Count(out.Alg1, base.StatusActive)) / float64(n))
+			bad.Add(float64(base.Count(out.Alg1, base.StatusBad)) / float64(n))
 			totR.Add(float64(out.TotalRounds()))
 		}
 		table.AddRow(lambda, alg1R.Mean(), resolved.Mean(), deferred.Mean(), bad.Mean(), totR.Mean())

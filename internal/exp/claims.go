@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/mis/base"
 	"repro/internal/mis/metivier"
 	"repro/internal/shatter"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // E1RoundsVsN reproduces Theorem 2.1's growth claim: ArbMIS round counts on
@@ -147,11 +150,11 @@ func E3BadNodeProbability(c Config) (*Report, error) {
 					g = gen.PreferentialAttachment(n, 3, r)
 				}
 				params := core.PracticalParams(3, g.MaxDegree())
-				out, err := core.RunAlg1(g, params, c.opts(label, i))
+				statuses, _, err := core.RunAlg1(g, params, c.opts(label, i))
 				if err != nil {
 					return nil, fmt.Errorf("E3: %s n=%d: %w", fam, n, err)
 				}
-				badFrac.Add(float64(out.CountStatus(base.StatusBad)) / float64(n))
+				badFrac.Add(float64(base.Count(statuses, base.StatusBad)) / float64(n))
 				deltaS.Add(float64(g.MaxDegree()))
 			}
 			bound := 1 / (deltaS.Mean() * deltaS.Mean())
@@ -198,15 +201,15 @@ func E4Shattering(c Config) (*Report, error) {
 	for i := 0; i < c.seeds(); i++ {
 		g := gen.PreferentialAttachment(n, 3, c.graphRNG(label, i))
 		params := stressParams(3, g.MaxDegree())
-		out, err := core.RunAlg1(g, params, c.opts(label, i))
+		statuses, records, err := runAlg1Records(g, params, c.opts(label, i))
 		if err != nil {
 			return nil, fmt.Errorf("E4: %w", err)
 		}
 		deltaS.Add(float64(g.MaxDegree()))
 		for k := 1; k <= params.NumScales; k++ {
 			var survivors, bad []int
-			for v, tr := range out.Traces {
-				if out.Statuses[v] == base.StatusBad && len(tr) <= k {
+			for v, tr := range records {
+				if statuses[v] == base.StatusBad && len(tr) <= k {
 					bad = append(bad, v) // expelled at or before scale k
 					continue
 				}
@@ -257,6 +260,22 @@ func E4Shattering(c Config) (*Report, error) {
 	return rep, nil
 }
 
+// runAlg1Records runs Algorithm 1 and rebuilds each node's scale records
+// from the run's node-state events, which still reach opts.Events.
+func runAlg1Records(g *graph.Graph, params *core.Params, opts congest.Options) ([]base.Status, [][]core.ScaleRecord, error) {
+	var states []trace.Event
+	opts.Events = tap{next: opts.Events, fn: func(e trace.Event) {
+		if e.Type == trace.EvNodeState {
+			states = append(states, e)
+		}
+	}}
+	statuses, _, err := core.RunAlg1(g, params, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return statuses, core.ScaleRecords(states, params, g.N()), nil
+}
+
 // stressParams tightens the practical profile so bad nodes actually occur:
 // one iteration per scale and bad thresholds four times stricter.
 func stressParams(alpha, delta int) *core.Params {
@@ -299,11 +318,11 @@ func E5Invariant(c Config) (*Report, error) {
 		// visible. Without this, hubs die in the very first iteration and
 		// every count is zero (the E5 result under normal parameters).
 		params.SetRho(1, 0)
-		out, err := core.RunAlg1(g, params, c.opts(label, i))
+		statuses, records, err := runAlg1Records(g, params, c.opts(label, i))
 		if err != nil {
 			return nil, fmt.Errorf("E5: %w", err)
 		}
-		for v, tr := range out.Traces {
+		for v, tr := range records {
 			for idx, rec := range tr {
 				a := perScale[rec.Scale]
 				if a == nil {
@@ -314,7 +333,7 @@ func E5Invariant(c Config) (*Report, error) {
 				if rec.Scale > maxScale {
 					maxScale = rec.Scale
 				}
-				expelledHere := out.Statuses[v] == base.StatusBad && idx == len(tr)-1
+				expelledHere := statuses[v] == base.StatusBad && idx == len(tr)-1
 				if expelledHere {
 					a.expelled++
 					continue

@@ -68,6 +68,20 @@ func (c Config) opts(label uint64, i int) congest.Options {
 	}
 }
 
+// tap is a trace sink that forwards every event to next (the config's
+// sink) when one is set, then calls fn with it.
+type tap struct {
+	fn   func(trace.Event)
+	next trace.Sink
+}
+
+func (s tap) Emit(e trace.Event) {
+	if s.next != nil {
+		s.next.Emit(e)
+	}
+	s.fn(e)
+}
+
 // graphRNG derives the generator stream for a labeled sub-experiment.
 func (c Config) graphRNG(label uint64, i int) *rng.RNG {
 	return rng.New(c.Seed).Split(^label).Split(uint64(i))

@@ -103,14 +103,17 @@ func E14RoundDecay(c Config) (*Report, error) {
 			g := arbGraph(n, 3, c.graphRNG(label, i))
 			opts := c.opts(label, i)
 			cross := map[string]int{}
-			opts.Events = roundEnds{next: opts.Events, fn: func(round, live int) {
-				frac := float64(live) / float64(n)
+			opts.Events = tap{next: opts.Events, fn: func(e trace.Event) {
+				if e.Type != trace.EvRoundEnd {
+					return
+				}
+				frac := float64(e.V) / float64(n)
 				for _, mark := range []struct {
 					key string
 					at  float64
 				}{{"50", 0.5}, {"10", 0.1}, {"1", 0.01}, {"0", 0}} {
 					if _, seen := cross[mark.key]; !seen && frac <= mark.at {
-						cross[mark.key] = round
+						cross[mark.key] = int(e.Round)
 					}
 				}
 			}}
@@ -130,23 +133,6 @@ func E14RoundDecay(c Config) (*Report, error) {
 		Table: table,
 	}
 	return rep, nil
-}
-
-// roundEnds is a trace sink that calls fn with the round and the live-node
-// count of every round-end event, after forwarding each event to next
-// (the config's sink) when one is set.
-type roundEnds struct {
-	fn   func(round, live int)
-	next trace.Sink
-}
-
-func (s roundEnds) Emit(e trace.Event) {
-	if s.next != nil {
-		s.next.Emit(e)
-	}
-	if e.Type == trace.EvRoundEnd {
-		s.fn(int(e.Round), int(e.V))
-	}
 }
 
 // A4Reliability ablates CONGEST's reliable-delivery assumption: with
@@ -238,7 +224,7 @@ func A5BadFinisher(c Config) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("A5: %s: %w", fin.name, err)
 			}
-			badSize.Add(float64(out.Alg1.CountStatus(base.StatusBad)))
+			badSize.Add(float64(base.Count(out.Alg1, base.StatusBad)))
 			for _, s := range out.Stages {
 				if s.Name == "bad" {
 					badRounds.Add(float64(s.Result.Rounds))

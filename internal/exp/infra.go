@@ -181,19 +181,19 @@ func E12Comparison(c Config) (*Report, error) {
 	}{
 		{"lubyA", func(g *graph.Graph, _ int, opts congest.Options) (int, int64, int, error) {
 			st, res, err := luby.RunA(g, opts)
-			return res.Rounds, res.Messages, count(st), err
+			return res.Rounds, res.Messages, base.Count(st, base.StatusInMIS), err
 		}},
 		{"lubyB", func(g *graph.Graph, _ int, opts congest.Options) (int, int64, int, error) {
 			st, res, err := luby.RunB(g, opts)
-			return res.Rounds, res.Messages, count(st), err
+			return res.Rounds, res.Messages, base.Count(st, base.StatusInMIS), err
 		}},
 		{"metivier", func(g *graph.Graph, _ int, opts congest.Options) (int, int64, int, error) {
 			st, res, err := metivier.Run(g, opts)
-			return res.Rounds, res.Messages, count(st), err
+			return res.Rounds, res.Messages, base.Count(st, base.StatusInMIS), err
 		}},
 		{"ghaffari", func(g *graph.Graph, _ int, opts congest.Options) (int, int64, int, error) {
 			st, res, err := ghaffari.Run(g, opts)
-			return res.Rounds, res.Messages, count(st), err
+			return res.Rounds, res.Messages, base.Count(st, base.StatusInMIS), err
 		}},
 		{"arbmis", func(g *graph.Graph, alpha int, opts congest.Options) (int, int64, int, error) {
 			out, err := practicalArbMIS(g, alpha, opts)
@@ -230,14 +230,4 @@ func E12Comparison(c Config) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"at these n the O(log n) algorithms win on absolute rounds — consistent with the paper, whose claim is asymptotic shape, not laptop-scale constants (§1.2 concedes Ghaffari dominates).")
 	return rep, nil
-}
-
-func count(statuses []base.Status) int {
-	n := 0
-	for _, s := range statuses {
-		if s == base.StatusInMIS {
-			n++
-		}
-	}
-	return n
 }

@@ -56,6 +56,29 @@ func Statuses(r *congest.Runner, n int) []Status {
 	return out
 }
 
+// Run executes the status program factory builds on g and returns every
+// node's final status with the run's statistics; on error the statuses
+// are nil.
+func Run(g *graph.Graph, factory func(v int) congest.Node, opts congest.Options) ([]Status, congest.Result, error) {
+	r := congest.NewRunner(g, factory, opts)
+	res, err := r.Run()
+	if err != nil {
+		return nil, res, err
+	}
+	return Statuses(r, g.N()), res, nil
+}
+
+// Count returns how many nodes finished with status s.
+func Count(statuses []Status, s Status) int {
+	n := 0
+	for _, got := range statuses {
+		if got == s {
+			n++
+		}
+	}
+	return n
+}
+
 // MISSet converts statuses to the boolean set representation the graph
 // verifier consumes.
 func MISSet(statuses []Status) []bool {

@@ -35,6 +35,13 @@ func TestSlabHandsOutFreshNodes(t *testing.T) {
 	}
 }
 
+func TestCount(t *testing.T) {
+	statuses := []Status{StatusInMIS, StatusBad, StatusInMIS, StatusActive}
+	if Count(statuses, StatusInMIS) != 2 || Count(statuses, StatusBad) != 1 || Count(statuses, StatusDominated) != 0 {
+		t.Fatal("Count wrong")
+	}
+}
+
 // atVertex runs one round on g in which vertex v calls f with its
 // Context, then every vertex halts. f reports through t.Errorf.
 func atVertex(t *testing.T, g *graph.Graph, v int, f func(ctx *congest.Context)) {

@@ -83,12 +83,7 @@ func Run(g *graph.Graph, parent []int, opts congest.Options) ([]base.Status, con
 	if err := validate(g, parent); err != nil {
 		return nil, congest.Result{}, err
 	}
-	r := congest.NewRunner(g, New(parent, g.N()), opts)
-	res, err := r.Run()
-	if err != nil {
-		return nil, res, err
-	}
-	return base.Statuses(r, g.N()), res, nil
+	return base.Run(g, New(parent, g.N()), opts)
 }
 
 // Colors runs only through the coloring stages and returns the 3-coloring

@@ -67,12 +67,7 @@ func New(iters int) func(v int) congest.Node {
 // StatusDominated, or StatusActive (survivor). Survivors plus the residual
 // graph are what the caller feeds to the main algorithm.
 func Run(g *graph.Graph, iters int, opts congest.Options) ([]base.Status, congest.Result, error) {
-	r := congest.NewRunner(g, New(iters), opts)
-	res, err := r.Run()
-	if err != nil {
-		return nil, res, err
-	}
-	return base.Statuses(r, g.N()), res, nil
+	return base.Run(g, New(iters), opts)
 }
 
 // Survivors extracts the still-active vertices and their induced subgraph.

@@ -98,12 +98,7 @@ func Run(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, e
 
 // RunBudget is Run with an explicit per-node iteration budget.
 func RunBudget(g *graph.Graph, maxIters int, opts congest.Options) ([]base.Status, congest.Result, error) {
-	r := congest.NewRunner(g, New(maxIters), opts)
-	res, err := r.Run()
-	if err != nil {
-		return nil, res, err
-	}
-	return base.Statuses(r, g.N()), res, nil
+	return base.Run(g, New(maxIters), opts)
 }
 
 func (nd *node) Init(ctx *congest.Context) { nd.startEpoch(ctx, 0) }

@@ -53,12 +53,7 @@ func New() func(v int) congest.Node {
 
 // Run executes the algorithm on g.
 func Run(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error) {
-	r := congest.NewRunner(g, New(), opts)
-	res, err := r.Run()
-	if err != nil {
-		return nil, res, err
-	}
-	return base.Statuses(r, g.N()), res, nil
+	return base.Run(g, New(), opts)
 }
 
 func (nd *node) Init(ctx *congest.Context) { nd.start(ctx) }

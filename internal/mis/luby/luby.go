@@ -59,12 +59,7 @@ func NewA(n int) func(v int) congest.Node {
 
 // RunA executes Algorithm A on g.
 func RunA(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error) {
-	r := congest.NewRunner(g, NewA(g.N()), opts)
-	res, err := r.Run()
-	if err != nil {
-		return nil, res, err
-	}
-	return base.Statuses(r, g.N()), res, nil
+	return base.Run(g, NewA(g.N()), opts)
 }
 
 func (nd *nodeA) Init(ctx *congest.Context) { nd.start(ctx) }
@@ -126,12 +121,7 @@ func NewB() func(v int) congest.Node {
 
 // RunB executes Algorithm B on g.
 func RunB(g *graph.Graph, opts congest.Options) ([]base.Status, congest.Result, error) {
-	r := congest.NewRunner(g, NewB(), opts)
-	res, err := r.Run()
-	if err != nil {
-		return nil, res, err
-	}
-	return base.Statuses(r, g.N()), res, nil
+	return base.Run(g, NewB(), opts)
 }
 
 func (nd *nodeB) Init(ctx *congest.Context) { nd.start(ctx) }

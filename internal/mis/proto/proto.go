@@ -53,10 +53,12 @@ const (
 	// KindRemoved announces "I left the competition" (a neighbor joined, or
 	// I was classified bad/deferred); receivers shrink their active sets.
 	KindRemoved
-	// KindMarked is Luby-A/Ghaffari's "I marked myself this round".
+	// KindMarked is Ghaffari's "I marked myself this round" (Luby B
+	// announces its marks with a Degree payload instead).
 	KindMarked
-	// KindLeader is used by component-gathering to announce a leader claim.
-	KindLeader
+	// The fourth kind, a leader claim, is retired: no program sends it.
+	// The blank keeps the later kinds' values.
+	_
 	// KindPropose is a matching proposal (Israeli-Itai).
 	KindPropose
 	// KindAccept accepts a matching proposal.

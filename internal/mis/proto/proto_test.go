@@ -10,7 +10,7 @@ import (
 
 // allKinds lists the announcement kinds.
 func allKinds() []Kind {
-	return []Kind{KindJoined, KindRemoved, KindMarked, KindLeader, KindPropose, KindAccept, KindMatched}
+	return []Kind{KindJoined, KindRemoved, KindMarked, KindPropose, KindAccept, KindMatched}
 }
 
 func TestKindZeroValueInvalid(t *testing.T) {

@@ -118,11 +118,13 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 }
 
 // ChromeSink converts the event stream to the Chrome trace-event format,
-// loadable in chrome://tracing or https://ui.perfetto.dev. Each round
-// becomes a complete ("X") slice on the coordinator track, pool shard
-// sweeps become slices on per-shard tracks, and live/traffic counters
-// become counter ("C") tracks. Rounds without timing events get a fixed
-// synthetic 1ms width so untimed traces still render a readable timeline.
+// loadable in chrome://tracing or https://ui.perfetto.dev. Each engine run
+// (opened by a round-0 EvRoundStart) is one process, "run R" for the Rth
+// run of the stream; each of its rounds becomes a complete ("X") slice on
+// the run's coordinator track, pool shard sweeps become slices on
+// per-shard tracks, and live/traffic counters become counter ("C")
+// tracks. Rounds without timing events get a fixed synthetic 1ms width so
+// untimed traces still render a readable timeline.
 //
 // The sink buffers per-round state and must be Closed to produce valid
 // JSON.
@@ -130,6 +132,7 @@ type ChromeSink struct {
 	w   io.Writer
 	err error
 	n   int // trace events written
+	run int // the current run's process ID: round-0 starts seen so far
 
 	ts         float64 // synthetic timeline cursor, microseconds
 	roundStart float64
@@ -173,6 +176,9 @@ func (s *ChromeSink) entry(format string, args ...any) {
 func (s *ChromeSink) Emit(e Event) {
 	switch e.Type {
 	case EvRoundStart:
+		if e.Round == 0 {
+			s.run++
+		}
 		s.roundStart = s.ts
 		s.shards = s.shards[:0]
 		s.mergeNS, s.delayed = 0, 0
@@ -200,21 +206,21 @@ func (s *ChromeSink) endRound(e Event) {
 	if durUS <= 0 {
 		durUS = 1000 // untimed trace: fixed 1ms per round
 	}
-	s.entry(`{"name":"round %d","ph":"X","pid":0,"tid":0,"ts":%.3f,"dur":%.3f,`+
+	s.entry(`{"name":"round %d","ph":"X","pid":%d,"tid":0,"ts":%.3f,"dur":%.3f,`+
 		`"args":{"live":%d,"sent":%d,"delivered":%d,"dropped":%d,"delayed":%d}}`,
-		e.Round, s.roundStart, durUS, e.V, e.X, e.Y, e.Z, s.delayed)
+		e.Round, s.run, s.roundStart, durUS, e.V, e.X, e.Y, e.Z, s.delayed)
 	for _, sh := range s.shards {
-		s.entry(`{"name":"sweep","ph":"X","pid":0,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{"live":%d}}`,
-			sh.shard+1, s.roundStart, float64(sh.busy)/1e3, sh.live)
+		s.entry(`{"name":"sweep","ph":"X","pid":%d,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{"live":%d}}`,
+			s.run, sh.shard+1, s.roundStart, float64(sh.busy)/1e3, sh.live)
 	}
 	if s.mergeNS > 0 {
-		s.entry(`{"name":"merge","ph":"X","pid":0,"tid":0,"ts":%.3f,"dur":%.3f,"args":{}}`,
-			s.roundStart+float64(maxBusy)/1e3, float64(s.mergeNS)/1e3)
+		s.entry(`{"name":"merge","ph":"X","pid":%d,"tid":0,"ts":%.3f,"dur":%.3f,"args":{}}`,
+			s.run, s.roundStart+float64(maxBusy)/1e3, float64(s.mergeNS)/1e3)
 	}
-	s.entry(`{"name":"live nodes","ph":"C","pid":0,"ts":%.3f,"args":{"live":%d}}`,
-		s.roundStart, e.V)
-	s.entry(`{"name":"traffic","ph":"C","pid":0,"ts":%.3f,"args":{"delivered":%d,"dropped":%d}}`,
-		s.roundStart, e.Y, e.Z)
+	s.entry(`{"name":"live nodes","ph":"C","pid":%d,"ts":%.3f,"args":{"live":%d}}`,
+		s.run, s.roundStart, e.V)
+	s.entry(`{"name":"traffic","ph":"C","pid":%d,"ts":%.3f,"args":{"delivered":%d,"dropped":%d}}`,
+		s.run, s.roundStart, e.Y, e.Z)
 	s.ts = s.roundStart + durUS
 	// Reset round state here too, so a stream without round-start markers
 	// (an adapter-only trace) never re-flushes a stale shard slice.
@@ -223,10 +229,14 @@ func (s *ChromeSink) endRound(e Event) {
 	s.mergeNS, s.delayed = 0, 0
 }
 
-// Close writes the metadata records and terminates the JSON document.
+// Close names each run's process and coordinator track and terminates the
+// JSON document. A stream without a round-0 start (an adapter-only trace)
+// is one process, "run 0".
 func (s *ChromeSink) Close() error {
-	s.entry(`{"name":"process_name","ph":"M","pid":0,"args":{"name":"congest run"}}`)
-	s.entry(`{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"coordinator"}}`)
+	for pid := min(s.run, 1); pid <= s.run; pid++ {
+		s.entry(`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"run %d"}}`, pid, pid)
+		s.entry(`{"name":"thread_name","ph":"M","pid":%d,"tid":0,"args":{"name":"coordinator"}}`, pid)
+	}
 	s.printf("\n]}\n")
 	return s.err
 }

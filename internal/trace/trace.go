@@ -48,7 +48,8 @@ const (
 	EvVertexFate
 	// EvNodeState is a program-defined node state transition emitted via
 	// congest.Context.Emit: V = vertex, X = program code (the mis/proto
-	// announcement kinds by convention), Y = program value.
+	// announcement kinds by convention, or a program's own code above
+	// them), Y = program value.
 	EvNodeState
 	// EvHalt reports that a node halted this round: V = vertex.
 	EvHalt
