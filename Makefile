@@ -78,7 +78,11 @@ cover:
 # exist to provide; a whole Run must make a fixed number of allocations
 # independent of n, because every message buffer is sized once from the
 # CSR (a faulted run reserves its records, their Broadcast index and n/8
-# withheld pairs once), and at n = 2^14 must allocate at most 79 bytes
+# withheld pairs once), and a run of a Runner that Reset rebinds to a
+# graph no larger than its last must make no allocation on the sequential
+# driver, at most 16 on two pool shards (the run's worker goroutines) and
+# at most 2 under drops, because it reuses every buffer of the last run;
+# a whole Run at n = 2^14 must allocate at most 79 bytes
 # per vertex on a reliable network and 94 under drops, because a run holds one Context
 # per shard, its node streams in one 16-byte per-vertex table, one
 # 32-byte outbox record and a 4-byte Broadcast-table entry per vertex and
@@ -102,23 +106,28 @@ cover:
 # the marks and its scale records ride the event bus, which an untraced
 # run leaves off; and a
 # 2^14-vertex graph must keep 4 bytes per CSR offset and adjacency entry,
-# with New allocating no more than that plus one n-entry int32 scratch,
-# because vertex IDs fit an int32 and New counts degrees and fills rows
-# through the same array and copies the adjacency only to drop
-# duplicates; a worker must decode its shard's rows (one shard of two of
-# a 2^14-vertex union of two trees) in at most 1.1 times the rows it
-# keeps plus 4 KB, because the config frame declares the adjacency length
-# and the decoder makes each slice once; and a dynamic-MIS Apply must
-# allocate at most 8 KB on average over a 256-batch stream of 16 updates
-# on a 2^12-vertex random tree, sequentially and on two pool shards,
-# because a repair folds its trace fingerprint in an engine-owned
-# trace.Recorder, which stores no events. Fast (< 1s); runs in ci.
+# with New allocating no more than that, because vertex IDs fit an int32
+# and New counts degrees and fills rows in the offsets themselves and
+# copies the adjacency only to drop duplicates; a worker must decode its
+# shard's rows (one shard of two of a 2^14-vertex union of two trees) in
+# at most 1.1 times the rows it keeps plus 4 KB, because the config frame
+# declares the adjacency length and the decoder makes each slice once; a
+# dynamic-MIS Apply must allocate at most 2.5 KB on average over a
+# 256-batch stream of 16 updates on a 2^12-vertex random tree,
+# sequentially and on two pool shards, because a repair rebuilds the
+# engine's one subgraph in place,
+# rebinds its one Runner and folds its trace fingerprint in an
+# engine-owned trace.Recorder, which stores no events; and an Engine
+# bootstrapped on a 2^14-vertex random tree must hold at most 56 bytes
+# per vertex, because New drops the bootstrap's whole-graph scratch,
+# subgraph and Runner, and the DGraph locates each row in its arena by an
+# 8-byte span. Fast (< 1s); runs in ci.
 alloc-gate:
-	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestRunBytesPerVertex|TestDistributedRunnerBuildsNoNodes|TestProgramRunAllocs)' -count=1 ./internal/congest/
+	go test -run '^(TestSteadyStateRound|TestRunAllocsIndependentOfN|TestReboundRunAllocs|TestRunBytesPerVertex|TestDistributedRunnerBuildsNoNodes|TestProgramRunAllocs)' -count=1 ./internal/congest/
 	go test -run '^(TestFactoryAllocs|TestDecodeConfigBytes)$$' -count=1 ./internal/distrib/
 	go test -run '^TestAlg1RunAllocs$$' -count=1 ./internal/core/
 	go test -run '^TestGraphBytes$$' -count=1 ./internal/graph/
-	go test -run '^TestApplyBytes$$' -count=1 ./internal/dynmis/
+	go test -run '^(TestApplyBytes|TestEngineHeldBytes)$$' -count=1 ./internal/dynmis/
 
 # Fuzz smoke: a 10s slice of native fuzzing over each decoder of bytes
 # from outside the program — the distrib frame decoders (what the

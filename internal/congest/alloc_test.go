@@ -238,6 +238,49 @@ func TestRunAllocsIndependentOfN(t *testing.T) {
 	}
 }
 
+// TestReboundRunAllocs is the rebinding gate: a Runner that Reset binds
+// to a graph no larger than its last reuses every buffer of the last run,
+// so a rebound run — Reset and Run — of a broadcast-every-round program
+// on a union of two trees (n = 2^10, after a first run at n = 2^12) makes
+// no allocation on the sequential driver, at most 16 on two pool shards,
+// whose worker goroutines, channels and timing slots are the run's own,
+// and at most 2 under 5% drops. The nodes come from one preallocated
+// table, so the factory allocates nothing.
+func TestReboundRunAllocs(t *testing.T) {
+	large := gen.UnionOfTrees(1<<12, 2, rng.New(3))
+	small := gen.UnionOfTrees(1<<10, 2, rng.New(4))
+	nodes := make([]pingCounter, large.N())
+	factory := func(v int) Node {
+		nodes[v] = pingCounter{rounds: 4}
+		return &nodes[v]
+	}
+	for _, c := range []struct {
+		name   string
+		opts   Options
+		budget float64
+	}{
+		{"sequential", Options{}, 0},
+		{"pool-2", Options{Driver: DriverPool, Workers: 2}, 16},
+		{"bernoulli", Options{Faults: faultsim.BernoulliDrop{P: 0.05}}, 2},
+	} {
+		c.opts.Seed = 1
+		r := NewRunner(large, factory, c.opts)
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			r.Reset(small, factory, c.opts)
+			if _, err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per rebound run", c.name, allocs)
+		if allocs > c.budget {
+			t.Errorf("%s: a rebound run makes %.0f allocations, budget %.0f", c.name, allocs, c.budget)
+		}
+	}
+}
+
 // runBytes returns the fewest bytes one whole Run allocated over a few
 // repetitions, each on a fresh Runner built outside the measurement, with
 // the collector off so no GC cycle's own allocations land in the count.

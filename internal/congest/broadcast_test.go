@@ -411,7 +411,7 @@ func TestPullNeedsOneBroadcastPerSender(t *testing.T) {
 			t.Fatalf("%s: %d withheld pairs and %d late messages: the row tests nothing", c.name, len(st.withheld), len(late))
 		}
 		if c.pull {
-			rec := r.newExecState(c.shards)
+			rec := NewRunner(g, haltFactory, c.opts).newExecState(c.shards) // a Runner's own state would be st
 			c.fill(rec)
 			rec.gatherRecords()
 			rec.deliverRecords(0)

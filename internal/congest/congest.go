@@ -44,6 +44,11 @@
 // and in a distributed run from the words the workers ship back, since
 // the coordinator builds no nodes.
 //
+// A Runner runs once per set-up: NewRunner sets one up, and Runner.Reset
+// rebinds it to another graph, factory and options for one more Run,
+// which reuses the last run's buffers and is bit-identical to a fresh
+// Runner's.
+//
 // Fault injection is delegated to internal/faultsim: Options.Faults
 // accepts any faultsim.Plan (message drops, link bursts, partitions,
 // vertex crashes and restarts, delivery delays). A run is watched through
@@ -136,15 +141,16 @@ func (c *Context) RNG() *rng.RNG { return c.rng }
 // are where a program keeps per-neighbor state without a per-vertex
 // allocation (mis/base.ActiveSet keeps its removed flags there). The
 // shard that sweeps the vertex holds them, so a distributed worker has
-// them for its own rows, and allocates them the first time one of its
-// vertices asks, so a program that never asks pays nothing. The slice is
-// capped at the vertex's row.
+// them for its own rows, and allocates them, or clears the last run's
+// when they are large enough, the first time one of its vertices asks, so
+// a program that never asks pays nothing. The slice is capped at the
+// vertex's row.
 //
 //congest:hotpath
 func (c *Context) Marks() []uint8 {
 	sh := c.shard
 	off := sh.rows.Off
-	if sh.marks == nil {
+	if len(sh.marks) == 0 {
 		sh.allocMarks()
 	}
 	i := c.id - sh.rows.Lo
@@ -153,12 +159,13 @@ func (c *Context) Marks() []uint8 {
 }
 
 // allocMarks gives the shard its marks: one zero byte per adjacency slot
-// of its rows.
+// of its rows, in the last run's array when it is large enough.
 //
 //congest:coldpath
 func (sh *shard) allocMarks() {
 	off := sh.rows.Off
-	sh.marks = make([]uint8, off[len(off)-1]-off[0])
+	sh.marks = resize(sh.marks, int(off[len(off)-1]-off[0]))
+	clear(sh.marks)
 }
 
 // Send queues a message to neighbor `to` for delivery next round. Sending
@@ -390,39 +397,69 @@ type Result struct {
 // ErrMaxRounds reports that a run was aborted before all nodes halted.
 var ErrMaxRounds = errors.New("congest: max rounds exceeded before all nodes halted")
 
-// Runner executes a program over a graph. Construct with NewRunner; a
-// Runner is single-use (Run may be called once).
+// Runner executes a program over a graph. Construct with NewRunner. A
+// Runner runs once per set-up: Run may be called once after NewRunner or
+// Reset, which rebinds the Runner to another graph, factory and options
+// and lets the next Run reuse the last run's buffers.
 type Runner struct {
 	g       *graph.Graph
 	nodes   []Node   // indexed by vertex ID; in-process drivers only
 	outputs []uint64 // DriverDistributed: vertex v's shipped output word
 	opts    Options
 	ran     bool
+	st      *execState // the last run's state, which the next run's set-up reuses
 }
 
-// NewRunner builds a runner for the given graph. factory(v) must return the
-// state machine for vertex v. NewRunner calls it once per vertex, from one
-// goroutine, in ascending ID order, so a factory may hold unsynchronized
-// state — every program factory in this repository carves its nodes from
-// its own slab (mis/base.Slab) — and one factory may serve several Runners
-// built one after another. Under DriverDistributed the nodes live in the
-// shard workers, which build them from the fleet's own factory: NewRunner
-// calls no factory, which may be nil, and allocates only the n output
-// words the workers ship back.
+// NewRunner builds a runner for the given graph: a zero Runner bound by
+// Reset.
 func NewRunner(g *graph.Graph, factory func(v int) Node, opts Options) *Runner {
+	r := new(Runner)
+	r.Reset(g, factory, opts)
+	return r
+}
+
+// Reset binds the Runner to graph g, factory and opts for one Run.
+// factory(v) must return the state machine for vertex v. Reset calls it
+// once per vertex, from one goroutine, in ascending ID order, so a
+// factory may hold unsynchronized state — every program factory in this
+// repository carves its nodes from its own slab (mis/base.Slab) — and may
+// serve several Runners, or one Runner rebound many times. Under
+// DriverDistributed the nodes live in the shard workers, which build them
+// from the fleet's own factory: Reset calls no factory, which may be nil,
+// and holds only the n output words the workers ship back.
+//
+// The next Run reuses each buffer of the last run that is large enough —
+// the node table and every table of the run's state — and nothing else
+// of that run: no message in flight, withheld pair, vertex fate or
+// buffered event survives, marks read zero at Init, frontiers start full
+// and Result at zero. Rebinding costs O(the new run): the node table is
+// cleared past g.N() only up to the last run's length. Reset must not be
+// called while Run is in progress.
+func (r *Runner) Reset(g *graph.Graph, factory func(v int) Node, opts Options) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	r := &Runner{g: g, opts: opts}
+	n, last := g.N(), len(r.nodes)
+	r.g, r.opts, r.ran = g, opts, false
 	if opts.Driver == DriverDistributed {
-		r.outputs = make([]uint64, g.N())
-		return r
+		r.nodes, r.outputs = nil, make([]uint64, n)
+		return
 	}
-	r.nodes = make([]Node, g.N())
-	for v := 0; v < g.N(); v++ {
+	r.nodes = resize(r.nodes, n)
+	clear(r.nodes[n:max(n, last)])
+	for v := range r.nodes {
 		r.nodes[v] = factory(v)
 	}
-	return r
+}
+
+// resize returns s at length n: s itself, resliced, when its capacity
+// suffices, else a new slice. Entries s held keep their values, so the
+// caller writes or clears what it reads.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Node returns vertex v's state machine, for reading an in-process run's
@@ -451,7 +488,7 @@ func (r *Runner) Export(v int) uint64 {
 // detected.
 func (r *Runner) Run() (Result, error) {
 	if r.ran {
-		return Result{}, errors.New("congest: Runner is single-use; construct a new one per run")
+		return Result{}, errors.New("congest: Runner already ran; Reset it to run again")
 	}
 	r.ran = true
 	switch r.opts.Driver {
@@ -582,36 +619,46 @@ type execState struct {
 	remoteDraws uint64
 }
 
-// newExecState prepares the node streams and the shards, each with its
-// Context. Shard boundaries split the vertex range into numShards
-// near-equal contiguous pieces, shard s owning [s·n/numShards,
+// newExecState prepares the run's state: the node streams and the shards,
+// each with its Context. Shard boundaries split the vertex range into
+// numShards near-equal contiguous pieces, shard s owning [s·n/numShards,
 // (s+1)·n/numShards) for the whole run. An in-process shard sweeps its
 // part of the run's graph, nodes and streams; the distributed
-// coordinator's shards only mirror their workers' frontiers.
+// coordinator's shards only mirror their workers' frontiers. The state is
+// the last run's, rebuilt in place (see Reset).
 func (r *Runner) newExecState(numShards int) *execState {
 	n := r.g.N()
-	if numShards > n {
-		numShards = n
+	numShards = max(1, min(numShards, n))
+	st := r.st
+	if st == nil {
+		st = new(execState)
+		r.st = st
 	}
-	if numShards < 1 {
-		numShards = 1
+	remote := r.opts.Driver == DriverDistributed
+	records, senders, wires := st.records[:0], st.senders, st.wires
+	if st.remote {
+		records = nil // a distributed run's records are its recovery log's, as shipped
 	}
-	st := &execState{
-		g:      r.g,
-		shards: make([]*shard, numShards),
-		live:   n,
-		plan:   r.opts.Faults,
-		bus:    r.opts.Events,
-		remote: r.opts.Driver == DriverDistributed,
+	if len(st.shards) > numShards {
+		clear(st.shards[numShards:]) // with the graph and nodes they hold
+	}
+	clear(st.delayed) // the last run's messages still in flight
+	*st = execState{
+		g: r.g, shards: resize(st.shards, numShards), live: n,
+		plan: r.opts.Faults, bus: r.opts.Events, remote: remote,
+		// The last run's tables, sized below or emptied here.
+		rngs: st.rngs, first: st.first, outbox: st.outbox, records: records,
+		bcast: st.bcast[:0], direct: st.direct[:0], withheld: st.withheld[:0], late: st.late[:0],
+		delayed: st.delayed, delayFree: st.delayFree,
 	}
 	root := rng.New(r.opts.Seed)
 	if st.plan != nil {
 		st.faults = root.Split(^uint64(0))
 	}
-	if !st.remote {
-		st.first = make([]int32, n)
-		if st.plan == nil {
-			st.senders, st.wires = make([]uint64, (n+63)>>6), make([]Wire, n)
+	if !remote {
+		st.first = resize(st.first, n)
+		if st.plan == nil { // the only kind of run that can take the broadcast pull
+			st.senders, st.wires = resize(senders, (n+63)>>6), resize(wires, n)
 		} else {
 			// A faulted run takes the record pull every round: reserve its
 			// records at one send call per vertex, as the outbox, their
@@ -619,22 +666,25 @@ func (r *Runner) newExecState(numShards int) *execState {
 			// 0.084n that Métivier under 2% drops on a union of two trees
 			// withholds at most in a round (n = 2^14, 60 runs). The rest of
 			// its scratch grows by append.
-			st.records, st.bcast = make([]Packet, 0, n), make([]int32, 0, n)
-			st.withheld = make([]Withheld, 0, n/8)
+			st.records, st.bcast = resize(st.records, n)[:0], resize(st.bcast, n)[:0]
+			st.withheld = resize(st.withheld, n/8)[:0]
 		}
-		st.rngs = make([]rng.RNG, n)
+		st.rngs = resize(st.rngs, n)
 	}
-	for s := range st.shards {
+	for s, sh := range st.shards {
+		if sh == nil {
+			sh = new(shard)
+			st.shards[s] = sh
+		}
 		lo, hi := s*n/numShards, (s+1)*n/numShards
-		sh := newShard(lo, hi, n, st.bus != nil)
-		if !st.remote {
+		sh.reset(lo, hi, n, st.bus != nil)
+		if !remote {
 			sh.rows, sh.nodes, sh.rngs = r.g.Rows(lo, hi), r.nodes[lo:hi], st.rngs[lo:hi]
 			sh.senders, sh.wires = st.senders, st.wires
 		}
-		st.shards[s] = sh
 	}
-	if !st.remote {
-		st.outbox = make([]Packet, n)
+	if !remote {
+		st.outbox = resize(st.outbox, n)
 		st.sizeOutboxes()
 		// The stream table is filled last. Its loop is the set-up's
 		// longest, and a GC cycle that stops the goroutine inside it
@@ -648,13 +698,15 @@ func (r *Runner) newExecState(numShards int) *execState {
 	return st
 }
 
-// newShard returns the shard over [lo, hi) of an n-vertex run, every
-// vertex live, holding its one Context.
-func newShard(lo, hi, n int, traced bool) *shard {
-	sh := &shard{n: n, traced: traced}
+// reset readies the shard for the range [lo, hi) of an n-vertex run,
+// every vertex live, holding its one Context. It keeps the arrays of the
+// last run's frontier, vertex fates, inbox scratch, marks and event
+// buffer, emptied, and nothing else of that run.
+func (sh *shard) reset(lo, hi, n int, traced bool) {
+	*sh = shard{n: n, traced: traced, frontier: sh.frontier, inbox: sh.inbox,
+		fates: sh.fates[:0], marks: sh.marks[:0], events: sh.events[:0]}
 	sh.ctx.shard = sh
 	sh.resetFrontier(lo, hi)
-	return sh
 }
 
 // sizeOutboxes carves every shard outbox from the run's single backing
@@ -663,8 +715,8 @@ func newShard(lo, hi, n int, traced bool) *shard {
 // vertex that broadcasts once per round — every program on the paper's
 // path — makes one call, so a shard reserves one record per vertex of its
 // range: the shard ranges partition [0, n), and shard [lo, hi) owns
-// outbox[lo:hi]. Shard ranges never change, so newExecState calls
-// sizeOutboxes once. Every outbox is capped with a three-index slice: a
+// outbox[lo:hi]. Shard ranges never change within a run, so newExecState
+// calls sizeOutboxes once a run. Every outbox is capped with a three-index slice: a
 // program that makes more send calls than reserved grows its own shard's
 // outbox (growOutbox) and never writes into a neighbor's range. An inbox
 // under one message per edge holds at most one message per neighbor, so a
@@ -672,7 +724,7 @@ func newShard(lo, hi, n int, traced bool) *shard {
 // pull grows it for late messages or several calls by one sender.
 func (st *execState) sizeOutboxes() {
 	for _, sh := range st.shards {
-		sh.inbox = make([]Message, widestRow(sh.rows))
+		sh.inbox = resize(sh.inbox, widestRow(sh.rows))
 		sh.first = st.first
 		sh.out = st.outbox[sh.lo:sh.lo:sh.hi]
 	}
@@ -796,9 +848,10 @@ func (sh *shard) pullInbox(row []int32) []Message {
 // keys and withheld pairs are sorted by recipient and the sweep visits
 // vertices in ascending order, so one cursor over each serves the whole
 // sweep, and a round's pulls cost O(messages) plus, if anyone broadcast,
-// the swept rows. first is never cleared: an entry left from an earlier
-// round points past bcast or at another sender's Broadcast, which the
-// walk over u's Broadcasts rejects. The sweep builds every record-round
+// the swept rows. first is never cleared, not even when Reset rebinds
+// the Runner: an entry left from an earlier round or run points past
+// bcast or at another sender's Broadcast, which the walk over u's
+// Broadcasts rejects. The sweep builds every record-round
 // inbox here, under every driver.
 //
 //congest:hotpath

@@ -826,6 +826,8 @@ func TestDriverKindString(t *testing.T) {
 	}
 }
 
+// TestRunnerIsSingleUse checks that a Runner runs once per set-up: a
+// second Run fails until Reset readies the Runner for one more.
 func TestRunnerIsSingleUse(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{U: 0, V: 1}})
 	r := NewRunner(g, haltFactory, Options{Seed: 1})
@@ -834,5 +836,12 @@ func TestRunnerIsSingleUse(t *testing.T) {
 	}
 	if _, err := r.Run(); err == nil {
 		t.Fatal("second Run accepted")
+	}
+	r.Reset(g, haltFactory, Options{Seed: 2})
+	if _, err := r.Run(); err != nil {
+		t.Fatalf("Run after Reset: %v", err)
+	}
+	if _, err := r.Run(); err == nil {
+		t.Fatal("second Run after Reset accepted")
 	}
 }

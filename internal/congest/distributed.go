@@ -602,7 +602,8 @@ func NewShardWorker(cfg ShardConfig, rows graph.Rows, factory func(v int) Node) 
 			cfg.Index, rows.Lo, len(rows.Off), cfg.Lo, cfg.Hi)
 	}
 	width := cfg.Hi - cfg.Lo
-	sh := newShard(cfg.Lo, cfg.Hi, cfg.N, cfg.Traced)
+	sh := new(shard)
+	sh.reset(cfg.Lo, cfg.Hi, cfg.N, cfg.Traced)
 	sh.rows, sh.nodes, sh.rngs, sh.listHalts = rows, make([]Node, width), make([]rng.RNG, width), true
 	root := rng.New(cfg.Seed)
 	for v := cfg.Lo; v < cfg.Hi; v++ {

@@ -23,10 +23,11 @@ func frontierWords(lo, hi int) int {
 	return (hi-1)>>6 - lo>>6 + 1
 }
 
-// resetFrontier points the shard at [lo, hi) with every vertex live.
+// resetFrontier points the shard at [lo, hi) with every vertex live, in
+// the last run's frontier array when it is large enough.
 func (sh *shard) resetFrontier(lo, hi int) {
 	sh.lo, sh.hi = lo, hi
-	sh.frontier = make([]uint64, frontierWords(lo, hi))
+	sh.frontier = resize(sh.frontier, frontierWords(lo, hi))
 	base := lo >> 6
 	for wi := range sh.frontier {
 		vbase := (base + wi) << 6

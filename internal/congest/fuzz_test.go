@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -19,10 +20,13 @@ import (
 // 2 and 3 workers and at one vertex per shard, and the distributed
 // coordinator on in-process workers, and every run must give the same
 // error text, Result, per-vertex inbox digest and deterministic trace
-// fingerprint. Every driver builds its record-round inboxes with the same
-// pull, so agreement alone cannot catch a defect in it: the input also
-// runs whitebox on 1, 3 and n shards, where every inbox either pull
-// builds must equal refInbox (see checkInboxes).
+// fingerprint. So must a Runner that Reset rebinds to the input after it
+// ran a fixed script that failed with messages in flight (dirtyInput), on
+// the sequential driver and the pool at 2 workers. Every driver builds
+// its record-round inboxes with the same pull, so agreement alone cannot
+// catch a defect in it: the input also runs whitebox on 1, 3 and n
+// shards, where every inbox either pull builds must equal refInbox (see
+// checkInboxes).
 func FuzzCrossDriver(f *testing.F) {
 	path := func(n int) []byte {
 		var e []byte
@@ -56,22 +60,27 @@ func FuzzCrossDriver(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		var ref fuzzOutcome
-		for i, d := range fuzzDrivers {
-			got := in.run(d.opts)
-			if i == 0 {
-				ref = got
-				continue
-			}
+		ref := in.run(new(Runner), fuzzDrivers[0].opts)
+		check := func(name string, got fuzzOutcome) {
 			if got.err != ref.err || got.res != ref.res || got.fp != ref.fp {
 				t.Fatalf("%s: err %q Result %+v fingerprint %#x; sequential: err %q Result %+v fingerprint %#x",
-					d.name, got.err, got.res, got.fp, ref.err, ref.res, ref.fp)
+					name, got.err, got.res, got.fp, ref.err, ref.res, ref.fp)
 			}
 			for v := range got.digests {
 				if got.digests[v] != ref.digests[v] {
-					t.Fatalf("%s: vertex %d inbox digest %#x, sequential %#x", d.name, v, got.digests[v], ref.digests[v])
+					t.Fatalf("%s: vertex %d inbox digest %#x, sequential %#x", name, v, got.digests[v], ref.digests[v])
 				}
 			}
+		}
+		for _, d := range fuzzDrivers[1:] {
+			check(d.name, in.run(new(Runner), d.opts))
+		}
+		for _, d := range reboundDrivers {
+			r := new(Runner)
+			if dirty := dirtyInput.run(r, d.dirty); !strings.Contains(dirty.err, "exceeds") {
+				t.Fatalf("%s: dirtyInput ended with %q, not the oversized message it must fail on", d.name, dirty.err)
+			}
+			check(d.name, in.run(r, d.opts))
 		}
 		for _, shards := range []int{1, 3, in.g.N()} {
 			if bad := in.checkInboxes(shards); bad != "" {
@@ -142,6 +151,42 @@ var fuzzDrivers = []struct {
 	{"pool-n", Options{Driver: DriverPool, Workers: 1 << 30}},
 	{"distributed", Options{Driver: DriverDistributed}},
 }
+
+// reboundDrivers are FuzzCrossDriver's rebound runs: each Runner first
+// runs dirtyInput on the dirty options, then Reset binds it to the input
+// on the other driver, so the shard count changes.
+var reboundDrivers = []struct {
+	name        string
+	dirty, opts Options
+}{
+	{"rebound-sequential", Options{Driver: DriverPool, Workers: 2}, Options{}},
+	{"rebound-pool-2", Options{}, Options{Driver: DriverPool, Workers: 2}},
+}
+
+// dirtyInput is the fixed script a rebound run's Runner runs first: 64
+// vertices on a path with chords, every message delayed two rounds, five
+// rounds of every op, emits included, and in the sixth an oversized
+// message from vertex 40, which fails the run mid-sweep. Its messages in
+// flight, sent records, buffered events and failed shard are what Reset
+// must not let through.
+var dirtyInput = func() fuzzInput {
+	const n = 64
+	var edges []byte
+	for v := 0; v+1 < n; v++ {
+		edges = append(edges, byte(v), byte(v+1))
+	}
+	edges = append(edges, 0, 63, 5, 17, 9, 30, 12, 50, 31, 33)
+	script := make([]byte, 6*n)
+	for i := range script {
+		script[i] = byte(0x40 | i*37%56) // every op, and no byte sends above the budget
+	}
+	script[5*n+40] = 0xf8
+	in, ok := decodeFuzzInput(fuzzSeed{n: n, edges: edges, plan: 7, oversize: true, rounds: 8, script: script}.encode())
+	if !ok {
+		panic("congest: dirtyInput does not decode")
+	}
+	return in
+}()
 
 // fuzzSeed is a readable FuzzCrossDriver input; encode lays it out the
 // way decodeFuzzInput reads it.
@@ -231,7 +276,9 @@ type fuzzOutcome struct {
 	fp      uint64
 }
 
-func (in fuzzInput) run(opts Options) fuzzOutcome {
+// run binds r to the input by Reset, as NewRunner does a new Runner, and
+// runs it.
+func (in fuzzInput) run(r *Runner, opts Options) fuzzOutcome {
 	factory := func(int) Node { return &scriptNode{in: &in} }
 	if opts.Driver == DriverDistributed {
 		opts.Fleet = &localFleet{g: in.g, shards: 3, factory: factory}
@@ -242,7 +289,7 @@ func (in fuzzInput) run(opts Options) fuzzOutcome {
 	opts.MaxRounds = in.maxRounds
 	opts.Events = rec
 	opts.EventTiming = true
-	r := NewRunner(in.g, factory, opts)
+	r.Reset(in.g, factory, opts)
 	res, err := r.Run()
 	o := fuzzOutcome{res: res, fp: rec.Fingerprint(), digests: make([]uint64, in.g.N())}
 	if err != nil {

@@ -2,6 +2,8 @@ package dynmis
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -19,37 +21,75 @@ import (
 // neighbor iteration order is ID order everywhere, the same invariant the
 // immutable graph.Graph core guarantees, and hold IDs in the same 4-byte
 // words as its CSR rows.
+//
+// Every row lives in one arena, at the start of a block of at least
+// blockLen(its length) entries, and an ID's span locates it in 8 bytes,
+// where a slice header takes 24. A full row moves to a block twice the
+// size at the arena's end; a full arena is compacted.
 type DGraph struct {
-	adj    [][]int32 // sorted adjacency per ID; nil for isolated and dead IDs
-	dead   []bool    // retired IDs (RemoveNode)
+	rows   []span  // per ID; the zero span, an empty row, for isolated and dead IDs
+	arena  []int32 // every row's block
+	dead   []bool  // retired IDs (RemoveNode)
 	nAlive int
 	m      int
 }
 
+// span locates a row: its n IDs start at arena[off].
+type span struct {
+	off uint32
+	n   int32
+}
+
 // NewDGraph builds a dynamic graph seeded with a snapshot of g (every
-// vertex of g alive, IDs preserved). Every row is carved from one copy of
-// g's adjacency and capped at its own length, so an InsertEdge
-// reallocates only the row it grows.
+// vertex of g alive, IDs preserved).
 func NewDGraph(g *graph.Graph) *DGraph {
 	rows := g.Rows(0, g.N())
-	adj := slices.Clone(rows.Adj)
 	d := &DGraph{
-		adj:    make([][]int32, g.N()),
+		rows:   make([]span, g.N()),
+		arena:  rows.Adj, // read, never written: compact copies the rows out
 		dead:   make([]bool, g.N()),
 		nAlive: g.N(),
 		m:      g.M(),
 	}
-	for v := range d.adj {
-		if lo, hi := rows.Off[v], rows.Off[v+1]; hi > lo {
-			d.adj[v] = adj[lo:hi:hi]
-		}
+	for v := range d.rows {
+		d.rows[v] = span{off: uint32(rows.Off[v]), n: rows.Off[v+1] - rows.Off[v]}
 	}
+	d.compact()
 	return d
+}
+
+// blockLen is the least block a row of n IDs holds: n rounded up to a
+// power of two, and 0 for n = 0, where the shift passes the word's width.
+func blockLen(n int) int { return 1 << bits.Len(uint(n-1)) }
+
+// place copies row to a new block of the given length at the arena's end
+// and points v's span at it.
+func (d *DGraph) place(v int, row []int32, block int) {
+	off := len(d.arena)
+	if off+block > math.MaxUint32 {
+		panic("dynmis: DGraph arena above 2^32 entries")
+	}
+	d.arena = append(append(d.arena, row...), make([]int32, block-len(row))...)
+	d.rows[v] = span{off: uint32(off), n: int32(len(row))}
+}
+
+// compact copies every row into a new arena, each in the smallest block
+// blockLen allows, with room for as many entries again, which drops the
+// blocks that moved and removed rows left behind.
+func (d *DGraph) compact() {
+	old, live := d.arena, 0
+	for _, r := range d.rows {
+		live += blockLen(int(r.n))
+	}
+	d.arena = make([]int32, 0, 2*live)
+	for v, r := range d.rows {
+		d.place(v, old[r.off:int(r.off)+int(r.n)], blockLen(int(r.n)))
+	}
 }
 
 // NumIDs returns the size of the ID space: every ID ever allocated,
 // retired ones included. Valid IDs are 0..NumIDs()-1.
-func (d *DGraph) NumIDs() int { return len(d.adj) }
+func (d *DGraph) NumIDs() int { return len(d.rows) }
 
 // AliveCount returns the number of live vertices.
 func (d *DGraph) AliveCount() int { return d.nAlive }
@@ -58,25 +98,29 @@ func (d *DGraph) AliveCount() int { return d.nAlive }
 func (d *DGraph) M() int { return d.m }
 
 // Alive reports whether v is a live vertex (allocated and not removed).
-func (d *DGraph) Alive(v int) bool { return v >= 0 && v < len(d.adj) && !d.dead[v] }
+func (d *DGraph) Alive(v int) bool { return v >= 0 && v < len(d.rows) && !d.dead[v] }
 
 // Neighbors returns v's sorted adjacency list. The slice aliases internal
 // storage, is invalidated by the next mutation, and must not be modified.
-func (d *DGraph) Neighbors(v int) []int32 { return d.adj[v] }
+func (d *DGraph) Neighbors(v int) []int32 {
+	r := d.rows[v]
+	end := int(r.off) + int(r.n)
+	return d.arena[r.off:end:end]
+}
 
 // Degree returns v's degree.
-func (d *DGraph) Degree(v int) int { return len(d.adj[v]) }
+func (d *DGraph) Degree(v int) int { return int(d.rows[v].n) }
 
 // HasEdge reports whether {u, v} is an edge (binary search). An
 // out-of-range u, or a v outside int32, is no edge.
 func (d *DGraph) HasEdge(u, v int) bool {
-	return u >= 0 && u < len(d.adj) && graph.Slot(d.adj[u], v) >= 0
+	return u >= 0 && u < len(d.rows) && graph.Slot(d.Neighbors(u), v) >= 0
 }
 
 // checkEndpoint validates one edge endpoint.
 func (d *DGraph) checkEndpoint(v int) error {
-	if v < 0 || v >= len(d.adj) {
-		return fmt.Errorf("vertex %d out of range [0,%d)", v, len(d.adj))
+	if v < 0 || v >= len(d.rows) {
+		return fmt.Errorf("vertex %d out of range [0,%d)", v, len(d.rows))
 	}
 	if d.dead[v] {
 		return fmt.Errorf("vertex %d is removed", v)
@@ -99,8 +143,8 @@ func (d *DGraph) InsertEdge(u, v int) error {
 	if d.HasEdge(u, v) {
 		return fmt.Errorf("edge (%d,%d) already exists", u, v)
 	}
-	d.adj[u] = insertSorted(d.adj[u], int32(v))
-	d.adj[v] = insertSorted(d.adj[v], int32(u))
+	d.insertSorted(u, int32(v))
+	d.insertSorted(v, int32(u))
 	d.m++
 	return nil
 }
@@ -116,8 +160,8 @@ func (d *DGraph) RemoveEdge(u, v int) error {
 	if !d.HasEdge(u, v) {
 		return fmt.Errorf("edge (%d,%d) does not exist", u, v)
 	}
-	d.adj[u] = removeSorted(d.adj[u], int32(v))
-	d.adj[v] = removeSorted(d.adj[v], int32(u))
+	d.removeSorted(u, int32(v))
+	d.removeSorted(v, int32(u))
 	d.m--
 	return nil
 }
@@ -125,26 +169,26 @@ func (d *DGraph) RemoveEdge(u, v int) error {
 // InsertNode allocates the next vertex ID and returns it. The new vertex
 // starts isolated; wire it with InsertEdge.
 func (d *DGraph) InsertNode() int {
-	id := len(d.adj)
-	d.adj = append(d.adj, nil)
+	id := len(d.rows)
+	d.rows = append(d.rows, span{})
 	d.dead = append(d.dead, false)
 	d.nAlive++
 	return id
 }
 
 // RemoveNode retires vertex v, deleting every incident edge, and returns
-// v's former neighbors (sorted). The returned slice is v's old adjacency
-// storage, owned by the caller from here on.
+// v's former neighbors (sorted). The returned slice is v's old row, valid
+// until the next mutation.
 func (d *DGraph) RemoveNode(v int) ([]int32, error) {
 	if err := d.checkEndpoint(v); err != nil {
 		return nil, err
 	}
-	former := d.adj[v]
+	former := d.Neighbors(v)
 	for _, w := range former {
-		d.adj[w] = removeSorted(d.adj[w], int32(v))
+		d.removeSorted(int(w), int32(v))
 	}
 	d.m -= len(former)
-	d.adj[v] = nil
+	d.rows[v] = span{}
 	d.dead[v] = true
 	d.nAlive--
 	return former, nil
@@ -155,8 +199,8 @@ func (d *DGraph) RemoveNode(v int) ([]int32, error) {
 // vertex i. Used by the full-recompute baseline and the property tests.
 func (d *DGraph) Snapshot() (*graph.Graph, []int) {
 	orig := make([]int, 0, d.nAlive)
-	local := make([]int, len(d.adj))
-	for v := range d.adj {
+	local := make([]int, len(d.rows))
+	for v := range d.rows {
 		if d.dead[v] {
 			local[v] = -1
 			continue
@@ -166,7 +210,7 @@ func (d *DGraph) Snapshot() (*graph.Graph, []int) {
 	}
 	edges := make([]graph.Edge, 0, d.m)
 	for i, v := range orig {
-		for _, w := range d.adj[v] {
+		for _, w := range d.Neighbors(v) {
 			if j := local[w]; i < j {
 				edges = append(edges, graph.Edge{U: i, V: j})
 			}
@@ -175,18 +219,29 @@ func (d *DGraph) Snapshot() (*graph.Graph, []int) {
 	return graph.MustNew(len(orig), edges), orig
 }
 
-// insertSorted inserts x into sorted row, preserving order.
-func insertSorted(row []int32, x int32) []int32 {
-	i, _ := slices.BinarySearch(row, x)
-	row = append(row, 0)
+// insertSorted inserts x into v's sorted row, preserving order, first
+// moving a row that fills its block to a block twice the size.
+func (d *DGraph) insertSorted(v int, x int32) {
+	if n := int(d.rows[v].n); n == blockLen(n) {
+		block := max(1, 2*n)
+		if len(d.arena)+block > cap(d.arena) {
+			d.compact()
+		}
+		d.place(v, d.Neighbors(v), block)
+	}
+	r := &d.rows[v]
+	row := d.arena[r.off : int(r.off)+int(r.n)+1]
+	i, _ := slices.BinarySearch(row[:r.n], x)
 	copy(row[i+1:], row[i:])
 	row[i] = x
-	return row
+	r.n++
 }
 
-// removeSorted deletes x from sorted row; the caller guarantees presence.
-func removeSorted(row []int32, x int32) []int32 {
+// removeSorted deletes x from v's sorted row; the caller guarantees
+// presence.
+func (d *DGraph) removeSorted(v int, x int32) {
+	row := d.Neighbors(v)
 	i, _ := slices.BinarySearch(row, x)
 	copy(row[i:], row[i+1:])
-	return row[:len(row)-1]
+	d.rows[v].n--
 }

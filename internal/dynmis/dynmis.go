@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
+	"repro/internal/mis/metivier"
 	"repro/internal/trace"
 )
 
@@ -101,16 +102,23 @@ type Engine struct {
 	stats Stats
 	err   error // first fatal error; poisons the engine
 
-	// Per-batch scratch, epoch-stamped so Apply never pays O(n) resets.
-	epoch    int64
-	mark     []int64        // vertex -> epoch when it last entered a region
-	local    []int32        // region vertex -> repair-subgraph ID (-1 = frozen)
+	// Per-batch scratch. slot[v] is 0 outside the region; inside, -1, and
+	// once the repair splits the region 1 + its subgraph ID if v is free.
+	// The repair clears it over the region: Apply pays no O(n) reset.
+	slot     []int32
 	rec      trace.Recorder // the repair run's trace fingerprint
 	region   []int
 	seeds    []int
 	free     []int
 	affected []int
 	edges    []graph.Edge
+
+	// The repair run's engine, kept for the Engine's life so that a repair
+	// pays for its region and not for set-up: each repair rebuilds sub in
+	// place and rebinds run to it, over the one Métivier factory.
+	sub     graph.Graph
+	run     congest.Runner
+	factory func(v int) congest.Node
 }
 
 // New builds an engine over a snapshot of g and bootstraps the maintained
@@ -124,12 +132,12 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	}
 	n := g.N()
 	e := &Engine{
-		opts:  opts,
-		d:     NewDGraph(g),
-		inMIS: make([]bool, n),
-		fp:    trace.FoldSeed,
-		mark:  make([]int64, n),
-		local: make([]int32, n),
+		opts:    opts,
+		d:       NewDGraph(g),
+		inMIS:   make([]bool, n),
+		fp:      trace.FoldSeed,
+		slot:    make([]int32, n),
+		factory: metivier.New(),
 	}
 	rep := BatchReport{Batch: 0}
 	affected := e.affected[:0]
@@ -140,6 +148,10 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	if err := e.runBatch(&rep, affected); err != nil {
 		return nil, err
 	}
+	// Batch 0's region is every vertex. Drop its scratch, subgraph, Runner
+	// and factory, so the kept ones grow only to a repair region's size.
+	e.region, e.seeds, e.free, e.affected, e.edges = nil, nil, nil, nil, nil
+	e.sub, e.run, e.factory = graph.Graph{}, congest.Runner{}, metivier.New()
 	return e, nil
 }
 
@@ -210,8 +222,7 @@ func (e *Engine) update(u Update, affected []int) ([]int, error) {
 		}
 		id := e.d.InsertNode()
 		e.inMIS = append(e.inMIS, false)
-		e.mark = append(e.mark, 0)
-		e.local = append(e.local, 0)
+		e.slot = append(e.slot, 0)
 		return append(affected, id), nil
 	case OpRemoveNode:
 		former, err := e.d.RemoveNode(x)
@@ -329,7 +340,7 @@ func (e *Engine) Verify() error {
 			continue
 		}
 		dominated := false
-		for _, w := range e.d.adj[v] {
+		for _, w := range e.d.Neighbors(v) {
 			if e.inMIS[w] {
 				if e.inMIS[v] {
 					return fmt.Errorf("dynmis: independence violated: edge (%d,%d) inside MIS", v, w)

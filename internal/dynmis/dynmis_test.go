@@ -2,11 +2,13 @@ package dynmis_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dynmis"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // path returns the path graph 0-1-...-(n-1).
@@ -299,5 +301,70 @@ func TestDGraphBasics(t *testing.T) {
 	}
 	if orig[0] != 0 || orig[1] != 2 || orig[2] != 3 {
 		t.Fatalf("snapshot mapping = %v", orig)
+	}
+}
+
+// TestDGraphMatchesSets checks the DGraph's arena against plain adjacency
+// sets over 20,000 random updates on a 64-vertex path: rows grow past
+// their blocks and move, removed rows leave their blocks behind, and the
+// arena fills and is compacted many times, yet after every update each
+// row must hold exactly its neighbors, ascending, and M and AliveCount
+// must agree.
+func TestDGraphMatchesSets(t *testing.T) {
+	d := dynmis.NewDGraph(path(64))
+	ref := make([]map[int]bool, 64)
+	for v := range ref {
+		ref[v] = map[int]bool{}
+		if v > 0 {
+			ref[v][v-1], ref[v-1][v] = true, true
+		}
+	}
+	alive, m := 64, 63
+	r := rng.New(9)
+	for step := 0; step < 20000; step++ {
+		u, v := r.Intn(len(ref)), r.Intn(len(ref))
+		switch op := r.Intn(10); {
+		case op < 5 && d.Alive(u) && d.Alive(v) && u != v && !ref[u][v]:
+			if err := d.InsertEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+			ref[u][v], ref[v][u] = true, true
+			m++
+		case op < 8 && ref[u][v]:
+			if err := d.RemoveEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+			delete(ref[u], v)
+			delete(ref[v], u)
+			m--
+		case op == 8 && d.Alive(u):
+			if _, err := d.RemoveNode(u); err != nil {
+				t.Fatal(err)
+			}
+			for w := range ref[u] {
+				delete(ref[w], u)
+			}
+			m -= len(ref[u])
+			ref[u] = map[int]bool{}
+			alive--
+		case op == 9:
+			d.InsertNode()
+			ref = append(ref, map[int]bool{})
+			alive++
+		}
+		if d.M() != m || d.AliveCount() != alive {
+			t.Fatalf("step %d: M %d alive %d, want %d and %d", step, d.M(), d.AliveCount(), m, alive)
+		}
+		for x := range ref {
+			row := d.Neighbors(x)
+			if len(row) != len(ref[x]) || !slices.IsSorted(row) {
+				t.Fatalf("step %d: vertex %d row %v, want the %d neighbors %v ascending", step, x, row, len(ref[x]), ref[x])
+			}
+			for _, w := range row {
+				if !ref[x][int(w)] {
+					t.Fatalf("step %d: vertex %d row %v holds %d, not a neighbor", step, x, row, w)
+				}
+			}
+		}
 	}
 }

@@ -41,7 +41,7 @@ func (e *Engine) violated(v int) bool {
 	if !e.inMIS[v] {
 		return false
 	}
-	for _, w := range e.d.adj[v] {
+	for _, w := range e.d.Neighbors(v) {
 		if e.inMIS[w] {
 			return true
 		}
@@ -55,7 +55,7 @@ func (e *Engine) orphaned(v int) bool {
 	if e.inMIS[v] {
 		return false
 	}
-	for _, w := range e.d.adj[v] {
+	for _, w := range e.d.Neighbors(v) {
 		if e.inMIS[w] {
 			return false
 		}
@@ -80,20 +80,19 @@ func (e *Engine) seedsFrom(affected []int) []int {
 // frontier is MIS-stable, and returns the region in ascending ID order.
 // The returned slice is engine scratch, valid until the next batch.
 func (e *Engine) growRegion(seeds []int) []int {
-	e.epoch++
 	region := e.region[:0]
 	for _, v := range seeds {
-		if e.mark[v] != e.epoch {
-			e.mark[v] = e.epoch
+		if e.slot[v] == 0 {
+			e.slot[v] = -1
 			region = append(region, v)
 		}
 	}
 	for i := 0; i < len(region); i++ {
-		for _, w := range e.d.adj[region[i]] {
-			if e.mark[w] == e.epoch || e.stableFrontier(int(w)) {
+		for _, w := range e.d.Neighbors(region[i]) {
+			if e.slot[w] != 0 || e.stableFrontier(int(w)) {
 				continue
 			}
-			e.mark[w] = e.epoch
+			e.slot[w] = -1
 			region = append(region, int(w))
 		}
 	}
@@ -111,8 +110,8 @@ func (e *Engine) stableFrontier(w int) bool {
 	if e.inMIS[w] {
 		return true
 	}
-	for _, x := range e.d.adj[w] {
-		if e.inMIS[x] && e.mark[x] != e.epoch {
+	for _, x := range e.d.Neighbors(w) {
+		if e.inMIS[x] && e.slot[x] == 0 {
 			return true
 		}
 	}
@@ -123,8 +122,8 @@ func (e *Engine) stableFrontier(w int) bool {
 // frozen MIS vertex outside the region. Such a vertex is externally
 // dominated: it must not join the set, so the repair run excludes it.
 func (e *Engine) blockedByFrozenMIS(v int) bool {
-	for _, w := range e.d.adj[v] {
-		if e.inMIS[w] && e.mark[w] != e.epoch {
+	for _, w := range e.d.Neighbors(v) {
+		if e.inMIS[w] && e.slot[w] == 0 {
 			return true
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/mis/base"
-	"repro/internal/mis/metivier"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -58,50 +57,47 @@ func (e *Engine) repair(region []int, rep *BatchReport) error {
 				// maintained set is valid between batches.
 				return fmt.Errorf("dynmis: internal: MIS vertex %d frozen-dominated", v)
 			}
-			e.local[v] = -1
-			continue
+			continue // its slot stays -1
 		}
-		e.local[v] = int32(len(free))
+		e.slot[v] = int32(len(free)) + 1
 		free = append(free, v)
 	}
 	e.free = free
 
 	edges := e.edges[:0]
 	for i, v := range free {
-		for _, w := range e.d.adj[v] {
-			if e.mark[w] != e.epoch || e.local[w] < 0 {
-				continue // outside the region or frozen-dominated
-			}
-			if j := int(e.local[w]); i < j {
+		for _, w := range e.d.Neighbors(v) {
+			// j is -1 outside the region and -2 for a frozen-dominated w.
+			if j := int(e.slot[w]) - 1; i < j {
 				edges = append(edges, graph.Edge{U: i, V: j})
 			}
 		}
 	}
 	e.edges = edges
-	sub, err := graph.New(len(free), edges)
-	if err != nil {
+	if err := e.sub.Reset(len(free), edges); err != nil {
 		return fmt.Errorf("dynmis: build repair subgraph: %w", err)
 	}
 
 	e.rec = *trace.NewRecorder()
-	opts := congest.Options{
+	e.run.Reset(&e.sub, e.factory, congest.Options{
 		Seed:      repairSeed(e.opts.Seed, rep.Batch),
 		Driver:    e.opts.Driver,
 		Workers:   e.opts.Workers,
 		MaxRounds: e.opts.MaxRounds,
 		Events:    &e.rec,
-	}
-	statuses, res, err := metivier.Run(sub, opts)
+	})
+	res, err := e.run.Run()
 	if err != nil {
 		return fmt.Errorf("dynmis: repair run (batch %d, region %d): %w", rep.Batch, len(region), err)
 	}
 	for i, v := range free {
-		e.inMIS[v] = statuses[i] == base.StatusInMIS
+		e.inMIS[v] = base.Status(e.run.Export(i)) == base.StatusInMIS
 	}
 	for _, v := range region {
-		if e.local[v] < 0 {
+		if e.slot[v] < 0 {
 			e.inMIS[v] = false // frozen-dominated: covered from outside
 		}
+		e.slot[v] = 0 // the next batch's region starts empty
 	}
 
 	rep.Free = len(free)

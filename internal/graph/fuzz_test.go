@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,7 +74,10 @@ func parseHeader(s string, n, m *int) (int, error) {
 
 // FuzzNewGraph exercises the constructor with arbitrary edge soup encoded
 // as byte pairs: it must reject invalid edges and otherwise produce a
-// consistent simple graph.
+// consistent simple graph. Reset must build the same input into a graph
+// that last held a larger one — more vertices and adjacency than any
+// input — with New's result: the same graph, or the same error and the
+// larger graph left unchanged.
 func FuzzNewGraph(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 1, 1, 2, 2, 3})
 	f.Add(uint8(2), []byte{0, 0})
@@ -88,6 +92,7 @@ func FuzzNewGraph(f *testing.F) {
 			edges = append(edges, Edge{U: int(raw[i]), V: int(raw[i+1])})
 		}
 		g, err := New(int(n), edges)
+		checkResetMatchesNew(t, int(n), edges, g, err)
 		valid := true
 		for _, e := range edges {
 			if e.U == e.V || e.U >= int(n) || e.V >= int(n) {
@@ -116,4 +121,39 @@ func FuzzNewGraph(f *testing.F) {
 			t.Fatalf("M = %d, distinct pairs = %d", g.M(), len(distinct))
 		}
 	})
+}
+
+// circulant is the edge list of a 300-vertex circulant of degree 8, more
+// vertices and adjacency than any FuzzNewGraph input.
+var circulant = func() (edges []Edge) {
+	for v := 0; v < 300; v++ {
+		for d := 1; d <= 4; d++ {
+			edges = append(edges, Edge{U: v, V: (v + d) % 300})
+		}
+	}
+	return edges
+}()
+
+// checkResetMatchesNew rebuilds n and edges into a graph that last held
+// the circulant and fails unless Reset gives what New gave: g, or err
+// with the circulant unchanged.
+func checkResetMatchesNew(t *testing.T, n int, edges []Edge, g *Graph, err error) {
+	t.Helper()
+	re, was := MustNew(300, circulant), MustNew(300, circulant)
+	rerr := re.Reset(n, edges)
+	switch {
+	case (rerr == nil) != (err == nil):
+		t.Fatalf("Reset error %v, New error %v", rerr, err)
+	case err != nil && rerr.Error() != err.Error():
+		t.Fatalf("Reset error %q, New error %q", rerr, err)
+	case err != nil && !sameCSR(re, was):
+		t.Fatal("a failed Reset changed the graph")
+	case err == nil && !sameCSR(re, g):
+		t.Fatalf("Reset built offsets %v adjacency %v, New %v and %v", re.offsets, re.adj, g.offsets, g.adj)
+	}
+}
+
+// sameCSR reports whether two graphs hold the same offsets and adjacency.
+func sameCSR(a, b *Graph) bool {
+	return slices.Equal(a.offsets, b.offsets) && slices.Equal(a.adj, b.adj)
 }

@@ -3,9 +3,10 @@
 // queries, induced subgraphs, low-out-degree orientations and degeneracy /
 // arboricity machinery, and MIS verification oracles.
 //
-// Graphs are simple (no self-loops, no parallel edges) and immutable after
-// construction, which makes them safe to share across goroutines without
-// locks — the goroutine-per-node CONGEST driver relies on this.
+// Graphs are simple (no self-loops, no parallel edges) and immutable once
+// built, which makes them safe to share across goroutines without locks —
+// the pool driver's shards sweep one graph at once. Reset rebuilds a graph
+// in place for an owner that reuses its arrays, while nothing reads it.
 package graph
 
 import (
@@ -19,10 +20,10 @@ import (
 )
 
 // Graph is an immutable simple undirected graph in CSR (compressed sparse
-// row) form. Vertices are 0..N()-1. Construct with New or MustNew. Vertex
-// IDs fit an int32 (New rejects larger n), so the CSR holds them in 4-byte
-// words, as does every row the engine sweeps; the edge APIs (Edge, New,
-// Edges) keep int.
+// row) form. Vertices are 0..N()-1. Construct with New or MustNew, or
+// rebuild one in place with Reset. Vertex IDs fit an int32 (New rejects
+// larger n), so the CSR holds them in 4-byte words, as does every row the
+// engine sweeps; the edge APIs (Edge, New, Edges) keep int.
 type Graph struct {
 	offsets []int32 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
 	adj     []int32 // flattened sorted adjacency lists
@@ -36,48 +37,72 @@ type Edge struct {
 // ErrBadEdge reports an edge endpoint outside [0, n) or a self-loop.
 var ErrBadEdge = errors.New("graph: edge endpoint out of range or self-loop")
 
-// New builds a graph on n vertices from an edge list. Duplicate edges are
-// merged; self-loops and out-of-range endpoints are rejected. n may not
-// exceed math.MaxInt32, since the CONGEST engine carries vertex IDs in
-// int32 fields, nor may the edge list's degree sum, since the CSR offsets
-// are int32; either is rejected before anything is allocated.
+// New builds a graph on n vertices from an edge list: a zero Graph built
+// by Reset.
 func New(n int, edges []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: vertex count %d above %d: vertex IDs must fit an int32", n, math.MaxInt32)
-	}
-	if err := checkDegreeSum(2 * len(edges)); err != nil {
+	g := new(Graph)
+	if err := g.Reset(n, edges); err != nil {
 		return nil, err
 	}
-	// cur counts each vertex's degree, then serves as its fill cursor.
-	cur := make([]int32, n)
+	return g, nil
+}
+
+// Reset builds g in place as the graph on n vertices of an edge list, in
+// g's arrays when they are large enough. Duplicate edges are merged;
+// self-loops and out-of-range endpoints are rejected. n may not exceed
+// math.MaxInt32, since the CONGEST engine carries vertex IDs in int32
+// fields, nor may the degree sum, since the CSR offsets are int32. On
+// error g is unchanged. Only g's owner may Reset it, while nothing reads it.
+func (g *Graph) Reset(n int, edges []Edge) error {
+	if n < 0 {
+		return fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("graph: vertex count %d above %d: vertex IDs must fit an int32", n, math.MaxInt32)
+	}
+	if err := checkDegreeSum(2 * len(edges)); err != nil {
+		return err
+	}
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("%w: (%d,%d) with n=%d", ErrBadEdge, e.U, e.V, n)
+			return fmt.Errorf("%w: (%d,%d) with n=%d", ErrBadEdge, e.U, e.V, n)
 		}
 		if e.U == e.V {
-			return nil, fmt.Errorf("%w: self-loop at %d", ErrBadEdge, e.U)
+			return fmt.Errorf("%w: self-loop at %d", ErrBadEdge, e.U)
 		}
-		cur[e.U]++
-		cur[e.V]++
 	}
-	offsets := make([]int32, n+1)
-	for v, d := range cur {
-		offsets[v+1] = offsets[v] + d
-	}
-	adj := make([]int32, offsets[n])
-	copy(cur, offsets[:n])
+	// offsets[v+1] counts v's degree; summed, offsets[v] is the start of
+	// v's row and serves as its fill cursor, which leaves it at the row's
+	// end, the start of v+1's — one slot to the right of its place.
+	offsets := grow(g.offsets, n+1)
+	clear(offsets)
 	for _, e := range edges {
-		adj[cur[e.U]] = int32(e.V)
-		cur[e.U]++
-		adj[cur[e.V]] = int32(e.U)
-		cur[e.V]++
+		offsets[e.U+1]++
+		offsets[e.V+1]++
 	}
-	g := &Graph{offsets: offsets, adj: adj}
+	for v := 1; v <= n; v++ {
+		offsets[v] += offsets[v-1]
+	}
+	adj := grow(g.adj, int(offsets[n]))
+	for _, e := range edges {
+		adj[offsets[e.U]] = int32(e.V)
+		offsets[e.U]++
+		adj[offsets[e.V]] = int32(e.U)
+		offsets[e.V]++
+	}
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
+	g.offsets, g.adj = offsets, adj
 	g.sortAndDedupe()
-	return g, nil
+	return nil
+}
+
+// grow returns s at length n, in s's array when its capacity suffices.
+func grow(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // checkDegreeSum rejects an edge list whose degree sum, the CSR's

@@ -144,8 +144,9 @@ func TestWideIDsMiss(t *testing.T) {
 
 // TestGraphBytes is the CSR memory gate: a 2^14-vertex graph of degree 8
 // must keep 4 bytes per offset and per adjacency entry, with no slack, and
-// New may allocate no more than that plus its n-entry int32 degree and
-// cursor scratch — a duplicate-free edge list needs no compacting copy.
+// New may allocate no more than that — it counts degrees and fills rows
+// in the offsets themselves, and a duplicate-free edge list needs no
+// compacting copy.
 func TestGraphBytes(t *testing.T) {
 	const n, k = 1 << 14, 4
 	edges := make([]Edge, 0, k*n)
@@ -173,8 +174,8 @@ func TestGraphBytes(t *testing.T) {
 		t.Errorf("CSR keeps %d bytes, want %d: 4 per offset and per adjacency entry", kept, csr)
 	}
 	// One page of size-class rounding per allocation.
-	if budget := uint64(csr + 4*n + 3*8192); newBytes > budget {
-		t.Errorf("New allocates %d bytes, budget %d: the CSR and one n-entry int32 scratch", newBytes, budget)
+	if budget := uint64(csr + 2*8192); newBytes > budget {
+		t.Errorf("New allocates %d bytes, budget %d: the CSR alone", newBytes, budget)
 	}
 }
 
