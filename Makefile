@@ -36,9 +36,9 @@ misvet:
 # protocol, crash recovery), the programs that keep per-neighbour state
 # in the engine's marks (Algorithm 1, matching, forest and the MIS
 # programs), whose pool tests write each shard's marks from that shard's
-# goroutine, and the dynamic-MIS engine, whose repairs run on the pool driver
-# (TestGoldenStreamFingerprint, TestApplyBytes) with the engine's own
-# trace.Recorder as the run's sink.
+# goroutine, and the dynamic-MIS engine, which rebinds its one shared
+# repair Runner to each batch's subgraph (congest.Runner.Reset) with the
+# engine's own trace.Recorder as the run's sink.
 RACE_PKGS = ./internal/congest/... ./internal/distrib/... ./internal/core/... \
 	./internal/matching/... ./internal/forest/... ./internal/mis/... \
 	./internal/dynmis/...
@@ -112,14 +112,13 @@ cover:
 # shard's rows (one shard of two of a 2^14-vertex union of two trees) in
 # at most 1.1 times the rows it keeps plus 4 KB, because the config frame
 # declares the adjacency length and the decoder makes each slice once; a
-# dynamic-MIS Apply must allocate at most 2.5 KB on average over a
-# 256-batch stream of 16 updates on a 2^12-vertex random tree,
-# sequentially and on two pool shards, because a repair rebuilds the
-# engine's one subgraph in place,
-# rebinds its one Runner and folds its trace fingerprint in an
-# engine-owned trace.Recorder, which stores no events; and an Engine
-# bootstrapped on a 2^14-vertex random tree must hold at most 56 bytes
-# per vertex, because New drops the bootstrap's whole-graph scratch,
+# dynamic-MIS Apply must allocate at most 1 KB on average over a
+# 256-batch stream of 16 updates on a 2^12-vertex random tree, because a
+# repair rebuilds the engine's one subgraph in place, rebinds its one
+# Runner and folds its trace fingerprint in an engine-owned
+# trace.Recorder, which stores no events; and an Engine bootstrapped on
+# a 2^14-vertex random tree must hold at most 40 bytes per vertex,
+# because New drops the bootstrap's whole-graph scratch,
 # subgraph and Runner, and the DGraph locates each row in its arena by an
 # 8-byte span. Fast (< 1s); runs in ci.
 alloc-gate:

@@ -63,13 +63,14 @@ func NewDGraph(g *graph.Graph) *DGraph {
 func blockLen(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // place copies row to a new block of the given length at the arena's end
-// and points v's span at it.
+// and points v's span at it. The arena grows by slices.Grow, not by
+// appending a make, whose make the race detector's build allocates.
 func (d *DGraph) place(v int, row []int32, block int) {
 	off := len(d.arena)
 	if off+block > math.MaxUint32 {
 		panic("dynmis: DGraph arena above 2^32 entries")
 	}
-	d.arena = append(append(d.arena, row...), make([]int32, block-len(row))...)
+	d.arena = append(slices.Grow(d.arena, block), row...)[:off+block]
 	d.rows[v] = span{off: uint32(off), n: int32(len(row))}
 }
 

@@ -17,10 +17,11 @@
 //
 // Determinism extends from single runs to streams: for a fixed (graph,
 // seed, update stream), the maintained MIS, the region of every repair,
-// and the trace fingerprint of every repair run are bit-identical across
-// the sequential and worker-pool CONGEST drivers. Each repair seeds its
-// run from (engine seed, batch index) alone, so the guarantee survives
-// replay from any prefix.
+// and the trace fingerprint of every repair run are fixed, and the stream
+// fingerprint pins them all. Every repair runs on the sequential CONGEST
+// driver: a region is a handful of vertices, too small for pool workers to
+// pay for their start-up. Each repair seeds its run from (engine seed,
+// batch index) alone, so the guarantee survives replay from any prefix.
 package dynmis
 
 import (
@@ -39,13 +40,6 @@ type Options struct {
 	// Seed is the engine's root seed: repair run b draws its CONGEST seed
 	// from (Seed, b), so the whole stream's randomness derives from it.
 	Seed uint64
-	// Driver selects the CONGEST driver for repair runs (the zero value
-	// is sequential).
-	Driver congest.DriverKind
-	// Workers is the pool driver's worker count (0 = GOMAXPROCS).
-	Workers int
-	// MaxRounds caps each repair run (0 = the CONGEST default).
-	MaxRounds int
 	// Events, when non-nil, receives one deterministic trace.EvRepair
 	// event per applied batch (bootstrap included): Round = batch index,
 	// V = region size, W = free vertices, X = repair rounds, Y = the
@@ -71,36 +65,19 @@ type BatchReport struct {
 	Rounds   int
 	Messages int64
 	// RepairFingerprint is the repair run's deterministic trace
-	// fingerprint (zero when no repair ran); StreamFingerprint is the
-	// engine's running fold over every batch so far.
+	// fingerprint (zero when no repair ran).
 	RepairFingerprint uint64
-	StreamFingerprint uint64
-}
-
-// Stats aggregates an engine's lifetime accounting.
-type Stats struct {
-	// Batches counts applied batches, bootstrap included; Updates counts
-	// individual updates (the bootstrap contributes none).
-	Batches, Updates int
-	// Repairs counts the batches that needed a repair run.
-	Repairs int
-	// RegionVertices sums repaired-region sizes; FrozenVertices the
-	// boundary-dominated exclusions.
-	RegionVertices, FrozenVertices int64
-	// Rounds and Messages sum over every repair run.
-	Rounds   int64
-	Messages int64
 }
 
 // Engine maintains a maximal independent set over a DGraph. Construct
 // with New; an Engine is not safe for concurrent use.
 type Engine struct {
-	opts  Options
-	d     *DGraph
-	inMIS []bool
-	fp    uint64
-	stats Stats
-	err   error // first fatal error; poisons the engine
+	opts    Options
+	d       *DGraph
+	inMIS   []bool
+	fp      uint64
+	batches int   // applied batches, bootstrap included: the next batch's index
+	err     error // first fatal error; poisons the engine
 
 	// Per-batch scratch. slot[v] is 0 outside the region; inside, -1, and
 	// once the repair splits the region 1 + its subgraph ID if v is free.
@@ -157,8 +134,8 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 
 // Apply runs one batch: the updates are applied to the graph sequentially
 // in order, then a single incremental repair re-establishes the MIS. The
-// returned report accounts the batch; rep.StreamFingerprint is the running
-// stream fingerprint after the batch.
+// returned report accounts the batch, and Fingerprint reads the running
+// stream fingerprint after it.
 //
 // A batch is atomic with respect to repair, not with respect to
 // validation: an invalid update (unknown op, absent edge, dead endpoint,
@@ -170,7 +147,7 @@ func (e *Engine) Apply(b Batch) (BatchReport, error) {
 	if e.err != nil {
 		return BatchReport{}, e.err
 	}
-	rep := BatchReport{Batch: e.stats.Batches, Updates: len(b)}
+	rep := BatchReport{Batch: e.batches, Updates: len(b)}
 	affected := e.affected[:0]
 	for i, u := range b {
 		var err error
@@ -240,7 +217,7 @@ func (e *Engine) update(u Update, affected []int) ([]int, error) {
 }
 
 // runBatch does the shared post-mutation half of New and Apply: seed
-// discovery, region growth, repair, fingerprint fold, stats, event.
+// discovery, region growth, repair, fingerprint fold, event.
 func (e *Engine) runBatch(rep *BatchReport, affected []int) error {
 	seeds := e.seedsFrom(affected)
 	rep.Seeds = len(seeds)
@@ -250,18 +227,9 @@ func (e *Engine) runBatch(rep *BatchReport, affected []int) error {
 		if err := e.repair(region, rep); err != nil {
 			return err
 		}
-		e.stats.Repairs++
 	}
 	e.fp = foldReport(e.fp, rep)
-	rep.StreamFingerprint = e.fp
-
-	e.stats.Batches++
-	e.stats.Updates += rep.Updates
-	e.stats.RegionVertices += int64(rep.Region)
-	e.stats.FrozenVertices += int64(rep.Frozen)
-	e.stats.Rounds += int64(rep.Rounds)
-	e.stats.Messages += rep.Messages
-
+	e.batches++
 	if e.opts.Events != nil {
 		e.opts.Events.Emit(trace.Event{
 			Type:  trace.EvRepair,
@@ -279,7 +247,7 @@ func (e *Engine) runBatch(rep *BatchReport, affected []int) error {
 // foldReport folds one batch's deterministic facts into the stream
 // fingerprint: the batch shape, the region decomposition, and the repair
 // run's own trace fingerprint. Two engines agree on the stream fingerprint
-// iff they agreed on every batch — the cross-driver golden tests pin it.
+// iff they agreed on every batch — the golden stream tests pin it.
 func foldReport(h uint64, rep *BatchReport) uint64 {
 	h = trace.Fold(h, uint64(rep.Batch)<<32|uint64(uint32(rep.Updates)))
 	h = trace.Fold(h, uint64(rep.Seeds)<<32|uint64(uint32(rep.Region)))
@@ -296,12 +264,6 @@ func (e *Engine) Err() error { return e.err }
 // applied batch (bootstrap included) covering the region decompositions
 // and each repair run's deterministic trace fingerprint.
 func (e *Engine) Fingerprint() uint64 { return e.fp }
-
-// Batches returns the number of applied batches, bootstrap included.
-func (e *Engine) Batches() int { return e.stats.Batches }
-
-// Stats returns the engine's lifetime accounting.
-func (e *Engine) Stats() Stats { return e.stats }
 
 // Graph returns the engine's dynamic graph. The caller must treat it as
 // read-only: mutating it behind the engine's back invalidates the

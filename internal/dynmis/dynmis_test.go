@@ -9,6 +9,7 @@ import (
 	"repro/internal/dynmis"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // path returns the path graph 0-1-...-(n-1).
@@ -47,13 +48,13 @@ func apply(t *testing.T, e *dynmis.Engine, b dynmis.Batch) dynmis.BatchReport {
 }
 
 func TestBootstrapIsBatchZero(t *testing.T) {
-	e := mustEngine(t, path(8), dynmis.Options{Seed: 7})
-	st := e.Stats()
-	if st.Batches != 1 || st.Repairs != 1 || st.Updates != 0 {
-		t.Fatalf("bootstrap stats = %+v", st)
+	var sink trace.MemorySink
+	e := mustEngine(t, path(8), dynmis.Options{Seed: 7, Events: &sink})
+	if len(sink.Events) != 1 || sink.Events[0].Type != trace.EvRepair {
+		t.Fatalf("bootstrap emitted %v, want one repair event", sink.Events)
 	}
-	if st.RegionVertices != 8 {
-		t.Fatalf("bootstrap region covered %d of 8 vertices", st.RegionVertices)
+	if boot := sink.Events[0]; boot.Round != 0 || boot.V != 8 || boot.X == 0 {
+		t.Fatalf("bootstrap event = %+v, want batch 0 repairing all 8 vertices", boot)
 	}
 	if e.Fingerprint() == 0 {
 		t.Fatal("zero stream fingerprint after bootstrap")
@@ -70,7 +71,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestEmptyBatchIsNoOp(t *testing.T) {
 	e := mustEngine(t, path(5), dynmis.Options{Seed: 3})
-	before := e.MIS()
+	before, fp := e.MIS(), e.Fingerprint()
 	rep := apply(t, e, nil)
 	if rep.Seeds != 0 || rep.Region != 0 || rep.Rounds != 0 {
 		t.Fatalf("empty batch repaired something: %+v", rep)
@@ -81,7 +82,7 @@ func TestEmptyBatchIsNoOp(t *testing.T) {
 	}
 	// The fold still advances: every batch, even a no-op, is part of the
 	// stream's identity.
-	if rep.StreamFingerprint == 0 {
+	if e.Fingerprint() == fp {
 		t.Fatal("no-op batch did not fold into the stream fingerprint")
 	}
 }
@@ -257,8 +258,8 @@ func TestAccessors(t *testing.T) {
 			t.Fatalf("MIS() and IsInMIS disagree on %d", v)
 		}
 	}
-	if e.Batches() != 1 {
-		t.Fatalf("Batches() = %d after bootstrap", e.Batches())
+	if rep := apply(t, e, nil); rep.Batch != 1 {
+		t.Fatalf("the first batch after the bootstrap reported index %d", rep.Batch)
 	}
 }
 

@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/dynmis"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // Golden regression pin for the dynamic-MIS engine: a fixed (graph, seed,
-// stream) triple must reproduce this exact stream fingerprint on BOTH the
-// sequential and pool drivers, forever. The fingerprint folds every
+// stream) triple must reproduce this exact stream fingerprint, forever.
+// Every repair runs on the sequential driver. The fingerprint folds every
 // batch's region decomposition and every repair run's deterministic trace
 // fingerprint, so it pins the whole pipeline: stream generation, region
 // growth, boundary freezing, and the CONGEST repair runs. If a deliberate
@@ -85,42 +85,35 @@ func goldenStreams(t *testing.T) []goldenStream {
 
 func TestGoldenStreamFingerprint(t *testing.T) {
 	cases := goldenStreams(t)
-	for _, d := range []struct {
-		name string
-		opts dynmis.Options
-	}{
-		{"sequential", dynmis.Options{}},
-		{"pool", dynmis.Options{Driver: congest.DriverPool, Workers: 4}},
-	} {
-		t.Run(d.name, func(t *testing.T) {
-			for _, c := range cases {
-				t.Run(c.name, func(t *testing.T) {
-					opts := d.opts
-					opts.Seed = c.seed
-					e, err := dynmis.New(c.g, opts)
+	// The subtests sit under the driver every repair runs on.
+	t.Run("sequential", func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				var sink trace.MemorySink
+				e, err := dynmis.New(c.g, dynmis.Options{Seed: c.seed, Events: &sink})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bootstrap := sink.Events[0].Z
+				var repair int64
+				for bi, b := range c.batches {
+					rep, err := e.Apply(b)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("batch %d: %v", bi, err)
 					}
-					bootstrap := e.Stats().Messages
-					for bi, b := range c.batches {
-						if _, err := e.Apply(b); err != nil {
-							t.Fatalf("batch %d: %v", bi, err)
-						}
-					}
-					if err := e.Verify(); err != nil {
-						t.Fatal(err)
-					}
-					if got := fmt.Sprintf("%#016x", e.Fingerprint()); got != c.want {
-						t.Fatalf("stream fingerprint drift on the %s driver: got %s, want %s",
-							d.name, got, c.want)
-					}
-					repair := e.Stats().Messages - bootstrap
-					if c.workBar && bootstrap*int64(len(c.batches)) < 10*repair {
-						t.Fatalf("bootstrap sent %d messages, under 10× the mean repair batch (%d over %d batches)",
-							bootstrap, repair, len(c.batches))
-					}
-				})
-			}
-		})
-	}
+					repair += rep.Messages
+				}
+				if err := e.Verify(); err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%#016x", e.Fingerprint()); got != c.want {
+					t.Fatalf("stream fingerprint drift: got %s, want %s", got, c.want)
+				}
+				if c.workBar && bootstrap*int64(len(c.batches)) < 10*repair {
+					t.Fatalf("bootstrap sent %d messages, under 10× the mean repair batch (%d over %d batches)",
+						bootstrap, repair, len(c.batches))
+				}
+			})
+		}
+	})
 }

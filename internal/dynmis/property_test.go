@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/dynmis"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -84,51 +83,5 @@ func TestPropertyRandomStreams(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPropertyCrossDriver: the same stream replayed on the sequential and
-// pool drivers must agree on every batch report and every membership bit.
-func TestPropertyCrossDriver(t *testing.T) {
-	for _, fam := range propertyFamilies {
-		t.Run(fam.name, func(t *testing.T) {
-			root := rng.New(77)
-			g := fam.build(150, root.Split(1))
-			cfg := dynmis.StreamConfig{Batches: 8, BatchSize: 8, Locality: 0.3, Churn: 0.2}
-			batches, err := dynmis.UpdateStream(g, cfg, root.Split(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			seed := root.Split(3).Uint64()
-			seq, err := dynmis.New(g, dynmis.Options{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool, err := dynmis.New(g, dynmis.Options{Seed: seed, Driver: congest.DriverPool, Workers: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.Fingerprint() != pool.Fingerprint() {
-				t.Fatalf("bootstrap fingerprints diverge: %#x != %#x", seq.Fingerprint(), pool.Fingerprint())
-			}
-			for bi, b := range batches {
-				rs, err := seq.Apply(b)
-				if err != nil {
-					t.Fatalf("sequential batch %d: %v", bi, err)
-				}
-				rp, err := pool.Apply(b)
-				if err != nil {
-					t.Fatalf("pool batch %d: %v", bi, err)
-				}
-				if rs != rp {
-					t.Fatalf("batch %d reports diverge:\nseq  %+v\npool %+v", bi, rs, rp)
-				}
-			}
-			for v := 0; v < seq.Graph().NumIDs(); v++ {
-				if seq.IsInMIS(v) != pool.IsInMIS(v) {
-					t.Fatalf("membership of %d diverges across drivers", v)
-				}
-			}
-		})
 	}
 }

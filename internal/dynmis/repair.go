@@ -25,7 +25,7 @@ import (
 //     Métivier priority protocol (the workhorse inside the paper's
 //     tree/bounded-arboricity pipeline) on the subgraph induced by the
 //     free vertices, executed on the zero-allocation congest.Wire engine
-//     with whichever driver the engine was configured with.
+//     by the sequential driver.
 //
 // Correctness of the composition (see DESIGN.md S28 for the full
 // argument): free vertices are never adjacent to an outside MIS vertex
@@ -36,8 +36,8 @@ import (
 // a maximal independent set of the whole graph.
 
 // repairSeed derives the deterministic CONGEST seed for batch b: a pure
-// function of (engine seed, batch index), so replays and cross-driver runs
-// agree regardless of what earlier batches did.
+// function of (engine seed, batch index), so replays agree regardless of
+// what earlier batches did.
 func repairSeed(seed uint64, batch int) uint64 {
 	return rng.New(seed).Split(uint64(batch)).Uint64()
 }
@@ -79,13 +79,7 @@ func (e *Engine) repair(region []int, rep *BatchReport) error {
 	}
 
 	e.rec = *trace.NewRecorder()
-	e.run.Reset(&e.sub, e.factory, congest.Options{
-		Seed:      repairSeed(e.opts.Seed, rep.Batch),
-		Driver:    e.opts.Driver,
-		Workers:   e.opts.Workers,
-		MaxRounds: e.opts.MaxRounds,
-		Events:    &e.rec,
-	})
+	e.run.Reset(&e.sub, e.factory, congest.Options{Seed: repairSeed(e.opts.Seed, rep.Batch), Events: &e.rec})
 	res, err := e.run.Run()
 	if err != nil {
 		return fmt.Errorf("dynmis: repair run (batch %d, region %d): %w", rep.Batch, len(region), err)

@@ -1,7 +1,6 @@
 package dynmis_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/congest"
@@ -28,39 +27,25 @@ func TestRepairFingerprintMatchesRecorder(t *testing.T) {
 		{"tree", gen.RandomTree(n, rng.New(5))},
 		{"union-2", gen.UnionOfTrees(n, 2, rng.New(6))},
 	} {
-		for _, d := range []struct {
-			name    string
-			driver  congest.DriverKind
-			workers int
-		}{
-			{"sequential", congest.DriverSequential, 0},
-			{"pool-4", congest.DriverPool, 4},
-		} {
-			t.Run(fmt.Sprintf("%s/%s", c.name, d.name), func(t *testing.T) {
-				var sink trace.MemorySink
-				if _, err := dynmis.New(c.g, dynmis.Options{Seed: seed, Driver: d.driver, Workers: d.workers, Events: &sink}); err != nil {
-					t.Fatal(err)
-				}
-				if len(sink.Events) != 1 || sink.Events[0].Type != trace.EvRepair {
-					t.Fatalf("bootstrap emitted %v, want one repair event", sink.Events)
-				}
-				boot := sink.Events[0]
-				if int(boot.V) != n || int(boot.W) != n {
-					t.Fatalf("bootstrap region %d with %d free, want the whole graph (%d)", boot.V, boot.W, n)
-				}
-				var run trace.MemorySink
-				if _, _, err := metivier.Run(c.g, congest.Options{
-					Seed:    rng.New(seed).Split(0).Uint64(),
-					Driver:  d.driver,
-					Workers: d.workers,
-					Events:  &run,
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if got, want := uint64(boot.Y), trace.Fingerprint(run.Events); got != want {
-					t.Fatalf("bootstrap repair fingerprint %#016x, captured run %#016x", got, want)
-				}
-			})
-		}
+		t.Run(c.name+"/sequential", func(t *testing.T) {
+			var sink trace.MemorySink
+			if _, err := dynmis.New(c.g, dynmis.Options{Seed: seed, Events: &sink}); err != nil {
+				t.Fatal(err)
+			}
+			if len(sink.Events) != 1 || sink.Events[0].Type != trace.EvRepair {
+				t.Fatalf("bootstrap emitted %v, want one repair event", sink.Events)
+			}
+			boot := sink.Events[0]
+			if int(boot.V) != n || int(boot.W) != n {
+				t.Fatalf("bootstrap region %d with %d free, want the whole graph (%d)", boot.V, boot.W, n)
+			}
+			var run trace.MemorySink
+			if _, _, err := metivier.Run(c.g, congest.Options{Seed: rng.New(seed).Split(0).Uint64(), Events: &run}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := uint64(boot.Y), trace.Fingerprint(run.Events); got != want {
+				t.Fatalf("bootstrap repair fingerprint %#016x, captured run %#016x", got, want)
+			}
+		})
 	}
 }

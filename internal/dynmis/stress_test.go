@@ -43,11 +43,14 @@ func TestAdversarialClusteredStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		regionMax, regionSum := 0, int64(0)
+		regionMax, regionSum, repairs := 0, int64(0), 0
 		for i, b := range stream {
 			rep, err := e.Apply(b)
 			if err != nil {
 				t.Fatalf("batch %d: %v", i, err)
+			}
+			if rep.Seeds > 0 {
+				repairs++
 			}
 			if rep.Region > regionMax {
 				regionMax = rep.Region
@@ -55,7 +58,7 @@ func TestAdversarialClusteredStream(t *testing.T) {
 			regionSum += int64(rep.Region)
 			checkAgainstRecompute(t, e, "clustered stream")
 		}
-		return e.Fingerprint(), regionMax, regionSum, e.Stats().Repairs
+		return e.Fingerprint(), regionMax, regionSum, repairs
 	}
 
 	fp, regionMax, regionSum, repairs := run()

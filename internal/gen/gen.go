@@ -369,6 +369,51 @@ func RandomForest(n, trees int, r *rng.RNG) *graph.Graph {
 	return graph.MustNew(n, edges)
 }
 
+// FamilyNames lists the families Family builds, as -family flags spell them.
+const FamilyNames = "tree|union|grid|gnp|pa|rgg"
+
+// Family builds the named family on n vertices from r: alpha is union's
+// tree count and pa's out-degree, p is gnp's edge probability and rgg's
+// radius, and grid is the smallest square of at least n cells. It refuses
+// what a generator would panic on or silently clamp, naming the parameter.
+func Family(name string, n, alpha int, p float64, r *rng.RNG) (*graph.Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("n must be at least 1, got %d", n)
+	}
+	switch name {
+	case "tree":
+		return RandomTree(n, r), nil
+	case "union":
+		if alpha < 1 {
+			return nil, fmt.Errorf("alpha must be at least 1 for union, got %d", alpha)
+		}
+		return UnionOfTrees(n, alpha, r), nil
+	case "grid":
+		side := 1
+		for side*side < n {
+			side++
+		}
+		return Grid(side, side), nil
+	case "gnp":
+		if !(p >= 0 && p <= 1) { // NaN fails both
+			return nil, fmt.Errorf("p must be a probability in [0, 1] for gnp, got %v", p)
+		}
+		return GNP(n, p, r), nil
+	case "pa":
+		if alpha < 1 || alpha >= n {
+			return nil, fmt.Errorf("alpha must be in [1, n) for pa, got alpha=%d with n=%d", alpha, n)
+		}
+		return PreferentialAttachment(n, alpha, r), nil
+	case "rgg":
+		if !(p >= 0) {
+			return nil, fmt.Errorf("p (the radius) must be non-negative for rgg, got %v", p)
+		}
+		g, _ := RandomGeometric(n, p, r)
+		return g, nil
+	}
+	return nil, fmt.Errorf("unknown family %q (want %s)", name, FamilyNames)
+}
+
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -363,6 +364,34 @@ func TestPreferentialAttachmentGolden(t *testing.T) {
 			if h != c.fp[seed] {
 				t.Errorf("PreferentialAttachment(%d, %d, seed %d) fingerprint %#x, want %#x", c.n, c.m, seed, h, c.fp[seed])
 			}
+		}
+	}
+}
+
+// TestFamilyMatchesGenerators checks that Family builds each family with
+// the generator call the commands made before they shared its switch;
+// cmd/arbmis's TestBadGraphFlags drives every refusal.
+func TestFamilyMatchesGenerators(t *testing.T) {
+	const n, seed = 100, 7
+	for _, c := range []struct {
+		name  string
+		alpha int
+		p     float64
+		want  *graph.Graph
+	}{
+		{"tree", 0, 0, RandomTree(n, rng.New(seed))},
+		{"union", 3, 0, UnionOfTrees(n, 3, rng.New(seed))},
+		{"grid", 0, 0, Grid(10, 10)},
+		{"gnp", 0, 0.05, GNP(n, 0.05, rng.New(seed))},
+		{"pa", 2, 0, PreferentialAttachment(n, 2, rng.New(seed))},
+		{"rgg", 0, 0.2, func() *graph.Graph { g, _ := RandomGeometric(n, 0.2, rng.New(seed)); return g }()},
+	} {
+		g, err := Family(c.name, n, c.alpha, c.p, rng.New(seed))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if g.N() != c.want.N() || !slices.Equal(g.Edges(), c.want.Edges()) {
+			t.Errorf("%s: Family built n=%d m=%d, the generator n=%d m=%d", c.name, g.N(), g.M(), c.want.N(), c.want.M())
 		}
 	}
 }

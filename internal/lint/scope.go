@@ -22,10 +22,10 @@ import "strings"
 //     and the runtime suites (cross-driver matrices, pinned fingerprints)
 //     already catch a test that breaks determinism where it matters.
 //
-// New packages land in the right bucket by path: anything under
-// internal/ is deterministic unless listed in exemptScopes; top-level
-// cmd/ and examples/ trees are always exempt. DESIGN.md documents the
-// same rules prose-side.
+// A package is bound only when a deterministicScopes prefix covers it and
+// no exemptScopes prefix does, so an unlisted internal/ package is not
+// bound: TestScopeExhaustive fails until a new one is listed in either.
+// DESIGN.md documents the same rules prose-side.
 
 // deterministicScopes lists module-relative path prefixes bound by the
 // determinism contract. A prefix covers the package and its subtree.
